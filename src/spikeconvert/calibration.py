@@ -244,24 +244,6 @@ def observed_range(
     return lo, hi
 
 
-def range_sample(
-    observed: np.ndarray,
-    rng: np.random.Generator,
-    pad: float = 0.1,
-    floor: float | None = None,
-) -> np.ndarray:
-    """Observed activations plus a uniform floor over their padded range.
-
-    The uniform points (half the observed count, so a third of the total)
-    keep quantile boundaries from collapsing onto one activation mode and
-    guarantee the padded tails stay inside the fitted hierarchy.
-    """
-    observed = np.asarray(observed, dtype=np.float64).reshape(-1)
-    lo, hi = observed_range(observed, pad=pad, floor=floor)
-    extra = rng.uniform(lo, hi, size=max(observed.size // 2, 8))
-    return np.concatenate([np.clip(observed, lo, hi), extra, [lo, hi]])
-
-
 # ---------------------------------------------------------------------------
 # kernel fitting
 

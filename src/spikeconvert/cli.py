@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import TARGETS, fit_target, sample_distribution
-from .energy import E_AC, E_MAC
+from .energy import E_AC, E_MAC, EnergyLedger, energy_ratio
 from .errors import CalibrationError, FormatError, SpikePathError
 from .model import (
     ConvertedBlock,
@@ -160,7 +160,7 @@ def cmd_sweep(args) -> int:
     lines = ["timestep,mean_rel_err,sops,ratio"]
     for T in steps_list:
         _, trace = spike_forward(block, x, T=T)
-        ratio = (trace.ledger.sops * E_AC) / (trace.ledger.flops * E_MAC)
+        ratio = energy_ratio(trace.ledger)
         lines.append(f"{T},{trace.output_rel_err!r},{trace.ledger.sops},{ratio!r}")
     text = "\n".join(lines) + "\n"
     if args.out is not None:
@@ -179,10 +179,9 @@ def cmd_energy(args) -> int:
             f"report {args.report!r} records no float-path FLOPs; "
             "the energy ratio is undefined"
         )
-    sops = int(ledger["sops"])
-    flops = int(ledger["flops"])
-    ratio = (sops * E_AC) / (flops * E_MAC)
-    print(f"SOPs={sops} FLOPs={flops} E_AC={E_AC} E_MAC={E_MAC} ratio={ratio:.6g}")
+    led = EnergyLedger.from_dict(ledger)
+    print(f"SOPs={led.sops} FLOPs={led.flops} E_AC={E_AC} E_MAC={E_MAC} "
+          f"ratio={energy_ratio(led):.6g}")
     return 0
 
 

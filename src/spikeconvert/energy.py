@@ -104,15 +104,3 @@ def energy_ratio(ledger: EnergyLedger) -> float:
             "energy ratio is undefined: no float-path FLOPs were recorded"
         )
     return (ledger.sops * ledger.e_ac) / (ledger.flops * ledger.e_mac)
-
-
-def merge(a: EnergyLedger, b: EnergyLedger) -> EnergyLedger:
-    """Combine two ledgers site-wise. Associative and commutative."""
-    if a.sop_weight != b.sop_weight:
-        raise EnergyAccountingError("cannot merge ledgers with different sop weights")
-    out = EnergyLedger(flop_costs=a.flop_costs, sop_weight=a.sop_weight)
-    for src in (a, b):
-        for site, counts in src.by_site.items():
-            out.record_sop(site, counts["sops"] // src.sop_weight)
-            out.record_flop(site, counts["flops"])
-    return out

@@ -19,6 +19,7 @@ import json
 import math
 import os
 import struct
+import typing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -66,6 +67,12 @@ _FFN_KINDS = ("standard", "gated")
 _LN_EPS = 1e-5  # matches the fitted inverse-root target 1/sqrt(x + 1e-5)
 
 
+def _check_type(name: str, value, kind: type) -> None:
+    # bool subclasses int, but True is not a layer count
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Block dimensions plus every knob a conversion experiment needs."""
@@ -88,6 +95,9 @@ class ModelConfig:
     sop_bits: bool = False
 
     def __post_init__(self) -> None:
+        # JSON configs arrive untyped: check every field before comparing it
+        for name, kind in typing.get_type_hints(type(self)).items():
+            _check_type(name, getattr(self, name), kind)
         for name in ("d_model", "n_heads", "d_ff", "seq_len", "T", "H",
                      "N_per_nonlinearity", "samples_per_range"):
             if getattr(self, name) < 1:
@@ -109,6 +119,7 @@ class ModelConfig:
         for key in ("weights", "calibration", "input"):
             if key not in self.seeds:
                 raise ValueError(f"seeds must include {key!r}")
+            _check_type(f"seeds[{key!r}]", self.seeds[key], int)
 
     @property
     def d_head(self) -> int:

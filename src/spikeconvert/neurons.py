@@ -1,6 +1,7 @@
 """Spiking neuron kernels: temporal encoders that trade timesteps for precision.
 
-Four kernels are implemented.
+Four kernels are implemented. Each emits a SpikeMatrixTrain, the package's
+one train type: T steps of weighted spike values with matrix shape.
 
 fs_encode    few-step kernel with free per-step parameters. Membrane starts
              at the input, fires whenever it reaches the step threshold,
@@ -10,21 +11,24 @@ mt_encode    multi-level threshold encoder on a dyadic schedule. At step t
              the threshold is tau * 2^-t and a firing emits one of H signed
              grid levels, so magnitudes halve per step while each event
              carries up to log2(2H) bits.
-oat_encode   outlier-aware wrapper: elements are routed by magnitude to one
+dual-range   outlier-aware wrapper: elements are routed by magnitude to one
              of two mt encoders, a fine one for the typical range and a
              coarse one for the rare large values, so outliers stop
              inflating everyone else's quantization step.
-hg_apply     gated bank of fitted fs kernels. The input range is split into
+gated bank   bank of fitted fs kernels. The input range is split into
              sub-ranges; exactly one sub-kernel is active per element and
              approximates an arbitrary scalar function on its sub-range.
 
-All encoders are deterministic and produce bit-identical trains for
-identical inputs and configurations.
+fs_encode and mt_encode encode one scalar and serve as reference kernels.
+The dual-range encoder and the gated bank run whole matrices through
+spikeops.encode_matrix and spikeops.apply_hg; hg_eval decodes the bank on a
+1-D batch at fit time. All encoders are deterministic and produce
+bit-identical trains for identical inputs and configurations.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -56,6 +60,8 @@ class FSParams:
             raise ValueError("schedule needs at least one step")
         if any(not t > 0.0 for t in self.theta):
             raise ValueError("every threshold must be positive")
+        if not all(math.isfinite(v) for v in self.h + self.d):
+            raise ValueError("every reset and output weight must be finite")
 
     @property
     def steps(self) -> int:
@@ -94,6 +100,8 @@ class OATConfig:
                 f"need theta_out > theta_nor > 0, got "
                 f"theta_nor={self.theta_nor} theta_out={self.theta_out}"
             )
+        if not math.isfinite(self.theta_out):
+            raise ValueError(f"theta_out must be finite, got {self.theta_out}")
         if self.H < 1 or self.T < 1:
             raise ValueError("H and T must be at least 1")
 
@@ -116,30 +124,40 @@ class HGConfig:
         bs = self.boundaries
         if any(bs[i] >= bs[i + 1] for i in range(len(bs) - 1)):
             raise ValueError("boundaries must be strictly increasing")
+        if any(p.steps != self.subneurons[0].steps for p in self.subneurons):
+            raise ShapeError("all sub-kernels must share one step count")
 
 
-class SpikeTrain:
-    """T steps of weighted spike values for a row of elements.
+class SpikeMatrixTrain:
+    """T timesteps of weighted spike values with matrix shape.
 
-    values[t, j] is the weighted contribution of element j at step t and is
-    zero wherever events[t, j] is False.
+    values[t] is the (rows x cols) weighted emission at step t and is zero
+    wherever the boolean firing mask events[t] is False. Without an explicit
+    mask, every nonzero value counts as an event.
     """
 
     __slots__ = ("values", "events")
 
-    def __init__(self, values: np.ndarray, events: np.ndarray) -> None:
+    def __init__(self, values: np.ndarray, events: np.ndarray | None = None) -> None:
         values = np.ascontiguousarray(values, dtype=np.float64)
-        events = np.ascontiguousarray(events, dtype=bool)
-        if values.ndim != 2:
-            raise ShapeError(f"train values must be 2-D, got ndim={values.ndim}")
-        if values.shape != events.shape:
+        if values.ndim != 3:
             raise ShapeError(
-                f"values shape {values.shape} != events shape {events.shape}"
+                f"train values must be (steps, rows, cols), got ndim={values.ndim}"
             )
         if values.shape[0] < 1:
             raise ValueError("a train needs at least one step")
-        if np.any(values[~events] != 0.0):
-            raise ValueError("values must be zero where no event fired")
+        if not np.all(np.isfinite(values)):
+            raise NonFiniteError("spike train contains non-finite values")
+        if events is None:
+            events = values != 0.0
+        else:
+            events = np.ascontiguousarray(events, dtype=bool)
+            if events.shape != values.shape:
+                raise ShapeError(
+                    f"values shape {values.shape} != events shape {events.shape}"
+                )
+            if np.any(values[~events] != 0.0):
+                raise ValueError("values must be zero where no event fired")
         values.setflags(write=False)
         events.setflags(write=False)
         self.values = values
@@ -150,13 +168,21 @@ class SpikeTrain:
         return self.values.shape[0]
 
     @property
-    def width(self) -> int:
+    def rows(self) -> int:
         return self.values.shape[1]
 
+    @property
+    def cols(self) -> int:
+        return self.values.shape[2]
 
-def decode(s: SpikeTrain) -> Matrix:
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.values.shape[1], self.values.shape[2])
+
+
+def decode(s: SpikeMatrixTrain) -> Matrix:
     """Accumulated membrane view of a train: the per-element sum over steps."""
-    return Matrix._wrap(s.values.sum(axis=0, keepdims=True))
+    return Matrix._wrap(s.values.sum(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -178,17 +204,18 @@ def _fs_run(x: np.ndarray, p: FSParams) -> tuple[np.ndarray, np.ndarray]:
     return values, events
 
 
-def fs_encode(x: float, p: FSParams) -> SpikeTrain:
+def fs_encode(x: float, p: FSParams) -> SpikeMatrixTrain:
     """Encode one scalar through a few-step kernel.
 
     The membrane starts at x; step t fires when it is at or above theta[t],
     emits weight d[t], and subtracts reset h[t]. Inputs below every
-    threshold produce an all-silent train that decodes to zero.
+    threshold produce an all-silent train that decodes to zero. The train
+    has shape (steps, 1, 1).
     """
     if not np.isfinite(x):
         raise NonFiniteError(f"fs_encode input must be finite, got {x}")
     values, events = _fs_run(np.array([x]), p)
-    return SpikeTrain(values, events)
+    return SpikeMatrixTrain(values[:, :, None], events[:, :, None])
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +252,15 @@ def _mt_run(
     return values, events
 
 
-def mt_encode(x: float, c: MTConfig) -> SpikeTrain:
-    """Encode one scalar through the dyadic multi-level encoder."""
+def mt_encode(x: float, c: MTConfig) -> SpikeMatrixTrain:
+    """Encode one scalar through the dyadic multi-level encoder.
+
+    The train has shape (T, 1, 1).
+    """
     if not np.isfinite(x):
         raise NonFiniteError(f"mt_encode input must be finite, got {x}")
     values, events = _mt_run(np.array([x]), c.tau, c.H, c.T)
-    return SpikeTrain(values, events)
+    return SpikeMatrixTrain(values[:, :, None], events[:, :, None])
 
 
 # ---------------------------------------------------------------------------
@@ -251,21 +281,6 @@ def _oat_run(
             values[:, idx] = v
             events[:, idx] = e
     return values, events
-
-
-def oat_encode(x: Matrix, c: OATConfig) -> SpikeTrain:
-    """Encode a matrix element-wise, routing by magnitude.
-
-    Elements with |x| < theta_nor take the fine encoder (tau = theta_nor);
-    elements at or above theta_nor take the coarse one (tau = theta_out).
-    Both trains interleave into a single train over the row-major flattened
-    elements.
-    """
-    flat = x.data
-    if flat.size and not np.all(np.isfinite(flat)):
-        raise NonFiniteError("oat_encode input contains non-finite values")
-    values, events = _oat_run(flat, c)
-    return SpikeTrain(values, events)
 
 
 # ---------------------------------------------------------------------------
@@ -301,33 +316,9 @@ def _hg_run(flat: np.ndarray, c: HGConfig) -> tuple[np.ndarray, np.ndarray, int]
     return values, events, clamped
 
 
-def hg_apply(x: Matrix, c: HGConfig) -> SpikeTrain:
-    """Apply the gated kernel bank element-wise.
-
-    Each element falls in exactly one sub-range [b_i, b_{i+1}) and is
-    processed by that sub-range's fitted kernel with the membrane seeded
-    relative to the sub-range floor. Out-of-range inputs clamp to the
-    nearest sub-range edge, so decoding saturates instead of failing.
-    """
-    flat = x.data
-    if flat.size and not np.all(np.isfinite(flat)):
-        raise NonFiniteError("hg_apply input contains non-finite values")
-    if any(p.steps != c.subneurons[0].steps for p in c.subneurons):
-        raise ShapeError("all sub-kernels must share one step count")
-    values, events, _ = _hg_run(flat, c)
-    return SpikeTrain(values, events)
-
-
 def hg_eval(c: HGConfig, x: np.ndarray) -> np.ndarray:
     """Decoded outputs of the gated bank on a 1-D batch (fit-time helper)."""
     values, _, _ = _hg_run(np.asarray(x, dtype=np.float64).reshape(-1), c)
-    return values.sum(axis=0)
-
-
-def fs_eval(p: FSParams, lo: float, x: np.ndarray) -> np.ndarray:
-    """Decoded outputs of one fitted kernel whose sub-range starts at lo."""
-    u = np.asarray(x, dtype=np.float64).reshape(-1) - lo + _hg_guard(p)
-    values, _ = _fs_run(u, p)
     return values.sum(axis=0)
 
 
@@ -349,9 +340,7 @@ def truncate_schedule(p: FSParams, T: int) -> FSParams:
 
 
 def hg_at_steps(c: HGConfig, T: int) -> HGConfig:
-    if all(p.steps == T for p in c.subneurons):
+    if c.subneurons[0].steps == T:
         return c
     return HGConfig(c.boundaries, tuple(truncate_schedule(p, T) for p in c.subneurons))
 
-
-TargetFn = Callable[[np.ndarray], np.ndarray]

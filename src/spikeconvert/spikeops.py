@@ -1,7 +1,7 @@
 """Spike-train linear algebra and the spike-equivalent transformer sublayers.
 
-Matrix-shaped spike trains carry one weighted-value matrix per timestep.
-Three product kernels operate on them:
+Spike trains (neurons.SpikeMatrixTrain) carry one weighted-value matrix per
+timestep. Three product kernels operate on them:
 
   saw_mul       weight times train. Exactly linear: the decoded output is
                 the float product of the weight and the decoded input.
@@ -24,70 +24,16 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonFiniteError, ShapeError, StepMismatchError
-from .neurons import HGConfig, OATConfig, _hg_run, _oat_run, hg_at_steps
+from .neurons import (
+    HGConfig,
+    OATConfig,
+    SpikeMatrixTrain,
+    _hg_run,
+    _oat_run,
+    decode,
+    hg_at_steps,
+)
 from .tensors import Matrix
-
-
-class SpikeMatrixTrain:
-    """T timesteps of weighted spike values with matrix shape.
-
-    values[t] is the (rows x cols) weighted emission at step t; events is
-    the boolean firing mask. thetas optionally carries per-step scalar
-    thresholds for trains whose every event shares one weight per step.
-    """
-
-    __slots__ = ("values", "events", "thetas")
-
-    def __init__(
-        self,
-        values: np.ndarray,
-        events: np.ndarray | None = None,
-        thetas: tuple[float, ...] | None = None,
-    ) -> None:
-        values = np.ascontiguousarray(values, dtype=np.float64)
-        if values.ndim != 3:
-            raise ShapeError(
-                f"train values must be (steps, rows, cols), got ndim={values.ndim}"
-            )
-        if values.shape[0] < 1:
-            raise ValueError("a train needs at least one step")
-        if not np.all(np.isfinite(values)):
-            raise NonFiniteError("spike train contains non-finite values")
-        if events is None:
-            events = values != 0.0
-        else:
-            events = np.ascontiguousarray(events, dtype=bool)
-            if events.shape != values.shape:
-                raise ShapeError(
-                    f"values shape {values.shape} != events shape {events.shape}"
-                )
-            if np.any(values[~events] != 0.0):
-                raise ValueError("values must be zero where no event fired")
-        if thetas is not None and len(thetas) != values.shape[0]:
-            raise ShapeError(
-                f"{values.shape[0]}-step train got {len(thetas)} thresholds"
-            )
-        values.setflags(write=False)
-        events.setflags(write=False)
-        self.values = values
-        self.events = events
-        self.thetas = thetas
-
-    @property
-    def steps(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[2]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.values.shape[1], self.values.shape[2])
 
 
 def decode_train(
@@ -100,7 +46,7 @@ def decode_train(
     """
     if ledger is not None:
         ledger.record_sop(site, int(ts.events.sum()))
-    return Matrix._wrap(ts.values.sum(axis=0))
+    return decode(ts)
 
 
 def encode_matrix(
@@ -108,6 +54,8 @@ def encode_matrix(
 ) -> SpikeMatrixTrain:
     """Encode a float matrix through the dual-range encoder (T overridable).
 
+    Elements with |x| < theta_nor take the fine encoder (tau = theta_nor);
+    elements at or above theta_nor take the coarse one (tau = theta_out).
     Each emission subtracts from the encoder membrane: one accumulation per
     event on the ledger.
     """
@@ -142,10 +90,17 @@ def apply_hg(
 ) -> SpikeMatrixTrain:
     """Drive a fitted gated bank over a decoded matrix, producing a train.
 
-    T below the fitted depth truncates the schedules (coarser output); the
-    clamp counter records how many inputs fell outside the fitted range.
+    Each element falls in exactly one sub-range [b_i, b_{i+1}) and is
+    processed by that sub-range's fitted kernel with the membrane seeded
+    relative to the sub-range floor. Out-of-range inputs clamp to the
+    nearest sub-range edge, so decoding saturates instead of failing; the
+    clamp counter records how many there were. A non-finite input raises
+    NonFiniteError instead. T below the fitted depth truncates the
+    schedules (coarser output).
     """
-    if T is not None and cfg.subneurons[0].steps != T:
+    if not np.all(np.isfinite(x.data)):
+        raise NonFiniteError(f"gate input at {site!r} contains non-finite values")
+    if T is not None:
         cfg = hg_at_steps(cfg, T)
     values, events, clamped = _hg_run(x.data, cfg)
     steps = values.shape[0]
@@ -161,13 +116,11 @@ def apply_hg(
 
 
 def transpose_train(ts: SpikeMatrixTrain) -> SpikeMatrixTrain:
-    return SpikeMatrixTrain(
-        ts.values.transpose(0, 2, 1), ts.events.transpose(0, 2, 1), ts.thetas
-    )
+    return SpikeMatrixTrain(ts.values.transpose(0, 2, 1), ts.events.transpose(0, 2, 1))
 
 
 def slice_cols(ts: SpikeMatrixTrain, lo: int, hi: int) -> SpikeMatrixTrain:
-    return SpikeMatrixTrain(ts.values[:, :, lo:hi], ts.events[:, :, lo:hi], ts.thetas)
+    return SpikeMatrixTrain(ts.values[:, :, lo:hi], ts.events[:, :, lo:hi])
 
 
 def concat_cols(parts: list[SpikeMatrixTrain]) -> SpikeMatrixTrain:
@@ -335,16 +288,6 @@ def softmax_offset(
 # composite sublayers
 
 
-def _count_out_of_range(x: np.ndarray, cfg: HGConfig) -> int:
-    lo, hi = cfg.boundaries[0], cfg.boundaries[-1]
-    return int(np.count_nonzero((x < lo) | (x >= hi)))
-
-
-def _bump(counters: dict | None, key: str, n: int) -> None:
-    if counters is not None and n:
-        counters[key] = counters.get(key, 0) + n
-
-
 def spike_softmax(
     zs: SpikeMatrixTrain,
     exp_cfg: HGConfig,
@@ -367,8 +310,6 @@ def spike_softmax(
     e_train = apply_hg(zhat, exp_cfg, T, ledger, site + ".exp_gate", counters)
     denom = decode_train(e_train, ledger, site + ".denom")
     row_sums = Matrix._wrap(denom.array.sum(axis=1, keepdims=True))
-    _bump(counters, site + ".denominator_clamped",
-          _count_out_of_range(row_sums.data, inv_cfg))
     inv_train = apply_hg(row_sums, inv_cfg, T, ledger, site + ".inv_gate", counters)
     return hadamard_mul(e_train, inv_train, ledger, site + ".norm")
 
@@ -405,8 +346,6 @@ def spike_layernorm(
     var = Matrix._wrap(sq.array.mean(axis=1, keepdims=True))
     if ledger is not None:
         ledger.record_sop(site + ".variance", x.rows * x.cols)
-    _bump(counters, site + ".variance_clamped",
-          _count_out_of_range(var.data, invsqrt_cfg))
     inv_train = apply_hg(var, invsqrt_cfg, T, ledger, site + ".invsqrt_gate", counters)
     normed = hadamard_mul(c_train, inv_train, ledger, site + ".norm")
     scaled = scale_columns(normed, gamma)
@@ -433,7 +372,6 @@ def spike_ffn(
     h_train = saw_mul_right(xt, W1, ledger, site + ".w1")
     pre = decode_train(h_train, ledger, site + ".w1_decode")
     pre = Matrix(pre.array + b1.array)
-    _bump(counters, site + ".act_clamped", _count_out_of_range(pre.data, act_cfg))
     act_train = apply_hg(pre, act_cfg, T, ledger, site + ".act_gate", counters)
     out = saw_mul_right(act_train, W2, ledger, site + ".w2")
     shift = constant_train(Matrix(np.broadcast_to(b2.array, out.shape)), T)
@@ -468,7 +406,6 @@ def spike_gated_ffn(
     g_pre = decode_train(saw_mul_right(xt, Wg, ledger, site + ".wg"),
                          ledger, site + ".wg_decode")
     g_pre = Matrix(g_pre.array + bg.array)
-    _bump(counters, site + ".act_clamped", _count_out_of_range(g_pre.data, act_cfg))
     g_train = apply_hg(g_pre, act_cfg, T, ledger, site + ".act_gate", counters)
     u = decode_train(saw_mul_right(xt, Wu, ledger, site + ".wu"),
                      ledger, site + ".wu_decode")

@@ -1,4 +1,4 @@
-"""Dense 2-D float64 matrices and the small reduction toolkit built on them.
+"""Dense 2-D float64 matrices and the activation statistics built on them.
 
 All storage is row-major float64 and immutable after construction. numpy
 carries the arithmetic; the wrappers add the shape and finiteness checks
@@ -8,7 +8,7 @@ interpolation so threshold selection is reproducible down to the bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -144,36 +144,3 @@ def stats(x: Matrix, quantiles: Iterable[float] = ()) -> ActivationStats:
         percentiles={q: percentile(signed, q) for q in qs},
         abs_percentiles={q: percentile(absolute, q) for q in qs},
     )
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    if a.cols != b.rows:
-        raise ShapeError(
-            f"matmul shape mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}"
-        )
-    return Matrix._wrap(a.array @ b.array)
-
-
-def elementwise(f: Callable[[np.ndarray], np.ndarray], x: Matrix) -> Matrix:
-    out = np.asarray(f(x.array), dtype=np.float64)
-    if out.shape != x.array.shape:
-        raise ShapeError(
-            f"elementwise function changed shape {x.array.shape} -> {out.shape}"
-        )
-    return Matrix._wrap(out)
-
-
-def rowsum(x: Matrix) -> Matrix:
-    return Matrix._wrap(x.array.sum(axis=1, keepdims=True))
-
-
-def rowmax(x: Matrix) -> Matrix:
-    if x.cols == 0:
-        raise EmptyInputError("rowmax over zero columns")
-    return Matrix._wrap(x.array.max(axis=1, keepdims=True))
-
-
-def hadamard(a: Matrix, b: Matrix) -> Matrix:
-    if a.shape != b.shape:
-        raise ShapeError(f"hadamard shape mismatch: {a.shape} vs {b.shape}")
-    return Matrix._wrap(a.array * b.array)

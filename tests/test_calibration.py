@@ -16,7 +16,6 @@ from spikeconvert.calibration import (
     hg_from_dict,
     hg_to_dict,
     observed_range,
-    range_sample,
     sample_distribution,
     select_hierarchy,
     select_oat_thresholds,
@@ -248,11 +247,6 @@ class TestSampling:
     def test_observed_range_floor(self):
         lo, hi = observed_range(np.array([0.5, 16.0]), floor=1e-3)
         assert lo >= 1e-3
-
-    def test_range_sample_covers_endpoints(self):
-        rng = np.random.default_rng(13)
-        s = range_sample(np.array([0.0, 1.0]), rng)
-        assert s.min() == pytest.approx(-0.1) and s.max() == pytest.approx(1.1)
 
     def test_sample_distribution_shapes_and_outliers(self):
         rng = np.random.default_rng(14)

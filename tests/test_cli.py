@@ -4,6 +4,7 @@ Everything drives cli.main() in process with a tiny 8-feature block, so the
 whole file stays fast while covering every subcommand and failure class.
 """
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -140,6 +141,18 @@ class TestConvert:
                      "--weights", str(tmp_path / "nope.lasw"),
                      "--out", str(tmp_path / "x.json")]) == 2
 
+    @pytest.mark.parametrize("field, value", [("d_model", "32"), ("n_layers", True)])
+    def test_wrongly_typed_config_field(self, work, tmp_path, capsys, field, value):
+        with open(work / "config.json") as fh:
+            doc = json.load(fh)
+        doc[field] = value
+        bad = tmp_path / "bad_config.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["convert", "--config", str(bad),
+                     "--weights", str(work / "weights.lasw"),
+                     "--out", str(tmp_path / "x.json")]) == 2
+        assert field in capsys.readouterr().err
+
 
 class TestRun:
     def test_report_contents(self, work):
@@ -205,6 +218,19 @@ class TestRun:
                      "--input", str(work / "input.lasw")])
         assert code == 3
         assert "spike path" in capsys.readouterr().err
+
+    def test_nan_gate_weight_rejected_on_load(self, work, tmp_path, capsys):
+        # a corrupt block file is an input error (2), not a spike-path one (3)
+        with open(work / "block.json") as fh:
+            doc = json.load(fh)
+        doc["hg"]["layers.0.ffn.act"]["subneurons"][0]["d"][0] = float("nan")
+        bp = tmp_path / "nan_block.json"
+        bp.write_text(json.dumps(doc))
+        shutil.copy(work / doc["weights_file"], tmp_path)
+        code = main(["run", "--block", str(bp),
+                     "--input", str(work / "input.lasw")])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
 
 
 class TestCompare:

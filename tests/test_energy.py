@@ -8,7 +8,6 @@ from spikeconvert.energy import (
     E_MAC,
     EnergyLedger,
     energy_ratio,
-    merge,
 )
 from spikeconvert.errors import EnergyAccountingError
 from spikeconvert.neurons import OATConfig
@@ -103,25 +102,6 @@ class TestSerialization:
         d["sops"] = 99
         with pytest.raises(EnergyAccountingError, match="totals"):
             EnergyLedger.from_dict(d)
-
-
-class TestMerge:
-    def test_sitewise_union(self):
-        a = EnergyLedger()
-        a.record_sop("p", 2)
-        a.record_flop("q", 3)
-        b = EnergyLedger()
-        b.record_sop("p", 5)
-        b.record_flop("r", 7)
-        out = merge(a, b)
-        assert out.sops == 7 and out.flops == 10
-        assert out.by_site["p"]["sops"] == 7
-        assert out.by_site["q"]["flops"] == 3
-        assert out.by_site["r"]["flops"] == 7
-
-    def test_weight_mismatch_rejected(self):
-        with pytest.raises(EnergyAccountingError):
-            merge(EnergyLedger(sop_weight=1), EnergyLedger(sop_weight=2))
 
 
 class TestSpikeOpCounts:

@@ -1,46 +1,54 @@
-"""Neuron dynamics: hand-simulated schedules, round-trips, enumeration."""
+"""Neuron dynamics: hand-simulated schedules, round-trips, enumeration.
+
+The scalar reference kernels (fs_encode, mt_encode) are checked by hand;
+the matrix entry points (encode_matrix, apply_hg) are checked against them
+on generated inputs.
+"""
 import dataclasses
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spikeconvert.errors import NonFiniteError
+from spikeconvert.errors import NonFiniteError, ShapeError
 from spikeconvert.neurons import (
     FSParams,
     HGConfig,
     MTConfig,
     OATConfig,
-    SpikeTrain,
+    SpikeMatrixTrain,
     decode,
     fs_encode,
-    hg_apply,
     hg_at_steps,
+    hg_eval,
     mt_encode,
-    oat_encode,
     truncate_schedule,
 )
+from spikeconvert.spikeops import apply_hg, encode_matrix
 from spikeconvert.tensors import Matrix
 
 
-def dec1(train: SpikeTrain) -> float:
+def dec1(train: SpikeMatrixTrain) -> float:
     return float(decode(train).array[0, 0])
 
 
 class TestSpikeTrain:
     def test_values_must_be_zero_when_silent(self):
-        values = np.array([[1.0]])
-        events = np.array([[False]])
+        values = np.array([[[1.0]]])
+        events = np.array([[[False]]])
         with pytest.raises(ValueError):
-            SpikeTrain(values, events)
+            SpikeMatrixTrain(values, events)
 
     def test_decode_single_spike(self):
-        values = np.zeros((4, 1))
-        values[2, 0] = 0.5
-        t = SpikeTrain(values, values != 0)
+        values = np.zeros((4, 1, 1))
+        values[2, 0, 0] = 0.5
+        t = SpikeMatrixTrain(values, values != 0)
         assert dec1(t) == 0.5
 
     def test_all_silent_decodes_zero(self):
-        t = SpikeTrain(np.zeros((3, 2)), np.zeros((3, 2), dtype=bool))
+        t = SpikeMatrixTrain(np.zeros((3, 1, 2)), np.zeros((3, 1, 2), dtype=bool))
         assert np.array_equal(decode(t).array, np.zeros((1, 2)))
 
 
@@ -50,7 +58,7 @@ class TestFSNeuron:
     def test_hand_example_two_spikes(self):
         # v=0.75 >= 0.5 fire (emit 0.5, v -> 0.25); 0.25 >= 0.25 fire again
         t = fs_encode(0.75, self.P2)
-        assert t.events[:, 0].tolist() == [True, True]
+        assert t.events[:, 0, 0].tolist() == [True, True]
         assert dec1(t) == 0.75
 
     def test_zero_input_silent(self):
@@ -64,7 +72,7 @@ class TestFSNeuron:
 
     def test_fires_at_exact_threshold(self):
         t = fs_encode(0.5, self.P2)
-        assert t.events[0, 0]
+        assert t.events[0, 0, 0]
         assert dec1(t) == 0.5
 
     def test_non_finite_rejected(self):
@@ -89,6 +97,12 @@ class TestFSNeuron:
     def test_nonpositive_theta_rejected(self):
         with pytest.raises(ValueError):
             FSParams(theta=(0.0,), h=(0.1,), d=(0.1,))
+
+    @pytest.mark.parametrize("h, d", [(float("nan"), 0.1), (0.1, float("nan")),
+                                      (float("inf"), 0.1), (0.1, -float("inf"))])
+    def test_non_finite_reset_or_weight_rejected(self, h, d):
+        with pytest.raises(ValueError, match="finite"):
+            FSParams(theta=(1.0,), h=(h,), d=(d,))
 
 
 class TestMTNeuron:
@@ -179,18 +193,18 @@ class TestOATNeuron:
     CFG = OATConfig(theta_nor=1.0, theta_out=4.0, H=5, T=16)
 
     def test_normal_path_below_threshold(self):
-        t = oat_encode(Matrix(np.array([[0.5]])), self.CFG)
+        t = encode_matrix(Matrix(np.array([[0.5]])), self.CFG)
         ref = mt_encode(0.5, MTConfig(1.0, 5, 16))
         assert np.array_equal(t.values, ref.values)
 
     def test_outlier_path_at_or_above_threshold(self):
-        t = oat_encode(Matrix(np.array([[-3.0]])), self.CFG)
+        t = encode_matrix(Matrix(np.array([[-3.0]])), self.CFG)
         ref = mt_encode(-3.0, MTConfig(4.0, 5, 16))
         assert np.array_equal(t.values, ref.values)
 
     def test_elements_route_independently(self):
         x = Matrix(np.array([[0.5, -3.0, 0.2]]))
-        t = oat_encode(x, self.CFG)
+        t = encode_matrix(x, self.CFG)
         d = decode(t).array[0]
         assert abs(d[0] - 0.5) < 1e-4 and abs(d[2] - 0.2) < 1e-4
         assert abs(d[1] + 3.0) < 4e-4  # coarse path, wider unit
@@ -202,20 +216,19 @@ class TestOATNeuron:
         x[out_idx] = 20.0 * np.where(rng.random(100) < 0.5, -1.0, 1.0)
         oat = OATConfig(1.0, 20.0, 5, 16)
         coarse = MTConfig(20.0, 5, 16)
-        d_oat = decode(oat_encode(Matrix(x.reshape(1, -1)), oat)).array[0]
+        d_oat = decode(encode_matrix(Matrix(x.reshape(1, -1)), oat)).array[0]
         d_mt = np.array([dec1(mt_encode(float(v), coarse)) for v in x])
         assert np.mean((d_oat - x) ** 2) < np.mean((d_mt - x) ** 2)
 
     def test_threshold_ordering_enforced(self):
         with pytest.raises(ValueError):
             OATConfig(theta_nor=2.0, theta_out=1.0, H=5, T=16)
+        with pytest.raises(ValueError, match="finite"):
+            OATConfig(theta_nor=1.0, theta_out=float("inf"), H=5, T=16)
 
     def test_runtime_steps_override(self):
-        from spikeconvert.neurons import _oat_run
-
-        x = np.array([0.7])
-        v8, _ = _oat_run(x, self.CFG, T=8)
-        assert v8.shape[0] == 8
+        t = encode_matrix(Matrix(np.array([[0.7]])), self.CFG, T=8)
+        assert t.steps == 8
 
 
 def step_fn_config() -> HGConfig:
@@ -233,32 +246,32 @@ class TestHGNeuron:
     def test_zero_function(self):
         zero = FSParams(theta=(0.5, 0.25), h=(0.5, 0.25), d=(0.0, 0.0))
         c = HGConfig(boundaries=(0.0, 1.0), subneurons=(zero,))
-        t = hg_apply(Matrix(np.array([[0.3, 0.9]])), c)
+        t = apply_hg(Matrix(np.array([[0.3, 0.9]])), c)
         assert np.array_equal(decode(t).array, np.zeros((1, 2)))
 
     def test_bucket_routing(self):
         c = step_fn_config()
         x = Matrix(np.array([[0.5, 1.5]]))
-        assert np.array_equal(decode(hg_apply(x, c)).array, [[2.0, 5.0]])
+        assert np.array_equal(decode(apply_hg(x, c)).array, [[2.0, 5.0]])
 
     def test_clamp_below_and_above(self):
         c = step_fn_config()
         x = Matrix(np.array([[-3.0, 99.0]]))
         # below lambda_0 -> first bucket; at/above lambda_N -> last bucket
-        assert np.array_equal(decode(hg_apply(x, c)).array, [[2.0, 5.0]])
+        assert np.array_equal(decode(apply_hg(x, c)).array, [[2.0, 5.0]])
 
     def test_partition_exactly_one_bucket(self):
         c = step_fn_config()
         for x in (0.0, 0.5, 0.999, 1.0, 1.5):
-            t = hg_apply(Matrix(np.array([[x]])), c)
+            t = apply_hg(Matrix(np.array([[x]])), c)
             # step 0 is the always-on intercept of exactly one sub-neuron
-            assert t.events[0, 0]
+            assert t.events[0, 0, 0]
             assert dec1(t) in (2.0, 5.0)
 
     def test_boundary_goes_right(self):
         # lambda_1 = 1.0 belongs to the second range (left-closed buckets)
         c = step_fn_config()
-        assert dec1(hg_apply(Matrix(np.array([[1.0]])), c)) == 5.0
+        assert dec1(apply_hg(Matrix(np.array([[1.0]])), c)) == 5.0
 
     def test_non_finite_rejected_at_construction(self):
         # the Matrix wrapper is the chokepoint: no NaN reaches the gate
@@ -268,7 +281,7 @@ class TestHGNeuron:
     def test_determinism_bit_identical(self):
         c = step_fn_config()
         x = Matrix(np.linspace(0, 2, 64).reshape(8, 8))
-        a, b = hg_apply(x, c), hg_apply(x, c)
+        a, b = apply_hg(x, c), apply_hg(x, c)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.events, b.events)
 
@@ -276,6 +289,20 @@ class TestHGNeuron:
         mk = FSParams(theta=(0.5,), h=(0.5,), d=(0.5,))
         with pytest.raises(ValueError):
             HGConfig(boundaries=(0.0, 0.0), subneurons=(mk,))
+
+    def test_mixed_depth_bank_rejected_at_construction(self):
+        one = FSParams(theta=(0.5,), h=(0.5,), d=(0.5,))
+        two = FSParams(theta=(0.5, 0.25), h=(0.5, 0.25), d=(0.5, 0.25))
+        with pytest.raises(ShapeError, match="step count"):
+            HGConfig(boundaries=(0.0, 1.0, 2.0), subneurons=(one, two))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, bad):
+        # Matrix._wrap skips the constructor's finiteness check, as the
+        # softmax denominator does; the gate itself must refuse the value
+        x = Matrix._wrap(np.array([[bad, 0.6]]))
+        with pytest.raises(NonFiniteError):
+            apply_hg(x, step_fn_config())
 
 
 class TestScheduleResizing:
@@ -295,3 +322,61 @@ class TestScheduleResizing:
     def test_hg_at_steps_same_t_is_identity(self):
         c = step_fn_config()
         assert hg_at_steps(c, 2) is c
+
+
+finite = st.floats(-4.0, 4.0, allow_nan=False)
+
+
+@st.composite
+def banks(draw):
+    """Gated banks of 1..5 sub-kernels sharing a 1..8-step schedule."""
+    n = draw(st.integers(1, 5))
+    T = draw(st.integers(1, 8))
+    lo = draw(st.floats(-10.0, 10.0))
+    widths = draw(st.lists(st.floats(0.01, 5.0), min_size=n, max_size=n))
+    boundaries = tuple(float(b) for b in np.cumsum([lo] + widths))
+    steps = st.lists(finite, min_size=T, max_size=T)
+    subs = tuple(
+        FSParams(
+            theta=tuple(draw(st.lists(st.floats(1e-3, 4.0), min_size=T, max_size=T))),
+            h=tuple(draw(steps)),
+            d=tuple(draw(steps)),
+        )
+        for _ in range(n)
+    )
+    return HGConfig(boundaries, subs)
+
+
+@st.composite
+def dual_range_configs(draw):
+    theta_nor = draw(st.floats(0.01, 5.0))
+    theta_out = theta_nor * draw(st.floats(1.01, 20.0))
+    return OATConfig(theta_nor, theta_out, draw(st.integers(1, 6)),
+                     draw(st.integers(1, 16)))
+
+
+class TestMatrixEntryPoints:
+    """encode_matrix and apply_hg agree with the scalar reference paths."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(c=banks(), xs=hnp.arrays(np.float64, st.integers(1, 24),
+                                    elements=st.floats(-30.0, 30.0)))
+    def test_hg_eval_matches_apply_hg(self, c, xs):
+        got = decode(apply_hg(Matrix(xs[None]), c)).array[0]
+        assert np.array_equal(hg_eval(c, xs), got)
+
+    @settings(max_examples=200, deadline=None)
+    @given(oat=dual_range_configs(),
+           x=hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                        elements=st.floats(-50.0, 50.0)))
+    def test_encode_matrix_routes_by_magnitude(self, oat, x):
+        train = encode_matrix(Matrix(x), oat)
+        got = decode(train).array
+        for (i, j), v in np.ndenumerate(x):
+            tau = oat.theta_nor if abs(v) < oat.theta_nor else oat.theta_out
+            ref = mt_encode(float(v), MTConfig(tau, oat.H, oat.T))
+            assert np.array_equal(train.values[:, i, j], ref.values[:, 0, 0])
+            assert np.array_equal(train.events[:, i, j], ref.events[:, 0, 0])
+            # numpy sums a lone (T, 1, 1) column pairwise but a matrix train
+            # step by step, so equal trains may decode an ulp or so apart
+            assert got[i, j] == pytest.approx(dec1(ref), rel=4e-16 * oat.T, abs=0)

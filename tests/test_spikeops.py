@@ -297,7 +297,7 @@ class TestSpikeSoftmax:
         # 40 columns of equal logits: the denominator 40 exceeds hi=17
         zs = constant_train(Matrix(np.zeros((1, 40))), T16)
         spike_softmax(zs, exp_gate[0], recip_gate[0], counters=counters)
-        assert counters.get("softmax.denominator_clamped", 0) >= 1
+        assert counters.get("softmax.inv_gate.clamped", 0) >= 1
 
 
 class TestSpikeLayerNorm:

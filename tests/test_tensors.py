@@ -1,30 +1,9 @@
-"""Matrix primitives checked against hand arithmetic and slow oracles."""
+"""Matrix primitives and activation statistics checked against hand arithmetic."""
 import numpy as np
 import pytest
 
 from spikeconvert.errors import EmptyInputError, NonFiniteError, ShapeError
-from spikeconvert.tensors import (
-    Matrix,
-    elementwise,
-    hadamard,
-    matmul,
-    percentile,
-    rowmax,
-    rowsum,
-    stats,
-)
-
-
-def triple_loop_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Independent O(n^3) product, deliberately not using np.dot."""
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0.0
-            for k in range(a.shape[1]):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
+from spikeconvert.tensors import Matrix, percentile, stats
 
 
 class TestMatrix:
@@ -47,33 +26,6 @@ class TestMatrix:
         src = np.ones((2, 2))
         Matrix(src)
         src[0, 0] = 3.0  # caller's buffer stays writable
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = Matrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        eye = Matrix(np.eye(2))
-        assert np.array_equal(matmul(eye, m).array, m.array)
-        assert np.array_equal(matmul(m, eye).array, m.array)
-
-    def test_hand_example(self):
-        a = Matrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        b = Matrix(np.array([[1.0], [1.0]]))
-        assert np.array_equal(matmul(a, b).array, [[3.0], [7.0]])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(Matrix(np.ones((2, 3))), Matrix(np.ones((2, 3))))
-
-    def test_against_triple_loop(self):
-        rng = np.random.default_rng(17)
-        for _ in range(100):
-            a = rng.standard_normal((8, 8))
-            b = rng.standard_normal((8, 8))
-            got = matmul(Matrix(a), Matrix(b)).array
-            want = triple_loop_matmul(a, b)
-            denom = np.maximum(np.abs(want), 1e-300)
-            assert np.max(np.abs(got - want) / denom) <= 1e-12
 
 
 class TestStats:
@@ -115,32 +67,3 @@ class TestStats:
     def test_percentile_rejects_out_of_range_q(self):
         with pytest.raises(ValueError):
             percentile(np.array([1.0]), 1.5)
-
-
-class TestElementwiseOps:
-    def test_hadamard_ones_is_identity(self):
-        rng = np.random.default_rng(2)
-        m = Matrix(rng.standard_normal((3, 5)))
-        assert np.array_equal(hadamard(m, Matrix(np.ones((3, 5)))).array, m.array)
-
-    def test_hadamard_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            hadamard(Matrix(np.ones((2, 2))), Matrix(np.ones((2, 3))))
-
-    def test_rowmax_hand(self):
-        m = Matrix(np.array([[1.0, 3.0], [2.0, 2.0]]))
-        assert np.array_equal(rowmax(m).array, [[3.0], [2.0]])
-
-    def test_rowmax_empty_row_errors(self):
-        with pytest.raises((EmptyInputError, ShapeError, ValueError)):
-            rowmax(Matrix(np.zeros((2, 0))))
-
-    def test_rowsum(self):
-        m = Matrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert np.array_equal(rowsum(m).array, [[3.0], [7.0]])
-
-    def test_negate_twice_is_identity(self):
-        rng = np.random.default_rng(3)
-        m = Matrix(rng.standard_normal((4, 4)))
-        back = elementwise(np.negative, elementwise(np.negative, m))
-        assert np.array_equal(back.array, m.array)

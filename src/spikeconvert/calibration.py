@@ -10,15 +10,16 @@ sub-ranges).
 
 Fitting tunes one few-step kernel per sub-range to a scalar target function.
 Thresholds and resets are pinned to a dyadic schedule scaled to the
-sub-range width; the per-step output weights are the free parameters and
-are solved by cyclic coordinate descent on the least-squares normal
-equations. Two schedule variants are tried, with and without a leading
+sub-range width, so the firing bits (from the runtime's own recurrence) are
+fixed and the per-step output weights solve one linear least-squares problem
+directly. Two schedule variants are tried, with and without a leading
 always-on step (a constant term the pure dyadic ladder cannot express,
 needed wherever the target is far from zero at a sub-range floor), and the
 one with the lower validation error wins.
 
 Errors are always reported on a validation grid 10x denser than the
-training sample, never on the training sample itself.
+training sample, never on the training sample itself, and are decoded as
+the gated bank decodes at run time.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CalibrationError
-from .neurons import FSParams, HGConfig, _fs_run
+from .neurons import FSParams, HGConfig, _fs_bits, _sum_steps
 from .tensors import ActivationStats, Matrix, percentile
 
 # Importance-density shape for boundary placement: weight ~ |f''|^_CURVE_EXP
@@ -264,36 +265,29 @@ def _dyadic_schedule(w: float, T: int, intercept: bool) -> tuple[tuple, tuple]:
     return rungs, rungs
 
 
-def _firing_bits(u: np.ndarray, theta: tuple, h: tuple) -> np.ndarray:
-    probe = FSParams(theta, h, (1.0,) * len(theta))
-    _, events = _fs_run(u, probe)
-    return events.T.astype(np.float64)
-
-
 def _solve_weights(B: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least-squares output weights by cyclic coordinate descent.
+    """Least-squares output weights for the (n, T) firing-bit design B.
 
-    Works on the normal equations of the firing-bit design matrix; each
-    coordinate update is exact, so this is Gauss-Seidel on an SPD system
-    and converges to the least-squares optimum. Steps whose bit never fires
-    in training stay at weight zero.
+    Solves the normal equations of the steps that fire in training; a step
+    that never fires keeps weight 0.0. lstsq on the reduced Gram system
+    gives a rank-deficient design (a duplicated or constant column) its
+    minimum-norm least-squares solution instead of an error.
     """
     G = B.T @ B
-    c = B.T @ y
-    T = B.shape[1]
-    d = np.zeros(T)
-    for _ in range(4000):
-        biggest = 0.0
-        for j in range(T):
-            gjj = G[j, j]
-            if gjj <= 0.0:
-                continue
-            step = (c[j] - G[j] @ d) / gjj
-            d[j] += step
-            biggest = max(biggest, abs(step))
-        if biggest <= 1e-13 * (1.0 + float(np.abs(d).max())):
-            break
+    fired = np.diag(G) > 0.0
+    d = np.zeros(B.shape[1])
+    c = (B.T @ y)[fired]
+    d[fired] = np.linalg.lstsq(G[np.ix_(fired, fired)], c, rcond=None)[0]
     return d
+
+
+def _target_values(target: Callable, x: np.ndarray) -> np.ndarray:
+    with np.errstate(all="ignore"):
+        y = np.asarray(target(x), dtype=np.float64)
+    if not np.all(np.isfinite(y)):
+        bad = float(x[~np.isfinite(y)][0])
+        raise CalibrationError(f"target produced a non-finite value at x={bad}")
+    return y
 
 
 def fit_fs(
@@ -320,31 +314,26 @@ def fit_fs(
     w = hi - lo
     rng = np.random.default_rng(seed)
     u_train = np.concatenate([rng.uniform(0.0, w, M), [0.0, w]])
-    with np.errstate(all="ignore"):
-        y_train = np.asarray(target(u_train + lo), dtype=np.float64)
-    if not np.all(np.isfinite(y_train)):
-        bad = float(u_train[~np.isfinite(y_train)][0] + lo)
-        raise CalibrationError(f"target produced a non-finite value at x={bad}")
-    u_val = np.linspace(0.0, w, 10 * M)
-    with np.errstate(all="ignore"):
-        y_val = np.asarray(target(u_val + lo), dtype=np.float64)
-    if not np.all(np.isfinite(y_val)):
-        bad = float(u_val[~np.isfinite(y_val)][0] + lo)
-        raise CalibrationError(f"target produced a non-finite value at x={bad}")
+    y_train = _target_values(target, u_train + lo)
+    x_val = np.linspace(lo, hi, 10 * M)
+    y_val = _target_values(target, x_val)
 
-    best: tuple[float, FSParams] | None = None
+    fits = []
     for intercept in (True, False):
         theta, h = _dyadic_schedule(w, T, intercept)
         guard = theta[0] if intercept else 0.0
-        d = _solve_weights(_firing_bits(u_train + guard, theta, h), y_train)
-        pred = _firing_bits(u_val + guard, theta, h) @ d
-        err = float(np.abs(pred - y_val).max())
-        params = FSParams(theta, h, tuple(float(v) for v in d))
-        # strict < keeps the tie on the intercept variant, which handles
-        # nonzero sub-range floors
-        if best is None or err < best[0]:
-            best = (err, params)
-    return best[1], best[0]
+        d = _solve_weights(_fs_bits(u_train + guard, theta, h).T, y_train)
+        # the bank's own input mapping and in-order decode (a BLAS d @ bits
+        # would reorder the sum), so err is the error the bank makes at run time
+        weighted = _fs_bits(x_val - lo + guard, theta, h)
+        weighted *= d[:, None]
+        err = float(np.abs(_sum_steps(weighted) - y_val).max())
+        del weighted  # the next variant reuses its pages; keeping it faults in new ones
+        fits.append((err, FSParams(theta, h, tuple(float(v) for v in d))))
+    # min keeps the first of a tie: the intercept variant, which handles
+    # nonzero sub-range floors
+    err, params = min(fits, key=lambda fit: fit[0])
+    return params, err
 
 
 @dataclass(frozen=True)

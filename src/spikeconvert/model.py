@@ -44,7 +44,7 @@ from .errors import (
     ShapeError,
     SpikePathError,
 )
-from .neurons import HGConfig, OATConfig, hg_at_steps
+from .neurons import HGConfig, OATConfig, _check_type, hg_at_steps
 from .spikeops import (
     SpikeMatrixTrain,
     apply_hg,
@@ -65,12 +65,6 @@ from .tensors import Matrix, stats
 
 _FFN_KINDS = ("standard", "gated")
 _LN_EPS = 1e-5  # matches the fitted inverse-root target 1/sqrt(x + 1e-5)
-
-
-def _check_type(name: str, value, kind: type) -> None:
-    # bool subclasses int, but True is not a layer count
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -712,7 +706,7 @@ def _oat_to_dict(c: OATConfig) -> dict:
 
 
 def _oat_from_dict(d: dict) -> OATConfig:
-    return OATConfig(d["theta_nor"], d["theta_out"], int(d["H"]), int(d["T"]))
+    return OATConfig(d["theta_nor"], d["theta_out"], d["H"], d["T"])
 
 
 def save_block(block: ConvertedBlock, path: str, weights_path: str | None = None) -> None:

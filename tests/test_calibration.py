@@ -121,6 +121,31 @@ class TestSolver:
             r_ls = float(np.sum((B @ ref - y) ** 2))
             assert r_cd <= r_ls * (1.0 + 1e-10) + 1e-12
 
+    def test_never_firing_step_weight_exactly_zero(self):
+        rng = np.random.default_rng(10)
+        B = (rng.random((200, 6)) < 0.5).astype(float)
+        B[:, 2] = 0.0
+        y = rng.standard_normal(200)
+        assert _solve_weights(B, y)[2] == 0.0
+        assert not _solve_weights(np.zeros_like(B), y).any()
+
+    @pytest.mark.parametrize("kind", ["duplicate", "constant"])
+    def test_rank_deficient_design_reaches_lstsq_residual(self, kind):
+        rng = np.random.default_rng(11)
+        B = (rng.random((200, 8)) < 0.5).astype(float)
+        if kind == "duplicate":
+            B[:, 5] = B[:, 1]
+        else:
+            # an always-on column equal to the sum of two complementary ones
+            B[:, 0] = 1.0
+            B[:, 4] = 1.0 - B[:, 3]
+        y = rng.standard_normal(200)
+        d = _solve_weights(B, y)
+        ref, *_ = np.linalg.lstsq(B, y, rcond=None)
+        r = float(np.sum((B @ d - y) ** 2))
+        r_ls = float(np.sum((B @ ref - y) ** 2))
+        assert r == pytest.approx(r_ls, rel=1e-10)
+
 
 class TestFitFS:
     def test_zero_function_exact(self):
@@ -163,6 +188,20 @@ class TestFitHG:
         p, err = fit_fs(gelu, -1.0, 1.5, 10, 256, seed=5)
         assert c.subneurons[0] == p
         assert rep.max_abs_err == err
+
+    @pytest.mark.parametrize("name, lo, hi, T, seed", [
+        ("gelu", -1.0, 1.5, 14, 17), ("exp", -4.0, 2.0, 12, 0),
+        ("square", -2.2, 1.3, 16, 4), ("invsqrt", 0.0, 4.0, 12, 8),
+    ])
+    def test_reported_error_is_runtime_error(self, name, lo, hi, T, seed):
+        # one sub-range spans the whole validation grid, so the reported
+        # error must be exactly what the bank decodes on it
+        M = 256
+        c, rep = fit_hg(name, np.linspace(lo, hi, 512), 1, T, M, seed=seed,
+                        lo=lo, hi=hi)
+        grid = np.linspace(lo, hi, 10 * M)
+        runtime = np.abs(hg_eval(c, grid) - target_fn(name).fn(grid))
+        assert rep.max_abs_err == float(runtime.max())
 
     def test_exp_refinement_beats_single_range(self):
         rng = np.random.default_rng(10)

@@ -232,6 +232,33 @@ class TestRun:
         assert code == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path, value, field", [
+        (("hg", "layers.0.ffn.act", "subneurons", 0, "theta", 0), "0.5", "theta[0]"),
+        (("hg", "layers.0.ffn.act", "subneurons", 0, "h", 1), "0.5", "h[1]"),
+        (("hg", "layers.0.ffn.act", "subneurons", 0, "d", 0), True, "d[0]"),
+        (("hg", "layers.0.ffn.act", "subneurons", 0, "d", 1), 10**400, "d[1]"),
+        (("hg", "layers.0.ffn.act", "boundaries", 1), "0.5", "boundaries[1]"),
+        (("oat", "input", "theta_nor"), "0.5", "theta_nor"),
+        (("oat", "input", "theta_out"), [40.0], "theta_out"),
+        (("oat", "input", "H"), 5.7, "H"),
+        (("oat", "input", "T"), "8", "T"),
+    ])
+    def test_wrongly_typed_block_field_named(self, work, tmp_path, capsys,
+                                             path, value, field):
+        with open(work / "block.json") as fh:
+            doc = json.load(fh)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        bp = tmp_path / "typed_block.json"
+        bp.write_text(json.dumps(doc))
+        shutil.copy(work / doc["weights_file"], tmp_path)
+        code = main(["run", "--block", str(bp),
+                     "--input", str(work / "input.lasw")])
+        assert code == 2
+        assert f"{field} must be" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_table(self, work, capsys):

@@ -19,6 +19,7 @@ from spikeconvert.neurons import (
     MTConfig,
     OATConfig,
     SpikeMatrixTrain,
+    _fs_run,
     decode,
     fs_encode,
     hg_at_steps,
@@ -290,6 +291,13 @@ class TestHGNeuron:
         with pytest.raises(ValueError):
             HGConfig(boundaries=(0.0, 0.0), subneurons=(mk,))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_boundary_rejected(self, bad):
+        # a NaN compares false both ways, so the ordering check alone lets it in
+        mk = FSParams(theta=(0.5,), h=(0.5,), d=(0.5,))
+        with pytest.raises(ValueError, match=r"boundaries\[1\]"):
+            HGConfig(boundaries=(0.0, bad), subneurons=(mk,))
+
     def test_mixed_depth_bank_rejected_at_construction(self):
         one = FSParams(theta=(0.5,), h=(0.5,), d=(0.5,))
         two = FSParams(theta=(0.5, 0.25), h=(0.5, 0.25), d=(0.5, 0.25))
@@ -377,6 +385,51 @@ class TestMatrixEntryPoints:
             ref = mt_encode(float(v), MTConfig(tau, oat.H, oat.T))
             assert np.array_equal(train.values[:, i, j], ref.values[:, 0, 0])
             assert np.array_equal(train.events[:, i, j], ref.events[:, 0, 0])
-            # numpy sums a lone (T, 1, 1) column pairwise but a matrix train
-            # step by step, so equal trains may decode an ulp or so apart
-            assert got[i, j] == pytest.approx(dec1(ref), rel=4e-16 * oat.T, abs=0)
+            assert got[i, j] == dec1(ref)
+
+
+def fs_run_reference(x, p):
+    """The per-step loop that _fs_run replaced, kept as its oracle."""
+    x = np.asarray(x, dtype=np.float64)
+    T = p.steps
+    values = np.zeros((T, x.size))
+    events = np.zeros((T, x.size), dtype=bool)
+    v = x.copy()
+    for t in range(T):
+        fire = v >= p.theta[t]
+        events[t] = fire
+        values[t] = np.where(fire, p.d[t], 0.0)
+        v = v - p.h[t] * fire
+    return values, events
+
+
+@st.composite
+def schedules_with_edge_inputs(draw):
+    """A schedule plus inputs that include its exact firing edges.
+
+    Thresholds and resets are multiples of 1/16, so x = theta[t] + h[0] +
+    ... + h[t-1] is exact: after steps 0..t-1 fire and reset, the membrane
+    sits exactly on threshold t.
+    """
+    T = draw(st.integers(1, 8))
+    sixteenths = st.lists(st.integers(1, 64), min_size=T, max_size=T)
+    theta = [k / 16.0 for k in draw(sixteenths)]
+    h = [k / 16.0 for k in draw(st.lists(st.integers(-64, 64), min_size=T,
+                                         max_size=T))]
+    d = draw(st.lists(finite, min_size=T, max_size=T))
+    edges = [theta[t] + sum(h[:t]) for t in range(T)]
+    specials = edges + [float(np.nextafter(e, -np.inf)) for e in edges]
+    xs = draw(st.lists(st.one_of(st.sampled_from(specials), st.floats(-20.0, 20.0)),
+                       min_size=1, max_size=24))
+    return FSParams(tuple(theta), tuple(h), tuple(d)), np.array(xs)
+
+
+class TestFSRecurrence:
+    @settings(max_examples=300, deadline=None)
+    @given(case=schedules_with_edge_inputs())
+    def test_matches_per_step_reference(self, case):
+        p, xs = case
+        values, events = _fs_run(xs, p)
+        ref_values, ref_events = fs_run_reference(xs, p)
+        assert values.tobytes() == ref_values.tobytes()
+        assert np.array_equal(events, ref_events)

@@ -23,6 +23,7 @@ the gated bank decodes at run time.
 """
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -31,6 +32,7 @@ import numpy as np
 
 from .errors import CalibrationError
 from .neurons import FSParams, HGConfig, _fs_bits, _sum_steps
+from .neurons import _check_finite_real, _check_finite_reals, _check_type
 from .tensors import ActivationStats, Matrix, percentile
 
 # Importance-density shape for boundary placement: weight ~ |f''|^_CURVE_EXP
@@ -368,14 +370,20 @@ class CalibrationReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CalibrationReport":
+        # checked, not coerced: int(5.7) would load a corrupt step count as 5
+        for name in ("samples_per_range", "seed", "steps"):
+            _check_type(name, d[name], numbers.Integral)
+        for name in ("boundaries", "per_subrange_max_abs_err"):
+            _check_finite_reals(name, _tuple(name, d[name]))
+        _check_finite_real("max_abs_err", d["max_abs_err"])
         return cls(
             target=d["target"],
             boundaries=tuple(d["boundaries"]),
             per_subrange_max_abs_err=tuple(d["per_subrange_max_abs_err"]),
-            samples_per_range=int(d["samples_per_range"]),
-            seed=int(d["seed"]),
+            samples_per_range=d["samples_per_range"],
+            seed=d["seed"],
             fitted=hg_from_dict(d["fitted"]),
-            steps=int(d["steps"]),
+            steps=d["steps"],
             max_abs_err=float(d["max_abs_err"]),
         )
 
@@ -390,12 +398,20 @@ def hg_to_dict(cfg: HGConfig) -> dict:
     }
 
 
+def _tuple(name: str, node) -> tuple:
+    # a JSON list node, checked before its entries are read
+    _check_type(name, node, list)
+    return tuple(node)
+
+
 def hg_from_dict(d: dict) -> HGConfig:
-    subs = tuple(
-        FSParams(tuple(s["theta"]), tuple(s["h"]), tuple(s["d"]))
-        for s in d["subneurons"]
-    )
-    return HGConfig(tuple(d["boundaries"]), subs)
+    _check_type("gate", d, dict)
+    subs = []
+    for i, s in enumerate(_tuple("subneurons", d["subneurons"])):
+        _check_type(f"subneurons[{i}]", s, dict)
+        subs.append(FSParams(_tuple("theta", s["theta"]), _tuple("h", s["h"]),
+                             _tuple("d", s["d"])))
+    return HGConfig(_tuple("boundaries", d["boundaries"]), tuple(subs))
 
 
 def fit_hg(

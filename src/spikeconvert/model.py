@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import os
 import struct
 import typing
@@ -44,7 +45,7 @@ from .errors import (
     ShapeError,
     SpikePathError,
 )
-from .neurons import HGConfig, OATConfig, _check_type, hg_at_steps
+from .neurons import HGConfig, OATConfig, _check_type
 from .spikeops import (
     SpikeMatrixTrain,
     apply_hg,
@@ -499,6 +500,7 @@ def spike_forward(
     cfg = block.config
     if T is None:
         T = cfg.T
+    _check_type("T", T, numbers.Integral)
     if T < 1:
         raise ValueError(f"need at least one timestep, got T={T}")
     w = block.weights
@@ -509,8 +511,8 @@ def spike_forward(
     y_ref = float_forward(cfg, w, x, ledger=ledger, layer_outs=layer_refs)
     refs = dict(layer_refs)
 
-    oat = {s: replace(c, T=T) for s, c in block.oat.items()}
-    hg = {s: hg_at_steps(c, T) for s, c in block.hg.items()}
+    # every encoder and gate runs at T, whatever depth it was fitted at
+    oat, hg = block.oat, block.hg
     counters: dict[str, int] = {}
     per_layer: dict[str, float] = {}
     scale = 1.0 / math.sqrt(cfg.d_head)
@@ -728,6 +730,7 @@ def save_block(block: ConvertedBlock, path: str, weights_path: str | None = None
 def load_block(path: str, weights_path: str | None = None) -> ConvertedBlock:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    _check_type("block", doc, dict)
     if doc.get("format") != _BLOCK_FORMAT:
         raise FormatError(
             f"bad block format: expected {_BLOCK_FORMAT!r}, found {doc.get('format')!r}"
@@ -737,6 +740,11 @@ def load_block(path: str, weights_path: str | None = None) -> ConvertedBlock:
             f"unsupported block version: expected {_BLOCK_VERSION}, "
             f"found {doc.get('version')!r}"
         )
+    for section in ("config", "oat", "hg", "reports"):
+        _check_type(section, doc[section], dict)
+    for section in ("oat", "hg", "reports"):
+        for site, node in doc[section].items():
+            _check_type(f"{section} site {site!r}", node, dict)
     if weights_path is None:
         weights_path = os.path.join(os.path.dirname(path) or ".", doc["weights_file"])
     block = ConvertedBlock(

@@ -18,17 +18,22 @@ dual-range   outlier-aware wrapper: elements are routed by magnitude to one
 gated bank   bank of fitted fs kernels. The input range is split into
              sub-ranges; exactly one sub-kernel is active per element and
              approximates an arbitrary scalar function on its sub-range.
+             The schedules are stacked once into (T, N) arrays, and every
+             element runs one T-step recurrence on its bucket's gathered
+             column; other step counts slice or pad the stacks exactly as
+             truncate_schedule / hg_at_steps (the reference) resize them.
 
 fs_encode and mt_encode encode one scalar and serve as reference kernels.
-The dual-range encoder and the gated bank run whole matrices through
-spikeops.encode_matrix and spikeops.apply_hg; hg_eval decodes the bank on a
-1-D batch at fit time. _fs_bits is the one few-step recurrence, used both
-to fit and to run, so a fit sees exactly the bits the runtime fires. All
-encoders are deterministic and produce bit-identical trains for identical
-inputs and configurations.
+The dual-range encoder (one mt pass with a per-element tau) and the gated
+bank run whole matrices through spikeops.encode_matrix and apply_hg;
+hg_eval decodes the bank on a 1-D batch at fit time. _fs_bits is the one
+few-step recurrence, used both to fit and to run, so a fit sees exactly
+the bits the runtime fires. All encoders are deterministic and produce
+bit-identical trains for identical inputs and configurations.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import sys
@@ -60,9 +65,8 @@ def _check_finite_real(name: str, value) -> None:
 
 def _check_finite_reals(name: str, values: tuple) -> None:
     # A C-level pass settles the all-finite-float case. load_block checks about
-    # 22k values on the default block and spike_forward rebuilds every bank at
-    # a non-fitted T; with the per-element loop alone, cli_run_ms rose 54% and
-    # sweep_s 29% on that block (10 paired runs, 2-vCPU Xeon VM).
+    # 22k values on the default block; with the per-element loop alone,
+    # cli_run_ms rose 54% (10 paired runs, 2-vCPU Xeon VM).
     if set(map(type, values)) <= {float} and all(map(math.isfinite, values)):
         return
     for i, v in enumerate(values):
@@ -157,6 +161,18 @@ class HGConfig:
         if any(p.steps != self.subneurons[0].steps for p in self.subneurons):
             raise ShapeError("all sub-kernels must share one step count")
 
+    @functools.cached_property
+    def _stacked(self) -> tuple[np.ndarray, ...]:
+        # boundaries, (T, N) thresholds/resets/weights and (N,) input guards.
+        # A fitted schedule that starts with a zero-reset step uses that step
+        # as an always-on intercept; its threshold doubles as the input guard
+        # so the intercept fires for every in-range input including the floor.
+        subs = self.subneurons
+        theta, h, d = (np.array([getattr(p, k) for p in subs]).T.copy()
+                       for k in ("theta", "h", "d"))
+        guard = np.array([p.theta[0] if p.h[0] == 0.0 else 0.0 for p in subs])
+        return np.array(self.boundaries), theta, h, d, guard
+
 
 class SpikeMatrixTrain:
     """T timesteps of weighted spike values with matrix shape.
@@ -192,6 +208,18 @@ class SpikeMatrixTrain:
         events.setflags(write=False)
         self.values = values
         self.events = events
+
+    @classmethod
+    def _wrap(cls, values: np.ndarray, events: np.ndarray | None = None):
+        # Internal fast path for kernel outputs, consistent by construction:
+        # no copy, no checks. Finiteness is checked where a decoded train
+        # re-enters an encoder, a gate or a Matrix.
+        train = object.__new__(cls)
+        train.values = values
+        train.events = values != 0.0 if events is None else events
+        for arr in (train.values, train.events):
+            arr.setflags(write=False)
+        return train
 
     @property
     def steps(self) -> int:
@@ -230,19 +258,14 @@ def decode(s: SpikeMatrixTrain) -> Matrix:
 def _fs_bits(x: np.ndarray, theta: tuple, h: tuple) -> np.ndarray:
     """Firing bits of the few-step recurrence on a 1-D batch: a contiguous
     (T, n) float64 array of 0.0/1.0. The membrane starts at x; step t fires
-    where it is at or above theta[t] and subtracts h[t] there."""
+    where it is at or above theta[t] and subtracts h[t] there. theta[t] and
+    h[t] are scalars, or (n,) rows when each element has its own schedule."""
     v = np.array(x, dtype=np.float64)
     bits = np.empty((len(theta), v.size))
     for t, row in enumerate(bits):
         np.greater_equal(v, theta[t], out=row)
         v -= h[t] * row
     return bits
-
-
-def _fs_run(x: np.ndarray, p: FSParams) -> tuple[np.ndarray, np.ndarray]:
-    """Drive the few-step recurrence on a 1-D batch. Returns (values, events)."""
-    events = _fs_bits(x, p.theta, p.h).astype(bool)
-    return np.where(events, np.asarray(p.d)[:, None], 0.0), events
 
 
 def fs_encode(x: float, p: FSParams) -> SpikeMatrixTrain:
@@ -255,8 +278,8 @@ def fs_encode(x: float, p: FSParams) -> SpikeMatrixTrain:
     """
     if not np.isfinite(x):
         raise NonFiniteError(f"fs_encode input must be finite, got {x}")
-    values, events = _fs_run(np.array([x]), p)
-    return SpikeMatrixTrain(values[:, :, None], events[:, :, None])
+    events = _fs_bits(np.array([x]), p.theta, p.h).astype(bool)[:, :, None]
+    return SpikeMatrixTrain(np.where(events, np.reshape(p.d, (-1, 1, 1)), 0.0), events)
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +287,9 @@ def fs_encode(x: float, p: FSParams) -> SpikeMatrixTrain:
 
 
 def _mt_run(
-    x: np.ndarray, tau: float, H: int, T: int
+    x: np.ndarray, tau: float | np.ndarray, H: int, T: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Signed greedy multi-level encoding of a 1-D batch.
+    """Signed greedy multi-level encoding of a 1-D batch (tau scalar or per element).
 
     Works in integer multiples of the finest grid unit tau * 2^-T / H so the
     greedy arithmetic is exact, then converts emissions back to float
@@ -280,17 +303,14 @@ def _mt_run(
     W = np.where(np.abs(W - Wr) <= _SNAP_UNITS, Wr, W)
     sign = np.sign(W)
     a = np.abs(W)
-    values = np.zeros((T, a.size))
-    events = np.zeros((T, a.size), dtype=bool)
+    emits = np.empty((T, a.size))
+    events = np.empty((T, a.size), dtype=bool)
     for t in range(1, T + 1):
         step = 2.0 ** (T - t)  # exact power of two in unit space
-        fire = a >= H * step
+        fire = np.greater_equal(a, H * step, out=events[t - 1])
         m = np.minimum(np.floor(a / step), 2 * H - 1)
-        emit = np.where(fire, m * step, 0.0)
-        a = a - emit
-        events[t - 1] = fire
-        values[t - 1] = sign * emit * unit
-    return values, events
+        a = a - np.multiply(m * step, fire, out=emits[t - 1])
+    return sign * emits * unit, events
 
 
 def mt_encode(x: float, c: MTConfig) -> SpikeMatrixTrain:
@@ -305,56 +325,26 @@ def mt_encode(x: float, c: MTConfig) -> SpikeMatrixTrain:
 
 
 # ---------------------------------------------------------------------------
-# outlier-aware dual-range encoder
-
-
-def _oat_run(
-    flat: np.ndarray, c: OATConfig, T: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    T = c.T if T is None else T
-    out_mask = np.abs(flat) >= c.theta_nor
-    values = np.zeros((T, flat.size))
-    events = np.zeros((T, flat.size), dtype=bool)
-    for mask, tau in ((~out_mask, c.theta_nor), (out_mask, c.theta_out)):
-        idx = np.nonzero(mask)[0]
-        if idx.size:
-            v, e = _mt_run(flat[idx], tau, c.H, T)
-            values[:, idx] = v
-            events[:, idx] = e
-    return values, events
-
-
-# ---------------------------------------------------------------------------
 # gated bank of fitted kernels
 
 
-def _hg_guard(p: FSParams) -> float:
-    # A fitted schedule that starts with a zero-reset step uses that step as
-    # an always-on intercept; its threshold doubles as the input guard so
-    # the intercept fires for every in-range input including the floor.
-    return p.theta[0] if p.h[0] == 0.0 else 0.0
-
-
-def _hg_run(flat: np.ndarray, c: HGConfig) -> tuple[np.ndarray, np.ndarray, int]:
-    """Returns (values, events, clamped_count) over a flat batch."""
-    bs = np.asarray(c.boundaries)
+def _hg_run(flat: np.ndarray, c: HGConfig, T: int | None = None) -> tuple:
+    """Returns (values, events, clamped_count) over a flat batch at T steps
+    (default: the fitted depth)."""
+    bs, theta, h, d, guard = c._stacked
+    if T is not None and T != theta.shape[0]:
+        # slice, or pad with steps that never fire, as truncate_schedule does
+        pad = np.zeros((max(T - theta.shape[0], 0), theta.shape[1]))
+        theta, h, d = (np.concatenate([a[:T], pad + fill])
+                       for a, fill in ((theta, 1e300), (h, 0.0), (d, 0.0)))
     lo, hi = bs[0], bs[-1]
     clamped = int(np.count_nonzero((flat < lo) | (flat >= hi)))
     x = np.clip(flat, lo, np.nextafter(hi, lo))
     bucket = np.searchsorted(bs, x, side="right") - 1
     bucket = np.clip(bucket, 0, len(c.subneurons) - 1)
-    T = c.subneurons[0].steps
-    values = np.zeros((T, flat.size))
-    events = np.zeros((T, flat.size), dtype=bool)
-    for i, p in enumerate(c.subneurons):
-        idx = np.nonzero(bucket == i)[0]
-        if idx.size == 0:
-            continue
-        u = x[idx] - bs[i] + _hg_guard(p)
-        v, e = _fs_run(u, p)
-        values[:, idx] = v
-        events[:, idx] = e
-    return values, events, clamped
+    u = x - bs[bucket] + guard[bucket]
+    events = _fs_bits(u, theta[:, bucket], h[:, bucket]).astype(bool)
+    return np.where(events, d[:, bucket], 0.0), events, clamped
 
 
 def hg_eval(c: HGConfig, x: np.ndarray) -> np.ndarray:
@@ -371,13 +361,10 @@ def truncate_schedule(p: FSParams, T: int) -> FSParams:
     """
     if T == p.steps:
         return p
-    if T < p.steps:
-        return FSParams(p.theta[:T], p.h[:T], p.d[:T])
-    pad = T - p.steps
+    pad = max(T - p.steps, 0)
     big = 1e300  # threshold no finite membrane reaches
-    return FSParams(
-        p.theta + (big,) * pad, p.h + (0.0,) * pad, p.d + (0.0,) * pad
-    )
+    return FSParams(p.theta[:T] + (big,) * pad, p.h[:T] + (0.0,) * pad,
+                    p.d[:T] + (0.0,) * pad)
 
 
 def hg_at_steps(c: HGConfig, T: int) -> HGConfig:

@@ -14,6 +14,12 @@ softmax_offset converts a logit train into a max-shifted train whose decode
 equals logits minus the row max, exactly, without ever holding the final
 row max ahead of time.
 
+Every kernel works on whole (T, rows, cols) tensors: running accumulators
+are prefix sums over T, added in step order as a per-step loop adds them,
+and SOPs are counted once per call. Outputs are built unchecked through
+SpikeMatrixTrain._wrap; encode_matrix and apply_hg refuse non-finite
+input, which catches a bad value where a decoded train re-enters.
+
 The composite layers (softmax, LayerNorm, FFN, gated FFN) weave these
 products together with the fitted neuron gates. Each takes an optional
 energy ledger (event-gated additions are recorded per site) and an optional
@@ -29,9 +35,8 @@ from .neurons import (
     OATConfig,
     SpikeMatrixTrain,
     _hg_run,
-    _oat_run,
+    _mt_run,
     decode,
-    hg_at_steps,
 )
 from .tensors import Matrix
 
@@ -45,7 +50,7 @@ def decode_train(
     event count is charged when a ledger is given.
     """
     if ledger is not None:
-        ledger.record_sop(site, int(ts.events.sum()))
+        ledger.record_sop(site, int(np.count_nonzero(ts.events)))
     return decode(ts)
 
 
@@ -57,17 +62,23 @@ def encode_matrix(
     Elements with |x| < theta_nor take the fine encoder (tau = theta_nor);
     elements at or above theta_nor take the coarse one (tau = theta_out).
     Each emission subtracts from the encoder membrane: one accumulation per
-    event on the ledger.
+    event on the ledger. A non-finite input raises NonFiniteError.
     """
-    values, events = _oat_run(x.data, cfg, T)
-    steps = values.shape[0]
-    train = SpikeMatrixTrain(
-        values.reshape(steps, x.rows, x.cols),
-        events.reshape(steps, x.rows, x.cols),
-    )
+    if not np.all(np.isfinite(x.data)):
+        raise NonFiniteError(f"encoder input at {site!r} contains non-finite values")
+    # magnitude routing as a per-element tau: the same IEEE operations as
+    # encoding each range on its own
+    tau = np.where(np.abs(x.data) >= cfg.theta_nor, cfg.theta_out, cfg.theta_nor)
+    values, events = _mt_run(x.data, tau, cfg.H, cfg.T if T is None else T)
+    return _train(values, events, x, ledger, site)
+
+
+def _train(values, events, x: Matrix, ledger, site: str) -> SpikeMatrixTrain:
+    # an encoder or gate output over a flat batch, shaped like its input
+    shape = (values.shape[0], x.rows, x.cols)
     if ledger is not None:
-        ledger.record_sop(site, int(train.events.sum()))
-    return train
+        ledger.record_sop(site, int(np.count_nonzero(events)))
+    return SpikeMatrixTrain._wrap(values.reshape(shape), events.reshape(shape))
 
 
 def constant_train(x: Matrix, T: int) -> SpikeMatrixTrain:
@@ -77,7 +88,7 @@ def constant_train(x: Matrix, T: int) -> SpikeMatrixTrain:
     """
     values = np.zeros((T, x.rows, x.cols))
     values[0] = x.array
-    return SpikeMatrixTrain(values)
+    return SpikeMatrixTrain._wrap(values)
 
 
 def apply_hg(
@@ -95,38 +106,30 @@ def apply_hg(
     relative to the sub-range floor. Out-of-range inputs clamp to the
     nearest sub-range edge, so decoding saturates instead of failing; the
     clamp counter records how many there were. A non-finite input raises
-    NonFiniteError instead. T below the fitted depth truncates the
-    schedules (coarser output).
+    NonFiniteError instead. Another T truncates (coarser output) or pads
+    the schedules with silent steps, as neurons.hg_at_steps does.
     """
     if not np.all(np.isfinite(x.data)):
         raise NonFiniteError(f"gate input at {site!r} contains non-finite values")
-    if T is not None:
-        cfg = hg_at_steps(cfg, T)
-    values, events, clamped = _hg_run(x.data, cfg)
-    steps = values.shape[0]
-    train = SpikeMatrixTrain(
-        values.reshape(steps, x.rows, x.cols),
-        events.reshape(steps, x.rows, x.cols),
-    )
+    values, events, clamped = _hg_run(x.data, cfg, T)
     if counters is not None and clamped:
         counters[site + ".clamped"] = counters.get(site + ".clamped", 0) + clamped
-    if ledger is not None:
-        ledger.record_sop(site, int(train.events.sum()))
-    return train
+    return _train(values, events, x, ledger, site)
 
 
 def transpose_train(ts: SpikeMatrixTrain) -> SpikeMatrixTrain:
-    return SpikeMatrixTrain(ts.values.transpose(0, 2, 1), ts.events.transpose(0, 2, 1))
+    return SpikeMatrixTrain._wrap(ts.values.transpose(0, 2, 1),
+                                  ts.events.transpose(0, 2, 1))
 
 
 def slice_cols(ts: SpikeMatrixTrain, lo: int, hi: int) -> SpikeMatrixTrain:
-    return SpikeMatrixTrain(ts.values[:, :, lo:hi], ts.events[:, :, lo:hi])
+    return SpikeMatrixTrain._wrap(ts.values[:, :, lo:hi], ts.events[:, :, lo:hi])
 
 
 def concat_cols(parts: list[SpikeMatrixTrain]) -> SpikeMatrixTrain:
     if any(p.steps != parts[0].steps for p in parts):
         raise StepMismatchError("cannot concatenate trains with different step counts")
-    return SpikeMatrixTrain(
+    return SpikeMatrixTrain._wrap(
         np.concatenate([p.values for p in parts], axis=2),
         np.concatenate([p.events for p in parts], axis=2),
     )
@@ -136,7 +139,7 @@ def scale_columns(ts: SpikeMatrixTrain, g: Matrix) -> SpikeMatrixTrain:
     """Per-column scaling of every step; linear, so decode scales the same."""
     if g.shape != (1, ts.cols):
         raise ShapeError(f"need a (1, {ts.cols}) scale row, got {g.shape}")
-    return SpikeMatrixTrain(ts.values * g.array[0])
+    return SpikeMatrixTrain._wrap(ts.values * g.array[0])
 
 
 def add_trains(a: SpikeMatrixTrain, b: SpikeMatrixTrain) -> SpikeMatrixTrain:
@@ -144,7 +147,7 @@ def add_trains(a: SpikeMatrixTrain, b: SpikeMatrixTrain) -> SpikeMatrixTrain:
         raise StepMismatchError(f"step counts differ: {a.steps} != {b.steps}")
     if a.shape != b.shape:
         raise ShapeError(f"train shapes differ: {a.shape} != {b.shape}")
-    return SpikeMatrixTrain(a.values + b.values)
+    return SpikeMatrixTrain._wrap(a.values + b.values)
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +168,8 @@ def saw_mul(
         )
     out = np.einsum("pr,trc->tpc", W.array, xs.values)
     if ledger is not None:
-        ledger.record_sop(site, int(xs.events.sum()) * W.rows)
-    return SpikeMatrixTrain(out)
+        ledger.record_sop(site, int(np.count_nonzero(xs.events)) * W.rows)
+    return SpikeMatrixTrain._wrap(out)
 
 
 def saw_mul_right(
@@ -179,8 +182,16 @@ def saw_mul_right(
         )
     out = np.einsum("trc,cq->trq", xs.values, W.array)
     if ledger is not None:
-        ledger.record_sop(site, int(xs.events.sum()) * W.cols)
-    return SpikeMatrixTrain(out)
+        ledger.record_sop(site, int(np.count_nonzero(xs.events)) * W.cols)
+    return SpikeMatrixTrain._wrap(out)
+
+
+def _prefix_sums(v: np.ndarray) -> np.ndarray:
+    """Running sums over the T axis from a zero start: p[t] = v[0] + ... +
+    v[t-1], added in step order, for t = 0..T (T + 1 steps)."""
+    p = np.zeros((v.shape[0] + 1,) + v.shape[1:])
+    p[1:] = v
+    return np.cumsum(p, axis=0, out=p)
 
 
 def saa_mul(
@@ -192,69 +203,51 @@ def saa_mul(
 
         A(t) = q(t) @ k(t) + q(t) @ S_k(t) + S_q(t) @ k(t)
 
-    with S_q, S_k the sums of all *earlier* steps, updated afterward. Every
-    prefix of A telescopes to the product of the decoded prefixes, so the
-    full decode equals decode(qs) @ decode(ks) up to float rounding.
+    with S_q, S_k the exclusive prefix sums (all *earlier* steps), computed
+    for every step at once. Every prefix of A telescopes to the product of
+    the decoded prefixes, so the full decode equals decode(qs) @ decode(ks)
+    up to float rounding. An event pair costs one accumulation, and each
+    event meets the other operand's running sum once per output column
+    (or row); the ledger gets the whole call's count at once.
     """
     if qs.steps != ks.steps:
         raise StepMismatchError(f"step counts differ: {qs.steps} != {ks.steps}")
     if qs.cols != ks.rows:
         raise ShapeError(f"inner dimensions differ: {qs.shape} x {ks.shape}")
-    T = qs.steps
-    out = np.zeros((T, qs.rows, ks.cols))
-    S_q = np.zeros((qs.rows, qs.cols))
-    S_k = np.zeros((ks.rows, ks.cols))
-    sops = 0
-    for t in range(T):
-        vq = qs.values[t]
-        vk = ks.values[t]
-        out[t] = vq @ vk + vq @ S_k + S_q @ vk
-        if ledger is not None:
-            eq = qs.events[t]
-            ek = ks.events[t]
-            pairs = int(eq.sum(axis=0) @ ek.sum(axis=1))
-            sops += pairs + int(eq.sum()) * ks.cols + int(ek.sum()) * qs.rows
-        S_q = S_q + vq
-        S_k = S_k + vk
+    # sliced and transposed views are copied, so BLAS sees one layout
+    vq, vk = np.ascontiguousarray(qs.values), np.ascontiguousarray(ks.values)
+    out = vq @ vk + vq @ _prefix_sums(vk)[:-1] + _prefix_sums(vq)[:-1] @ vk
     if ledger is not None:
-        ledger.record_sop(site, sops)
-    return SpikeMatrixTrain(out)
+        eq, ek = qs.events, ks.events
+        pairs = int((eq.sum(axis=1) * ek.sum(axis=2)).sum())
+        ledger.record_sop(site, pairs + int(np.count_nonzero(eq)) * ks.cols
+                          + int(np.count_nonzero(ek)) * qs.rows)
+    return SpikeMatrixTrain._wrap(out)
 
 
 def hadamard_mul(
     a: SpikeMatrixTrain, b: SpikeMatrixTrain, ledger=None, site: str = "hadamard"
 ) -> SpikeMatrixTrain:
-    """Elementwise train product, same accumulator scheme as saa_mul.
+    """Elementwise train product, same prefix-sum scheme as saa_mul.
 
     A single-column train broadcasts across the other operand's columns
     (how a per-row scale like an inverse-norm meets a full-width train).
+    Each event pair, and each event of either operand against the other's
+    running sum, is one accumulation at every output element it reaches.
     """
     if a.steps != b.steps:
         raise StepMismatchError(f"step counts differ: {a.steps} != {b.steps}")
     try:
-        rshape = np.broadcast_shapes(a.shape, b.shape)
+        np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
         raise ShapeError(f"train shapes do not broadcast: {a.shape} x {b.shape}")
-    T = a.steps
-    out = np.zeros((T,) + rshape)
-    S_a = np.zeros(a.shape)
-    S_b = np.zeros(b.shape)
-    sops = 0
-    for t in range(T):
-        va = a.values[t]
-        vb = b.values[t]
-        out[t] = va * vb + va * S_b + S_a * vb
-        if ledger is not None:
-            ea = a.events[t]
-            eb = b.events[t]
-            sops += int(np.broadcast_to(ea & eb, rshape).sum())
-            sops += int(np.broadcast_to(ea, rshape).sum())
-            sops += int(np.broadcast_to(eb, rshape).sum())
-        S_a = S_a + va
-        S_b = S_b + vb
+    va, vb = a.values, b.values
+    out = va * vb + va * _prefix_sums(vb)[:-1] + _prefix_sums(va)[:-1] * vb
     if ledger is not None:
-        ledger.record_sop(site, sops)
-    return SpikeMatrixTrain(out)
+        ledger.record_sop(site, sum(
+            int(np.count_nonzero(np.broadcast_to(e, out.shape)))
+            for e in (a.events & b.events, a.events, b.events)))
+    return SpikeMatrixTrain._wrap(out)
 
 
 def softmax_offset(
@@ -264,23 +257,16 @@ def softmax_offset(
 
     Step t emits z(t) plus the per-row drop in the running prefix max; the
     drops telescope, so the decoded total is z - rowmax(z) without the row
-    max ever being known in advance. The empty prefix has max zero.
+    max ever being known in advance. The empty prefix has max zero. The
+    prefix maxima of every step come from one prefix sum over T.
     """
     if zs.cols < 1:
         raise ShapeError("softmax offset needs at least one column per row")
-    T = zs.steps
-    out = np.empty_like(zs.values)
-    prefix = np.zeros(zs.shape)
-    prev_max = np.zeros((zs.rows, 1))
-    for t in range(T):
-        prefix = prefix + zs.values[t]
-        cur_max = prefix.max(axis=1, keepdims=True)
-        out[t] = zs.values[t] + (prev_max - cur_max)
-        prev_max = cur_max
-    train = SpikeMatrixTrain(out)
+    prefix_max = _prefix_sums(zs.values).max(axis=2, keepdims=True)
+    train = SpikeMatrixTrain._wrap(zs.values + (prefix_max[:-1] - prefix_max[1:]))
     if ledger is not None:
         # every nonzero corrected value is one accumulation downstream
-        ledger.record_sop(site, int(train.events.sum()))
+        ledger.record_sop(site, int(np.count_nonzero(train.events)))
     return train
 
 

@@ -219,6 +219,25 @@ class TestRun:
         assert code == 3
         assert "spike path" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_into_encoder_exits_3_naming_sublayer(self, work, tmp_path,
+                                                            capsys):
+        # the overflow surfaces where the decoded train re-enters an encoder,
+        # still blamed on the sublayer that produced it
+        block = load_block(str(work / "block.json"))
+        site = "layers.0.ln1.invsqrt"
+        old = block.hg[site]
+        hg = dict(block.hg)
+        hg[site] = HGConfig(old.boundaries, tuple(
+            FSParams(p.theta, p.h, (1e308,) * p.steps)
+            for p in old.subneurons))
+        bp = str(tmp_path / "overflow.json")
+        save_block(ConvertedBlock(block.config, block.weights, block.oat, hg,
+                                  block.reports), bp)
+        code = main(["run", "--block", bp, "--input", str(work / "input.lasw")])
+        assert code == 3
+        assert "spike path: layers.0.attn" in capsys.readouterr().err
+
     def test_nan_gate_weight_rejected_on_load(self, work, tmp_path, capsys):
         # a corrupt block file is an input error (2), not a spike-path one (3)
         with open(work / "block.json") as fh:
@@ -232,6 +251,13 @@ class TestRun:
         assert code == 2
         assert "finite" in capsys.readouterr().err
 
+    def test_block_that_is_not_an_object(self, work, tmp_path, capsys):
+        bp = tmp_path / "list_block.json"
+        bp.write_text("[]")
+        code = main(["run", "--block", str(bp), "--input", str(work / "input.lasw")])
+        assert code == 2
+        assert "block must be dict" in capsys.readouterr().err
+
     @pytest.mark.parametrize("path, value, field", [
         (("hg", "layers.0.ffn.act", "subneurons", 0, "theta", 0), "0.5", "theta[0]"),
         (("hg", "layers.0.ffn.act", "subneurons", 0, "h", 1), "0.5", "h[1]"),
@@ -242,6 +268,25 @@ class TestRun:
         (("oat", "input", "theta_out"), [40.0], "theta_out"),
         (("oat", "input", "H"), 5.7, "H"),
         (("oat", "input", "T"), "8", "T"),
+        # wrongly shaped nodes, not only leaves
+        (("hg", "layers.0.ffn.act", "subneurons", 0, "theta"), 0.5, "theta"),
+        (("hg", "layers.0.ffn.act", "subneurons"), "x", "subneurons"),
+        (("hg", "layers.0.ffn.act", "subneurons", 0), [], "subneurons[0]"),
+        (("oat", "input"), 3, "oat site 'input'"),
+        (("hg", "layers.0.attn.exp"), [], "hg site 'layers.0.attn.exp'"),
+        (("reports", "layers.0.ffn.act"), 1, "reports site 'layers.0.ffn.act'"),
+        (("reports",), [], "reports"),
+        (("config",), 5, "config"),
+        # calibration reports are checked, not coerced
+        (("reports", "layers.0.ffn.act", "steps"), 5.7, "steps"),
+        (("reports", "layers.0.ffn.act", "seed"), "6", "seed"),
+        (("reports", "layers.0.ffn.act", "samples_per_range"), True,
+         "samples_per_range"),
+        (("reports", "layers.0.ffn.act", "boundaries"), "0.5", "boundaries"),
+        (("reports", "layers.0.ffn.act", "boundaries", 1), "0.5", "boundaries[1]"),
+        (("reports", "layers.0.ffn.act", "per_subrange_max_abs_err", 0), None,
+         "per_subrange_max_abs_err[0]"),
+        (("reports", "layers.0.ffn.act", "max_abs_err"), "0.1", "max_abs_err"),
     ])
     def test_wrongly_typed_block_field_named(self, work, tmp_path, capsys,
                                              path, value, field):

@@ -17,6 +17,7 @@ from spikeconvert.errors import (
     CalibrationError,
     FormatError,
     ShapeError,
+    SpikePathError,
 )
 from spikeconvert.model import (
     ConvertedBlock,
@@ -38,6 +39,7 @@ from spikeconvert.model import (
     save_weights,
     spike_forward,
 )
+from spikeconvert.neurons import FSParams, HGConfig
 from spikeconvert.tensors import Matrix
 
 TINY = dict(d_model=8, n_heads=2, d_ff=16, seq_len=4, T=8, H=3,
@@ -341,9 +343,34 @@ class TestSpikeForward:
         assert np.all(np.isfinite(out.array))
         assert tr.output_rel_err < 0.2
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("gate, sublayer, encoder", [
+        ("ln1.invsqrt", "attn", "attn.in"),
+        ("ln2.invsqrt", "ffn", "ffn.in_encode"),
+    ])
+    def test_overflow_caught_at_next_encoder(self, tiny_block, tiny_input,
+                                             gate, sublayer, encoder):
+        # gate weights of 1e308 overflow the normalized train, which kernels
+        # pass on unchecked; its decode feeds the next encoder, which refuses
+        # it inside the same sublayer instead of saturating it
+        site = "layers.0." + gate
+        old = tiny_block.hg[site]
+        hg = dict(tiny_block.hg)
+        hg[site] = HGConfig(old.boundaries, tuple(
+            FSParams(p.theta, p.h, (1e308,) * p.steps)
+            for p in old.subneurons))
+        bad = ConvertedBlock(tiny_block.config, tiny_block.weights,
+                             tiny_block.oat, hg, tiny_block.reports)
+        with pytest.raises(SpikePathError) as info:
+            spike_forward(bad, tiny_input)
+        assert info.value.site == "layers.0." + sublayer
+        assert f"'layers.0.{encoder}'" in str(info.value.__cause__)
+
     def test_bad_step_count(self, tiny_block, tiny_input):
         with pytest.raises(ValueError):
             spike_forward(tiny_block, tiny_input, T=0)
+        with pytest.raises(ValueError, match="T must be Integral"):
+            spike_forward(tiny_block, tiny_input, T=4.0)
 
     def test_more_steps_cost_more_sops(self, tiny_block, tiny_input):
         _, tr2 = spike_forward(tiny_block, tiny_input, T=2)

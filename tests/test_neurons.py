@@ -19,7 +19,8 @@ from spikeconvert.neurons import (
     MTConfig,
     OATConfig,
     SpikeMatrixTrain,
-    _fs_run,
+    _fs_bits,
+    _hg_run,
     decode,
     fs_encode,
     hg_at_steps,
@@ -27,7 +28,7 @@ from spikeconvert.neurons import (
     mt_encode,
     truncate_schedule,
 )
-from spikeconvert.spikeops import apply_hg, encode_matrix
+from spikeconvert.spikeops import apply_hg, decode_train, encode_matrix
 from spikeconvert.tensors import Matrix
 
 
@@ -231,6 +232,22 @@ class TestOATNeuron:
         t = encode_matrix(Matrix(np.array([[0.7]])), self.CFG, T=8)
         assert t.steps == 8
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, bad):
+        # an unchecked Matrix._wrap input must not saturate to the top level
+        x = Matrix._wrap(np.array([[bad, 0.3]]))
+        with pytest.raises(NonFiniteError, match="'layers.0.attn.q'"):
+            encode_matrix(x, OATConfig(0.5, 4.0, 5, 8), site="layers.0.attn.q")
+
+    def test_overflowing_decode_rejected(self):
+        # every step is finite, their sum is not: the decode must not
+        # re-enter the spike path as a saturated encoding
+        train = SpikeMatrixTrain(np.full((2, 1, 2), 1e308))
+        with np.errstate(over="ignore"):
+            x = decode_train(train)
+        with pytest.raises(NonFiniteError):
+            encode_matrix(x, self.CFG)
+
 
 def step_fn_config() -> HGConfig:
     """Two-range hierarchy decoding a step function exactly.
@@ -389,7 +406,7 @@ class TestMatrixEntryPoints:
 
 
 def fs_run_reference(x, p):
-    """The per-step loop that _fs_run replaced, kept as its oracle."""
+    """The per-step few-step loop, kept as the oracle of _fs_bits."""
     x = np.asarray(x, dtype=np.float64)
     T = p.steps
     values = np.zeros((T, x.size))
@@ -424,12 +441,74 @@ def schedules_with_edge_inputs(draw):
     return FSParams(tuple(theta), tuple(h), tuple(d)), np.array(xs)
 
 
+def hg_run_reference(flat, c):
+    """The per-sub-kernel loop that _hg_run replaced, kept as its oracle.
+
+    Each sub-range runs its own few-step kernel (fs_run_reference, the
+    per-step oracle of _fs_bits) on the elements routed to it.
+    """
+    bs = np.asarray(c.boundaries)
+    lo, hi = bs[0], bs[-1]
+    clamped = int(np.count_nonzero((flat < lo) | (flat >= hi)))
+    x = np.clip(flat, lo, np.nextafter(hi, lo))
+    bucket = np.searchsorted(bs, x, side="right") - 1
+    bucket = np.clip(bucket, 0, len(c.subneurons) - 1)
+    T = c.subneurons[0].steps
+    values = np.zeros((T, flat.size))
+    events = np.zeros((T, flat.size), dtype=bool)
+    for i, p in enumerate(c.subneurons):
+        idx = np.nonzero(bucket == i)[0]
+        if idx.size == 0:
+            continue
+        u = x[idx] - bs[i] + (p.theta[0] if p.h[0] == 0.0 else 0.0)
+        v, e = fs_run_reference(u, p)
+        values[:, idx] = v
+        events[:, idx] = e
+    return values, events, clamped
+
+
+@st.composite
+def bank_runs(draw):
+    """A bank, a step count below, at or above its fitted depth (1..8), and
+    inputs that include every boundary, the float just below each, and
+    out-of-range values."""
+    c = draw(banks())
+    if draw(st.booleans()):
+        # a zero first reset makes step 0 the intercept and its threshold the guard
+        c = HGConfig(c.boundaries, tuple(
+            FSParams(p.theta, (0.0,) + p.h[1:], p.d) for p in c.subneurons))
+    bs = list(c.boundaries)
+    edges = bs + [float(np.nextafter(b, -np.inf)) for b in bs]
+    xs = draw(st.lists(st.one_of(st.sampled_from(edges), st.floats(-30.0, 30.0)),
+                       min_size=1, max_size=24))
+    return c, np.array(xs), draw(st.integers(1, 12))
+
+
+class TestGateBank:
+    @settings(max_examples=300, deadline=None)
+    @given(case=bank_runs())
+    def test_matches_per_sub_kernel_reference(self, case):
+        c, xs, T = case
+        values, events, clamped = _hg_run(xs, c, T)
+        ref_values, ref_events, ref_clamped = hg_run_reference(xs, hg_at_steps(c, T))
+        assert values.tobytes() == ref_values.tobytes()
+        assert np.array_equal(events, ref_events)
+        assert clamped == ref_clamped
+        counters = {}
+        train = apply_hg(Matrix(xs[None]), c, T, counters=counters, site="g")
+        assert train.values.tobytes() == ref_values.tobytes()
+        assert np.array_equal(train.events[:, 0], ref_events)
+        assert counters.get("g.clamped", 0) == ref_clamped
+
+
 class TestFSRecurrence:
     @settings(max_examples=300, deadline=None)
     @given(case=schedules_with_edge_inputs())
     def test_matches_per_step_reference(self, case):
         p, xs = case
-        values, events = _fs_run(xs, p)
         ref_values, ref_events = fs_run_reference(xs, p)
-        assert values.tobytes() == ref_values.tobytes()
-        assert np.array_equal(events, ref_events)
+        assert np.array_equal(_fs_bits(xs, p.theta, p.h), ref_events)
+        for j, x in enumerate(xs):
+            train = fs_encode(float(x), p)
+            assert train.values[:, 0, 0].tobytes() == ref_values[:, j].tobytes()
+            assert np.array_equal(train.events[:, 0, 0], ref_events[:, j])

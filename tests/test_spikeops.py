@@ -8,13 +8,20 @@ measured inside the test; no tolerance below is a guessed number.
 The recomputed intermediates (exp train, centered train, variance) are
 bitwise identical to the internal ones: the same float arrays pass through
 the same deterministic encoders and gates.
+
+The whole-tensor product kernels are held bit for bit, SOP counts
+included, to the per-step loops they replaced, which are kept below as
+their oracles.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikeconvert.calibration import fit_target, gelu
+from spikeconvert.energy import EnergyLedger
 from spikeconvert.errors import ShapeError, StepMismatchError
-from spikeconvert.neurons import OATConfig
+from spikeconvert.neurons import FSParams, HGConfig, OATConfig
 from spikeconvert.spikeops import (
     SpikeMatrixTrain,
     add_trains,
@@ -223,6 +230,183 @@ class TestSoftmaxOffset:
     def test_empty_row_rejected(self):
         with pytest.raises(ShapeError):
             softmax_offset(SpikeMatrixTrain(np.zeros((2, 3, 0))))
+
+
+def saa_mul_reference(qs, ks, ledger=None, site="saa"):
+    """The per-step saa_mul loop, kept as the oracle of the prefix-sum form."""
+    if qs.steps != ks.steps:
+        raise StepMismatchError(f"step counts differ: {qs.steps} != {ks.steps}")
+    if qs.cols != ks.rows:
+        raise ShapeError(f"inner dimensions differ: {qs.shape} x {ks.shape}")
+    T = qs.steps
+    out = np.zeros((T, qs.rows, ks.cols))
+    S_q = np.zeros((qs.rows, qs.cols))
+    S_k = np.zeros((ks.rows, ks.cols))
+    sops = 0
+    for t in range(T):
+        vq = qs.values[t]
+        vk = ks.values[t]
+        out[t] = vq @ vk + vq @ S_k + S_q @ vk
+        if ledger is not None:
+            eq = qs.events[t]
+            ek = ks.events[t]
+            pairs = int(eq.sum(axis=0) @ ek.sum(axis=1))
+            sops += pairs + int(eq.sum()) * ks.cols + int(ek.sum()) * qs.rows
+        S_q = S_q + vq
+        S_k = S_k + vk
+    if ledger is not None:
+        ledger.record_sop(site, sops)
+    return SpikeMatrixTrain(out)
+
+
+def hadamard_mul_reference(a, b, ledger=None, site="hadamard"):
+    """The per-step hadamard_mul loop, kept as the oracle of the prefix-sum form."""
+    if a.steps != b.steps:
+        raise StepMismatchError(f"step counts differ: {a.steps} != {b.steps}")
+    try:
+        rshape = np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        raise ShapeError(f"train shapes do not broadcast: {a.shape} x {b.shape}")
+    T = a.steps
+    out = np.zeros((T,) + rshape)
+    S_a = np.zeros(a.shape)
+    S_b = np.zeros(b.shape)
+    sops = 0
+    for t in range(T):
+        va = a.values[t]
+        vb = b.values[t]
+        out[t] = va * vb + va * S_b + S_a * vb
+        if ledger is not None:
+            ea = a.events[t]
+            eb = b.events[t]
+            sops += int(np.broadcast_to(ea & eb, rshape).sum())
+            sops += int(np.broadcast_to(ea, rshape).sum())
+            sops += int(np.broadcast_to(eb, rshape).sum())
+        S_a = S_a + va
+        S_b = S_b + vb
+    if ledger is not None:
+        ledger.record_sop(site, sops)
+    return SpikeMatrixTrain(out)
+
+
+def softmax_offset_reference(zs, ledger=None, site="offset"):
+    """The per-step softmax_offset loop, kept as the oracle of the prefix form."""
+    if zs.cols < 1:
+        raise ShapeError("softmax offset needs at least one column per row")
+    T = zs.steps
+    out = np.empty_like(zs.values)
+    prefix = np.zeros(zs.shape)
+    prev_max = np.zeros((zs.rows, 1))
+    for t in range(T):
+        prefix = prefix + zs.values[t]
+        cur_max = prefix.max(axis=1, keepdims=True)
+        out[t] = zs.values[t] + (prev_max - cur_max)
+        prev_max = cur_max
+    train = SpikeMatrixTrain(out)
+    if ledger is not None:
+        ledger.record_sop(site, int(train.events.sum()))
+    return train
+
+
+def event_train(rng, T, shape, density):
+    """A train with an explicit event mask at the given density: some events
+    carry a zero weight (as a gate step with d = 0 does) and silent entries
+    are +0.0 or -0.0 (as the encoder emits for negative inputs)."""
+    events = rng.random((T,) + shape) < density
+    weights = rng.standard_normal((T,) + shape) * (rng.random((T,) + shape) > 0.1)
+    zeros = np.where(rng.random((T,) + shape) < 0.5, -0.0, 0.0)
+    return SpikeMatrixTrain(np.where(events, weights, zeros), events)
+
+
+def assert_same_run(kernel, reference, *trains):
+    got_ledger, ref_ledger = EnergyLedger(), EnergyLedger()
+    got = kernel(*trains, got_ledger, "k")
+    ref = reference(*trains, ref_ledger, "k")
+    assert got.values.tobytes() == ref.values.tobytes()
+    assert got.values.shape == ref.values.shape
+    assert np.array_equal(got.events, ref.events)
+    assert got_ledger.to_dict() == ref_ledger.to_dict()
+
+
+dims = st.integers(1, 6)
+run_params = dict(T=st.integers(1, 10), density=st.floats(0.0, 1.0),
+                  seed=st.integers(0, 2**32 - 1))
+
+
+class TestWholeTensorKernels:
+    """The prefix-sum kernels equal the per-step loops bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=dims, inner=dims, cols=dims, **run_params)
+    def test_saa_mul_matches_per_step(self, rows, inner, cols, T, density, seed):
+        rng = np.random.default_rng(seed)
+        assert_same_run(saa_mul, saa_mul_reference,
+                        event_train(rng, T, (rows, inner), density),
+                        event_train(rng, T, (inner, cols), density))
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=dims, cols=dims, mode=st.sampled_from(
+               ["same", "b_column", "a_column", "b_row", "b_scalar"]), **run_params)
+    def test_hadamard_mul_matches_per_step(self, rows, cols, mode, T, density, seed):
+        rng = np.random.default_rng(seed)
+        a_shape, b_shape = {
+            "same": ((rows, cols), (rows, cols)),
+            "b_column": ((rows, cols), (rows, 1)),
+            "a_column": ((rows, 1), (rows, cols)),
+            "b_row": ((rows, cols), (1, cols)),
+            "b_scalar": ((rows, cols), (1, 1)),
+        }[mode]
+        assert_same_run(hadamard_mul, hadamard_mul_reference,
+                        event_train(rng, T, a_shape, density),
+                        event_train(rng, T, b_shape, density))
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=dims, cols=dims, **run_params)
+    def test_softmax_offset_matches_per_step(self, rows, cols, T, density, seed):
+        rng = np.random.default_rng(seed)
+        assert_same_run(softmax_offset, softmax_offset_reference,
+                        event_train(rng, T, (rows, cols), density))
+
+    @settings(max_examples=50, deadline=None)
+    @given(rows=dims, cols=dims, **run_params)
+    def test_sliced_and_transposed_operands(self, rows, cols, T, density, seed):
+        # the attention path multiplies column slices and transposes
+        rng = np.random.default_rng(seed)
+        q = event_train(rng, T, (rows, cols + 2), density)
+        k = event_train(rng, T, (rows, cols + 2), density)
+        assert_same_run(saa_mul, saa_mul_reference, slice_cols(q, 1, cols + 1),
+                        transpose_train(slice_cols(k, 1, cols + 1)))
+
+
+_X = Matrix(np.array([[-2.0, -0.3, 0.0], [0.4, 1.2, 5.0]]))
+_OAT = OATConfig(0.5, 4.0, 3, 4)
+_BANK = HGConfig((-1.0, 0.0, 1.0), (FSParams((0.5,) * 4, (0.5,) * 4, (1.0,) * 4),) * 2)
+_ENC = encode_matrix(_X, _OAT)
+PUBLIC_KERNELS = {
+    "apply_hg": lambda: apply_hg(_X, _BANK, 4),
+    "encode_matrix": lambda: encode_matrix(_X, _OAT),
+    "saw_mul": lambda: saw_mul(Matrix(np.ones((4, 2))), _ENC),
+    "saw_mul_right": lambda: saw_mul_right(_ENC, Matrix(np.ones((3, 2)))),
+    "saa_mul": lambda: saa_mul(_ENC, transpose_train(_ENC)),
+    "hadamard_mul": lambda: hadamard_mul(_ENC, slice_cols(_ENC, 0, 1)),
+    "softmax_offset": lambda: softmax_offset(_ENC),
+    "transpose_train": lambda: transpose_train(_ENC),
+    "slice_cols": lambda: slice_cols(_ENC, 1, 3),
+    "concat_cols": lambda: concat_cols([_ENC, _ENC]),
+    "scale_columns": lambda: scale_columns(_ENC, Matrix(np.ones((1, 3)))),
+    "add_trains": lambda: add_trains(_ENC, _ENC),
+    "constant_train": lambda: constant_train(_X, 4),
+}
+
+
+class TestImmutability:
+    @pytest.mark.parametrize("name", sorted(PUBLIC_KERNELS))
+    def test_returned_train_is_read_only(self, name):
+        train = PUBLIC_KERNELS[name]()
+        assert not train.values.flags.writeable
+        assert not train.events.flags.writeable
+        with pytest.raises(ValueError):
+            train.values[0, 0, 0] = 1.0
 
 
 @pytest.fixture(scope="module")

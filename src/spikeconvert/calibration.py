@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import CalibrationError
 from .neurons import FSParams, HGConfig, _fs_bits, _sum_steps
-from .neurons import _check_finite_real, _check_finite_reals, _check_type
+from .neurons import _check_finite_reals, _check_type
 from .tensors import ActivationStats, Matrix, percentile
 
 # Importance-density shape for boundary placement: weight ~ |f''|^_CURVE_EXP
@@ -340,52 +340,44 @@ def fit_fs(
 
 @dataclass(frozen=True)
 class CalibrationReport:
-    """Everything needed to audit or reproduce one gated-bank fit."""
+    """The audit figures of one gated-bank fit; the bank itself is its HGConfig."""
 
     target: str
-    boundaries: tuple[float, ...]
     per_subrange_max_abs_err: tuple[float, ...]
     samples_per_range: int
     seed: int
-    fitted: HGConfig
-    steps: int
-    max_abs_err: float
 
     def __post_init__(self) -> None:
         errs = np.asarray(self.per_subrange_max_abs_err)
-        if errs.size and (not np.all(np.isfinite(errs)) or np.any(errs < 0.0)):
-            raise CalibrationError("per-range errors must be finite and nonnegative")
+        if not errs.size or not np.all(np.isfinite(errs)) or np.any(errs < 0.0):
+            raise CalibrationError(
+                "per-range errors must be nonempty, finite and nonnegative"
+            )
+        if self.samples_per_range < 64:  # the fit_fs floor
+            raise ValueError(
+                f"samples_per_range must be at least 64, got {self.samples_per_range}"
+            )
+
+    @property
+    def max_abs_err(self) -> float:
+        return max(self.per_subrange_max_abs_err)
 
     def to_dict(self) -> dict:
         return {
             "target": self.target,
-            "boundaries": list(self.boundaries),
             "per_subrange_max_abs_err": list(self.per_subrange_max_abs_err),
             "samples_per_range": self.samples_per_range,
             "seed": self.seed,
-            "fitted": hg_to_dict(self.fitted),
-            "steps": self.steps,
-            "max_abs_err": self.max_abs_err,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "CalibrationReport":
-        # checked, not coerced: int(5.7) would load a corrupt step count as 5
-        for name in ("samples_per_range", "seed", "steps"):
+        # checked, not coerced: int(5.7) would load a corrupt count as 5
+        for name in ("samples_per_range", "seed"):
             _check_type(name, d[name], numbers.Integral)
-        for name in ("boundaries", "per_subrange_max_abs_err"):
-            _check_finite_reals(name, _tuple(name, d[name]))
-        _check_finite_real("max_abs_err", d["max_abs_err"])
-        return cls(
-            target=d["target"],
-            boundaries=tuple(d["boundaries"]),
-            per_subrange_max_abs_err=tuple(d["per_subrange_max_abs_err"]),
-            samples_per_range=d["samples_per_range"],
-            seed=d["seed"],
-            fitted=hg_from_dict(d["fitted"]),
-            steps=d["steps"],
-            max_abs_err=float(d["max_abs_err"]),
-        )
+        errs = _tuple("per_subrange_max_abs_err", d["per_subrange_max_abs_err"])
+        _check_finite_reals("per_subrange_max_abs_err", errs)
+        return cls(d["target"], errs, d["samples_per_range"], d["seed"])
 
 
 def hg_to_dict(cfg: HGConfig) -> dict:
@@ -444,16 +436,7 @@ def fit_hg(
         params.append(p)
         errs.append(err)
     cfg = HGConfig(boundaries, tuple(params))
-    report = CalibrationReport(
-        target=target,
-        boundaries=boundaries,
-        per_subrange_max_abs_err=tuple(errs),
-        samples_per_range=M,
-        seed=seed,
-        fitted=cfg,
-        steps=T,
-        max_abs_err=max(errs),
-    )
+    report = CalibrationReport(target, tuple(errs), M, seed)
     return cfg, report
 
 

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .calibration import TARGETS, fit_target, sample_distribution
+from .calibration import TARGETS, fit_target, hg_to_dict, sample_distribution
 from .energy import E_AC, E_MAC, EnergyLedger, energy_ratio
 from .errors import CalibrationError, FormatError, SpikePathError
 from .model import (
@@ -33,6 +33,7 @@ from .model import (
     save_weights,
     spike_forward,
 )
+from .neurons import _check_type
 from .tensors import Matrix
 
 _INPUT_TENSOR = "input"
@@ -83,13 +84,13 @@ def cmd_calibrate(args) -> int:
     if seed is None:
         seed = args.seed
     lo, hi = (None, None) if args.range is None else args.range
-    _, report = fit_target(
+    gate, report = fit_target(
         args.target, args.levels, args.steps, args.samples, seed, lo=lo, hi=hi
     )
-    dump_json(report.to_dict(), args.out)
+    dump_json({"hg": hg_to_dict(gate), "report": report.to_dict()}, args.out)
     print(
-        f"fitted {args.target} on [{report.boundaries[0]:.6g}, "
-        f"{report.boundaries[-1]:.6g}] with {args.levels} sub-ranges: "
+        f"fitted {args.target} on [{gate.boundaries[0]:.6g}, "
+        f"{gate.boundaries[-1]:.6g}] with {args.levels} sub-ranges: "
         f"max abs err {report.max_abs_err:.6g} -> {args.out}"
     )
     return 0
@@ -173,8 +174,10 @@ def cmd_sweep(args) -> int:
 def cmd_energy(args) -> int:
     with open(args.report, encoding="utf-8") as fh:
         doc = json.load(fh)
-    ledger = doc.get("ledger")
-    if not ledger or not ledger.get("flops"):
+    _check_type("report", doc, dict)
+    ledger = doc.get("ledger", {})
+    _check_type("ledger", ledger, dict)
+    if not ledger.get("flops"):
         raise ValueError(
             f"report {args.report!r} records no float-path FLOPs; "
             "the energy ratio is undefined"
@@ -211,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("calibrate", help="fit one nonlinearity and write its report")
+    c = sub.add_parser("calibrate", help="fit one nonlinearity; write its gate and report")
     c.add_argument("--target", required=True, choices=sorted(TARGETS))
     c.add_argument("--range", nargs=2, type=float, metavar=("LO", "HI"))
     c.add_argument("--levels", type=int, default=8, help="sub-range count N")

@@ -13,7 +13,10 @@ instead of one.
 """
 from __future__ import annotations
 
+import numbers
+
 from .errors import EnergyAccountingError
+from .neurons import _check_type
 
 E_AC = 0.9
 E_MAC = 4.6
@@ -73,9 +76,7 @@ class EnergyLedger:
         self.record_flop(site, self.flop_cost(kind) * count)
 
     def to_dict(self) -> dict:
-        ratio = None
-        if self.flops > 0:
-            ratio = energy_ratio(self)
+        ratio = energy_ratio(self) if self.flops > 0 else None
         return {
             "e_ac": self.e_ac,
             "e_mac": self.e_mac,
@@ -88,11 +89,21 @@ class EnergyLedger:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnergyLedger":
-        ledger = cls(sop_weight=int(d.get("sop_weight", 1)))
-        for site, counts in d.get("by_site", {}).items():
-            ledger.record_sop(site, int(counts["sops"]) // ledger.sop_weight)
-            ledger.record_flop(site, int(counts["flops"]))
-        if ledger.sops != int(d["sops"]) or ledger.flops != int(d["flops"]):
+        # checked, not coerced: int(2.7) would read a corrupt count as 2
+        sop_weight = d.get("sop_weight", 1)
+        _check_type("sop_weight", sop_weight, numbers.Integral)
+        ledger = cls(sop_weight=sop_weight)
+        by_site = d.get("by_site", {})
+        _check_type("by_site", by_site, dict)
+        for site, counts in by_site.items():
+            _check_type(f"by_site[{site!r}]", counts, dict)
+            for key in ("sops", "flops"):
+                _check_type(f"by_site[{site!r}].{key}", counts[key], numbers.Integral)
+            ledger.record_sop(site, counts["sops"] // ledger.sop_weight)
+            ledger.record_flop(site, counts["flops"])
+        for key in ("sops", "flops"):
+            _check_type(key, d[key], numbers.Integral)
+        if ledger.sops != d["sops"] or ledger.flops != d["flops"]:
             raise EnergyAccountingError("ledger totals do not match site breakdown")
         return ledger
 

@@ -373,8 +373,10 @@ class ConvertedBlock:
     reports: dict[str, CalibrationReport]
 
     def check_complete(self) -> None:
-        want_oat = set(oat_sites(self.config))
-        want_hg = set(hg_sites(self.config))
+        cfg = self.config
+        want_oat = set(oat_sites(cfg))
+        targets = hg_sites(cfg)
+        want_hg = set(targets)
         if set(self.oat) != want_oat:
             raise CalibrationError(
                 f"encoder sites mismatch: missing={sorted(want_oat - set(self.oat))} "
@@ -385,6 +387,19 @@ class ConvertedBlock:
                 f"gate sites mismatch: missing={sorted(want_hg - set(self.hg))} "
                 f"extra={sorted(set(self.hg) - want_hg)}"
             )
+        # a saved encoder keeps only its thresholds: H and T are the config's
+        for site, c in self.oat.items():
+            if (c.H, c.T) != (cfg.H, cfg.T):
+                raise CalibrationError(f"encoder site {site!r}: H, T must be the "
+                                       f"config's {cfg.H}, {cfg.T}, got {c.H}, {c.T}")
+        for site, target in targets.items():
+            r, n = self.reports[site], len(self.hg[site].subneurons)
+            if r.target != target:
+                raise CalibrationError(f"reports site {site!r}: target must be "
+                                       f"{target!r}, got {r.target!r}")
+            if len(r.per_subrange_max_abs_err) != n:
+                raise CalibrationError(f"reports site {site!r}: per_subrange_max_abs_err "
+                                       f"must be {n} errors, one per gate sub-range")
 
 
 def convert(cfg: ModelConfig, w: WeightSet, calib_sample: Matrix) -> ConvertedBlock:
@@ -626,7 +641,8 @@ def spike_forward(
 _MAGIC = b"LASW"
 _WEIGHT_VERSION = 1
 _BLOCK_FORMAT = "spikeconvert-block"
-_BLOCK_VERSION = 1
+_BLOCK_VERSION = 2
+_REPORT_KEYS = {f.name for f in dataclasses.fields(CalibrationReport)}
 
 
 def dump_json(obj: dict, path: str) -> None:
@@ -703,15 +719,25 @@ def load_weights(path: str) -> WeightSet:
     return WeightSet(tensors)
 
 
-def _oat_to_dict(c: OATConfig) -> dict:
-    return {"theta_nor": c.theta_nor, "theta_out": c.theta_out, "H": c.H, "T": c.T}
-
-
-def _oat_from_dict(d: dict) -> OATConfig:
-    return OATConfig(d["theta_nor"], d["theta_out"], d["H"], d["T"])
+def _sites(doc: dict, section: str, keys: set[str], parse) -> dict:
+    """Parse a section's site nodes, each holding exactly keys; errors name the site."""
+    _check_type(section, doc[section], dict)
+    parsed = {}
+    for site, node in doc[section].items():
+        where = f"{section} site {site!r}"
+        _check_type(where, node, dict)
+        if set(node) != keys:
+            raise FormatError(f"{where} must be an object with exactly the keys "
+                              f"{sorted(keys)}, got {sorted(node)}")
+        try:
+            parsed[site] = parse(node)
+        except (ValueError, CalibrationError) as exc:
+            raise type(exc)(f"{where}: {exc}") from exc
+    return parsed
 
 
 def save_block(block: ConvertedBlock, path: str, weights_path: str | None = None) -> None:
+    block.check_complete()  # what the file leaves out must be derivable on load
     if weights_path is None:
         weights_path = os.path.splitext(path)[0] + ".lasw"
     save_weights(block.weights, weights_path)
@@ -720,7 +746,8 @@ def save_block(block: ConvertedBlock, path: str, weights_path: str | None = None
         "version": _BLOCK_VERSION,
         "config": block.config.to_dict(),
         "weights_file": os.path.basename(weights_path),
-        "oat": {site: _oat_to_dict(c) for site, c in block.oat.items()},
+        "oat": {site: {"theta_nor": c.theta_nor, "theta_out": c.theta_out}
+                for site, c in block.oat.items()},
         "hg": {site: hg_to_dict(c) for site, c in block.hg.items()},
         "reports": {site: r.to_dict() for site, r in block.reports.items()},
     }
@@ -740,20 +767,17 @@ def load_block(path: str, weights_path: str | None = None) -> ConvertedBlock:
             f"unsupported block version: expected {_BLOCK_VERSION}, "
             f"found {doc.get('version')!r}"
         )
-    for section in ("config", "oat", "hg", "reports"):
-        _check_type(section, doc[section], dict)
-    for section in ("oat", "hg", "reports"):
-        for site, node in doc[section].items():
-            _check_type(f"{section} site {site!r}", node, dict)
+    _check_type("config", doc["config"], dict)
+    cfg = ModelConfig.from_dict(doc["config"])
     if weights_path is None:
         weights_path = os.path.join(os.path.dirname(path) or ".", doc["weights_file"])
     block = ConvertedBlock(
-        config=ModelConfig.from_dict(doc["config"]),
+        config=cfg,
         weights=load_weights(weights_path),
-        oat={site: _oat_from_dict(d) for site, d in doc["oat"].items()},
-        hg={site: hg_from_dict(d) for site, d in doc["hg"].items()},
-        reports={site: CalibrationReport.from_dict(d)
-                 for site, d in doc["reports"].items()},
+        oat=_sites(doc, "oat", {"theta_nor", "theta_out"},
+                   lambda d: OATConfig(d["theta_nor"], d["theta_out"], cfg.H, cfg.T)),
+        hg=_sites(doc, "hg", {"boundaries", "subneurons"}, hg_from_dict),
+        reports=_sites(doc, "reports", _REPORT_KEYS, CalibrationReport.from_dict),
     )
     block.check_complete()
     return block

@@ -41,25 +41,6 @@ class Matrix:
         m._a = arr
         return m
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls._wrap(np.zeros((rows, cols)))
-
-    @classmethod
-    def from_flat(cls, rows: int, cols: int, flat: Iterable[float]) -> "Matrix":
-        a = np.fromiter(flat, dtype=np.float64)
-        if a.size != rows * cols:
-            raise ShapeError(
-                f"flat data has {a.size} entries, expected {rows}x{cols}={rows * cols}"
-            )
-        return cls(a.reshape(rows, cols))
-
-    @classmethod
-    def random_normal(
-        cls, rows: int, cols: int, scale: float, rng: np.random.Generator
-    ) -> "Matrix":
-        return cls(rng.normal(0.0, scale, size=(rows, cols)))
-
     @property
     def rows(self) -> int:
         return self._a.shape[0]
@@ -81,9 +62,6 @@ class Matrix:
     def array(self) -> np.ndarray:
         """Read-only 2-D view of the entries."""
         return self._a
-
-    def tolist(self) -> list[list[float]]:
-        return self._a.tolist()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):

@@ -229,25 +229,27 @@ class TestFitHG:
 
     def test_validation_error_honesty(self):
         # the reported bound is reproducible from the stored kernel alone
-        _, rep = fit_target("gelu", 4, 12, 256, seed=13)
-        lo, hi = rep.boundaries[0], rep.boundaries[-1]
+        c, rep = fit_target("gelu", 4, 12, 256, seed=13)
+        lo, hi = c.boundaries[0], c.boundaries[-1]
         grid = np.linspace(lo, hi, 10 * 256)
-        measured = float(np.max(np.abs(hg_eval(rep.fitted, grid) - gelu(grid))))
+        measured = float(np.max(np.abs(hg_eval(c, grid) - gelu(grid))))
         assert measured <= rep.max_abs_err * (1.0 + 1e-9) + 1e-12
 
     def test_coverage_every_point_in_one_range(self):
-        _, rep = fit_target("gelu", 4, 12, 256, seed=13)
-        b = np.array(rep.boundaries)
+        c, rep = fit_target("gelu", 4, 12, 256, seed=13)
+        b = np.array(c.boundaries)
         grid = np.linspace(b[0], b[-1], 1001)
         idx = np.searchsorted(b, grid, side="right") - 1
         idx = np.clip(idx, 0, len(b) - 2)
-        assert np.all((idx >= 0) & (idx < len(rep.fitted.subneurons)))
+        assert np.all((idx >= 0) & (idx < len(c.subneurons)))
+        assert len(rep.per_subrange_max_abs_err) == len(c.subneurons)
 
     def test_report_round_trip(self):
-        _, rep = fit_target("exp", 2, 8, 128, seed=3)
+        c, rep = fit_target("exp", 2, 8, 128, seed=3)
         again = CalibrationReport.from_dict(rep.to_dict())
         assert again == rep
-        assert hg_from_dict(hg_to_dict(rep.fitted)) == rep.fitted
+        assert again.max_abs_err == max(rep.per_subrange_max_abs_err)
+        assert hg_from_dict(hg_to_dict(c)) == c
 
 
 class TestTargets:

@@ -68,10 +68,14 @@ class TestCalibrate:
         assert code == 0
         assert "fitted gelu" in capsys.readouterr().out
         with open(out) as fh:
-            rep = json.load(fh)
-        assert rep["target"] == "gelu"
-        assert rep["boundaries"][0] == -3.0 and rep["boundaries"][-1] == 3.0
-        assert 0 < rep["max_abs_err"] < 1.0
+            doc = json.load(fh)
+        assert set(doc) == {"hg", "report"}
+        assert doc["report"]["target"] == "gelu"
+        bounds = doc["hg"]["boundaries"]
+        assert bounds[0] == -3.0 and bounds[-1] == 3.0
+        errs = doc["report"]["per_subrange_max_abs_err"]
+        assert len(errs) == len(doc["hg"]["subneurons"]) == 4
+        assert 0 < max(errs) < 1.0
 
     def test_unknown_target(self, tmp_path, capsys):
         assert main(["calibrate", "--target", "sinh",
@@ -266,8 +270,9 @@ class TestRun:
         (("hg", "layers.0.ffn.act", "boundaries", 1), "0.5", "boundaries[1]"),
         (("oat", "input", "theta_nor"), "0.5", "theta_nor"),
         (("oat", "input", "theta_out"), [40.0], "theta_out"),
-        (("oat", "input", "H"), 5.7, "H"),
-        (("oat", "input", "T"), "8", "T"),
+        # an encoder's H and T are read from the config
+        (("config", "H"), 5.7, "H"),
+        (("config", "T"), "8", "T"),
         # wrongly shaped nodes, not only leaves
         (("hg", "layers.0.ffn.act", "subneurons", 0, "theta"), 0.5, "theta"),
         (("hg", "layers.0.ffn.act", "subneurons"), "x", "subneurons"),
@@ -277,16 +282,24 @@ class TestRun:
         (("reports", "layers.0.ffn.act"), 1, "reports site 'layers.0.ffn.act'"),
         (("reports",), [], "reports"),
         (("config",), 5, "config"),
-        # calibration reports are checked, not coerced
-        (("reports", "layers.0.ffn.act", "steps"), 5.7, "steps"),
+        # calibration reports are checked, not coerced, and must describe
+        # their site's gate
+        (("reports", "layers.0.ffn.act", "target"), 5,
+         "reports site 'layers.0.ffn.act': target"),
         (("reports", "layers.0.ffn.act", "seed"), "6", "seed"),
         (("reports", "layers.0.ffn.act", "samples_per_range"), True,
          "samples_per_range"),
-        (("reports", "layers.0.ffn.act", "boundaries"), "0.5", "boundaries"),
-        (("reports", "layers.0.ffn.act", "boundaries", 1), "0.5", "boundaries[1]"),
+        (("hg", "layers.0.ffn.act", "boundaries"), "0.5", "boundaries"),
+        (("reports", "layers.0.ffn.act", "per_subrange_max_abs_err"), [0.01],
+         "reports site 'layers.0.ffn.act': per_subrange_max_abs_err"),
         (("reports", "layers.0.ffn.act", "per_subrange_max_abs_err", 0), None,
          "per_subrange_max_abs_err[0]"),
-        (("reports", "layers.0.ffn.act", "max_abs_err"), "0.1", "max_abs_err"),
+        (("reports", "layers.0.ffn.act", "samples_per_range"), 0,
+         "reports site 'layers.0.ffn.act': samples_per_range"),
+        # a node holds exactly its own fields: no copies left from format 1
+        (("reports", "layers.0.ffn.act", "max_abs_err"), 0.1,
+         "reports site 'layers.0.ffn.act'"),
+        (("oat", "input", "H"), 5, "oat site 'input'"),
     ])
     def test_wrongly_typed_block_field_named(self, work, tmp_path, capsys,
                                              path, value, field):
@@ -365,6 +378,48 @@ class TestEnergy:
 
     def test_missing_report(self, tmp_path, capsys):
         assert main(["energy", "--report", str(tmp_path / "gone.json")]) == 2
+
+    @pytest.mark.parametrize("path, value, field", [
+        ((), [], "report"),
+        (("ledger",), [1], "ledger"),
+        (("ledger", "by_site"), [], "by_site"),
+        (("ledger", "by_site", "input"), 3, "by_site['input']"),
+        (("ledger", "by_site", "input", "sops"), [1], "by_site['input'].sops"),
+        (("ledger", "sop_weight"), 1.0, "sop_weight"),
+    ])
+    def test_malformed_report_field_named(self, work, tmp_path, capsys,
+                                          path, value, field):
+        with open(work / "report.json") as fh:
+            doc = json.load(fh)
+        if path:
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        else:
+            doc = value
+        p = tmp_path / "bad_report.json"
+        p.write_text(json.dumps(doc))
+        assert main(["energy", "--report", str(p)]) == 2
+        assert f"{field} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, field", [
+        (("ledger", "sops"), "sops"),
+        (("ledger", "by_site", "input", "sops"), "by_site['input'].sops"),
+    ])
+    def test_fractional_count_not_coerced(self, work, tmp_path, capsys,
+                                          path, field):
+        # int() would truncate the 0.7 away and the totals would still agree
+        with open(work / "report.json") as fh:
+            doc = json.load(fh)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] += 0.7
+        p = tmp_path / "fractional_report.json"
+        p.write_text(json.dumps(doc))
+        assert main(["energy", "--report", str(p)]) == 2
+        assert f"{field} must be Integral" in capsys.readouterr().err
 
 
 class TestInit:

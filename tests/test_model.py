@@ -72,6 +72,24 @@ def tiny_input():
     return Matrix(np.random.default_rng(7).standard_normal((4, 8)))
 
 
+def _desk_block(dist: str, **fields) -> ConvertedBlock:
+    """A desk-scale block converted on its pinned seeds."""
+    cfg = ModelConfig(calib_distribution=dist, **fields)
+    calib = sample_distribution(dist, cfg.seq_len * 32, cfg.d_model,
+                                np.random.default_rng(cfg.seeds["calibration"]))
+    return convert(cfg, WeightSet.random(cfg, cfg.seeds["weights"]), calib)
+
+
+@pytest.fixture(scope="module")
+def default_block():
+    return _desk_block("normal")
+
+
+@pytest.fixture(scope="module")
+def gated_block():
+    return _desk_block("normal_outliers", ffn_kind="gated", n_layers=2)
+
+
 class TestModelConfig:
     def test_defaults_are_valid(self):
         cfg = ModelConfig()
@@ -498,6 +516,51 @@ class TestBlockSerialization:
         a, _ = spike_forward(tiny_block, tiny_input, T=4)
         b, _ = spike_forward(back, tiny_input, T=4)
         assert np.array_equal(a.array, b.array)
+
+    @pytest.mark.parametrize("name", ["tiny_block", "default_block", "gated_block"])
+    def test_round_trip_stores_each_bank_once(self, name, request, tmp_path):
+        block = request.getfixturevalue(name)
+        p = str(tmp_path / "block.json")
+        save_block(block, p)
+        with open(p) as fh:
+            doc = json.load(fh)
+        assert all(set(n) == {"target", "per_subrange_max_abs_err",
+                              "samples_per_range", "seed"}
+                   for n in doc["reports"].values())
+        assert all(set(n) == {"theta_nor", "theta_out"}
+                   for n in doc["oat"].values())
+        back = load_block(p)
+        assert back.config == block.config
+        assert back.oat == block.oat
+        assert back.hg == block.hg
+        assert back.reports == block.reports
+        x = Matrix(np.random.default_rng(7).standard_normal(
+            (block.config.seq_len, block.config.d_model)))
+        a, ta = spike_forward(block, x, T=4)
+        b, tb = spike_forward(back, x, T=4)
+        assert np.array_equal(a.array, b.array)
+        assert ta.to_dict() == tb.to_dict()
+
+    def test_version_1_file_refused(self, tiny_block, tmp_path):
+        p = str(tmp_path / "block.json")
+        save_block(tiny_block, p)
+        with open(p) as fh:
+            doc = json.load(fh)
+        with open(p, "w") as fh:
+            json.dump(dict(doc, version=1), fh)
+        with pytest.raises(FormatError, match="version: expected 2, found 1"):
+            load_block(p)
+
+    def test_encoder_depth_other_than_config_refused(self, tiny_block,
+                                                      tmp_path):
+        # a saved encoder takes H and T from the config, so an encoder that
+        # disagrees with it cannot be written faithfully
+        oat = dict(tiny_block.oat)
+        oat["input"] = dataclasses.replace(oat["input"], H=tiny_block.config.H + 1)
+        bad = ConvertedBlock(tiny_block.config, tiny_block.weights, oat,
+                             tiny_block.hg, tiny_block.reports)
+        with pytest.raises(CalibrationError, match="'input'.*H, T"):
+            save_block(bad, str(tmp_path / "block.json"))
 
     def test_bad_format_and_version(self, tiny_block, tmp_path):
         p = str(tmp_path / "block.json")

@@ -14,12 +14,18 @@ sub-range width, so the firing bits (from the runtime's own recurrence) are
 fixed and the per-step output weights solve one linear least-squares problem
 directly. Two schedule variants are tried, with and without a leading
 always-on step (a constant term the pure dyadic ladder cannot express,
-needed wherever the target is far from zero at a sub-range floor), and the
-one with the lower validation error wins.
+needed wherever the target is far from zero at a sub-range floor). The one
+with the lower validation error wins; a tie goes to the always-on variant.
 
 Errors are always reported on a validation grid 10x denser than the
 training sample, never on the training sample itself, and are decoded as
-the gated bank decodes at run time.
+the gated bank decodes at run time. Only the winner needs its full-grid
+error: every grid point decodes on its own, so a variant's error on every
+tenth point is a lower bound on its full-grid error, and a variant whose
+bound already loses to the other's full error is never validated in full.
+The choice is the one full validation of both variants would make. (The
+training error is no substitute: fit_fs(np.exp, -2.56, -0.65, 12, 64, 56)
+trains better without the always-on step but validates better with it.)
 """
 from __future__ import annotations
 
@@ -30,8 +36,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CalibrationError
-from .neurons import FSParams, HGConfig, _fs_bits, _sum_steps
+from .errors import CalibrationError, FormatError
+from .neurons import FSParams, HGConfig, _fs_bits, _fs_decode
 from .neurons import _check_finite_reals, _check_type
 from .tensors import ActivationStats, Matrix, percentile
 
@@ -304,8 +310,12 @@ def fit_fs(
 
     Trains on M uniform samples plus the endpoints; reports the max abs
     error over an inclusive validation grid with 10x the training density.
-    Deterministic for a given seed. Inputs are taken relative to lo, which
-    is how the gated bank seeds sub-range members.
+    Both schedule variants are trained; the one with the lower validation
+    error is returned, the always-on variant on a tie. The variant ahead on
+    every tenth grid point is validated in full first, and the other only
+    if its error on those points, a lower bound on its full error, could
+    still win. Deterministic for a given seed. Inputs are taken relative to
+    lo, which is how the gated bank seeds sub-range members.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -320,22 +330,38 @@ def fit_fs(
     x_val = np.linspace(lo, hi, 10 * M)
     y_val = _target_values(target, x_val)
 
-    fits = []
+    fits = {}
     for intercept in (True, False):
         theta, h = _dyadic_schedule(w, T, intercept)
         guard = theta[0] if intercept else 0.0
         d = _solve_weights(_fs_bits(u_train + guard, theta, h).T, y_train)
+        fits[intercept] = (theta, h, d, guard)
+
+    def val_err(intercept: bool, stride: int) -> float:
         # the bank's own input mapping and in-order decode (a BLAS d @ bits
         # would reorder the sum), so err is the error the bank makes at run time
-        weighted = _fs_bits(x_val - lo + guard, theta, h)
-        weighted *= d[:, None]
-        err = float(np.abs(_sum_steps(weighted) - y_val).max())
-        del weighted  # the next variant reuses its pages; keeping it faults in new ones
-        fits.append((err, FSParams(theta, h, tuple(float(v) for v in d))))
-    # min keeps the first of a tie: the intercept variant, which handles
-    # nonzero sub-range floors
-    err, params = min(fits, key=lambda fit: fit[0])
-    return params, err
+        theta, h, d, guard = fits[intercept]
+        xs = x_val[::stride]
+        return float(np.abs(_fs_decode(xs - lo + guard, theta, h, d)
+                            - y_val[::stride]).max())
+
+    def rank(intercept: bool, err: float) -> tuple:
+        # lower error wins; a tie goes to the intercept variant, which
+        # handles nonzero sub-range floors
+        return err, not intercept
+
+    # each grid point decodes on its own, so the error on every tenth one
+    # bounds the full-grid error from below
+    bound = {v: val_err(v, 10) for v in (True, False)}
+    best = min(bound, key=lambda v: rank(v, bound[v]))
+    err = val_err(best, 1)
+    other = not best
+    if rank(other, bound[other]) < rank(best, err):  # the other could still win
+        other_err = val_err(other, 1)
+        if rank(other, other_err) < rank(best, err):
+            best, err = other, other_err
+    theta, h, d, _ = fits[best]
+    return FSParams(theta, h, tuple(float(v) for v in d)), err
 
 
 @dataclass(frozen=True)
@@ -357,6 +383,8 @@ class CalibrationReport:
             raise ValueError(
                 f"samples_per_range must be at least 64, got {self.samples_per_range}"
             )
+        if self.seed < 0:  # np.random.default_rng refuses it: no fit has one
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     @property
     def max_abs_err(self) -> float:
@@ -396,11 +424,22 @@ def _tuple(name: str, node) -> tuple:
     return tuple(node)
 
 
+def _check_keys(where: str, node: dict, keys: set[str]) -> None:
+    """A JSON object node holds exactly keys; the error names each one missing
+    or unknown."""
+    if set(node) != keys:
+        raise FormatError(
+            f"{where} must be an object with exactly the keys {sorted(keys)}; "
+            f"missing {sorted(keys - set(node))}, unknown {sorted(set(node) - keys)}"
+        )
+
+
 def hg_from_dict(d: dict) -> HGConfig:
     _check_type("gate", d, dict)
     subs = []
     for i, s in enumerate(_tuple("subneurons", d["subneurons"])):
         _check_type(f"subneurons[{i}]", s, dict)
+        _check_keys(f"subneurons[{i}]", s, {"theta", "h", "d"})
         subs.append(FSParams(_tuple("theta", s["theta"]), _tuple("h", s["h"]),
                              _tuple("d", s["d"])))
     return HGConfig(_tuple("boundaries", d["boundaries"]), tuple(subs))

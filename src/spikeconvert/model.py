@@ -28,6 +28,7 @@ import numpy as np
 from .calibration import (
     TARGETS,
     CalibrationReport,
+    _check_keys,
     fit_target,
     gelu,
     hg_from_dict,
@@ -643,6 +644,7 @@ _WEIGHT_VERSION = 1
 _BLOCK_FORMAT = "spikeconvert-block"
 _BLOCK_VERSION = 2
 _REPORT_KEYS = {f.name for f in dataclasses.fields(CalibrationReport)}
+_BLOCK_KEYS = {"format", "version", "config", "weights_file", "oat", "hg", "reports"}
 
 
 def dump_json(obj: dict, path: str) -> None:
@@ -726,9 +728,7 @@ def _sites(doc: dict, section: str, keys: set[str], parse) -> dict:
     for site, node in doc[section].items():
         where = f"{section} site {site!r}"
         _check_type(where, node, dict)
-        if set(node) != keys:
-            raise FormatError(f"{where} must be an object with exactly the keys "
-                              f"{sorted(keys)}, got {sorted(node)}")
+        _check_keys(where, node, keys)
         try:
             parsed[site] = parse(node)
         except (ValueError, CalibrationError) as exc:
@@ -767,6 +767,7 @@ def load_block(path: str, weights_path: str | None = None) -> ConvertedBlock:
             f"unsupported block version: expected {_BLOCK_VERSION}, "
             f"found {doc.get('version')!r}"
         )
+    _check_keys("block", doc, _BLOCK_KEYS)
     _check_type("config", doc["config"], dict)
     cfg = ModelConfig.from_dict(doc["config"])
     if weights_path is None:

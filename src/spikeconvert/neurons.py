@@ -26,18 +26,24 @@ gated bank   bank of fitted fs kernels. The input range is split into
 fs_encode and mt_encode encode one scalar and serve as reference kernels.
 The dual-range encoder (one mt pass with a per-element tau) and the gated
 bank run whole matrices through spikeops.encode_matrix and apply_hg;
-hg_eval decodes the bank on a 1-D batch at fit time. _fs_bits is the one
-few-step recurrence, used both to fit and to run, so a fit sees exactly
-the bits the runtime fires. All encoders are deterministic and produce
-bit-identical trains for identical inputs and configurations.
+hg_eval decodes the bank on a 1-D batch, which is how a fitted bank's
+error is checked. _fs_steps is the one few-step recurrence: _fs_bits
+collects its firing bits, to fit and to run, and _fs_decode sums the
+weighted steps in step order, to validate a fit, so a fit sees exactly the
+bits the runtime fires and reports exactly the error its decode makes. All
+encoders are deterministic and produce bit-identical trains for identical
+inputs and configurations.
 """
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
 import math
 import numbers
 import sys
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -255,17 +261,39 @@ def decode(s: SpikeMatrixTrain) -> Matrix:
 # few-step kernel
 
 
-def _fs_bits(x: np.ndarray, theta: tuple, h: tuple) -> np.ndarray:
-    """Firing bits of the few-step recurrence on a 1-D batch: a contiguous
-    (T, n) float64 array of 0.0/1.0. The membrane starts at x; step t fires
-    where it is at or above theta[t] and subtracts h[t] there. theta[t] and
-    h[t] are scalars, or (n,) rows when each element has its own schedule."""
+def _fs_steps(x: np.ndarray, theta: tuple, h: tuple, rows) -> Iterator[np.ndarray]:
+    """The few-step recurrence on a 1-D batch, one step per item: writes step
+    t's firing bits (0.0/1.0) into the next buffer of rows and yields it.
+    The membrane starts at x; step t fires where it is at or above theta[t]
+    and subtracts h[t] there. theta[t] and h[t] are scalars, or (n,) rows
+    when each element has its own schedule. rows holds float64 (n,) buffers:
+    the rows of a (T, n) array, or one buffer repeated when each step is
+    consumed before the next is written."""
     v = np.array(x, dtype=np.float64)
-    bits = np.empty((len(theta), v.size))
-    for t, row in enumerate(bits):
-        np.greater_equal(v, theta[t], out=row)
-        v -= h[t] * row
+    for row, theta_t, h_t in zip(rows, theta, h):
+        np.greater_equal(v, theta_t, out=row)
+        v -= h_t * row
+        yield row
+
+
+def _fs_bits(x: np.ndarray, theta: tuple, h: tuple) -> np.ndarray:
+    """Firing bits of the few-step recurrence: a contiguous (T, n) array."""
+    bits = np.empty((len(theta), np.size(x)))
+    collections.deque(_fs_steps(x, theta, h, bits), maxlen=0)  # run every step
     return bits
+
+
+def _fs_decode(x: np.ndarray, theta: tuple, h: tuple, d) -> np.ndarray:
+    """Decoded output of the few-step recurrence with step weights d, summed
+    inside the recurrence: the same products and the same in-order additions
+    as _sum_steps(_fs_bits(x, theta, h) * d[:, None]), so the result is
+    bit-identical, without the (T, n) bit array."""
+    steps = _fs_steps(x, theta, h, itertools.repeat(np.empty(np.size(x))))
+    out = next(steps) * d[0]
+    term = np.empty_like(out)
+    for d_t, bits in zip(d[1:], steps):
+        out += np.multiply(bits, d_t, out=term)
+    return out
 
 
 def fs_encode(x: float, p: FSParams) -> SpikeMatrixTrain:
@@ -348,7 +376,7 @@ def _hg_run(flat: np.ndarray, c: HGConfig, T: int | None = None) -> tuple:
 
 
 def hg_eval(c: HGConfig, x: np.ndarray) -> np.ndarray:
-    """Decoded outputs of the gated bank on a 1-D batch (fit-time helper)."""
+    """Decoded outputs of the gated bank on a 1-D batch, as apply_hg decodes them."""
     values, _, _ = _hg_run(np.asarray(x, dtype=np.float64).reshape(-1), c)
     return _sum_steps(values)
 

@@ -3,11 +3,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from spikeconvert import calibration
 from spikeconvert.calibration import (
     TARGETS,
     CalibrationReport,
+    _dyadic_schedule,
     _solve_weights,
+    _target_values,
     curvature_sample,
     fit_fs,
     fit_hg,
@@ -22,7 +27,8 @@ from spikeconvert.calibration import (
     target_fn,
 )
 from spikeconvert.errors import CalibrationError
-from spikeconvert.neurons import hg_eval
+from spikeconvert.model import ModelConfig, WeightSet, convert
+from spikeconvert.neurons import FSParams, _fs_bits, _sum_steps, hg_eval
 from spikeconvert.tensors import Matrix, stats
 
 
@@ -179,6 +185,90 @@ class TestFitFS:
             fit_fs(np.exp, 0.0, 1.0, 8, 32, seed=0)  # M >= 64
         with pytest.raises(ValueError):
             fit_fs(np.exp, 0.0, 1.0, 0, 256, seed=0)
+
+
+def variant_fits(target, lo, hi, T, M, seed):
+    """Both schedule variants, each trained and validated on the full grid:
+    (validation error, training error, params), intercept variant first.
+
+    The body of fit_fs before it skipped the losing variant's validation,
+    decoding through the full bit array; fit_fs_reference on top of it is
+    the oracle of fit_fs's choice.
+    """
+    w = hi - lo
+    rng = np.random.default_rng(seed)
+    u_train = np.concatenate([rng.uniform(0.0, w, M), [0.0, w]])
+    y_train = _target_values(target, u_train + lo)
+    x_val = np.linspace(lo, hi, 10 * M)
+    y_val = _target_values(target, x_val)
+    fits = []
+    for intercept in (True, False):
+        theta, h = _dyadic_schedule(w, T, intercept)
+        guard = theta[0] if intercept else 0.0
+        bits = _fs_bits(u_train + guard, theta, h)
+        d = _solve_weights(bits.T, y_train)
+        weighted = _fs_bits(x_val - lo + guard, theta, h)
+        weighted *= d[:, None]
+        err = float(np.abs(_sum_steps(weighted) - y_val).max())
+        train_err = float(np.abs(_sum_steps(bits * d[:, None]) - y_train).max())
+        fits.append((err, train_err, FSParams(theta, h, tuple(float(v) for v in d))))
+    return fits
+
+
+def fit_fs_reference(target, lo, hi, T, M, seed):
+    """Lower validation error wins; min keeps the intercept variant on a tie."""
+    err, _, params = min(variant_fits(target, lo, hi, T, M, seed),
+                         key=lambda fit: fit[0])
+    return params, err
+
+
+@st.composite
+def fit_cases(draw):
+    """A target, a sub-range of its default range, T, M and a seed."""
+    spec = TARGETS[draw(st.sampled_from(sorted(TARGETS)))]
+    min_w = 1e-3 * (spec.hi - spec.lo)
+    lo = draw(st.floats(spec.lo, spec.hi - min_w))
+    hi = draw(st.floats(lo + min_w, spec.hi))
+    return (spec.fn, lo, hi, draw(st.integers(1, 16)),
+            draw(st.sampled_from((64, 256, 1024))), draw(st.integers(0, 2**32 - 1)))
+
+
+class TestVariantChoice:
+    @settings(max_examples=200, deadline=None)
+    @given(case=fit_cases())
+    @example(case=(np.exp, -2.56, -0.65, 12, 64, 56))
+    @example(case=(np.zeros_like, 0.0, 1.0, 8, 64, 0))  # both exact: a tie
+    def test_matches_two_variant_full_validation(self, case):
+        assert fit_fs(*case) == fit_fs_reference(*case)
+
+    def test_validation_error_not_training_error_decides(self):
+        # the plain variant trains better here but validates worse
+        args = (np.exp, -2.56, -0.65, 12, 64)
+        (val_i, train_i, p_i), (val_p, train_p, _) = variant_fits(*args, 56)
+        assert train_p < train_i
+        assert val_p == pytest.approx(0.08508, abs=5e-6)
+        p, err = fit_fs(*args, seed=56)
+        assert p == p_i and p.h[0] == 0.0  # the intercept variant
+        assert err == val_i == pytest.approx(0.07947, abs=5e-6)
+
+    def test_default_block_matches_two_variant_fit(self, monkeypatch):
+        cfg = ModelConfig()
+        w = WeightSet.random(cfg, cfg.seeds["weights"])
+        calib = sample_distribution("normal", cfg.seq_len * 32, cfg.d_model,
+                                    np.random.default_rng(cfg.seeds["calibration"]))
+        block = convert(cfg, w, calib)
+        calls = []
+
+        def reference(*args):
+            calls.append(args)
+            return fit_fs_reference(*args)
+
+        # fit_hg calls fit_fs through the module, so this swaps every fit
+        monkeypatch.setattr(calibration, "fit_fs", reference)
+        ref = convert(cfg, w, calib)
+        assert len(calls) == sum(len(c.subneurons) for c in ref.hg.values())
+        assert block.hg == ref.hg
+        assert block.reports == ref.reports
 
 
 class TestFitHG:

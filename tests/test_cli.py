@@ -47,6 +47,40 @@ def work(tmp_path_factory):
     return d
 
 
+@pytest.fixture(scope="module")
+def default_work(tmp_path_factory):
+    """The default-config block, input and weights, written by init and convert."""
+    d = tmp_path_factory.mktemp("cli_default")
+    assert main(["init", "--config-out", str(d / "config.json"),
+                 "--weights-out", str(d / "weights.lasw"),
+                 "--input-out", str(d / "input.lasw")]) == 0
+    assert main(["convert", "--config", str(d / "config.json"),
+                 "--weights", str(d / "weights.lasw"),
+                 "--out", str(d / "block.json")]) == 0
+    return d
+
+
+DROP = object()
+
+
+def _run_edited_block(work, tmp_path, path, value):
+    """Run a copy of work's block with the node at path set to value, or
+    deleted when value is DROP; returns the exit code."""
+    with open(work / "block.json") as fh:
+        doc = json.load(fh)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    bp = tmp_path / "edited_block.json"
+    bp.write_text(json.dumps(doc))
+    shutil.copy(work / doc["weights_file"], tmp_path)
+    return main(["run", "--block", str(bp), "--input", str(work / "input.lasw")])
+
+
 class TestParsing:
     def test_version(self, capsys):
         assert main(["--version"]) == 0
@@ -244,15 +278,8 @@ class TestRun:
 
     def test_nan_gate_weight_rejected_on_load(self, work, tmp_path, capsys):
         # a corrupt block file is an input error (2), not a spike-path one (3)
-        with open(work / "block.json") as fh:
-            doc = json.load(fh)
-        doc["hg"]["layers.0.ffn.act"]["subneurons"][0]["d"][0] = float("nan")
-        bp = tmp_path / "nan_block.json"
-        bp.write_text(json.dumps(doc))
-        shutil.copy(work / doc["weights_file"], tmp_path)
-        code = main(["run", "--block", str(bp),
-                     "--input", str(work / "input.lasw")])
-        assert code == 2
+        path = ("hg", "layers.0.ffn.act", "subneurons", 0, "d", 0)
+        assert _run_edited_block(work, tmp_path, path, float("nan")) == 2
         assert "finite" in capsys.readouterr().err
 
     def test_block_that_is_not_an_object(self, work, tmp_path, capsys):
@@ -303,19 +330,36 @@ class TestRun:
     ])
     def test_wrongly_typed_block_field_named(self, work, tmp_path, capsys,
                                              path, value, field):
-        with open(work / "block.json") as fh:
-            doc = json.load(fh)
-        node = doc
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
-        bp = tmp_path / "typed_block.json"
-        bp.write_text(json.dumps(doc))
-        shutil.copy(work / doc["weights_file"], tmp_path)
-        code = main(["run", "--block", str(bp),
-                     "--input", str(work / "input.lasw")])
-        assert code == 2
+        assert _run_edited_block(work, tmp_path, path, value) == 2
         assert f"{field} must be" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("extra",), 1, "block must be an object with exactly the keys ['config', "
+         "'format', 'hg', 'oat', 'reports', 'version', 'weights_file']; "
+         "missing [], unknown ['extra']"),
+        (("reports",), DROP, "block must be an object with exactly the keys "
+         "['config', 'format', 'hg', 'oat', 'reports', 'version', 'weights_file']; "
+         "missing ['reports'], unknown []"),
+        (("hg", "layers.0.ffn.act", "subneurons", 0, "extra"), 1,
+         "hg site 'layers.0.ffn.act': subneurons[0] must be an object with "
+         "exactly the keys ['d', 'h', 'theta']; missing [], unknown ['extra']"),
+        (("hg", "layers.0.attn.exp", "subneurons", 2, "d"), DROP,
+         "hg site 'layers.0.attn.exp': subneurons[2] must be an object with "
+         "exactly the keys ['d', 'h', 'theta']; missing ['d'], unknown []"),
+    ])
+    def test_unknown_or_missing_key_named(self, work, tmp_path, capsys, path,
+                                          value, message):
+        assert _run_edited_block(work, tmp_path, path, value) == 2
+        assert message in capsys.readouterr().err
+
+    def test_negative_report_seed_refused(self, default_work, tmp_path, capsys):
+        # no fit can be reproduced from a negative seed
+        site = "layers.0.ffn.act"
+        assert _run_edited_block(default_work, tmp_path,
+                                 ("reports", site, "seed"), -5) == 2
+        assert (f"reports site '{site}': seed must be nonnegative, got -5"
+                in capsys.readouterr().err)
 
 
 class TestCompare:

@@ -9,7 +9,7 @@ import dataclasses
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spikeconvert.errors import NonFiniteError, ShapeError
@@ -20,7 +20,9 @@ from spikeconvert.neurons import (
     OATConfig,
     SpikeMatrixTrain,
     _fs_bits,
+    _fs_decode,
     _hg_run,
+    _sum_steps,
     decode,
     fs_encode,
     hg_at_steps,
@@ -512,3 +514,20 @@ class TestFSRecurrence:
             train = fs_encode(float(x), p)
             assert train.values[:, 0, 0].tobytes() == ref_values[:, j].tobytes()
             assert np.array_equal(train.events[:, 0, 0], ref_events[:, j])
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=schedules_with_edge_inputs(), silent=st.sets(st.integers(0, 7)))
+    @example(case=(FSParams((0.5,), (0.5,), (-1.5,)), np.array([0.0, 0.5, 2.0])),
+             silent=set())
+    @example(case=(FSParams((0.5, 0.25, 0.125), (0.5, 0.25, 0.125), (-2.0, 1.0, -0.5)),
+                   np.array([-1.0, 0.0, 0.3, 0.875])), silent={1})
+    def test_fused_decode_matches_weighted_step_sum(self, case, silent):
+        # weights of either sign (T from 1), and steps whose threshold no
+        # finite membrane reaches, so they never fire
+        p, xs = case
+        theta = tuple(1e300 if t in silent else v for t, v in enumerate(p.theta))
+        d = np.array(p.d)
+        ref = _sum_steps(_fs_bits(xs, theta, p.h) * d[:, None])
+        got = _fs_decode(xs, theta, p.h, d)
+        assert np.array_equal(got, ref)
+        assert got.tobytes() == ref.tobytes()  # the same additions, so even signed zeros

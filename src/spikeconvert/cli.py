@@ -43,10 +43,16 @@ def _seed_override() -> int | None:
     raw = os.environ.get("LAS_SEED")
     if raw is None:
         return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"LAS_SEED must be an integer, got {raw!r}")
+    # numpy refuses a negative seed without naming where it came from
+    if not raw.isdecimal():
+        raise ValueError(f"LAS_SEED must be a nonnegative integer, got {raw!r}")
+    return int(raw)
+
+
+def _seed_flag(raw: str) -> int:
+    if not raw.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {raw!r}")
+    return int(raw)
 
 
 def _apply_seed_override(cfg: ModelConfig) -> ModelConfig:
@@ -84,6 +90,8 @@ def cmd_calibrate(args) -> int:
     if seed is None:
         seed = args.seed
     lo, hi = (None, None) if args.range is None else args.range
+    if args.range is not None and not (np.isfinite(args.range).all() and lo < hi):
+        raise ValueError(f"--range needs finite LO < HI, got {lo} {hi}")
     gate, report = fit_target(
         args.target, args.levels, args.steps, args.samples, seed, lo=lo, hi=hi
     )
@@ -220,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--levels", type=int, default=8, help="sub-range count N")
     c.add_argument("--steps", type=int, default=16)
     c.add_argument("--samples", type=int, default=4096, help="training samples M")
-    c.add_argument("--seed", type=int, default=7)
+    c.add_argument("--seed", type=_seed_flag, default=7)
     c.add_argument("--out", required=True)
     c.set_defaults(fn=cmd_calibrate)
 
@@ -262,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--input-out", default="toy_input.lasw")
     c.add_argument("--gated", action="store_true")
     c.add_argument("--layers", type=int, default=1)
-    c.add_argument("--seed", type=int, default=11)
+    c.add_argument("--seed", type=_seed_flag, default=11)
     c.set_defaults(fn=cmd_init)
     return p
 

@@ -7,7 +7,8 @@ calibration batch through the float block, collects per-site activation
 statistics, and turns each matrix-op input into a dual-range encoder config
 and each scalar nonlinearity into a fitted gated kernel bank. Spike
 execution then drives the whole block through the spike kernels at any
-timestep budget and reports deviations plus an operation ledger.
+timestep budget and reports deviations plus an operation ledger. Both paths
+run attention on all heads at once, as (heads, rows, d_head) stacks.
 
 Weights travel in a little-endian binary container (magic LASW), configs
 and converted blocks in deterministic JSON.
@@ -50,18 +51,15 @@ from .neurons import HGConfig, OATConfig, _check_type
 from .spikeops import (
     SpikeMatrixTrain,
     apply_hg,
-    concat_cols,
     constant_train,
     decode_train,
     encode_matrix,
     saa_mul,
     saw_mul_right,
-    slice_cols,
     spike_ffn,
     spike_gated_ffn,
     spike_layernorm,
     spike_softmax,
-    transpose_train,
 )
 from .tensors import Matrix, stats
 
@@ -116,6 +114,9 @@ class ModelConfig:
             if key not in self.seeds:
                 raise ValueError(f"seeds must include {key!r}")
             _check_type(f"seeds[{key!r}]", self.seeds[key], int)
+            if self.seeds[key] < 0:
+                raise ValueError(
+                    f"seeds[{key!r}] must be nonnegative, got {self.seeds[key]}")
 
     @property
     def d_head(self) -> int:
@@ -283,7 +284,7 @@ def float_forward(
     if x.rows < 1:
         raise EmptyInputError("input must have at least one row")
     r = x.rows
-    d, f, dh = cfg.d_model, cfg.d_ff, cfg.d_head
+    d, f, nh, dh = cfg.d_model, cfg.d_ff, cfg.n_heads, cfg.d_head
     scale = 1.0 / math.sqrt(dh)
     cur = x.array.copy()
     _record(recorder, "input", cur)
@@ -304,21 +305,21 @@ def float_forward(
         _record(recorder, L + "attn.q", q)
         _record(recorder, L + "attn.k", k)
         _record(recorder, L + "attn.v", v)
-        ctx = np.empty((r, d))
-        for h in range(cfg.n_heads):
-            sl = slice(h * dh, (h + 1) * dh)
-            logits = q[:, sl] @ k[:, sl].T
-            zhat = logits - logits.max(axis=1, keepdims=True)
-            _record(recorder, L + "attn.exp", zhat)
-            e = np.exp(zhat)
-            denom = e.sum(axis=1, keepdims=True)
-            _record(recorder, L + "attn.recip", denom)
-            probs = e / denom
-            _record(recorder, L + "attn.probs", probs)
-            ctx[:, sl] = probs @ v[:, sl]
-            mac(L + "attn.scores", 2 * r * r * dh + 3 * r * r)
-            if ledger is not None:
-                ledger.charge(L + "attn.scores", "exp", r * r)
+        # every head at once, as (heads, rows, d_head) stacks: the recorded
+        # (heads, ...) arrays ravel head by head
+        qh, kh, vh = (a.reshape(r, nh, dh).swapaxes(0, 1) for a in (q, k, v))
+        logits = qh @ kh.swapaxes(1, 2)
+        zhat = logits - logits.max(axis=-1, keepdims=True)
+        _record(recorder, L + "attn.exp", zhat)
+        e = np.exp(zhat)
+        denom = e.sum(axis=-1, keepdims=True)
+        _record(recorder, L + "attn.recip", denom)
+        probs = e / denom
+        _record(recorder, L + "attn.probs", probs)
+        ctx = (probs @ vh).swapaxes(0, 1).reshape(r, d)
+        mac(L + "attn.scores", nh * (2 * r * r * dh + 3 * r * r))
+        if ledger is not None:
+            ledger.charge(L + "attn.scores", "exp", nh * r * r)
         _record(recorder, L + "attn.out", ctx)
         attn = ctx @ w[L + "attn.wo"].array
         mac(L + "attn.wo", r * d * d)
@@ -504,6 +505,11 @@ def relative_error(approx: Matrix, ref: Matrix) -> float:
     return num / max(denom, 1e-300)
 
 
+def _regroup(ts: SpikeMatrixTrain, fn) -> SpikeMatrixTrain:
+    # one reshape or transpose, applied to a train's values and events alike
+    return SpikeMatrixTrain._wrap(fn(ts.values), fn(ts.events))
+
+
 def spike_forward(
     block: ConvertedBlock, x: Matrix, T: int | None = None
 ) -> tuple[Matrix, RunTrace]:
@@ -532,6 +538,10 @@ def spike_forward(
     counters: dict[str, int] = {}
     per_layer: dict[str, float] = {}
     scale = 1.0 / math.sqrt(cfg.d_head)
+    r, nh = x.rows, cfg.n_heads
+
+    def heads(a):  # (T, rows, d_model) -> (T, heads, rows, d_head)
+        return a.reshape(T, r, nh, cfg.d_head).swapaxes(1, 2)
 
     cur = x.array.copy()
     stream = encode_matrix(Matrix(cur), oat["input"], T, ledger, "input")
@@ -564,23 +574,23 @@ def spike_forward(
                              ledger, L + "attn.v_decode"),
                 oat[L + "attn.v"], T, ledger, L + "attn.v",
             )
-            heads = []
-            for h in range(cfg.n_heads):
-                lo, hi = h * cfg.d_head, (h + 1) * cfg.d_head
-                logits = saa_mul(slice_cols(q, lo, hi),
-                                 transpose_train(slice_cols(k, lo, hi)),
-                                 ledger, L + "attn.qk")
-                probs = spike_softmax(logits, hg[L + "attn.exp"],
-                                      hg[L + "attn.recip"], ledger,
-                                      L + "attn.softmax", counters)
-                probs_enc = encode_matrix(
-                    decode_train(probs, ledger, L + "attn.probs_decode"),
-                    oat[L + "attn.probs"], T, ledger, L + "attn.probs",
-                )
-                heads.append(saa_mul(probs_enc, slice_cols(v, lo, hi),
-                                     ledger, L + "attn.pv"))
+            # every head at once: (T, heads, rows, rows) logits, whose rows
+            # the softmax and the probs encoder take as (T, heads * rows, rows)
+            logits = saa_mul(_regroup(q, heads),
+                             _regroup(k, lambda a: heads(a).swapaxes(2, 3)),
+                             ledger, L + "attn.qk")
+            probs = spike_softmax(_regroup(logits, lambda a: a.reshape(T, nh * r, r)),
+                                  hg[L + "attn.exp"], hg[L + "attn.recip"],
+                                  ledger, L + "attn.softmax", counters)
+            probs_enc = encode_matrix(
+                decode_train(probs, ledger, L + "attn.probs_decode"),
+                oat[L + "attn.probs"], T, ledger, L + "attn.probs",
+            )
+            pv = saa_mul(_regroup(probs_enc, lambda a: a.reshape(T, nh, r, r)),
+                         _regroup(v, heads), ledger, L + "attn.pv")
+            merged = _regroup(pv, lambda a: a.swapaxes(1, 2).reshape(T, r, -1))
             ctx = encode_matrix(
-                decode_train(concat_cols(heads), ledger, L + "attn.out_decode"),
+                decode_train(merged, ledger, L + "attn.out_decode"),
                 oat[L + "attn.out"], T, ledger, L + "attn.out",
             )
             attn_out = decode_train(saw_mul_right(ctx, w[L + "attn.wo"], ledger,

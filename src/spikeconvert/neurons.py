@@ -185,16 +185,17 @@ class SpikeMatrixTrain:
 
     values[t] is the (rows x cols) weighted emission at step t and is zero
     wherever the boolean firing mask events[t] is False. Without an explicit
-    mask, every nonzero value counts as an event.
+    mask, every nonzero value counts as an event. Batch axes may follow the
+    step axis, as in a (T, heads, rows, cols) stack of attention heads.
     """
 
     __slots__ = ("values", "events")
 
     def __init__(self, values: np.ndarray, events: np.ndarray | None = None) -> None:
         values = np.ascontiguousarray(values, dtype=np.float64)
-        if values.ndim != 3:
+        if values.ndim < 3:
             raise ShapeError(
-                f"train values must be (steps, rows, cols), got ndim={values.ndim}"
+                f"train values must be (steps, ..., rows, cols), got ndim={values.ndim}"
             )
         if values.shape[0] < 1:
             raise ValueError("a train needs at least one step")
@@ -233,15 +234,15 @@ class SpikeMatrixTrain:
 
     @property
     def rows(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-2]
 
     @property
     def cols(self) -> int:
-        return self.values.shape[2]
+        return self.values.shape[-1]
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return (self.values.shape[1], self.values.shape[2])
+    def shape(self) -> tuple[int, ...]:
+        return self.values.shape[1:]
 
 
 def _sum_steps(values: np.ndarray) -> np.ndarray:

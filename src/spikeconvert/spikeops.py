@@ -14,9 +14,10 @@ softmax_offset converts a logit train into a max-shifted train whose decode
 equals logits minus the row max, exactly, without ever holding the final
 row max ahead of time.
 
-Every kernel works on whole (T, rows, cols) tensors: running accumulators
-are prefix sums over T, added in step order as a per-step loop adds them,
-and SOPs are counted once per call. Outputs are built unchecked through
+Every kernel works on whole (T, rows, cols) tensors, saa_mul also on
+(T, heads, rows, cols) head stacks: running accumulators are prefix sums
+over T, added in step order as a per-step loop adds them, and SOPs are
+counted once per call. Outputs are built unchecked through
 SpikeMatrixTrain._wrap; encode_matrix and apply_hg refuse non-finite
 input, which catches a bad value where a decoded train re-enters.
 
@@ -117,24 +118,6 @@ def apply_hg(
     return _train(values, events, x, ledger, site)
 
 
-def transpose_train(ts: SpikeMatrixTrain) -> SpikeMatrixTrain:
-    return SpikeMatrixTrain._wrap(ts.values.transpose(0, 2, 1),
-                                  ts.events.transpose(0, 2, 1))
-
-
-def slice_cols(ts: SpikeMatrixTrain, lo: int, hi: int) -> SpikeMatrixTrain:
-    return SpikeMatrixTrain._wrap(ts.values[:, :, lo:hi], ts.events[:, :, lo:hi])
-
-
-def concat_cols(parts: list[SpikeMatrixTrain]) -> SpikeMatrixTrain:
-    if any(p.steps != parts[0].steps for p in parts):
-        raise StepMismatchError("cannot concatenate trains with different step counts")
-    return SpikeMatrixTrain._wrap(
-        np.concatenate([p.values for p in parts], axis=2),
-        np.concatenate([p.events for p in parts], axis=2),
-    )
-
-
 def scale_columns(ts: SpikeMatrixTrain, g: Matrix) -> SpikeMatrixTrain:
     """Per-column scaling of every step; linear, so decode scales the same."""
     if g.shape != (1, ts.cols):
@@ -206,20 +189,21 @@ def saa_mul(
     with S_q, S_k the exclusive prefix sums (all *earlier* steps), computed
     for every step at once. Every prefix of A telescopes to the product of
     the decoded prefixes, so the full decode equals decode(qs) @ decode(ks)
-    up to float rounding. An event pair costs one accumulation, and each
-    event meets the other operand's running sum once per output column
-    (or row); the ledger gets the whole call's count at once.
+    up to float rounding; equal batch axes after T multiply entry by entry.
+    An event pair costs one accumulation, and each event meets the other
+    operand's running sum once per output column (or row); the ledger gets
+    the whole call's count at once.
     """
     if qs.steps != ks.steps:
         raise StepMismatchError(f"step counts differ: {qs.steps} != {ks.steps}")
-    if qs.cols != ks.rows:
-        raise ShapeError(f"inner dimensions differ: {qs.shape} x {ks.shape}")
+    if qs.cols != ks.rows or qs.values.shape[:-2] != ks.values.shape[:-2]:
+        raise ShapeError(f"trains do not multiply: {qs.shape} x {ks.shape}")
     # sliced and transposed views are copied, so BLAS sees one layout
     vq, vk = np.ascontiguousarray(qs.values), np.ascontiguousarray(ks.values)
     out = vq @ vk + vq @ _prefix_sums(vk)[:-1] + _prefix_sums(vq)[:-1] @ vk
     if ledger is not None:
         eq, ek = qs.events, ks.events
-        pairs = int((eq.sum(axis=1) * ek.sum(axis=2)).sum())
+        pairs = int((eq.sum(axis=-2) * ek.sum(axis=-1)).sum())
         ledger.record_sop(site, pairs + int(np.count_nonzero(eq)) * ks.cols
                           + int(np.count_nonzero(ek)) * qs.rows)
     return SpikeMatrixTrain._wrap(out)
@@ -262,7 +246,7 @@ def softmax_offset(
     """
     if zs.cols < 1:
         raise ShapeError("softmax offset needs at least one column per row")
-    prefix_max = _prefix_sums(zs.values).max(axis=2, keepdims=True)
+    prefix_max = _prefix_sums(zs.values).max(axis=-1, keepdims=True)
     train = SpikeMatrixTrain._wrap(zs.values + (prefix_max[:-1] - prefix_max[1:]))
     if ledger is not None:
         # every nonzero corrected value is one accumulation downstream

@@ -149,6 +149,20 @@ class TestCalibrate:
         assert main(["calibrate", "--target", "exp",
                      "--out", str(tmp_path / "x.json")]) == 2
 
+    def test_negative_seed_flag_named(self, tmp_path, capsys):
+        assert main(["calibrate", "--target", "exp", "--seed", "-1",
+                     "--out", str(tmp_path / "x.json")]) == 2
+        assert ("argument --seed: must be a nonnegative integer, got '-1'"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("lo, hi", [("0", "inf"), ("1e999", "2"),
+                                        ("nan", "1"), ("1", "1"), ("2", "-2")])
+    def test_bad_range_named(self, tmp_path, capsys, lo, hi):
+        assert main(["calibrate", "--target", "exp", "--range", lo, hi,
+                     "--out", str(tmp_path / "x.json")]) == 2
+        err = capsys.readouterr().err
+        assert "--range needs finite LO < HI" in err and "Warning" not in err
+
 
 class TestConvert:
     def test_block_is_complete(self, work, capsys):
@@ -178,6 +192,18 @@ class TestConvert:
         assert main(["convert", "--config", str(work / "config.json"),
                      "--weights", str(tmp_path / "nope.lasw"),
                      "--out", str(tmp_path / "x.json")]) == 2
+
+    def test_negative_config_seed_named(self, work, tmp_path, capsys):
+        with open(work / "config.json") as fh:
+            doc = json.load(fh)
+        doc["seeds"]["calibration"] = -6
+        bad = tmp_path / "bad_config.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["convert", "--config", str(bad),
+                     "--weights", str(work / "weights.lasw"),
+                     "--out", str(tmp_path / "x.json")]) == 2
+        assert ("seeds['calibration'] must be nonnegative, got -6"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("field, value", [("d_model", "32"), ("n_layers", True)])
     def test_wrongly_typed_config_field(self, work, tmp_path, capsys, field, value):
@@ -497,3 +523,20 @@ class TestInit:
                      "--input-out", str(tmp_path / "i.lasw")]) == 0
         cfg = load_config(c)
         assert cfg.seeds == {"weights": 77, "calibration": 78, "input": 79}
+
+    def test_negative_seed_flag_named(self, tmp_path, capsys):
+        assert main(["init", "--seed", "-3",
+                     "--config-out", str(tmp_path / "c.json"),
+                     "--weights-out", str(tmp_path / "w.lasw"),
+                     "--input-out", str(tmp_path / "i.lasw")]) == 2
+        assert ("argument --seed: must be a nonnegative integer, got '-3'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "c.json").exists()
+
+    def test_negative_seed_env_named(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("LAS_SEED", "-4")
+        assert main(["init", "--config-out", str(tmp_path / "c.json"),
+                     "--weights-out", str(tmp_path / "w.lasw"),
+                     "--input-out", str(tmp_path / "i.lasw")]) == 2
+        assert ("LAS_SEED must be a nonnegative integer, got '-4'"
+                in capsys.readouterr().err)

@@ -115,6 +115,10 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="seeds"):
             ModelConfig(seeds={"weights": 1})
 
+    def test_negative_seed_named(self):
+        with pytest.raises(ValueError, match=r"seeds\['input'\] must be nonnegative"):
+            ModelConfig(seeds={"weights": 1, "calibration": 2, "input": -1})
+
     def test_dict_round_trip(self, tiny_cfg):
         assert ModelConfig.from_dict(tiny_cfg.to_dict()) == tiny_cfg
 
@@ -274,8 +278,9 @@ class TestFloatForward:
         float_forward(tiny_cfg, tiny_weights, tiny_input, recorder=recorder)
         need = set(oat_sites(tiny_cfg)) | set(hg_sites(tiny_cfg))
         assert need <= set(recorder)
-        # one entry per call except per-head sites, which get one per head
-        assert len(recorder["layers.0.attn.exp"]) == tiny_cfg.n_heads
+        # one entry per call; the attention sites hold every head at once
+        assert [a.shape for a in recorder["layers.0.attn.exp"]] == [
+            (tiny_cfg.n_heads, tiny_input.rows, tiny_input.rows)]
 
     def test_flop_charges(self, tiny_cfg, tiny_weights, tiny_input):
         from spikeconvert.energy import EnergyLedger

@@ -26,7 +26,6 @@ from spikeconvert.spikeops import (
     SpikeMatrixTrain,
     add_trains,
     apply_hg,
-    concat_cols,
     constant_train,
     decode_train,
     encode_matrix,
@@ -35,13 +34,11 @@ from spikeconvert.spikeops import (
     saw_mul,
     saw_mul_right,
     scale_columns,
-    slice_cols,
     softmax_offset,
     spike_ffn,
     spike_gated_ffn,
     spike_layernorm,
     spike_softmax,
-    transpose_train,
 )
 from spikeconvert.tensors import Matrix
 
@@ -82,13 +79,13 @@ class TestTrainPlumbing:
         assert np.array_equal(dec(ts), x.array)
         assert not ts.events[1:].any()
 
-    def test_transpose_slice_concat_scale_add(self):
+    def test_batch_axes_sit_before_the_matrix_axes(self):
+        ts = SpikeMatrixTrain(np.zeros((2, 3, 4, 5)))
+        assert (ts.steps, ts.rows, ts.cols, ts.shape) == (2, 4, 5, (3, 4, 5))
+
+    def test_scale_add(self):
         rng = np.random.default_rng(0)
         a = random_train(rng, 3, 4, 6)
-        assert np.array_equal(dec(transpose_train(a)), dec(a).T)
-        assert np.array_equal(dec(slice_cols(a, 1, 4)), dec(a)[:, 1:4])
-        parts = [slice_cols(a, 0, 2), slice_cols(a, 2, 6)]
-        assert np.array_equal(dec(concat_cols(parts)), dec(a))
         g = Matrix(np.arange(1.0, 7.0).reshape(1, 6))
         assert np.allclose(dec(scale_columns(a, g)), dec(a) * g.array)
         b = random_train(rng, 3, 4, 6)
@@ -318,6 +315,12 @@ def event_train(rng, T, shape, density):
     return SpikeMatrixTrain(np.where(events, weights, zeros), events)
 
 
+def view(ts, take):
+    """The train seen through one numpy view of its values and events, kept
+    uncopied as the kernels' own reshapes and transposes are."""
+    return SpikeMatrixTrain._wrap(take(ts.values), take(ts.events))
+
+
 def assert_same_run(kernel, reference, *trains):
     got_ledger, ref_ledger = EnergyLedger(), EnergyLedger()
     got = kernel(*trains, got_ledger, "k")
@@ -370,12 +373,44 @@ class TestWholeTensorKernels:
     @settings(max_examples=50, deadline=None)
     @given(rows=dims, cols=dims, **run_params)
     def test_sliced_and_transposed_operands(self, rows, cols, T, density, seed):
-        # the attention path multiplies column slices and transposes
+        # views that are not contiguous, as the attention head split makes
         rng = np.random.default_rng(seed)
         q = event_train(rng, T, (rows, cols + 2), density)
         k = event_train(rng, T, (rows, cols + 2), density)
-        assert_same_run(saa_mul, saa_mul_reference, slice_cols(q, 1, cols + 1),
-                        transpose_train(slice_cols(k, 1, cols + 1)))
+        assert_same_run(saa_mul, saa_mul_reference,
+                        view(q, lambda a: a[:, :, 1:cols + 1]),
+                        view(k, lambda a: a[:, :, 1:cols + 1].transpose(0, 2, 1)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(heads=st.integers(1, 5), rows=dims, inner=dims, cols=dims, **run_params)
+    def test_stacked_saa_mul_matches_per_head(self, heads, rows, inner, cols, T,
+                                              density, seed):
+        # a (T, heads, ...) stack split from the columns as attention splits
+        # q and k, against one call per head on that head's column slice
+        rng = np.random.default_rng(seed)
+        q = event_train(rng, T, (rows, heads * inner), density)
+        k = event_train(rng, T, (cols, heads * inner), density)
+        ledger, ref_ledger = EnergyLedger(), EnergyLedger()
+        got = saa_mul(
+            view(q, lambda a: a.reshape(T, rows, heads, inner).transpose(0, 2, 1, 3)),
+            view(k, lambda a: a.reshape(T, cols, heads, inner).transpose(0, 2, 3, 1)),
+            ledger, "k")
+        per_head = [
+            saa_mul(view(q, lambda a: a[:, :, h * inner:(h + 1) * inner]),
+                    view(k, lambda a: a[:, :, h * inner:(h + 1) * inner]
+                         .transpose(0, 2, 1)), ref_ledger, "k")
+            for h in range(heads)]
+        want = np.stack([p.values for p in per_head], axis=1)
+        assert got.values.shape == (T, heads, rows, cols)
+        assert got.values.tobytes() == want.tobytes()
+        assert np.array_equal(got.events, np.stack([p.events for p in per_head], axis=1))
+        assert ledger.to_dict() == ref_ledger.to_dict()
+
+    def test_stacked_saa_mul_needs_equal_batch_axes(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ShapeError):
+            saa_mul(event_train(rng, 2, (2, 3, 4), 0.5),
+                    event_train(rng, 2, (3, 4, 3), 0.5))
 
 
 _X = Matrix(np.array([[-2.0, -0.3, 0.0], [0.4, 1.2, 5.0]]))
@@ -387,12 +422,9 @@ PUBLIC_KERNELS = {
     "encode_matrix": lambda: encode_matrix(_X, _OAT),
     "saw_mul": lambda: saw_mul(Matrix(np.ones((4, 2))), _ENC),
     "saw_mul_right": lambda: saw_mul_right(_ENC, Matrix(np.ones((3, 2)))),
-    "saa_mul": lambda: saa_mul(_ENC, transpose_train(_ENC)),
-    "hadamard_mul": lambda: hadamard_mul(_ENC, slice_cols(_ENC, 0, 1)),
+    "saa_mul": lambda: saa_mul(_ENC, view(_ENC, lambda a: a.transpose(0, 2, 1))),
+    "hadamard_mul": lambda: hadamard_mul(_ENC, view(_ENC, lambda a: a[:, :, :1])),
     "softmax_offset": lambda: softmax_offset(_ENC),
-    "transpose_train": lambda: transpose_train(_ENC),
-    "slice_cols": lambda: slice_cols(_ENC, 1, 3),
-    "concat_cols": lambda: concat_cols([_ENC, _ENC]),
     "scale_columns": lambda: scale_columns(_ENC, Matrix(np.ones((1, 3)))),
     "add_trains": lambda: add_trains(_ENC, _ENC),
     "constant_train": lambda: constant_train(_X, 4),

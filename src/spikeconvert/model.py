@@ -16,6 +16,7 @@ and converted blocks in deterministic JSON.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -47,7 +48,7 @@ from .errors import (
     ShapeError,
     SpikePathError,
 )
-from .neurons import HGConfig, OATConfig, _check_type
+from .neurons import HGConfig, OATConfig, _check_exact_range, _check_type
 from .spikeops import (
     SpikeMatrixTrain,
     apply_hg,
@@ -65,6 +66,12 @@ from .tensors import Matrix, stats
 
 _FFN_KINDS = ("standard", "gated")
 _LN_EPS = 1e-5  # matches the fitted inverse-root target 1/sqrt(x + 1e-5)
+
+
+@functools.cache
+def _field_types(cls: type) -> dict[str, type]:
+    # resolving the string annotations costs about 0.26 ms; do it once per class
+    return typing.get_type_hints(cls)
 
 
 @dataclass(frozen=True)
@@ -90,12 +97,13 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         # JSON configs arrive untyped: check every field before comparing it
-        for name, kind in typing.get_type_hints(type(self)).items():
+        for name, kind in _field_types(type(self)).items():
             _check_type(name, getattr(self, name), kind)
         for name in ("d_model", "n_heads", "d_ff", "seq_len", "T", "H",
                      "N_per_nonlinearity", "samples_per_range"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        _check_exact_range(self.H, self.T)
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"
@@ -525,6 +533,7 @@ def spike_forward(
     _check_type("T", T, numbers.Integral)
     if T < 1:
         raise ValueError(f"need at least one timestep, got T={T}")
+    _check_exact_range(cfg.H, T)
     w = block.weights
     ledger = EnergyLedger(
         sop_weight=math.ceil(math.log2(2 * cfg.H)) if cfg.sop_bits else 1

@@ -23,16 +23,20 @@ gated bank   bank of fitted fs kernels. The input range is split into
              column; other step counts slice or pad the stacks exactly as
              truncate_schedule / hg_at_steps (the reference) resize them.
 
-fs_encode and mt_encode encode one scalar and serve as reference kernels.
-The dual-range encoder (one mt pass with a per-element tau) and the gated
-bank run whole matrices through spikeops.encode_matrix and apply_hg;
-hg_eval decodes the bank on a 1-D batch, which is how a fitted bank's
-error is checked. _fs_steps is the one few-step recurrence: _fs_bits
-collects its firing bits, to fit and to run, and _fs_decode sums the
-weighted steps in step order, to validate a fit, so a fit sees exactly the
-bits the runtime fires and reports exactly the error its decode makes. All
-encoders are deterministic and produce bit-identical trains for identical
-inputs and configurations.
+fs_encode and mt_encode encode one scalar and serve as reference kernels;
+mt_encode runs the greedy step loop, _mt_loop. The dual-range encoder (one
+mt pass with a per-element tau) and the gated bank run whole matrices
+through spikeops.encode_matrix and apply_hg. The dual-range pass, _mt_run,
+takes its steps P at a time from cached tables of the step loop's
+emissions and matches _mt_loop bit for bit. It relies on every unit-space
+integer being exact, so the configs refuse H > 1024 and any (H, T) with
+(2H-1) * 2^T >= 2^53. hg_eval decodes the bank on a 1-D batch, which is
+how a fitted bank's error is checked. _fs_steps is the one few-step
+recurrence: _fs_bits collects its firing bits, to fit and to run, and
+_fs_decode sums the weighted steps in step order, to validate a fit, so a
+fit sees exactly the bits the runtime fires and reports exactly the error
+its decode makes. All encoders are deterministic and produce bit-identical
+trains for identical inputs and configurations.
 """
 from __future__ import annotations
 
@@ -79,6 +83,24 @@ def _check_finite_reals(name: str, values: tuple) -> None:
         _check_finite_real(f"{name}[{i}]", v)
 
 
+# Largest H the dual-range and multi-level encoders take; it keeps
+# _mt_run's chunk tables small.
+_MAX_H = 1024
+
+
+def _check_exact_range(H: int, T: int) -> None:
+    """Refuse H above _MAX_H, and any (H, T) whose unit-space integers, up
+    to (2H-1) * 2^T, would not all be exact in float64's 53-bit mantissa."""
+    if H > _MAX_H:
+        raise ValueError(f"H must be at most {_MAX_H}, got {H}")
+    T_max = 53 - int(2 * H - 1).bit_length()
+    if T > T_max:
+        raise ValueError(
+            f"T={T} is too many steps for H={H}: (2H-1) * 2^T must stay "
+            f"below 2^53, so T <= {T_max}"
+        )
+
+
 @dataclass(frozen=True)
 class FSParams:
     """Per-step schedule of a few-step kernel: thresholds, resets, weights."""
@@ -114,12 +136,16 @@ class MTConfig:
     T: int
 
     def __post_init__(self) -> None:
+        _check_finite_real("tau", self.tau)
+        for name in ("H", "T"):
+            _check_type(name, getattr(self, name), numbers.Integral)
         if not self.tau > 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.H < 1:
             raise ValueError(f"H must be at least 1, got {self.H}")
         if self.T < 1:
             raise ValueError(f"T must be at least 1, got {self.T}")
+        _check_exact_range(self.H, self.T)
 
 
 @dataclass(frozen=True)
@@ -143,6 +169,7 @@ class OATConfig:
             )
         if self.H < 1 or self.T < 1:
             raise ValueError("H and T must be at least 1")
+        _check_exact_range(self.H, self.T)
 
 
 @dataclass(frozen=True)
@@ -267,19 +294,22 @@ def _fs_steps(x: np.ndarray, theta: tuple, h: tuple, rows) -> Iterator[np.ndarra
     t's firing bits (0.0/1.0) into the next buffer of rows and yields it.
     The membrane starts at x; step t fires where it is at or above theta[t]
     and subtracts h[t] there. theta[t] and h[t] are scalars, or (n,) rows
-    when each element has its own schedule. rows holds float64 (n,) buffers:
-    the rows of a (T, n) array, or one buffer repeated when each step is
-    consumed before the next is written."""
+    when each element has its own schedule. rows holds float64 or bool (n,)
+    buffers: the rows of a (T, n) array, or one buffer repeated when each
+    step is consumed before the next is written. Every step's reset goes
+    through one scratch buffer."""
     v = np.array(x, dtype=np.float64)
+    reset = np.empty_like(v)
     for row, theta_t, h_t in zip(rows, theta, h):
         np.greater_equal(v, theta_t, out=row)
-        v -= h_t * row
+        v -= np.multiply(h_t, row, out=reset)
         yield row
 
 
-def _fs_bits(x: np.ndarray, theta: tuple, h: tuple) -> np.ndarray:
-    """Firing bits of the few-step recurrence: a contiguous (T, n) array."""
-    bits = np.empty((len(theta), np.size(x)))
+def _fs_bits(x: np.ndarray, theta: tuple, h: tuple, dtype=np.float64) -> np.ndarray:
+    """Firing bits of the few-step recurrence: a contiguous (T, n) array of
+    0.0/1.0 (the fits' design matrix) or, with dtype=bool, firing masks."""
+    bits = np.empty((len(theta), np.size(x)), dtype=dtype)
     collections.deque(_fs_steps(x, theta, h, bits), maxlen=0)  # run every step
     return bits
 
@@ -307,7 +337,7 @@ def fs_encode(x: float, p: FSParams) -> SpikeMatrixTrain:
     """
     if not np.isfinite(x):
         raise NonFiniteError(f"fs_encode input must be finite, got {x}")
-    events = _fs_bits(np.array([x]), p.theta, p.h).astype(bool)[:, :, None]
+    events = _fs_bits(np.array([x]), p.theta, p.h, dtype=bool)[:, :, None]
     return SpikeMatrixTrain(np.where(events, np.reshape(p.d, (-1, 1, 1)), 0.0), events)
 
 
@@ -315,10 +345,37 @@ def fs_encode(x: float, p: FSParams) -> SpikeMatrixTrain:
 # multi-level threshold encoder
 
 
-def _mt_run(
+def _mt_units(x: np.ndarray, tau, H: int, T: int) -> tuple:
+    """Sign, magnitude and grid unit of a 1-D batch in unit space.
+
+    The unit is the finest grid step tau * 2^-T / H; inputs within _SNAP_UNITS
+    of a grid point snap onto it.
+    """
+    unit = tau * 2.0 ** (-T) / H
+    W = np.asarray(x, dtype=np.float64) / unit
+    Wr = np.rint(W)
+    W = np.where(np.abs(W - Wr) <= _SNAP_UNITS, Wr, W)
+    return np.sign(W), np.abs(W), unit
+
+
+def _mt_steps(a: np.ndarray, H: int, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """The greedy step loop on unit-space magnitudes a: (T, n) emissions in
+    units, and firing masks. Every step size is an exact power of two."""
+    emits = np.empty((T, a.size))
+    events = np.empty((T, a.size), dtype=bool)
+    for t in range(1, T + 1):
+        step = 2.0 ** (T - t)
+        fire = np.greater_equal(a, H * step, out=events[t - 1])
+        m = np.minimum(np.floor(a / step), 2 * H - 1)
+        a = a - np.multiply(m * step, fire, out=emits[t - 1])
+    return emits, events
+
+
+def _mt_loop(
     x: np.ndarray, tau: float | np.ndarray, H: int, T: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Signed greedy multi-level encoding of a 1-D batch (tau scalar or per element).
+    """Signed greedy multi-level encoding of a 1-D batch (tau scalar or per
+    element), one step at a time: the reference kernel behind mt_encode.
 
     Works in integer multiples of the finest grid unit tau * 2^-T / H so the
     greedy arithmetic is exact, then converts emissions back to float
@@ -326,20 +383,65 @@ def _mt_run(
     grid level (H+k)/H * tau * 2^-t at or below |v|, saturating at level
     (2H-1)/H; the emission is subtracted from the membrane.
     """
-    unit = tau * 2.0 ** (-T) / H
-    W = np.asarray(x, dtype=np.float64) / unit
-    Wr = np.rint(W)
-    W = np.where(np.abs(W - Wr) <= _SNAP_UNITS, Wr, W)
-    sign = np.sign(W)
-    a = np.abs(W)
-    emits = np.empty((T, a.size))
-    events = np.empty((T, a.size), dtype=bool)
-    for t in range(1, T + 1):
-        step = 2.0 ** (T - t)  # exact power of two in unit space
-        fire = np.greater_equal(a, H * step, out=events[t - 1])
-        m = np.minimum(np.floor(a / step), 2 * H - 1)
-        a = a - np.multiply(m * step, fire, out=emits[t - 1])
+    sign, a, unit = _mt_units(x, tau, H, T)
+    emits, events = _mt_steps(a, H, T)
     return sign * emits * unit, events
+
+
+# The largest table _mt_run looks chunks up in has about this many rows.
+_MT_TABLE_ROWS = 4096
+
+
+def _mt_chunk(H: int) -> int:
+    """Steps per table chunk: the most that keep 2H * 2^P rows within
+    _MT_TABLE_ROWS (8 for H = 5, 1 for H = 1024)."""
+    return max(1, (_MT_TABLE_ROWS // (2 * H)).bit_length() - 1)
+
+
+@functools.lru_cache(maxsize=16)
+def _mt_table(H: int, P: int) -> tuple[np.ndarray, np.ndarray]:
+    """The step loop run once over every chunk input R < 2H * 2^P, in units
+    of the chunk's smallest step: (P, R) emissions and (R,) chunk totals."""
+    emits, _ = _mt_steps(np.arange(2 * H * 2**P, dtype=np.float64), H, P)
+    totals = emits.sum(axis=0)
+    for arr in (emits, totals):
+        arr.setflags(write=False)
+    return emits, totals
+
+
+def _mt_run(
+    x: np.ndarray, tau: float | np.ndarray, H: int, T: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """_mt_loop's encoding, bit for bit, from chunk tables instead of steps.
+
+    The T steps are taken P at a time. Within a chunk whose smallest step is
+    2^p units, every decision depends only on floor(a / 2^p), so that index
+    picks the chunk's emissions from _mt_table and the chunk total is
+    subtracted. The result is exact: every unit-space quantity is an integer
+    below 2^53 (the configs refuse (2H-1) * 2^T >= 2^53), and the magnitude
+    is first clamped at (2H-1)(2^T-1), the sum of all saturated emissions,
+    above which every step saturates, so no emission changes and every index
+    stays below (2H-1) * 2^P. A step fires exactly where it emits: a firing
+    emits at least H of its step sizes.
+    """
+    sign, a, unit = _mt_units(x, tau, H, T)
+    # fmin: a NaN magnitude (a grid unit that underflowed to zero) saturates
+    # rather than indexing outside the tables; its values stay NaN
+    a = np.fmin(a, (2 * H - 1) * (2.0**T - 1))
+    emits = np.empty((T, a.size))
+    P = _mt_chunk(H)
+    t = 0
+    while t < T:
+        n = (T - t) % P or P  # a short chunk goes first
+        p = T - t - n  # the chunk's smallest step is 2^p units
+        tab_emits, tab_totals = _mt_table(H, n)
+        idx = (a * 2.0**-p).astype(np.intp)  # floor: a is nonnegative
+        np.take(tab_emits, idx, axis=1, out=emits[t:t + n])
+        emits[t:t + n] *= 2.0**p
+        a -= tab_totals[idx] * 2.0**p
+        t += n
+    # sign is +-1 or 0, so this rounds as _mt_loop's sign * emits * unit
+    return emits * (sign * unit), emits != 0.0
 
 
 def mt_encode(x: float, c: MTConfig) -> SpikeMatrixTrain:
@@ -349,7 +451,7 @@ def mt_encode(x: float, c: MTConfig) -> SpikeMatrixTrain:
     """
     if not np.isfinite(x):
         raise NonFiniteError(f"mt_encode input must be finite, got {x}")
-    values, events = _mt_run(np.array([x]), c.tau, c.H, c.T)
+    values, events = _mt_loop(np.array([x]), c.tau, c.H, c.T)
     return SpikeMatrixTrain(values[:, :, None], events[:, :, None])
 
 
@@ -368,11 +470,11 @@ def _hg_run(flat: np.ndarray, c: HGConfig, T: int | None = None) -> tuple:
                        for a, fill in ((theta, 1e300), (h, 0.0), (d, 0.0)))
     lo, hi = bs[0], bs[-1]
     clamped = int(np.count_nonzero((flat < lo) | (flat >= hi)))
-    x = np.clip(flat, lo, np.nextafter(hi, lo))
+    x = np.minimum(np.maximum(flat, lo), np.nextafter(hi, lo))
+    # lo <= x < hi, so every bucket index is already within 0..N-1
     bucket = np.searchsorted(bs, x, side="right") - 1
-    bucket = np.clip(bucket, 0, len(c.subneurons) - 1)
     u = x - bs[bucket] + guard[bucket]
-    events = _fs_bits(u, theta[:, bucket], h[:, bucket]).astype(bool)
+    events = _fs_bits(u, theta[:, bucket], h[:, bucket], dtype=bool)
     return np.where(events, d[:, bucket], 0.0), events, clamped
 
 

@@ -5,6 +5,8 @@ timestep. Three product kernels operate on them:
 
   saw_mul       weight times train. Exactly linear: the decoded output is
                 the float product of the weight and the decoded input.
+                One BLAS product over all steps; only the summation order
+                within each dot product differs from a per-step loop.
   saa_mul       train times train via running accumulators; per step only
                 event-gated additions happen, yet every prefix of the
                 output sums to the float product of the decoded prefixes.
@@ -17,9 +19,10 @@ row max ahead of time.
 Every kernel works on whole (T, rows, cols) tensors, saa_mul also on
 (T, heads, rows, cols) head stacks: running accumulators are prefix sums
 over T, added in step order as a per-step loop adds them, and SOPs are
-counted once per call. Outputs are built unchecked through
-SpikeMatrixTrain._wrap; encode_matrix and apply_hg refuse non-finite
-input, which catches a bad value where a decoded train re-enters.
+counted once per call. encode_matrix reads the dual-range encoder's chunk
+tables (neurons._mt_run) rather than stepping it. Outputs are built
+unchecked through SpikeMatrixTrain._wrap; encode_matrix and apply_hg refuse
+non-finite input, which catches a bad value where a decoded train re-enters.
 
 The composite layers (softmax, LayerNorm, FFN, gated FFN) weave these
 products together with the fitted neuron gates. Each takes an optional
@@ -35,6 +38,7 @@ from .neurons import (
     HGConfig,
     OATConfig,
     SpikeMatrixTrain,
+    _check_exact_range,
     _hg_run,
     _mt_run,
     decode,
@@ -67,10 +71,14 @@ def encode_matrix(
     """
     if not np.all(np.isfinite(x.data)):
         raise NonFiniteError(f"encoder input at {site!r} contains non-finite values")
+    if T is None:
+        T = cfg.T
+    else:
+        _check_exact_range(cfg.H, T)
     # magnitude routing as a per-element tau: the same IEEE operations as
     # encoding each range on its own
     tau = np.where(np.abs(x.data) >= cfg.theta_nor, cfg.theta_out, cfg.theta_nor)
-    values, events = _mt_run(x.data, tau, cfg.H, cfg.T if T is None else T)
+    values, events = _mt_run(x.data, tau, cfg.H, T)
     return _train(values, events, x, ledger, site)
 
 
@@ -149,7 +157,7 @@ def saw_mul(
         raise ShapeError(
             f"weight {W.shape} cannot multiply {xs.shape} train from the left"
         )
-    out = np.einsum("pr,trc->tpc", W.array, xs.values)
+    out = W.array @ xs.values
     if ledger is not None:
         ledger.record_sop(site, int(np.count_nonzero(xs.events)) * W.rows)
     return SpikeMatrixTrain._wrap(out)
@@ -163,7 +171,7 @@ def saw_mul_right(
         raise ShapeError(
             f"train {xs.shape} cannot multiply weight {W.shape} from the right"
         )
-    out = np.einsum("trc,cq->trq", xs.values, W.array)
+    out = xs.values @ W.array
     if ledger is not None:
         ledger.record_sop(site, int(np.count_nonzero(xs.events)) * W.cols)
     return SpikeMatrixTrain._wrap(out)
@@ -228,8 +236,9 @@ def hadamard_mul(
     va, vb = a.values, b.values
     out = va * vb + va * _prefix_sums(vb)[:-1] + _prefix_sums(va)[:-1] * vb
     if ledger is not None:
+        # a mask broadcast to the output shape repeats each entry equally often
         ledger.record_sop(site, sum(
-            int(np.count_nonzero(np.broadcast_to(e, out.shape)))
+            int(np.count_nonzero(e)) * (out.size // max(e.size, 1))
             for e in (a.events & b.events, a.events, b.events)))
     return SpikeMatrixTrain._wrap(out)
 

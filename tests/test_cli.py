@@ -205,6 +205,17 @@ class TestConvert:
         assert ("seeds['calibration'] must be nonnegative, got -6"
                 in capsys.readouterr().err)
 
+    def test_level_count_beyond_bound_named(self, work, tmp_path, capsys):
+        with open(work / "config.json") as fh:
+            doc = json.load(fh)
+        doc["H"] = 2000
+        bad = tmp_path / "bad_config.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["convert", "--config", str(bad),
+                     "--weights", str(work / "weights.lasw"),
+                     "--out", str(tmp_path / "x.json")]) == 2
+        assert "H must be at most 1024, got 2000" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field, value", [("d_model", "32"), ("n_layers", True)])
     def test_wrongly_typed_config_field(self, work, tmp_path, capsys, field, value):
         with open(work / "config.json") as fh:
@@ -251,6 +262,12 @@ class TestRun:
                      "--steps", "2", "--report", rp]) == 0
         with open(rp) as fh:
             assert json.load(fh)["steps"] == 2
+
+    def test_steps_beyond_exact_range_named(self, work, capsys):
+        # H=3: (2H-1) * 2^T stays below 2^53 only up to T=50
+        assert main(["run", "--block", str(work / "block.json"),
+                     "--input", str(work / "input.lasw"), "--steps", "51"]) == 2
+        assert "2^53, so T <= 50" in capsys.readouterr().err
 
     def test_missing_block(self, work, capsys):
         assert main(["run", "--block", str(work / "gone.json"),

@@ -111,6 +111,13 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig(n_layers=5)
 
+    def test_exact_range_bounds_named(self):
+        ModelConfig(H=1024, T=42)
+        with pytest.raises(ValueError, match="H must be at most 1024"):
+            ModelConfig(H=1025)
+        with pytest.raises(ValueError, match=r"2\^53, so T <= 49"):
+            ModelConfig(T=50)
+
     def test_seed_keys_required(self):
         with pytest.raises(ValueError, match="seeds"):
             ModelConfig(seeds={"weights": 1})
@@ -394,6 +401,10 @@ class TestSpikeForward:
             spike_forward(tiny_block, tiny_input, T=0)
         with pytest.raises(ValueError, match="T must be Integral"):
             spike_forward(tiny_block, tiny_input, T=4.0)
+        H = tiny_block.config.H
+        T_max = 53 - (2 * H - 1).bit_length()  # (2H-1) * 2^T < 2^53
+        with pytest.raises(ValueError, match=f"so T <= {T_max}"):
+            spike_forward(tiny_block, tiny_input, T=T_max + 1)
 
     def test_more_steps_cost_more_sops(self, tiny_block, tiny_input):
         _, tr2 = spike_forward(tiny_block, tiny_input, T=2)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spikeconvert import neurons
 from spikeconvert.errors import NonFiniteError, ShapeError
 from spikeconvert.neurons import (
     FSParams,
@@ -22,6 +23,10 @@ from spikeconvert.neurons import (
     _fs_bits,
     _fs_decode,
     _hg_run,
+    _mt_chunk,
+    _mt_loop,
+    _mt_run,
+    _mt_table,
     _sum_steps,
     decode,
     fs_encode,
@@ -191,6 +196,79 @@ class TestMTNeuron:
             MTConfig(0.0, 2, 4)
         with pytest.raises(ValueError):
             MTConfig(1.0, 0, 4)
+
+
+@st.composite
+def mt_batches(draw):
+    """An (H, T), a tau per element, and inputs of every kind the encoder
+    meets: on and off the grid, signed zeros, subnormals, +-1e308,
+    saturating magnitudes, and unit-space magnitude R = 2H * 2^P - 1 (the
+    last row of the chunk table) with the first chunk's index at R too."""
+    H = draw(st.integers(1, 1024))
+    T = draw(st.integers(1, 28))
+    n = draw(st.integers(1, 12))
+    tau = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n)))
+    unit = tau * 2.0**-T / H
+    top = (2 * H - 1) * 2**T  # grid points reach (2H-1)/H * tau
+    R = 2 * H * 2 ** _mt_chunk(H) - 1
+    kinds = {
+        "grid": lambda i: draw(st.integers(-top, top)) * unit[i],
+        "off": lambda i: draw(st.floats(-3.0, 3.0)) * tau[i],
+        "zero": lambda i: draw(st.sampled_from([0.0, -0.0])),
+        "subnormal": lambda i: draw(st.sampled_from([5e-324, -5e-324, 2.2e-310])),
+        "huge": lambda i: draw(st.sampled_from([1e308, -1e308])),
+        "saturating": lambda i: draw(st.floats(1.0, 1e6)) * top * unit[i],
+        "R": lambda i: draw(st.sampled_from([1, -1])) * R * unit[i],
+        "R_first_chunk": lambda i: R * 2.0 ** max(T - _mt_chunk(H), 0) * unit[i],
+    }
+    x = np.array([kinds[draw(st.sampled_from(sorted(kinds)))](i) for i in range(n)])
+    return x, tau, H, T
+
+
+class TestChunkedEncoder:
+    """_mt_run reads chunk tables in place of _mt_loop's steps, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=mt_batches())
+    @example(case=(np.array([0.0, -0.0, 1e308, -1.5]), np.ones(4), 5, 16))
+    def test_matches_step_loop(self, case):
+        x, tau, H, T = case
+        with np.errstate(over="ignore", invalid="ignore"):  # 1e308 / unit is inf
+            values, events = _mt_run(x, tau, H, T)
+            ref_values, ref_events = _mt_loop(x, tau, H, T)
+        assert values.tobytes() == ref_values.tobytes()  # signed zeros too
+        assert np.array_equal(events, ref_events)
+
+    def test_chunk_size(self):
+        # the table has at most 4096 rows
+        assert [_mt_chunk(H) for H in (1, 5, 1024)] == [11, 8, 1]
+        for H in (1, 2, 3, 5, 100, 1024):
+            emits, totals = _mt_table(H, _mt_chunk(H))
+            assert emits.shape[1] == totals.size <= 4096
+
+    def test_mt_encode_stays_on_the_loop(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("mt_encode must not use the chunk tables")
+
+        monkeypatch.setattr(neurons, "_mt_run", refuse)
+        train = mt_encode(0.6, MTConfig(1.0, 5, 16))
+        values, events = _mt_loop(np.array([0.6]), 1.0, 5, 16)
+        assert train.values[:, :, 0].tobytes() == values.tobytes()
+        assert np.array_equal(train.events[:, :, 0], events)
+
+    @pytest.mark.parametrize("make", [
+        lambda H, T: MTConfig(1.0, H, T),
+        lambda H, T: OATConfig(1.0, 2.0, H, T),
+    ])
+    def test_exact_range_bounds(self, make):
+        make(1024, 42)  # (2H-1) * 2^T = 2047 * 2^42 < 2^53
+        make(1, 52)
+        with pytest.raises(ValueError, match="at most 1024"):
+            make(1025, 4)
+        with pytest.raises(ValueError, match=r"2\^53, so T <= 49"):
+            make(5, 50)
+        with pytest.raises(ValueError, match=r"T <= 42"):
+            make(1024, 43)
 
 
 class TestOATNeuron:

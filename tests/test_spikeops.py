@@ -413,6 +413,34 @@ class TestWholeTensorKernels:
                     event_train(rng, 2, (3, 4, 3), 0.5))
 
 
+class TestBLASWeightProducts:
+    """saw_mul and saw_mul_right multiply through BLAS. They match the
+    in-order einsum they replaced, kept here as their oracle, to 1e-15 of
+    the largest output magnitude, and charge the same SOPs."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(left=st.booleans(), rows=st.integers(1, 12), inner=st.integers(1, 12),
+           cols=st.integers(1, 12), **run_params)
+    def test_matches_in_order_einsum(self, left, rows, inner, cols, T, density, seed):
+        rng = np.random.default_rng(seed)
+        ledger = EnergyLedger()
+        if left:
+            W = Matrix(rng.standard_normal((rows, inner)))
+            xs = event_train(rng, T, (inner, cols), density)
+            got = saw_mul(W, xs, ledger, "w")
+            ref = np.einsum("pr,trc->tpc", W.array, xs.values)
+            sops = int(np.count_nonzero(xs.events)) * rows
+        else:
+            W = Matrix(rng.standard_normal((inner, cols)))
+            xs = event_train(rng, T, (rows, inner), density)
+            got = saw_mul_right(xs, W, ledger, "w")
+            ref = np.einsum("trc,cq->trq", xs.values, W.array)
+            sops = int(np.count_nonzero(xs.events)) * cols
+        assert got.values.shape == ref.shape
+        assert np.abs(got.values - ref).max() <= 1e-15 * np.abs(ref).max()
+        assert ledger.sops == sops
+
+
 _X = Matrix(np.array([[-2.0, -0.3, 0.0], [0.4, 1.2, 5.0]]))
 _OAT = OATConfig(0.5, 4.0, 3, 4)
 _BANK = HGConfig((-1.0, 0.0, 1.0), (FSParams((0.5,) * 4, (0.5,) * 4, (1.0,) * 4),) * 2)

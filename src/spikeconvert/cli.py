@@ -22,6 +22,7 @@ from .errors import CalibrationError, FormatError, SpikePathError
 from .model import (
     ConvertedBlock,
     ModelConfig,
+    RunTrace,
     WeightSet,
     convert,
     dump_json,
@@ -120,16 +121,12 @@ def cmd_convert(args) -> int:
     return 0
 
 
-def _run_report(block: ConvertedBlock, trace, steps: int) -> dict:
+def _run_report(block: ConvertedBlock, trace: RunTrace) -> dict:
     return {
         "tool_version": __version__,
         "config": block.config.to_dict(),
         "seed": dict(block.config.seeds),
-        "steps": steps,
-        "output_rel_err": trace.output_rel_err,
-        "per_layer": dict(sorted(trace.per_layer.items())),
-        "counters": dict(sorted(trace.counters.items())),
-        "ledger": trace.ledger.to_dict(),
+        **trace.to_dict(),
         "calibration": {
             site: {"target": r.target, "max_abs_err": r.max_abs_err}
             for site, r in sorted(block.reports.items())
@@ -141,7 +138,7 @@ def cmd_run(args) -> int:
     block, x, steps = _run_block(args)
     _, trace = spike_forward(block, x, T=steps)
     if args.report is not None:
-        dump_json(_run_report(block, trace, steps), args.report)
+        dump_json(_run_report(block, trace), args.report)
     ratio = trace.ledger.to_dict()["ratio"]
     print(
         f"T={steps} output_rel_err={trace.output_rel_err:.6g} "

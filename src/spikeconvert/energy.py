@@ -32,16 +32,11 @@ class EnergyLedger:
     alternative charges each event as its bit width).
     """
 
-    def __init__(
-        self,
-        flop_costs: dict[str, int] | None = None,
-        sop_weight: int = 1,
-    ) -> None:
+    def __init__(self, sop_weight: int = 1) -> None:
         if sop_weight < 1:
             raise EnergyAccountingError(f"sop_weight must be >= 1, got {sop_weight}")
         self.e_ac = E_AC
         self.e_mac = E_MAC
-        self.flop_costs = dict(DEFAULT_FLOP_COSTS if flop_costs is None else flop_costs)
         self.sop_weight = sop_weight
         self.sops = 0
         self.flops = 0
@@ -64,16 +59,13 @@ class EnergyLedger:
         self.flops += int(n)
         self._bucket(site)["flops"] += int(n)
 
-    def flop_cost(self, kind: str) -> int:
-        try:
-            return self.flop_costs[kind]
-        except KeyError:
-            known = ", ".join(sorted(self.flop_costs))
-            raise EnergyAccountingError(f"unknown op kind {kind!r}; known kinds: {known}")
-
     def charge(self, site: str, kind: str, count: int) -> None:
-        """Record count evaluations of a native float operator at site."""
-        self.record_flop(site, self.flop_cost(kind) * count)
+        """Record count evaluations of a native float operator at site,
+        each at its DEFAULT_FLOP_COSTS charge."""
+        if kind not in DEFAULT_FLOP_COSTS:
+            known = ", ".join(sorted(DEFAULT_FLOP_COSTS))
+            raise EnergyAccountingError(f"unknown op kind {kind!r}; known kinds: {known}")
+        self.record_flop(site, DEFAULT_FLOP_COSTS[kind] * count)
 
     def to_dict(self) -> dict:
         ratio = energy_ratio(self) if self.flops > 0 else None

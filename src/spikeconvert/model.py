@@ -51,12 +51,12 @@ from .errors import (
 from .neurons import HGConfig, OATConfig, _check_exact_range, _check_type
 from .spikeops import (
     SpikeMatrixTrain,
-    apply_hg,
     constant_train,
     decode_train,
     encode_matrix,
+    project,
+    reencode,
     saa_mul,
-    saw_mul_right,
     spike_ffn,
     spike_gated_ffn,
     spike_layernorm,
@@ -142,59 +142,53 @@ class ModelConfig:
         return cls(**d)
 
 
+def _layer_sites(cfg: ModelConfig) -> dict[str, dict]:
+    """Every site of one layer, keyed below layers.<i>., by kind: weights with
+    their shapes, dual-range encoders, and gates with their fitted targets.
+    The spike path charges each encoder and gate (and its clamps) there."""
+    d, f = cfg.d_model, cfg.d_ff
+    w = {"attn.wq": (d, d), "attn.wk": (d, d), "attn.wv": (d, d), "attn.wo": (d, d)}
+    oat = ["ln1.center", "attn.in", "attn.q", "attn.k", "attn.v", "attn.probs",
+           "attn.out", "ln2.center", "ffn.in"]
+    hg = {"attn.exp": "exp", "attn.recip": "reciprocal"}
+    for ln in ("ln1", "ln2"):
+        w |= {ln + ".gamma": (1, d), ln + ".beta": (1, d)}
+        hg |= {ln + ".square": "square", ln + ".invsqrt": "invsqrt"}
+    if cfg.ffn_kind == "standard":
+        w |= {"ffn.w1": (d, f), "ffn.b1": (1, f), "ffn.w2": (f, d), "ffn.b2": (1, d)}
+        hg["ffn.act"] = "gelu"
+    else:
+        w |= {"ffn.wg": (d, f), "ffn.bg": (1, f), "ffn.wu": (d, f), "ffn.bu": (1, f),
+              "ffn.wd": (f, d), "ffn.bd": (1, d)}
+        oat += ["ffn.mid", "ffn.z"]
+        hg["ffn.act"] = "silu"
+    return {"weights": w, "oat": dict.fromkeys(oat), "hg": hg}
+
+
+def _block_sites(cfg: ModelConfig, kind: str) -> dict:
+    return {f"layers.{i}.{key}": v for i in range(cfg.n_layers)
+            for key, v in _layer_sites(cfg)[kind].items()}
+
+
 def oat_sites(cfg: ModelConfig) -> list[str]:
     """Every matrix-op input that is re-encoded through a dual-range encoder."""
-    names = ["input"]
-    for i in range(cfg.n_layers):
-        L = f"layers.{i}."
-        names += [
-            L + "ln1.center", L + "attn.in", L + "attn.q", L + "attn.k",
-            L + "attn.v", L + "attn.probs", L + "attn.out", L + "ln2.center",
-            L + "ffn.in",
-        ]
-        if cfg.ffn_kind == "gated":
-            names += [L + "ffn.mid", L + "ffn.z"]
-    return names
+    return ["input", *_block_sites(cfg, "oat")]
 
 
 def hg_sites(cfg: ModelConfig) -> dict[str, str]:
     """Every scalar nonlinearity on the spike path, mapped to its target."""
-    act = "gelu" if cfg.ffn_kind == "standard" else "silu"
-    sites: dict[str, str] = {}
-    for i in range(cfg.n_layers):
-        L = f"layers.{i}."
-        sites[L + "ln1.square"] = "square"
-        sites[L + "ln1.invsqrt"] = "invsqrt"
-        sites[L + "attn.exp"] = "exp"
-        sites[L + "attn.recip"] = "reciprocal"
-        sites[L + "ln2.square"] = "square"
-        sites[L + "ln2.invsqrt"] = "invsqrt"
-        sites[L + "ffn.act"] = act
-    return sites
+    return _block_sites(cfg, "hg")
 
 
 def expected_shapes(cfg: ModelConfig) -> dict[str, tuple[int, int]]:
-    d, f = cfg.d_model, cfg.d_ff
-    shapes: dict[str, tuple[int, int]] = {}
-    for i in range(cfg.n_layers):
-        L = f"layers.{i}."
-        for ln in ("ln1", "ln2"):
-            shapes[L + ln + ".gamma"] = (1, d)
-            shapes[L + ln + ".beta"] = (1, d)
-        for name in ("wq", "wk", "wv", "wo"):
-            shapes[L + "attn." + name] = (d, d)
-        if cfg.ffn_kind == "standard":
-            shapes[L + "ffn.w1"] = (d, f)
-            shapes[L + "ffn.b1"] = (1, f)
-            shapes[L + "ffn.w2"] = (f, d)
-            shapes[L + "ffn.b2"] = (1, d)
-        else:
-            for name in ("wg", "wu"):
-                shapes[L + "ffn." + name] = (d, f)
-                shapes[L + "ffn.b" + name[1]] = (1, f)
-            shapes[L + "ffn.wd"] = (f, d)
-            shapes[L + "ffn.bd"] = (1, d)
-    return shapes
+    return _block_sites(cfg, "weights")
+
+
+def _check_sites(what: str, have, want, error: type) -> None:
+    """Raise error naming missing and extra sites unless have's are want's."""
+    have, want = set(have), set(want)
+    if have != want:
+        raise error(f"{what}: missing={sorted(want - have)} extra={sorted(have - want)}")
 
 
 class WeightSet:
@@ -218,12 +212,7 @@ class WeightSet:
 
     def validate(self, cfg: ModelConfig) -> None:
         exp = expected_shapes(cfg)
-        missing = sorted(set(exp) - set(self._tensors))
-        extra = sorted(set(self._tensors) - set(exp))
-        if missing or extra:
-            raise ShapeError(
-                f"weight set does not match config: missing={missing} extra={extra}"
-            )
+        _check_sites("weight set does not match config", self._tensors, exp, ShapeError)
         for name, shape in exp.items():
             if self._tensors[name].shape != shape:
                 raise ShapeError(
@@ -332,7 +321,7 @@ def float_forward(
         attn = ctx @ w[L + "attn.wo"].array
         mac(L + "attn.wo", r * d * d)
         cur = cur + attn
-        mac(L + "residual", r * d)
+        mac(L + "attn.residual", r * d)
         if layer_outs is not None:
             layer_outs.append((L + "attn_residual", cur.copy()))
 
@@ -362,7 +351,7 @@ def float_forward(
                 ledger.charge(L + "ffn", "exp", r * f)
                 ledger.record_flop(L + "ffn", 3 * r * f)
         cur = cur + out
-        mac(L + "residual", r * d)
+        mac(L + "ffn.residual", r * d)
         if layer_outs is not None:
             layer_outs.append((L + "ffn_residual", cur.copy()))
     return Matrix(cur)
@@ -384,19 +373,10 @@ class ConvertedBlock:
 
     def check_complete(self) -> None:
         cfg = self.config
-        want_oat = set(oat_sites(cfg))
         targets = hg_sites(cfg)
-        want_hg = set(targets)
-        if set(self.oat) != want_oat:
-            raise CalibrationError(
-                f"encoder sites mismatch: missing={sorted(want_oat - set(self.oat))} "
-                f"extra={sorted(set(self.oat) - want_oat)}"
-            )
-        if set(self.hg) != want_hg or set(self.reports) != want_hg:
-            raise CalibrationError(
-                f"gate sites mismatch: missing={sorted(want_hg - set(self.hg))} "
-                f"extra={sorted(set(self.hg) - want_hg)}"
-            )
+        _check_sites("encoder sites mismatch", self.oat, oat_sites(cfg), CalibrationError)
+        _check_sites("gate sites mismatch", self.hg, targets, CalibrationError)
+        _check_sites("report sites mismatch", self.reports, targets, CalibrationError)
         # a saved encoder keeps only its thresholds: H and T are the config's
         for site, c in self.oat.items():
             if (c.H, c.T) != (cfg.H, cfg.T):
@@ -552,97 +532,59 @@ def spike_forward(
     def heads(a):  # (T, rows, d_model) -> (T, heads, rows, d_head)
         return a.reshape(T, r, nh, cfg.d_head).swapaxes(1, 2)
 
+    def layernorm(site: str, stream: SpikeMatrixTrain) -> SpikeMatrixTrain:
+        return spike_layernorm(stream, w[site + ".gamma"], w[site + ".beta"],
+                               hg[site + ".invsqrt"], hg[site + ".square"],
+                               oat[site + ".center"], ledger, site, counters)
+
+    def attention(L: str, stream: SpikeMatrixTrain) -> Matrix:
+        A = L + "attn."
+        attn_in = reencode(layernorm(L + "ln1", stream), oat[A + "in"], ledger, A + "in")
+        q = project(attn_in, w[A + "wq"], None, ledger, A + "wq")
+        q = encode_matrix(Matrix(q.array * scale), oat[A + "q"], T, ledger, A + "q")
+        k, v = (encode_matrix(project(attn_in, w[A + "w" + n], None, ledger, A + "w" + n),
+                              oat[A + n], T, ledger, A + n) for n in "kv")
+        # every head at once: (T, heads, rows, rows) logits, whose rows
+        # the softmax and the probs encoder take as (T, heads * rows, rows)
+        logits = saa_mul(_regroup(q, heads),
+                         _regroup(k, lambda a: heads(a).swapaxes(2, 3)),
+                         ledger, A + "qk")
+        probs = spike_softmax(_regroup(logits, lambda a: a.reshape(T, nh * r, r)),
+                              hg[A + "exp"], hg[A + "recip"], ledger, L + "attn",
+                              counters)
+        probs = reencode(probs, oat[A + "probs"], ledger, A + "probs")
+        pv = saa_mul(_regroup(probs, lambda a: a.reshape(T, nh, r, r)),
+                     _regroup(v, heads), ledger, A + "pv")
+        merged = _regroup(pv, lambda a: a.swapaxes(1, 2).reshape(T, r, -1))
+        ctx = reencode(merged, oat[A + "out"], ledger, A + "out")
+        return project(ctx, w[A + "wo"], None, ledger, A + "wo")
+
+    def feed_forward(L: str, stream: SpikeMatrixTrain) -> Matrix:
+        F = L + "ffn."
+        ln2 = layernorm(L + "ln2", stream)
+        if cfg.ffn_kind == "standard":
+            out = spike_ffn(ln2, w[F + "w1"], w[F + "b1"], w[F + "w2"], w[F + "b2"],
+                            hg[F + "act"], oat[F + "in"], ledger, L + "ffn", counters)
+        else:
+            out = spike_gated_ffn(ln2, w[F + "wg"], w[F + "bg"], w[F + "wu"],
+                                  w[F + "bu"], w[F + "wd"], w[F + "bd"], hg[F + "act"],
+                                  oat[F + "in"], oat[F + "mid"], oat[F + "z"], ledger,
+                                  L + "ffn", counters)
+        return decode_train(out, ledger, F + "out_decode")
+
     cur = x.array.copy()
     stream = encode_matrix(Matrix(cur), oat["input"], T, ledger, "input")
     for i in range(cfg.n_layers):
         L = f"layers.{i}."
-        try:
-            ln1 = spike_layernorm(
-                stream, w[L + "ln1.gamma"], w[L + "ln1.beta"],
-                hg[L + "ln1.invsqrt"], hg[L + "ln1.square"],
-                oat[L + "ln1.center"], ledger, L + "ln1", counters,
+        for sub, run in (("attn", attention), ("ffn", feed_forward)):
+            try:
+                cur = cur + run(L, stream).array
+                stream = constant_train(Matrix(cur), T)
+            except NonFiniteError as exc:
+                raise SpikePathError(L + sub) from exc
+            per_layer[L + sub + "_residual"] = float(
+                np.abs(cur - refs[L + sub + "_residual"]).mean()
             )
-            attn_in = encode_matrix(
-                decode_train(ln1, ledger, L + "attn.in_decode"),
-                oat[L + "attn.in"], T, ledger, L + "attn.in",
-            )
-            q_f = decode_train(saw_mul_right(attn_in, w[L + "attn.wq"], ledger,
-                                             L + "attn.wq"),
-                               ledger, L + "attn.q_decode")
-            q = encode_matrix(Matrix(q_f.array * scale), oat[L + "attn.q"], T,
-                              ledger, L + "attn.q")
-            k = encode_matrix(
-                decode_train(saw_mul_right(attn_in, w[L + "attn.wk"], ledger,
-                                           L + "attn.wk"),
-                             ledger, L + "attn.k_decode"),
-                oat[L + "attn.k"], T, ledger, L + "attn.k",
-            )
-            v = encode_matrix(
-                decode_train(saw_mul_right(attn_in, w[L + "attn.wv"], ledger,
-                                           L + "attn.wv"),
-                             ledger, L + "attn.v_decode"),
-                oat[L + "attn.v"], T, ledger, L + "attn.v",
-            )
-            # every head at once: (T, heads, rows, rows) logits, whose rows
-            # the softmax and the probs encoder take as (T, heads * rows, rows)
-            logits = saa_mul(_regroup(q, heads),
-                             _regroup(k, lambda a: heads(a).swapaxes(2, 3)),
-                             ledger, L + "attn.qk")
-            probs = spike_softmax(_regroup(logits, lambda a: a.reshape(T, nh * r, r)),
-                                  hg[L + "attn.exp"], hg[L + "attn.recip"],
-                                  ledger, L + "attn.softmax", counters)
-            probs_enc = encode_matrix(
-                decode_train(probs, ledger, L + "attn.probs_decode"),
-                oat[L + "attn.probs"], T, ledger, L + "attn.probs",
-            )
-            pv = saa_mul(_regroup(probs_enc, lambda a: a.reshape(T, nh, r, r)),
-                         _regroup(v, heads), ledger, L + "attn.pv")
-            merged = _regroup(pv, lambda a: a.swapaxes(1, 2).reshape(T, r, -1))
-            ctx = encode_matrix(
-                decode_train(merged, ledger, L + "attn.out_decode"),
-                oat[L + "attn.out"], T, ledger, L + "attn.out",
-            )
-            attn_out = decode_train(saw_mul_right(ctx, w[L + "attn.wo"], ledger,
-                                                  L + "attn.wo"),
-                                    ledger, L + "attn.wo_decode")
-            cur = cur + attn_out.array
-            stream = constant_train(Matrix(cur), T)
-        except NonFiniteError as exc:
-            raise SpikePathError(L + "attn") from exc
-        per_layer[L + "attn_residual"] = float(
-            np.abs(cur - refs[L + "attn_residual"]).mean()
-        )
-
-        try:
-            ln2 = spike_layernorm(
-                stream, w[L + "ln2.gamma"], w[L + "ln2.beta"],
-                hg[L + "ln2.invsqrt"], hg[L + "ln2.square"],
-                oat[L + "ln2.center"], ledger, L + "ln2", counters,
-            )
-            if cfg.ffn_kind == "standard":
-                ffn_out = spike_ffn(
-                    ln2, w[L + "ffn.w1"], w[L + "ffn.b1"],
-                    w[L + "ffn.w2"], w[L + "ffn.b2"],
-                    hg[L + "ffn.act"], oat[L + "ffn.in"],
-                    ledger, L + "ffn", counters,
-                )
-            else:
-                ffn_out = spike_gated_ffn(
-                    ln2, w[L + "ffn.wg"], w[L + "ffn.bg"],
-                    w[L + "ffn.wu"], w[L + "ffn.bu"],
-                    w[L + "ffn.wd"], w[L + "ffn.bd"],
-                    hg[L + "ffn.act"], oat[L + "ffn.in"],
-                    ledger, L + "ffn", counters,
-                    oat_mid=oat[L + "ffn.mid"], oat_out=oat[L + "ffn.z"],
-                )
-            ffn_dec = decode_train(ffn_out, ledger, L + "ffn.out_decode")
-            cur = cur + ffn_dec.array
-            stream = constant_train(Matrix(cur), T)
-        except NonFiniteError as exc:
-            raise SpikePathError(L + "ffn") from exc
-        per_layer[L + "ffn_residual"] = float(
-            np.abs(cur - refs[L + "ffn_residual"]).mean()
-        )
 
     out = Matrix(cur)
     trace = RunTrace(

@@ -88,9 +88,11 @@ def _check_finite_reals(name: str, values: tuple) -> None:
 _MAX_H = 1024
 
 
-def _check_exact_range(H: int, T: int) -> None:
-    """Refuse H above _MAX_H, and any (H, T) whose unit-space integers, up
-    to (2H-1) * 2^T, would not all be exact in float64's 53-bit mantissa."""
+def _check_exact_range(H: int, T: int, **scales: float) -> None:
+    """Refuse H above _MAX_H, any (H, T) whose unit-space integers, up to
+    (2H-1) * 2^T, would not all be exact in float64's 53-bit mantissa, and
+    any named scale whose grid unit scale * 2^-T / H leaves float64's
+    normal range at a T within that bound."""
     if H > _MAX_H:
         raise ValueError(f"H must be at most {_MAX_H}, got {H}")
     T_max = 53 - int(2 * H - 1).bit_length()
@@ -99,6 +101,13 @@ def _check_exact_range(H: int, T: int) -> None:
             f"T={T} is too many steps for H={H}: (2H-1) * 2^T must stay "
             f"below 2^53, so T <= {T_max}"
         )
+    floor = H * 2.0**T_max * sys.float_info.min
+    for name, tau in scales.items():
+        if tau < floor:
+            raise ValueError(
+                f"{name}={tau} is too small: its grid unit {name} * 2^-T / H must "
+                f"stay a normal float at every T <= {T_max}, so {name} >= {floor:.6g}"
+            )
 
 
 @dataclass(frozen=True)
@@ -145,7 +154,7 @@ class MTConfig:
             raise ValueError(f"H must be at least 1, got {self.H}")
         if self.T < 1:
             raise ValueError(f"T must be at least 1, got {self.T}")
-        _check_exact_range(self.H, self.T)
+        _check_exact_range(self.H, self.T, tau=self.tau)
 
 
 @dataclass(frozen=True)
@@ -169,7 +178,7 @@ class OATConfig:
             )
         if self.H < 1 or self.T < 1:
             raise ValueError("H and T must be at least 1")
-        _check_exact_range(self.H, self.T)
+        _check_exact_range(self.H, self.T, theta_nor=self.theta_nor)
 
 
 @dataclass(frozen=True)
@@ -349,10 +358,13 @@ def _mt_units(x: np.ndarray, tau, H: int, T: int) -> tuple:
     """Sign, magnitude and grid unit of a 1-D batch in unit space.
 
     The unit is the finest grid step tau * 2^-T / H; inputs within _SNAP_UNITS
-    of a grid point snap onto it.
+    of a grid point snap onto it. |x| is first clamped at 2 tau (tau capped
+    so that stays finite): every step saturates above (2H-1)/H * tau, so no
+    emission changes, and x / unit cannot overflow.
     """
     unit = tau * 2.0 ** (-T) / H
-    W = np.asarray(x, dtype=np.float64) / unit
+    lim = 2.0 * np.minimum(tau, sys.float_info.max / 2)
+    W = np.minimum(np.maximum(x, -lim), lim) / unit
     Wr = np.rint(W)
     W = np.where(np.abs(W - Wr) <= _SNAP_UNITS, Wr, W)
     return np.sign(W), np.abs(W), unit

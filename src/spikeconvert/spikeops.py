@@ -25,9 +25,11 @@ unchecked through SpikeMatrixTrain._wrap; encode_matrix and apply_hg refuse
 non-finite input, which catches a bad value where a decoded train re-enters.
 
 The composite layers (softmax, LayerNorm, FFN, gated FFN) weave these
-products together with the fitted neuron gates. Each takes an optional
-energy ledger (event-gated additions are recorded per site) and an optional
-counters dict where range-clamp totals are tallied.
+products together with the fitted neuron gates, through reencode and
+project. Each takes an optional energy ledger (event-gated additions are
+recorded per site) and an optional counters dict where range-clamp totals
+are tallied as "<gate site>.clamped". A composite's site is its sublayer;
+it charges each encoder and gate at the leaf of its block key (".exp").
 """
 from __future__ import annotations
 
@@ -126,6 +128,15 @@ def apply_hg(
     return _train(values, events, x, ledger, site)
 
 
+def reencode(
+    ts: SpikeMatrixTrain, cfg: OATConfig, ledger=None, site: str = "encode"
+) -> SpikeMatrixTrain:
+    """Decode a train (charged at site + "_decode") and encode the result
+    again through the dual-range encoder at site, at the train's T."""
+    return encode_matrix(decode_train(ts, ledger, site + "_decode"), cfg, ts.steps,
+                         ledger, site)
+
+
 def scale_columns(ts: SpikeMatrixTrain, g: Matrix) -> SpikeMatrixTrain:
     """Per-column scaling of every step; linear, so decode scales the same."""
     if g.shape != (1, ts.cols):
@@ -175,6 +186,16 @@ def saw_mul_right(
     if ledger is not None:
         ledger.record_sop(site, int(np.count_nonzero(xs.events)) * W.cols)
     return SpikeMatrixTrain._wrap(out)
+
+
+def project(
+    xs: SpikeMatrixTrain, W: Matrix, b: Matrix | None = None, ledger=None,
+    site: str = "saw",
+) -> Matrix:
+    """Decoded xs @ W plus an optional (1, cols) bias row: the product is
+    charged at site and its decode at site + "_decode"."""
+    out = decode_train(saw_mul_right(xs, W, ledger, site), ledger, site + "_decode")
+    return out if b is None else Matrix(out.array + b.array)
 
 
 def _prefix_sums(v: np.ndarray) -> np.ndarray:
@@ -286,10 +307,10 @@ def spike_softmax(
     T = zs.steps
     shifted = softmax_offset(zs, ledger, site + ".offset")
     zhat = decode_train(shifted, ledger, site + ".offset_decode")
-    e_train = apply_hg(zhat, exp_cfg, T, ledger, site + ".exp_gate", counters)
+    e_train = apply_hg(zhat, exp_cfg, T, ledger, site + ".exp", counters)
     denom = decode_train(e_train, ledger, site + ".denom")
     row_sums = Matrix._wrap(denom.array.sum(axis=1, keepdims=True))
-    inv_train = apply_hg(row_sums, inv_cfg, T, ledger, site + ".inv_gate", counters)
+    inv_train = apply_hg(row_sums, inv_cfg, T, ledger, site + ".recip", counters)
     return hadamard_mul(e_train, inv_train, ledger, site + ".norm")
 
 
@@ -318,14 +339,14 @@ def spike_layernorm(
     centered = Matrix(x.array - mu)
     if ledger is not None:
         # row-mean accumulation plus per-element subtraction
-        ledger.record_sop(site + ".center", 2 * x.rows * x.cols)
-    c_train = encode_matrix(centered, oat, T, ledger, site + ".center_encode")
-    sq_train = apply_hg(centered, square_cfg, T, ledger, site + ".square_gate", counters)
+        ledger.record_sop(site + ".mean", 2 * x.rows * x.cols)
+    c_train = encode_matrix(centered, oat, T, ledger, site + ".center")
+    sq_train = apply_hg(centered, square_cfg, T, ledger, site + ".square", counters)
     sq = decode_train(sq_train, ledger, site + ".square_decode")
     var = Matrix._wrap(sq.array.mean(axis=1, keepdims=True))
     if ledger is not None:
         ledger.record_sop(site + ".variance", x.rows * x.cols)
-    inv_train = apply_hg(var, invsqrt_cfg, T, ledger, site + ".invsqrt_gate", counters)
+    inv_train = apply_hg(var, invsqrt_cfg, T, ledger, site + ".invsqrt", counters)
     normed = hadamard_mul(c_train, inv_train, ledger, site + ".norm")
     scaled = scale_columns(normed, gamma)
     shift = constant_train(Matrix(np.broadcast_to(beta.array, scaled.shape)), T)
@@ -346,12 +367,8 @@ def spike_ffn(
 ) -> SpikeMatrixTrain:
     """Two-layer FFN: re-encode input, project, gate the activation, project."""
     T = xs.steps
-    x = decode_train(xs, ledger, site + ".in_decode")
-    xt = encode_matrix(x, oat, T, ledger, site + ".in_encode")
-    h_train = saw_mul_right(xt, W1, ledger, site + ".w1")
-    pre = decode_train(h_train, ledger, site + ".w1_decode")
-    pre = Matrix(pre.array + b1.array)
-    act_train = apply_hg(pre, act_cfg, T, ledger, site + ".act_gate", counters)
+    pre = project(reencode(xs, oat, ledger, site + ".in"), W1, b1, ledger, site + ".w1")
+    act_train = apply_hg(pre, act_cfg, T, ledger, site + ".act", counters)
     out = saw_mul_right(act_train, W2, ledger, site + ".w2")
     shift = constant_train(Matrix(np.broadcast_to(b2.array, out.shape)), T)
     return add_trains(out, shift)
@@ -367,32 +384,26 @@ def spike_gated_ffn(
     bd: Matrix,
     act_cfg: HGConfig,
     oat: OATConfig,
+    oat_mid: OATConfig,
+    oat_out: OATConfig,
     ledger=None,
     site: str = "ffn",
     counters: dict | None = None,
-    oat_mid: OATConfig | None = None,
-    oat_out: OATConfig | None = None,
 ) -> SpikeMatrixTrain:
     """Gated FFN: activation-gated up-projection with a Hadamard interaction.
 
     g = gate(x @ Wg + bg), u = x @ Wu + bu, z = enc(u) * g, out = z @ Wd + bd.
-    The mid and output re-encoders default to the input one but should be
-    calibrated separately; u and z live on different scales than x.
+    x, u and z live on different scales, so each has its own encoder: oat
+    (site ".in"), oat_mid (".mid") and oat_out (".z"); the gate is ".act".
     """
     T = xs.steps
-    x = decode_train(xs, ledger, site + ".in_decode")
-    xt = encode_matrix(x, oat, T, ledger, site + ".in_encode")
-    g_pre = decode_train(saw_mul_right(xt, Wg, ledger, site + ".wg"),
-                         ledger, site + ".wg_decode")
-    g_pre = Matrix(g_pre.array + bg.array)
-    g_train = apply_hg(g_pre, act_cfg, T, ledger, site + ".act_gate", counters)
-    u = decode_train(saw_mul_right(xt, Wu, ledger, site + ".wu"),
-                     ledger, site + ".wu_decode")
-    u = Matrix(u.array + bu.array)
-    u_train = encode_matrix(u, oat_mid or oat, T, ledger, site + ".mid_encode")
+    xt = reencode(xs, oat, ledger, site + ".in")
+    g_pre = project(xt, Wg, bg, ledger, site + ".wg")
+    g_train = apply_hg(g_pre, act_cfg, T, ledger, site + ".act", counters)
+    u = project(xt, Wu, bu, ledger, site + ".wu")
+    u_train = encode_matrix(u, oat_mid, T, ledger, site + ".mid")
     z_train = hadamard_mul(u_train, g_train, ledger, site + ".interact")
-    z = decode_train(z_train, ledger, site + ".z_decode")
-    zt = encode_matrix(z, oat_out or oat, T, ledger, site + ".z_encode")
+    zt = reencode(z_train, oat_out, ledger, site + ".z")
     out = saw_mul_right(zt, Wd, ledger, site + ".wd")
     shift = constant_train(Matrix(np.broadcast_to(bd.array, out.shape)), T)
     return add_trains(out, shift)

@@ -9,7 +9,7 @@ import shutil
 import numpy as np
 import pytest
 
-from spikeconvert.cli import main
+from spikeconvert.cli import _run_report, main
 from spikeconvert.model import (
     ConvertedBlock,
     ModelConfig,
@@ -20,6 +20,7 @@ from spikeconvert.model import (
     save_block,
     save_config,
     save_weights,
+    spike_forward,
 )
 from spikeconvert.neurons import FSParams, HGConfig
 from spikeconvert.tensors import Matrix
@@ -241,6 +242,16 @@ class TestRun:
         assert rep["ledger"]["sops"] > 0 and rep["ledger"]["flops"] > 0
         assert rep["calibration"]["layers.0.ffn.act"]["target"] == "gelu"
 
+    def test_report_copies_the_trace(self, work):
+        block = load_block(str(work / "block.json"))
+        _, trace = spike_forward(block, load_weights(str(work / "input.lasw"))["input"])
+        want = trace.to_dict()
+        rep = _run_report(block, trace)
+        assert {key: rep[key] for key in want} == want
+        with open(work / "report.json") as fh:
+            on_disk = json.load(fh)
+        assert {key: on_disk[key] for key in want} == json.loads(json.dumps(want))
+
     def test_stdout_line(self, work, capsys):
         assert main(["run", "--block", str(work / "block.json"),
                      "--input", str(work / "input.lasw")]) == 0
@@ -395,6 +406,16 @@ class TestRun:
                                           value, message):
         assert _run_edited_block(work, tmp_path, path, value) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("site", ["input", "layers.0.ffn.in"])
+    def test_underflowing_grid_unit_named(self, work, tmp_path, capsys, site):
+        # at T=50 the unit 1e-320 * 2^-50 / 3 is 0, and an exact zero input
+        # would encode as 0/0 in a later sublayer: refused on load instead
+        assert _run_edited_block(work, tmp_path, ("oat", site, "theta_nor"),
+                                 1e-320) == 2
+        err = capsys.readouterr().err
+        assert f"oat site '{site}': theta_nor=1e-320 is too small" in err
+        assert "every T <= 50, so theta_nor >= " in err
 
     def test_negative_report_seed_refused(self, default_work, tmp_path, capsys):
         # no fit can be reproduced from a negative seed

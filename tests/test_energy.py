@@ -71,11 +71,6 @@ class TestCharges:
         with pytest.raises(EnergyAccountingError):
             led.record_flop("x", -1)
 
-    def test_custom_flop_costs(self):
-        led = EnergyLedger(flop_costs={"mac": 1, "div": 5})
-        led.charge("x", "div", 2)
-        assert led.flops == 10
-
     def test_sop_weight_scales_events(self):
         led = EnergyLedger(sop_weight=4)
         led.record_sop("x", 5)

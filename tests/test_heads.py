@@ -129,7 +129,7 @@ def per_head_float_forward(
         attn = ctx @ w[L + "attn.wo"].array
         mac(L + "attn.wo", r * d * d)
         cur = cur + attn
-        mac(L + "residual", r * d)
+        mac(L + "attn.residual", r * d)
         if layer_outs is not None:
             layer_outs.append((L + "attn_residual", cur.copy()))
 
@@ -159,7 +159,7 @@ def per_head_float_forward(
                 ledger.charge(L + "ffn", "exp", r * f)
                 ledger.record_flop(L + "ffn", 3 * r * f)
         cur = cur + out
-        mac(L + "residual", r * d)
+        mac(L + "ffn.residual", r * d)
         if layer_outs is not None:
             layer_outs.append((L + "ffn_residual", cur.copy()))
     return Matrix(cur)
@@ -207,19 +207,19 @@ def per_head_spike_forward(
             )
             q_f = decode_train(saw_mul_right(attn_in, w[L + "attn.wq"], ledger,
                                              L + "attn.wq"),
-                               ledger, L + "attn.q_decode")
+                               ledger, L + "attn.wq_decode")
             q = encode_matrix(Matrix(q_f.array * scale), oat[L + "attn.q"], T,
                               ledger, L + "attn.q")
             k = encode_matrix(
                 decode_train(saw_mul_right(attn_in, w[L + "attn.wk"], ledger,
                                            L + "attn.wk"),
-                             ledger, L + "attn.k_decode"),
+                             ledger, L + "attn.wk_decode"),
                 oat[L + "attn.k"], T, ledger, L + "attn.k",
             )
             v = encode_matrix(
                 decode_train(saw_mul_right(attn_in, w[L + "attn.wv"], ledger,
                                            L + "attn.wv"),
-                             ledger, L + "attn.v_decode"),
+                             ledger, L + "attn.wv_decode"),
                 oat[L + "attn.v"], T, ledger, L + "attn.v",
             )
             heads = []
@@ -230,7 +230,7 @@ def per_head_spike_forward(
                                  ledger, L + "attn.qk")
                 probs = spike_softmax(logits, hg[L + "attn.exp"],
                                       hg[L + "attn.recip"], ledger,
-                                      L + "attn.softmax", counters)
+                                      L + "attn", counters)
                 probs_enc = encode_matrix(
                     decode_train(probs, ledger, L + "attn.probs_decode"),
                     oat[L + "attn.probs"], T, ledger, L + "attn.probs",
@@ -271,8 +271,8 @@ def per_head_spike_forward(
                     w[L + "ffn.wu"], w[L + "ffn.bu"],
                     w[L + "ffn.wd"], w[L + "ffn.bd"],
                     hg[L + "ffn.act"], oat[L + "ffn.in"],
+                    oat[L + "ffn.mid"], oat[L + "ffn.z"],
                     ledger, L + "ffn", counters,
-                    oat_mid=oat[L + "ffn.mid"], oat_out=oat[L + "ffn.z"],
                 )
             ffn_dec = decode_train(ffn_out, ledger, L + "ffn.out_decode")
             cur = cur + ffn_dec.array

@@ -7,6 +7,7 @@ agree with itself by construction.
 """
 import dataclasses
 import json
+import re
 import struct
 
 import numpy as np
@@ -172,6 +173,46 @@ class TestSites:
         assert shapes["layers.0.ln1.gamma"] == (1, 8)
 
 
+def _desk_block(dist: str, **fields) -> ConvertedBlock:
+    cfg = ModelConfig(calib_distribution=dist, **fields)
+    calib = sample_distribution(dist, cfg.seq_len * 32, cfg.d_model,
+                                np.random.default_rng(cfg.seeds["calibration"]))
+    return convert(cfg, WeightSet.random(cfg, cfg.seeds["weights"]), calib)
+
+
+@pytest.fixture(scope="module")
+def desk_blocks():
+    """The default block and the 2-layer gated block on outlier data."""
+    return [_desk_block("normal"),
+            _desk_block("normal_outliers", ffn_kind="gated", n_layers=2)]
+
+
+_SUBLAYER_SITE = re.compile(r"layers\.\d+\.(ln1|attn|ln2|ffn)(\..+)?")
+
+
+class TestSiteTree:
+    """Block keys, ledger sites and counter keys name one tree."""
+
+    @pytest.mark.parametrize("T", [4, 16])
+    def test_block_keys_are_ledger_sites(self, desk_blocks, T):
+        rng = np.random.default_rng(T)
+        for block in desk_blocks:
+            cfg = block.config
+            # scaled inputs, so some gates clamp and the counters are not empty
+            x = sample_distribution(cfg.calib_distribution, cfg.seq_len,
+                                    cfg.d_model, rng)
+            x = Matrix(3.0 * x.array)
+            _, trace = spike_forward(block, x, T)
+            sites = set(trace.ledger.by_site)
+            assert set(block.oat) | set(block.hg) <= sites
+            assert trace.counters
+            for key in trace.counters:
+                assert key.endswith(".clamped"), key
+                assert key.removesuffix(".clamped") in block.hg, key
+            for site in sites:
+                assert site == "input" or _SUBLAYER_SITE.fullmatch(site), site
+
+
 class TestWeightSet:
     def test_random_is_deterministic(self, tiny_cfg):
         a = WeightSet.random(tiny_cfg, 5)
@@ -331,6 +372,15 @@ class TestConvert:
         with pytest.raises(CalibrationError, match="attn.probs"):
             broken.check_complete()
 
+    def test_check_complete_names_missing_report(self, tiny_block):
+        reports = dict(tiny_block.reports)
+        reports.pop("layers.0.attn.exp")
+        broken = ConvertedBlock(tiny_block.config, tiny_block.weights,
+                                tiny_block.oat, tiny_block.hg, reports)
+        with pytest.raises(CalibrationError, match=r"report sites mismatch: "
+                           r"missing=\['layers.0.attn.exp'\] extra=\[\]"):
+            broken.check_complete()
+
     def test_ablation_collapses_to_coarse_path(self, tiny_block):
         abl = ablate_dual_range(tiny_block)
         for site, c in abl.oat.items():
@@ -376,7 +426,7 @@ class TestSpikeForward:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("gate, sublayer, encoder", [
         ("ln1.invsqrt", "attn", "attn.in"),
-        ("ln2.invsqrt", "ffn", "ffn.in_encode"),
+        ("ln2.invsqrt", "ffn", "ffn.in"),
     ])
     def test_overflow_caught_at_next_encoder(self, tiny_block, tiny_input,
                                              gate, sublayer, encoder):

@@ -228,14 +228,16 @@ def mt_batches(draw):
 class TestChunkedEncoder:
     """_mt_run reads chunk tables in place of _mt_loop's steps, bit for bit."""
 
+    # inputs beyond the top grid level saturate silently: 1e308 / unit
+    # must neither overflow nor warn
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=300, deadline=None)
     @given(case=mt_batches())
     @example(case=(np.array([0.0, -0.0, 1e308, -1.5]), np.ones(4), 5, 16))
     def test_matches_step_loop(self, case):
         x, tau, H, T = case
-        with np.errstate(over="ignore", invalid="ignore"):  # 1e308 / unit is inf
-            values, events = _mt_run(x, tau, H, T)
-            ref_values, ref_events = _mt_loop(x, tau, H, T)
+        values, events = _mt_run(x, tau, H, T)
+        ref_values, ref_events = _mt_loop(x, tau, H, T)
         assert values.tobytes() == ref_values.tobytes()  # signed zeros too
         assert np.array_equal(events, ref_events)
 
@@ -269,6 +271,37 @@ class TestChunkedEncoder:
             make(5, 50)
         with pytest.raises(ValueError, match=r"T <= 42"):
             make(1024, 43)
+
+
+class TestUnitSpace:
+    @settings(max_examples=200, deadline=None)
+    @given(case=mt_batches())
+    @example(case=(np.array([1e308, -1e308, 1.9, 2.5]), np.ones(4), 1, 3))
+    def test_saturation_clamp_changes_no_emission(self, case):
+        # _mt_units clamps |x| at 2 tau; the plain division it replaced, which
+        # overflows to inf on +-1e308, saturates every step just the same
+        x, tau, H, T = case
+        values, events = _mt_loop(x, tau, H, T)
+        unit = tau * 2.0**-T / H
+        with np.errstate(over="ignore", invalid="ignore"):
+            W = x / unit
+            Wr = np.rint(W)
+            W = np.where(np.abs(W - Wr) <= neurons._SNAP_UNITS, Wr, W)
+            emits, ref_events = neurons._mt_steps(np.abs(W), H, T)
+        assert values.tobytes() == (np.sign(W) * emits * unit).tobytes()
+        assert np.array_equal(events, ref_events)
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda tau: MTConfig(tau, 5, 4), "tau"),
+        (lambda tau: OATConfig(tau, 1.0, 5, 4), "theta_nor"),
+    ])
+    def test_unit_must_stay_normal_at_every_runnable_T(self, make, field):
+        # H=5 runs up to T=49, where the unit is tau * 2^-49 / 5
+        floor = 5 * 2.0**49 * np.finfo(np.float64).tiny
+        make(floor)
+        for tau in (np.nextafter(floor, 0.0), 1e-300, 1e-320):
+            with pytest.raises(ValueError, match=rf"every T <= 49, so {field} >= 6\.2"):
+                make(tau)
 
 
 class TestOATNeuron:

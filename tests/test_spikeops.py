@@ -30,6 +30,8 @@ from spikeconvert.spikeops import (
     decode_train,
     encode_matrix,
     hadamard_mul,
+    project,
+    reencode,
     saa_mul,
     saw_mul,
     saw_mul_right,
@@ -456,7 +458,40 @@ PUBLIC_KERNELS = {
     "scale_columns": lambda: scale_columns(_ENC, Matrix(np.ones((1, 3)))),
     "add_trains": lambda: add_trains(_ENC, _ENC),
     "constant_train": lambda: constant_train(_X, 4),
+    "reencode": lambda: reencode(_ENC, _OAT),
 }
+
+
+class TestChainHelpers:
+    """reencode and project are the decode -> encode and product -> decode
+    chains the sublayers used to spell out, call for call."""
+
+    def test_reencode_is_decode_then_encode(self):
+        ts = random_train(np.random.default_rng(3), 6, 3, 4)
+        ledger, ref_ledger = EnergyLedger(), EnergyLedger()
+        got = reencode(ts, _OAT, ledger, "s")
+        ref = encode_matrix(decode_train(ts, ref_ledger, "s_decode"), _OAT, 6,
+                            ref_ledger, "s")
+        assert got.values.tobytes() == ref.values.tobytes()
+        assert np.array_equal(got.events, ref.events)
+        assert ledger.to_dict() == ref_ledger.to_dict()
+        assert set(ledger.by_site) == {"s", "s_decode"}
+
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_project_is_product_decode_and_bias(self, bias):
+        rng = np.random.default_rng(4)
+        ts = random_train(rng, 5, 3, 4)
+        W = Matrix(rng.standard_normal((4, 2)))
+        b = Matrix(rng.standard_normal((1, 2))) if bias else None
+        ledger, ref_ledger = EnergyLedger(), EnergyLedger()
+        got = project(ts, W, b, ledger, "w")
+        ref = decode_train(saw_mul_right(ts, W, ref_ledger, "w"), ref_ledger,
+                           "w_decode").array
+        if bias:
+            ref = ref + b.array
+        assert got.array.tobytes() == ref.tobytes()
+        assert ledger.to_dict() == ref_ledger.to_dict()
+        assert set(ledger.by_site) == {"w", "w_decode"}
 
 
 class TestImmutability:
@@ -541,7 +576,7 @@ class TestSpikeSoftmax:
         # 40 columns of equal logits: the denominator 40 exceeds hi=17
         zs = constant_train(Matrix(np.zeros((1, 40))), T16)
         spike_softmax(zs, exp_gate[0], recip_gate[0], counters=counters)
-        assert counters.get("softmax.inv_gate.clamped", 0) >= 1
+        assert counters.get("softmax.recip.clamped", 0) >= 1
 
 
 class TestSpikeLayerNorm:
@@ -679,7 +714,7 @@ class TestSpikeGatedFFN:
         bd = Matrix(rng.standard_normal((1, d)) * 0.5)
         xs = constant_train(Matrix(rng.standard_normal((3, d)) * 0.2), T16)
         out = dec(spike_gated_ffn(xs, Wg, bg, Wu, bu, Wd, bd,
-                                  silu_gate_narrow[0], OAT_UNIT))
+                                  silu_gate_narrow[0], OAT_UNIT, OAT_UNIT, OAT_UNIT))
         assert np.allclose(out, bd.array, atol=1e-12)
 
     def test_saturated_gate_passthrough(self, silu_gate_narrow):
@@ -697,7 +732,7 @@ class TestSpikeGatedFFN:
         x = Matrix(rng.standard_normal((3, d)) * 0.5)
         xs = constant_train(x, T16)
         out = dec(spike_gated_ffn(xs, Wg, bg, Wu, bu, Wd, bd, act_cfg,
-                                  OAT_UNIT))
+                                  OAT_UNIT, OAT_UNIT, OAT_UNIT))
         # mirror the internal path bitwise with public primitives
         xt = encode_matrix(x, OAT_UNIT, T16)
         u = dec(saw_mul_right(xt, Wu)) + bu.array

@@ -13,11 +13,14 @@ and runs spike_forward on seeded inputs at each step count:
 
 For every block and T the report gives the largest relative output
 difference, max|out_new - out_old| / max|out_old| over the inputs; the
-largest relative difference of output_rel_err; and whether the per-site
-SOP ledgers and the counters (the gate clamp counts) are equal. Then it
-says whether the saved block files and the calibrate output are
-byte-identical. The exit status is 0 when ledgers, counters and files all
-match, and 1 otherwise.
+largest relative difference of output_rel_err; whether the per-site SOP
+ledgers and the counters (the gate clamp counts) are equal; and whether
+the SOP/FLOP totals and the clamp totals of each layer (`input`,
+`layers.<i>`) are equal. Then it says whether the saved block files and
+the calibrate output are byte-identical. The exit status is 0 when the
+per-layer totals and the files all match, and 1 otherwise, so a site
+renamed within its layer shows in the ledgers and counters columns
+without reading as a numerics change.
 """
 from __future__ import annotations
 
@@ -96,31 +99,54 @@ def collect(checkout: str, n_inputs: int, tmp: str) -> dict:
         return pickle.load(fh)
 
 
+def layer_of(site: str) -> str:
+    """The layer a ledger or counter site lies in: `input` or `layers.<i>`."""
+    parts = site.split(".")
+    return ".".join(parts[:2]) if parts[0] == "layers" else parts[0]
+
+
+def layer_totals(ledger: dict, counters: dict) -> tuple[dict, dict]:
+    """(SOPs, FLOPs) and clamps, each summed per layer."""
+    costs: dict = {}
+    clamps: dict = {}
+    for site, counts in ledger["by_site"].items():
+        sops, flops = costs.get(layer_of(site), (0, 0))
+        costs[layer_of(site)] = (sops + counts["sops"], flops + counts["flops"])
+    for site, n in counters.items():
+        clamps[layer_of(site)] = clamps.get(layer_of(site), 0) + n
+    return costs, clamps
+
+
 def compare_runs(old: list, new: list) -> dict:
     """Largest relative differences and equality flags over paired runs."""
     out_diff = err_diff = 0.0
-    ledgers = counters = True
+    ledgers = counters = layers = clamps = True
     for (o_out, o_err, o_led, o_cnt), (n_out, n_err, n_led, n_cnt) in zip(old, new):
         scale = np.abs(o_out).max()
         out_diff = max(out_diff, float(np.abs(n_out - o_out).max() / scale))
         err_diff = max(err_diff, abs(n_err - o_err) / max(abs(o_err), 1e-300))
         ledgers &= o_led == n_led
         counters &= o_cnt == n_cnt
+        (o_costs, o_clamps), (n_costs, n_clamps) = (layer_totals(o_led, o_cnt),
+                                                    layer_totals(n_led, n_cnt))
+        layers &= o_costs == n_costs
+        clamps &= o_clamps == n_clamps
     return {"out": out_diff, "rel_err": err_diff, "ledgers": ledgers,
-            "counters": counters}
+            "counters": counters, "layers": layers, "clamps": clamps}
 
 
 def report(old: dict, new: dict) -> bool:
-    """Print the comparison table; True when ledgers, counters and files match."""
+    """Print the comparison table; True when per-layer totals and files match."""
     same = True
+    flags = ("ledgers", "counters", "layers", "clamps")
     print(f"{'block':<8} {'T':>3} {'inputs':>6} {'max|dout|/max|out|':>19} "
-          f"{'d(output_rel_err)':>18} {'ledgers':>8} {'counters':>8}")
+          f"{'d(output_rel_err)':>18} " + " ".join(f"{f:>8}" for f in flags))
     for key in sorted(old["runs"]):
         c = compare_runs(old["runs"][key], new["runs"][key])
-        same &= c["ledgers"] and c["counters"]
+        same &= c["layers"] and c["clamps"]
         eq = {True: "equal", False: "DIFFER"}
         print(f"{key[0]:<8} {key[1]:>3} {len(old['runs'][key]):>6} {c['out']:>19.3g} "
-              f"{c['rel_err']:>18.3g} {eq[c['ledgers']]:>8} {eq[c['counters']]:>8}")
+              f"{c['rel_err']:>18.3g} " + " ".join(f"{eq[c[f]]:>8}" for f in flags))
     for name in sorted(old["files"]):
         identical = old["files"][name] == new["files"].get(name)
         same &= identical

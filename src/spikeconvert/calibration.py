@@ -19,10 +19,10 @@ with the lower validation error wins; a tie goes to the always-on variant.
 
 Errors are always reported on a validation grid 10x denser than the
 training sample, never on the training sample itself, and are decoded as
-the gated bank decodes at run time. Only the winner needs its full-grid
-error: every grid point decodes on its own, so a variant's error on every
-tenth point is a lower bound on its full-grid error, and a variant whose
-bound already loses to the other's full error is never validated in full.
+the gated bank decodes at run time. The always-on variant is validated in
+full. Every grid point decodes on its own, so the plain ladder's error on
+every tenth point is a lower bound on its full-grid error, and the ladder
+is validated in full only when that bound is below the always-on error.
 The choice is the one full validation of both variants would make. (The
 training error is no substitute: fit_fs(np.exp, -2.56, -0.65, 12, 64, 56)
 trains better without the always-on step but validates better with it.)
@@ -311,11 +311,11 @@ def fit_fs(
     Trains on M uniform samples plus the endpoints; reports the max abs
     error over an inclusive validation grid with 10x the training density.
     Both schedule variants are trained; the one with the lower validation
-    error is returned, the always-on variant on a tie. The variant ahead on
-    every tenth grid point is validated in full first, and the other only
-    if its error on those points, a lower bound on its full error, could
-    still win. Deterministic for a given seed. Inputs are taken relative to
-    lo, which is how the gated bank seeds sub-range members.
+    error is returned, the always-on variant on a tie. The always-on variant
+    is validated in full, and the plain ladder only if its error on every
+    tenth grid point, a lower bound on its full error, is strictly lower.
+    Deterministic for a given seed. Inputs are taken relative to lo, which
+    is how the gated bank seeds sub-range members.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -345,21 +345,15 @@ def fit_fs(
         return float(np.abs(_fs_decode(xs - lo + guard, theta, h, d)
                             - y_val[::stride]).max())
 
-    def rank(intercept: bool, err: float) -> tuple:
-        # lower error wins; a tie goes to the intercept variant, which
-        # handles nonzero sub-range floors
-        return err, not intercept
-
-    # each grid point decodes on its own, so the error on every tenth one
-    # bounds the full-grid error from below
-    bound = {v: val_err(v, 10) for v in (True, False)}
-    best = min(bound, key=lambda v: rank(v, bound[v]))
-    err = val_err(best, 1)
-    other = not best
-    if rank(other, bound[other]) < rank(best, err):  # the other could still win
-        other_err = val_err(other, 1)
-        if rank(other, other_err) < rank(best, err):
-            best, err = other, other_err
+    # The intercept variant, which handles nonzero sub-range floors, wins a
+    # tie, so the ladder must be strictly better. Each grid point decodes on
+    # its own, so the ladder's error on every tenth one bounds its full-grid
+    # error from below: at or above the intercept's error, it cannot win.
+    best, err = True, val_err(True, 1)
+    if val_err(False, 10) < err:
+        ladder_err = val_err(False, 1)
+        if ladder_err < err:
+            best, err = False, ladder_err
     theta, h, d, _ = fits[best]
     return FSParams(theta, h, tuple(float(v) for v in d)), err
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numbers
 
-from .errors import EnergyAccountingError
+from .errors import EnergyAccountingError, FormatError
 from .neurons import _check_type
 
 E_AC = 0.9
@@ -81,23 +81,29 @@ class EnergyLedger:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnergyLedger":
-        # checked, not coerced: int(2.7) would read a corrupt count as 2
         sop_weight = d.get("sop_weight", 1)
         _check_type("sop_weight", sop_weight, numbers.Integral)
         ledger = cls(sop_weight=sop_weight)
         by_site = d.get("by_site", {})
         _check_type("by_site", by_site, dict)
         for site, counts in by_site.items():
-            _check_type(f"by_site[{site!r}]", counts, dict)
-            for key in ("sops", "flops"):
-                _check_type(f"by_site[{site!r}].{key}", counts[key], numbers.Integral)
-            ledger.record_sop(site, counts["sops"] // ledger.sop_weight)
-            ledger.record_flop(site, counts["flops"])
-        for key in ("sops", "flops"):
-            _check_type(key, d[key], numbers.Integral)
-        if ledger.sops != d["sops"] or ledger.flops != d["flops"]:
+            where = f"by_site[{site!r}]"
+            _check_type(where, counts, dict)
+            sops, flops = _count(where, counts, "sops"), _count(where, counts, "flops")
+            ledger.record_sop(site, sops // ledger.sop_weight)
+            ledger.record_flop(site, flops)
+        totals = _count("ledger", d, "sops"), _count("ledger", d, "flops")
+        if (ledger.sops, ledger.flops) != totals:
             raise EnergyAccountingError("ledger totals do not match site breakdown")
         return ledger
+
+
+def _count(where: str, node: dict, key: str) -> int:
+    # checked, not coerced: int(2.7) would read a corrupt count as 2
+    if key not in node:
+        raise FormatError(f"{where} lacks the count {key!r}")
+    _check_type(f"{where}.{key}", node[key], numbers.Integral)
+    return node[key]
 
 
 def energy_ratio(ledger: EnergyLedger) -> float:

@@ -118,13 +118,11 @@ class ModelConfig:
             raise ValueError("normal_quantile must be in (0, 1)")
         if self.samples_per_range < 64:
             raise ValueError("samples_per_range must be at least 64")
-        for key in ("weights", "calibration", "input"):
-            if key not in self.seeds:
-                raise ValueError(f"seeds must include {key!r}")
-            _check_type(f"seeds[{key!r}]", self.seeds[key], int)
-            if self.seeds[key] < 0:
-                raise ValueError(
-                    f"seeds[{key!r}] must be nonnegative, got {self.seeds[key]}")
+        _check_keys("seeds", self.seeds, {"weights", "calibration", "input"})
+        for key, seed in self.seeds.items():
+            _check_type(f"seeds[{key!r}]", seed, int)
+            if seed < 0:
+                raise ValueError(f"seeds[{key!r}] must be nonnegative, got {seed}")
 
     @property
     def d_head(self) -> int:
@@ -135,6 +133,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        _check_type("config", d, dict)
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(d) - known
         if unknown:
@@ -268,13 +267,13 @@ def float_forward(
     x: Matrix,
     ledger: EnergyLedger | None = None,
     recorder: dict | None = None,
-    layer_outs: list | None = None,
 ) -> Matrix:
     """Pure float encoder stack; the oracle for every spike comparison.
 
-    Optionally charges float-path FLOPs to a ledger, records per-site
-    activations for calibration, and captures the residual stream after
-    each sublayer.
+    Optionally charges float-path FLOPs to a ledger and records per-site
+    activations: each encoder and gate input for calibration, and the
+    residual stream after each sublayer at that sublayer's key
+    (layers.<i>.attn, layers.<i>.ffn) for the spike path's per-layer errors.
     """
     if x.cols != cfg.d_model:
         raise ShapeError(f"input has {x.cols} features, config wants {cfg.d_model}")
@@ -322,8 +321,7 @@ def float_forward(
         mac(L + "attn.wo", r * d * d)
         cur = cur + attn
         mac(L + "attn.residual", r * d)
-        if layer_outs is not None:
-            layer_outs.append((L + "attn_residual", cur.copy()))
+        _record(recorder, L + "attn", cur)
 
         ln2 = _float_layernorm(cur, w[L + "ln2.gamma"].array, w[L + "ln2.beta"].array,
                                ledger, L + "ln2", recorder)
@@ -352,8 +350,7 @@ def float_forward(
                 ledger.record_flop(L + "ffn", 3 * r * f)
         cur = cur + out
         mac(L + "ffn.residual", r * d)
-        if layer_outs is not None:
-            layer_outs.append((L + "ffn_residual", cur.copy()))
+        _record(recorder, L + "ffn", cur)
     return Matrix(cur)
 
 
@@ -466,7 +463,11 @@ def ablate_dual_range(block: ConvertedBlock) -> ConvertedBlock:
 
 @dataclass
 class RunTrace:
-    """Everything measured during one spike run, oracle values included."""
+    """Everything measured during one spike run, oracle values included.
+
+    per_layer maps each sublayer key (layers.<i>.attn, layers.<i>.ffn) to the
+    mean absolute deviation of the residual stream after that sublayer.
+    """
 
     steps: int
     output_rel_err: float
@@ -494,8 +495,8 @@ def relative_error(approx: Matrix, ref: Matrix) -> float:
 
 
 def _regroup(ts: SpikeMatrixTrain, fn) -> SpikeMatrixTrain:
-    # one reshape or transpose, applied to a train's values and events alike
-    return SpikeMatrixTrain._wrap(fn(ts.values), fn(ts.events))
+    # one reshape or transpose of a train's values
+    return SpikeMatrixTrain._wrap(fn(ts.values))
 
 
 def spike_forward(
@@ -518,9 +519,8 @@ def spike_forward(
     ledger = EnergyLedger(
         sop_weight=math.ceil(math.log2(2 * cfg.H)) if cfg.sop_bits else 1
     )
-    layer_refs: list[tuple[str, np.ndarray]] = []
-    y_ref = float_forward(cfg, w, x, ledger=ledger, layer_outs=layer_refs)
-    refs = dict(layer_refs)
+    refs: dict[str, list[np.ndarray]] = {}
+    y_ref = float_forward(cfg, w, x, ledger=ledger, recorder=refs)
 
     # every encoder and gate runs at T, whatever depth it was fitted at
     oat, hg = block.oat, block.hg
@@ -582,9 +582,7 @@ def spike_forward(
                 stream = constant_train(Matrix(cur), T)
             except NonFiniteError as exc:
                 raise SpikePathError(L + sub) from exc
-            per_layer[L + sub + "_residual"] = float(
-                np.abs(cur - refs[L + sub + "_residual"]).mean()
-            )
+            per_layer[L + sub] = float(np.abs(cur - refs[L + sub][0]).mean())
 
     out = Matrix(cur)
     trace = RunTrace(
@@ -729,8 +727,8 @@ def load_block(path: str, weights_path: str | None = None) -> ConvertedBlock:
             f"found {doc.get('version')!r}"
         )
     _check_keys("block", doc, _BLOCK_KEYS)
-    _check_type("config", doc["config"], dict)
     cfg = ModelConfig.from_dict(doc["config"])
+    _check_type("weights_file", doc["weights_file"], str)
     if weights_path is None:
         weights_path = os.path.join(os.path.dirname(path) or ".", doc["weights_file"])
     block = ConvertedBlock(

@@ -28,10 +28,11 @@ mt_encode runs the greedy step loop, _mt_loop. The dual-range encoder (one
 mt pass with a per-element tau) and the gated bank run whole matrices
 through spikeops.encode_matrix and apply_hg. The dual-range pass, _mt_run,
 takes its steps P at a time from cached tables of the step loop's
-emissions and matches _mt_loop bit for bit. It relies on every unit-space
-integer being exact, so the configs refuse H > 1024 and any (H, T) with
-(2H-1) * 2^T >= 2^53. hg_eval decodes the bank on a 1-D batch, which is
-how a fitted bank's error is checked. _fs_steps is the one few-step
+emissions and matches _mt_loop bit for bit. The configs refuse H > 1024
+and any T above a step ceiling (25 at H = 5), past which a decoded grid
+value may not re-encode exactly; below it every unit-space integer is
+exact, which _mt_run relies on. hg_eval decodes the bank on a 1-D batch,
+which is how a fitted bank's error is checked. _fs_steps is the one few-step
 recurrence: _fs_bits collects its firing bits, to fit and to run, and
 _fs_decode sums the weighted steps in step order, to validate a fit, so a
 fit sees exactly the bits the runtime fires and reports exactly the error
@@ -88,18 +89,36 @@ def _check_finite_reals(name: str, values: tuple) -> None:
 _MAX_H = 1024
 
 
+@functools.cache
+def _max_steps(H: int) -> int:
+    """The step ceiling at H: the most steps at which a decoded grid value
+    re-encodes bit for bit.
+
+    The value decodes to k units, k < (2H-1) * 2^T, through T rounded
+    products summed in step order, and re-encoding divides by the unit once
+    more: T + 1 roundings of 2^-53 each, so it lands within
+    (T+1) * (2H-1) * 2^T * 2^-53 units of k. While that is at most
+    _SNAP_UNITS it snaps back onto k. The ceiling (25 at H = 5) also keeps
+    every unit-space integer below 2^53, which the chunked encoder needs.
+    """
+    T = 0
+    while (T + 2) * (2 * H - 1) * 2.0 ** (T + 1 - 53) <= _SNAP_UNITS:
+        T += 1
+    return T
+
+
 def _check_exact_range(H: int, T: int, **scales: float) -> None:
-    """Refuse H above _MAX_H, any (H, T) whose unit-space integers, up to
-    (2H-1) * 2^T, would not all be exact in float64's 53-bit mantissa, and
-    any named scale whose grid unit scale * 2^-T / H leaves float64's
-    normal range at a T within that bound."""
+    """Refuse H above _MAX_H, any T above the step ceiling at H, and any named
+    scale whose grid unit scale * 2^-T / H leaves float64's normal range at a
+    T within that ceiling."""
     if H > _MAX_H:
         raise ValueError(f"H must be at most {_MAX_H}, got {H}")
-    T_max = 53 - int(2 * H - 1).bit_length()
+    T_max = _max_steps(H)
     if T > T_max:
         raise ValueError(
-            f"T={T} is too many steps for H={H}: (2H-1) * 2^T must stay "
-            f"below 2^53, so T <= {T_max}"
+            f"T={T} is too many steps for H={H}: a decoded grid value re-encodes "
+            f"exactly only while (T+1) * (2H-1) * 2^T * 2^-53 <= {_SNAP_UNITS:g} "
+            f"grid units, so T <= {T_max}"
         )
     floor = H * 2.0**T_max * sys.float_info.min
     for name, tau in scales.items():
@@ -219,15 +238,15 @@ class HGConfig:
 class SpikeMatrixTrain:
     """T timesteps of weighted spike values with matrix shape.
 
-    values[t] is the (rows x cols) weighted emission at step t and is zero
-    wherever the boolean firing mask events[t] is False. Without an explicit
-    mask, every nonzero value counts as an event. Batch axes may follow the
-    step axis, as in a (T, heads, rows, cols) stack of attention heads.
+    values[t] is the (rows x cols) weighted emission at step t. An event is
+    a nonzero value: a firing adds its step weight, so one of weight 0.0
+    adds nothing and is no event. Batch axes may follow the step axis, as
+    in a (T, heads, rows, cols) stack of attention heads.
     """
 
-    __slots__ = ("values", "events")
+    __slots__ = ("values",)
 
-    def __init__(self, values: np.ndarray, events: np.ndarray | None = None) -> None:
+    def __init__(self, values: np.ndarray) -> None:
         values = np.ascontiguousarray(values, dtype=np.float64)
         if values.ndim < 3:
             raise ShapeError(
@@ -237,32 +256,23 @@ class SpikeMatrixTrain:
             raise ValueError("a train needs at least one step")
         if not np.all(np.isfinite(values)):
             raise NonFiniteError("spike train contains non-finite values")
-        if events is None:
-            events = values != 0.0
-        else:
-            events = np.ascontiguousarray(events, dtype=bool)
-            if events.shape != values.shape:
-                raise ShapeError(
-                    f"values shape {values.shape} != events shape {events.shape}"
-                )
-            if np.any(values[~events] != 0.0):
-                raise ValueError("values must be zero where no event fired")
         values.setflags(write=False)
-        events.setflags(write=False)
         self.values = values
-        self.events = events
 
     @classmethod
-    def _wrap(cls, values: np.ndarray, events: np.ndarray | None = None):
-        # Internal fast path for kernel outputs, consistent by construction:
-        # no copy, no checks. Finiteness is checked where a decoded train
-        # re-enters an encoder, a gate or a Matrix.
+    def _wrap(cls, values: np.ndarray):
+        # Internal fast path for kernel outputs: no copy, no checks.
+        # Finiteness is checked where a decoded train re-enters an encoder,
+        # a gate or a Matrix.
         train = object.__new__(cls)
+        values.setflags(write=False)
         train.values = values
-        train.events = values != 0.0 if events is None else events
-        for arr in (train.values, train.events):
-            arr.setflags(write=False)
         return train
+
+    @property
+    def events(self) -> np.ndarray:
+        """The firing mask: where a value is nonzero."""
+        return self.values != 0.0
 
     @property
     def steps(self) -> int:
@@ -346,8 +356,8 @@ def fs_encode(x: float, p: FSParams) -> SpikeMatrixTrain:
     """
     if not np.isfinite(x):
         raise NonFiniteError(f"fs_encode input must be finite, got {x}")
-    events = _fs_bits(np.array([x]), p.theta, p.h, dtype=bool)[:, :, None]
-    return SpikeMatrixTrain(np.where(events, np.reshape(p.d, (-1, 1, 1)), 0.0), events)
+    fired = _fs_bits(np.array([x]), p.theta, p.h, dtype=bool)[:, :, None]
+    return SpikeMatrixTrain(np.where(fired, np.reshape(p.d, (-1, 1, 1)), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -370,22 +380,19 @@ def _mt_units(x: np.ndarray, tau, H: int, T: int) -> tuple:
     return np.sign(W), np.abs(W), unit
 
 
-def _mt_steps(a: np.ndarray, H: int, T: int) -> tuple[np.ndarray, np.ndarray]:
+def _mt_steps(a: np.ndarray, H: int, T: int) -> np.ndarray:
     """The greedy step loop on unit-space magnitudes a: (T, n) emissions in
-    units, and firing masks. Every step size is an exact power of two."""
+    units. Every step size is an exact power of two."""
     emits = np.empty((T, a.size))
-    events = np.empty((T, a.size), dtype=bool)
     for t in range(1, T + 1):
         step = 2.0 ** (T - t)
-        fire = np.greater_equal(a, H * step, out=events[t - 1])
+        fire = a >= H * step
         m = np.minimum(np.floor(a / step), 2 * H - 1)
         a = a - np.multiply(m * step, fire, out=emits[t - 1])
-    return emits, events
+    return emits
 
 
-def _mt_loop(
-    x: np.ndarray, tau: float | np.ndarray, H: int, T: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _mt_loop(x: np.ndarray, tau: float | np.ndarray, H: int, T: int) -> np.ndarray:
     """Signed greedy multi-level encoding of a 1-D batch (tau scalar or per
     element), one step at a time: the reference kernel behind mt_encode.
 
@@ -396,8 +403,7 @@ def _mt_loop(
     (2H-1)/H; the emission is subtracted from the membrane.
     """
     sign, a, unit = _mt_units(x, tau, H, T)
-    emits, events = _mt_steps(a, H, T)
-    return sign * emits * unit, events
+    return sign * _mt_steps(a, H, T) * unit
 
 
 # The largest table _mt_run looks chunks up in has about this many rows.
@@ -414,27 +420,24 @@ def _mt_chunk(H: int) -> int:
 def _mt_table(H: int, P: int) -> tuple[np.ndarray, np.ndarray]:
     """The step loop run once over every chunk input R < 2H * 2^P, in units
     of the chunk's smallest step: (P, R) emissions and (R,) chunk totals."""
-    emits, _ = _mt_steps(np.arange(2 * H * 2**P, dtype=np.float64), H, P)
+    emits = _mt_steps(np.arange(2 * H * 2**P, dtype=np.float64), H, P)
     totals = emits.sum(axis=0)
     for arr in (emits, totals):
         arr.setflags(write=False)
     return emits, totals
 
 
-def _mt_run(
-    x: np.ndarray, tau: float | np.ndarray, H: int, T: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _mt_run(x: np.ndarray, tau: float | np.ndarray, H: int, T: int) -> np.ndarray:
     """_mt_loop's encoding, bit for bit, from chunk tables instead of steps.
 
     The T steps are taken P at a time. Within a chunk whose smallest step is
     2^p units, every decision depends only on floor(a / 2^p), so that index
     picks the chunk's emissions from _mt_table and the chunk total is
     subtracted. The result is exact: every unit-space quantity is an integer
-    below 2^53 (the configs refuse (2H-1) * 2^T >= 2^53), and the magnitude
-    is first clamped at (2H-1)(2^T-1), the sum of all saturated emissions,
-    above which every step saturates, so no emission changes and every index
-    stays below (2H-1) * 2^P. A step fires exactly where it emits: a firing
-    emits at least H of its step sizes.
+    below 2^53 (the configs' step ceiling keeps (2H-1) * 2^T far below it),
+    and the magnitude is first clamped at (2H-1)(2^T-1), the sum of all
+    saturated emissions, above which every step saturates, so no emission
+    changes and every index stays below (2H-1) * 2^P.
     """
     sign, a, unit = _mt_units(x, tau, H, T)
     # fmin: a NaN magnitude (a grid unit that underflowed to zero) saturates
@@ -453,7 +456,7 @@ def _mt_run(
         a -= tab_totals[idx] * 2.0**p
         t += n
     # sign is +-1 or 0, so this rounds as _mt_loop's sign * emits * unit
-    return emits * (sign * unit), emits != 0.0
+    return emits * (sign * unit)
 
 
 def mt_encode(x: float, c: MTConfig) -> SpikeMatrixTrain:
@@ -463,8 +466,7 @@ def mt_encode(x: float, c: MTConfig) -> SpikeMatrixTrain:
     """
     if not np.isfinite(x):
         raise NonFiniteError(f"mt_encode input must be finite, got {x}")
-    values, events = _mt_loop(np.array([x]), c.tau, c.H, c.T)
-    return SpikeMatrixTrain(values[:, :, None], events[:, :, None])
+    return SpikeMatrixTrain(_mt_loop(np.array([x]), c.tau, c.H, c.T)[:, :, None])
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +474,7 @@ def mt_encode(x: float, c: MTConfig) -> SpikeMatrixTrain:
 
 
 def _hg_run(flat: np.ndarray, c: HGConfig, T: int | None = None) -> tuple:
-    """Returns (values, events, clamped_count) over a flat batch at T steps
+    """Returns (values, clamped_count) over a flat batch at T steps
     (default: the fitted depth)."""
     bs, theta, h, d, guard = c._stacked
     if T is not None and T != theta.shape[0]:
@@ -486,13 +488,13 @@ def _hg_run(flat: np.ndarray, c: HGConfig, T: int | None = None) -> tuple:
     # lo <= x < hi, so every bucket index is already within 0..N-1
     bucket = np.searchsorted(bs, x, side="right") - 1
     u = x - bs[bucket] + guard[bucket]
-    events = _fs_bits(u, theta[:, bucket], h[:, bucket], dtype=bool)
-    return np.where(events, d[:, bucket], 0.0), events, clamped
+    fired = _fs_bits(u, theta[:, bucket], h[:, bucket], dtype=bool)
+    return np.where(fired, d[:, bucket], 0.0), clamped
 
 
 def hg_eval(c: HGConfig, x: np.ndarray) -> np.ndarray:
     """Decoded outputs of the gated bank on a 1-D batch, as apply_hg decodes them."""
-    values, _, _ = _hg_run(np.asarray(x, dtype=np.float64).reshape(-1), c)
+    values, _ = _hg_run(np.asarray(x, dtype=np.float64).reshape(-1), c)
     return _sum_steps(values)
 
 

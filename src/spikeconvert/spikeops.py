@@ -1,7 +1,8 @@
 """Spike-train linear algebra and the spike-equivalent transformer sublayers.
 
 Spike trains (neurons.SpikeMatrixTrain) carry one weighted-value matrix per
-timestep. Three product kernels operate on them:
+timestep; an event is a nonzero value. Three product kernels operate on
+them:
 
   saw_mul       weight times train. Exactly linear: the decoded output is
                 the float product of the weight and the decoded input.
@@ -80,16 +81,15 @@ def encode_matrix(
     # magnitude routing as a per-element tau: the same IEEE operations as
     # encoding each range on its own
     tau = np.where(np.abs(x.data) >= cfg.theta_nor, cfg.theta_out, cfg.theta_nor)
-    values, events = _mt_run(x.data, tau, cfg.H, T)
-    return _train(values, events, x, ledger, site)
+    return _train(_mt_run(x.data, tau, cfg.H, T), x, ledger, site)
 
 
-def _train(values, events, x: Matrix, ledger, site: str) -> SpikeMatrixTrain:
-    # an encoder or gate output over a flat batch, shaped like its input
-    shape = (values.shape[0], x.rows, x.cols)
+def _train(values, x: Matrix, ledger, site: str) -> SpikeMatrixTrain:
+    # an encoder or gate output over a flat batch, shaped like its input; a
+    # count over the bool mask is several times faster than over the floats
     if ledger is not None:
-        ledger.record_sop(site, int(np.count_nonzero(events)))
-    return SpikeMatrixTrain._wrap(values.reshape(shape), events.reshape(shape))
+        ledger.record_sop(site, int(np.count_nonzero(values != 0.0)))
+    return SpikeMatrixTrain._wrap(values.reshape(values.shape[0], x.rows, x.cols))
 
 
 def constant_train(x: Matrix, T: int) -> SpikeMatrixTrain:
@@ -122,10 +122,10 @@ def apply_hg(
     """
     if not np.all(np.isfinite(x.data)):
         raise NonFiniteError(f"gate input at {site!r} contains non-finite values")
-    values, events, clamped = _hg_run(x.data, cfg, T)
+    values, clamped = _hg_run(x.data, cfg, T)
     if counters is not None and clamped:
         counters[site + ".clamped"] = counters.get(site + ".clamped", 0) + clamped
-    return _train(values, events, x, ledger, site)
+    return _train(values, x, ledger, site)
 
 
 def reencode(
@@ -258,9 +258,10 @@ def hadamard_mul(
     out = va * vb + va * _prefix_sums(vb)[:-1] + _prefix_sums(va)[:-1] * vb
     if ledger is not None:
         # a mask broadcast to the output shape repeats each entry equally often
+        ea, eb = a.events, b.events
         ledger.record_sop(site, sum(
             int(np.count_nonzero(e)) * (out.size // max(e.size, 1))
-            for e in (a.events & b.events, a.events, b.events)))
+            for e in (ea & eb, ea, eb)))
     return SpikeMatrixTrain._wrap(out)
 
 
@@ -277,11 +278,11 @@ def softmax_offset(
     if zs.cols < 1:
         raise ShapeError("softmax offset needs at least one column per row")
     prefix_max = _prefix_sums(zs.values).max(axis=-1, keepdims=True)
-    train = SpikeMatrixTrain._wrap(zs.values + (prefix_max[:-1] - prefix_max[1:]))
+    out = zs.values + (prefix_max[:-1] - prefix_max[1:])
     if ledger is not None:
         # every nonzero corrected value is one accumulation downstream
-        ledger.record_sop(site, int(np.count_nonzero(train.events)))
-    return train
+        ledger.record_sop(site, int(np.count_nonzero(out != 0.0)))
+    return SpikeMatrixTrain._wrap(out)
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,7 @@ def _run_edited_block(work, tmp_path, path, value):
     deleted when value is DROP; returns the exit code."""
     with open(work / "block.json") as fh:
         doc = json.load(fh)
+    shutil.copy(work / doc["weights_file"], tmp_path)
     node = doc
     for key in path[:-1]:
         node = node[key]
@@ -78,7 +79,6 @@ def _run_edited_block(work, tmp_path, path, value):
         node[path[-1]] = value
     bp = tmp_path / "edited_block.json"
     bp.write_text(json.dumps(doc))
-    shutil.copy(work / doc["weights_file"], tmp_path)
     return main(["run", "--block", str(bp), "--input", str(work / "input.lasw")])
 
 
@@ -217,6 +217,28 @@ class TestConvert:
                      "--out", str(tmp_path / "x.json")]) == 2
         assert "H must be at most 1024, got 2000" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", [5, None, [], "x"])
+    def test_config_that_is_not_an_object(self, work, tmp_path, capsys, doc):
+        bad = tmp_path / "bad_config.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["convert", "--config", str(bad),
+                     "--weights", str(work / "weights.lasw"),
+                     "--out", str(tmp_path / "x.json")]) == 2
+        assert f"config must be dict, got {doc!r}" in capsys.readouterr().err
+
+    def test_extra_seed_named(self, work, tmp_path, capsys):
+        with open(work / "config.json") as fh:
+            doc = json.load(fh)
+        doc["seeds"]["extra"] = "x"
+        bad = tmp_path / "bad_config.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["convert", "--config", str(bad),
+                     "--weights", str(work / "weights.lasw"),
+                     "--out", str(tmp_path / "x.json")]) == 2
+        assert ("seeds must be an object with exactly the keys ['calibration', "
+                "'input', 'weights']; missing [], unknown ['extra']"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("field, value", [("d_model", "32"), ("n_layers", True)])
     def test_wrongly_typed_config_field(self, work, tmp_path, capsys, field, value):
         with open(work / "config.json") as fh:
@@ -275,10 +297,10 @@ class TestRun:
             assert json.load(fh)["steps"] == 2
 
     def test_steps_beyond_exact_range_named(self, work, capsys):
-        # H=3: (2H-1) * 2^T stays below 2^53 only up to T=50
+        # H=3: a decoded grid value re-encodes exactly only up to T=25
         assert main(["run", "--block", str(work / "block.json"),
-                     "--input", str(work / "input.lasw"), "--steps", "51"]) == 2
-        assert "2^53, so T <= 50" in capsys.readouterr().err
+                     "--input", str(work / "input.lasw"), "--steps", "26"]) == 2
+        assert "2^-53 <= 1e-06 grid units, so T <= 25" in capsys.readouterr().err
 
     def test_missing_block(self, work, capsys):
         assert main(["run", "--block", str(work / "gone.json"),
@@ -381,6 +403,9 @@ class TestRun:
         (("reports", "layers.0.ffn.act", "max_abs_err"), 0.1,
          "reports site 'layers.0.ffn.act'"),
         (("oat", "input", "H"), 5, "oat site 'input'"),
+        (("config",), None, "config"),
+        (("weights_file",), 5, "weights_file"),
+        (("weights_file",), None, "weights_file"),
     ])
     def test_wrongly_typed_block_field_named(self, work, tmp_path, capsys,
                                              path, value, field):
@@ -409,13 +434,13 @@ class TestRun:
 
     @pytest.mark.parametrize("site", ["input", "layers.0.ffn.in"])
     def test_underflowing_grid_unit_named(self, work, tmp_path, capsys, site):
-        # at T=50 the unit 1e-320 * 2^-50 / 3 is 0, and an exact zero input
+        # at T=25 the unit 1e-320 * 2^-25 / 3 is 0, and an exact zero input
         # would encode as 0/0 in a later sublayer: refused on load instead
         assert _run_edited_block(work, tmp_path, ("oat", site, "theta_nor"),
                                  1e-320) == 2
         err = capsys.readouterr().err
         assert f"oat site '{site}': theta_nor=1e-320 is too small" in err
-        assert "every T <= 50, so theta_nor >= " in err
+        assert "every T <= 25, so theta_nor >= " in err
 
     def test_negative_report_seed_refused(self, default_work, tmp_path, capsys):
         # no fit can be reproduced from a negative seed
@@ -430,10 +455,10 @@ class TestCompare:
     def test_table(self, work, capsys):
         assert main(["compare", "--block", str(work / "block.json"),
                      "--input", str(work / "input.lasw")]) == 0
-        out = capsys.readouterr().out
-        assert "layers.0.attn_residual" in out
-        assert "layers.0.ffn_residual" in out
-        assert "output_rel_err" in out
+        lines = capsys.readouterr().out.splitlines()
+        # a row per sublayer, named by its key on the site tree
+        assert [line.split()[0] for line in lines] == [
+            "site", "layers.0.attn", "layers.0.ffn", "output_rel_err"]
 
 
 class TestSweep:
@@ -510,6 +535,25 @@ class TestEnergy:
         p.write_text(json.dumps(doc))
         assert main(["energy", "--report", str(p)]) == 2
         assert f"{field} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, message", [
+        (("ledger", "sops"), "ledger lacks the count 'sops'"),
+        (("ledger", "by_site", "input", "sops"),
+         "by_site['input'] lacks the count 'sops'"),
+        (("ledger", "by_site", "layers.0.attn.qkv", "flops"),
+         "by_site['layers.0.attn.qkv'] lacks the count 'flops'"),
+    ])
+    def test_missing_count_named(self, work, tmp_path, capsys, path, message):
+        with open(work / "report.json") as fh:
+            doc = json.load(fh)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        p = tmp_path / "bad_report.json"
+        p.write_text(json.dumps(doc))
+        assert main(["energy", "--report", str(p)]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("path, field", [
         (("ledger", "sops"), "sops"),

@@ -57,21 +57,17 @@ from spikeconvert.tensors import Matrix
 
 
 def transpose_train(ts: SpikeMatrixTrain) -> SpikeMatrixTrain:
-    return SpikeMatrixTrain._wrap(ts.values.transpose(0, 2, 1),
-                                  ts.events.transpose(0, 2, 1))
+    return SpikeMatrixTrain._wrap(ts.values.transpose(0, 2, 1))
 
 
 def slice_cols(ts: SpikeMatrixTrain, lo: int, hi: int) -> SpikeMatrixTrain:
-    return SpikeMatrixTrain._wrap(ts.values[:, :, lo:hi], ts.events[:, :, lo:hi])
+    return SpikeMatrixTrain._wrap(ts.values[:, :, lo:hi])
 
 
 def concat_cols(parts: list[SpikeMatrixTrain]) -> SpikeMatrixTrain:
     if any(p.steps != parts[0].steps for p in parts):
         raise StepMismatchError("cannot concatenate trains with different step counts")
-    return SpikeMatrixTrain._wrap(
-        np.concatenate([p.values for p in parts], axis=2),
-        np.concatenate([p.events for p in parts], axis=2),
-    )
+    return SpikeMatrixTrain._wrap(np.concatenate([p.values for p in parts], axis=2))
 
 
 def per_head_float_forward(
@@ -80,10 +76,10 @@ def per_head_float_forward(
     x: Matrix,
     ledger: EnergyLedger | None = None,
     recorder: dict | None = None,
-    layer_outs: list | None = None,
 ) -> Matrix:
     """float_forward with its per-head attention loop, as it was before
-    the heads were stacked."""
+    the heads were stacked; it records each sublayer's residual stream at
+    the sublayer's key, as float_forward does."""
     if x.cols != cfg.d_model:
         raise ShapeError(f"input has {x.cols} features, config wants {cfg.d_model}")
     if x.rows < 1:
@@ -130,8 +126,7 @@ def per_head_float_forward(
         mac(L + "attn.wo", r * d * d)
         cur = cur + attn
         mac(L + "attn.residual", r * d)
-        if layer_outs is not None:
-            layer_outs.append((L + "attn_residual", cur.copy()))
+        _record(recorder, L + "attn", cur)
 
         ln2 = _float_layernorm(cur, w[L + "ln2.gamma"].array, w[L + "ln2.beta"].array,
                                ledger, L + "ln2", recorder)
@@ -160,8 +155,7 @@ def per_head_float_forward(
                 ledger.record_flop(L + "ffn", 3 * r * f)
         cur = cur + out
         mac(L + "ffn.residual", r * d)
-        if layer_outs is not None:
-            layer_outs.append((L + "ffn_residual", cur.copy()))
+        _record(recorder, L + "ffn", cur)
     return Matrix(cur)
 
 
@@ -181,9 +175,8 @@ def per_head_spike_forward(
     ledger = EnergyLedger(
         sop_weight=math.ceil(math.log2(2 * cfg.H)) if cfg.sop_bits else 1
     )
-    layer_refs: list[tuple[str, np.ndarray]] = []
-    y_ref = per_head_float_forward(cfg, w, x, ledger=ledger, layer_outs=layer_refs)
-    refs = dict(layer_refs)
+    refs: dict[str, list[np.ndarray]] = {}
+    y_ref = per_head_float_forward(cfg, w, x, ledger=ledger, recorder=refs)
 
     # every encoder and gate runs at T, whatever depth it was fitted at
     oat, hg = block.oat, block.hg
@@ -248,9 +241,7 @@ def per_head_spike_forward(
             stream = constant_train(Matrix(cur), T)
         except NonFiniteError as exc:
             raise SpikePathError(L + "attn") from exc
-        per_layer[L + "attn_residual"] = float(
-            np.abs(cur - refs[L + "attn_residual"]).mean()
-        )
+        per_layer[L + "attn"] = float(np.abs(cur - refs[L + "attn"][0]).mean())
 
         try:
             ln2 = spike_layernorm(
@@ -279,9 +270,7 @@ def per_head_spike_forward(
             stream = constant_train(Matrix(cur), T)
         except NonFiniteError as exc:
             raise SpikePathError(L + "ffn") from exc
-        per_layer[L + "ffn_residual"] = float(
-            np.abs(cur - refs[L + "ffn_residual"]).mean()
-        )
+        per_layer[L + "ffn"] = float(np.abs(cur - refs[L + "ffn"][0]).mean())
 
     out = Matrix(cur)
     trace = RunTrace(

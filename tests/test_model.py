@@ -40,7 +40,7 @@ from spikeconvert.model import (
     save_weights,
     spike_forward,
 )
-from spikeconvert.neurons import FSParams, HGConfig
+from spikeconvert.neurons import FSParams, HGConfig, _max_steps
 from spikeconvert.tensors import Matrix
 
 TINY = dict(d_model=8, n_heads=2, d_ff=16, seq_len=4, T=8, H=3,
@@ -113,11 +113,11 @@ class TestModelConfig:
             ModelConfig(n_layers=5)
 
     def test_exact_range_bounds_named(self):
-        ModelConfig(H=1024, T=42)
+        ModelConfig(H=1024, T=17)
         with pytest.raises(ValueError, match="H must be at most 1024"):
             ModelConfig(H=1025)
-        with pytest.raises(ValueError, match=r"2\^53, so T <= 49"):
-            ModelConfig(T=50)
+        with pytest.raises(ValueError, match=r"grid units, so T <= 25"):
+            ModelConfig(T=26)
 
     def test_seed_keys_required(self):
         with pytest.raises(ValueError, match="seeds"):
@@ -330,6 +330,14 @@ class TestFloatForward:
         assert [a.shape for a in recorder["layers.0.attn.exp"]] == [
             (tiny_cfg.n_heads, tiny_input.rows, tiny_input.rows)]
 
+    def test_recorder_holds_each_sublayer_residual_stream(self, tiny_cfg,
+                                                          tiny_weights, tiny_input):
+        # at the sublayer's own key: the stream after the ffn is the output
+        recorder = {}
+        y = float_forward(tiny_cfg, tiny_weights, tiny_input, recorder=recorder)
+        assert [a.shape for a in recorder["layers.0.attn"]] == [y.shape]
+        assert [a.tobytes() for a in recorder["layers.0.ffn"]] == [y.array.tobytes()]
+
     def test_flop_charges(self, tiny_cfg, tiny_weights, tiny_input):
         from spikeconvert.energy import EnergyLedger
         led = EnergyLedger()
@@ -407,8 +415,7 @@ class TestSpikeForward:
     def test_trace_contents(self, tiny_block, tiny_input):
         out, tr = spike_forward(tiny_block, tiny_input, T=4)
         assert tr.steps == 4
-        assert set(tr.per_layer) == {"layers.0.attn_residual",
-                                     "layers.0.ffn_residual"}
+        assert set(tr.per_layer) == {"layers.0.attn", "layers.0.ffn"}
         assert tr.ledger.sops > 0 and tr.ledger.flops > 0
         d = tr.to_dict()
         assert set(d) == {"steps", "output_rel_err", "per_layer", "counters",
@@ -451,8 +458,8 @@ class TestSpikeForward:
             spike_forward(tiny_block, tiny_input, T=0)
         with pytest.raises(ValueError, match="T must be Integral"):
             spike_forward(tiny_block, tiny_input, T=4.0)
-        H = tiny_block.config.H
-        T_max = 53 - (2 * H - 1).bit_length()  # (2H-1) * 2^T < 2^53
+        T_max = _max_steps(tiny_block.config.H)  # the step ceiling
+        spike_forward(tiny_block, tiny_input, T=T_max)
         with pytest.raises(ValueError, match=f"so T <= {T_max}"):
             spike_forward(tiny_block, tiny_input, T=T_max + 1)
 

@@ -44,20 +44,14 @@ def dec1(train: SpikeMatrixTrain) -> float:
 
 
 class TestSpikeTrain:
-    def test_values_must_be_zero_when_silent(self):
-        values = np.array([[[1.0]]])
-        events = np.array([[[False]]])
-        with pytest.raises(ValueError):
-            SpikeMatrixTrain(values, events)
-
     def test_decode_single_spike(self):
         values = np.zeros((4, 1, 1))
         values[2, 0, 0] = 0.5
-        t = SpikeMatrixTrain(values, values != 0)
+        t = SpikeMatrixTrain(values)
         assert dec1(t) == 0.5
 
     def test_all_silent_decodes_zero(self):
-        t = SpikeMatrixTrain(np.zeros((3, 1, 2)), np.zeros((3, 1, 2), dtype=bool))
+        t = SpikeMatrixTrain(np.zeros((3, 1, 2)))
         assert np.array_equal(decode(t).array, np.zeros((1, 2)))
 
 
@@ -236,10 +230,8 @@ class TestChunkedEncoder:
     @example(case=(np.array([0.0, -0.0, 1e308, -1.5]), np.ones(4), 5, 16))
     def test_matches_step_loop(self, case):
         x, tau, H, T = case
-        values, events = _mt_run(x, tau, H, T)
-        ref_values, ref_events = _mt_loop(x, tau, H, T)
-        assert values.tobytes() == ref_values.tobytes()  # signed zeros too
-        assert np.array_equal(events, ref_events)
+        values = _mt_run(x, tau, H, T)
+        assert values.tobytes() == _mt_loop(x, tau, H, T).tobytes()  # signed zeros too
 
     def test_chunk_size(self):
         # the table has at most 4096 rows
@@ -254,23 +246,23 @@ class TestChunkedEncoder:
 
         monkeypatch.setattr(neurons, "_mt_run", refuse)
         train = mt_encode(0.6, MTConfig(1.0, 5, 16))
-        values, events = _mt_loop(np.array([0.6]), 1.0, 5, 16)
+        values = _mt_loop(np.array([0.6]), 1.0, 5, 16)
         assert train.values[:, :, 0].tobytes() == values.tobytes()
-        assert np.array_equal(train.events[:, :, 0], events)
 
     @pytest.mark.parametrize("make", [
         lambda H, T: MTConfig(1.0, H, T),
         lambda H, T: OATConfig(1.0, 2.0, H, T),
     ])
     def test_exact_range_bounds(self, make):
-        make(1024, 42)  # (2H-1) * 2^T = 2047 * 2^42 < 2^53
-        make(1, 52)
+        # the step ceiling: (T+1) * (2H-1) * 2^T * 2^-53 <= 1e-6 grid units
+        make(1024, 17)
+        make(1, 28)
         with pytest.raises(ValueError, match="at most 1024"):
             make(1025, 4)
-        with pytest.raises(ValueError, match=r"2\^53, so T <= 49"):
-            make(5, 50)
-        with pytest.raises(ValueError, match=r"T <= 42"):
-            make(1024, 43)
+        with pytest.raises(ValueError, match=r"2\^-53 <= 1e-06 grid units, so T <= 25"):
+            make(5, 26)
+        with pytest.raises(ValueError, match=r"T <= 17"):
+            make(1024, 18)
 
 
 class TestUnitSpace:
@@ -281,27 +273,49 @@ class TestUnitSpace:
         # _mt_units clamps |x| at 2 tau; the plain division it replaced, which
         # overflows to inf on +-1e308, saturates every step just the same
         x, tau, H, T = case
-        values, events = _mt_loop(x, tau, H, T)
+        values = _mt_loop(x, tau, H, T)
         unit = tau * 2.0**-T / H
         with np.errstate(over="ignore", invalid="ignore"):
             W = x / unit
             Wr = np.rint(W)
             W = np.where(np.abs(W - Wr) <= neurons._SNAP_UNITS, Wr, W)
-            emits, ref_events = neurons._mt_steps(np.abs(W), H, T)
+            emits = neurons._mt_steps(np.abs(W), H, T)
         assert values.tobytes() == (np.sign(W) * emits * unit).tobytes()
-        assert np.array_equal(events, ref_events)
 
     @pytest.mark.parametrize("make, field", [
         (lambda tau: MTConfig(tau, 5, 4), "tau"),
         (lambda tau: OATConfig(tau, 1.0, 5, 4), "theta_nor"),
     ])
     def test_unit_must_stay_normal_at_every_runnable_T(self, make, field):
-        # H=5 runs up to T=49, where the unit is tau * 2^-49 / 5
-        floor = 5 * 2.0**49 * np.finfo(np.float64).tiny
+        # H=5 runs up to T=25, where the unit is tau * 2^-25 / 5
+        floor = 5 * 2.0**25 * np.finfo(np.float64).tiny
         make(floor)
         for tau in (np.nextafter(floor, 0.0), 1e-300, 1e-320):
-            with pytest.raises(ValueError, match=rf"every T <= 49, so {field} >= 6\.2"):
+            with pytest.raises(ValueError, match=rf"every T <= 25, so {field} >= 3\.7"):
                 make(tau)
+
+
+class TestStepCeiling:
+    """At the step ceiling, the most T the configs take at H, every decoded
+    value re-encodes exactly: decode -> encode gives the same train."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(H=st.integers(1, 1024), tau=st.floats(1e-3, 1e3), data=st.data())
+    @example(H=5, tau=1.0, data=None)
+    def test_decoded_values_re_encode_at_the_ceiling(self, H, tau, data):
+        T = neurons._max_steps(H)
+        MTConfig(tau, H, T)  # accepted at the ceiling
+        top = (2 * H - 1) * 2**T  # grid points reach (2H-1)/H * tau
+        if data is None:  # the largest grid values, where rounding is worst
+            k, off = [top, 1 - top, top // 3], [1.999, -1.2345]
+        else:
+            k = data.draw(st.lists(st.integers(-top, top), min_size=1, max_size=32))
+            off = data.draw(st.lists(st.floats(-2.0, 2.0), max_size=32))
+        x = np.concatenate([np.array(k) * (tau * 2.0**-T / H), np.array(off) * tau])
+        train = _mt_run(x, tau, H, T)
+        # equal values; a silent step of a value that decoded to zero may
+        # flip the sign of its zero
+        assert np.array_equal(_mt_run(_sum_steps(train), tau, H, T), train)
 
 
 class TestOATNeuron:
@@ -523,14 +537,14 @@ def fs_run_reference(x, p):
     x = np.asarray(x, dtype=np.float64)
     T = p.steps
     values = np.zeros((T, x.size))
-    events = np.zeros((T, x.size), dtype=bool)
+    fired = np.zeros((T, x.size), dtype=bool)
     v = x.copy()
     for t in range(T):
         fire = v >= p.theta[t]
-        events[t] = fire
+        fired[t] = fire
         values[t] = np.where(fire, p.d[t], 0.0)
         v = v - p.h[t] * fire
-    return values, events
+    return values, fired
 
 
 @st.composite
@@ -568,16 +582,13 @@ def hg_run_reference(flat, c):
     bucket = np.clip(bucket, 0, len(c.subneurons) - 1)
     T = c.subneurons[0].steps
     values = np.zeros((T, flat.size))
-    events = np.zeros((T, flat.size), dtype=bool)
     for i, p in enumerate(c.subneurons):
         idx = np.nonzero(bucket == i)[0]
         if idx.size == 0:
             continue
         u = x[idx] - bs[i] + (p.theta[0] if p.h[0] == 0.0 else 0.0)
-        v, e = fs_run_reference(u, p)
-        values[:, idx] = v
-        events[:, idx] = e
-    return values, events, clamped
+        values[:, idx], _ = fs_run_reference(u, p)
+    return values, clamped
 
 
 @st.composite
@@ -602,15 +613,13 @@ class TestGateBank:
     @given(case=bank_runs())
     def test_matches_per_sub_kernel_reference(self, case):
         c, xs, T = case
-        values, events, clamped = _hg_run(xs, c, T)
-        ref_values, ref_events, ref_clamped = hg_run_reference(xs, hg_at_steps(c, T))
+        values, clamped = _hg_run(xs, c, T)
+        ref_values, ref_clamped = hg_run_reference(xs, hg_at_steps(c, T))
         assert values.tobytes() == ref_values.tobytes()
-        assert np.array_equal(events, ref_events)
         assert clamped == ref_clamped
         counters = {}
         train = apply_hg(Matrix(xs[None]), c, T, counters=counters, site="g")
         assert train.values.tobytes() == ref_values.tobytes()
-        assert np.array_equal(train.events[:, 0], ref_events)
         assert counters.get("g.clamped", 0) == ref_clamped
 
 
@@ -619,12 +628,11 @@ class TestFSRecurrence:
     @given(case=schedules_with_edge_inputs())
     def test_matches_per_step_reference(self, case):
         p, xs = case
-        ref_values, ref_events = fs_run_reference(xs, p)
-        assert np.array_equal(_fs_bits(xs, p.theta, p.h), ref_events)
+        ref_values, ref_fired = fs_run_reference(xs, p)
+        assert np.array_equal(_fs_bits(xs, p.theta, p.h), ref_fired)
         for j, x in enumerate(xs):
             train = fs_encode(float(x), p)
             assert train.values[:, 0, 0].tobytes() == ref_values[:, j].tobytes()
-            assert np.array_equal(train.events[:, 0, 0], ref_events[:, j])
 
     @settings(max_examples=300, deadline=None)
     @given(case=schedules_with_edge_inputs(), silent=st.sets(st.integers(0, 7)))

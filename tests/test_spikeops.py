@@ -15,7 +15,7 @@ their oracles.
 """
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spikeconvert.calibration import fit_target, gelu
@@ -69,11 +69,6 @@ class TestTrainPlumbing:
     def test_rejects_non_3d(self):
         with pytest.raises(ShapeError):
             SpikeMatrixTrain(np.zeros((2, 3)))
-
-    def test_rejects_value_without_event(self):
-        v = np.ones((1, 2, 2))
-        with pytest.raises(ValueError):
-            SpikeMatrixTrain(v, np.zeros((1, 2, 2), dtype=bool))
 
     def test_constant_train_delivers_once(self):
         x = Matrix(np.array([[1.5, -2.0]]))
@@ -308,19 +303,20 @@ def softmax_offset_reference(zs, ledger=None, site="offset"):
 
 
 def event_train(rng, T, shape, density):
-    """A train with an explicit event mask at the given density: some events
-    carry a zero weight (as a gate step with d = 0 does) and silent entries
-    are +0.0 or -0.0 (as the encoder emits for negative inputs)."""
-    events = rng.random((T,) + shape) < density
+    """A train whose entries fire at about the given density: a firing draws
+    a weight that is zero one time in ten (a zero-weight firing is silent, as
+    a gate step with d = 0 is), and silent entries are +0.0 or -0.0 (as the
+    encoder emits for negative inputs)."""
+    fired = rng.random((T,) + shape) < density
     weights = rng.standard_normal((T,) + shape) * (rng.random((T,) + shape) > 0.1)
     zeros = np.where(rng.random((T,) + shape) < 0.5, -0.0, 0.0)
-    return SpikeMatrixTrain(np.where(events, weights, zeros), events)
+    return SpikeMatrixTrain(np.where(fired, weights, zeros))
 
 
 def view(ts, take):
-    """The train seen through one numpy view of its values and events, kept
-    uncopied as the kernels' own reshapes and transposes are."""
-    return SpikeMatrixTrain._wrap(take(ts.values), take(ts.events))
+    """The train seen through one numpy view of its values, kept uncopied as
+    the kernels' own reshapes and transposes are."""
+    return SpikeMatrixTrain._wrap(take(ts.values))
 
 
 def assert_same_run(kernel, reference, *trains):
@@ -329,7 +325,6 @@ def assert_same_run(kernel, reference, *trains):
     ref = reference(*trains, ref_ledger, "k")
     assert got.values.tobytes() == ref.values.tobytes()
     assert got.values.shape == ref.values.shape
-    assert np.array_equal(got.events, ref.events)
     assert got_ledger.to_dict() == ref_ledger.to_dict()
 
 
@@ -405,7 +400,6 @@ class TestWholeTensorKernels:
         want = np.stack([p.values for p in per_head], axis=1)
         assert got.values.shape == (T, heads, rows, cols)
         assert got.values.tobytes() == want.tobytes()
-        assert np.array_equal(got.events, np.stack([p.events for p in per_head], axis=1))
         assert ledger.to_dict() == ref_ledger.to_dict()
 
     def test_stacked_saa_mul_needs_equal_batch_axes(self):
@@ -417,12 +411,18 @@ class TestWholeTensorKernels:
 
 class TestBLASWeightProducts:
     """saw_mul and saw_mul_right multiply through BLAS. They match the
-    in-order einsum they replaced, kept here as their oracle, to 1e-15 of
-    the largest output magnitude, and charge the same SOPs."""
+    in-order einsum they replaced, kept here as their oracle, and charge the
+    same SOPs. Each output entry is a dot product of n = inner terms, summed
+    in another order. The textbook forward-error bound puts either sum within
+    about n * eps/2 times the sum of the absolute terms of the exact value,
+    so the two differ by at most n * eps times it; the check allows twice
+    that. The bound is relative to the absolute terms, not to the result,
+    which may cancel to far below them."""
 
     @settings(max_examples=100, deadline=None)
     @given(left=st.booleans(), rows=st.integers(1, 12), inner=st.integers(1, 12),
            cols=st.integers(1, 12), **run_params)
+    @example(left=False, rows=1, inner=5, cols=1, T=1, density=1.0, seed=1)
     def test_matches_in_order_einsum(self, left, rows, inner, cols, T, density, seed):
         rng = np.random.default_rng(seed)
         ledger = EnergyLedger()
@@ -430,16 +430,21 @@ class TestBLASWeightProducts:
             W = Matrix(rng.standard_normal((rows, inner)))
             xs = event_train(rng, T, (inner, cols), density)
             got = saw_mul(W, xs, ledger, "w")
-            ref = np.einsum("pr,trc->tpc", W.array, xs.values)
+            ref, terms = (np.einsum("pr,trc->tpc", a, b)
+                          for a, b in ((W.array, xs.values),
+                                       (np.abs(W.array), np.abs(xs.values))))
             sops = int(np.count_nonzero(xs.events)) * rows
         else:
             W = Matrix(rng.standard_normal((inner, cols)))
             xs = event_train(rng, T, (rows, inner), density)
             got = saw_mul_right(xs, W, ledger, "w")
-            ref = np.einsum("trc,cq->trq", xs.values, W.array)
+            ref, terms = (np.einsum("trc,cq->trq", a, b)
+                          for a, b in ((xs.values, W.array),
+                                       (np.abs(xs.values), np.abs(W.array))))
             sops = int(np.count_nonzero(xs.events)) * cols
         assert got.values.shape == ref.shape
-        assert np.abs(got.values - ref).max() <= 1e-15 * np.abs(ref).max()
+        eps = np.finfo(np.float64).eps
+        assert np.all(np.abs(got.values - ref) <= 2 * inner * eps * terms)
         assert ledger.sops == sops
 
 
@@ -473,7 +478,6 @@ class TestChainHelpers:
         ref = encode_matrix(decode_train(ts, ref_ledger, "s_decode"), _OAT, 6,
                             ref_ledger, "s")
         assert got.values.tobytes() == ref.values.tobytes()
-        assert np.array_equal(got.events, ref.events)
         assert ledger.to_dict() == ref_ledger.to_dict()
         assert set(ledger.by_site) == {"s", "s_decode"}
 
@@ -499,7 +503,6 @@ class TestImmutability:
     def test_returned_train_is_read_only(self, name):
         train = PUBLIC_KERNELS[name]()
         assert not train.values.flags.writeable
-        assert not train.events.flags.writeable
         with pytest.raises(ValueError):
             train.values[0, 0, 0] = 1.0
 

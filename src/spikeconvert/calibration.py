@@ -403,8 +403,9 @@ class CalibrationReport:
 
 
 def hg_to_dict(cfg: HGConfig) -> dict:
+    """The bank as JSON: its boundaries and each sub-range's schedule."""
     return {
-        "boundaries": list(cfg.boundaries),
+        "boundaries": cfg.boundaries.tolist(),
         "subneurons": [
             {"theta": list(p.theta), "h": list(p.h), "d": list(p.d)}
             for p in cfg.subneurons
@@ -426,17 +427,6 @@ def _check_keys(where: str, node: dict, keys: set[str]) -> None:
             f"{where} must be an object with exactly the keys {sorted(keys)}; "
             f"missing {sorted(keys - set(node))}, unknown {sorted(set(node) - keys)}"
         )
-
-
-def hg_from_dict(d: dict) -> HGConfig:
-    _check_type("gate", d, dict)
-    subs = []
-    for i, s in enumerate(_tuple("subneurons", d["subneurons"])):
-        _check_type(f"subneurons[{i}]", s, dict)
-        _check_keys(f"subneurons[{i}]", s, {"theta", "h", "d"})
-        subs.append(FSParams(_tuple("theta", s["theta"]), _tuple("h", s["h"]),
-                             _tuple("d", s["d"])))
-    return HGConfig(_tuple("boundaries", d["boundaries"]), tuple(subs))
 
 
 def fit_hg(
@@ -468,7 +458,7 @@ def fit_hg(
             )
         params.append(p)
         errs.append(err)
-    cfg = HGConfig(boundaries, tuple(params))
+    cfg = HGConfig.from_subneurons(boundaries, params)
     report = CalibrationReport(target, tuple(errs), M, seed)
     return cfg, report
 

@@ -33,8 +33,6 @@ from .calibration import (
     _check_keys,
     fit_target,
     gelu,
-    hg_from_dict,
-    hg_to_dict,
     observed_range,
     select_oat_thresholds,
     silu,
@@ -371,6 +369,7 @@ class ConvertedBlock:
     def check_complete(self) -> None:
         cfg = self.config
         targets = hg_sites(cfg)
+        self.weights.validate(cfg)
         _check_sites("encoder sites mismatch", self.oat, oat_sites(cfg), CalibrationError)
         _check_sites("gate sites mismatch", self.hg, targets, CalibrationError)
         _check_sites("report sites mismatch", self.reports, targets, CalibrationError)
@@ -380,7 +379,13 @@ class ConvertedBlock:
                 raise CalibrationError(f"encoder site {site!r}: H, T must be the "
                                        f"config's {cfg.H}, {cfg.T}, got {c.H}, {c.T}")
         for site, target in targets.items():
-            r, n = self.reports[site], len(self.hg[site].subneurons)
+            r, (steps, n) = self.reports[site], self.hg[site].theta.shape
+            # a bank carries its own step count: a shorter one would run
+            # padded with silent steps
+            if steps != cfg.T:
+                raise CalibrationError(f"gate site {site!r}: theta must be {cfg.T} "
+                                       f"rows, one per step of the config's T, "
+                                       f"got {steps}")
             if r.target != target:
                 raise CalibrationError(f"reports site {site!r}: target must be "
                                        f"{target!r}, got {r.target!r}")
@@ -601,9 +606,12 @@ def spike_forward(
 _MAGIC = b"LASW"
 _WEIGHT_VERSION = 1
 _BLOCK_FORMAT = "spikeconvert-block"
-_BLOCK_VERSION = 2
+_BLOCK_VERSION = 3
 _REPORT_KEYS = {f.name for f in dataclasses.fields(CalibrationReport)}
-_BLOCK_KEYS = {"format", "version", "config", "weights_file", "oat", "hg", "reports"}
+_BLOCK_KEYS = {"format", "version", "config", "weights_file", "oat", "reports"}
+# a gate site's bank in the block's LASW sidecar: <site>.<name> for each name,
+# boundaries as a (1, N+1) row, theta, h and d as (T, N) stacks
+_GATE_TENSORS = ("boundaries", "theta", "h", "d")
 
 
 def dump_json(obj: dict, path: str) -> None:
@@ -622,18 +630,26 @@ def load_config(path: str) -> ModelConfig:
         return ModelConfig.from_dict(json.load(fh))
 
 
-def save_weights(ws: WeightSet, path: str) -> None:
-    names = ws.names
-    blob = bytearray(struct.pack("<4sII", _MAGIC, _WEIGHT_VERSION, len(names)))
-    for name in names:
+def _write_lasw(tensors: dict[str, np.ndarray], path: str) -> None:
+    """Named 2-D float64 arrays, in name order, as a LASW file."""
+    blob = bytearray(struct.pack("<4sII", _MAGIC, _WEIGHT_VERSION, len(tensors)))
+    for name in sorted(tensors):
         nb = name.encode("utf-8")
-        m = ws[name]
+        a = tensors[name]
         blob += struct.pack("<I", len(nb))
         blob += nb
-        blob += struct.pack("<II", m.rows, m.cols)
-        blob += m.array.astype("<f8").tobytes(order="C")
+        blob += struct.pack("<II", *a.shape)
+        blob += a.astype("<f8").tobytes(order="C")
     with open(path, "wb") as fh:
         fh.write(blob)
+
+
+def _weight_arrays(ws: WeightSet) -> dict[str, np.ndarray]:
+    return {name: ws[name].array for name in ws.names}
+
+
+def save_weights(ws: WeightSet, path: str) -> None:
+    _write_lasw(_weight_arrays(ws), path)
 
 
 class _Reader:
@@ -653,7 +669,8 @@ class _Reader:
         return chunk
 
 
-def load_weights(path: str) -> WeightSet:
+def _read_lasw(path: str) -> dict[str, np.ndarray]:
+    """A LASW file's named arrays: read-only (rows, cols) float64, all finite."""
     with open(path, "rb") as fh:
         rd = _Reader(fh.read(), path)
     magic, version, count = struct.unpack("<4sII", rd.take(12))
@@ -663,7 +680,7 @@ def load_weights(path: str) -> WeightSet:
         raise FormatError(
             f"unsupported weight version: expected {_WEIGHT_VERSION}, found {version}"
         )
-    tensors: dict[str, Matrix] = {}
+    tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (nlen,) = struct.unpack("<I", rd.take(4))
         name = rd.take(nlen).decode("utf-8")
@@ -672,12 +689,25 @@ def load_weights(path: str) -> WeightSet:
         if name in tensors:
             raise FormatError(f"duplicate tensor name {name!r}")
         vals = np.frombuffer(payload, dtype="<f8").reshape(rows, cols)
-        tensors[name] = Matrix(vals)
+        if not np.isfinite(vals).all():
+            r, c = np.argwhere(~np.isfinite(vals))[0]
+            raise NonFiniteError(f"{path!r}: tensor {name!r} must be finite, "
+                                 f"got {vals[r, c]} at ({r}, {c})")
+        tensors[name] = vals
     if rd.pos != len(rd.data):
         raise FormatError(
             f"{len(rd.data) - rd.pos} trailing bytes after the last tensor"
         )
-    return WeightSet(tensors)
+    return tensors
+
+
+def _weight_set(tensors: dict[str, np.ndarray]) -> WeightSet:
+    # _read_lasw checked the arrays and made them read-only: no copy needed
+    return WeightSet({name: Matrix._wrap(a) for name, a in tensors.items()})
+
+
+def load_weights(path: str) -> WeightSet:
+    return _weight_set(_read_lasw(path))
 
 
 def _sites(doc: dict, section: str, keys: set[str], parse) -> dict:
@@ -695,11 +725,31 @@ def _sites(doc: dict, section: str, keys: set[str], parse) -> dict:
     return parsed
 
 
+def _gate_bank(site: str, tensors: dict[str, np.ndarray], path: str) -> HGConfig:
+    """Take a gate site's tensors out of a sidecar's and build its bank;
+    errors name the site and the tensor."""
+    names = [f"{site}.{name}" for name in _GATE_TENSORS]
+    missing = [name for name in names if name not in tensors]
+    if missing:
+        raise FormatError(f"gate site {site!r} lacks the tensors {missing} in {path!r}")
+    b, theta, h, d = (tensors.pop(name) for name in names)
+    where = f"gate site {site!r}"
+    if b.shape != (1, theta.shape[1] + 1):
+        raise ShapeError(f"{where}: boundaries must be (1, N+1) = "
+                         f"(1, {theta.shape[1] + 1}) for theta's N, got {b.shape}")
+    try:
+        return HGConfig(b[0], theta, h, d)
+    except ValueError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
 def save_block(block: ConvertedBlock, path: str, weights_path: str | None = None) -> None:
     block.check_complete()  # what the file leaves out must be derivable on load
     if weights_path is None:
         weights_path = os.path.splitext(path)[0] + ".lasw"
-    save_weights(block.weights, weights_path)
+    gates = {f"{site}.{name}": a for site, c in block.hg.items()
+             for name, a in zip(_GATE_TENSORS, (c.boundaries[None], c.theta, c.h, c.d))}
+    _write_lasw(_weight_arrays(block.weights) | gates, weights_path)
     doc = {
         "format": _BLOCK_FORMAT,
         "version": _BLOCK_VERSION,
@@ -707,7 +757,6 @@ def save_block(block: ConvertedBlock, path: str, weights_path: str | None = None
         "weights_file": os.path.basename(weights_path),
         "oat": {site: {"theta_nor": c.theta_nor, "theta_out": c.theta_out}
                 for site, c in block.oat.items()},
-        "hg": {site: hg_to_dict(c) for site, c in block.hg.items()},
         "reports": {site: r.to_dict() for site, r in block.reports.items()},
     }
     dump_json(doc, path)
@@ -724,19 +773,22 @@ def load_block(path: str, weights_path: str | None = None) -> ConvertedBlock:
     if doc.get("version") != _BLOCK_VERSION:
         raise FormatError(
             f"unsupported block version: expected {_BLOCK_VERSION}, "
-            f"found {doc.get('version')!r}"
+            f"found {doc.get('version')!r}; reconvert the block with "
+            f"`spikeconvert convert`"
         )
     _check_keys("block", doc, _BLOCK_KEYS)
     cfg = ModelConfig.from_dict(doc["config"])
     _check_type("weights_file", doc["weights_file"], str)
     if weights_path is None:
         weights_path = os.path.join(os.path.dirname(path) or ".", doc["weights_file"])
+    tensors = _read_lasw(weights_path)
+    hg = {site: _gate_bank(site, tensors, weights_path) for site in hg_sites(cfg)}
     block = ConvertedBlock(
         config=cfg,
-        weights=load_weights(weights_path),
+        weights=_weight_set(tensors),  # what the gate banks leave
         oat=_sites(doc, "oat", {"theta_nor", "theta_out"},
                    lambda d: OATConfig(d["theta_nor"], d["theta_out"], cfg.H, cfg.T)),
-        hg=_sites(doc, "hg", {"boundaries", "subneurons"}, hg_from_dict),
+        hg=hg,
         reports=_sites(doc, "reports", _REPORT_KEYS, CalibrationReport.from_dict),
     )
     block.check_complete()

@@ -18,10 +18,11 @@ dual-range   outlier-aware wrapper: elements are routed by magnitude to one
 gated bank   bank of fitted fs kernels. The input range is split into
              sub-ranges; exactly one sub-kernel is active per element and
              approximates an arbitrary scalar function on its sub-range.
-             The schedules are stacked once into (T, N) arrays, and every
-             element runs one T-step recurrence on its bucket's gathered
-             column; other step counts slice or pad the stacks exactly as
-             truncate_schedule / hg_at_steps (the reference) resize them.
+             The bank stores its schedules as (T, N) stacks, one column per
+             sub-range, and every element runs one T-step recurrence on its
+             bucket's gathered column; other step counts slice or pad the
+             stacks exactly as truncate_schedule / hg_at_steps (the
+             reference, on the per-sub-range subneurons view) resize them.
 
 fs_encode and mt_encode encode one scalar and serve as reference kernels;
 mt_encode runs the greedy step loop, _mt_loop. The dual-range encoder (one
@@ -47,7 +48,7 @@ import itertools
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -75,9 +76,8 @@ def _check_finite_real(name: str, value) -> None:
 
 
 def _check_finite_reals(name: str, values: tuple) -> None:
-    # A C-level pass settles the all-finite-float case. load_block checks about
-    # 22k values on the default block; with the per-element loop alone,
-    # cli_run_ms rose 54% (10 paired runs, 2-vCPU Xeon VM).
+    # A C-level pass settles the all-finite-float case; the per-element loop
+    # names the first bad entry.
     if set(map(type, values)) <= {float} and all(map(math.isfinite, values)):
         return
     for i, v in enumerate(values):
@@ -200,39 +200,87 @@ class OATConfig:
         _check_exact_range(self.H, self.T, theta_nor=self.theta_nor)
 
 
-@dataclass(frozen=True)
-class HGConfig:
-    """Gated bank: N+1 sub-range boundaries and one fitted kernel per sub-range."""
+def _refusal(name: str, a: np.ndarray, bad: np.ndarray, rule: str) -> ValueError:
+    # names the first offending entry of a whole-array check
+    at = tuple(np.argwhere(bad)[0])
+    return ValueError(f"{name}[{', '.join(map(str, at))}] must be {rule}, "
+                      f"got {float(a[at])}")
 
-    boundaries: tuple[float, ...]
-    subneurons: tuple[FSParams, ...]
+
+@dataclass(frozen=True, eq=False)
+class HGConfig:
+    """Gated bank: N+1 sub-range boundaries and one fitted kernel per sub-range,
+    stored as read-only float64 stacks: boundaries (N+1,), and the (T, N)
+    thresholds theta, resets h and weights d, whose column i is sub-range i's
+    schedule. Two banks are equal when their arrays are."""
+
+    boundaries: np.ndarray
+    theta: np.ndarray
+    h: np.ndarray
+    d: np.ndarray
+    # (N,) input guards. A fitted schedule that starts with a zero-reset step
+    # uses that step as an always-on intercept; its threshold doubles as the
+    # input guard so the intercept fires for every in-range input including
+    # the floor.
+    guard: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.boundaries) != len(self.subneurons) + 1:
-            raise ShapeError(
-                f"{len(self.subneurons)} sub-kernels need "
-                f"{len(self.subneurons) + 1} boundaries, got {len(self.boundaries)}"
-            )
-        if len(self.subneurons) == 0:
-            raise ValueError("need at least one sub-range")
-        bs = self.boundaries
-        _check_finite_reals("boundaries", bs)
-        if any(bs[i] >= bs[i + 1] for i in range(len(bs) - 1)):
-            raise ValueError("boundaries must be strictly increasing")
-        if any(p.steps != self.subneurons[0].steps for p in self.subneurons):
-            raise ShapeError("all sub-kernels must share one step count")
+        for name in ("boundaries", "theta", "h", "d"):
+            a = np.array(getattr(self, name), dtype=np.float64, order="C")
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        bs, theta = self.boundaries, self.theta
+        if theta.ndim != 2 or 0 in theta.shape:
+            raise ShapeError(f"theta must be (T, N) with T, N >= 1, got {theta.shape}")
+        for name in ("h", "d"):
+            if getattr(self, name).shape != theta.shape:
+                raise ShapeError(f"{name} must be {theta.shape} like theta, "
+                                 f"got {getattr(self, name).shape}")
+        if bs.shape != (theta.shape[1] + 1,):
+            raise ShapeError(f"{theta.shape[1]} sub-kernels need "
+                             f"{theta.shape[1] + 1} boundaries, got shape {bs.shape}")
+        for name in ("boundaries", "theta", "h", "d"):
+            a = getattr(self, name)
+            if not np.isfinite(a).all():
+                raise _refusal(name, a, ~np.isfinite(a), "finite")
+        if not (theta > 0.0).all():
+            raise _refusal("theta", theta, ~(theta > 0.0), "positive")
+        rises = bs[1:] > bs[:-1]
+        if not rises.all():
+            i = int(np.argmin(rises)) + 1
+            raise ValueError(f"boundaries must be strictly increasing, got "
+                             f"boundaries[{i}]={float(bs[i])} after {float(bs[i - 1])}")
+        guard = np.where(self.h[0] == 0.0, theta[0], 0.0)
+        guard.setflags(write=False)
+        object.__setattr__(self, "guard", guard)
 
-    @functools.cached_property
-    def _stacked(self) -> tuple[np.ndarray, ...]:
-        # boundaries, (T, N) thresholds/resets/weights and (N,) input guards.
-        # A fitted schedule that starts with a zero-reset step uses that step
-        # as an always-on intercept; its threshold doubles as the input guard
-        # so the intercept fires for every in-range input including the floor.
-        subs = self.subneurons
-        theta, h, d = (np.array([getattr(p, k) for p in subs]).T.copy()
-                       for k in ("theta", "h", "d"))
-        guard = np.array([p.theta[0] if p.h[0] == 0.0 else 0.0 for p in subs])
-        return np.array(self.boundaries), theta, h, d, guard
+    @classmethod
+    def from_subneurons(cls, boundaries, subneurons) -> "HGConfig":
+        """The bank of per-sub-range schedules, stacked as columns."""
+        if not subneurons:
+            raise ValueError("need at least one sub-range")
+        steps = {p.steps for p in subneurons}
+        if len(steps) != 1:
+            raise ShapeError("all sub-kernels must share one step count")
+        return cls(boundaries, *(np.array([getattr(p, k) for p in subneurons]).T
+                                 for k in ("theta", "h", "d")))
+
+    @property
+    def steps(self) -> int:
+        return self.theta.shape[0]
+
+    @property
+    def subneurons(self) -> tuple[FSParams, ...]:
+        """Each sub-range's schedule, a view for the reference kernels."""
+        stacks = (self.theta, self.h, self.d)
+        return tuple(FSParams(*(tuple(a[:, i].tolist()) for a in stacks))
+                     for i in range(self.theta.shape[1]))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, HGConfig):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, k), getattr(other, k))
+                   for k in ("boundaries", "theta", "h", "d"))
 
 
 class SpikeMatrixTrain:
@@ -476,7 +524,7 @@ def mt_encode(x: float, c: MTConfig) -> SpikeMatrixTrain:
 def _hg_run(flat: np.ndarray, c: HGConfig, T: int | None = None) -> tuple:
     """Returns (values, clamped_count) over a flat batch at T steps
     (default: the fitted depth)."""
-    bs, theta, h, d, guard = c._stacked
+    bs, theta, h, d, guard = c.boundaries, c.theta, c.h, c.d, c.guard
     if T is not None and T != theta.shape[0]:
         # slice, or pad with steps that never fire, as truncate_schedule does
         pad = np.zeros((max(T - theta.shape[0], 0), theta.shape[1]))
@@ -513,7 +561,8 @@ def truncate_schedule(p: FSParams, T: int) -> FSParams:
 
 
 def hg_at_steps(c: HGConfig, T: int) -> HGConfig:
-    if c.subneurons[0].steps == T:
+    if c.steps == T:
         return c
-    return HGConfig(c.boundaries, tuple(truncate_schedule(p, T) for p in c.subneurons))
+    return HGConfig.from_subneurons(c.boundaries,
+                                    [truncate_schedule(p, T) for p in c.subneurons])
 

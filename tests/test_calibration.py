@@ -18,7 +18,6 @@ from spikeconvert.calibration import (
     fit_hg,
     fit_target,
     gelu,
-    hg_from_dict,
     hg_to_dict,
     observed_range,
     sample_distribution,
@@ -28,7 +27,7 @@ from spikeconvert.calibration import (
 )
 from spikeconvert.errors import CalibrationError
 from spikeconvert.model import ModelConfig, WeightSet, convert
-from spikeconvert.neurons import FSParams, _fs_bits, _sum_steps, hg_eval
+from spikeconvert.neurons import FSParams, HGConfig, _fs_bits, _sum_steps, hg_eval
 from spikeconvert.tensors import Matrix, stats
 
 
@@ -339,7 +338,11 @@ class TestFitHG:
         again = CalibrationReport.from_dict(rep.to_dict())
         assert again == rep
         assert again.max_abs_err == max(rep.per_subrange_max_abs_err)
-        assert hg_from_dict(hg_to_dict(c)) == c
+        # the calibrate --out form of the bank holds every one of its numbers
+        doc = hg_to_dict(c)
+        subs = [FSParams(*(tuple(s[k]) for k in ("theta", "h", "d")))
+                for s in doc["subneurons"]]
+        assert HGConfig.from_subneurons(doc["boundaries"], subs) == c
 
 
 class TestTargets:

@@ -22,7 +22,8 @@ from spikeconvert.model import (
     save_weights,
     spike_forward,
 )
-from spikeconvert.neurons import FSParams, HGConfig
+from spikeconvert.model import _write_lasw
+from spikeconvert.neurons import HGConfig
 from spikeconvert.tensors import Matrix
 
 TINY = dict(d_model=8, n_heads=2, d_ff=16, seq_len=4, T=8, H=3,
@@ -66,20 +67,57 @@ DROP = object()
 
 def _run_edited_block(work, tmp_path, path, value):
     """Run a copy of work's block with the node at path set to value, or
-    deleted when value is DROP; returns the exit code."""
+    deleted when value is DROP; returns the exit code.
+
+    A path ("sidecar", site) edits the site's gate tensors in the block's
+    LASW sidecar instead: value maps each tensor's leaf name (theta, ...) to
+    a function of the tensor (None for a new one) or to DROP."""
     with open(work / "block.json") as fh:
         doc = json.load(fh)
-    shutil.copy(work / doc["weights_file"], tmp_path)
-    node = doc
-    for key in path[:-1]:
-        node = node[key]
-    if value is DROP:
-        del node[path[-1]]
+    if path[0] == "sidecar":
+        ws = load_weights(str(work / doc["weights_file"]))
+        tensors = {name: ws[name].array for name in ws.names}
+        for leaf, edit in value.items():
+            name = f"{path[1]}.{leaf}"
+            if edit is DROP:
+                del tensors[name]
+            else:
+                tensors[name] = edit(tensors.get(name))
+        _write_lasw(tensors, str(tmp_path / doc["weights_file"]))
     else:
-        node[path[-1]] = value
+        shutil.copy(work / doc["weights_file"], tmp_path)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if value is DROP:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
     bp = tmp_path / "edited_block.json"
     bp.write_text(json.dumps(doc))
     return main(["run", "--block", str(bp), "--input", str(work / "input.lasw")])
+
+
+def _entry(index, value):
+    """A sidecar edit that sets one entry of a tensor."""
+    def edit(a):
+        a = a.copy()
+        a[index] = value
+        return a
+    return edit
+
+
+def _fewer_rows(a):
+    return a[:-1]
+
+
+def _fewer_cols(a):
+    return a[:, :-1]
+
+
+def _repeated_edge(b):
+    """Boundaries whose third edge repeats the second."""
+    return _entry((0, 2), b[0, 1])(b)
 
 
 class TestParsing:
@@ -319,9 +357,7 @@ class TestRun:
         block = load_block(str(work / "block.json"))
         site = "layers.0.attn.exp"
         old = block.hg[site]
-        poisoned = HGConfig(old.boundaries, tuple(
-            FSParams(theta=p.theta, h=p.h, d=tuple(1e308 for _ in p.d))
-            for p in old.subneurons))
+        poisoned = HGConfig(old.boundaries, old.theta, old.h, np.full_like(old.d, 1e308))
         hg = dict(block.hg)
         hg[site] = poisoned
         bad = ConvertedBlock(block.config, block.weights, block.oat, hg,
@@ -342,9 +378,7 @@ class TestRun:
         site = "layers.0.ln1.invsqrt"
         old = block.hg[site]
         hg = dict(block.hg)
-        hg[site] = HGConfig(old.boundaries, tuple(
-            FSParams(p.theta, p.h, (1e308,) * p.steps)
-            for p in old.subneurons))
+        hg[site] = HGConfig(old.boundaries, old.theta, old.h, np.full_like(old.d, 1e308))
         bp = str(tmp_path / "overflow.json")
         save_block(ConvertedBlock(block.config, block.weights, block.oat, hg,
                                   block.reports), bp)
@@ -354,9 +388,23 @@ class TestRun:
 
     def test_nan_gate_weight_rejected_on_load(self, work, tmp_path, capsys):
         # a corrupt block file is an input error (2), not a spike-path one (3)
-        path = ("hg", "layers.0.ffn.act", "subneurons", 0, "d", 0)
-        assert _run_edited_block(work, tmp_path, path, float("nan")) == 2
-        assert "finite" in capsys.readouterr().err
+        path = ("sidecar", "layers.0.ffn.act")
+        assert _run_edited_block(work, tmp_path, path, {"d": _entry((0, 0), np.nan)}) == 2
+        assert ("block.lasw': tensor 'layers.0.ffn.act.d' must be finite, got nan "
+                "at (0, 0)" in capsys.readouterr().err)
+
+    def test_non_finite_input_named(self, work, tmp_path, capsys):
+        bad = str(tmp_path / "nan_input.lasw")
+        _write_lasw({"input": np.where(np.eye(4, 8) > 0, np.nan, 0.0)}, bad)
+        assert main(["run", "--block", str(work / "block.json"), "--input", bad]) == 2
+        assert (f"{bad!r}: tensor 'input' must be finite, got nan at (0, 0)"
+                in capsys.readouterr().err)
+
+    def test_version_2_block_refused(self, work, tmp_path, capsys):
+        # format 2 kept the gate banks in the JSON; the sidecar lacks them
+        assert _run_edited_block(work, tmp_path, ("version",), 2) == 2
+        assert ("unsupported block version: expected 3, found 2; reconvert the "
+                "block with `spikeconvert convert`" in capsys.readouterr().err)
 
     def test_block_that_is_not_an_object(self, work, tmp_path, capsys):
         bp = tmp_path / "list_block.json"
@@ -365,23 +413,37 @@ class TestRun:
         assert code == 2
         assert "block must be dict" in capsys.readouterr().err
 
+    # gate banks live in the sidecar: ("sidecar", site) cases edit its tensors,
+    # and the message names the site and the tensor
     @pytest.mark.parametrize("path, value, field", [
-        (("hg", "layers.0.ffn.act", "subneurons", 0, "theta", 0), "0.5", "theta[0]"),
-        (("hg", "layers.0.ffn.act", "subneurons", 0, "h", 1), "0.5", "h[1]"),
-        (("hg", "layers.0.ffn.act", "subneurons", 0, "d", 0), True, "d[0]"),
-        (("hg", "layers.0.ffn.act", "subneurons", 0, "d", 1), 10**400, "d[1]"),
-        (("hg", "layers.0.ffn.act", "boundaries", 1), "0.5", "boundaries[1]"),
+        (("sidecar", "layers.0.ffn.act"), {"theta": _entry((2, 1), np.inf)},
+         "tensor 'layers.0.ffn.act.theta'"),
+        (("sidecar", "layers.0.ffn.act"), {"h": _fewer_rows},
+         "gate site 'layers.0.ffn.act': h"),
+        (("sidecar", "layers.0.ffn.act"), {"d": _fewer_cols},
+         "gate site 'layers.0.ffn.act': d"),
+        (("sidecar", "layers.0.ffn.act"), {"theta": _entry((3, 1), 0.0)},
+         "gate site 'layers.0.ffn.act': theta[3, 1]"),
+        (("sidecar", "layers.0.attn.exp"),
+         {"boundaries": _repeated_edge},
+         "gate site 'layers.0.attn.exp': boundaries"),
         (("oat", "input", "theta_nor"), "0.5", "theta_nor"),
         (("oat", "input", "theta_out"), [40.0], "theta_out"),
         # an encoder's H and T are read from the config
         (("config", "H"), 5.7, "H"),
         (("config", "T"), "8", "T"),
         # wrongly shaped nodes, not only leaves
-        (("hg", "layers.0.ffn.act", "subneurons", 0, "theta"), 0.5, "theta"),
-        (("hg", "layers.0.ffn.act", "subneurons"), "x", "subneurons"),
-        (("hg", "layers.0.ffn.act", "subneurons", 0), [], "subneurons[0]"),
+        (("sidecar", "layers.0.ffn.act"), {"theta": _entry((0, 0), -0.5)},
+         "gate site 'layers.0.ffn.act': theta[0, 0]"),
+        (("sidecar", "layers.0.ffn.act"), {"boundaries": lambda b: b.T},
+         "gate site 'layers.0.ffn.act': boundaries"),
+        (("sidecar", "layers.0.attn.exp"), {"boundaries": _fewer_cols},
+         "gate site 'layers.0.attn.exp': boundaries"),
         (("oat", "input"), 3, "oat site 'input'"),
-        (("hg", "layers.0.attn.exp"), [], "hg site 'layers.0.attn.exp'"),
+        # a bank carries its step count, which must be the config's T
+        (("sidecar", "layers.0.attn.exp"),
+         dict.fromkeys(("theta", "h", "d"), _fewer_rows),
+         "gate site 'layers.0.attn.exp': theta"),
         (("reports", "layers.0.ffn.act"), 1, "reports site 'layers.0.ffn.act'"),
         (("reports",), [], "reports"),
         (("config",), 5, "config"),
@@ -392,7 +454,10 @@ class TestRun:
         (("reports", "layers.0.ffn.act", "seed"), "6", "seed"),
         (("reports", "layers.0.ffn.act", "samples_per_range"), True,
          "samples_per_range"),
-        (("hg", "layers.0.ffn.act", "boundaries"), "0.5", "boundaries"),
+        # a bank of N-1 sub-ranges against a report of N errors
+        (("sidecar", "layers.0.ffn.act"),
+         dict.fromkeys(("boundaries", "theta", "h", "d"), _fewer_cols),
+         "reports site 'layers.0.ffn.act': per_subrange_max_abs_err"),
         (("reports", "layers.0.ffn.act", "per_subrange_max_abs_err"), [0.01],
          "reports site 'layers.0.ffn.act': per_subrange_max_abs_err"),
         (("reports", "layers.0.ffn.act", "per_subrange_max_abs_err", 0), None,
@@ -415,17 +480,20 @@ class TestRun:
 
     @pytest.mark.parametrize("path, value, message", [
         (("extra",), 1, "block must be an object with exactly the keys ['config', "
-         "'format', 'hg', 'oat', 'reports', 'version', 'weights_file']; "
+         "'format', 'oat', 'reports', 'version', 'weights_file']; "
          "missing [], unknown ['extra']"),
         (("reports",), DROP, "block must be an object with exactly the keys "
-         "['config', 'format', 'hg', 'oat', 'reports', 'version', 'weights_file']; "
+         "['config', 'format', 'oat', 'reports', 'version', 'weights_file']; "
          "missing ['reports'], unknown []"),
-        (("hg", "layers.0.ffn.act", "subneurons", 0, "extra"), 1,
-         "hg site 'layers.0.ffn.act': subneurons[0] must be an object with "
-         "exactly the keys ['d', 'h', 'theta']; missing [], unknown ['extra']"),
-        (("hg", "layers.0.attn.exp", "subneurons", 2, "d"), DROP,
-         "hg site 'layers.0.attn.exp': subneurons[2] must be an object with "
-         "exactly the keys ['d', 'h', 'theta']; missing ['d'], unknown []"),
+        # the sidecar holds exactly the weights and each gate site's four tensors
+        (("sidecar", "layers.0.ffn.act"), {"extra": lambda _: np.zeros((1, 1))},
+         "does not match config: missing=[] extra=['layers.0.ffn.act.extra']"),
+        (("sidecar", "layers.0.attn.exp"), {"d": DROP},
+         "gate site 'layers.0.attn.exp' lacks the tensors ['layers.0.attn.exp.d']"),
+        # an `hg` node left from format 2 is refused too
+        (("hg",), {}, "block must be an object with exactly the keys ['config', "
+         "'format', 'oat', 'reports', 'version', 'weights_file']; "
+         "missing [], unknown ['hg']"),
     ])
     def test_unknown_or_missing_key_named(self, work, tmp_path, capsys, path,
                                           value, message):

@@ -1,8 +1,11 @@
 """tools/fidelity_diff.py: the comparison it prints from two checkouts' runs."""
 import importlib.util
 import pathlib
+from types import SimpleNamespace
 
 import numpy as np
+
+from spikeconvert.neurons import HGConfig, OATConfig
 
 _PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "fidelity_diff.py"
 _spec = importlib.util.spec_from_file_location("fidelity_diff", _PATH)
@@ -19,8 +22,17 @@ def run(out, err=0.01, sops=10, clamped=0, site="layers.0.attn.in",
             {gate + ".clamped": clamped} if clamped else {})
 
 
-def results(runs, block=b"{}"):
-    return {"runs": {("default", 4): runs}, "files": {"default.json": block}}
+def loaded(d0=1.0, theta_nor=0.5):
+    """The numbers of a loaded one-gate, one-encoder block."""
+    bank = HGConfig((0.0, 1.0, 2.0), [[0.5, 0.5]], [[0.5, 0.0]], [[d0, 2.0]])
+    block = SimpleNamespace(hg={"layers.0.attn.exp": bank},
+                            oat={"input": OATConfig(theta_nor, 4.0, 5, 16)})
+    return {"default": fidelity_diff.block_numbers(block)}
+
+
+def results(runs, block=b"{}", numbers=None):
+    return {"runs": {("default", 4): runs}, "files": {"default.json": block},
+            "loaded": loaded() if numbers is None else numbers}
 
 
 class TestCompare:
@@ -70,3 +82,32 @@ class TestCompare:
         # a renamed site is no numerics change
         assert fidelity_diff.report(same, results([run([1.0], site="layers.0.attn.x")]))
         assert "default.json: DIFFERS" in capsys.readouterr().out
+
+
+class TestLoadedBlocks:
+    def test_numbers_read_through_the_subneurons(self):
+        numbers = loaded()["default"]
+        assert set(numbers) == {("hg", "layers.0.attn.exp", "boundaries"),
+                                ("hg", "layers.0.attn.exp", "schedules"),
+                                ("oat", "input")}
+        # (N, 3, T): sub-range 1's theta, h and d
+        assert numbers["hg", "layers.0.attn.exp", "schedules"][1].tolist() == [
+            [0.5], [0.0], [2.0]]
+        assert numbers["oat", "input"].tolist() == [0.5, 4.0]
+
+    def test_equal_only_bit_for_bit(self):
+        assert fidelity_diff.same_numbers(loaded()["default"], loaded()["default"])
+        assert not fidelity_diff.same_numbers(loaded(d0=0.0)["default"],
+                                              loaded(d0=-0.0)["default"])
+        assert not fidelity_diff.same_numbers(loaded()["default"],
+                                              loaded(theta_nor=0.25)["default"])
+
+    def test_report_tells_layout_from_numerics(self, capsys):
+        # a new file layout with the same numbers: the files differ, the
+        # loaded blocks do not; the exit rule still reads the files
+        old = results([run([1.0])])
+        assert not fidelity_diff.report(old, results([run([1.0])], block=b"{ }"))
+        out = capsys.readouterr().out
+        assert "default.json: DIFFERS" in out and "loaded blocks equal" in out
+        assert fidelity_diff.report(old, results([run([1.0])], numbers=loaded(d0=3.0)))
+        assert "loaded blocks DIFFER: default" in capsys.readouterr().out

@@ -7,11 +7,15 @@ agree with itself by construction.
 """
 import dataclasses
 import json
+import os
 import re
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikeconvert.calibration import gelu, sample_distribution, silu
 from spikeconvert.errors import (
@@ -40,7 +44,7 @@ from spikeconvert.model import (
     save_weights,
     spike_forward,
 )
-from spikeconvert.neurons import FSParams, HGConfig, _max_steps
+from spikeconvert.neurons import HGConfig, _max_steps
 from spikeconvert.tensors import Matrix
 
 TINY = dict(d_model=8, n_heads=2, d_ff=16, seq_len=4, T=8, H=3,
@@ -443,9 +447,7 @@ class TestSpikeForward:
         site = "layers.0." + gate
         old = tiny_block.hg[site]
         hg = dict(tiny_block.hg)
-        hg[site] = HGConfig(old.boundaries, tuple(
-            FSParams(p.theta, p.h, (1e308,) * p.steps)
-            for p in old.subneurons))
+        hg[site] = HGConfig(old.boundaries, old.theta, old.h, np.full_like(old.d, 1e308))
         bad = ConvertedBlock(tiny_block.config, tiny_block.weights,
                              tiny_block.oat, hg, tiny_block.reports)
         with pytest.raises(SpikePathError) as info:
@@ -602,6 +604,18 @@ class TestBlockSerialization:
                    for n in doc["reports"].values())
         assert all(set(n) == {"theta_nor", "theta_out"}
                    for n in doc["oat"].values())
+        # each gate bank lies in the sidecar as its four stacks, and only there
+        assert set(doc) == {"format", "version", "config", "weights_file", "oat",
+                            "reports"}
+        sidecar = load_weights(str(tmp_path / doc["weights_file"]))
+        for site, c in block.hg.items():
+            T, N = c.theta.shape
+            assert T == block.config.T
+            assert sidecar[site + ".boundaries"].shape == (1, N + 1)
+            for k in ("theta", "h", "d"):
+                assert sidecar[f"{site}.{k}"].shape == (T, N)
+        n_weights = len(expected_shapes(block.config))
+        assert len(sidecar.names) == n_weights + 4 * len(block.hg)
         back = load_block(p)
         assert back.config == block.config
         assert back.oat == block.oat
@@ -621,8 +635,49 @@ class TestBlockSerialization:
             doc = json.load(fh)
         with open(p, "w") as fh:
             json.dump(dict(doc, version=1), fh)
-        with pytest.raises(FormatError, match="version: expected 2, found 1"):
+        with pytest.raises(FormatError, match="version: expected 3, found 1; reconvert"):
             load_block(p)
+
+    def test_version_2_file_refused(self, tiny_block, tmp_path):
+        p = str(tmp_path / "block.json")
+        save_block(tiny_block, p)
+        with open(p) as fh:
+            doc = json.load(fh)
+        with open(p, "w") as fh:
+            json.dump(dict(doc, version=2), fh)
+        with pytest.raises(FormatError, match="expected 3, found 2; reconvert the block "
+                                              "with `spikeconvert convert`"):
+            load_block(p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_gate_banks_round_trip_bit_for_bit(self, tiny_block, data):
+        # any finite bank at any N and T <= 20 comes back from the sidecar with
+        # the same bits, signed zeros and subnormals included
+        N = data.draw(st.integers(1, 6), label="N")
+        T = data.draw(st.integers(1, 20), label="T")
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+        def stack(values):
+            flat = data.draw(st.lists(values, min_size=T * N, max_size=T * N))
+            return np.array(flat, dtype=np.float64).reshape(T, N)
+
+        edges = data.draw(st.lists(finite, min_size=N + 1, max_size=N + 1, unique=True))
+        bank = HGConfig(sorted(edges), stack(positive), stack(finite), stack(finite))
+        cfg = dataclasses.replace(tiny_block.config, T=T)
+        block = ConvertedBlock(
+            cfg, tiny_block.weights,
+            {site: dataclasses.replace(c, T=T) for site, c in tiny_block.oat.items()},
+            dict.fromkeys(tiny_block.hg, bank),
+            {site: dataclasses.replace(r, per_subrange_max_abs_err=(0.0,) * N)
+             for site, r in tiny_block.reports.items()})
+        with tempfile.TemporaryDirectory() as tmp:
+            save_block(block, os.path.join(tmp, "block.json"))
+            back = load_block(os.path.join(tmp, "block.json"))
+        for site in block.hg:
+            for k in ("boundaries", "theta", "h", "d"):
+                assert getattr(back.hg[site], k).tobytes() == getattr(bank, k).tobytes()
 
     def test_encoder_depth_other_than_config_refused(self, tiny_block,
                                                       tmp_path):

@@ -384,13 +384,14 @@ def step_fn_config() -> HGConfig:
     """
     mk = lambda val: FSParams(theta=(1e-9, 1.0), h=(0.0, 1.0),
                               d=(val, 0.0))
-    return HGConfig(boundaries=(0.0, 1.0, 2.0), subneurons=(mk(2.0), mk(5.0)))
+    return HGConfig.from_subneurons(boundaries=(0.0, 1.0, 2.0),
+                                    subneurons=(mk(2.0), mk(5.0)))
 
 
 class TestHGNeuron:
     def test_zero_function(self):
         zero = FSParams(theta=(0.5, 0.25), h=(0.5, 0.25), d=(0.0, 0.0))
-        c = HGConfig(boundaries=(0.0, 1.0), subneurons=(zero,))
+        c = HGConfig.from_subneurons(boundaries=(0.0, 1.0), subneurons=(zero,))
         t = apply_hg(Matrix(np.array([[0.3, 0.9]])), c)
         assert np.array_equal(decode(t).array, np.zeros((1, 2)))
 
@@ -433,20 +434,44 @@ class TestHGNeuron:
     def test_boundaries_must_increase(self):
         mk = FSParams(theta=(0.5,), h=(0.5,), d=(0.5,))
         with pytest.raises(ValueError):
-            HGConfig(boundaries=(0.0, 0.0), subneurons=(mk,))
+            HGConfig.from_subneurons(boundaries=(0.0, 0.0), subneurons=(mk,))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_boundary_rejected(self, bad):
         # a NaN compares false both ways, so the ordering check alone lets it in
         mk = FSParams(theta=(0.5,), h=(0.5,), d=(0.5,))
         with pytest.raises(ValueError, match=r"boundaries\[1\]"):
-            HGConfig(boundaries=(0.0, bad), subneurons=(mk,))
+            HGConfig.from_subneurons(boundaries=(0.0, bad), subneurons=(mk,))
 
     def test_mixed_depth_bank_rejected_at_construction(self):
         one = FSParams(theta=(0.5,), h=(0.5,), d=(0.5,))
         two = FSParams(theta=(0.5, 0.25), h=(0.5, 0.25), d=(0.5, 0.25))
         with pytest.raises(ShapeError, match="step count"):
-            HGConfig(boundaries=(0.0, 1.0, 2.0), subneurons=(one, two))
+            HGConfig.from_subneurons(boundaries=(0.0, 1.0, 2.0), subneurons=(one, two))
+
+    def test_stacks_checked_as_whole_arrays(self):
+        c = step_fn_config()
+        with pytest.raises(ShapeError, match=r"h must be \(2, 2\) like theta, "
+                                             r"got \(1, 2\)"):
+            HGConfig(c.boundaries, c.theta, c.h[:1], c.d)
+        with pytest.raises(ShapeError, match="2 sub-kernels need 3 boundaries"):
+            HGConfig(c.boundaries[:2], c.theta, c.h, c.d)
+        with pytest.raises(ShapeError, match="T, N >= 1"):
+            HGConfig((0.0,), np.zeros((2, 0)), np.zeros((2, 0)), np.zeros((2, 0)))
+        with pytest.raises(ValueError, match=r"theta\[1, 0\] must be positive, got -1.0"):
+            HGConfig(c.boundaries, c.theta * [[1.0], [-1.0]], c.h, c.d)
+        with pytest.raises(ValueError, match=r"boundaries\[2\]=1.0 after 1.0"):
+            HGConfig((0.0, 1.0, 1.0), c.theta, c.h, c.d)
+
+    def test_stacks_hold_the_subneuron_schedules(self):
+        c = step_fn_config()
+        assert c.subneurons == (FSParams((1e-9, 1.0), (0.0, 1.0), (2.0, 0.0)),
+                                FSParams((1e-9, 1.0), (0.0, 1.0), (5.0, 0.0)))
+        assert c.steps == 2 and c.guard.tolist() == [1e-9, 1e-9]
+        assert HGConfig(c.boundaries, c.theta, c.h, c.d) == c
+        assert HGConfig(c.boundaries, c.theta, c.h, 2 * c.d) != c
+        arrays = (c.boundaries, c.theta, c.h, c.d, c.guard)
+        assert not any(a.flags.writeable for a in arrays)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_raises(self, bad):
@@ -496,7 +521,7 @@ def banks(draw):
         )
         for _ in range(n)
     )
-    return HGConfig(boundaries, subs)
+    return HGConfig.from_subneurons(boundaries, subs)
 
 
 @st.composite
@@ -599,7 +624,7 @@ def bank_runs(draw):
     c = draw(banks())
     if draw(st.booleans()):
         # a zero first reset makes step 0 the intercept and its threshold the guard
-        c = HGConfig(c.boundaries, tuple(
+        c = HGConfig.from_subneurons(c.boundaries, tuple(
             FSParams(p.theta, (0.0,) + p.h[1:], p.d) for p in c.subneurons))
     bs = list(c.boundaries)
     edges = bs + [float(np.nextafter(b, -np.inf)) for b in bs]

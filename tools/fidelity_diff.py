@@ -5,8 +5,9 @@ Usage:
 
 OLD and NEW are checkout directories, each holding src/spikeconvert. Each
 runs in its own subprocess with one BLAS thread. There it converts the
-blocks below, saves them, fits one gate through `spikeconvert calibrate`,
-and runs spike_forward on seeded inputs at each step count:
+blocks below, saves and loads them again, fits one gate through
+`spikeconvert calibrate`, and runs spike_forward on seeded inputs at each
+step count, on the converted block and on the loaded one (`<name>/loaded`):
 
   default  the default ModelConfig calibrated on normal data, T = 1..20
   gated    the 2-layer gated-FFN block calibrated on normal_outliers, T = 4, 16
@@ -17,10 +18,14 @@ largest relative difference of output_rel_err; whether the per-site SOP
 ledgers and the counters (the gate clamp counts) are equal; and whether
 the SOP/FLOP totals and the clamp totals of each layer (`input`,
 `layers.<i>`) are equal. Then it says whether the saved block files and
-the calibrate output are byte-identical. The exit status is 0 when the
-per-layer totals and the files all match, and 1 otherwise, so a site
-renamed within its layer shows in the ledgers and counters columns
-without reading as a numerics change.
+the calibrate output are byte-identical, and whether the loaded blocks are
+equal bit for bit: each gate bank's boundaries and sub-neuron schedules
+(read through `.subneurons`, which every block format has) and each
+encoder's thresholds. The exit status is 0 when the per-layer totals and
+the files all match, and 1 otherwise, so a site renamed within its layer
+shows in the ledgers and counters columns without reading as a numerics
+change, and a block file laid out anew, with "loaded blocks equal", is
+told apart from one whose numbers moved.
 """
 from __future__ import annotations
 
@@ -47,15 +52,36 @@ CALIBRATE = ["calibrate", "--target", "gelu", "--levels", "8", "--steps", "16",
 INPUT_SEED = 4242
 
 
+def block_numbers(block) -> dict:
+    """A block's fitted numbers as float64 arrays: each gate bank's boundaries
+    and (N, 3, T) theta/h/d schedules, and each encoder's thresholds."""
+    numbers = {}
+    for site, c in block.hg.items():
+        numbers["hg", site, "boundaries"] = np.array(c.boundaries, dtype=np.float64)
+        numbers["hg", site, "schedules"] = np.array(
+            [(p.theta, p.h, p.d) for p in c.subneurons], dtype=np.float64)
+    for site, c in block.oat.items():
+        numbers["oat", site] = np.array([c.theta_nor, c.theta_out])
+    return numbers
+
+
+def same_numbers(old: dict, new: dict) -> bool:
+    """Equal keys, shapes and bits (so 0.0 and -0.0 differ)."""
+    return old.keys() == new.keys() and all(
+        old[k].shape == new[k].shape and old[k].tobytes() == new[k].tobytes()
+        for k in old)
+
+
 def run_checkout(n_inputs: int, tmp: str) -> dict:
-    """What one checkout produces: files and per-(block, T) run results.
+    """What one checkout produces: files, loaded block numbers and
+    per-(block, T) run results.
 
     Runs inside the worker process, with the checkout's src first on the path.
     """
     from spikeconvert import cli, model
     from spikeconvert.calibration import sample_distribution
 
-    result: dict = {"files": {}, "runs": {}}
+    result: dict = {"files": {}, "loaded": {}, "runs": {}}
     for index, (name, (fields, dist, steps)) in enumerate(BLOCKS.items()):
         cfg = model.ModelConfig(**fields)
         w = model.WeightSet.random(cfg, int(cfg.seeds["weights"]))
@@ -68,16 +94,19 @@ def run_checkout(n_inputs: int, tmp: str) -> dict:
         for ext in (".json", ".lasw"):
             with open(os.path.splitext(path)[0] + ext, "rb") as fh:
                 result["files"][name + ext] = fh.read()
+        loaded = model.load_block(path)
+        result["loaded"][name] = block_numbers(loaded)
         rng = np.random.default_rng([INPUT_SEED, index])
         xs = [sample_distribution(dist, cfg.seq_len, cfg.d_model, rng)
               for _ in range(n_inputs)]
         for T in steps:
-            runs = []
-            for x in xs:
-                out, trace = model.spike_forward(block, x, T=T)
-                runs.append((out.array.copy(), trace.output_rel_err,
-                             trace.ledger.to_dict(), dict(trace.counters)))
-            result["runs"][name, T] = runs
+            for key, blk in ((name, block), (name + "/loaded", loaded)):
+                runs = []
+                for x in xs:
+                    out, trace = model.spike_forward(blk, x, T=T)
+                    runs.append((out.array.copy(), trace.output_rel_err,
+                                 trace.ledger.to_dict(), dict(trace.counters)))
+                result["runs"][key, T] = runs
     path = os.path.join(tmp, "calibrate.json")
     with contextlib.redirect_stdout(io.StringIO()):
         if cli.main(CALIBRATE + ["--out", path]) != 0:
@@ -139,18 +168,22 @@ def report(old: dict, new: dict) -> bool:
     """Print the comparison table; True when per-layer totals and files match."""
     same = True
     flags = ("ledgers", "counters", "layers", "clamps")
-    print(f"{'block':<8} {'T':>3} {'inputs':>6} {'max|dout|/max|out|':>19} "
+    print(f"{'block':<15} {'T':>3} {'inputs':>6} {'max|dout|/max|out|':>19} "
           f"{'d(output_rel_err)':>18} " + " ".join(f"{f:>8}" for f in flags))
     for key in sorted(old["runs"]):
         c = compare_runs(old["runs"][key], new["runs"][key])
         same &= c["layers"] and c["clamps"]
         eq = {True: "equal", False: "DIFFER"}
-        print(f"{key[0]:<8} {key[1]:>3} {len(old['runs'][key]):>6} {c['out']:>19.3g} "
+        print(f"{key[0]:<15} {key[1]:>3} {len(old['runs'][key]):>6} {c['out']:>19.3g} "
               f"{c['rel_err']:>18.3g} " + " ".join(f"{eq[c[f]]:>8}" for f in flags))
     for name in sorted(old["files"]):
         identical = old["files"][name] == new["files"].get(name)
         same &= identical
         print(f"{name}: {'byte-identical' if identical else 'DIFFERS'}")
+    differ = [name for name in sorted(old["loaded"])
+              if not same_numbers(old["loaded"][name], new["loaded"].get(name, {}))]
+    print(f"loaded blocks DIFFER: {', '.join(differ)}" if differ
+          else "loaded blocks equal")
     return same
 
 

@@ -383,7 +383,7 @@ class ConvertedBlock:
             # a bank carries its own step count: a shorter one would run
             # padded with silent steps
             if steps != cfg.T:
-                raise CalibrationError(f"gate site {site!r}: theta must be {cfg.T} "
+                raise CalibrationError(f"hg site {site!r}: theta must be {cfg.T} "
                                        f"rows, one per step of the config's T, "
                                        f"got {steps}")
             if r.target != target:
@@ -728,12 +728,12 @@ def _sites(doc: dict, section: str, keys: set[str], parse) -> dict:
 def _gate_bank(site: str, tensors: dict[str, np.ndarray], path: str) -> HGConfig:
     """Take a gate site's tensors out of a sidecar's and build its bank;
     errors name the site and the tensor."""
+    where = f"hg site {site!r}"
     names = [f"{site}.{name}" for name in _GATE_TENSORS]
     missing = [name for name in names if name not in tensors]
     if missing:
-        raise FormatError(f"gate site {site!r} lacks the tensors {missing} in {path!r}")
+        raise FormatError(f"{where}: tensors {missing} missing from {path!r}")
     b, theta, h, d = (tensors.pop(name) for name in names)
-    where = f"gate site {site!r}"
     if b.shape != (1, theta.shape[1] + 1):
         raise ShapeError(f"{where}: boundaries must be (1, N+1) = "
                          f"(1, {theta.shape[1] + 1}) for theta's N, got {b.shape}")

@@ -419,14 +419,14 @@ class TestRun:
         (("sidecar", "layers.0.ffn.act"), {"theta": _entry((2, 1), np.inf)},
          "tensor 'layers.0.ffn.act.theta'"),
         (("sidecar", "layers.0.ffn.act"), {"h": _fewer_rows},
-         "gate site 'layers.0.ffn.act': h"),
+         "hg site 'layers.0.ffn.act': h"),
         (("sidecar", "layers.0.ffn.act"), {"d": _fewer_cols},
-         "gate site 'layers.0.ffn.act': d"),
+         "hg site 'layers.0.ffn.act': d"),
         (("sidecar", "layers.0.ffn.act"), {"theta": _entry((3, 1), 0.0)},
-         "gate site 'layers.0.ffn.act': theta[3, 1]"),
+         "hg site 'layers.0.ffn.act': theta[3, 1]"),
         (("sidecar", "layers.0.attn.exp"),
          {"boundaries": _repeated_edge},
-         "gate site 'layers.0.attn.exp': boundaries"),
+         "hg site 'layers.0.attn.exp': boundaries"),
         (("oat", "input", "theta_nor"), "0.5", "theta_nor"),
         (("oat", "input", "theta_out"), [40.0], "theta_out"),
         # an encoder's H and T are read from the config
@@ -434,16 +434,16 @@ class TestRun:
         (("config", "T"), "8", "T"),
         # wrongly shaped nodes, not only leaves
         (("sidecar", "layers.0.ffn.act"), {"theta": _entry((0, 0), -0.5)},
-         "gate site 'layers.0.ffn.act': theta[0, 0]"),
+         "hg site 'layers.0.ffn.act': theta[0, 0]"),
         (("sidecar", "layers.0.ffn.act"), {"boundaries": lambda b: b.T},
-         "gate site 'layers.0.ffn.act': boundaries"),
+         "hg site 'layers.0.ffn.act': boundaries"),
         (("sidecar", "layers.0.attn.exp"), {"boundaries": _fewer_cols},
-         "gate site 'layers.0.attn.exp': boundaries"),
+         "hg site 'layers.0.attn.exp': boundaries"),
         (("oat", "input"), 3, "oat site 'input'"),
         # a bank carries its step count, which must be the config's T
         (("sidecar", "layers.0.attn.exp"),
          dict.fromkeys(("theta", "h", "d"), _fewer_rows),
-         "gate site 'layers.0.attn.exp': theta"),
+         "hg site 'layers.0.attn.exp': theta"),
         (("reports", "layers.0.ffn.act"), 1, "reports site 'layers.0.ffn.act'"),
         (("reports",), [], "reports"),
         (("config",), 5, "config"),
@@ -489,7 +489,7 @@ class TestRun:
         (("sidecar", "layers.0.ffn.act"), {"extra": lambda _: np.zeros((1, 1))},
          "does not match config: missing=[] extra=['layers.0.ffn.act.extra']"),
         (("sidecar", "layers.0.attn.exp"), {"d": DROP},
-         "gate site 'layers.0.attn.exp' lacks the tensors ['layers.0.attn.exp.d']"),
+         "hg site 'layers.0.attn.exp': tensors ['layers.0.attn.exp.d'] missing from"),
         # an `hg` node left from format 2 is refused too
         (("hg",), {}, "block must be an object with exactly the keys ['config', "
          "'format', 'oat', 'reports', 'version', 'weights_file']; "

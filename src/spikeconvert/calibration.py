@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CalibrationError, FormatError
-from .neurons import FSParams, HGConfig, _fs_bits, _fs_decode
+from .neurons import HGConfig, _fs_bits, _fs_decode
 from .neurons import _check_finite_reals, _check_type
 from .tensors import ActivationStats, Matrix, percentile
 
@@ -305,8 +305,8 @@ def fit_fs(
     T: int,
     M: int,
     seed: int,
-) -> tuple[FSParams, float]:
-    """Fit one few-step kernel to target on [lo, hi].
+) -> tuple[HGConfig, float]:
+    """Fit one few-step kernel to target on [lo, hi]: a bank of one sub-range.
 
     Trains on M uniform samples plus the endpoints; reports the max abs
     error over an inclusive validation grid with 10x the training density.
@@ -355,7 +355,7 @@ def fit_fs(
         if ladder_err < err:
             best, err = False, ladder_err
     theta, h, d, _ = fits[best]
-    return FSParams(theta, h, tuple(float(v) for v in d)), err
+    return HGConfig((lo, hi), *(np.reshape(a, (-1, 1)) for a in (theta, h, d))), err
 
 
 @dataclass(frozen=True)
@@ -407,8 +407,8 @@ def hg_to_dict(cfg: HGConfig) -> dict:
     return {
         "boundaries": cfg.boundaries.tolist(),
         "subneurons": [
-            {"theta": list(p.theta), "h": list(p.h), "d": list(p.d)}
-            for p in cfg.subneurons
+            {"theta": theta, "h": h, "d": d}
+            for theta, h, d in zip(*(a.T.tolist() for a in (cfg.theta, cfg.h, cfg.d)))
         ],
     }
 
@@ -446,19 +446,20 @@ def fit_hg(
     """
     spec = target_fn(target)
     boundaries = select_hierarchy(sample, N, lo=lo, hi=hi)
-    params = []
+    banks = []
     errs = []
     for i in range(len(boundaries) - 1):
         try:
-            p, err = fit_fs(spec.fn, boundaries[i], boundaries[i + 1], T, M, seed + i)
+            bank, err = fit_fs(spec.fn, boundaries[i], boundaries[i + 1], T, M, seed + i)
         except CalibrationError as exc:
             raise CalibrationError(
                 f"fit of {target!r} failed on sub-range "
                 f"[{boundaries[i]}, {boundaries[i + 1]}]: {exc}"
             )
-        params.append(p)
+        banks.append(bank)
         errs.append(err)
-    cfg = HGConfig.from_subneurons(boundaries, params)
+    cfg = HGConfig(boundaries, *(np.hstack([getattr(b, k) for b in banks])
+                                 for k in ("theta", "h", "d")))
     report = CalibrationReport(target, tuple(errs), M, seed)
     return cfg, report
 

@@ -108,9 +108,9 @@ def cmd_calibrate(args) -> int:
 def cmd_convert(args) -> int:
     cfg = _apply_seed_override(load_config(args.config))
     weights = load_weights(args.weights)
-    dist = args.calib_dist if args.calib_dist is not None else cfg.calib_distribution
     rng = np.random.default_rng(int(cfg.seeds["calibration"]))
-    sample = sample_distribution(dist, rows=cfg.seq_len * 32, cols=cfg.d_model, rng=rng)
+    sample = sample_distribution(cfg.calib_distribution, rows=cfg.seq_len * 32,
+                                 cols=cfg.d_model, rng=rng)
     block = convert(cfg, weights, sample)
     save_block(block, args.out)
     worst = max(r.max_abs_err for r in block.reports.values())
@@ -232,8 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("convert", help="calibrate a block from config + weights")
     c.add_argument("--config", required=True)
     c.add_argument("--weights", required=True)
-    c.add_argument("--calib-dist", choices=("normal", "uniform", "normal_outliers",
-                                            "uniform_outliers"))
     c.add_argument("--out", required=True)
     c.set_defaults(fn=cmd_convert)
 

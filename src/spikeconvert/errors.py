@@ -29,15 +29,13 @@ class CalibrationError(RuntimeError):
 class SpikePathError(RuntimeError):
     """The spike-driven forward pass produced a non-finite value.
 
-    Carries the site name and, when known, the timestep at which the
-    failure was detected, so the CLI can report where things went wrong.
+    Carries the name of the site where the failure was detected, so the CLI
+    can report where things went wrong.
     """
 
-    def __init__(self, site: str, step: int | None = None) -> None:
+    def __init__(self, site: str) -> None:
         self.site = site
-        self.step = step
-        where = site if step is None else f"{site} at step {step}"
-        super().__init__(f"non-finite value on the spike path: {where}")
+        super().__init__(f"non-finite value on the spike path: {site}")
 
 
 class EnergyAccountingError(ValueError):

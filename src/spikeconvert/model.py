@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .calibration import (
+    _DISTRIBUTIONS,
     TARGETS,
     CalibrationReport,
     _check_keys,
@@ -110,6 +111,9 @@ class ModelConfig:
             raise ValueError(
                 f"ffn_kind must be one of {_FFN_KINDS}, got {self.ffn_kind!r}"
             )
+        if self.calib_distribution not in _DISTRIBUTIONS:
+            raise ValueError(f"calib_distribution must be one of {_DISTRIBUTIONS}, "
+                             f"got {self.calib_distribution!r}")
         if not 1 <= self.n_layers <= 4:
             raise ValueError(f"n_layers must be within 1..4, got {self.n_layers}")
         if not 0.0 < self.normal_quantile < 1.0:
@@ -675,10 +679,11 @@ def _read_lasw(path: str) -> dict[str, np.ndarray]:
         rd = _Reader(fh.read(), path)
     magic, version, count = struct.unpack("<4sII", rd.take(12))
     if magic != _MAGIC:
-        raise FormatError(f"bad magic: expected {_MAGIC!r}, found {magic!r}")
+        raise FormatError(f"{path!r}: bad magic: expected {_MAGIC!r}, found {magic!r}")
     if version != _WEIGHT_VERSION:
         raise FormatError(
-            f"unsupported weight version: expected {_WEIGHT_VERSION}, found {version}"
+            f"{path!r}: unsupported weight version: expected {_WEIGHT_VERSION}, "
+            f"found {version}"
         )
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
@@ -687,7 +692,7 @@ def _read_lasw(path: str) -> dict[str, np.ndarray]:
         rows, cols = struct.unpack("<II", rd.take(8))
         payload = rd.take(8 * rows * cols)
         if name in tensors:
-            raise FormatError(f"duplicate tensor name {name!r}")
+            raise FormatError(f"{path!r}: duplicate tensor name {name!r}")
         vals = np.frombuffer(payload, dtype="<f8").reshape(rows, cols)
         if not np.isfinite(vals).all():
             r, c = np.argwhere(~np.isfinite(vals))[0]
@@ -696,7 +701,7 @@ def _read_lasw(path: str) -> dict[str, np.ndarray]:
         tensors[name] = vals
     if rd.pos != len(rd.data):
         raise FormatError(
-            f"{len(rd.data) - rd.pos} trailing bytes after the last tensor"
+            f"{path!r}: {len(rd.data) - rd.pos} trailing bytes after the last tensor"
         )
     return tensors
 

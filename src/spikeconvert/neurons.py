@@ -21,8 +21,8 @@ gated bank   bank of fitted fs kernels. The input range is split into
              The bank stores its schedules as (T, N) stacks, one column per
              sub-range, and every element runs one T-step recurrence on its
              bucket's gathered column; other step counts slice or pad the
-             stacks exactly as truncate_schedule / hg_at_steps (the
-             reference, on the per-sub-range subneurons view) resize them.
+             stacks exactly as the reference, hg_at_steps, resizes each
+             column through truncate_schedule.
 
 fs_encode and mt_encode encode one scalar and serve as reference kernels;
 mt_encode runs the greedy step loop, _mt_loop. The dual-range encoder (one
@@ -130,32 +130,6 @@ def _check_exact_range(H: int, T: int, **scales: float) -> None:
 
 
 @dataclass(frozen=True)
-class FSParams:
-    """Per-step schedule of a few-step kernel: thresholds, resets, weights."""
-
-    theta: tuple[float, ...]
-    h: tuple[float, ...]
-    d: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not (len(self.theta) == len(self.h) == len(self.d)):
-            raise ShapeError(
-                f"schedule lengths differ: theta={len(self.theta)} "
-                f"h={len(self.h)} d={len(self.d)}"
-            )
-        if len(self.theta) == 0:
-            raise ValueError("schedule needs at least one step")
-        for name in ("theta", "h", "d"):
-            _check_finite_reals(name, getattr(self, name))
-        if any(not t > 0.0 for t in self.theta):
-            raise ValueError("every threshold must be positive")
-
-    @property
-    def steps(self) -> int:
-        return len(self.theta)
-
-
-@dataclass(frozen=True)
 class MTConfig:
     """Dyadic multi-level encoder: tau scale, H levels per step, T steps."""
 
@@ -254,27 +228,9 @@ class HGConfig:
         guard.setflags(write=False)
         object.__setattr__(self, "guard", guard)
 
-    @classmethod
-    def from_subneurons(cls, boundaries, subneurons) -> "HGConfig":
-        """The bank of per-sub-range schedules, stacked as columns."""
-        if not subneurons:
-            raise ValueError("need at least one sub-range")
-        steps = {p.steps for p in subneurons}
-        if len(steps) != 1:
-            raise ShapeError("all sub-kernels must share one step count")
-        return cls(boundaries, *(np.array([getattr(p, k) for p in subneurons]).T
-                                 for k in ("theta", "h", "d")))
-
     @property
     def steps(self) -> int:
         return self.theta.shape[0]
-
-    @property
-    def subneurons(self) -> tuple[FSParams, ...]:
-        """Each sub-range's schedule, a view for the reference kernels."""
-        stacks = (self.theta, self.h, self.d)
-        return tuple(FSParams(*(tuple(a[:, i].tolist()) for a in stacks))
-                     for i in range(self.theta.shape[1]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HGConfig):
@@ -394,8 +350,9 @@ def _fs_decode(x: np.ndarray, theta: tuple, h: tuple, d) -> np.ndarray:
     return out
 
 
-def fs_encode(x: float, p: FSParams) -> SpikeMatrixTrain:
-    """Encode one scalar through a few-step kernel.
+def fs_encode(x: float, theta, h, d) -> SpikeMatrixTrain:
+    """Encode one scalar through a few-step kernel with the per-step
+    thresholds theta, resets h and output weights d.
 
     The membrane starts at x; step t fires when it is at or above theta[t],
     emits weight d[t], and subtracts reset h[t]. Inputs below every
@@ -404,8 +361,11 @@ def fs_encode(x: float, p: FSParams) -> SpikeMatrixTrain:
     """
     if not np.isfinite(x):
         raise NonFiniteError(f"fs_encode input must be finite, got {x}")
-    fired = _fs_bits(np.array([x]), p.theta, p.h, dtype=bool)[:, :, None]
-    return SpikeMatrixTrain(np.where(fired, np.reshape(p.d, (-1, 1, 1)), 0.0))
+    if not len(theta) == len(h) == len(d):
+        raise ShapeError(f"schedule lengths differ: theta={len(theta)} "
+                         f"h={len(h)} d={len(d)}")
+    fired = _fs_bits(np.array([x]), theta, h, dtype=bool)[:, :, None]
+    return SpikeMatrixTrain(np.where(fired, np.reshape(d, (-1, 1, 1)), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -546,23 +506,23 @@ def hg_eval(c: HGConfig, x: np.ndarray) -> np.ndarray:
     return _sum_steps(values)
 
 
-def truncate_schedule(p: FSParams, T: int) -> FSParams:
-    """First T steps of a fitted schedule; silent padding when T is longer.
+def truncate_schedule(theta, h, d, T: int) -> tuple[tuple, tuple, tuple]:
+    """First T steps of a fitted schedule's theta, h and d; silent padding
+    when T is longer.
 
     Running a kernel below its fitted depth drops the finest refinement
     steps, which is how timestep sweeps degrade resolution.
     """
-    if T == p.steps:
-        return p
-    pad = max(T - p.steps, 0)
+    pad = max(T - len(theta), 0)
     big = 1e300  # threshold no finite membrane reaches
-    return FSParams(p.theta[:T] + (big,) * pad, p.h[:T] + (0.0,) * pad,
-                    p.d[:T] + (0.0,) * pad)
+    return (tuple(theta[:T]) + (big,) * pad, tuple(h[:T]) + (0.0,) * pad,
+            tuple(d[:T]) + (0.0,) * pad)
 
 
 def hg_at_steps(c: HGConfig, T: int) -> HGConfig:
+    """The bank at T steps, resized column by column through truncate_schedule."""
     if c.steps == T:
         return c
-    return HGConfig.from_subneurons(c.boundaries,
-                                    [truncate_schedule(p, T) for p in c.subneurons])
-
+    columns = zip(*(a.T.tolist() for a in (c.theta, c.h, c.d)))
+    stacks = zip(*(truncate_schedule(*col, T) for col in columns))
+    return HGConfig(c.boundaries, *(np.array(s).T for s in stacks))

@@ -27,7 +27,7 @@ from spikeconvert.calibration import (
 )
 from spikeconvert.errors import CalibrationError
 from spikeconvert.model import ModelConfig, WeightSet, convert
-from spikeconvert.neurons import FSParams, HGConfig, _fs_bits, _sum_steps, hg_eval
+from spikeconvert.neurons import HGConfig, _fs_bits, _sum_steps, hg_eval
 from spikeconvert.tensors import Matrix, stats
 
 
@@ -188,7 +188,7 @@ class TestFitFS:
 
 def variant_fits(target, lo, hi, T, M, seed):
     """Both schedule variants, each trained and validated on the full grid:
-    (validation error, training error, params), intercept variant first.
+    (validation error, training error, one-range bank), intercept variant first.
 
     The body of fit_fs before it skipped the losing variant's validation,
     decoding through the full bit array; fit_fs_reference on top of it is
@@ -210,15 +210,16 @@ def variant_fits(target, lo, hi, T, M, seed):
         weighted *= d[:, None]
         err = float(np.abs(_sum_steps(weighted) - y_val).max())
         train_err = float(np.abs(_sum_steps(bits * d[:, None]) - y_train).max())
-        fits.append((err, train_err, FSParams(theta, h, tuple(float(v) for v in d))))
+        bank = HGConfig((lo, hi), *(np.array(a)[:, None] for a in (theta, h, d)))
+        fits.append((err, train_err, bank))
     return fits
 
 
 def fit_fs_reference(target, lo, hi, T, M, seed):
     """Lower validation error wins; min keeps the intercept variant on a tie."""
-    err, _, params = min(variant_fits(target, lo, hi, T, M, seed),
-                         key=lambda fit: fit[0])
-    return params, err
+    err, _, bank = min(variant_fits(target, lo, hi, T, M, seed),
+                       key=lambda fit: fit[0])
+    return bank, err
 
 
 @st.composite
@@ -247,7 +248,7 @@ class TestVariantChoice:
         assert train_p < train_i
         assert val_p == pytest.approx(0.08508, abs=5e-6)
         p, err = fit_fs(*args, seed=56)
-        assert p == p_i and p.h[0] == 0.0  # the intercept variant
+        assert p == p_i and p.h[0, 0] == 0.0  # the intercept variant
         assert err == val_i == pytest.approx(0.07947, abs=5e-6)
 
     def test_default_block_matches_two_variant_fit(self, monkeypatch):
@@ -265,7 +266,7 @@ class TestVariantChoice:
         # fit_hg calls fit_fs through the module, so this swaps every fit
         monkeypatch.setattr(calibration, "fit_fs", reference)
         ref = convert(cfg, w, calib)
-        assert len(calls) == sum(len(c.subneurons) for c in ref.hg.values())
+        assert len(calls) == sum(c.theta.shape[1] for c in ref.hg.values())
         assert block.hg == ref.hg
         assert block.reports == ref.reports
 
@@ -275,7 +276,7 @@ class TestFitHG:
         sample = np.linspace(-1.0, 1.5, 512)
         c, rep = fit_hg("gelu", sample, 1, 10, 256, seed=5, lo=-1.0, hi=1.5)
         p, err = fit_fs(gelu, -1.0, 1.5, 10, 256, seed=5)
-        assert c.subneurons[0] == p
+        assert c == p
         assert rep.max_abs_err == err
 
     @pytest.mark.parametrize("name, lo, hi, T, seed", [
@@ -330,8 +331,8 @@ class TestFitHG:
         grid = np.linspace(b[0], b[-1], 1001)
         idx = np.searchsorted(b, grid, side="right") - 1
         idx = np.clip(idx, 0, len(b) - 2)
-        assert np.all((idx >= 0) & (idx < len(c.subneurons)))
-        assert len(rep.per_subrange_max_abs_err) == len(c.subneurons)
+        assert np.all((idx >= 0) & (idx < c.theta.shape[1]))
+        assert len(rep.per_subrange_max_abs_err) == c.theta.shape[1]
 
     def test_report_round_trip(self):
         c, rep = fit_target("exp", 2, 8, 128, seed=3)
@@ -340,9 +341,9 @@ class TestFitHG:
         assert again.max_abs_err == max(rep.per_subrange_max_abs_err)
         # the calibrate --out form of the bank holds every one of its numbers
         doc = hg_to_dict(c)
-        subs = [FSParams(*(tuple(s[k]) for k in ("theta", "h", "d")))
-                for s in doc["subneurons"]]
-        assert HGConfig.from_subneurons(doc["boundaries"], subs) == c
+        stacks = (np.array([s[k] for s in doc["subneurons"]]).T
+                  for k in ("theta", "h", "d"))
+        assert HGConfig(doc["boundaries"], *stacks) == c
 
 
 class TestTargets:

@@ -5,6 +5,7 @@ whole file stays fast while covering every subcommand and failure class.
 """
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -218,14 +219,32 @@ class TestConvert:
         assert "10 encoder sites" in out and "7 gate sites" in out
 
     def test_outlier_distribution_flag(self, work, tmp_path, capsys):
-        code = main(["convert", "--config", str(work / "config.json"),
+        # the calibration sample follows the config's calib_distribution
+        with open(work / "config.json") as fh:
+            doc = json.load(fh)
+        doc["calib_distribution"] = "uniform_outliers"
+        cfg = tmp_path / "outlier_config.json"
+        cfg.write_text(json.dumps(doc))
+        code = main(["convert", "--config", str(cfg),
                      "--weights", str(work / "weights.lasw"),
-                     "--calib-dist", "uniform_outliers",
                      "--out", str(tmp_path / "b3.json")])
         assert code == 0
         block = load_block(str(tmp_path / "b3.json"))
         oat = block.oat["input"]
         assert oat.theta_out / oat.theta_nor > 5.0
+
+    def test_unknown_calib_distribution_named(self, work, tmp_path, capsys):
+        with open(work / "config.json") as fh:
+            doc = json.load(fh)
+        doc["calib_distribution"] = "bogus"
+        bad = tmp_path / "bad_config.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["convert", "--config", str(bad),
+                     "--weights", str(work / "weights.lasw"),
+                     "--out", str(tmp_path / "x.json")]) == 2
+        assert ("calib_distribution must be one of ('normal', 'uniform', "
+                "'normal_outliers', 'uniform_outliers'), got 'bogus'"
+                in capsys.readouterr().err)
 
     def test_missing_weights_file(self, work, tmp_path, capsys):
         assert main(["convert", "--config", str(work / "config.json"),
@@ -399,6 +418,30 @@ class TestRun:
         assert main(["run", "--block", str(work / "block.json"), "--input", bad]) == 2
         assert (f"{bad!r}: tensor 'input' must be finite, got nan at (0, 0)"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("magic", "bad magic: expected b'LASW', found b'{\\n  '"),
+        ("version", "unsupported weight version: expected 1, found 9"),
+        ("duplicate", "duplicate tensor name 'input'"),
+        ("trailing", "2 trailing bytes after the last tensor"),
+    ])
+    def test_malformed_input_file_named(self, work, tmp_path, capsys, fault,
+                                        message):
+        data = bytearray((work / "input.lasw").read_bytes())
+        if fault == "magic":  # a JSON file passed where the input belongs
+            data = (work / "config.json").read_bytes()
+        elif fault == "version":
+            data[4:8] = struct.pack("<I", 9)
+        elif fault == "duplicate":
+            data[8:12] = struct.pack("<I", 2)  # the one tensor, twice
+            data += data[12:]
+        else:
+            data += b"xx"
+        bad = str(tmp_path / "bad_input.lasw")
+        with open(bad, "wb") as fh:
+            fh.write(data)
+        assert main(["run", "--block", str(work / "block.json"), "--input", bad]) == 2
+        assert f"error: {bad!r}: {message}" in capsys.readouterr().err
 
     def test_version_2_block_refused(self, work, tmp_path, capsys):
         # format 2 kept the gate banks in the JSON; the sidecar lacks them

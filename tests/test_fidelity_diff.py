@@ -85,14 +85,14 @@ class TestCompare:
 
 
 class TestLoadedBlocks:
-    def test_numbers_read_through_the_subneurons(self):
+    def test_numbers_read_from_the_stacks(self):
         numbers = loaded()["default"]
         assert set(numbers) == {("hg", "layers.0.attn.exp", "boundaries"),
                                 ("hg", "layers.0.attn.exp", "schedules"),
                                 ("oat", "input")}
-        # (N, 3, T): sub-range 1's theta, h and d
-        assert numbers["hg", "layers.0.attn.exp", "schedules"][1].tolist() == [
-            [0.5], [0.0], [2.0]]
+        # (N, 3, T) from the (T, N) stacks: each sub-range's theta, h and d
+        assert numbers["hg", "layers.0.attn.exp", "schedules"].tolist() == [
+            [[0.5], [0.5], [1.0]], [[0.5], [0.0], [2.0]]]
         assert numbers["oat", "input"].tolist() == [0.5, 4.0]
 
     def test_equal_only_bit_for_bit(self):

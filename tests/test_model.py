@@ -177,18 +177,10 @@ class TestSites:
         assert shapes["layers.0.ln1.gamma"] == (1, 8)
 
 
-def _desk_block(dist: str, **fields) -> ConvertedBlock:
-    cfg = ModelConfig(calib_distribution=dist, **fields)
-    calib = sample_distribution(dist, cfg.seq_len * 32, cfg.d_model,
-                                np.random.default_rng(cfg.seeds["calibration"]))
-    return convert(cfg, WeightSet.random(cfg, cfg.seeds["weights"]), calib)
-
-
 @pytest.fixture(scope="module")
-def desk_blocks():
+def desk_blocks(default_block, gated_block):
     """The default block and the 2-layer gated block on outlier data."""
-    return [_desk_block("normal"),
-            _desk_block("normal_outliers", ffn_kind="gated", n_layers=2)]
+    return [default_block, gated_block]
 
 
 _SUBLAYER_SITE = re.compile(r"layers\.\d+\.(ln1|attn|ln2|ffn)(\..+)?")

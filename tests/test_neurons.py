@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from spikeconvert import neurons
 from spikeconvert.errors import NonFiniteError, ShapeError
 from spikeconvert.neurons import (
-    FSParams,
     HGConfig,
     MTConfig,
     OATConfig,
@@ -56,56 +55,62 @@ class TestSpikeTrain:
 
 
 class TestFSNeuron:
-    P2 = FSParams(theta=(0.5, 0.25), h=(0.5, 0.25), d=(0.5, 0.25))
+    P2 = ((0.5, 0.25), (0.5, 0.25), (0.5, 0.25))  # theta, h, d
 
     def test_hand_example_two_spikes(self):
         # v=0.75 >= 0.5 fire (emit 0.5, v -> 0.25); 0.25 >= 0.25 fire again
-        t = fs_encode(0.75, self.P2)
+        t = fs_encode(0.75, *self.P2)
         assert t.events[:, 0, 0].tolist() == [True, True]
         assert dec1(t) == 0.75
 
     def test_zero_input_silent(self):
-        t = fs_encode(0.0, self.P2)
+        t = fs_encode(0.0, *self.P2)
         assert not t.events.any()
         assert dec1(t) == 0.0
 
     def test_negative_input_silent(self):
-        t = fs_encode(-1.0, self.P2)
+        t = fs_encode(-1.0, *self.P2)
         assert not t.events.any()
 
     def test_fires_at_exact_threshold(self):
-        t = fs_encode(0.5, self.P2)
+        t = fs_encode(0.5, *self.P2)
         assert t.events[0, 0, 0]
         assert dec1(t) == 0.5
 
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteError):
-            fs_encode(float("nan"), self.P2)
+            fs_encode(float("nan"), *self.P2)
 
     def test_subset_sum_round_trip_exact(self):
         # every subset sum of a dyadic {d(t)} is reproduced exactly
         T = 10
         d = tuple(2.0 ** -(t + 1) for t in range(T))
-        p = FSParams(theta=d, h=d, d=d)
         rng = np.random.default_rng(11)
         for _ in range(200):
             mask = rng.random(T) < 0.5
             x = float(np.sum(np.array(d)[mask]))
-            assert dec1(fs_encode(x, p)) == x
+            assert dec1(fs_encode(x, d, d, d)) == x
 
+    # A fitted few-step kernel is a bank of one sub-range: HGConfig's
+    # whole-array checks refuse a bad schedule, naming its entry.
     def test_param_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            FSParams(theta=(0.5,), h=(0.5, 0.25), d=(0.5, 0.25))
+        with pytest.raises(ShapeError, match="theta=1 h=2 d=2"):
+            fs_encode(0.5, (0.5,), (0.5, 0.25), (0.5, 0.25))
+        with pytest.raises(ShapeError, match=r"h must be \(1, 1\) like theta, "
+                                             r"got \(2, 1\)"):
+            HGConfig((0.0, 1.0), [[0.5]], [[0.5], [0.25]], [[0.5], [0.25]])
 
     def test_nonpositive_theta_rejected(self):
-        with pytest.raises(ValueError):
-            FSParams(theta=(0.0,), h=(0.1,), d=(0.1,))
+        with pytest.raises(ValueError, match=r"theta\[0, 0\] must be positive, got 0.0"):
+            HGConfig((0.0, 1.0), [[0.0]], [[0.1]], [[0.1]])
 
     @pytest.mark.parametrize("h, d", [(float("nan"), 0.1), (0.1, float("nan")),
                                       (float("inf"), 0.1), (0.1, -float("inf"))])
     def test_non_finite_reset_or_weight_rejected(self, h, d):
-        with pytest.raises(ValueError, match="finite"):
-            FSParams(theta=(1.0,), h=(h,), d=(d,))
+        name, bad = ("h", h) if not np.isfinite(h) else ("d", d)
+        with pytest.raises(ValueError, match=rf"{name}\[0, 0\] must be finite, "
+                                             rf"got {bad}"):
+            HGConfig((0.0, 1.0), [[1.0]], [[h]], [[d]])
 
 
 class TestMTNeuron:
@@ -135,11 +140,10 @@ class TestMTNeuron:
         T = 12
         cfg = MTConfig(1.0, 1, T)
         sched = tuple(2.0 ** -(t + 1) for t in range(T))
-        p = FSParams(theta=sched, h=sched, d=sched)
         rng = np.random.default_rng(23)
         for x in rng.uniform(-2.0, 2.0, 1000):
             mt = mt_encode(float(x), cfg)
-            fs = fs_encode(abs(float(x)), p)
+            fs = fs_encode(abs(float(x)), sched, sched, sched)
             assert np.array_equal(mt.values, np.sign(x) * fs.values)
             assert np.array_equal(mt.events, fs.events)
 
@@ -382,16 +386,14 @@ def step_fn_config() -> HGConfig:
     Range [0,1) decodes 2.0, range [1,2) decodes 5.0, via a single
     always-fires step (guard handled by the intercept construction).
     """
-    mk = lambda val: FSParams(theta=(1e-9, 1.0), h=(0.0, 1.0),
-                              d=(val, 0.0))
-    return HGConfig.from_subneurons(boundaries=(0.0, 1.0, 2.0),
-                                    subneurons=(mk(2.0), mk(5.0)))
+    return HGConfig(boundaries=(0.0, 1.0, 2.0), theta=[[1e-9, 1e-9], [1.0, 1.0]],
+                    h=[[0.0, 0.0], [1.0, 1.0]], d=[[2.0, 5.0], [0.0, 0.0]])
 
 
 class TestHGNeuron:
     def test_zero_function(self):
-        zero = FSParams(theta=(0.5, 0.25), h=(0.5, 0.25), d=(0.0, 0.0))
-        c = HGConfig.from_subneurons(boundaries=(0.0, 1.0), subneurons=(zero,))
+        c = HGConfig(boundaries=(0.0, 1.0), theta=[[0.5], [0.25]],
+                     h=[[0.5], [0.25]], d=[[0.0], [0.0]])
         t = apply_hg(Matrix(np.array([[0.3, 0.9]])), c)
         assert np.array_equal(decode(t).array, np.zeros((1, 2)))
 
@@ -432,22 +434,14 @@ class TestHGNeuron:
         assert np.array_equal(a.events, b.events)
 
     def test_boundaries_must_increase(self):
-        mk = FSParams(theta=(0.5,), h=(0.5,), d=(0.5,))
         with pytest.raises(ValueError):
-            HGConfig.from_subneurons(boundaries=(0.0, 0.0), subneurons=(mk,))
+            HGConfig((0.0, 0.0), [[0.5]], [[0.5]], [[0.5]])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_boundary_rejected(self, bad):
         # a NaN compares false both ways, so the ordering check alone lets it in
-        mk = FSParams(theta=(0.5,), h=(0.5,), d=(0.5,))
         with pytest.raises(ValueError, match=r"boundaries\[1\]"):
-            HGConfig.from_subneurons(boundaries=(0.0, bad), subneurons=(mk,))
-
-    def test_mixed_depth_bank_rejected_at_construction(self):
-        one = FSParams(theta=(0.5,), h=(0.5,), d=(0.5,))
-        two = FSParams(theta=(0.5, 0.25), h=(0.5, 0.25), d=(0.5, 0.25))
-        with pytest.raises(ShapeError, match="step count"):
-            HGConfig.from_subneurons(boundaries=(0.0, 1.0, 2.0), subneurons=(one, two))
+            HGConfig((0.0, bad), [[0.5]], [[0.5]], [[0.5]])
 
     def test_stacks_checked_as_whole_arrays(self):
         c = step_fn_config()
@@ -465,8 +459,10 @@ class TestHGNeuron:
 
     def test_stacks_hold_the_subneuron_schedules(self):
         c = step_fn_config()
-        assert c.subneurons == (FSParams((1e-9, 1.0), (0.0, 1.0), (2.0, 0.0)),
-                                FSParams((1e-9, 1.0), (0.0, 1.0), (5.0, 0.0)))
+        # column i is sub-range i's schedule
+        for i, d in enumerate((2.0, 5.0)):
+            assert [a[:, i].tolist() for a in (c.theta, c.h, c.d)] == [
+                [1e-9, 1.0], [0.0, 1.0], [d, 0.0]]
         assert c.steps == 2 and c.guard.tolist() == [1e-9, 1e-9]
         assert HGConfig(c.boundaries, c.theta, c.h, c.d) == c
         assert HGConfig(c.boundaries, c.theta, c.h, 2 * c.d) != c
@@ -484,21 +480,28 @@ class TestHGNeuron:
 
 class TestScheduleResizing:
     def test_truncate(self):
-        p = FSParams(theta=(8.0, 4.0, 2.0, 1.0), h=(8.0, 4.0, 2.0, 1.0),
-                     d=(8.0, 4.0, 2.0, 1.0))
-        q = truncate_schedule(p, 2)
-        assert q.steps == 2 and q.theta == (8.0, 4.0)
+        s = (8.0, 4.0, 2.0, 1.0)
+        theta, h, d = truncate_schedule(s, s, s, 2)
+        assert theta == h == d == (8.0, 4.0)
 
     def test_pad_never_fires(self):
-        p = FSParams(theta=(0.5,), h=(0.5,), d=(0.5,))
-        q = truncate_schedule(p, 3)
-        assert q.steps == 3
-        t = fs_encode(0.75, q)
+        q = truncate_schedule((0.5,), (0.5,), (0.5,), 3)
+        assert q == ((0.5, 1e300, 1e300), (0.5, 0.0, 0.0), (0.5, 0.0, 0.0))
+        t = fs_encode(0.75, *q)
         assert not t.events[1:, 0].any()
 
     def test_hg_at_steps_same_t_is_identity(self):
         c = step_fn_config()
         assert hg_at_steps(c, 2) is c
+
+    @pytest.mark.parametrize("T", [1, 3])
+    def test_hg_at_steps_resizes_each_column(self, T):
+        c = step_fn_config()
+        r = hg_at_steps(c, T)
+        assert r.boundaries.tobytes() == c.boundaries.tobytes()
+        for i in range(2):
+            col = truncate_schedule(c.theta[:, i], c.h[:, i], c.d[:, i], T)
+            assert [a[:, i].tolist() for a in (r.theta, r.h, r.d)] == list(map(list, col))
 
 
 finite = st.floats(-4.0, 4.0, allow_nan=False)
@@ -512,16 +515,9 @@ def banks(draw):
     lo = draw(st.floats(-10.0, 10.0))
     widths = draw(st.lists(st.floats(0.01, 5.0), min_size=n, max_size=n))
     boundaries = tuple(float(b) for b in np.cumsum([lo] + widths))
-    steps = st.lists(finite, min_size=T, max_size=T)
-    subs = tuple(
-        FSParams(
-            theta=tuple(draw(st.lists(st.floats(1e-3, 4.0), min_size=T, max_size=T))),
-            h=tuple(draw(steps)),
-            d=tuple(draw(steps)),
-        )
-        for _ in range(n)
-    )
-    return HGConfig.from_subneurons(boundaries, subs)
+    theta, h, d = (draw(hnp.arrays(np.float64, (T, n), elements=el))
+                   for el in (st.floats(1e-3, 4.0), finite, finite))
+    return HGConfig(boundaries, theta, h, d)
 
 
 @st.composite
@@ -557,24 +553,24 @@ class TestMatrixEntryPoints:
             assert got[i, j] == dec1(ref)
 
 
-def fs_run_reference(x, p):
+def fs_run_reference(x, theta, h, d):
     """The per-step few-step loop, kept as the oracle of _fs_bits."""
     x = np.asarray(x, dtype=np.float64)
-    T = p.steps
+    T = len(theta)
     values = np.zeros((T, x.size))
     fired = np.zeros((T, x.size), dtype=bool)
     v = x.copy()
     for t in range(T):
-        fire = v >= p.theta[t]
+        fire = v >= theta[t]
         fired[t] = fire
-        values[t] = np.where(fire, p.d[t], 0.0)
-        v = v - p.h[t] * fire
+        values[t] = np.where(fire, d[t], 0.0)
+        v = v - h[t] * fire
     return values, fired
 
 
 @st.composite
 def schedules_with_edge_inputs(draw):
-    """A schedule plus inputs that include its exact firing edges.
+    """A (theta, h, d) schedule plus inputs that include its exact firing edges.
 
     Thresholds and resets are multiples of 1/16, so x = theta[t] + h[0] +
     ... + h[t-1] is exact: after steps 0..t-1 fire and reset, the membrane
@@ -590,7 +586,7 @@ def schedules_with_edge_inputs(draw):
     specials = edges + [float(np.nextafter(e, -np.inf)) for e in edges]
     xs = draw(st.lists(st.one_of(st.sampled_from(specials), st.floats(-20.0, 20.0)),
                        min_size=1, max_size=24))
-    return FSParams(tuple(theta), tuple(h), tuple(d)), np.array(xs)
+    return (tuple(theta), tuple(h), tuple(d)), np.array(xs)
 
 
 def hg_run_reference(flat, c):
@@ -604,15 +600,15 @@ def hg_run_reference(flat, c):
     clamped = int(np.count_nonzero((flat < lo) | (flat >= hi)))
     x = np.clip(flat, lo, np.nextafter(hi, lo))
     bucket = np.searchsorted(bs, x, side="right") - 1
-    bucket = np.clip(bucket, 0, len(c.subneurons) - 1)
-    T = c.subneurons[0].steps
+    T, N = c.theta.shape
+    bucket = np.clip(bucket, 0, N - 1)
     values = np.zeros((T, flat.size))
-    for i, p in enumerate(c.subneurons):
+    for i, (theta, h, d) in enumerate(zip(c.theta.T, c.h.T, c.d.T)):
         idx = np.nonzero(bucket == i)[0]
         if idx.size == 0:
             continue
-        u = x[idx] - bs[i] + (p.theta[0] if p.h[0] == 0.0 else 0.0)
-        values[:, idx], _ = fs_run_reference(u, p)
+        u = x[idx] - bs[i] + (theta[0] if h[0] == 0.0 else 0.0)
+        values[:, idx], _ = fs_run_reference(u, theta, h, d)
     return values, clamped
 
 
@@ -624,8 +620,9 @@ def bank_runs(draw):
     c = draw(banks())
     if draw(st.booleans()):
         # a zero first reset makes step 0 the intercept and its threshold the guard
-        c = HGConfig.from_subneurons(c.boundaries, tuple(
-            FSParams(p.theta, (0.0,) + p.h[1:], p.d) for p in c.subneurons))
+        h = c.h.copy()
+        h[0] = 0.0
+        c = HGConfig(c.boundaries, c.theta, h, c.d)
     bs = list(c.boundaries)
     edges = bs + [float(np.nextafter(b, -np.inf)) for b in bs]
     xs = draw(st.lists(st.one_of(st.sampled_from(edges), st.floats(-30.0, 30.0)),
@@ -653,25 +650,25 @@ class TestFSRecurrence:
     @given(case=schedules_with_edge_inputs())
     def test_matches_per_step_reference(self, case):
         p, xs = case
-        ref_values, ref_fired = fs_run_reference(xs, p)
-        assert np.array_equal(_fs_bits(xs, p.theta, p.h), ref_fired)
+        ref_values, ref_fired = fs_run_reference(xs, *p)
+        assert np.array_equal(_fs_bits(xs, *p[:2]), ref_fired)
         for j, x in enumerate(xs):
-            train = fs_encode(float(x), p)
+            train = fs_encode(float(x), *p)
             assert train.values[:, 0, 0].tobytes() == ref_values[:, j].tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(case=schedules_with_edge_inputs(), silent=st.sets(st.integers(0, 7)))
-    @example(case=(FSParams((0.5,), (0.5,), (-1.5,)), np.array([0.0, 0.5, 2.0])),
+    @example(case=(((0.5,), (0.5,), (-1.5,)), np.array([0.0, 0.5, 2.0])),
              silent=set())
-    @example(case=(FSParams((0.5, 0.25, 0.125), (0.5, 0.25, 0.125), (-2.0, 1.0, -0.5)),
+    @example(case=(((0.5, 0.25, 0.125), (0.5, 0.25, 0.125), (-2.0, 1.0, -0.5)),
                    np.array([-1.0, 0.0, 0.3, 0.875])), silent={1})
     def test_fused_decode_matches_weighted_step_sum(self, case, silent):
         # weights of either sign (T from 1), and steps whose threshold no
         # finite membrane reaches, so they never fire
-        p, xs = case
-        theta = tuple(1e300 if t in silent else v for t, v in enumerate(p.theta))
-        d = np.array(p.d)
-        ref = _sum_steps(_fs_bits(xs, theta, p.h) * d[:, None])
-        got = _fs_decode(xs, theta, p.h, d)
+        (theta, h, d), xs = case
+        theta = tuple(1e300 if t in silent else v for t, v in enumerate(theta))
+        d = np.array(d)
+        ref = _sum_steps(_fs_bits(xs, theta, h) * d[:, None])
+        got = _fs_decode(xs, theta, h, d)
         assert np.array_equal(got, ref)
         assert got.tobytes() == ref.tobytes()  # the same additions, so even signed zeros

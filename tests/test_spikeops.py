@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from spikeconvert.calibration import fit_target, gelu
 from spikeconvert.energy import EnergyLedger
 from spikeconvert.errors import ShapeError, StepMismatchError
-from spikeconvert.neurons import FSParams, HGConfig, OATConfig
+from spikeconvert.neurons import HGConfig, OATConfig
 from spikeconvert.spikeops import (
     SpikeMatrixTrain,
     add_trains,
@@ -450,8 +450,8 @@ class TestBLASWeightProducts:
 
 _X = Matrix(np.array([[-2.0, -0.3, 0.0], [0.4, 1.2, 5.0]]))
 _OAT = OATConfig(0.5, 4.0, 3, 4)
-_BANK = HGConfig.from_subneurons((-1.0, 0.0, 1.0),
-                                 (FSParams((0.5,) * 4, (0.5,) * 4, (1.0,) * 4),) * 2)
+_BANK = HGConfig((-1.0, 0.0, 1.0), np.full((4, 2), 0.5), np.full((4, 2), 0.5),
+                 np.ones((4, 2)))
 _ENC = encode_matrix(_X, _OAT)
 PUBLIC_KERNELS = {
     "apply_hg": lambda: apply_hg(_X, _BANK, 4),

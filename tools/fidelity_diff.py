@@ -20,12 +20,12 @@ the SOP/FLOP totals and the clamp totals of each layer (`input`,
 `layers.<i>`) are equal. Then it says whether the saved block files and
 the calibrate output are byte-identical, and whether the loaded blocks are
 equal bit for bit: each gate bank's boundaries and sub-neuron schedules
-(read through `.subneurons`, which every block format has) and each
-encoder's thresholds. The exit status is 0 when the per-layer totals and
-the files all match, and 1 otherwise, so a site renamed within its layer
-shows in the ledgers and counters columns without reading as a numerics
-change, and a block file laid out anew, with "loaded blocks equal", is
-told apart from one whose numbers moved.
+(read from its (T, N) theta/h/d stacks, which every checkout since block
+format 3 has) and each encoder's thresholds. The exit status is 0 when the
+per-layer totals and the files all match, and 1 otherwise, so a site
+renamed within its layer shows in the ledgers and counters columns without
+reading as a numerics change, and a block file laid out anew, with "loaded
+blocks equal", is told apart from one whose numbers moved.
 """
 from __future__ import annotations
 
@@ -59,7 +59,7 @@ def block_numbers(block) -> dict:
     for site, c in block.hg.items():
         numbers["hg", site, "boundaries"] = np.array(c.boundaries, dtype=np.float64)
         numbers["hg", site, "schedules"] = np.array(
-            [(p.theta, p.h, p.d) for p in c.subneurons], dtype=np.float64)
+            [c.theta, c.h, c.d], dtype=np.float64).transpose(2, 0, 1)
     for site, c in block.oat.items():
         numbers["oat", site] = np.array([c.theta_nor, c.theta_out])
     return numbers

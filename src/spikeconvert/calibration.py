@@ -49,6 +49,8 @@ from .tensors import ActivationStats, Matrix, percentile
 _CURVE_EXP = 0.52
 _UNIFORM_MIX = 0.05
 _GRID_CELLS = 2048
+# the fraction of the observed span a gate's fitted range adds on each side
+_RANGE_PAD = 0.1
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -188,20 +190,15 @@ def select_hierarchy(
 
 
 def curvature_sample(
-    fn: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    n: int,
+    fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, n: int,
     rng: np.random.Generator,
-    exponent: float = _CURVE_EXP,
-    uniform_mix: float = _UNIFORM_MIX,
 ) -> np.ndarray:
     """Draw n points on [lo, hi] weighted toward high second-derivative.
 
     Used to place boundaries for pure function fits: the dyadic kernels are
     affine in their firing bits and cannot express curvature, so their error
     scales with |f''| times the squared sub-range width. Sampling density
-    |f''|^exponent (plus a uniform floor) hands the quantile splitter narrow
+    |f''|^_CURVE_EXP (plus a uniform floor) hands the quantile splitter narrow
     sub-ranges exactly where the target bends.
     """
     if not lo < hi:
@@ -214,12 +211,12 @@ def curvature_sample(
     if not np.all(np.isfinite(f2)):
         bad = xc[~np.isfinite(f2)][0]
         raise CalibrationError(f"target curvature is not finite near x={bad}")
-    w = f2**exponent
+    w = f2**_CURVE_EXP
     total = float(w.sum())
     if total <= 0.0 or not np.isfinite(total):
         w = np.ones_like(w)
         total = float(w.sum())
-    p = (1.0 - uniform_mix) * w / total + uniform_mix / _GRID_CELLS
+    p = (1.0 - _UNIFORM_MIX) * w / total + _UNIFORM_MIX / _GRID_CELLS
     cdf = np.cumsum(p)
     cdf[-1] = 1.0
     idx = np.searchsorted(cdf, rng.random(n), side="right")
@@ -229,15 +226,14 @@ def curvature_sample(
 
 
 def observed_range(
-    observed: np.ndarray,
-    pad: float = 0.1,
-    floor: float | None = None,
+    observed: np.ndarray, floor: float | None = None
 ) -> tuple[float, float]:
     """Padded [lo, hi] covering a batch of observed activations.
 
-    Padding by a fraction of the span keeps mildly larger runtime values
-    inside the fitted hierarchy instead of on its clamp. A floor pins lo
-    for targets whose domain must not cross it (reciprocal near zero).
+    Padding by _RANGE_PAD of the span on each side keeps mildly larger
+    runtime values inside the fitted hierarchy instead of on its clamp. A
+    floor pins lo for targets whose domain must not cross it (reciprocal
+    near zero).
     """
     observed = np.asarray(observed, dtype=np.float64).reshape(-1)
     if observed.size == 0:
@@ -245,8 +241,8 @@ def observed_range(
     lo = float(observed.min())
     hi = float(observed.max())
     span = max(hi - lo, 1e-6 * max(1.0, abs(hi)), 1e-9)
-    lo -= pad * span
-    hi += pad * span
+    lo -= _RANGE_PAD * span
+    hi += _RANGE_PAD * span
     if floor is not None:
         lo = max(lo, floor)
         hi = max(hi, lo + 1e-6)

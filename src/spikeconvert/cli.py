@@ -157,12 +157,20 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _steps_entry(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"--steps-list entry {raw!r} is not an integer") from None
+
+
 def cmd_sweep(args) -> int:
-    block = load_block(args.block)
-    x = _load_input(args.input)
-    steps_list = [int(s) for s in args.steps_list.split(",") if s.strip()]
+    # a malformed list is refused before the block is read
+    steps_list = [_steps_entry(s) for s in args.steps_list.split(",") if s.strip()]
     if not steps_list:
         raise ValueError("--steps-list must name at least one timestep")
+    block = load_block(args.block)
+    x = _load_input(args.input)
     lines = ["timestep,mean_rel_err,sops,ratio"]
     for T in steps_list:
         _, trace = spike_forward(block, x, T=T)

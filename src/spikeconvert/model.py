@@ -531,58 +531,47 @@ def spike_forward(
     refs: dict[str, list[np.ndarray]] = {}
     y_ref = float_forward(cfg, w, x, ledger=ledger, recorder=refs)
 
-    # every encoder and gate runs at T, whatever depth it was fitted at
-    oat, hg = block.oat, block.hg
+    # every site's weight, encoder or gate by its block key; every encoder
+    # and gate runs at T, whatever depth it was fitted at
+    p = {name: w[name] for name in w.names} | block.oat | block.hg
     counters: dict[str, int] = {}
     per_layer: dict[str, float] = {}
     scale = 1.0 / math.sqrt(cfg.d_head)
     r, nh = x.rows, cfg.n_heads
+    ffn = spike_ffn if cfg.ffn_kind == "standard" else spike_gated_ffn
 
     def heads(a):  # (T, rows, d_model) -> (T, heads, rows, d_head)
         return a.reshape(T, r, nh, cfg.d_head).swapaxes(1, 2)
 
-    def layernorm(site: str, stream: SpikeMatrixTrain) -> SpikeMatrixTrain:
-        return spike_layernorm(stream, w[site + ".gamma"], w[site + ".beta"],
-                               hg[site + ".invsqrt"], hg[site + ".square"],
-                               oat[site + ".center"], ledger, site, counters)
-
     def attention(L: str, stream: SpikeMatrixTrain) -> Matrix:
         A = L + "attn."
-        attn_in = reencode(layernorm(L + "ln1", stream), oat[A + "in"], ledger, A + "in")
-        q = project(attn_in, w[A + "wq"], None, ledger, A + "wq")
-        q = encode_matrix(Matrix(q.array * scale), oat[A + "q"], T, ledger, A + "q")
-        k, v = (encode_matrix(project(attn_in, w[A + "w" + n], None, ledger, A + "w" + n),
-                              oat[A + n], T, ledger, A + n) for n in "kv")
+        ln1 = spike_layernorm(stream, p, L + "ln1", ledger, counters)
+        attn_in = reencode(ln1, p[A + "in"], ledger, A + "in")
+        q = project(attn_in, p[A + "wq"], None, ledger, A + "wq")
+        q = encode_matrix(Matrix(q.array * scale), p[A + "q"], T, ledger, A + "q")
+        k, v = (encode_matrix(project(attn_in, p[A + "w" + n], None, ledger, A + "w" + n),
+                              p[A + n], T, ledger, A + n) for n in "kv")
         # every head at once: (T, heads, rows, rows) logits, whose rows
         # the softmax and the probs encoder take as (T, heads * rows, rows)
         logits = saa_mul(_regroup(q, heads),
                          _regroup(k, lambda a: heads(a).swapaxes(2, 3)),
                          ledger, A + "qk")
         probs = spike_softmax(_regroup(logits, lambda a: a.reshape(T, nh * r, r)),
-                              hg[A + "exp"], hg[A + "recip"], ledger, L + "attn",
-                              counters)
-        probs = reencode(probs, oat[A + "probs"], ledger, A + "probs")
+                              p, L + "attn", ledger, counters)
+        probs = reencode(probs, p[A + "probs"], ledger, A + "probs")
         pv = saa_mul(_regroup(probs, lambda a: a.reshape(T, nh, r, r)),
                      _regroup(v, heads), ledger, A + "pv")
         merged = _regroup(pv, lambda a: a.swapaxes(1, 2).reshape(T, r, -1))
-        ctx = reencode(merged, oat[A + "out"], ledger, A + "out")
-        return project(ctx, w[A + "wo"], None, ledger, A + "wo")
+        ctx = reencode(merged, p[A + "out"], ledger, A + "out")
+        return project(ctx, p[A + "wo"], None, ledger, A + "wo")
 
     def feed_forward(L: str, stream: SpikeMatrixTrain) -> Matrix:
-        F = L + "ffn."
-        ln2 = layernorm(L + "ln2", stream)
-        if cfg.ffn_kind == "standard":
-            out = spike_ffn(ln2, w[F + "w1"], w[F + "b1"], w[F + "w2"], w[F + "b2"],
-                            hg[F + "act"], oat[F + "in"], ledger, L + "ffn", counters)
-        else:
-            out = spike_gated_ffn(ln2, w[F + "wg"], w[F + "bg"], w[F + "wu"],
-                                  w[F + "bu"], w[F + "wd"], w[F + "bd"], hg[F + "act"],
-                                  oat[F + "in"], oat[F + "mid"], oat[F + "z"], ledger,
-                                  L + "ffn", counters)
-        return decode_train(out, ledger, F + "out_decode")
+        ln2 = spike_layernorm(stream, p, L + "ln2", ledger, counters)
+        out = ffn(ln2, p, L + "ffn", ledger, counters)
+        return decode_train(out, ledger, L + "ffn.out_decode")
 
     cur = x.array.copy()
-    stream = encode_matrix(Matrix(cur), oat["input"], T, ledger, "input")
+    stream = encode_matrix(Matrix(cur), p["input"], T, ledger, "input")
     for i in range(cfg.n_layers):
         L = f"layers.{i}."
         for sub, run in (("attn", attention), ("ffn", feed_forward)):
@@ -748,10 +737,11 @@ def _gate_bank(site: str, tensors: dict[str, np.ndarray], path: str) -> HGConfig
         raise type(exc)(f"{where}: {exc}") from exc
 
 
-def save_block(block: ConvertedBlock, path: str, weights_path: str | None = None) -> None:
+def save_block(block: ConvertedBlock, path: str) -> None:
+    """Write the block's JSON to path and its weights and gate banks to the
+    LASW sidecar beside it (path with a .lasw suffix)."""
     block.check_complete()  # what the file leaves out must be derivable on load
-    if weights_path is None:
-        weights_path = os.path.splitext(path)[0] + ".lasw"
+    weights_path = os.path.splitext(path)[0] + ".lasw"
     gates = {f"{site}.{name}": a for site, c in block.hg.items()
              for name, a in zip(_GATE_TENSORS, (c.boundaries[None], c.theta, c.h, c.d))}
     _write_lasw(_weight_arrays(block.weights) | gates, weights_path)
@@ -767,7 +757,9 @@ def save_block(block: ConvertedBlock, path: str, weights_path: str | None = None
     dump_json(doc, path)
 
 
-def load_block(path: str, weights_path: str | None = None) -> ConvertedBlock:
+def load_block(path: str) -> ConvertedBlock:
+    """Read a block file and the sidecar its weights_file names, which lies
+    in the block file's directory."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     _check_type("block", doc, dict)
@@ -784,8 +776,7 @@ def load_block(path: str, weights_path: str | None = None) -> ConvertedBlock:
     _check_keys("block", doc, _BLOCK_KEYS)
     cfg = ModelConfig.from_dict(doc["config"])
     _check_type("weights_file", doc["weights_file"], str)
-    if weights_path is None:
-        weights_path = os.path.join(os.path.dirname(path) or ".", doc["weights_file"])
+    weights_path = os.path.join(os.path.dirname(path) or ".", doc["weights_file"])
     tensors = _read_lasw(weights_path)
     hg = {site: _gate_bank(site, tensors, weights_path) for site in hg_sites(cfg)}
     block = ConvertedBlock(

@@ -27,10 +27,13 @@ non-finite input, which catches a bad value where a decoded train re-enters.
 
 The composite layers (softmax, LayerNorm, FFN, gated FFN) weave these
 products together with the fitted neuron gates, through reencode and
-project. Each takes an optional energy ledger (event-gated additions are
-recorded per site) and an optional counters dict where range-clamp totals
-are tallied as "<gate site>.clamped". A composite's site is its sublayer;
-it charges each encoder and gate at the leaf of its block key (".exp").
+project. Each is called as (xs, p, site, ledger, counters): p maps block
+keys to the block's weights (Matrix), encoders (OATConfig) and gate banks
+(HGConfig), and site is the sublayer key ("layers.0.ln1"). A composite
+reads every weight, encoder and gate at site + leaf ("layers.0.ln1.gamma")
+and charges each encoder and gate at that same key. The optional energy
+ledger records event-gated additions per site; the optional counters dict
+tallies range clamps as "<gate site>.clamped".
 """
 from __future__ import annotations
 
@@ -135,21 +138,6 @@ def reencode(
     again through the dual-range encoder at site, at the train's T."""
     return encode_matrix(decode_train(ts, ledger, site + "_decode"), cfg, ts.steps,
                          ledger, site)
-
-
-def scale_columns(ts: SpikeMatrixTrain, g: Matrix) -> SpikeMatrixTrain:
-    """Per-column scaling of every step; linear, so decode scales the same."""
-    if g.shape != (1, ts.cols):
-        raise ShapeError(f"need a (1, {ts.cols}) scale row, got {g.shape}")
-    return SpikeMatrixTrain._wrap(ts.values * g.array[0])
-
-
-def add_trains(a: SpikeMatrixTrain, b: SpikeMatrixTrain) -> SpikeMatrixTrain:
-    if a.steps != b.steps:
-        raise StepMismatchError(f"step counts differ: {a.steps} != {b.steps}")
-    if a.shape != b.shape:
-        raise ShapeError(f"train shapes differ: {a.shape} != {b.shape}")
-    return SpikeMatrixTrain._wrap(a.values + b.values)
 
 
 # ---------------------------------------------------------------------------
@@ -289,50 +277,47 @@ def softmax_offset(
 # composite sublayers
 
 
+def _with_bias(values: np.ndarray, b: Matrix) -> SpikeMatrixTrain:
+    # the bias row delivered in full at step one, as a constant train would
+    # add it (the + 0.0 is that train's silent steps)
+    out = values + 0.0
+    out[0] = values[0] + b.array
+    return SpikeMatrixTrain._wrap(out)
+
+
 def spike_softmax(
-    zs: SpikeMatrixTrain,
-    exp_cfg: HGConfig,
-    inv_cfg: HGConfig,
-    ledger=None,
-    site: str = "softmax",
-    counters: dict | None = None,
+    zs: SpikeMatrixTrain, p, site: str, ledger=None, counters: dict | None = None
 ) -> SpikeMatrixTrain:
     """Row softmax from spike parts: exp gate, reciprocal gate, Hadamard.
 
     The logit train is max-shifted first (exact), the shifted total drives
-    the exp gate, row sums of the exp train drive the reciprocal gate, and
-    the two trains multiply elementwise with the single-column reciprocal
-    broadcasting across the row. Row-sum inputs outside the reciprocal's
-    fitted range clamp and are counted.
+    the exp gate (site ".exp"), row sums of the exp train drive the
+    reciprocal gate (".recip"), and the two trains multiply elementwise
+    with the single-column reciprocal broadcasting across the row. Row-sum
+    inputs outside the reciprocal's fitted range clamp and are counted.
     """
     T = zs.steps
     shifted = softmax_offset(zs, ledger, site + ".offset")
     zhat = decode_train(shifted, ledger, site + ".offset_decode")
-    e_train = apply_hg(zhat, exp_cfg, T, ledger, site + ".exp", counters)
+    e_train = apply_hg(zhat, p[site + ".exp"], T, ledger, site + ".exp", counters)
     denom = decode_train(e_train, ledger, site + ".denom")
     row_sums = Matrix._wrap(denom.array.sum(axis=1, keepdims=True))
-    inv_train = apply_hg(row_sums, inv_cfg, T, ledger, site + ".recip", counters)
+    inv_train = apply_hg(row_sums, p[site + ".recip"], T, ledger, site + ".recip",
+                         counters)
     return hadamard_mul(e_train, inv_train, ledger, site + ".norm")
 
 
 def spike_layernorm(
-    xs: SpikeMatrixTrain,
-    gamma: Matrix,
-    beta: Matrix,
-    invsqrt_cfg: HGConfig,
-    square_cfg: HGConfig,
-    oat: OATConfig,
-    ledger=None,
-    site: str = "layernorm",
-    counters: dict | None = None,
+    xs: SpikeMatrixTrain, p, site: str, ledger=None, counters: dict | None = None
 ) -> SpikeMatrixTrain:
     """Spike LayerNorm: center, squared-gate variance, inverse-root Hadamard.
 
     The input train is decoded into the gate membrane and centered; the
-    centered values re-enter as a dual-range train, their squares come from
-    the square gate, and the per-row inverse root (epsilon floored inside
-    the fitted target, so zero variance is safe) multiplies in via the
-    Hadamard kernel before the affine scale and shift.
+    centered values re-enter as a dual-range train (".center"), their
+    squares come from the square gate (".square"), and the per-row inverse
+    root (".invsqrt"; epsilon floored inside the fitted target, so zero
+    variance is safe) multiplies in via the Hadamard kernel before the
+    affine scale ".gamma" and shift ".beta".
     """
     T = xs.steps
     x = decode_train(xs, ledger, site + ".in_decode")
@@ -341,70 +326,49 @@ def spike_layernorm(
     if ledger is not None:
         # row-mean accumulation plus per-element subtraction
         ledger.record_sop(site + ".mean", 2 * x.rows * x.cols)
-    c_train = encode_matrix(centered, oat, T, ledger, site + ".center")
-    sq_train = apply_hg(centered, square_cfg, T, ledger, site + ".square", counters)
+    c_train = encode_matrix(centered, p[site + ".center"], T, ledger, site + ".center")
+    sq_train = apply_hg(centered, p[site + ".square"], T, ledger, site + ".square",
+                        counters)
     sq = decode_train(sq_train, ledger, site + ".square_decode")
     var = Matrix._wrap(sq.array.mean(axis=1, keepdims=True))
     if ledger is not None:
         ledger.record_sop(site + ".variance", x.rows * x.cols)
-    inv_train = apply_hg(var, invsqrt_cfg, T, ledger, site + ".invsqrt", counters)
+    inv_train = apply_hg(var, p[site + ".invsqrt"], T, ledger, site + ".invsqrt",
+                         counters)
     normed = hadamard_mul(c_train, inv_train, ledger, site + ".norm")
-    scaled = scale_columns(normed, gamma)
-    shift = constant_train(Matrix(np.broadcast_to(beta.array, scaled.shape)), T)
-    return add_trains(scaled, shift)
+    return _with_bias(normed.values * p[site + ".gamma"].array[0], p[site + ".beta"])
 
 
 def spike_ffn(
-    xs: SpikeMatrixTrain,
-    W1: Matrix,
-    b1: Matrix,
-    W2: Matrix,
-    b2: Matrix,
-    act_cfg: HGConfig,
-    oat: OATConfig,
-    ledger=None,
-    site: str = "ffn",
-    counters: dict | None = None,
+    xs: SpikeMatrixTrain, p, site: str, ledger=None, counters: dict | None = None
 ) -> SpikeMatrixTrain:
-    """Two-layer FFN: re-encode input, project, gate the activation, project."""
+    """Two-layer FFN: re-encode the input (".in"), project through ".w1"
+    plus ".b1", gate the activation (".act"), project through ".w2" plus
+    ".b2"."""
     T = xs.steps
-    pre = project(reencode(xs, oat, ledger, site + ".in"), W1, b1, ledger, site + ".w1")
-    act_train = apply_hg(pre, act_cfg, T, ledger, site + ".act", counters)
-    out = saw_mul_right(act_train, W2, ledger, site + ".w2")
-    shift = constant_train(Matrix(np.broadcast_to(b2.array, out.shape)), T)
-    return add_trains(out, shift)
+    xt = reencode(xs, p[site + ".in"], ledger, site + ".in")
+    pre = project(xt, p[site + ".w1"], p[site + ".b1"], ledger, site + ".w1")
+    act_train = apply_hg(pre, p[site + ".act"], T, ledger, site + ".act", counters)
+    out = saw_mul_right(act_train, p[site + ".w2"], ledger, site + ".w2")
+    return _with_bias(out.values, p[site + ".b2"])
 
 
 def spike_gated_ffn(
-    xs: SpikeMatrixTrain,
-    Wg: Matrix,
-    bg: Matrix,
-    Wu: Matrix,
-    bu: Matrix,
-    Wd: Matrix,
-    bd: Matrix,
-    act_cfg: HGConfig,
-    oat: OATConfig,
-    oat_mid: OATConfig,
-    oat_out: OATConfig,
-    ledger=None,
-    site: str = "ffn",
-    counters: dict | None = None,
+    xs: SpikeMatrixTrain, p, site: str, ledger=None, counters: dict | None = None
 ) -> SpikeMatrixTrain:
     """Gated FFN: activation-gated up-projection with a Hadamard interaction.
 
-    g = gate(x @ Wg + bg), u = x @ Wu + bu, z = enc(u) * g, out = z @ Wd + bd.
-    x, u and z live on different scales, so each has its own encoder: oat
-    (site ".in"), oat_mid (".mid") and oat_out (".z"); the gate is ".act".
+    g = act(x @ wg + bg), u = x @ wu + bu, z = enc(u) * g, out = z @ wd + bd.
+    x, u and z live on different scales, so each has its own encoder:
+    ".in", ".mid" and ".z"; the gate is ".act".
     """
     T = xs.steps
-    xt = reencode(xs, oat, ledger, site + ".in")
-    g_pre = project(xt, Wg, bg, ledger, site + ".wg")
-    g_train = apply_hg(g_pre, act_cfg, T, ledger, site + ".act", counters)
-    u = project(xt, Wu, bu, ledger, site + ".wu")
-    u_train = encode_matrix(u, oat_mid, T, ledger, site + ".mid")
+    xt = reencode(xs, p[site + ".in"], ledger, site + ".in")
+    g_pre = project(xt, p[site + ".wg"], p[site + ".bg"], ledger, site + ".wg")
+    g_train = apply_hg(g_pre, p[site + ".act"], T, ledger, site + ".act", counters)
+    u = project(xt, p[site + ".wu"], p[site + ".bu"], ledger, site + ".wu")
+    u_train = encode_matrix(u, p[site + ".mid"], T, ledger, site + ".mid")
     z_train = hadamard_mul(u_train, g_train, ledger, site + ".interact")
-    zt = reencode(z_train, oat_out, ledger, site + ".z")
-    out = saw_mul_right(zt, Wd, ledger, site + ".wd")
-    shift = constant_train(Matrix(np.broadcast_to(bd.array, out.shape)), T)
-    return add_trains(out, shift)
+    zt = reencode(z_train, p[site + ".z"], ledger, site + ".z")
+    out = saw_mul_right(zt, p[site + ".wd"], ledger, site + ".wd")
+    return _with_bias(out.values, p[site + ".bd"])

@@ -26,7 +26,7 @@ from spikeconvert.calibration import (
     target_fn,
 )
 from spikeconvert.errors import CalibrationError
-from spikeconvert.model import ModelConfig, WeightSet, convert
+from spikeconvert.model import ModelConfig, convert
 from spikeconvert.neurons import HGConfig, _fs_bits, _sum_steps, hg_eval
 from spikeconvert.tensors import Matrix, stats
 
@@ -251,12 +251,14 @@ class TestVariantChoice:
         assert p == p_i and p.h[0, 0] == 0.0  # the intercept variant
         assert err == val_i == pytest.approx(0.07947, abs=5e-6)
 
-    def test_default_block_matches_two_variant_fit(self, monkeypatch):
-        cfg = ModelConfig()
-        w = WeightSet.random(cfg, cfg.seeds["weights"])
+    def test_default_block_matches_two_variant_fit(self, default_block,
+                                                   monkeypatch):
+        block = default_block
+        cfg, w = block.config, block.weights
+        assert cfg == ModelConfig()
+        # the calibration sample the default block was converted on
         calib = sample_distribution("normal", cfg.seq_len * 32, cfg.d_model,
                                     np.random.default_rng(cfg.seeds["calibration"]))
-        block = convert(cfg, w, calib)
         calls = []
 
         def reference(*args):

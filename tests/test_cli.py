@@ -601,6 +601,14 @@ class TestSweep:
                      "--input", str(work / "input.lasw"),
                      "--steps-list", "4,x"]) == 2
 
+    @pytest.mark.parametrize("entry", ["x", "2.5"])
+    def test_bad_steps_entry_is_named(self, work, capsys, entry):
+        assert main(["sweep", "--block", str(work / "block.json"),
+                     "--input", str(work / "input.lasw"),
+                     "--steps-list", f"4,{entry}"]) == 2
+        err = capsys.readouterr().err
+        assert "--steps-list" in err and repr(entry) in err, err
+
 
 class TestEnergy:
     def test_matches_report_ledger(self, work, capsys):

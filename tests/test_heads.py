@@ -15,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import desk_block
+
 from spikeconvert import model, spikeops
-from spikeconvert.calibration import gelu, sample_distribution, silu
+from spikeconvert.calibration import gelu, silu
 from spikeconvert.energy import EnergyLedger
 from spikeconvert.errors import (
     EmptyInputError,
@@ -180,6 +182,8 @@ def per_head_spike_forward(
 
     # every encoder and gate runs at T, whatever depth it was fitted at
     oat, hg = block.oat, block.hg
+    # the sublayers read their weights, encoders and gates by block key
+    p = {name: w[name] for name in w.names} | oat | hg
     counters: dict[str, int] = {}
     per_layer: dict[str, float] = {}
     scale = 1.0 / math.sqrt(cfg.d_head)
@@ -189,11 +193,7 @@ def per_head_spike_forward(
     for i in range(cfg.n_layers):
         L = f"layers.{i}."
         try:
-            ln1 = spike_layernorm(
-                stream, w[L + "ln1.gamma"], w[L + "ln1.beta"],
-                hg[L + "ln1.invsqrt"], hg[L + "ln1.square"],
-                oat[L + "ln1.center"], ledger, L + "ln1", counters,
-            )
+            ln1 = spike_layernorm(stream, p, L + "ln1", ledger, counters)
             attn_in = encode_matrix(
                 decode_train(ln1, ledger, L + "attn.in_decode"),
                 oat[L + "attn.in"], T, ledger, L + "attn.in",
@@ -221,9 +221,7 @@ def per_head_spike_forward(
                 logits = saa_mul(slice_cols(q, lo, hi),
                                  transpose_train(slice_cols(k, lo, hi)),
                                  ledger, L + "attn.qk")
-                probs = spike_softmax(logits, hg[L + "attn.exp"],
-                                      hg[L + "attn.recip"], ledger,
-                                      L + "attn", counters)
+                probs = spike_softmax(logits, p, L + "attn", ledger, counters)
                 probs_enc = encode_matrix(
                     decode_train(probs, ledger, L + "attn.probs_decode"),
                     oat[L + "attn.probs"], T, ledger, L + "attn.probs",
@@ -244,27 +242,11 @@ def per_head_spike_forward(
         per_layer[L + "attn"] = float(np.abs(cur - refs[L + "attn"][0]).mean())
 
         try:
-            ln2 = spike_layernorm(
-                stream, w[L + "ln2.gamma"], w[L + "ln2.beta"],
-                hg[L + "ln2.invsqrt"], hg[L + "ln2.square"],
-                oat[L + "ln2.center"], ledger, L + "ln2", counters,
-            )
+            ln2 = spike_layernorm(stream, p, L + "ln2", ledger, counters)
             if cfg.ffn_kind == "standard":
-                ffn_out = spike_ffn(
-                    ln2, w[L + "ffn.w1"], w[L + "ffn.b1"],
-                    w[L + "ffn.w2"], w[L + "ffn.b2"],
-                    hg[L + "ffn.act"], oat[L + "ffn.in"],
-                    ledger, L + "ffn", counters,
-                )
+                ffn_out = spike_ffn(ln2, p, L + "ffn", ledger, counters)
             else:
-                ffn_out = spike_gated_ffn(
-                    ln2, w[L + "ffn.wg"], w[L + "ffn.bg"],
-                    w[L + "ffn.wu"], w[L + "ffn.bu"],
-                    w[L + "ffn.wd"], w[L + "ffn.bd"],
-                    hg[L + "ffn.act"], oat[L + "ffn.in"],
-                    oat[L + "ffn.mid"], oat[L + "ffn.z"],
-                    ledger, L + "ffn", counters,
-                )
+                ffn_out = spike_gated_ffn(ln2, p, L + "ffn", ledger, counters)
             ffn_dec = decode_train(ffn_out, ledger, L + "ffn.out_decode")
             cur = cur + ffn_dec.array
             stream = constant_train(Matrix(cur), T)
@@ -295,24 +277,6 @@ def _block(n_heads: int, ffn_kind: str, n_layers: int):
                       N_per_nonlinearity=4, samples_per_range=128)
     calib = Matrix(np.random.default_rng(6).standard_normal((32, cfg.d_model)))
     return convert(cfg, WeightSet.random(cfg, 5), calib)
-
-
-def _desk_block(dist: str, **fields):
-    """A desk-scale block converted on its pinned seeds."""
-    cfg = ModelConfig(calib_distribution=dist, **fields)
-    calib = sample_distribution(dist, cfg.seq_len * 32, cfg.d_model,
-                                np.random.default_rng(cfg.seeds["calibration"]))
-    return convert(cfg, WeightSet.random(cfg, cfg.seeds["weights"]), calib)
-
-
-@pytest.fixture(scope="module")
-def default_block():
-    return _desk_block("normal")
-
-
-@pytest.fixture(scope="module")
-def gated_block():
-    return _desk_block("normal_outliers", ffn_kind="gated", n_layers=2)
 
 
 def assert_same_forward(block, x, T):
@@ -382,7 +346,7 @@ class TestStackedFloatForward:
     def test_default_block_converts_as_with_per_head_loop(self, default_block,
                                                           monkeypatch):
         monkeypatch.setattr(model, "float_forward", per_head_float_forward)
-        ref = _desk_block("normal")
+        ref = desk_block("normal")
         assert ref.hg == default_block.hg
         assert ref.oat == default_block.oat
         assert ref.reports == default_block.reports

@@ -29,6 +29,7 @@ from spikeconvert.model import (
     ModelConfig,
     RunTrace,
     WeightSet,
+    _layer_sites,
     ablate_dual_range,
     convert,
     expected_shapes,
@@ -45,6 +46,13 @@ from spikeconvert.model import (
     spike_forward,
 )
 from spikeconvert.neurons import HGConfig, _max_steps
+from spikeconvert.spikeops import (
+    constant_train,
+    spike_ffn,
+    spike_gated_ffn,
+    spike_layernorm,
+    spike_softmax,
+)
 from spikeconvert.tensors import Matrix
 
 TINY = dict(d_model=8, n_heads=2, d_ff=16, seq_len=4, T=8, H=3,
@@ -75,24 +83,6 @@ def tiny_block(tiny_cfg, tiny_weights, calib_sample):
 @pytest.fixture(scope="module")
 def tiny_input():
     return Matrix(np.random.default_rng(7).standard_normal((4, 8)))
-
-
-def _desk_block(dist: str, **fields) -> ConvertedBlock:
-    """A desk-scale block converted on its pinned seeds."""
-    cfg = ModelConfig(calib_distribution=dist, **fields)
-    calib = sample_distribution(dist, cfg.seq_len * 32, cfg.d_model,
-                                np.random.default_rng(cfg.seeds["calibration"]))
-    return convert(cfg, WeightSet.random(cfg, cfg.seeds["weights"]), calib)
-
-
-@pytest.fixture(scope="module")
-def default_block():
-    return _desk_block("normal")
-
-
-@pytest.fixture(scope="module")
-def gated_block():
-    return _desk_block("normal_outliers", ffn_kind="gated", n_layers=2)
 
 
 class TestModelConfig:
@@ -207,6 +197,43 @@ class TestSiteTree:
                 assert key.removesuffix(".clamped") in block.hg, key
             for site in sites:
                 assert site == "input" or _SUBLAYER_SITE.fullmatch(site), site
+
+    def test_composites_read_the_sites_declared_under_their_sublayer(
+            self, desk_blocks):
+        rng = np.random.default_rng(0)
+        for block in desk_blocks:
+            cfg, w = block.config, block.weights
+            declared = [key for kind in _layer_sites(cfg).values() for key in kind]
+            x = constant_train(
+                Matrix(rng.standard_normal((cfg.seq_len, cfg.d_model))), cfg.T)
+            logits = constant_train(
+                Matrix(rng.standard_normal((cfg.seq_len, cfg.seq_len))), cfg.T)
+            ffn = spike_ffn if cfg.ffn_kind == "standard" else spike_gated_ffn
+            for i in range(cfg.n_layers):
+                L = f"layers.{i}."
+                for composite, sub, xs, want in (
+                        (spike_layernorm, "ln1", x, None),
+                        (spike_layernorm, "ln2", x, None),
+                        (ffn, "ffn", x, None),
+                        (spike_softmax, "attn", logits, {"attn.exp", "attn.recip"})):
+                    if want is None:
+                        want = {k for k in declared if k.startswith(sub + ".")}
+                    p = _RecordingParams(
+                        {name: w[name] for name in w.names} | block.oat | block.hg)
+                    composite(xs, p, L + sub)
+                    assert p.read == {L + k for k in want}, (composite, L + sub)
+
+
+class _RecordingParams(dict):
+    """A parameter mapping that notes every key read from it."""
+
+    def __init__(self, params: dict) -> None:
+        super().__init__(params)
+        self.read: set[str] = set()
+
+    def __getitem__(self, key: str):
+        self.read.add(key)
+        return super().__getitem__(key)
 
 
 class TestWeightSet:

@@ -24,7 +24,6 @@ from spikeconvert.errors import ShapeError, StepMismatchError
 from spikeconvert.neurons import HGConfig, OATConfig
 from spikeconvert.spikeops import (
     SpikeMatrixTrain,
-    add_trains,
     apply_hg,
     constant_train,
     decode_train,
@@ -35,7 +34,6 @@ from spikeconvert.spikeops import (
     saa_mul,
     saw_mul,
     saw_mul_right,
-    scale_columns,
     softmax_offset,
     spike_ffn,
     spike_gated_ffn,
@@ -79,20 +77,6 @@ class TestTrainPlumbing:
     def test_batch_axes_sit_before_the_matrix_axes(self):
         ts = SpikeMatrixTrain(np.zeros((2, 3, 4, 5)))
         assert (ts.steps, ts.rows, ts.cols, ts.shape) == (2, 4, 5, (3, 4, 5))
-
-    def test_scale_add(self):
-        rng = np.random.default_rng(0)
-        a = random_train(rng, 3, 4, 6)
-        g = Matrix(np.arange(1.0, 7.0).reshape(1, 6))
-        assert np.allclose(dec(scale_columns(a, g)), dec(a) * g.array)
-        b = random_train(rng, 3, 4, 6)
-        assert np.allclose(dec(add_trains(a, b)), dec(a) + dec(b),
-                           rtol=1e-13, atol=1e-13)
-
-    def test_add_step_mismatch(self):
-        rng = np.random.default_rng(1)
-        with pytest.raises(StepMismatchError):
-            add_trains(random_train(rng, 2, 2, 2), random_train(rng, 3, 2, 2))
 
     def test_encode_decode_round_trip_error_small(self):
         rng = np.random.default_rng(2)
@@ -461,8 +445,6 @@ PUBLIC_KERNELS = {
     "saa_mul": lambda: saa_mul(_ENC, view(_ENC, lambda a: a.transpose(0, 2, 1))),
     "hadamard_mul": lambda: hadamard_mul(_ENC, view(_ENC, lambda a: a[:, :, :1])),
     "softmax_offset": lambda: softmax_offset(_ENC),
-    "scale_columns": lambda: scale_columns(_ENC, Matrix(np.ones((1, 3)))),
-    "add_trains": lambda: add_trains(_ENC, _ENC),
     "constant_train": lambda: constant_train(_X, 4),
     "reencode": lambda: reencode(_ENC, _OAT),
 }
@@ -533,10 +515,16 @@ def gelu_gate():
     return fit_target("gelu", 8, T16, 1024, seed=105, lo=-6.0, hi=6.0)
 
 
+def softmax_params(exp_cfg, inv_cfg):
+    """The gates a softmax at site "softmax" reads, by their block keys."""
+    return {"softmax.exp": exp_cfg, "softmax.recip": inv_cfg}
+
+
 class TestSpikeSoftmax:
     def test_uniform_row(self, exp_gate, recip_gate):
         zs = constant_train(Matrix(np.full((1, 8), 1.7)), T16)
-        out = dec(spike_softmax(zs, exp_gate[0], recip_gate[0]))
+        out = dec(spike_softmax(zs, softmax_params(exp_gate[0], recip_gate[0]),
+                                "softmax"))
         # sigma_hat = e_hat * r_hat with r_hat = 1/(8 e_hat) +- E_i, so the
         # deviation from 1/8 is at most e_hat E_i <= (1+E_e) E_i <= E_e + E_i
         tol = exp_gate[1].max_abs_err + recip_gate[1].max_abs_err
@@ -545,7 +533,8 @@ class TestSpikeSoftmax:
     def test_dominant_logit(self, exp_gate, recip_gate):
         z = np.array([[10.0, 0.0, 0.0, 0.0]])
         zs = constant_train(Matrix(z), T16)
-        out = dec(spike_softmax(zs, exp_gate[0], recip_gate[0]))
+        out = dec(spike_softmax(zs, softmax_params(exp_gate[0], recip_gate[0]),
+                                "softmax"))
         assert out[0, 0] == pytest.approx(1.0, abs=0.05)
         assert np.max(np.abs(out[0, 1:])) <= 0.05
 
@@ -556,7 +545,7 @@ class TestSpikeSoftmax:
         rng = np.random.default_rng(14)
         z = rng.uniform(-4.0, 4.0, (6, 8))
         zs = constant_train(Matrix(z), T16)
-        out = dec(spike_softmax(zs, exp_cfg, inv_cfg))
+        out = dec(spike_softmax(zs, softmax_params(exp_cfg, inv_cfg), "softmax"))
         zhat = z - z.max(axis=1, keepdims=True)
         e = np.exp(zhat)
         D = e.sum(axis=1, keepdims=True)
@@ -579,8 +568,15 @@ class TestSpikeSoftmax:
         counters = {}
         # 40 columns of equal logits: the denominator 40 exceeds hi=17
         zs = constant_train(Matrix(np.zeros((1, 40))), T16)
-        spike_softmax(zs, exp_gate[0], recip_gate[0], counters=counters)
+        spike_softmax(zs, softmax_params(exp_gate[0], recip_gate[0]), "softmax",
+                      counters=counters)
         assert counters.get("softmax.recip.clamped", 0) >= 1
+
+
+def layernorm_params(gamma, beta, invsqrt_cfg, square_cfg, oat):
+    """What a LayerNorm at site "ln" reads, by its block keys."""
+    return {"ln.gamma": gamma, "ln.beta": beta, "ln.invsqrt": invsqrt_cfg,
+            "ln.square": square_cfg, "ln.center": oat}
 
 
 class TestSpikeLayerNorm:
@@ -598,8 +594,8 @@ class TestSpikeLayerNorm:
         beta = Matrix(np.full((1, cols), 0.3))
         oat = OATConfig(2.0, 4.0004, 5, T16)
         xs = encode_matrix(Matrix(np.full((2, cols), 4.0)), oat, T16)
-        out = dec(spike_layernorm(xs, gamma, beta, invsqrt_gate[0],
-                                  square_gate[0], oat))
+        out = dec(spike_layernorm(xs, layernorm_params(gamma, beta, invsqrt_gate[0],
+                                                       square_gate[0], oat), "ln"))
         assert np.allclose(out, 0.3, atol=1e-12)
 
     def test_random_rows_within_composed_bound(self, square_gate, invsqrt_gate):
@@ -612,7 +608,8 @@ class TestSpikeLayerNorm:
         amax = float(np.max(np.abs(x.array)))
         oat = OATConfig(0.5 * amax, amax * 1.0001, 5, T16)
         xs = encode_matrix(x, oat, T16)
-        out = dec(spike_layernorm(xs, gamma, beta, iv_cfg, sq_cfg, oat))
+        out = dec(spike_layernorm(xs, layernorm_params(gamma, beta, iv_cfg, sq_cfg,
+                                                       oat), "ln"))
         want = self.float_ln(x.array, gamma.array, beta.array)
 
         # stage 1: input decode deviation, pure dual-range quantization
@@ -648,6 +645,12 @@ class TestSpikeLayerNorm:
         assert np.max(np.abs(out - want)) <= final + 1e-12
 
 
+def ffn_params(W1, b1, W2, b2, act_cfg, oat):
+    """What a standard FFN at site "ffn" reads, by its block keys."""
+    return {"ffn.w1": W1, "ffn.b1": b1, "ffn.w2": W2, "ffn.b2": b2,
+            "ffn.act": act_cfg, "ffn.in": oat}
+
+
 class TestSpikeFFN:
     def test_zero_input_zero_biases(self, gelu_gate):
         act_cfg, act_rep = gelu_gate
@@ -656,7 +659,8 @@ class TestSpikeFFN:
         W2 = Matrix(rng.standard_normal((8, 6)) * 0.3)
         zb1, zb2 = Matrix(np.zeros((1, 8))), Matrix(np.zeros((1, 6)))
         xs = constant_train(Matrix(np.zeros((3, 6))), T16)
-        out = dec(spike_ffn(xs, W1, zb1, W2, zb2, act_cfg, OAT_UNIT))
+        out = dec(spike_ffn(xs, ffn_params(W1, zb1, W2, zb2, act_cfg, OAT_UNIT),
+                            "ffn"))
         w2_colsum = np.abs(W2.array).sum(axis=0).max()
         assert np.max(np.abs(out)) <= act_rep.max_abs_err * w2_colsum + 1e-12
 
@@ -669,7 +673,8 @@ class TestSpikeFFN:
         zb = Matrix(np.zeros((1, 8)))
         x = Matrix(rng.standard_normal((4, 8)))
         xs = encode_matrix(x, OAT_UNIT, T16)
-        out = dec(spike_ffn(xs, W1, b1, eye, zb, act_cfg, OAT_UNIT))
+        out = dec(spike_ffn(xs, ffn_params(W1, b1, eye, zb, act_cfg, OAT_UNIT),
+                            "ffn"))
         # mirror the internal path op for op so every float matches bitwise
         xt = encode_matrix(Matrix(dec(xs)), OAT_UNIT, T16)
         pre = dec(saw_mul_right(xt, W1)) + b1.array
@@ -685,7 +690,8 @@ class TestSpikeFFN:
         b2 = Matrix(rng.standard_normal((1, 6)) * 0.1)
         x = Matrix(rng.standard_normal((4, 6)))
         xs = constant_train(x, T16)  # exact input train
-        out = dec(spike_ffn(xs, W1, b1, W2, b2, act_cfg, OAT_UNIT))
+        out = dec(spike_ffn(xs, ffn_params(W1, b1, W2, b2, act_cfg, OAT_UNIT),
+                            "ffn"))
         # measured encode deviation + gate report bound, pushed through W2
         x_hat = dec(encode_matrix(x, OAT_UNIT, T16))
         d_enc = np.abs(x_hat - x.array)
@@ -707,6 +713,13 @@ def silu_gate_narrow():
     return fit_target("silu", 4, T16, 512, seed=106, lo=0.8, hi=1.8)
 
 
+def gated_ffn_params(Wg, bg, Wu, bu, Wd, bd, act_cfg, oat, oat_mid, oat_out):
+    """What a gated FFN at site "ffn" reads, by its block keys."""
+    return {"ffn.wg": Wg, "ffn.bg": bg, "ffn.wu": Wu, "ffn.bu": bu, "ffn.wd": Wd,
+            "ffn.bd": bd, "ffn.act": act_cfg, "ffn.in": oat, "ffn.mid": oat_mid,
+            "ffn.z": oat_out}
+
+
 class TestSpikeGatedFFN:
     def test_zero_up_projection_gives_bias(self, silu_gate_narrow):
         rng = np.random.default_rng(20)
@@ -717,8 +730,9 @@ class TestSpikeGatedFFN:
         Wd = Matrix(rng.standard_normal((f, d)) * 0.2)
         bd = Matrix(rng.standard_normal((1, d)) * 0.5)
         xs = constant_train(Matrix(rng.standard_normal((3, d)) * 0.2), T16)
-        out = dec(spike_gated_ffn(xs, Wg, bg, Wu, bu, Wd, bd,
-                                  silu_gate_narrow[0], OAT_UNIT, OAT_UNIT, OAT_UNIT))
+        p = gated_ffn_params(Wg, bg, Wu, bu, Wd, bd, silu_gate_narrow[0],
+                             OAT_UNIT, OAT_UNIT, OAT_UNIT)
+        out = dec(spike_gated_ffn(xs, p, "ffn"))
         assert np.allclose(out, bd.array, atol=1e-12)
 
     def test_saturated_gate_passthrough(self, silu_gate_narrow):
@@ -735,8 +749,9 @@ class TestSpikeGatedFFN:
         bd = Matrix(rng.standard_normal((1, d)) * 0.1)
         x = Matrix(rng.standard_normal((3, d)) * 0.5)
         xs = constant_train(x, T16)
-        out = dec(spike_gated_ffn(xs, Wg, bg, Wu, bu, Wd, bd, act_cfg,
-                                  OAT_UNIT, OAT_UNIT, OAT_UNIT))
+        p = gated_ffn_params(Wg, bg, Wu, bu, Wd, bd, act_cfg,
+                             OAT_UNIT, OAT_UNIT, OAT_UNIT)
+        out = dec(spike_gated_ffn(xs, p, "ffn"))
         # mirror the internal path bitwise with public primitives
         xt = encode_matrix(x, OAT_UNIT, T16)
         u = dec(saw_mul_right(xt, Wu)) + bu.array

@@ -55,7 +55,7 @@ _RANGE_PAD = 0.1
 
 def gelu(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
+    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x))))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -232,8 +232,10 @@ def observed_range(
 
     Padding by _RANGE_PAD of the span on each side keeps mildly larger
     runtime values inside the fitted hierarchy instead of on its clamp. A
-    floor pins lo for targets whose domain must not cross it (reciprocal
-    near zero).
+    floor bounds lo for targets whose domain must not cross it (reciprocal
+    and inverse root near zero): toward it lo moves by at most _RANGE_PAD
+    of the distance to it, so sub-ranges are not spent near a floor where
+    the target is steep but no activation lives, and never below it.
     """
     observed = np.asarray(observed, dtype=np.float64).reshape(-1)
     if observed.size == 0:
@@ -241,10 +243,11 @@ def observed_range(
     lo = float(observed.min())
     hi = float(observed.max())
     span = max(hi - lo, 1e-6 * max(1.0, abs(hi)), 1e-9)
-    lo -= _RANGE_PAD * span
     hi += _RANGE_PAD * span
-    if floor is not None:
-        lo = max(lo, floor)
+    if floor is None:
+        lo -= _RANGE_PAD * span
+    else:
+        lo = max(lo - _RANGE_PAD * min(span, lo - floor), floor)
         hi = max(hi, lo + 1e-6)
     return lo, hi
 

@@ -154,7 +154,7 @@ def _layer_sites(cfg: ModelConfig) -> dict[str, dict]:
     hg = {"attn.exp": "exp", "attn.recip": "reciprocal"}
     for ln in ("ln1", "ln2"):
         w |= {ln + ".gamma": (1, d), ln + ".beta": (1, d)}
-        hg |= {ln + ".square": "square", ln + ".invsqrt": "invsqrt"}
+        hg[ln + ".invsqrt"] = "invsqrt"
     if cfg.ffn_kind == "standard":
         w |= {"ffn.w1": (d, f), "ffn.b1": (1, f), "ffn.w2": (f, d), "ffn.b2": (1, d)}
         hg["ffn.act"] = "gelu"
@@ -252,7 +252,6 @@ def _float_layernorm(a, gamma, beta, ledger, site, recorder):
     mu = a.mean(axis=1, keepdims=True)
     c = a - mu
     _record(recorder, site + ".center", c)
-    _record(recorder, site + ".square", c)
     var = (c * c).mean(axis=1, keepdims=True)
     _record(recorder, site + ".invsqrt", var)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
@@ -599,7 +598,7 @@ def spike_forward(
 _MAGIC = b"LASW"
 _WEIGHT_VERSION = 1
 _BLOCK_FORMAT = "spikeconvert-block"
-_BLOCK_VERSION = 3
+_BLOCK_VERSION = 4
 _REPORT_KEYS = {f.name for f in dataclasses.fields(CalibrationReport)}
 _BLOCK_KEYS = {"format", "version", "config", "weights_file", "oat", "reports"}
 # a gate site's bank in the block's LASW sidecar: <site>.<name> for each name,

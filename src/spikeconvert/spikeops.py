@@ -310,14 +310,15 @@ def spike_softmax(
 def spike_layernorm(
     xs: SpikeMatrixTrain, p, site: str, ledger=None, counters: dict | None = None
 ) -> SpikeMatrixTrain:
-    """Spike LayerNorm: center, squared-gate variance, inverse-root Hadamard.
+    """Spike LayerNorm: center, exact Hadamard variance, inverse-root Hadamard.
 
     The input train is decoded into the gate membrane and centered; the
-    centered values re-enter as a dual-range train (".center"), their
-    squares come from the square gate (".square"), and the per-row inverse
-    root (".invsqrt"; epsilon floored inside the fitted target, so zero
-    variance is safe) multiplies in via the Hadamard kernel before the
-    affine scale ".gamma" and shift ".beta".
+    centered values re-enter as a dual-range train (".center"), which the
+    Hadamard kernel multiplies by itself (".square"), so the variance is
+    the row mean of the squared decoded centered values, exactly, with no
+    fitted gate. The per-row inverse root (".invsqrt"; epsilon floored
+    inside the fitted target, so zero variance is safe) multiplies in via
+    the Hadamard kernel before the affine scale ".gamma" and shift ".beta".
     """
     T = xs.steps
     x = decode_train(xs, ledger, site + ".in_decode")
@@ -327,8 +328,7 @@ def spike_layernorm(
         # row-mean accumulation plus per-element subtraction
         ledger.record_sop(site + ".mean", 2 * x.rows * x.cols)
     c_train = encode_matrix(centered, p[site + ".center"], T, ledger, site + ".center")
-    sq_train = apply_hg(centered, p[site + ".square"], T, ledger, site + ".square",
-                        counters)
+    sq_train = hadamard_mul(c_train, c_train, ledger, site + ".square")
     sq = decode_train(sq_train, ledger, site + ".square_decode")
     var = Matrix._wrap(sq.array.mean(axis=1, keepdims=True))
     if ledger is not None:

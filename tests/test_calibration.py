@@ -385,6 +385,20 @@ class TestSampling:
         lo, hi = observed_range(np.array([0.5, 16.0]), floor=1e-3)
         assert lo >= 1e-3
 
+    @settings(max_examples=300, deadline=None)
+    @given(observed=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40),
+           gap=st.none() | st.floats(0.0, 1e3))
+    @example(observed=[0.37, 4.0], gap=0.37)  # an invsqrt site: 10 % of the span
+    @example(observed=[0.0, 0.0], gap=0.0)  # zero variance on the floor
+    def test_observed_range_covers_and_respects_floor(self, observed, gap):
+        mn, mx = min(observed), max(observed)
+        floor = None if gap is None else mn - gap
+        lo, hi = observed_range(np.array(observed), floor=floor)
+        assert lo <= mn and hi >= mx and lo < hi
+        if floor is not None:
+            # toward a floor, at most a tenth of the distance to it
+            assert floor <= lo and lo >= mn - 0.1 * (mn - floor)
+
     def test_sample_distribution_shapes_and_outliers(self):
         rng = np.random.default_rng(14)
         m = sample_distribution("uniform_outliers", 50, 40, rng)

@@ -216,7 +216,7 @@ class TestConvert:
         assert code == 0
         out = capsys.readouterr().out
         assert "converted 1-layer block" in out
-        assert "10 encoder sites" in out and "7 gate sites" in out
+        assert "10 encoder sites" in out and "5 gate sites" in out
 
     def test_outlier_distribution_flag(self, work, tmp_path, capsys):
         # the calibration sample follows the config's calib_distribution
@@ -446,7 +446,7 @@ class TestRun:
     def test_version_2_block_refused(self, work, tmp_path, capsys):
         # format 2 kept the gate banks in the JSON; the sidecar lacks them
         assert _run_edited_block(work, tmp_path, ("version",), 2) == 2
-        assert ("unsupported block version: expected 3, found 2; reconvert the "
+        assert ("unsupported block version: expected 4, found 2; reconvert the "
                 "block with `spikeconvert convert`" in capsys.readouterr().err)
 
     def test_block_that_is_not_an_object(self, work, tmp_path, capsys):

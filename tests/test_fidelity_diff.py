@@ -4,6 +4,7 @@ import pathlib
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from spikeconvert.neurons import HGConfig, OATConfig
 
@@ -82,6 +83,18 @@ class TestCompare:
         # a renamed site is no numerics change
         assert fidelity_diff.report(same, results([run([1.0], site="layers.0.attn.x")]))
         assert "default.json: DIFFERS" in capsys.readouterr().out
+
+    def test_direction_is_mean_error_and_clamp_total(self):
+        runs = [run([1.0], err=0.02, clamped=3), run([1.0], err=0.04)]
+        assert fidelity_diff.direction(runs) == (pytest.approx(0.03), 3)
+
+    def test_report_shows_direction(self, capsys):
+        old = results([run([1.0], err=0.025, clamped=8)])
+        new = results([run([1.0], err=0.0009, clamped=14)])
+        # the clamp totals moved, so the verdict is a numerics change
+        assert not fidelity_diff.report(old, new)
+        row = capsys.readouterr().out.splitlines()[1]
+        assert "0.025->0.0009" in row and "8->14" in row
 
 
 class TestLoadedBlocks:

@@ -321,7 +321,7 @@ class TestStackedSpikeForward:
                     monkeypatch.setattr(module, name, counted)
         x = Matrix(np.random.default_rng(0).standard_normal((8, 32)))
         spike_forward(_block(n_heads, "standard", 1), x)
-        assert calls == {"apply_hg": 7, "encode_matrix": 10, "saa_mul": 2}
+        assert calls == {"apply_hg": 5, "encode_matrix": 10, "saa_mul": 2}
 
 
 class TestStackedFloatForward:

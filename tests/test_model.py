@@ -147,7 +147,7 @@ class TestSites:
         assert sites["layers.0.ffn.act"] == "gelu"
         assert sites["layers.0.attn.exp"] == "exp"
         assert sites["layers.0.attn.recip"] == "reciprocal"
-        assert len(sites) == 7
+        assert len(sites) == 5
 
     def test_hg_sites_gated_uses_silu(self):
         cfg = ModelConfig(**{**TINY, "ffn_kind": "gated"})
@@ -156,7 +156,7 @@ class TestSites:
     def test_multi_layer_sites_scale(self):
         cfg = ModelConfig(**{**TINY, "n_layers": 2})
         assert len(oat_sites(cfg)) == 1 + 2 * 9
-        assert len(hg_sites(cfg)) == 14
+        assert len(hg_sites(cfg)) == 10
         assert "layers.1.ln2.invsqrt" in hg_sites(cfg)
 
     def test_expected_shapes(self, tiny_cfg):
@@ -654,7 +654,7 @@ class TestBlockSerialization:
             doc = json.load(fh)
         with open(p, "w") as fh:
             json.dump(dict(doc, version=1), fh)
-        with pytest.raises(FormatError, match="version: expected 3, found 1; reconvert"):
+        with pytest.raises(FormatError, match="version: expected 4, found 1; reconvert"):
             load_block(p)
 
     def test_version_2_file_refused(self, tiny_block, tmp_path):
@@ -664,7 +664,7 @@ class TestBlockSerialization:
             doc = json.load(fh)
         with open(p, "w") as fh:
             json.dump(dict(doc, version=2), fh)
-        with pytest.raises(FormatError, match="expected 3, found 2; reconvert the block "
+        with pytest.raises(FormatError, match="expected 4, found 2; reconvert the block "
                                               "with `spikeconvert convert`"):
             load_block(p)
 

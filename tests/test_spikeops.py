@@ -501,11 +501,6 @@ def recip_gate():
 
 
 @pytest.fixture(scope="module")
-def square_gate():
-    return fit_target("square", 16, T16, 1024, seed=103, lo=-5.0, hi=5.0)
-
-
-@pytest.fixture(scope="module")
 def invsqrt_gate():
     return fit_target("invsqrt", 8, T16, 1024, seed=104, lo=0.2, hi=4.5)
 
@@ -573,10 +568,10 @@ class TestSpikeSoftmax:
         assert counters.get("softmax.recip.clamped", 0) >= 1
 
 
-def layernorm_params(gamma, beta, invsqrt_cfg, square_cfg, oat):
+def layernorm_params(gamma, beta, invsqrt_cfg, oat):
     """What a LayerNorm at site "ln" reads, by its block keys."""
     return {"ln.gamma": gamma, "ln.beta": beta, "ln.invsqrt": invsqrt_cfg,
-            "ln.square": square_cfg, "ln.center": oat}
+            "ln.center": oat}
 
 
 class TestSpikeLayerNorm:
@@ -586,7 +581,7 @@ class TestSpikeLayerNorm:
         var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
         return gamma * (x - mu) / np.sqrt(var + 1e-5) + beta
 
-    def test_constant_row_gives_beta(self, square_gate, invsqrt_gate):
+    def test_constant_row_gives_beta(self, invsqrt_gate):
         # identical decodes across a row center to exactly zero, the zero
         # train stays silent, and the Hadamard output is exactly beta
         cols = 8
@@ -595,11 +590,10 @@ class TestSpikeLayerNorm:
         oat = OATConfig(2.0, 4.0004, 5, T16)
         xs = encode_matrix(Matrix(np.full((2, cols), 4.0)), oat, T16)
         out = dec(spike_layernorm(xs, layernorm_params(gamma, beta, invsqrt_gate[0],
-                                                       square_gate[0], oat), "ln"))
+                                                       oat), "ln"))
         assert np.allclose(out, 0.3, atol=1e-12)
 
-    def test_random_rows_within_composed_bound(self, square_gate, invsqrt_gate):
-        sq_cfg, sq_rep = square_gate
+    def test_random_rows_within_composed_bound(self, invsqrt_gate):
         iv_cfg, iv_rep = invsqrt_gate
         rng = np.random.default_rng(16)
         x = Matrix(rng.standard_normal((6, 8)) * 1.2)
@@ -608,30 +602,29 @@ class TestSpikeLayerNorm:
         amax = float(np.max(np.abs(x.array)))
         oat = OATConfig(0.5 * amax, amax * 1.0001, 5, T16)
         xs = encode_matrix(x, oat, T16)
-        out = dec(spike_layernorm(xs, layernorm_params(gamma, beta, iv_cfg, sq_cfg,
-                                                       oat), "ln"))
+        out = dec(spike_layernorm(xs, layernorm_params(gamma, beta, iv_cfg, oat),
+                                  "ln"))
         want = self.float_ln(x.array, gamma.array, beta.array)
 
-        # stage 1: input decode deviation, pure dual-range quantization
+        # stage 1: centered re-encode deviation vs the float centered values,
+        # from the input decode and the re-encode, both dual-range quantization
         x_hat = dec(xs)
-        d_in = np.max(np.abs(x_hat - x.array))
-        # stage 2: centered re-encode deviation vs the float centered values
         mu_hat = x_hat.mean(axis=1, keepdims=True)
         c_hat_pre = x_hat - mu_hat
         c = x.array - x.array.mean(axis=1, keepdims=True)
-        c_hat = dec(encode_matrix(Matrix(c_hat_pre), oat, T16))
+        c_train = encode_matrix(Matrix(c_hat_pre), oat, T16)
+        c_hat = dec(c_train)
         d_c = np.max(np.abs(c_hat - c))
-        # stage 3: variance through the square gate, held to its report:
-        # |var_hat - var| <= E_sq + |c_hat_pre - c| |c_hat_pre + c|
+        # stage 2: the centered train times itself, exact by the Hadamard
+        # identity; only the re-encode deviation carries into the variance:
+        # |var_hat - var| <= |c_hat - c| |c_hat + c|
         c_absmax = np.max(np.abs(c))
-        assert np.max(np.abs(c_hat_pre)) <= 5.0
-        sq_hat = dec(apply_hg(Matrix(c_hat_pre), sq_cfg, T16))
-        var_hat = sq_hat.mean(axis=1, keepdims=True)
+        var_hat = dec(hadamard_mul(c_train, c_train)).mean(axis=1, keepdims=True)
+        assert np.max(np.abs(var_hat - (c_hat ** 2).mean(axis=1, keepdims=True))) <= 1e-12
         var = (c ** 2).mean(axis=1, keepdims=True)
-        var_err_bound = sq_rep.max_abs_err + 2 * d_in * (
-            2 * c_absmax + 2 * d_in)
+        var_err_bound = d_c * (2 * c_absmax + d_c)
         assert np.max(np.abs(var_hat - var)) <= var_err_bound + 1e-12
-        # stage 4: inverse root, report bound plus a Lipschitz carry term
+        # stage 3: inverse root, report bound plus a Lipschitz carry term
         assert np.all((var_hat >= 0.2) & (var_hat <= 4.5))
         r_hat = dec(apply_hg(Matrix(var_hat), iv_cfg, T16))
         r = 1.0 / np.sqrt(var + 1e-5)

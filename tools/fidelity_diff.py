@@ -14,18 +14,20 @@ step count, on the converted block and on the loaded one (`<name>/loaded`):
 
 For every block and T the report gives the largest relative output
 difference, max|out_new - out_old| / max|out_old| over the inputs; the
-largest relative difference of output_rel_err; whether the per-site SOP
-ledgers and the counters (the gate clamp counts) are equal; and whether
-the SOP/FLOP totals and the clamp totals of each layer (`input`,
-`layers.<i>`) are equal. Then it says whether the saved block files and
-the calibrate output are byte-identical, and whether the loaded blocks are
-equal bit for bit: each gate bank's boundaries and sub-neuron schedules
-(read from its (T, N) theta/h/d stacks, which every checkout since block
-format 3 has) and each encoder's thresholds. The exit status is 0 when the
-per-layer totals and the files all match, and 1 otherwise, so a site
-renamed within its layer shows in the ledgers and counters columns without
-reading as a numerics change, and a block file laid out anew, with "loaded
-blocks equal", is told apart from one whose numbers moved.
+largest relative difference of output_rel_err; the mean output_rel_err and
+the total gate clamp count, each as old -> new, so a numerics change shows
+which way it moved; whether the per-site SOP ledgers and the counters (the
+gate clamp counts) are equal; and whether the SOP/FLOP totals and the clamp
+totals of each layer (`input`, `layers.<i>`) are equal. Then it says
+whether the saved block files and the calibrate output are byte-identical,
+and whether the loaded blocks are equal bit for bit: each gate bank's
+boundaries and sub-neuron schedules (read from its (T, N) theta/h/d stacks,
+which every checkout since block format 3 has) and each encoder's
+thresholds. The exit status is 0 when the per-layer totals and the files
+all match, and 1 otherwise, so a site renamed within its layer shows in the
+ledgers and counters columns without reading as a numerics change, and a
+block file laid out anew, with "loaded blocks equal", is told apart from
+one whose numbers moved.
 """
 from __future__ import annotations
 
@@ -164,18 +166,29 @@ def compare_runs(old: list, new: list) -> dict:
             "counters": counters, "layers": layers, "clamps": clamps}
 
 
+def direction(runs: list) -> tuple[float, int]:
+    """Mean output_rel_err and total gate clamps over a row's runs."""
+    return (float(np.mean([err for _, err, _, _ in runs])),
+            sum(sum(counters.values()) for _, _, _, counters in runs))
+
+
 def report(old: dict, new: dict) -> bool:
     """Print the comparison table; True when per-layer totals and files match."""
     same = True
     flags = ("ledgers", "counters", "layers", "clamps")
     print(f"{'block':<15} {'T':>3} {'inputs':>6} {'max|dout|/max|out|':>19} "
-          f"{'d(output_rel_err)':>18} " + " ".join(f"{f:>8}" for f in flags))
+          f"{'d(output_rel_err)':>18} {'mean err old->new':>20} "
+          f"{'clamps old->new':>15} " + " ".join(f"{f:>8}" for f in flags))
     for key in sorted(old["runs"]):
         c = compare_runs(old["runs"][key], new["runs"][key])
         same &= c["layers"] and c["clamps"]
         eq = {True: "equal", False: "DIFFER"}
+        (err_old, clamps_old), (err_new, clamps_new) = (direction(old["runs"][key]),
+                                                        direction(new["runs"][key]))
         print(f"{key[0]:<15} {key[1]:>3} {len(old['runs'][key]):>6} {c['out']:>19.3g} "
-              f"{c['rel_err']:>18.3g} " + " ".join(f"{eq[c[f]]:>8}" for f in flags))
+              f"{c['rel_err']:>18.3g} {f'{err_old:.3g}->{err_new:.3g}':>20} "
+              f"{f'{clamps_old}->{clamps_new}':>15} "
+              + " ".join(f"{eq[c[f]]:>8}" for f in flags))
     for name in sorted(old["files"]):
         identical = old["files"][name] == new["files"].get(name)
         same &= identical

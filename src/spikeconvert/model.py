@@ -475,6 +475,9 @@ class RunTrace:
 
     per_layer maps each sublayer key (layers.<i>.attn, layers.<i>.ffn) to the
     mean absolute deviation of the residual stream after that sublayer.
+    counters maps "<gate site>.clamped" and "<encoder site>.saturated" to
+    how many inputs fell outside the gate's range or above the encoder's top
+    grid level; a site with none has no entry.
     """
 
     steps: int
@@ -545,11 +548,13 @@ def spike_forward(
     def attention(L: str, stream: SpikeMatrixTrain) -> Matrix:
         A = L + "attn."
         ln1 = spike_layernorm(stream, p, L + "ln1", ledger, counters)
-        attn_in = reencode(ln1, p[A + "in"], ledger, A + "in")
+        attn_in = reencode(ln1, p[A + "in"], ledger, A + "in", counters)
         q = project(attn_in, p[A + "wq"], None, ledger, A + "wq")
-        q = encode_matrix(Matrix(q.array * scale), p[A + "q"], T, ledger, A + "q")
+        # unchecked: its encoder refuses a non-finite entry
+        q = encode_matrix(Matrix._wrap(q.array * scale), p[A + "q"], T, ledger, A + "q",
+                          counters)
         k, v = (encode_matrix(project(attn_in, p[A + "w" + n], None, ledger, A + "w" + n),
-                              p[A + n], T, ledger, A + n) for n in "kv")
+                              p[A + n], T, ledger, A + n, counters) for n in "kv")
         # every head at once: (T, heads, rows, rows) logits, whose rows
         # the softmax and the probs encoder take as (T, heads * rows, rows)
         logits = saa_mul(_regroup(q, heads),
@@ -557,11 +562,11 @@ def spike_forward(
                          ledger, A + "qk")
         probs = spike_softmax(_regroup(logits, lambda a: a.reshape(T, nh * r, r)),
                               p, L + "attn", ledger, counters)
-        probs = reencode(probs, p[A + "probs"], ledger, A + "probs")
+        probs = reencode(probs, p[A + "probs"], ledger, A + "probs", counters)
         pv = saa_mul(_regroup(probs, lambda a: a.reshape(T, nh, r, r)),
                      _regroup(v, heads), ledger, A + "pv")
         merged = _regroup(pv, lambda a: a.swapaxes(1, 2).reshape(T, r, -1))
-        ctx = reencode(merged, p[A + "out"], ledger, A + "out")
+        ctx = reencode(merged, p[A + "out"], ledger, A + "out", counters)
         return project(ctx, p[A + "wo"], None, ledger, A + "wo")
 
     def feed_forward(L: str, stream: SpikeMatrixTrain) -> Matrix:
@@ -570,7 +575,7 @@ def spike_forward(
         return decode_train(out, ledger, L + "ffn.out_decode")
 
     cur = x.array.copy()
-    stream = encode_matrix(Matrix(cur), p["input"], T, ledger, "input")
+    stream = encode_matrix(Matrix(cur), p["input"], T, ledger, "input", counters)
     for i in range(cfg.n_layers):
         L = f"layers.{i}."
         for sub, run in (("attn", attention), ("ffn", feed_forward)):
@@ -774,8 +779,12 @@ def load_block(path: str) -> ConvertedBlock:
         )
     _check_keys("block", doc, _BLOCK_KEYS)
     cfg = ModelConfig.from_dict(doc["config"])
-    _check_type("weights_file", doc["weights_file"], str)
-    weights_path = os.path.join(os.path.dirname(path) or ".", doc["weights_file"])
+    name = doc["weights_file"]
+    _check_type("weights_file", name, str)
+    if name in ("", ".", "..") or os.path.basename(name) != name:
+        raise ValueError(f"weights_file must be a bare file name in the block's "
+                         f"directory, got {name!r}")
+    weights_path = os.path.join(os.path.dirname(path) or ".", name)
     tensors = _read_lasw(weights_path)
     hg = {site: _gate_bank(site, tensors, weights_path) for site in hg_sites(cfg)}
     block = ConvertedBlock(

@@ -27,18 +27,31 @@ gated bank   bank of fitted fs kernels. The input range is split into
 fs_encode and mt_encode encode one scalar and serve as reference kernels;
 mt_encode runs the greedy step loop, _mt_loop. The dual-range encoder (one
 mt pass with a per-element tau) and the gated bank run whole matrices
-through spikeops.encode_matrix and apply_hg. The dual-range pass, _mt_run,
-takes its steps P at a time from cached tables of the step loop's
-emissions and matches _mt_loop bit for bit. The configs refuse H > 1024
-and any T above a step ceiling (25 at H = 5), past which a decoded grid
-value may not re-encode exactly; below it every unit-space integer is
-exact, which _mt_run relies on. hg_eval decodes the bank on a 1-D batch,
-which is how a fitted bank's error is checked. _fs_steps is the one few-step
-recurrence: _fs_bits collects its firing bits, to fit and to run, and
-_fs_decode sums the weighted steps in step order, to validate a fit, so a
-fit sees exactly the bits the runtime fires and reports exactly the error
-its decode makes. All encoders are deterministic and produce bit-identical
-trains for identical inputs and configurations.
+through spikeops.encode_matrix and apply_hg.
+
+The dual-range pass, _mt_run, takes its steps P at a time from cached
+tables of the step loop's emissions and matches _mt_loop bit for bit. Its
+last chunk is in unit steps, so it needs no rescaling and no membrane
+update. It also counts the saturated elements, those above the top grid
+level. The configs refuse H > 1024 and any T above a step ceiling (25 at
+H = 5), past which a decoded grid value may not re-encode exactly; below it
+every unit-space integer is exact, which _mt_run relies on.
+
+The gated bank's output is each element's gathered step weights, with
+their bit patterns multiplied by the firing mask: a fired step keeps its
+weight's bits, -0.0 included, and a silent step is +0.0, as a select on
+the mask gives. decode sums a train's steps in step order with one
+reduction over the step axis, started from -0.0, which adds nothing even
+to a column of -0.0; a one-element step keeps the step loop, because numpy
+sums that pairwise.
+
+hg_eval decodes the bank on a 1-D batch, which is how a fitted bank's error
+is checked. _fs_steps is the one few-step recurrence: _fs_bits collects its
+firing bits, to fit and to run, and _fs_decode sums the weighted steps in
+step order, to validate a fit, so a fit sees exactly the bits the runtime
+fires and reports exactly the error its decode makes. All encoders are
+deterministic and produce bit-identical trains for identical inputs and
+configurations.
 """
 from __future__ import annotations
 
@@ -296,7 +309,12 @@ class SpikeMatrixTrain:
 
 
 def _sum_steps(values: np.ndarray) -> np.ndarray:
-    # in step order for every shape: sum(axis=0) goes pairwise on one element
+    # in step order for every shape. numpy reduces a step of several elements
+    # one step at a time, but sums a lone element's steps pairwise, so that
+    # takes the loop. The -0.0 start adds nothing, even to a -0.0 column,
+    # where numpy's +0.0 start would flip its sign.
+    if values[0].size > 1:
+        return np.add.reduce(values, axis=0, initial=-0.0)
     out = values[0].copy()
     for step in values[1:]:
         out += step
@@ -435,8 +453,10 @@ def _mt_table(H: int, P: int) -> tuple[np.ndarray, np.ndarray]:
     return emits, totals
 
 
-def _mt_run(x: np.ndarray, tau: float | np.ndarray, H: int, T: int) -> np.ndarray:
-    """_mt_loop's encoding, bit for bit, from chunk tables instead of steps.
+def _mt_run(x: np.ndarray, tau: float | np.ndarray, H: int, T: int) -> tuple:
+    """Returns (values, saturated): _mt_loop's encoding, bit for bit, from
+    chunk tables instead of steps, and how many elements lie above the top
+    grid level and so decode short of their input.
 
     The T steps are taken P at a time. Within a chunk whose smallest step is
     2^p units, every decision depends only on floor(a / 2^p), so that index
@@ -445,26 +465,32 @@ def _mt_run(x: np.ndarray, tau: float | np.ndarray, H: int, T: int) -> np.ndarra
     below 2^53 (the configs' step ceiling keeps (2H-1) * 2^T far below it),
     and the magnitude is first clamped at (2H-1)(2^T-1), the sum of all
     saturated emissions, above which every step saturates, so no emission
-    changes and every index stays below (2H-1) * 2^P.
+    changes and every index stays below (2H-1) * 2^P. The elements that cap
+    pulls down are the saturated ones.
     """
     sign, a, unit = _mt_units(x, tau, H, T)
+    top = (2 * H - 1) * (2.0**T - 1)
+    saturated = int(np.count_nonzero(a > top))
     # fmin: a NaN magnitude (a grid unit that underflowed to zero) saturates
     # rather than indexing outside the tables; its values stay NaN
-    a = np.fmin(a, (2 * H - 1) * (2.0**T - 1))
+    a = np.fmin(a, top)
     emits = np.empty((T, a.size))
     P = _mt_chunk(H)
     t = 0
-    while t < T:
+    while True:
         n = (T - t) % P or P  # a short chunk goes first
         p = T - t - n  # the chunk's smallest step is 2^p units
         tab_emits, tab_totals = _mt_table(H, n)
+        if p == 0:  # the last chunk: unit steps, and a is not read again
+            np.take(tab_emits, a.astype(np.intp), axis=1, out=emits[t:])
+            break
         idx = (a * 2.0**-p).astype(np.intp)  # floor: a is nonnegative
         np.take(tab_emits, idx, axis=1, out=emits[t:t + n])
         emits[t:t + n] *= 2.0**p
         a -= tab_totals[idx] * 2.0**p
         t += n
     # sign is +-1 or 0, so this rounds as _mt_loop's sign * emits * unit
-    return emits * (sign * unit)
+    return emits * (sign * unit), saturated
 
 
 def mt_encode(x: float, c: MTConfig) -> SpikeMatrixTrain:
@@ -485,11 +511,14 @@ def _hg_run(flat: np.ndarray, c: HGConfig, T: int | None = None) -> tuple:
     """Returns (values, clamped_count) over a flat batch at T steps
     (default: the fitted depth)."""
     bs, theta, h, d, guard = c.boundaries, c.theta, c.h, c.d, c.guard
-    if T is not None and T != theta.shape[0]:
-        # slice, or pad with steps that never fire, as truncate_schedule does
-        pad = np.zeros((max(T - theta.shape[0], 0), theta.shape[1]))
-        theta, h, d = (np.concatenate([a[:T], pad + fill])
-                       for a, fill in ((theta, 1e300), (h, 0.0), (d, 0.0)))
+    if T is not None:
+        # the first T steps as views, padded past the fitted depth with steps
+        # that never fire, as truncate_schedule resizes a schedule
+        theta, h, d = theta[:T], h[:T], d[:T]
+        if T > theta.shape[0]:
+            pad = np.zeros((T - theta.shape[0], theta.shape[1]))
+            theta, h, d = (np.concatenate([a, pad + fill])
+                           for a, fill in ((theta, 1e300), (h, 0.0), (d, 0.0)))
     lo, hi = bs[0], bs[-1]
     clamped = int(np.count_nonzero((flat < lo) | (flat >= hi)))
     x = np.minimum(np.maximum(flat, lo), np.nextafter(hi, lo))
@@ -497,7 +526,11 @@ def _hg_run(flat: np.ndarray, c: HGConfig, T: int | None = None) -> tuple:
     bucket = np.searchsorted(bs, x, side="right") - 1
     u = x - bs[bucket] + guard[bucket]
     fired = _fs_bits(u, theta[:, bucket], h[:, bucket], dtype=bool)
-    return np.where(fired, d[:, bucket], 0.0), clamped
+    # a fired step keeps its weight's bits, -0.0 included; a silent one is +0.0
+    values = np.take(d, bucket, axis=1)
+    bits = values.view(np.uint64)
+    bits *= fired
+    return values, clamped
 
 
 def hg_eval(c: HGConfig, x: np.ndarray) -> np.ndarray:

@@ -11,7 +11,11 @@ them:
   saa_mul       train times train via running accumulators; per step only
                 event-gated additions happen, yet every prefix of the
                 output sums to the float product of the decoded prefixes.
-  hadamard_mul  elementwise analog of saa_mul, same prefix identity.
+  hadamard_mul  elementwise analog of saa_mul, same prefix identity. A
+                train times itself (LayerNorm's square) takes one prefix
+                sum and one cross product, added twice: va * P equals
+                P * va exactly, so the sum is the general path's, bit for
+                bit.
 
 softmax_offset converts a logit train into a max-shifted train whose decode
 equals logits minus the row max, exactly, without ever holding the final
@@ -24,6 +28,11 @@ counted once per call. encode_matrix reads the dual-range encoder's chunk
 tables (neurons._mt_run) rather than stepping it. Outputs are built
 unchecked through SpikeMatrixTrain._wrap; encode_matrix and apply_hg refuse
 non-finite input, which catches a bad value where a decoded train re-enters.
+For the same reason three intermediates skip Matrix's checked copy and are
+wrapped as they are: project's bias add, spike_layernorm's centered values
+and attention's scaled q (model.spike_forward). Each feeds an encoder or a
+gate in the same sublayer, so a non-finite entry still ends that sublayer
+with the same error.
 
 The composite layers (softmax, LayerNorm, FFN, gated FFN) weave these
 products together with the fitted neuron gates, through reencode and
@@ -33,7 +42,8 @@ keys to the block's weights (Matrix), encoders (OATConfig) and gate banks
 reads every weight, encoder and gate at site + leaf ("layers.0.ln1.gamma")
 and charges each encoder and gate at that same key. The optional energy
 ledger records event-gated additions per site; the optional counters dict
-tallies range clamps as "<gate site>.clamped".
+tallies gate range clamps as "<gate site>.clamped" and encoder inputs
+above the top grid level as "<encoder site>.saturated".
 """
 from __future__ import annotations
 
@@ -66,16 +76,23 @@ def decode_train(
 
 
 def encode_matrix(
-    x: Matrix, cfg: OATConfig, T: int | None = None, ledger=None, site: str = "encode"
+    x: Matrix,
+    cfg: OATConfig,
+    T: int | None = None,
+    ledger=None,
+    site: str = "encode",
+    counters: dict | None = None,
 ) -> SpikeMatrixTrain:
     """Encode a float matrix through the dual-range encoder (T overridable).
 
     Elements with |x| < theta_nor take the fine encoder (tau = theta_nor);
     elements at or above theta_nor take the coarse one (tau = theta_out).
     Each emission subtracts from the encoder membrane: one accumulation per
-    event on the ledger. A non-finite input raises NonFiniteError.
+    event on the ledger. Elements above their range's top grid level
+    saturate, and the saturation counter records how many there were. A
+    non-finite input raises NonFiniteError.
     """
-    if not np.all(np.isfinite(x.data)):
+    if not np.isfinite(x.data).all():
         raise NonFiniteError(f"encoder input at {site!r} contains non-finite values")
     if T is None:
         T = cfg.T
@@ -84,7 +101,15 @@ def encode_matrix(
     # magnitude routing as a per-element tau: the same IEEE operations as
     # encoding each range on its own
     tau = np.where(np.abs(x.data) >= cfg.theta_nor, cfg.theta_out, cfg.theta_nor)
-    return _train(_mt_run(x.data, tau, cfg.H, T), x, ledger, site)
+    values, saturated = _mt_run(x.data, tau, cfg.H, T)
+    _count(counters, site + ".saturated", saturated)
+    return _train(values, x, ledger, site)
+
+
+def _count(counters: dict | None, key: str, n: int) -> None:
+    # a counter appears only once it has something to count
+    if counters is not None and n:
+        counters[key] = counters.get(key, 0) + n
 
 
 def _train(values, x: Matrix, ledger, site: str) -> SpikeMatrixTrain:
@@ -123,21 +148,24 @@ def apply_hg(
     NonFiniteError instead. Another T truncates (coarser output) or pads
     the schedules with silent steps, as neurons.hg_at_steps does.
     """
-    if not np.all(np.isfinite(x.data)):
+    if not np.isfinite(x.data).all():
         raise NonFiniteError(f"gate input at {site!r} contains non-finite values")
     values, clamped = _hg_run(x.data, cfg, T)
-    if counters is not None and clamped:
-        counters[site + ".clamped"] = counters.get(site + ".clamped", 0) + clamped
+    _count(counters, site + ".clamped", clamped)
     return _train(values, x, ledger, site)
 
 
 def reencode(
-    ts: SpikeMatrixTrain, cfg: OATConfig, ledger=None, site: str = "encode"
+    ts: SpikeMatrixTrain,
+    cfg: OATConfig,
+    ledger=None,
+    site: str = "encode",
+    counters: dict | None = None,
 ) -> SpikeMatrixTrain:
     """Decode a train (charged at site + "_decode") and encode the result
     again through the dual-range encoder at site, at the train's T."""
     return encode_matrix(decode_train(ts, ledger, site + "_decode"), cfg, ts.steps,
-                         ledger, site)
+                         ledger, site, counters)
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +209,11 @@ def project(
     site: str = "saw",
 ) -> Matrix:
     """Decoded xs @ W plus an optional (1, cols) bias row: the product is
-    charged at site and its decode at site + "_decode"."""
+    charged at site and its decode at site + "_decode". The result is not
+    checked for finiteness; the encoder or gate it feeds refuses a
+    non-finite entry."""
     out = decode_train(saw_mul_right(xs, W, ledger, site), ledger, site + "_decode")
-    return out if b is None else Matrix(out.array + b.array)
+    return out if b is None else Matrix._wrap(out.array + b.array)
 
 
 def _prefix_sums(v: np.ndarray) -> np.ndarray:
@@ -243,10 +273,16 @@ def hadamard_mul(
     except ValueError:
         raise ShapeError(f"train shapes do not broadcast: {a.shape} x {b.shape}")
     va, vb = a.values, b.values
-    out = va * vb + va * _prefix_sums(vb)[:-1] + _prefix_sums(va)[:-1] * vb
+    if a is b:
+        # a square: one prefix sum and one cross product, as va * P == P * va
+        X = va * _prefix_sums(va)[:-1]
+        out = va * va + X + X
+    else:
+        out = va * vb + va * _prefix_sums(vb)[:-1] + _prefix_sums(va)[:-1] * vb
     if ledger is not None:
         # a mask broadcast to the output shape repeats each entry equally often
-        ea, eb = a.events, b.events
+        ea = a.events
+        eb = ea if a is b else b.events
         ledger.record_sop(site, sum(
             int(np.count_nonzero(e)) * (out.size // max(e.size, 1))
             for e in (ea & eb, ea, eb)))
@@ -323,11 +359,12 @@ def spike_layernorm(
     T = xs.steps
     x = decode_train(xs, ledger, site + ".in_decode")
     mu = x.array.mean(axis=1, keepdims=True)
-    centered = Matrix(x.array - mu)
+    centered = Matrix._wrap(x.array - mu)  # unchecked: its encoder checks
     if ledger is not None:
         # row-mean accumulation plus per-element subtraction
         ledger.record_sop(site + ".mean", 2 * x.rows * x.cols)
-    c_train = encode_matrix(centered, p[site + ".center"], T, ledger, site + ".center")
+    c_train = encode_matrix(centered, p[site + ".center"], T, ledger, site + ".center",
+                            counters)
     sq_train = hadamard_mul(c_train, c_train, ledger, site + ".square")
     sq = decode_train(sq_train, ledger, site + ".square_decode")
     var = Matrix._wrap(sq.array.mean(axis=1, keepdims=True))
@@ -346,7 +383,7 @@ def spike_ffn(
     plus ".b1", gate the activation (".act"), project through ".w2" plus
     ".b2"."""
     T = xs.steps
-    xt = reencode(xs, p[site + ".in"], ledger, site + ".in")
+    xt = reencode(xs, p[site + ".in"], ledger, site + ".in", counters)
     pre = project(xt, p[site + ".w1"], p[site + ".b1"], ledger, site + ".w1")
     act_train = apply_hg(pre, p[site + ".act"], T, ledger, site + ".act", counters)
     out = saw_mul_right(act_train, p[site + ".w2"], ledger, site + ".w2")
@@ -363,12 +400,12 @@ def spike_gated_ffn(
     ".in", ".mid" and ".z"; the gate is ".act".
     """
     T = xs.steps
-    xt = reencode(xs, p[site + ".in"], ledger, site + ".in")
+    xt = reencode(xs, p[site + ".in"], ledger, site + ".in", counters)
     g_pre = project(xt, p[site + ".wg"], p[site + ".bg"], ledger, site + ".wg")
     g_train = apply_hg(g_pre, p[site + ".act"], T, ledger, site + ".act", counters)
     u = project(xt, p[site + ".wu"], p[site + ".bu"], ledger, site + ".wu")
-    u_train = encode_matrix(u, p[site + ".mid"], T, ledger, site + ".mid")
+    u_train = encode_matrix(u, p[site + ".mid"], T, ledger, site + ".mid", counters)
     z_train = hadamard_mul(u_train, g_train, ledger, site + ".interact")
-    zt = reencode(z_train, p[site + ".z"], ledger, site + ".z")
+    zt = reencode(z_train, p[site + ".z"], ledger, site + ".z", counters)
     out = saw_mul_right(zt, p[site + ".wd"], ledger, site + ".wd")
     return _with_bias(out.values, p[site + ".bd"])

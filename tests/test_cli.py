@@ -514,6 +514,13 @@ class TestRun:
         (("config",), None, "config"),
         (("weights_file",), 5, "weights_file"),
         (("weights_file",), None, "weights_file"),
+        # a bare file name in the block's own directory, never a path
+        (("weights_file",), "../w.lasw", "weights_file"),
+        (("weights_file",), "/tmp/w.lasw", "weights_file"),
+        (("weights_file",), "sub/w.lasw", "weights_file"),
+        (("weights_file",), "", "weights_file"),
+        (("weights_file",), ".", "weights_file"),
+        (("weights_file",), "..", "weights_file"),
     ])
     def test_wrongly_typed_block_field_named(self, work, tmp_path, capsys,
                                              path, value, field):

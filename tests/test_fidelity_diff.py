@@ -40,8 +40,19 @@ class TestCompare:
     def test_identical_runs(self):
         runs = [run([1.0, -2.0]), run([0.5, 4.0])]
         c = fidelity_diff.compare_runs(runs, runs)
-        assert c == {"out": 0.0, "rel_err": 0.0, "ledgers": True, "counters": True,
-                     "layers": True, "clamps": True}
+        assert c == {"out": 0.0, "rel_err": 0.0, "bytes": True, "ledgers": True,
+                     "counters": True, "layers": True, "clamps": True}
+
+    def test_signed_zero_flip_shows_in_bytes(self, capsys):
+        # the relative difference reads 0 for a flipped zero; bytes does not
+        c = fidelity_diff.compare_runs([run([0.0, 2.0])], [run([-0.0, 2.0])])
+        assert c["out"] == 0.0 and not c["bytes"]
+        old, new = results([run([0.0, 2.0])]), results([run([-0.0, 2.0])])
+        assert fidelity_diff.report(old, new)  # reported, not ruled on
+        header, row = capsys.readouterr().out.splitlines()[:2]
+        assert row.split()[-5:] == ["DIFFER", "equal", "equal", "equal", "equal"]
+        assert header.split()[-5:] == ["bytes", "ledgers", "counters", "layers",
+                                       "clamps"]
 
     def test_output_difference_is_relative_to_the_largest_output(self):
         c = fidelity_diff.compare_runs([run([1.0, -4.0])], [run([1.0 + 2e-15, -4.0])])
@@ -87,6 +98,19 @@ class TestCompare:
     def test_direction_is_mean_error_and_clamp_total(self):
         runs = [run([1.0], err=0.02, clamped=3), run([1.0], err=0.04)]
         assert fidelity_diff.direction(runs) == (pytest.approx(0.03), 3)
+
+    def test_saturation_is_shown_apart_from_gate_clamps(self, capsys):
+        # a checkout that adds an encoder's saturation counter changes the
+        # counters, not the gate clamp totals the verdict reads
+        old = results([run([1.0], clamped=2)])
+        new = results([run([1.0], clamped=2)])
+        new["runs"]["default", 4][0][3]["layers.0.attn.out.saturated"] = 5
+        assert fidelity_diff.report(old, new)
+        row = capsys.readouterr().out.splitlines()[1]
+        assert "2->2" in row and "0->5" in row
+        c = fidelity_diff.compare_runs(old["runs"]["default", 4],
+                                       new["runs"]["default", 4])
+        assert not c["counters"] and c["clamps"] and c["layers"]
 
     def test_report_shows_direction(self, capsys):
         old = results([run([1.0], err=0.025, clamped=8)])

@@ -189,31 +189,31 @@ def per_head_spike_forward(
     scale = 1.0 / math.sqrt(cfg.d_head)
 
     cur = x.array.copy()
-    stream = encode_matrix(Matrix(cur), oat["input"], T, ledger, "input")
+    stream = encode_matrix(Matrix(cur), oat["input"], T, ledger, "input", counters)
     for i in range(cfg.n_layers):
         L = f"layers.{i}."
         try:
             ln1 = spike_layernorm(stream, p, L + "ln1", ledger, counters)
             attn_in = encode_matrix(
                 decode_train(ln1, ledger, L + "attn.in_decode"),
-                oat[L + "attn.in"], T, ledger, L + "attn.in",
+                oat[L + "attn.in"], T, ledger, L + "attn.in", counters,
             )
             q_f = decode_train(saw_mul_right(attn_in, w[L + "attn.wq"], ledger,
                                              L + "attn.wq"),
                                ledger, L + "attn.wq_decode")
             q = encode_matrix(Matrix(q_f.array * scale), oat[L + "attn.q"], T,
-                              ledger, L + "attn.q")
+                              ledger, L + "attn.q", counters)
             k = encode_matrix(
                 decode_train(saw_mul_right(attn_in, w[L + "attn.wk"], ledger,
                                            L + "attn.wk"),
                              ledger, L + "attn.wk_decode"),
-                oat[L + "attn.k"], T, ledger, L + "attn.k",
+                oat[L + "attn.k"], T, ledger, L + "attn.k", counters,
             )
             v = encode_matrix(
                 decode_train(saw_mul_right(attn_in, w[L + "attn.wv"], ledger,
                                            L + "attn.wv"),
                              ledger, L + "attn.wv_decode"),
-                oat[L + "attn.v"], T, ledger, L + "attn.v",
+                oat[L + "attn.v"], T, ledger, L + "attn.v", counters,
             )
             heads = []
             for h in range(cfg.n_heads):
@@ -224,13 +224,13 @@ def per_head_spike_forward(
                 probs = spike_softmax(logits, p, L + "attn", ledger, counters)
                 probs_enc = encode_matrix(
                     decode_train(probs, ledger, L + "attn.probs_decode"),
-                    oat[L + "attn.probs"], T, ledger, L + "attn.probs",
+                    oat[L + "attn.probs"], T, ledger, L + "attn.probs", counters,
                 )
                 heads.append(saa_mul(probs_enc, slice_cols(v, lo, hi),
                                      ledger, L + "attn.pv"))
             ctx = encode_matrix(
                 decode_train(concat_cols(heads), ledger, L + "attn.out_decode"),
-                oat[L + "attn.out"], T, ledger, L + "attn.out",
+                oat[L + "attn.out"], T, ledger, L + "attn.out", counters,
             )
             attn_out = decode_train(saw_mul_right(ctx, w[L + "attn.wo"], ledger,
                                                   L + "attn.wo"),

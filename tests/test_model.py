@@ -193,8 +193,8 @@ class TestSiteTree:
             assert set(block.oat) | set(block.hg) <= sites
             assert trace.counters
             for key in trace.counters:
-                assert key.endswith(".clamped"), key
-                assert key.removesuffix(".clamped") in block.hg, key
+                site, kind = key.rsplit(".", 1)
+                assert site in {"clamped": block.hg, "saturated": block.oat}[kind], key
             for site in sites:
                 assert site == "input" or _SUBLAYER_SITE.fullmatch(site), site
 
@@ -473,6 +473,16 @@ class TestSpikeForward:
             spike_forward(bad, tiny_input)
         assert info.value.site == "layers.0." + sublayer
         assert f"'layers.0.{encoder}'" in str(info.value.__cause__)
+
+    def test_encoder_saturation_counted(self, default_block):
+        cfg = default_block.config
+        x = sample_distribution("normal", cfg.seq_len, cfg.d_model,
+                                np.random.default_rng(3))
+        _, trace = spike_forward(default_block, x)
+        assert not any(k.endswith(".saturated") for k in trace.counters)
+        # inputs scaled by 3 overrun the encoders fitted on unscaled data
+        _, trace = spike_forward(default_block, Matrix(3.0 * x.array))
+        assert trace.counters.get("layers.0.attn.out.saturated", 0) > 0
 
     def test_bad_step_count(self, tiny_block, tiny_input):
         with pytest.raises(ValueError):

@@ -42,7 +42,42 @@ def dec1(train: SpikeMatrixTrain) -> float:
     return float(decode(train).array[0, 0])
 
 
+def step_loop(values):
+    """The step sum one step at a time, in step order: _sum_steps's oracle."""
+    out = values[0].copy()
+    for step in values[1:]:
+        out += step
+    return out
+
+
+@st.composite
+def step_stacks(draw):
+    """(T, ...) step values in a decode's shapes: one element, a column, a
+    row, or a head stack; the last column may be all signed zeros."""
+    T, n = draw(st.integers(1, 25)), draw(st.integers(2, 6))
+    dims = st.integers(1, 4)
+    shape = draw(st.sampled_from([(1, 1), (n, 1), (1, n),
+                                  (draw(dims), draw(dims), draw(dims))]))
+    zero = st.sampled_from([0.0, -0.0])
+    values = draw(hnp.arrays(np.float64, (T,) + shape, elements=st.one_of(
+        zero, st.floats(-1e6, 1e6, allow_subnormal=False))))
+    if draw(st.booleans()):
+        values[..., -1] = draw(hnp.arrays(np.float64, values[..., -1].shape,
+                                          elements=zero))
+    return values
+
+
 class TestSpikeTrain:
+    @settings(max_examples=300, deadline=None)
+    @given(values=step_stacks())
+    @example(values=np.full((4, 3, 1), -0.0))
+    @example(values=np.array([[[-0.0, 1e16]], [[-0.0, 1.0]], [[0.0, -1e16]]]))
+    def test_sum_steps_is_the_step_loop(self, values):
+        # bit for bit, signed zeros included: numpy's +0.0 reduce start
+        # would turn an all -0.0 column into +0.0
+        assert _sum_steps(values).tobytes() == step_loop(values).tobytes()
+        assert _sum_steps(values).shape == values.shape[1:]
+
     def test_decode_single_spike(self):
         values = np.zeros((4, 1, 1))
         values[2, 0, 0] = 0.5
@@ -234,7 +269,7 @@ class TestChunkedEncoder:
     @example(case=(np.array([0.0, -0.0, 1e308, -1.5]), np.ones(4), 5, 16))
     def test_matches_step_loop(self, case):
         x, tau, H, T = case
-        values = _mt_run(x, tau, H, T)
+        values = _mt_run(x, tau, H, T)[0]
         assert values.tobytes() == _mt_loop(x, tau, H, T).tobytes()  # signed zeros too
 
     def test_chunk_size(self):
@@ -316,10 +351,10 @@ class TestStepCeiling:
             k = data.draw(st.lists(st.integers(-top, top), min_size=1, max_size=32))
             off = data.draw(st.lists(st.floats(-2.0, 2.0), max_size=32))
         x = np.concatenate([np.array(k) * (tau * 2.0**-T / H), np.array(off) * tau])
-        train = _mt_run(x, tau, H, T)
+        train = _mt_run(x, tau, H, T)[0]
         # equal values; a silent step of a value that decoded to zero may
         # flip the sign of its zero
-        assert np.array_equal(_mt_run(_sum_steps(train), tau, H, T), train)
+        assert np.array_equal(_mt_run(_sum_steps(train), tau, H, T)[0], train)
 
 
 class TestOATNeuron:
@@ -341,6 +376,24 @@ class TestOATNeuron:
         d = decode(t).array[0]
         assert abs(d[0] - 0.5) < 1e-4 and abs(d[2] - 0.2) < 1e-4
         assert abs(d[1] + 3.0) < 4e-4  # coarse path, wider unit
+
+    def test_saturation_counted_above_the_top_grid_level(self):
+        # the coarse range's top level at H=5, T=8 is 9/5 * theta_out *
+        # (1 - 2^-8) = 2295 units of 5 * 2^-8 / 5 (a dyadic unit, so decodes
+        # are exact); the input one unit above saturates and decodes a unit
+        # short, the input on it does not
+        cfg = OATConfig(1.0, 5.0, 5, 8)
+        unit = 2.0**-8
+        top = 2295 * unit
+        on, above = np.array([[top, -top]]), np.array([[top + unit, -top - unit, 0.5]])
+        counters: dict = {}
+        assert np.array_equal(decode(encode_matrix(Matrix(on), cfg, counters=counters,
+                                                   site="e")).array, on)
+        assert counters == {}
+        train = encode_matrix(Matrix(above), cfg, counters=counters, site="e")
+        assert decode(train).array[0, :2].tolist() == [top, -top]
+        assert counters == {"e.saturated": 2}
+        assert _mt_run(above[0], 5.0, 5, 8)[1] == 2
 
     def test_decode_mse_beats_single_coarse_neuron(self):
         rng = np.random.default_rng(31)
@@ -633,6 +686,11 @@ def bank_runs(draw):
 class TestGateBank:
     @settings(max_examples=300, deadline=None)
     @given(case=bank_runs())
+    # 0.6 fires step 0's -0.0 weight, which keeps its sign, and not step 1's
+    # -2.0; 1.2 (u = 0.2) fires neither of its negative weights: +0.0 each
+    @example(case=(HGConfig((0.0, 1.0, 2.0), [[0.5, 0.5], [0.25, 0.25]],
+                            [[0.5, 0.5], [0.25, 0.25]], [[-0.0, -1.5], [-2.0, 0.5]]),
+                   np.array([0.6, 1.2]), 2))
     def test_matches_per_sub_kernel_reference(self, case):
         c, xs, T = case
         values, clamped = _hg_run(xs, c, T)

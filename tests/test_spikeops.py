@@ -330,9 +330,14 @@ class TestWholeTensorKernels:
 
     @settings(max_examples=150, deadline=None)
     @given(rows=dims, cols=dims, mode=st.sampled_from(
-               ["same", "b_column", "a_column", "b_row", "b_scalar"]), **run_params)
+               ["same", "b_column", "a_column", "b_row", "b_scalar", "self"]),
+           **run_params)
     def test_hadamard_mul_matches_per_step(self, rows, cols, mode, T, density, seed):
         rng = np.random.default_rng(seed)
+        if mode == "self":  # one train object as both operands, as a square
+            a = event_train(rng, T, (rows, cols), density)
+            assert_same_run(hadamard_mul, hadamard_mul_reference, a, a)
+            return
         a_shape, b_shape = {
             "same": ((rows, cols), (rows, cols)),
             "b_column": ((rows, cols), (rows, 1)),

@@ -14,11 +14,14 @@ step count, on the converted block and on the loaded one (`<name>/loaded`):
 
 For every block and T the report gives the largest relative output
 difference, max|out_new - out_old| / max|out_old| over the inputs; the
-largest relative difference of output_rel_err; the mean output_rel_err and
-the total gate clamp count, each as old -> new, so a numerics change shows
-which way it moved; whether the per-site SOP ledgers and the counters (the
-gate clamp counts) are equal; and whether the SOP/FLOP totals and the clamp
-totals of each layer (`input`, `layers.<i>`) are equal. Then it says
+largest relative difference of output_rel_err; the mean output_rel_err, the
+total gate clamp count and the total encoder saturation count, each as
+old -> new, so a numerics change shows which way it moved; whether every
+output is equal byte for byte (`bytes`), which a flipped signed zero breaks
+though it reads 0 in the relative difference; whether the per-site SOP
+ledgers and the counters (gate clamps and encoder saturations) are equal;
+and whether the SOP/FLOP totals and the gate clamp totals of each layer
+(`input`, `layers.<i>`) are equal. Then it says
 whether the saved block files and the calibrate output are byte-identical,
 and whether the loaded blocks are equal bit for bit: each gate bank's
 boundaries and sub-neuron schedules (read from its (T, N) theta/h/d stacks,
@@ -27,7 +30,9 @@ thresholds. The exit status is 0 when the per-layer totals and the files
 all match, and 1 otherwise, so a site renamed within its layer shows in the
 ledgers and counters columns without reading as a numerics change, and a
 block file laid out anew, with "loaded blocks equal", is told apart from
-one whose numbers moved.
+one whose numbers moved. The bytes and saturated columns are reported but
+do not decide it, so a checkout that adds a kind of counter shows in the
+counters column without reading as a numerics change either.
 """
 from __future__ import annotations
 
@@ -137,24 +142,26 @@ def layer_of(site: str) -> str:
 
 
 def layer_totals(ledger: dict, counters: dict) -> tuple[dict, dict]:
-    """(SOPs, FLOPs) and clamps, each summed per layer."""
+    """(SOPs, FLOPs) and gate clamps, each summed per layer."""
     costs: dict = {}
     clamps: dict = {}
     for site, counts in ledger["by_site"].items():
         sops, flops = costs.get(layer_of(site), (0, 0))
         costs[layer_of(site)] = (sops + counts["sops"], flops + counts["flops"])
-    for site, n in counters.items():
-        clamps[layer_of(site)] = clamps.get(layer_of(site), 0) + n
+    for key, n in counters.items():
+        if key.endswith(".clamped"):
+            clamps[layer_of(key)] = clamps.get(layer_of(key), 0) + n
     return costs, clamps
 
 
 def compare_runs(old: list, new: list) -> dict:
     """Largest relative differences and equality flags over paired runs."""
     out_diff = err_diff = 0.0
-    ledgers = counters = layers = clamps = True
+    same_bytes = ledgers = counters = layers = clamps = True
     for (o_out, o_err, o_led, o_cnt), (n_out, n_err, n_led, n_cnt) in zip(old, new):
         scale = np.abs(o_out).max()
         out_diff = max(out_diff, float(np.abs(n_out - o_out).max() / scale))
+        same_bytes &= o_out.shape == n_out.shape and o_out.tobytes() == n_out.tobytes()
         err_diff = max(err_diff, abs(n_err - o_err) / max(abs(o_err), 1e-300))
         ledgers &= o_led == n_led
         counters &= o_cnt == n_cnt
@@ -162,32 +169,43 @@ def compare_runs(old: list, new: list) -> dict:
                                                     layer_totals(n_led, n_cnt))
         layers &= o_costs == n_costs
         clamps &= o_clamps == n_clamps
-    return {"out": out_diff, "rel_err": err_diff, "ledgers": ledgers,
-            "counters": counters, "layers": layers, "clamps": clamps}
+    return {"out": out_diff, "rel_err": err_diff, "bytes": same_bytes,
+            "ledgers": ledgers, "counters": counters, "layers": layers,
+            "clamps": clamps}
+
+
+def counter_total(runs: list, kind: str) -> int:
+    """A row's counters of one kind ("clamped" or "saturated"), summed over
+    its runs."""
+    return sum(n for _, _, _, counters in runs for key, n in counters.items()
+               if key.endswith("." + kind))
 
 
 def direction(runs: list) -> tuple[float, int]:
     """Mean output_rel_err and total gate clamps over a row's runs."""
     return (float(np.mean([err for _, err, _, _ in runs])),
-            sum(sum(counters.values()) for _, _, _, counters in runs))
+            counter_total(runs, "clamped"))
 
 
 def report(old: dict, new: dict) -> bool:
     """Print the comparison table; True when per-layer totals and files match."""
     same = True
-    flags = ("ledgers", "counters", "layers", "clamps")
+    flags = ("bytes", "ledgers", "counters", "layers", "clamps")
     print(f"{'block':<15} {'T':>3} {'inputs':>6} {'max|dout|/max|out|':>19} "
           f"{'d(output_rel_err)':>18} {'mean err old->new':>20} "
-          f"{'clamps old->new':>15} " + " ".join(f"{f:>8}" for f in flags))
+          f"{'clamps old->new':>15} {'saturated old->new':>18} "
+          + " ".join(f"{f:>8}" for f in flags))
     for key in sorted(old["runs"]):
         c = compare_runs(old["runs"][key], new["runs"][key])
         same &= c["layers"] and c["clamps"]
         eq = {True: "equal", False: "DIFFER"}
         (err_old, clamps_old), (err_new, clamps_new) = (direction(old["runs"][key]),
                                                         direction(new["runs"][key]))
+        sat_old, sat_new = (counter_total(side["runs"][key], "saturated")
+                            for side in (old, new))
         print(f"{key[0]:<15} {key[1]:>3} {len(old['runs'][key]):>6} {c['out']:>19.3g} "
               f"{c['rel_err']:>18.3g} {f'{err_old:.3g}->{err_new:.3g}':>20} "
-              f"{f'{clamps_old}->{clamps_new}':>15} "
+              f"{f'{clamps_old}->{clamps_new}':>15} {f'{sat_old}->{sat_new}':>18} "
               + " ".join(f"{eq[c[f]]:>8}" for f in flags))
     for name in sorted(old["files"]):
         identical = old["files"][name] == new["files"].get(name)

@@ -12,20 +12,14 @@ Fitting tunes one few-step kernel per sub-range to a scalar target function.
 Thresholds and resets are pinned to a dyadic schedule scaled to the
 sub-range width, so the firing bits (from the runtime's own recurrence) are
 fixed and the per-step output weights solve one linear least-squares problem
-directly. Two schedule variants are tried, with and without a leading
-always-on step (a constant term the pure dyadic ladder cannot express,
-needed wherever the target is far from zero at a sub-range floor). The one
-with the lower validation error wins; a tie goes to the always-on variant.
+directly. The schedule spends its first step on an always-on spike, a
+constant term that a plain dyadic ladder cannot express, needed wherever
+the target is far from zero at a sub-range floor; the other steps form the
+ladder.
 
 Errors are always reported on a validation grid 10x denser than the
 training sample, never on the training sample itself, and are decoded as
-the gated bank decodes at run time. The always-on variant is validated in
-full. Every grid point decodes on its own, so the plain ladder's error on
-every tenth point is a lower bound on its full-grid error, and the ladder
-is validated in full only when that bound is below the always-on error.
-The choice is the one full validation of both variants would make. (The
-training error is no substitute: fit_fs(np.exp, -2.56, -0.65, 12, 64, 56)
-trains better without the always-on step but validates better with it.)
+the gated bank decodes at run time.
 """
 from __future__ import annotations
 
@@ -256,20 +250,17 @@ def observed_range(
 # kernel fitting
 
 
-def _dyadic_schedule(w: float, T: int, intercept: bool) -> tuple[tuple, tuple]:
+def _dyadic_schedule(w: float, T: int) -> tuple[tuple, tuple]:
     """Thresholds and resets for a sub-range of width w.
 
-    The plain ladder halves from w/2 down to w*2^-T. The intercept variant
-    spends step one on an always-on, no-reset spike (threshold small enough
-    that every in-range input fires it) whose weight acts as a constant
-    term; the remaining steps form the ladder one rung shorter.
+    Step one is an always-on, no-reset spike (threshold small enough that
+    every in-range input fires it) whose weight acts as a constant term;
+    the remaining T-1 steps form a ladder halving from w/2 down to
+    w*2^-(T-1).
     """
-    if intercept:
-        guard = w * 2.0 ** -(T + 8)
-        rungs = tuple(w * 2.0**-t for t in range(1, T))
-        return (guard,) + rungs, (0.0,) + rungs
-    rungs = tuple(w * 2.0**-t for t in range(1, T + 1))
-    return rungs, rungs
+    guard = w * 2.0 ** -(T + 8)
+    rungs = tuple(w * 2.0**-t for t in range(1, T))
+    return (guard,) + rungs, (0.0,) + rungs
 
 
 def _solve_weights(B: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -307,12 +298,9 @@ def fit_fs(
 ) -> tuple[HGConfig, float]:
     """Fit one few-step kernel to target on [lo, hi]: a bank of one sub-range.
 
-    Trains on M uniform samples plus the endpoints; reports the max abs
-    error over an inclusive validation grid with 10x the training density.
-    Both schedule variants are trained; the one with the lower validation
-    error is returned, the always-on variant on a tie. The always-on variant
-    is validated in full, and the plain ladder only if its error on every
-    tenth grid point, a lower bound on its full error, is strictly lower.
+    Solves the output weights of the one always-on dyadic schedule on M
+    uniform training samples plus the endpoints; reports the max abs error
+    over an inclusive validation grid with 10x the training density.
     Deterministic for a given seed. Inputs are taken relative to lo, which
     is how the gated bank seeds sub-range members.
     """
@@ -329,31 +317,12 @@ def fit_fs(
     x_val = np.linspace(lo, hi, 10 * M)
     y_val = _target_values(target, x_val)
 
-    fits = {}
-    for intercept in (True, False):
-        theta, h = _dyadic_schedule(w, T, intercept)
-        guard = theta[0] if intercept else 0.0
-        d = _solve_weights(_fs_bits(u_train + guard, theta, h).T, y_train)
-        fits[intercept] = (theta, h, d, guard)
-
-    def val_err(intercept: bool, stride: int) -> float:
-        # the bank's own input mapping and in-order decode (a BLAS d @ bits
-        # would reorder the sum), so err is the error the bank makes at run time
-        theta, h, d, guard = fits[intercept]
-        xs = x_val[::stride]
-        return float(np.abs(_fs_decode(xs - lo + guard, theta, h, d)
-                            - y_val[::stride]).max())
-
-    # The intercept variant, which handles nonzero sub-range floors, wins a
-    # tie, so the ladder must be strictly better. Each grid point decodes on
-    # its own, so the ladder's error on every tenth one bounds its full-grid
-    # error from below: at or above the intercept's error, it cannot win.
-    best, err = True, val_err(True, 1)
-    if val_err(False, 10) < err:
-        ladder_err = val_err(False, 1)
-        if ladder_err < err:
-            best, err = False, ladder_err
-    theta, h, d, _ = fits[best]
+    theta, h = _dyadic_schedule(w, T)
+    guard = theta[0]
+    d = _solve_weights(_fs_bits(u_train + guard, theta, h).T, y_train)
+    # the bank's own input mapping and in-order decode (a BLAS d @ bits would
+    # reorder the sum), so err is the error the bank makes at run time
+    err = float(np.abs(_fs_decode(x_val - lo + guard, theta, h, d) - y_val).max())
     return HGConfig((lo, hi), *(np.reshape(a, (-1, 1)) for a in (theta, h, d))), err
 
 

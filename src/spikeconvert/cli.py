@@ -9,7 +9,6 @@ seeds. The LAS_SEED environment variable overrides every seed in play.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -29,6 +28,7 @@ from .model import (
     load_block,
     load_config,
     load_weights,
+    read_json,
     save_block,
     save_config,
     save_weights,
@@ -185,8 +185,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_energy(args) -> int:
-    with open(args.report, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(args.report)
     _check_type("report", doc, dict)
     ledger = doc.get("ledger", {})
     _check_type("ledger", ledger, dict)

@@ -90,6 +90,12 @@ class EnergyLedger:
             where = f"by_site[{site!r}]"
             _check_type(where, counts, dict)
             sops, flops = _count(where, counts, "sops"), _count(where, counts, "flops")
+            if sops % ledger.sop_weight:
+                # each event charges sop_weight: flooring would hide a corrupt count
+                raise EnergyAccountingError(
+                    f"{where}.sops={sops} is not a multiple of sop_weight "
+                    f"{ledger.sop_weight}"
+                )
             ledger.record_sop(site, sops // ledger.sop_weight)
             ledger.record_flop(site, flops)
         totals = _count("ledger", d, "sops"), _count("ledger", d, "flops")

@@ -523,8 +523,6 @@ def spike_forward(
     if T is None:
         T = cfg.T
     _check_type("T", T, numbers.Integral)
-    if T < 1:
-        raise ValueError(f"need at least one timestep, got T={T}")
     _check_exact_range(cfg.H, T)
     w = block.weights
     ledger = EnergyLedger(
@@ -618,13 +616,21 @@ def dump_json(obj: dict, path: str) -> None:
         fh.write("\n")
 
 
+def read_json(path: str):
+    """A UTF-8 JSON file's document; a syntax or encoding error names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path!r} is not UTF-8 JSON: {exc}") from None
+
+
 def save_config(cfg: ModelConfig, path: str) -> None:
     dump_json(cfg.to_dict(), path)
 
 
 def load_config(path: str) -> ModelConfig:
-    with open(path, encoding="utf-8") as fh:
-        return ModelConfig.from_dict(json.load(fh))
+    return ModelConfig.from_dict(read_json(path))
 
 
 def _write_lasw(tensors: dict[str, np.ndarray], path: str) -> None:
@@ -681,7 +687,11 @@ def _read_lasw(path: str) -> dict[str, np.ndarray]:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (nlen,) = struct.unpack("<I", rd.take(4))
-        name = rd.take(nlen).decode("utf-8")
+        try:
+            name = rd.take(nlen).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path!r}: tensor name at offset {rd.pos - nlen} "
+                              f"is not UTF-8: {exc}") from None
         rows, cols = struct.unpack("<II", rd.take(8))
         payload = rd.take(8 * rows * cols)
         if name in tensors:
@@ -764,8 +774,7 @@ def save_block(block: ConvertedBlock, path: str) -> None:
 def load_block(path: str) -> ConvertedBlock:
     """Read a block file and the sidecar its weights_file names, which lies
     in the block file's directory."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     _check_type("block", doc, dict)
     if doc.get("format") != _BLOCK_FORMAT:
         raise FormatError(

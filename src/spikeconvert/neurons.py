@@ -120,10 +120,16 @@ def _max_steps(H: int) -> int:
     return T
 
 
+def _check_steps(T: int) -> None:
+    if T < 1:
+        raise ValueError(f"T must be at least 1, got {T}")
+
+
 def _check_exact_range(H: int, T: int, **scales: float) -> None:
-    """Refuse H above _MAX_H, any T above the step ceiling at H, and any named
-    scale whose grid unit scale * 2^-T / H leaves float64's normal range at a
-    T within that ceiling."""
+    """Refuse H above _MAX_H, any T below 1 or above the step ceiling at H,
+    and any named scale whose grid unit scale * 2^-T / H leaves float64's
+    normal range at a T within that ceiling."""
+    _check_steps(T)
     if H > _MAX_H:
         raise ValueError(f"H must be at most {_MAX_H}, got {H}")
     T_max = _max_steps(H)
@@ -158,8 +164,6 @@ class MTConfig:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.H < 1:
             raise ValueError(f"H must be at least 1, got {self.H}")
-        if self.T < 1:
-            raise ValueError(f"T must be at least 1, got {self.T}")
         _check_exact_range(self.H, self.T, tau=self.tau)
 
 
@@ -182,8 +186,8 @@ class OATConfig:
                 f"need theta_out > theta_nor > 0, got "
                 f"theta_nor={self.theta_nor} theta_out={self.theta_out}"
             )
-        if self.H < 1 or self.T < 1:
-            raise ValueError("H and T must be at least 1")
+        if self.H < 1:
+            raise ValueError(f"H must be at least 1, got {self.H}")
         _check_exact_range(self.H, self.T, theta_nor=self.theta_nor)
 
 
@@ -512,6 +516,7 @@ def _hg_run(flat: np.ndarray, c: HGConfig, T: int | None = None) -> tuple:
     (default: the fitted depth)."""
     bs, theta, h, d, guard = c.boundaries, c.theta, c.h, c.d, c.guard
     if T is not None:
+        _check_steps(T)
         # the first T steps as views, padded past the fitted depth with steps
         # that never fire, as truncate_schedule resizes a schedule
         theta, h, d = theta[:T], h[:T], d[:T]
@@ -546,6 +551,7 @@ def truncate_schedule(theta, h, d, T: int) -> tuple[tuple, tuple, tuple]:
     Running a kernel below its fitted depth drops the finest refinement
     steps, which is how timestep sweeps degrade resolution.
     """
+    _check_steps(T)
     pad = max(T - len(theta), 0)
     big = 1e300  # threshold no finite membrane reaches
     return (tuple(theta[:T]) + (big,) * pad, tuple(h[:T]) + (0.0,) * pad,

@@ -65,6 +65,14 @@ def default_work(tmp_path_factory):
 
 DROP = object()
 
+# JSON files that do not parse: a syntax error, and a byte that is not UTF-8
+UNREADABLE_JSON = pytest.mark.parametrize(
+    "content", [b'{x: 1}', b'{"a": "\xff"}'], ids=["syntax", "not_utf8"])
+
+
+def _unreadable_json_named(capsys, path) -> bool:
+    return f"error: {str(path)!r} is not UTF-8 JSON" in capsys.readouterr().err
+
 
 def _run_edited_block(work, tmp_path, path, value):
     """Run a copy of work's block with the node at path set to value, or
@@ -283,6 +291,15 @@ class TestConvert:
                      "--out", str(tmp_path / "x.json")]) == 2
         assert f"config must be dict, got {doc!r}" in capsys.readouterr().err
 
+    @UNREADABLE_JSON
+    def test_unreadable_config_named(self, work, tmp_path, capsys, content):
+        bad = tmp_path / "bad_config.json"
+        bad.write_bytes(content)
+        assert main(["convert", "--config", str(bad),
+                     "--weights", str(work / "weights.lasw"),
+                     "--out", str(tmp_path / "x.json")]) == 2
+        assert _unreadable_json_named(capsys, bad)
+
     def test_extra_seed_named(self, work, tmp_path, capsys):
         with open(work / "config.json") as fh:
             doc = json.load(fh)
@@ -424,6 +441,7 @@ class TestRun:
         ("version", "unsupported weight version: expected 1, found 9"),
         ("duplicate", "duplicate tensor name 'input'"),
         ("trailing", "2 trailing bytes after the last tensor"),
+        ("name", "tensor name at offset 16 is not UTF-8"),
     ])
     def test_malformed_input_file_named(self, work, tmp_path, capsys, fault,
                                         message):
@@ -435,6 +453,8 @@ class TestRun:
         elif fault == "duplicate":
             data[8:12] = struct.pack("<I", 2)  # the one tensor, twice
             data += data[12:]
+        elif fault == "name":
+            data[16] = 0xFF  # the first byte of the tensor name
         else:
             data += b"xx"
         bad = str(tmp_path / "bad_input.lasw")
@@ -448,6 +468,14 @@ class TestRun:
         assert _run_edited_block(work, tmp_path, ("version",), 2) == 2
         assert ("unsupported block version: expected 4, found 2; reconvert the "
                 "block with `spikeconvert convert`" in capsys.readouterr().err)
+
+    @UNREADABLE_JSON
+    def test_unreadable_block_named(self, work, tmp_path, capsys, content):
+        bp = tmp_path / "bad_block.json"
+        bp.write_bytes(content)
+        code = main(["run", "--block", str(bp), "--input", str(work / "input.lasw")])
+        assert code == 2
+        assert _unreadable_json_named(capsys, bp)
 
     def test_block_that_is_not_an_object(self, work, tmp_path, capsys):
         bp = tmp_path / "list_block.json"
@@ -637,6 +665,23 @@ class TestEnergy:
 
     def test_missing_report(self, tmp_path, capsys):
         assert main(["energy", "--report", str(tmp_path / "gone.json")]) == 2
+
+    @UNREADABLE_JSON
+    def test_unreadable_report_named(self, tmp_path, capsys, content):
+        p = tmp_path / "bad_report.json"
+        p.write_bytes(content)
+        assert main(["energy", "--report", str(p)]) == 2
+        assert _unreadable_json_named(capsys, p)
+
+    def test_count_off_the_sop_weight_refused(self, tmp_path, capsys):
+        # flooring 7 SOPs at weight 3 to 2 events would agree with the total 6
+        p = tmp_path / "weighted_report.json"
+        p.write_text(json.dumps({"ledger": {
+            "sop_weight": 3, "sops": 6, "flops": 10,
+            "by_site": {"input": {"sops": 7, "flops": 10}}}}))
+        assert main(["energy", "--report", str(p)]) == 2
+        assert ("by_site['input'].sops=7 is not a multiple of sop_weight 3"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("path, value, field", [
         ((), [], "report"),

@@ -543,6 +543,12 @@ class TestScheduleResizing:
         t = fs_encode(0.75, *q)
         assert not t.events[1:, 0].any()
 
+    @pytest.mark.parametrize("T", [0, -1])
+    def test_step_count_below_one_named(self, T):
+        # a negative T would slice the schedule from the end
+        with pytest.raises(ValueError, match=f"T must be at least 1, got {T}"):
+            hg_at_steps(step_fn_config(), T)
+
     def test_hg_at_steps_same_t_is_identity(self):
         c = step_fn_config()
         assert hg_at_steps(c, 2) is c

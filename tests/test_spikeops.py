@@ -85,6 +85,18 @@ class TestTrainPlumbing:
         # all-fine-path inputs: 10 units of (theta_nor/H) 2^-T
         assert np.max(np.abs(got - x.array)) <= 10 * (1.0 / 5) * 2.0**-16
 
+    @pytest.mark.parametrize("T", [0, -1, -2])
+    def test_step_count_below_one_named(self, T):
+        # a negative T would slice the bank's schedules from the end, and T=0
+        # would give an empty train
+        x = Matrix(np.array([[-0.5, 0.25]]))
+        bank = HGConfig((-1.0, 1.0), np.full((8, 1), 0.5), np.full((8, 1), 0.5),
+                        np.ones((8, 1)))
+        with pytest.raises(ValueError, match=f"T must be at least 1, got {T}"):
+            apply_hg(x, bank, T)
+        with pytest.raises(ValueError, match=f"T must be at least 1, got {T}"):
+            encode_matrix(x, OAT_UNIT, T)
+
 
 class TestSAW:
     def test_identity_weight(self):

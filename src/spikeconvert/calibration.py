@@ -19,11 +19,21 @@ ladder.
 
 Errors are always reported on a validation grid 10x denser than the
 training sample, never on the training sample itself, and are decoded as
-the gated bank decodes at run time.
+the gated bank decodes at run time. The validation decode runs in closed
+form instead of stepping the recurrence T times over the grid. On its inputs
+the schedule's rung subtractions are exact, so the rungs fire on the binary
+digits of K = floor(u / q), with q the finest rung. The decode is then one
+lookup in a table of the in-order partial sums of the step weights, built
+with the recurrence's own products and additions, so it matches the
+recurrence bit for bit (_dyadic_decode has the argument). The fit refuses
+parameters outside the range where that holds: more than _MAX_FIT_STEPS
+steps, or a sub-range too narrow for its guard step to be a normal float.
+It also refuses more than _MAX_SAMPLES training samples.
 """
 from __future__ import annotations
 
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -31,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CalibrationError, FormatError
-from .neurons import HGConfig, _fs_bits, _fs_decode
+from .neurons import HGConfig, _fs_bits
 from .neurons import _check_finite_reals, _check_type
 from .tensors import ActivationStats, Matrix, percentile
 
@@ -45,6 +55,12 @@ _UNIFORM_MIX = 0.05
 _GRID_CELLS = 2048
 # the fraction of the observed span a gate's fitted range adds on each side
 _RANGE_PAD = 0.1
+# The most steps a fit takes: _dyadic_decode floors u / q exactly only while
+# K = floor(u / q) < 2^51, and K has T - 1 bits.
+_MAX_FIT_STEPS = 52
+# The most training samples M a fit takes: its validation grid holds 10 * M
+# float64 values, 80 MiB at this ceiling.
+_MAX_SAMPLES = 2**20
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -263,6 +279,51 @@ def _dyadic_schedule(w: float, T: int) -> tuple[tuple, tuple]:
     return (guard,) + rungs, (0.0,) + rungs
 
 
+def _dyadic_decode(u: np.ndarray, w: float, d: np.ndarray) -> np.ndarray:
+    """The schedule _dyadic_schedule(w, T) decoded with step weights d on
+    inputs guard <= u <= fl(w + guard), without stepping the recurrence:
+    bit for bit _sum_steps(_fs_bits(u, theta, h) * d[:, None]).
+
+    The guard step fires on every such u and resets nothing. While u < w,
+    each rung t fires on a membrane below twice its threshold, so its
+    subtraction is exact (Sterbenz). The rungs then fire on the binary digits
+    of K = floor(u / q), q = w * 2^-(T-1), floored as a real quotient. Above
+    w every rung fires, and the cap K <= 2^(T-1) - 1 gives that too. The
+    rounded u / q floors to K except where it rounds onto an integer. There
+    np.floor_divide recomputes K exactly, which holds while K < 2^51
+    (_MAX_FIT_STEPS). Every rung is w scaled by a power of two, so all of
+    this needs the guard, the smallest of them, to be a normal float.
+
+    The decode is gathered from a table of the in-order partial sums
+    d[0] + b_1 d[1] + ... + b_P d[P] over the first P rungs' bits. The table
+    is built with the recurrence's own products (d[t] * 0.0 for a silent
+    step) and its left-to-right additions, so signed zeros come out as the
+    recurrence's. It has at most u.size entries; any rungs past P are added
+    one at a time, in order, from K's digits.
+    """
+    T = d.size
+    q = w * 2.0 ** (1 - T)
+    r = u / q
+    K = r.astype(np.int64)  # the floor, as r >= 0
+    edge = np.flatnonzero(K == r)
+    K[edge] = np.floor_divide(u[edge], q)
+    np.minimum(K, 2 ** (T - 1) - 1, out=K)
+    P = min(T - 1, u.size.bit_length() - 1)
+    # two buffers in turn: entry 2j + b of the next level extends prefix j
+    # with step t's bit b
+    sums, longer = np.empty(2**P), np.empty(2**P)
+    sums[0] = d[0] * 1.0
+    for t in range(1, P + 1):
+        n = 2 ** (t - 1)
+        np.add(sums[:n], d[t] * 0.0, out=longer[0:2 * n:2])
+        np.add(sums[:n], d[t] * 1.0, out=longer[1:2 * n:2])
+        sums, longer = longer, sums
+    out = sums.take(K if P == T - 1 else K >> (T - 1 - P), out=r)
+    for t in range(P + 1, T):
+        out += ((K >> (T - 1 - t)) & 1) * d[t]
+    return out
+
+
 def _solve_weights(B: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least-squares output weights for the (n, T) firing-bit design B.
 
@@ -303,26 +364,47 @@ def fit_fs(
     over an inclusive validation grid with 10x the training density.
     Deterministic for a given seed. Inputs are taken relative to lo, which
     is how the gated bank seeds sub-range members.
+
+    The validation grid is decoded in closed form by _dyadic_decode: the
+    rungs' exact subtractions make their bits the digits of floor(u / q), and
+    a table of in-order partial sums of the weights turns those digits into
+    the recurrence's output, bit for bit. So the error is the one the bank
+    makes at run time. T above _MAX_FIT_STEPS, M above _MAX_SAMPLES and a
+    range whose guard step (hi - lo) * 2^-(T+8) is not a normal float are
+    refused.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if M < 64:
-        raise ValueError(f"need at least 64 training samples, got M={M}")
-    if T < 1:
-        raise ValueError(f"need at least one step, got T={T}")
+    if not 64 <= M <= _MAX_SAMPLES:
+        raise ValueError(f"M must be within 64..{_MAX_SAMPLES} training samples, "
+                         f"got M={M}")
+    if not 1 <= T <= _MAX_FIT_STEPS:
+        raise ValueError(f"T must be within 1..{_MAX_FIT_STEPS} steps, got T={T}")
     w = hi - lo
+    theta, h = _dyadic_schedule(w, T)
+    guard = theta[0]
+    if not sys.float_info.min <= guard <= sys.float_info.max:
+        raise ValueError(
+            f"range [{lo}, {hi}] does not fit at T={T}: its guard step "
+            f"(hi - lo) * 2^-(T+8) = {guard} must be a finite normal float"
+        )
     rng = np.random.default_rng(seed)
     u_train = np.concatenate([rng.uniform(0.0, w, M), [0.0, w]])
     y_train = _target_values(target, u_train + lo)
     x_val = np.linspace(lo, hi, 10 * M)
     y_val = _target_values(target, x_val)
 
-    theta, h = _dyadic_schedule(w, T)
-    guard = theta[0]
     d = _solve_weights(_fs_bits(u_train + guard, theta, h).T, y_train)
     # the bank's own input mapping and in-order decode (a BLAS d @ bits would
-    # reorder the sum), so err is the error the bank makes at run time
-    err = float(np.abs(_fs_decode(x_val - lo + guard, theta, h, d) - y_val).max())
+    # reorder the sum), so err is the error the bank makes at run time. In
+    # place, and x_val dropped: each grid-sized array alive at once costs its
+    # page faults on every fit.
+    u_val = x_val - lo
+    del x_val
+    u_val += guard
+    dev = _dyadic_decode(u_val, w, d)
+    dev -= y_val
+    err = float(np.abs(dev, out=dev).max())
     return HGConfig((lo, hi), *(np.reshape(a, (-1, 1)) for a in (theta, h, d))), err
 
 
@@ -441,10 +523,18 @@ def fit_target(
     lo: float | None = None,
     hi: float | None = None,
 ) -> tuple[HGConfig, CalibrationReport]:
-    """Fit a named target on an explicit range using curvature sampling."""
+    """Fit a named target on an explicit range using curvature sampling.
+
+    A range that starts below the target's domain floor is refused.
+    """
     spec = target_fn(name)
     lo = spec.lo if lo is None else lo
     hi = spec.hi if hi is None else hi
+    if spec.floor is not None and lo < spec.floor:
+        raise CalibrationError(
+            f"range [{lo}, {hi}] starts below the {name!r} target's domain "
+            f"floor {spec.floor}"
+        )
     rng = np.random.default_rng(seed)
     sample = curvature_sample(spec.fn, lo, hi, 4 * M, rng)
     return fit_hg(name, sample, N, T, M, seed, lo=lo, hi=hi)

@@ -9,13 +9,21 @@ seeds. The LAS_SEED environment variable overrides every seed in play.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .calibration import TARGETS, fit_target, hg_to_dict, sample_distribution
+from .calibration import (
+    _MAX_FIT_STEPS,
+    _MAX_SAMPLES,
+    TARGETS,
+    fit_target,
+    hg_to_dict,
+    sample_distribution,
+)
 from .energy import E_AC, E_MAC, EnergyLedger, energy_ratio
 from .errors import CalibrationError, FormatError, SpikePathError
 from .model import (
@@ -85,8 +93,12 @@ def _run_block(args) -> tuple[ConvertedBlock, Matrix, int]:
 
 
 def cmd_calibrate(args) -> int:
-    if args.samples < 64:
-        raise ValueError(f"--samples must be at least 64, got {args.samples}")
+    if not 64 <= args.samples <= _MAX_SAMPLES:
+        raise ValueError(
+            f"--samples must be within 64..{_MAX_SAMPLES}, got {args.samples}")
+    if not 1 <= args.steps <= _MAX_FIT_STEPS:
+        raise ValueError(
+            f"--steps must be within 1..{_MAX_FIT_STEPS}, got {args.steps}")
     seed = _seed_override()
     if seed is None:
         seed = args.seed
@@ -217,6 +229,7 @@ def cmd_init(args) -> int:
     return 0
 
 
+@functools.cache  # built once: argparse's set-up costs about 2 ms per call
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="spikeconvert",

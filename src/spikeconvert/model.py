@@ -29,6 +29,7 @@ import numpy as np
 
 from .calibration import (
     _DISTRIBUTIONS,
+    _MAX_SAMPLES,
     TARGETS,
     CalibrationReport,
     _check_keys,
@@ -118,8 +119,9 @@ class ModelConfig:
             raise ValueError(f"n_layers must be within 1..4, got {self.n_layers}")
         if not 0.0 < self.normal_quantile < 1.0:
             raise ValueError("normal_quantile must be in (0, 1)")
-        if self.samples_per_range < 64:
-            raise ValueError("samples_per_range must be at least 64")
+        if not 64 <= self.samples_per_range <= _MAX_SAMPLES:
+            raise ValueError(f"samples_per_range must be within 64..{_MAX_SAMPLES}, "
+                             f"got {self.samples_per_range}")
         _check_keys("seeds", self.seeds, {"weights", "calibration", "input"})
         for key, seed in self.seeds.items():
             _check_type(f"seeds[{key!r}]", seed, int)
@@ -611,9 +613,9 @@ _GATE_TENSORS = ("boundaries", "theta", "h", "d")
 
 def dump_json(obj: dict, path: str) -> None:
     """Deterministic JSON: sorted keys, stable floats, trailing newline."""
+    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def read_json(path: str):

@@ -46,23 +46,17 @@ to a column of -0.0; a one-element step keeps the step loop, because numpy
 sums that pairwise.
 
 hg_eval decodes the bank on a 1-D batch, which is how a fitted bank's error
-is checked. _fs_steps is the one few-step recurrence: _fs_bits collects its
-firing bits, to fit and to run, and _fs_decode sums the weighted steps in
-step order, to validate a fit, so a fit sees exactly the bits the runtime
-fires and reports exactly the error its decode makes. All encoders are
-deterministic and produce bit-identical trains for identical inputs and
-configurations.
+is checked. _fs_bits is the one few-step recurrence: it collects the firing
+bits a fit trains on and the runtime fires. All encoders are deterministic
+and produce bit-identical trains for identical inputs and configurations.
 """
 from __future__ import annotations
 
-import collections
 import functools
-import itertools
 import math
 import numbers
 import sys
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -334,42 +328,19 @@ def decode(s: SpikeMatrixTrain) -> Matrix:
 # few-step kernel
 
 
-def _fs_steps(x: np.ndarray, theta: tuple, h: tuple, rows) -> Iterator[np.ndarray]:
-    """The few-step recurrence on a 1-D batch, one step per item: writes step
-    t's firing bits (0.0/1.0) into the next buffer of rows and yields it.
-    The membrane starts at x; step t fires where it is at or above theta[t]
-    and subtracts h[t] there. theta[t] and h[t] are scalars, or (n,) rows
-    when each element has its own schedule. rows holds float64 or bool (n,)
-    buffers: the rows of a (T, n) array, or one buffer repeated when each
-    step is consumed before the next is written. Every step's reset goes
-    through one scratch buffer."""
+def _fs_bits(x: np.ndarray, theta: tuple, h: tuple, dtype=np.float64) -> np.ndarray:
+    """Firing bits of the few-step recurrence on a 1-D batch: a contiguous
+    (T, n) array of 0.0/1.0 (the fits' design matrix) or, with dtype=bool,
+    firing masks. The membrane starts at x; step t fires where it is at or
+    above theta[t] and subtracts h[t] there. theta[t] and h[t] are scalars,
+    or (n,) rows when each element has its own schedule."""
+    bits = np.empty((len(theta), np.size(x)), dtype=dtype)
     v = np.array(x, dtype=np.float64)
     reset = np.empty_like(v)
-    for row, theta_t, h_t in zip(rows, theta, h):
+    for row, theta_t, h_t in zip(bits, theta, h):
         np.greater_equal(v, theta_t, out=row)
         v -= np.multiply(h_t, row, out=reset)
-        yield row
-
-
-def _fs_bits(x: np.ndarray, theta: tuple, h: tuple, dtype=np.float64) -> np.ndarray:
-    """Firing bits of the few-step recurrence: a contiguous (T, n) array of
-    0.0/1.0 (the fits' design matrix) or, with dtype=bool, firing masks."""
-    bits = np.empty((len(theta), np.size(x)), dtype=dtype)
-    collections.deque(_fs_steps(x, theta, h, bits), maxlen=0)  # run every step
     return bits
-
-
-def _fs_decode(x: np.ndarray, theta: tuple, h: tuple, d) -> np.ndarray:
-    """Decoded output of the few-step recurrence with step weights d, summed
-    inside the recurrence: the same products and the same in-order additions
-    as _sum_steps(_fs_bits(x, theta, h) * d[:, None]), so the result is
-    bit-identical, without the (T, n) bit array."""
-    steps = _fs_steps(x, theta, h, itertools.repeat(np.empty(np.size(x))))
-    out = next(steps) * d[0]
-    term = np.empty_like(out)
-    for d_t, bits in zip(d[1:], steps):
-        out += np.multiply(bits, d_t, out=term)
-    return out
 
 
 def fs_encode(x: float, theta, h, d) -> SpikeMatrixTrain:

@@ -1,6 +1,7 @@
 """Threshold selection and kernel fitting against quantile/LSQ oracles."""
 import warnings
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +10,10 @@ from hypothesis import strategies as st
 from spikeconvert import calibration
 from spikeconvert.calibration import (
     TARGETS,
+    _MAX_FIT_STEPS,
+    _MAX_SAMPLES,
     CalibrationReport,
+    _dyadic_decode,
     _dyadic_schedule,
     _solve_weights,
     _target_values,
@@ -187,6 +191,29 @@ class TestFitFS:
         with pytest.raises(ValueError):
             fit_fs(np.exp, 0.0, 1.0, 0, 256, seed=0)
 
+    def test_closed_form_range_named(self):
+        # the most steps, samples and the narrowest range the closed form takes
+        fit_fs(np.exp, 0.0, 1.0, _MAX_FIT_STEPS, 64, seed=0)
+        fit_fs(np.exp, 0.0, 2.0**-960, 16, 64, seed=0)
+        with pytest.raises(ValueError, match=r"T must be within 1\.\.52 steps, "
+                                             r"got T=53"):
+            fit_fs(np.exp, 0.0, 1.0, _MAX_FIT_STEPS + 1, 64, seed=0)
+        with pytest.raises(ValueError, match=r"M must be within 64\.\.1048576"):
+            fit_fs(np.exp, 0.0, 1.0, 8, _MAX_SAMPLES + 1, seed=0)
+        # a guard below the smallest normal float, and an infinite width
+        for lo, hi in ((0.0, 2.0**-1000), (-1e308, 1e308)):
+            with pytest.raises(ValueError, match=r"guard step \(hi - lo\) \* 2\^-"
+                                                 r"\(T\+8\) = .* must be a finite"):
+                fit_fs(np.zeros_like, lo, hi, 16, 64, seed=0)
+
+    @pytest.mark.parametrize("name, lo", [("reciprocal", -1.0), ("reciprocal", 0.0),
+                                          ("invsqrt", -1e-9)])
+    def test_range_below_target_floor_named(self, name, lo):
+        floor = TARGETS[name].floor
+        with pytest.raises(CalibrationError, match=f"domain floor {floor}"):
+            fit_target(name, 2, 8, 64, seed=0, lo=lo, hi=1.0)
+        fit_target(name, 2, 8, 64, seed=0, lo=floor, hi=1.0)  # the floor itself fits
+
 
 def fit_fs_reference(target, lo, hi, T, M, seed):
     """The one-schedule fit validated on the full grid through the bit
@@ -203,6 +230,68 @@ def fit_fs_reference(target, lo, hi, T, M, seed):
     weighted = _fs_bits(x_val - lo + guard, theta, h) * d[:, None]
     err = float(np.abs(_sum_steps(weighted) - y_val).max())
     return HGConfig((lo, hi), *(np.array(a)[:, None] for a in (theta, h, d))), err
+
+
+def validation_inputs(lo, width, T, M, edges=()):
+    """fit_fs's validation inputs u on [lo, lo + width] at T steps, with the
+    floats one ulp either side of each rung edge k * q, q = w * 2^-(T-1),
+    that stay within them; and the range width w."""
+    hi = lo + width
+    w = hi - lo
+    u = np.linspace(lo, hi, 10 * M) - lo + _dyadic_schedule(w, T)[0][0]
+    e = np.array(edges, dtype=np.float64) * (w * 2.0 ** (1 - T))
+    near = np.concatenate([np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf)])
+    return np.concatenate([u, near[(near >= u[0]) & (near <= u[-1])]]), w
+
+
+@st.composite
+def dyadic_decode_cases(draw):
+    """Validation inputs at a random range and T (edges included) and step
+    weights of either sign with some signed zeros."""
+    T = draw(st.integers(1, _MAX_FIT_STEPS))
+    edges = draw(st.lists(st.integers(0, 2 ** (T - 1)), max_size=8))
+    u, w = validation_inputs(draw(st.floats(-1e3, 1e3)), draw(st.floats(1e-6, 1e3)),
+                             T, draw(st.integers(64, 600)), edges)
+    weights = st.floats(-1e3, 1e3) | st.sampled_from((-0.0, 0.0))
+    return u, w, draw(hnp.arrays(np.float64, T, elements=weights))
+
+
+_D16 = np.array([0.5, -0.0, -1.25, 3.0, 0.0, -0.0, 2.5, -7.0,
+                 0.125, -0.0, 1.0, -2.0, 0.0, 4.0, -0.5, -0.0])
+# T = 16 edges of a width that is no power of two: one ulp below most of
+# them, u / q rounds onto the edge (the floor_divide branch)
+_EDGE_CASE = (*validation_inputs(0.3, 0.7, 16, 64, range(1, 2**15, 97)), _D16)
+
+
+class TestDyadicDecode:
+    @settings(max_examples=200, deadline=None)
+    @given(case=dyadic_decode_cases())
+    @example(case=_EDGE_CASE)
+    # the top endpoint u = fl(w + guard) > w alone, where every rung fires;
+    # one input makes P = 0, so every rung is added one at a time
+    @example(case=(validation_inputs(-2.0, 3.0, 16, 64)[0][-1:], 3.0, _D16))
+    @example(case=(*validation_inputs(-4.0, 6.0, 1, 64), np.array([-0.0])))  # T = 1
+    # T = 25 on 640 points: 9 steps from the table, 15 added one at a time
+    @example(case=(*validation_inputs(0.1, 1e-3, 25, 64, range(0, 2**24, 4099)),
+                   np.resize(_D16, 25)))
+    # the most steps, at the largest K, where floor_divide is still exact
+    @example(case=(*validation_inputs(-7.0, 11.0, 52, 600, (2**51 - 1, 2**51)),
+                   np.resize(_D16, 52)))
+    def test_matches_step_sum(self, case):
+        u, w, d = case
+        theta, h = _dyadic_schedule(w, d.size)
+        ref = _sum_steps(_fs_bits(u, theta, h) * d[:, None])
+        # the same products and additions, so even signed zeros
+        assert _dyadic_decode(u, w, d).tobytes() == ref.tobytes()
+
+    def test_examples_reach_their_branches(self):
+        # u / q rounds onto an integer above the real quotient, so a plain
+        # floor of it would misread the rung bits
+        u, w, _ = _EDGE_CASE
+        q = w * 2.0**-15
+        assert np.count_nonzero(np.floor(u / q) != np.floor_divide(u, q)) > 50
+        top = validation_inputs(-2.0, 3.0, 16, 64)[0][-1]
+        assert top > 3.0
 
 
 @st.composite

@@ -10,6 +10,7 @@ import struct
 import numpy as np
 import pytest
 
+from spikeconvert import cli
 from spikeconvert.cli import _run_report, main
 from spikeconvert.model import (
     ConvertedBlock,
@@ -168,6 +169,29 @@ class TestCalibrate:
                      "--out", str(tmp_path / "x.json")])
         assert code == 2
         assert "--samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--samples", "100000000000"), ("--samples", "1048577"),
+        ("--steps", "53"), ("--steps", "60"), ("--steps", "2000"), ("--steps", "0"),
+    ])
+    def test_fit_size_out_of_range_named(self, tmp_path, capsys, flag, value):
+        args = {"--samples": "64", "--steps": "16", flag: value}
+        code = main(["calibrate", "--target", "exp", "--levels", "2",
+                     "--samples", args["--samples"], "--steps", args["--steps"],
+                     "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert f"{flag} must be within" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_range_below_target_floor_named(self, tmp_path, capsys):
+        code = main(["calibrate", "--target", "reciprocal", "--range", "-1", "1",
+                     "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert "domain floor 0.001" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_parser_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
 
     def test_deterministic_output(self, tmp_path, capsys):
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")

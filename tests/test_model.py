@@ -113,6 +113,13 @@ class TestModelConfig:
         with pytest.raises(ValueError, match=r"grid units, so T <= 25"):
             ModelConfig(T=26)
 
+    def test_sample_count_ceiling_named(self):
+        ModelConfig(samples_per_range=2**20)
+        for m in (63, 2**20 + 1):
+            with pytest.raises(ValueError, match=r"samples_per_range must be within "
+                                                 r"64\.\.1048576, got"):
+                ModelConfig(samples_per_range=m)
+
     def test_seed_keys_required(self):
         with pytest.raises(ValueError, match="seeds"):
             ModelConfig(seeds={"weights": 1})

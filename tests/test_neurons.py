@@ -20,7 +20,6 @@ from spikeconvert.neurons import (
     OATConfig,
     SpikeMatrixTrain,
     _fs_bits,
-    _fs_decode,
     _hg_run,
     _mt_chunk,
     _mt_loop,
@@ -627,6 +626,20 @@ def fs_run_reference(x, theta, h, d):
     return values, fired
 
 
+def fs_decode_reference(x, theta, h, d):
+    """The few-step recurrence with each step's weighted bits added as the
+    step fires, in step order: the streamed decode that validated gate fits
+    before their closed form, kept as the oracle of the in-order step sum."""
+    v = np.array(x, dtype=np.float64)
+    out = None
+    for theta_t, h_t, d_t in zip(theta, h, d):
+        bits = (v >= theta_t).astype(np.float64)
+        v = v - h_t * bits
+        term = bits * d_t
+        out = term if out is None else out + term
+    return out
+
+
 @st.composite
 def schedules_with_edge_inputs(draw):
     """A (theta, h, d) schedule plus inputs that include its exact firing edges.
@@ -733,6 +746,6 @@ class TestFSRecurrence:
         theta = tuple(1e300 if t in silent else v for t, v in enumerate(theta))
         d = np.array(d)
         ref = _sum_steps(_fs_bits(xs, theta, h) * d[:, None])
-        got = _fs_decode(xs, theta, h, d)
+        got = fs_decode_reference(xs, theta, h, d)
         assert np.array_equal(got, ref)
         assert got.tobytes() == ref.tobytes()  # the same additions, so even signed zeros

@@ -5,9 +5,10 @@ Usage:
 
 OLD and NEW are checkout directories, each holding src/spikeconvert. Each
 runs in its own subprocess with one BLAS thread. There it converts the
-blocks below, saves and loads them again, fits one gate through
-`spikeconvert calibrate`, and runs spike_forward on seeded inputs at each
-step count, on the converted block and on the loaded one (`<name>/loaded`):
+blocks below, saves and loads them again, fits two gates through
+`spikeconvert calibrate` (gelu at T = 16, exp at T = 25 on 64 samples), and
+runs spike_forward on seeded inputs at each step count, on the converted
+block and on the loaded one (`<name>/loaded`):
 
   default  the default ModelConfig calibrated on normal data, T = 1..20
   gated    the 2-layer gated-FFN block calibrated on normal_outliers, T = 4, 16
@@ -22,7 +23,7 @@ though it reads 0 in the relative difference; whether the per-site SOP
 ledgers and the counters (gate clamps and encoder saturations) are equal;
 and whether the SOP/FLOP totals and the gate clamp totals of each layer
 (`input`, `layers.<i>`) are equal. Then it says
-whether the saved block files and the calibrate output are byte-identical,
+whether the saved block files and the calibrate outputs are byte-identical,
 and whether the loaded blocks are equal bit for bit: each gate bank's
 boundaries and sub-neuron schedules (read from its (T, N) theta/h/d stacks,
 which every checkout since block format 3 has) and each encoder's
@@ -54,8 +55,14 @@ BLOCKS = {
                "calib_distribution": "normal_outliers"},
               "normal_outliers", (4, 16)),
 }
-CALIBRATE = ["calibrate", "--target", "gelu", "--levels", "8", "--steps", "16",
-             "--samples", "4096", "--seed", "7"]
+CALIBRATE = {
+    # output file: `spikeconvert calibrate` flags. At T = 25 on 640 validation
+    # points a fit's closed-form decode takes some steps past its sum table.
+    "calibrate.json": ["calibrate", "--target", "gelu", "--levels", "8",
+                       "--steps", "16", "--samples", "4096", "--seed", "7"],
+    "calibrate_t25.json": ["calibrate", "--target", "exp", "--levels", "8",
+                           "--steps", "25", "--samples", "64", "--seed", "7"],
+}
 INPUT_SEED = 4242
 
 
@@ -114,12 +121,13 @@ def run_checkout(n_inputs: int, tmp: str) -> dict:
                     runs.append((out.array.copy(), trace.output_rel_err,
                                  trace.ledger.to_dict(), dict(trace.counters)))
                 result["runs"][key, T] = runs
-    path = os.path.join(tmp, "calibrate.json")
-    with contextlib.redirect_stdout(io.StringIO()):
-        if cli.main(CALIBRATE + ["--out", path]) != 0:
-            raise RuntimeError("calibrate failed")
-    with open(path, "rb") as fh:
-        result["files"]["calibrate.json"] = fh.read()
+    for name, flags in CALIBRATE.items():
+        path = os.path.join(tmp, name)
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(flags + ["--out", path]) != 0:
+                raise RuntimeError(f"calibrate failed: {' '.join(flags)}")
+        with open(path, "rb") as fh:
+            result["files"][name] = fh.read()
     return result
 
 

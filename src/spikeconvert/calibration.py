@@ -9,31 +9,26 @@ kernel bank (equal-probability-mass quantiles, so dense regions get narrow
 sub-ranges).
 
 Fitting tunes one few-step kernel per sub-range to a scalar target function.
-Thresholds and resets are pinned to a dyadic schedule scaled to the
-sub-range width, so the firing bits (from the runtime's own recurrence) are
-fixed and the per-step output weights solve one linear least-squares problem
-directly. The schedule spends its first step on an always-on spike, a
-constant term that a plain dyadic ladder cannot express, needed wherever
-the target is far from zero at a sub-range floor; the other steps form the
-ladder.
+Thresholds and resets follow the dyadic schedule that the gated bank runs
+(defined in the neurons module docstring), so the firing bits are fixed,
+the binary digits of K = floor(u / q) that the bank fires on, and the
+per-step output weights solve one linear least-squares problem directly.
+The schedule's first step is an always-on spike, a constant term that a
+plain dyadic ladder cannot express, needed wherever the target is far from
+zero at a sub-range floor.
 
 Errors are always reported on a validation grid 10x denser than the
 training sample, never on the training sample itself, and are decoded as
-the gated bank decodes at run time. The validation decode runs in closed
-form instead of stepping the recurrence T times over the grid. On its inputs
-the schedule's rung subtractions are exact, so the rungs fire on the binary
-digits of K = floor(u / q), with q the finest rung. The decode is then one
-lookup in a table of the in-order partial sums of the step weights, built
-with the recurrence's own products and additions, so it matches the
-recurrence bit for bit (_dyadic_decode has the argument). The fit refuses
-parameters outside the range where that holds: more than _MAX_FIT_STEPS
-steps, or a sub-range too narrow for its guard step to be a normal float.
-It also refuses more than _MAX_SAMPLES training samples.
+the gated bank decodes at run time: one lookup of K's digits in a table of
+the in-order partial sums of the step weights, built with the recurrence's
+own products and additions, so it matches the recurrence bit for bit
+(_dyadic_decode). The fit refuses the parameters the bank refuses, more
+than _MAX_GATE_STEPS steps or a sub-range whose guard step is not a finite
+normal float, and more than _MAX_SAMPLES training samples.
 """
 from __future__ import annotations
 
 import numbers
-import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -41,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CalibrationError, FormatError
-from .neurons import HGConfig, _fs_bits
+from .neurons import HGConfig, _dyadic_digits, _gate_guards, _rung_bits
 from .neurons import _check_finite_reals, _check_type
 from .tensors import ActivationStats, Matrix, percentile
 
@@ -55,9 +50,6 @@ _UNIFORM_MIX = 0.05
 _GRID_CELLS = 2048
 # the fraction of the observed span a gate's fitted range adds on each side
 _RANGE_PAD = 0.1
-# The most steps a fit takes: _dyadic_decode floors u / q exactly only while
-# K = floor(u / q) < 2^51, and K has T - 1 bits.
-_MAX_FIT_STEPS = 52
 # The most training samples M a fit takes: its validation grid holds 10 * M
 # float64 values, 80 MiB at this ceiling.
 _MAX_SAMPLES = 2**20
@@ -217,7 +209,9 @@ def curvature_sample(
     centers = 0.5 * (edges[:-1] + edges[1:])
     e = (hi - lo) / 8192.0
     xc = np.clip(centers, lo + e, hi - e)
-    f2 = np.abs(fn(xc + e) - 2.0 * fn(xc) + fn(xc - e)) / e**2
+    with np.errstate(all="ignore"):
+        # divided by e twice: e**2 underflows to 0 on a narrow range
+        f2 = np.abs(fn(xc + e) - 2.0 * fn(xc) + fn(xc - e)) / e / e
     if not np.all(np.isfinite(f2)):
         bad = xc[~np.isfinite(f2)][0]
         raise CalibrationError(f"target curvature is not finite near x={bad}")
@@ -266,33 +260,20 @@ def observed_range(
 # kernel fitting
 
 
-def _dyadic_schedule(w: float, T: int) -> tuple[tuple, tuple]:
-    """Thresholds and resets for a sub-range of width w.
-
-    Step one is an always-on, no-reset spike (threshold small enough that
-    every in-range input fires it) whose weight acts as a constant term;
-    the remaining T-1 steps form a ladder halving from w/2 down to
-    w*2^-(T-1).
-    """
-    guard = w * 2.0 ** -(T + 8)
-    rungs = tuple(w * 2.0**-t for t in range(1, T))
-    return (guard,) + rungs, (0.0,) + rungs
+def _dyadic_bits(u: np.ndarray, w: float, T: int) -> np.ndarray:
+    """The (T, n) firing bits, as 0.0/1.0, of the dyadic schedule of width w
+    on inputs guard <= u <= fl(w + guard): the always-on step's bit on top
+    of the rungs' digits of K = floor(u / q) (_dyadic_digits)."""
+    bits = np.ones((T, u.size))
+    bits[1:] = _rung_bits(_dyadic_digits(u, w * 2.0 ** (1 - T), T), T)
+    return bits
 
 
 def _dyadic_decode(u: np.ndarray, w: float, d: np.ndarray) -> np.ndarray:
-    """The schedule _dyadic_schedule(w, T) decoded with step weights d on
-    inputs guard <= u <= fl(w + guard), without stepping the recurrence:
-    bit for bit _sum_steps(_fs_bits(u, theta, h) * d[:, None]).
-
-    The guard step fires on every such u and resets nothing. While u < w,
-    each rung t fires on a membrane below twice its threshold, so its
-    subtraction is exact (Sterbenz). The rungs then fire on the binary digits
-    of K = floor(u / q), q = w * 2^-(T-1), floored as a real quotient. Above
-    w every rung fires, and the cap K <= 2^(T-1) - 1 gives that too. The
-    rounded u / q floors to K except where it rounds onto an integer. There
-    np.floor_divide recomputes K exactly, which holds while K < 2^51
-    (_MAX_FIT_STEPS). Every rung is w scaled by a power of two, so all of
-    this needs the guard, the smallest of them, to be a normal float.
+    """The dyadic schedule of width w decoded with step weights d on inputs
+    guard <= u <= fl(w + guard): bit for bit the in-order step sum of the
+    recurrence's weighted firing bits, read off the digits of
+    K = floor(u / q) (_dyadic_digits).
 
     The decode is gathered from a table of the in-order partial sums
     d[0] + b_1 d[1] + ... + b_P d[P] over the first P rungs' bits. The table
@@ -302,12 +283,7 @@ def _dyadic_decode(u: np.ndarray, w: float, d: np.ndarray) -> np.ndarray:
     one at a time, in order, from K's digits.
     """
     T = d.size
-    q = w * 2.0 ** (1 - T)
-    r = u / q
-    K = r.astype(np.int64)  # the floor, as r >= 0
-    edge = np.flatnonzero(K == r)
-    K[edge] = np.floor_divide(u[edge], q)
-    np.minimum(K, 2 ** (T - 1) - 1, out=K)
+    K = _dyadic_digits(u, w * 2.0 ** (1 - T), T)
     P = min(T - 1, u.size.bit_length() - 1)
     # two buffers in turn: entry 2j + b of the next level extends prefix j
     # with step t's bit b
@@ -318,7 +294,7 @@ def _dyadic_decode(u: np.ndarray, w: float, d: np.ndarray) -> np.ndarray:
         np.add(sums[:n], d[t] * 0.0, out=longer[0:2 * n:2])
         np.add(sums[:n], d[t] * 1.0, out=longer[1:2 * n:2])
         sums, longer = longer, sums
-    out = sums.take(K if P == T - 1 else K >> (T - 1 - P), out=r)
+    out = sums.take(K if P == T - 1 else K >> (T - 1 - P))
     for t in range(P + 1, T):
         out += ((K >> (T - 1 - t)) & 1) * d[t]
     return out
@@ -359,42 +335,33 @@ def fit_fs(
 ) -> tuple[HGConfig, float]:
     """Fit one few-step kernel to target on [lo, hi]: a bank of one sub-range.
 
-    Solves the output weights of the one always-on dyadic schedule on M
-    uniform training samples plus the endpoints; reports the max abs error
-    over an inclusive validation grid with 10x the training density.
-    Deterministic for a given seed. Inputs are taken relative to lo, which
-    is how the gated bank seeds sub-range members.
+    Solves the output weights of the dyadic schedule on M uniform training
+    samples plus the endpoints; reports the max abs error over an inclusive
+    validation grid with 10x the training density. Deterministic for a
+    given seed. Inputs are taken relative to lo, which is how the gated bank
+    seeds sub-range members.
 
-    The validation grid is decoded in closed form by _dyadic_decode: the
-    rungs' exact subtractions make their bits the digits of floor(u / q), and
-    a table of in-order partial sums of the weights turns those digits into
-    the recurrence's output, bit for bit. So the error is the one the bank
-    makes at run time. T above _MAX_FIT_STEPS, M above _MAX_SAMPLES and a
-    range whose guard step (hi - lo) * 2^-(T+8) is not a normal float are
-    refused.
+    The training bits are the digits of K = floor(u / q) that the bank fires
+    on, and the validation grid is decoded from them by _dyadic_decode, bit
+    for bit as the bank decodes at run time. So the error is the one the
+    bank makes. M above _MAX_SAMPLES and what the bank refuses (T above
+    _MAX_GATE_STEPS, a range whose guard step is not a finite normal float)
+    are refused.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     if not 64 <= M <= _MAX_SAMPLES:
         raise ValueError(f"M must be within 64..{_MAX_SAMPLES} training samples, "
                          f"got M={M}")
-    if not 1 <= T <= _MAX_FIT_STEPS:
-        raise ValueError(f"T must be within 1..{_MAX_FIT_STEPS} steps, got T={T}")
+    guard = float(_gate_guards(np.array([lo, hi]), T)[0])
     w = hi - lo
-    theta, h = _dyadic_schedule(w, T)
-    guard = theta[0]
-    if not sys.float_info.min <= guard <= sys.float_info.max:
-        raise ValueError(
-            f"range [{lo}, {hi}] does not fit at T={T}: its guard step "
-            f"(hi - lo) * 2^-(T+8) = {guard} must be a finite normal float"
-        )
     rng = np.random.default_rng(seed)
     u_train = np.concatenate([rng.uniform(0.0, w, M), [0.0, w]])
     y_train = _target_values(target, u_train + lo)
     x_val = np.linspace(lo, hi, 10 * M)
     y_val = _target_values(target, x_val)
 
-    d = _solve_weights(_fs_bits(u_train + guard, theta, h).T, y_train)
+    d = _solve_weights(_dyadic_bits(u_train + guard, w, T).T, y_train)
     # the bank's own input mapping and in-order decode (a BLAS d @ bits would
     # reorder the sum), so err is the error the bank makes at run time. In
     # place, and x_val dropped: each grid-sized array alive at once costs its
@@ -405,7 +372,7 @@ def fit_fs(
     dev = _dyadic_decode(u_val, w, d)
     dev -= y_val
     err = float(np.abs(dev, out=dev).max())
-    return HGConfig((lo, hi), *(np.reshape(a, (-1, 1)) for a in (theta, h, d))), err
+    return HGConfig((lo, hi), d[:, None]), err
 
 
 @dataclass(frozen=True)
@@ -453,14 +420,9 @@ class CalibrationReport:
 
 
 def hg_to_dict(cfg: HGConfig) -> dict:
-    """The bank as JSON: its boundaries and each sub-range's schedule."""
-    return {
-        "boundaries": cfg.boundaries.tolist(),
-        "subneurons": [
-            {"theta": theta, "h": h, "d": d}
-            for theta, h, d in zip(*(a.T.tolist() for a in (cfg.theta, cfg.h, cfg.d)))
-        ],
-    }
+    """The bank as JSON: its boundaries and its (T, N) step weights, one row
+    per step, as a block's sidecar stores them."""
+    return {"boundaries": cfg.boundaries.tolist(), "d": cfg.d.tolist()}
 
 
 def _tuple(name: str, node) -> tuple:
@@ -508,8 +470,7 @@ def fit_hg(
             )
         banks.append(bank)
         errs.append(err)
-    cfg = HGConfig(boundaries, *(np.hstack([getattr(b, k) for b in banks])
-                                 for k in ("theta", "h", "d")))
+    cfg = HGConfig(boundaries, np.hstack([b.d for b in banks]))
     report = CalibrationReport(target, tuple(errs), M, seed)
     return cfg, report
 
@@ -525,7 +486,8 @@ def fit_target(
 ) -> tuple[HGConfig, CalibrationReport]:
     """Fit a named target on an explicit range using curvature sampling.
 
-    A range that starts below the target's domain floor is refused.
+    A range that starts below the target's domain floor is refused, and so
+    is one the bank refuses as a whole (_gate_guards), before it is sampled.
     """
     spec = target_fn(name)
     lo = spec.lo if lo is None else lo
@@ -535,6 +497,7 @@ def fit_target(
             f"range [{lo}, {hi}] starts below the {name!r} target's domain "
             f"floor {spec.floor}"
         )
+    _gate_guards(np.array([lo, hi]), T)
     rng = np.random.default_rng(seed)
     sample = curvature_sample(spec.fn, lo, hi, 4 * M, rng)
     return fit_hg(name, sample, N, T, M, seed, lo=lo, hi=hi)

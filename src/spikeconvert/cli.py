@@ -11,13 +11,13 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 
 import numpy as np
 
 from . import __version__
 from .calibration import (
-    _MAX_FIT_STEPS,
     _MAX_SAMPLES,
     TARGETS,
     fit_target,
@@ -42,7 +42,7 @@ from .model import (
     save_weights,
     spike_forward,
 )
-from .neurons import _check_type
+from .neurons import _MAX_GATE_STEPS, _check_type
 from .tensors import Matrix
 
 _INPUT_TENSOR = "input"
@@ -96,9 +96,9 @@ def cmd_calibrate(args) -> int:
     if not 64 <= args.samples <= _MAX_SAMPLES:
         raise ValueError(
             f"--samples must be within 64..{_MAX_SAMPLES}, got {args.samples}")
-    if not 1 <= args.steps <= _MAX_FIT_STEPS:
+    if not 1 <= args.steps <= _MAX_GATE_STEPS:
         raise ValueError(
-            f"--steps must be within 1..{_MAX_FIT_STEPS}, got {args.steps}")
+            f"--steps must be within 1..{_MAX_GATE_STEPS}, got {args.steps}")
     seed = _seed_override()
     if seed is None:
         seed = args.seed
@@ -240,6 +240,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("calibrate", help="fit one nonlinearity; write its gate and report")
+    # argparse takes a --range bound like -1e-3 for an option unless its
+    # negative-number pattern matches exponent forms too
+    c._negative_number_matcher = re.compile(r"^-\d*\.?\d+(e[-+]?\d+)?$", re.IGNORECASE)
     c.add_argument("--target", required=True, choices=sorted(TARGETS))
     c.add_argument("--range", nargs=2, type=float, metavar=("LO", "HI"))
     c.add_argument("--levels", type=int, default=8, help="sub-range count N")

@@ -384,11 +384,11 @@ class ConvertedBlock:
                 raise CalibrationError(f"encoder site {site!r}: H, T must be the "
                                        f"config's {cfg.H}, {cfg.T}, got {c.H}, {c.T}")
         for site, target in targets.items():
-            r, (steps, n) = self.reports[site], self.hg[site].theta.shape
+            r, (steps, n) = self.reports[site], self.hg[site].d.shape
             # a bank carries its own step count: a shorter one would run
             # padded with silent steps
             if steps != cfg.T:
-                raise CalibrationError(f"hg site {site!r}: theta must be {cfg.T} "
+                raise CalibrationError(f"hg site {site!r}: d must be {cfg.T} "
                                        f"rows, one per step of the config's T, "
                                        f"got {steps}")
             if r.target != target:
@@ -603,12 +603,12 @@ def spike_forward(
 _MAGIC = b"LASW"
 _WEIGHT_VERSION = 1
 _BLOCK_FORMAT = "spikeconvert-block"
-_BLOCK_VERSION = 4
+_BLOCK_VERSION = 5
 _REPORT_KEYS = {f.name for f in dataclasses.fields(CalibrationReport)}
 _BLOCK_KEYS = {"format", "version", "config", "weights_file", "oat", "reports"}
 # a gate site's bank in the block's LASW sidecar: <site>.<name> for each name,
-# boundaries as a (1, N+1) row, theta, h and d as (T, N) stacks
-_GATE_TENSORS = ("boundaries", "theta", "h", "d")
+# boundaries as a (1, N+1) row and the step weights d as a (T, N) stack
+_GATE_TENSORS = ("boundaries", "d")
 
 
 def dump_json(obj: dict, path: str) -> None:
@@ -743,12 +743,12 @@ def _gate_bank(site: str, tensors: dict[str, np.ndarray], path: str) -> HGConfig
     missing = [name for name in names if name not in tensors]
     if missing:
         raise FormatError(f"{where}: tensors {missing} missing from {path!r}")
-    b, theta, h, d = (tensors.pop(name) for name in names)
-    if b.shape != (1, theta.shape[1] + 1):
+    b, d = (tensors.pop(name) for name in names)
+    if b.shape != (1, d.shape[1] + 1):
         raise ShapeError(f"{where}: boundaries must be (1, N+1) = "
-                         f"(1, {theta.shape[1] + 1}) for theta's N, got {b.shape}")
+                         f"(1, {d.shape[1] + 1}) for d's N, got {b.shape}")
     try:
-        return HGConfig(b[0], theta, h, d)
+        return HGConfig(b[0], d)
     except ValueError as exc:
         raise type(exc)(f"{where}: {exc}") from exc
 
@@ -759,7 +759,7 @@ def save_block(block: ConvertedBlock, path: str) -> None:
     block.check_complete()  # what the file leaves out must be derivable on load
     weights_path = os.path.splitext(path)[0] + ".lasw"
     gates = {f"{site}.{name}": a for site, c in block.hg.items()
-             for name, a in zip(_GATE_TENSORS, (c.boundaries[None], c.theta, c.h, c.d))}
+             for name, a in zip(_GATE_TENSORS, (c.boundaries[None], c.d))}
     _write_lasw(_weight_arrays(block.weights) | gates, weights_path)
     doc = {
         "format": _BLOCK_FORMAT,

@@ -18,16 +18,26 @@ dual-range   outlier-aware wrapper: elements are routed by magnitude to one
 gated bank   bank of fitted fs kernels. The input range is split into
              sub-ranges; exactly one sub-kernel is active per element and
              approximates an arbitrary scalar function on its sub-range.
-             The bank stores its schedules as (T, N) stacks, one column per
-             sub-range, and every element runs one T-step recurrence on its
-             bucket's gathered column; other step counts slice or pad the
-             stacks exactly as the reference, hg_at_steps, resizes each
-             column through truncate_schedule.
+             A bank is its boundaries and its (T, N) step weights: every
+             sub-kernel runs the one dyadic schedule below.
+
+The dyadic schedule of a sub-range [b, b + w) at T steps: step 0 is an
+always-on guard step, threshold g = w * 2^-(T+8) and reset 0, whose weight
+acts as a constant term; step t >= 1 is a rung with threshold and reset
+w * 2^-t, down to the finest rung q = w * 2^(1-T). An element x of the
+sub-range enters as u = fl(fl(x - b) + g), so g <= u <= fl(w + g). There
+the recurrence has a closed form, _dyadic_digits: the guard step fires, and
+each rung subtracts exactly (Sterbenz, while u < w), so rung t fires on
+bit T-1-t of K = floor(u / q), capped at 2^(T-1) - 1 (every rung fires
+above w). It holds while K < 2^51 and every rung is a normal float, so a
+bank refuses T above _MAX_GATE_STEPS and any sub-range whose guard, the
+smallest rung, is not a finite normal float (_gate_guards).
 
 fs_encode and mt_encode encode one scalar and serve as reference kernels;
-mt_encode runs the greedy step loop, _mt_loop. The dual-range encoder (one
-mt pass with a per-element tau) and the gated bank run whole matrices
-through spikeops.encode_matrix and apply_hg.
+mt_encode runs the greedy step loop, _mt_loop, and fs_encode the few-step
+recurrence, _fs_bits. The dual-range encoder (one mt pass with a
+per-element tau) and the gated bank run whole matrices through
+spikeops.encode_matrix and apply_hg.
 
 The dual-range pass, _mt_run, takes its steps P at a time from cached
 tables of the step loop's emissions and matches _mt_loop bit for bit. Its
@@ -37,18 +47,19 @@ level. The configs refuse H > 1024 and any T above a step ceiling (25 at
 H = 5), past which a decoded grid value may not re-encode exactly; below it
 every unit-space integer is exact, which _mt_run relies on.
 
-The gated bank's output is each element's gathered step weights, with
-their bit patterns multiplied by the firing mask: a fired step keeps its
-weight's bits, -0.0 included, and a silent step is +0.0, as a select on
-the mask gives. decode sums a train's steps in step order with one
-reduction over the step axis, started from -0.0, which adds nothing even
-to a column of -0.0; a one-element step keeps the step loop, because numpy
-sums that pairwise.
+The gated bank reads every element's firing bits off K's digits. A run at
+fewer steps than the fitted T takes K's top digits, the first steps of the
+schedule; a run at more steps adds silent steps. Its output is each
+element's gathered step weights, with their bit patterns multiplied by the
+firing bits: a fired step keeps its weight's bits, -0.0 included, and a
+silent step is +0.0, as a select on the mask gives. decode sums a train's
+steps in step order with one reduction over the step axis, started from
+-0.0, which adds nothing even to a column of -0.0; a one-element step keeps
+the step loop, because numpy sums that pairwise.
 
 hg_eval decodes the bank on a 1-D batch, which is how a fitted bank's error
-is checked. _fs_bits is the one few-step recurrence: it collects the firing
-bits a fit trains on and the runtime fires. All encoders are deterministic
-and produce bit-identical trains for identical inputs and configurations.
+is checked. All encoders are deterministic and produce bit-identical
+trains for identical inputs and configurations.
 """
 from __future__ import annotations
 
@@ -192,62 +203,76 @@ def _refusal(name: str, a: np.ndarray, bad: np.ndarray, rule: str) -> ValueError
                       f"got {float(a[at])}")
 
 
+# The most steps a gate bank takes: _dyadic_digits floors u / q exactly only
+# while K = floor(u / q) < 2^51, and K has T - 1 bits.
+_MAX_GATE_STEPS = 52
+
+
+def _gate_guards(bs: np.ndarray, T: int, steps: str = "T") -> np.ndarray:
+    """The guard steps (b_{i+1} - b_i) * 2^-(T+8) of the sub-ranges between
+    increasing boundaries bs at T steps. Refuses T outside
+    1.._MAX_GATE_STEPS, named as steps, and a range whose guard is not a
+    finite normal float: outside these the schedule's closed form may not
+    hold."""
+    if not 1 <= T <= _MAX_GATE_STEPS:
+        raise ValueError(f"{steps} must be within 1..{_MAX_GATE_STEPS} steps, got {T}")
+    with np.errstate(over="ignore"):
+        guard = (bs[1:] - bs[:-1]) * 2.0 ** -(T + 8)
+    normal = (guard >= sys.float_info.min) & (guard <= sys.float_info.max)
+    if not normal.all():
+        i = int(np.argmin(normal))
+        raise ValueError(
+            f"range [{bs[i]}, {bs[i + 1]}] does not fit at T={T}: its guard step "
+            f"(hi - lo) * 2^-(T+8) = {guard[i]} must be a finite normal float"
+        )
+    return guard
+
+
 @dataclass(frozen=True, eq=False)
 class HGConfig:
-    """Gated bank: N+1 sub-range boundaries and one fitted kernel per sub-range,
-    stored as read-only float64 stacks: boundaries (N+1,), and the (T, N)
-    thresholds theta, resets h and weights d, whose column i is sub-range i's
-    schedule. Two banks are equal when their arrays are."""
+    """Gated bank: N+1 sub-range boundaries and the (T, N) step weights d,
+    column i sub-range i's, as read-only float64 arrays. Each sub-range runs
+    the dyadic schedule of the module docstring, which its width and T fix,
+    so the bank derives everything else: guard holds the (N,) guard steps.
+    Two banks are equal when their boundaries and weights are."""
 
     boundaries: np.ndarray
-    theta: np.ndarray
-    h: np.ndarray
     d: np.ndarray
-    # (N,) input guards. A fitted schedule that starts with a zero-reset step
-    # uses that step as an always-on intercept; its threshold doubles as the
-    # input guard so the intercept fires for every in-range input including
-    # the floor.
     guard: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("boundaries", "theta", "h", "d"):
+        for name in ("boundaries", "d"):
             a = np.array(getattr(self, name), dtype=np.float64, order="C")
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-        bs, theta = self.boundaries, self.theta
-        if theta.ndim != 2 or 0 in theta.shape:
-            raise ShapeError(f"theta must be (T, N) with T, N >= 1, got {theta.shape}")
-        for name in ("h", "d"):
-            if getattr(self, name).shape != theta.shape:
-                raise ShapeError(f"{name} must be {theta.shape} like theta, "
-                                 f"got {getattr(self, name).shape}")
-        if bs.shape != (theta.shape[1] + 1,):
-            raise ShapeError(f"{theta.shape[1]} sub-kernels need "
-                             f"{theta.shape[1] + 1} boundaries, got shape {bs.shape}")
-        for name in ("boundaries", "theta", "h", "d"):
+        bs, d = self.boundaries, self.d
+        if d.ndim != 2 or 0 in d.shape:
+            raise ShapeError(f"d must be (T, N) with T, N >= 1, got {d.shape}")
+        if bs.shape != (d.shape[1] + 1,):
+            raise ShapeError(f"{d.shape[1]} sub-kernels need "
+                             f"{d.shape[1] + 1} boundaries, got shape {bs.shape}")
+        for name in ("boundaries", "d"):
             a = getattr(self, name)
             if not np.isfinite(a).all():
                 raise _refusal(name, a, ~np.isfinite(a), "finite")
-        if not (theta > 0.0).all():
-            raise _refusal("theta", theta, ~(theta > 0.0), "positive")
         rises = bs[1:] > bs[:-1]
         if not rises.all():
             i = int(np.argmin(rises)) + 1
             raise ValueError(f"boundaries must be strictly increasing, got "
                              f"boundaries[{i}]={float(bs[i])} after {float(bs[i - 1])}")
-        guard = np.where(self.h[0] == 0.0, theta[0], 0.0)
+        guard = _gate_guards(bs, d.shape[0], steps="T, d's row count,")
         guard.setflags(write=False)
         object.__setattr__(self, "guard", guard)
 
     @property
     def steps(self) -> int:
-        return self.theta.shape[0]
+        return self.d.shape[0]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HGConfig):
             return NotImplemented
         return all(np.array_equal(getattr(self, k), getattr(other, k))
-                   for k in ("boundaries", "theta", "h", "d"))
+                   for k in ("boundaries", "d"))
 
 
 class SpikeMatrixTrain:
@@ -328,19 +353,17 @@ def decode(s: SpikeMatrixTrain) -> Matrix:
 # few-step kernel
 
 
-def _fs_bits(x: np.ndarray, theta: tuple, h: tuple, dtype=np.float64) -> np.ndarray:
-    """Firing bits of the few-step recurrence on a 1-D batch: a contiguous
-    (T, n) array of 0.0/1.0 (the fits' design matrix) or, with dtype=bool,
-    firing masks. The membrane starts at x; step t fires where it is at or
-    above theta[t] and subtracts h[t] there. theta[t] and h[t] are scalars,
-    or (n,) rows when each element has its own schedule."""
-    bits = np.empty((len(theta), np.size(x)), dtype=dtype)
+def _fs_bits(x: np.ndarray, theta, h) -> np.ndarray:
+    """Firing masks of the few-step recurrence on a 1-D batch, (T, n): the
+    membrane starts at x; step t fires where it is at or above theta[t] and
+    subtracts h[t] there."""
+    fired = np.empty((len(theta), np.size(x)), dtype=bool)
     v = np.array(x, dtype=np.float64)
     reset = np.empty_like(v)
-    for row, theta_t, h_t in zip(bits, theta, h):
+    for row, theta_t, h_t in zip(fired, theta, h):
         np.greater_equal(v, theta_t, out=row)
         v -= np.multiply(h_t, row, out=reset)
-    return bits
+    return fired
 
 
 def fs_encode(x: float, theta, h, d) -> SpikeMatrixTrain:
@@ -357,7 +380,7 @@ def fs_encode(x: float, theta, h, d) -> SpikeMatrixTrain:
     if not len(theta) == len(h) == len(d):
         raise ShapeError(f"schedule lengths differ: theta={len(theta)} "
                          f"h={len(h)} d={len(d)}")
-    fired = _fs_bits(np.array([x]), theta, h, dtype=bool)[:, :, None]
+    fired = _fs_bits(np.array([x]), theta, h)[:, :, None]
     return SpikeMatrixTrain(np.where(fired, np.reshape(d, (-1, 1, 1)), 0.0))
 
 
@@ -482,30 +505,54 @@ def mt_encode(x: float, c: MTConfig) -> SpikeMatrixTrain:
 # gated bank of fitted kernels
 
 
+def _dyadic_digits(u: np.ndarray, q, T: int) -> np.ndarray:
+    """K = floor(u / q) as int64, floored as a real quotient and capped at
+    2^(T-1) - 1: bit T-1-t of K is the firing bit of rung t of the dyadic
+    schedule with finest rung q (a scalar, or one per element of u) on
+    inputs g <= u <= fl(w + g) (the module docstring has the argument).
+
+    The rounded u / q floors to K except where it rounds onto an integer;
+    there np.floor_divide recomputes K exactly, which holds while
+    K < 2^51 (_MAX_GATE_STEPS).
+    """
+    r = u / q
+    K = r.astype(np.int64)  # the floor, as r >= 0
+    edge = np.flatnonzero(K == r)
+    K[edge] = np.floor_divide(u[edge], np.broadcast_to(q, u.shape)[edge])
+    np.minimum(K, 2 ** (T - 1) - 1, out=K)
+    return K
+
+
+def _rung_bits(K: np.ndarray, T: int) -> np.ndarray:
+    """(T-1, n) uint8 firing bits of the T-step dyadic schedule's rungs from
+    K = _dyadic_digits(...): row t-1 is rung t's, bit T-1-t of K."""
+    digits = np.unpackbits(K.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8),
+                           axis=1, count=T - 1, bitorder="little")
+    return digits[:, ::-1].T
+
+
 def _hg_run(flat: np.ndarray, c: HGConfig, T: int | None = None) -> tuple:
     """Returns (values, clamped_count) over a flat batch at T steps
     (default: the fitted depth)."""
-    bs, theta, h, d, guard = c.boundaries, c.theta, c.h, c.d, c.guard
-    if T is not None:
-        _check_steps(T)
-        # the first T steps as views, padded past the fitted depth with steps
-        # that never fire, as truncate_schedule resizes a schedule
-        theta, h, d = theta[:T], h[:T], d[:T]
-        if T > theta.shape[0]:
-            pad = np.zeros((T - theta.shape[0], theta.shape[1]))
-            theta, h, d = (np.concatenate([a, pad + fill])
-                           for a, fill in ((theta, 1e300), (h, 0.0), (d, 0.0)))
+    bs, d = c.boundaries, c.d
+    fitted = d.shape[0]
+    T = fitted if T is None else T
+    _check_steps(T)
     lo, hi = bs[0], bs[-1]
     clamped = int(np.count_nonzero((flat < lo) | (flat >= hi)))
     x = np.minimum(np.maximum(flat, lo), np.nextafter(hi, lo))
     # lo <= x < hi, so every bucket index is already within 0..N-1
     bucket = np.searchsorted(bs, x, side="right") - 1
-    u = x - bs[bucket] + guard[bucket]
-    fired = _fs_bits(u, theta[:, bucket], h[:, bucket], dtype=bool)
+    u = x - bs[bucket] + c.guard[bucket]
+    q = (bs[1:] - bs[:-1]) * 2.0 ** (1 - fitted)
+    K = _dyadic_digits(u, q[bucket], fitted)
+    # the first n steps of the fitted schedule; any more are silent
+    n = min(T, fitted)
+    values = np.zeros((T, flat.size)) if T > n else np.empty((T, flat.size))
+    np.take(d[:n], bucket, axis=1, out=values[:n])
     # a fired step keeps its weight's bits, -0.0 included; a silent one is +0.0
-    values = np.take(d, bucket, axis=1)
-    bits = values.view(np.uint64)
-    bits *= fired
+    bits = values[1:n].view(np.uint64)
+    bits *= _rung_bits(K, fitted)[:n - 1]
     return values, clamped
 
 
@@ -513,26 +560,3 @@ def hg_eval(c: HGConfig, x: np.ndarray) -> np.ndarray:
     """Decoded outputs of the gated bank on a 1-D batch, as apply_hg decodes them."""
     values, _ = _hg_run(np.asarray(x, dtype=np.float64).reshape(-1), c)
     return _sum_steps(values)
-
-
-def truncate_schedule(theta, h, d, T: int) -> tuple[tuple, tuple, tuple]:
-    """First T steps of a fitted schedule's theta, h and d; silent padding
-    when T is longer.
-
-    Running a kernel below its fitted depth drops the finest refinement
-    steps, which is how timestep sweeps degrade resolution.
-    """
-    _check_steps(T)
-    pad = max(T - len(theta), 0)
-    big = 1e300  # threshold no finite membrane reaches
-    return (tuple(theta[:T]) + (big,) * pad, tuple(h[:T]) + (0.0,) * pad,
-            tuple(d[:T]) + (0.0,) * pad)
-
-
-def hg_at_steps(c: HGConfig, T: int) -> HGConfig:
-    """The bank at T steps, resized column by column through truncate_schedule."""
-    if c.steps == T:
-        return c
-    columns = zip(*(a.T.tolist() for a in (c.theta, c.h, c.d)))
-    stacks = zip(*(truncate_schedule(*col, T) for col in columns))
-    return HGConfig(c.boundaries, *(np.array(s).T for s in stacks))

@@ -145,8 +145,8 @@ def apply_hg(
     relative to the sub-range floor. Out-of-range inputs clamp to the
     nearest sub-range edge, so decoding saturates instead of failing; the
     clamp counter records how many there were. A non-finite input raises
-    NonFiniteError instead. Another T truncates (coarser output) or pads
-    the schedules with silent steps, as neurons.hg_at_steps does.
+    NonFiniteError instead. Another T runs the first T steps of the
+    fitted schedule (coarser output), or pads it with silent steps.
     """
     if not np.isfinite(x.data).all():
         raise NonFiniteError(f"gate input at {site!r} contains non-finite values")

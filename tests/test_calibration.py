@@ -7,14 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import dyadic_schedule
 from spikeconvert import calibration
 from spikeconvert.calibration import (
     TARGETS,
-    _MAX_FIT_STEPS,
     _MAX_SAMPLES,
     CalibrationReport,
+    _dyadic_bits,
     _dyadic_decode,
-    _dyadic_schedule,
     _solve_weights,
     _target_values,
     curvature_sample,
@@ -31,7 +31,7 @@ from spikeconvert.calibration import (
 )
 from spikeconvert.errors import CalibrationError
 from spikeconvert.model import ModelConfig, convert
-from spikeconvert.neurons import HGConfig, _fs_bits, _sum_steps, hg_eval
+from spikeconvert.neurons import _MAX_GATE_STEPS, HGConfig, _fs_bits, _sum_steps, hg_eval
 from spikeconvert.tensors import Matrix, stats
 
 
@@ -193,11 +193,11 @@ class TestFitFS:
 
     def test_closed_form_range_named(self):
         # the most steps, samples and the narrowest range the closed form takes
-        fit_fs(np.exp, 0.0, 1.0, _MAX_FIT_STEPS, 64, seed=0)
+        fit_fs(np.exp, 0.0, 1.0, _MAX_GATE_STEPS, 64, seed=0)
         fit_fs(np.exp, 0.0, 2.0**-960, 16, 64, seed=0)
         with pytest.raises(ValueError, match=r"T must be within 1\.\.52 steps, "
-                                             r"got T=53"):
-            fit_fs(np.exp, 0.0, 1.0, _MAX_FIT_STEPS + 1, 64, seed=0)
+                                             r"got 53"):
+            fit_fs(np.exp, 0.0, 1.0, _MAX_GATE_STEPS + 1, 64, seed=0)
         with pytest.raises(ValueError, match=r"M must be within 64\.\.1048576"):
             fit_fs(np.exp, 0.0, 1.0, 8, _MAX_SAMPLES + 1, seed=0)
         # a guard below the smallest normal float, and an infinite width
@@ -205,6 +205,28 @@ class TestFitFS:
             with pytest.raises(ValueError, match=r"guard step \(hi - lo\) \* 2\^-"
                                                  r"\(T\+8\) = .* must be a finite"):
                 fit_fs(np.zeros_like, lo, hi, 16, 64, seed=0)
+
+    def test_whole_range_checked_before_sampling(self, monkeypatch):
+        # a width that overflows is the range's fault, not the target's
+        def refuse(*args):
+            raise AssertionError("the range must be refused before it is sampled")
+
+        monkeypatch.setattr(calibration, "curvature_sample", refuse)
+        with pytest.raises(ValueError, match=r"range \[-1\.7e\+308, 1\.7e\+308\] does "
+                                             r"not fit at T=16: its guard step"):
+            fit_target("exp", 1, 16, 64, seed=0, lo=-1.7e308, hi=1.7e308)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_narrow_range_fits_until_a_sub_range_does_not(self):
+        # e = (hi - lo) / 8192 squares to 0 here, so the curvature divides
+        # by e twice; four sub-ranges are too narrow for a normal guard step
+        x = curvature_sample(np.exp, 0.0, 1e-300, 256, np.random.default_rng(0))
+        assert np.all((x >= 0.0) & (x <= 1e-300))
+        c, rep = fit_target("exp", 1, 16, 64, seed=0, lo=0.0, hi=1e-300)
+        assert c.boundaries.tolist() == [0.0, 1e-300] and rep.max_abs_err < 1e-14
+        with pytest.raises(ValueError, match=r"range \[0\.0, \d\.\d+e-301\] does not "
+                                             r"fit at T=16"):
+            fit_target("exp", 4, 16, 64, seed=0, lo=0.0, hi=1e-300)
 
     @pytest.mark.parametrize("name, lo", [("reciprocal", -1.0), ("reciprocal", 0.0),
                                           ("invsqrt", -1e-9)])
@@ -224,12 +246,12 @@ def fit_fs_reference(target, lo, hi, T, M, seed):
     y_train = _target_values(target, u_train + lo)
     x_val = np.linspace(lo, hi, 10 * M)
     y_val = _target_values(target, x_val)
-    theta, h = _dyadic_schedule(w, T)
+    theta, h = dyadic_schedule(w, T)
     guard = theta[0]
-    d = _solve_weights(_fs_bits(u_train + guard, theta, h).T, y_train)
+    d = _solve_weights(_fs_bits(u_train + guard, theta, h).astype(np.float64).T, y_train)
     weighted = _fs_bits(x_val - lo + guard, theta, h) * d[:, None]
     err = float(np.abs(_sum_steps(weighted) - y_val).max())
-    return HGConfig((lo, hi), *(np.array(a)[:, None] for a in (theta, h, d))), err
+    return HGConfig((lo, hi), d[:, None]), err
 
 
 def validation_inputs(lo, width, T, M, edges=()):
@@ -238,7 +260,7 @@ def validation_inputs(lo, width, T, M, edges=()):
     that stay within them; and the range width w."""
     hi = lo + width
     w = hi - lo
-    u = np.linspace(lo, hi, 10 * M) - lo + _dyadic_schedule(w, T)[0][0]
+    u = np.linspace(lo, hi, 10 * M) - lo + dyadic_schedule(w, T)[0][0]
     e = np.array(edges, dtype=np.float64) * (w * 2.0 ** (1 - T))
     near = np.concatenate([np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf)])
     return np.concatenate([u, near[(near >= u[0]) & (near <= u[-1])]]), w
@@ -248,7 +270,7 @@ def validation_inputs(lo, width, T, M, edges=()):
 def dyadic_decode_cases(draw):
     """Validation inputs at a random range and T (edges included) and step
     weights of either sign with some signed zeros."""
-    T = draw(st.integers(1, _MAX_FIT_STEPS))
+    T = draw(st.integers(1, _MAX_GATE_STEPS))
     edges = draw(st.lists(st.integers(0, 2 ** (T - 1)), max_size=8))
     u, w = validation_inputs(draw(st.floats(-1e3, 1e3)), draw(st.floats(1e-6, 1e3)),
                              T, draw(st.integers(64, 600)), edges)
@@ -279,10 +301,22 @@ class TestDyadicDecode:
                    np.resize(_D16, 52)))
     def test_matches_step_sum(self, case):
         u, w, d = case
-        theta, h = _dyadic_schedule(w, d.size)
+        theta, h = dyadic_schedule(w, d.size)
         ref = _sum_steps(_fs_bits(u, theta, h) * d[:, None])
         # the same products and additions, so even signed zeros
         assert _dyadic_decode(u, w, d).tobytes() == ref.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=dyadic_decode_cases())
+    @example(case=_EDGE_CASE)
+    @example(case=(*validation_inputs(-7.0, 11.0, 52, 600, (2**51 - 1, 2**51)),
+                   np.zeros(52)))
+    def test_training_bits_match_the_recurrence(self, case):
+        # the fit's design matrix: 0.0/1.0 bits, step 0 always on
+        u, w, d = case
+        bits = _dyadic_bits(u, w, d.size)
+        ref = _fs_bits(u, *dyadic_schedule(w, d.size)).astype(np.float64)
+        assert bits.tobytes() == ref.tobytes()
 
     def test_examples_reach_their_branches(self):
         # u / q rounds onto an integer above the real quotient, so a plain
@@ -316,7 +350,7 @@ class TestOneScheduleFit:
 
     def test_always_on_step_first(self):
         p, err = fit_fs(np.exp, -2.56, -0.65, 12, 64, seed=56)
-        assert p.h[0, 0] == 0.0 and p.guard[0] == p.theta[0, 0]
+        assert p.guard[0] == (-0.65 - -2.56) * 2.0**-20
         assert err == pytest.approx(0.07947, abs=5e-6)
 
     def test_default_block_matches_reference_fit(self, default_block,
@@ -336,7 +370,7 @@ class TestOneScheduleFit:
         # fit_hg calls fit_fs through the module, so this swaps every fit
         monkeypatch.setattr(calibration, "fit_fs", reference)
         ref = convert(cfg, w, calib)
-        assert len(calls) == sum(c.theta.shape[1] for c in ref.hg.values())
+        assert len(calls) == sum(c.d.shape[1] for c in ref.hg.values())
         assert block.hg == ref.hg
         assert block.reports == ref.reports
 
@@ -401,19 +435,19 @@ class TestFitHG:
         grid = np.linspace(b[0], b[-1], 1001)
         idx = np.searchsorted(b, grid, side="right") - 1
         idx = np.clip(idx, 0, len(b) - 2)
-        assert np.all((idx >= 0) & (idx < c.theta.shape[1]))
-        assert len(rep.per_subrange_max_abs_err) == c.theta.shape[1]
+        assert np.all((idx >= 0) & (idx < c.d.shape[1]))
+        assert len(rep.per_subrange_max_abs_err) == c.d.shape[1]
 
     def test_report_round_trip(self):
         c, rep = fit_target("exp", 2, 8, 128, seed=3)
         again = CalibrationReport.from_dict(rep.to_dict())
         assert again == rep
         assert again.max_abs_err == max(rep.per_subrange_max_abs_err)
-        # the calibrate --out form of the bank holds every one of its numbers
+        # the calibrate --out form of the bank holds every one of its numbers,
+        # the weights in the sidecar's (T, N) layout
         doc = hg_to_dict(c)
-        stacks = (np.array([s[k] for s in doc["subneurons"]]).T
-                  for k in ("theta", "h", "d"))
-        assert HGConfig(doc["boundaries"], *stacks) == c
+        assert set(doc) == {"boundaries", "d"} and np.shape(doc["d"]) == (8, 2)
+        assert HGConfig(doc["boundaries"], doc["d"]) == c
 
 
 class TestTargets:

@@ -80,7 +80,7 @@ def _run_edited_block(work, tmp_path, path, value):
     deleted when value is DROP; returns the exit code.
 
     A path ("sidecar", site) edits the site's gate tensors in the block's
-    LASW sidecar instead: value maps each tensor's leaf name (theta, ...) to
+    LASW sidecar instead: value maps each tensor's leaf name (d, ...) to
     a function of the tensor (None for a new one) or to DROP."""
     with open(work / "block.json") as fh:
         doc = json.load(fh)
@@ -157,7 +157,9 @@ class TestCalibrate:
         bounds = doc["hg"]["boundaries"]
         assert bounds[0] == -3.0 and bounds[-1] == 3.0
         errs = doc["report"]["per_subrange_max_abs_err"]
-        assert len(errs) == len(doc["hg"]["subneurons"]) == 4
+        # the bank in the sidecar's layout: boundaries and (T, N) weights
+        assert set(doc["hg"]) == {"boundaries", "d"}
+        assert np.shape(doc["hg"]["d"]) == (8, len(errs)) and len(errs) == 4
         assert 0 < max(errs) < 1.0
 
     def test_unknown_target(self, tmp_path, capsys):
@@ -234,6 +236,33 @@ class TestCalibrate:
                      "--out", str(tmp_path / "x.json")]) == 2
         err = capsys.readouterr().err
         assert "--range needs finite LO < HI" in err and "Warning" not in err
+
+    @pytest.mark.parametrize("lo", ["-1e-3", "-1E-3", "-.001", "-0.001"])
+    def test_negative_range_bound_in_exponent_form(self, tmp_path, capsys, lo):
+        # argparse's own pattern takes -1e-3 for an option
+        out = tmp_path / "x.json"
+        assert main(["calibrate", "--target", "exp", "--levels", "1", "--samples", "64",
+                     "--steps", "8", "--range", lo, "1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["hg"]["boundaries"] == [-0.001, 1.0]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("levels, lo, hi, code, message", [
+        # the curvature's finite difference squares to 0 here; the one range fits
+        ("1", "0", "1e-300", 0, ""),
+        # its four sub-ranges are too narrow for a normal guard step
+        ("4", "0", "1e-300", 2, "error: range [0.0, "),
+        # the width overflows: the whole range is named before it is sampled
+        ("1", "-1.7e308", "1.7e308", 2, "error: range [-1.7e+308, 1.7e+308] does not "
+         "fit at T=16: its guard step (hi - lo) * 2^-(T+8) = inf must be a finite "
+         "normal float"),
+    ])
+    def test_range_outside_the_closed_form_named(self, tmp_path, capsys, levels, lo,
+                                                 hi, code, message):
+        assert main(["calibrate", "--target", "exp", "--levels", levels, "--samples",
+                     "64", "--range", lo, hi, "--out", str(tmp_path / "x.json")]) == code
+        err = capsys.readouterr().err
+        assert message in err and "curvature" not in err
+        assert (tmp_path / "x.json").exists() == (code == 0)
 
 
 class TestConvert:
@@ -417,7 +446,7 @@ class TestRun:
         block = load_block(str(work / "block.json"))
         site = "layers.0.attn.exp"
         old = block.hg[site]
-        poisoned = HGConfig(old.boundaries, old.theta, old.h, np.full_like(old.d, 1e308))
+        poisoned = HGConfig(old.boundaries, np.full_like(old.d, 1e308))
         hg = dict(block.hg)
         hg[site] = poisoned
         bad = ConvertedBlock(block.config, block.weights, block.oat, hg,
@@ -438,7 +467,7 @@ class TestRun:
         site = "layers.0.ln1.invsqrt"
         old = block.hg[site]
         hg = dict(block.hg)
-        hg[site] = HGConfig(old.boundaries, old.theta, old.h, np.full_like(old.d, 1e308))
+        hg[site] = HGConfig(old.boundaries, np.full_like(old.d, 1e308))
         bp = str(tmp_path / "overflow.json")
         save_block(ConvertedBlock(block.config, block.weights, block.oat, hg,
                                   block.reports), bp)
@@ -490,7 +519,22 @@ class TestRun:
     def test_version_2_block_refused(self, work, tmp_path, capsys):
         # format 2 kept the gate banks in the JSON; the sidecar lacks them
         assert _run_edited_block(work, tmp_path, ("version",), 2) == 2
-        assert ("unsupported block version: expected 4, found 2; reconvert the "
+        assert ("unsupported block version: expected 5, found 2; reconvert the "
+                "block with `spikeconvert convert`" in capsys.readouterr().err)
+
+    def test_version_4_block_refused(self, work, tmp_path, capsys):
+        # format 4 also stored each gate's thresholds and resets, which its
+        # boundaries and T now fix
+        doc = json.loads((work / "block.json").read_text())
+        ws = load_weights(str(work / doc["weights_file"]))
+        tensors = {name: ws[name].array for name in ws.names}
+        for site in [n[:-len(".d")] for n in ws.names if n.endswith(".d")]:
+            tensors[site + ".theta"] = tensors[site + ".h"] = tensors[site + ".d"]
+        _write_lasw(tensors, str(tmp_path / doc["weights_file"]))
+        bp = tmp_path / "v4.json"
+        bp.write_text(json.dumps(dict(doc, version=4)))
+        assert main(["run", "--block", str(bp), "--input", str(work / "input.lasw")]) == 2
+        assert ("unsupported block version: expected 5, found 4; reconvert the "
                 "block with `spikeconvert convert`" in capsys.readouterr().err)
 
     @UNREADABLE_JSON
@@ -511,14 +555,16 @@ class TestRun:
     # gate banks live in the sidecar: ("sidecar", site) cases edit its tensors,
     # and the message names the site and the tensor
     @pytest.mark.parametrize("path, value, field", [
-        (("sidecar", "layers.0.ffn.act"), {"theta": _entry((2, 1), np.inf)},
-         "tensor 'layers.0.ffn.act.theta'"),
-        (("sidecar", "layers.0.ffn.act"), {"h": _fewer_rows},
-         "hg site 'layers.0.ffn.act': h"),
-        (("sidecar", "layers.0.ffn.act"), {"d": _fewer_cols},
+        (("sidecar", "layers.0.ffn.act"), {"boundaries": _entry((0, 1), np.inf)},
+         "tensor 'layers.0.ffn.act.boundaries'"),
+        (("sidecar", "layers.0.ffn.act"), {"d": _fewer_rows},
          "hg site 'layers.0.ffn.act': d"),
-        (("sidecar", "layers.0.ffn.act"), {"theta": _entry((3, 1), 0.0)},
-         "hg site 'layers.0.ffn.act': theta[3, 1]"),
+        # boundaries must have one more column than d
+        (("sidecar", "layers.0.ffn.act"), {"d": _fewer_cols},
+         "hg site 'layers.0.ffn.act': boundaries"),
+        # more steps than the gate's closed form takes
+        (("sidecar", "layers.0.ffn.act"), {"d": lambda d: np.zeros((53, d.shape[1]))},
+         "hg site 'layers.0.ffn.act': T, d's row count,"),
         (("sidecar", "layers.0.attn.exp"),
          {"boundaries": _repeated_edge},
          "hg site 'layers.0.attn.exp': boundaries"),
@@ -528,17 +574,16 @@ class TestRun:
         (("config", "H"), 5.7, "H"),
         (("config", "T"), "8", "T"),
         # wrongly shaped nodes, not only leaves
-        (("sidecar", "layers.0.ffn.act"), {"theta": _entry((0, 0), -0.5)},
-         "hg site 'layers.0.ffn.act': theta[0, 0]"),
+        (("sidecar", "layers.0.ffn.act"), {"boundaries": _entry((0, 1), -1e3)},
+         "hg site 'layers.0.ffn.act': boundaries"),
         (("sidecar", "layers.0.ffn.act"), {"boundaries": lambda b: b.T},
          "hg site 'layers.0.ffn.act': boundaries"),
         (("sidecar", "layers.0.attn.exp"), {"boundaries": _fewer_cols},
          "hg site 'layers.0.attn.exp': boundaries"),
         (("oat", "input"), 3, "oat site 'input'"),
         # a bank carries its step count, which must be the config's T
-        (("sidecar", "layers.0.attn.exp"),
-         dict.fromkeys(("theta", "h", "d"), _fewer_rows),
-         "hg site 'layers.0.attn.exp': theta"),
+        (("sidecar", "layers.0.attn.exp"), {"d": _fewer_rows},
+         "hg site 'layers.0.attn.exp': d"),
         (("reports", "layers.0.ffn.act"), 1, "reports site 'layers.0.ffn.act'"),
         (("reports",), [], "reports"),
         (("config",), 5, "config"),
@@ -551,7 +596,7 @@ class TestRun:
          "samples_per_range"),
         # a bank of N-1 sub-ranges against a report of N errors
         (("sidecar", "layers.0.ffn.act"),
-         dict.fromkeys(("boundaries", "theta", "h", "d"), _fewer_cols),
+         dict.fromkeys(("boundaries", "d"), _fewer_cols),
          "reports site 'layers.0.ffn.act': per_subrange_max_abs_err"),
         (("reports", "layers.0.ffn.act", "per_subrange_max_abs_err"), [0.01],
          "reports site 'layers.0.ffn.act': per_subrange_max_abs_err"),
@@ -587,7 +632,7 @@ class TestRun:
         (("reports",), DROP, "block must be an object with exactly the keys "
          "['config', 'format', 'oat', 'reports', 'version', 'weights_file']; "
          "missing ['reports'], unknown []"),
-        # the sidecar holds exactly the weights and each gate site's four tensors
+        # the sidecar holds exactly the weights and each gate site's two tensors
         (("sidecar", "layers.0.ffn.act"), {"extra": lambda _: np.zeros((1, 1))},
          "does not match config: missing=[] extra=['layers.0.ffn.act.extra']"),
         (("sidecar", "layers.0.attn.exp"), {"d": DROP},

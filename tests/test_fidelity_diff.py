@@ -25,7 +25,7 @@ def run(out, err=0.01, sops=10, clamped=0, site="layers.0.attn.in",
 
 def loaded(d0=1.0, theta_nor=0.5):
     """The numbers of a loaded one-gate, one-encoder block."""
-    bank = HGConfig((0.0, 1.0, 2.0), [[0.5, 0.5]], [[0.5, 0.0]], [[d0, 2.0]])
+    bank = HGConfig((0.0, 1.0, 2.0), [[d0, 2.0]])
     block = SimpleNamespace(hg={"layers.0.attn.exp": bank},
                             oat={"input": OATConfig(theta_nor, 4.0, 5, 16)})
     return {"default": fidelity_diff.block_numbers(block)}
@@ -124,12 +124,13 @@ class TestCompare:
 class TestLoadedBlocks:
     def test_numbers_read_from_the_stacks(self):
         numbers = loaded()["default"]
+        # each bank's boundaries and (T, N) weights, which every block format
+        # since 3 stores
         assert set(numbers) == {("hg", "layers.0.attn.exp", "boundaries"),
-                                ("hg", "layers.0.attn.exp", "schedules"),
+                                ("hg", "layers.0.attn.exp", "d"),
                                 ("oat", "input")}
-        # (N, 3, T) from the (T, N) stacks: each sub-range's theta, h and d
-        assert numbers["hg", "layers.0.attn.exp", "schedules"].tolist() == [
-            [[0.5], [0.5], [1.0]], [[0.5], [0.0], [2.0]]]
+        assert numbers["hg", "layers.0.attn.exp", "boundaries"].tolist() == [0.0, 1.0, 2.0]
+        assert numbers["hg", "layers.0.attn.exp", "d"].tolist() == [[1.0, 2.0]]
         assert numbers["oat", "input"].tolist() == [0.5, 4.0]
 
     def test_equal_only_bit_for_bit(self):

@@ -14,7 +14,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spikeconvert.calibration import gelu, sample_distribution, silu
@@ -473,7 +473,7 @@ class TestSpikeForward:
         site = "layers.0." + gate
         old = tiny_block.hg[site]
         hg = dict(tiny_block.hg)
-        hg[site] = HGConfig(old.boundaries, old.theta, old.h, np.full_like(old.d, 1e308))
+        hg[site] = HGConfig(old.boundaries, np.full_like(old.d, 1e308))
         bad = ConvertedBlock(tiny_block.config, tiny_block.weights,
                              tiny_block.oat, hg, tiny_block.reports)
         with pytest.raises(SpikePathError) as info:
@@ -640,18 +640,18 @@ class TestBlockSerialization:
                    for n in doc["reports"].values())
         assert all(set(n) == {"theta_nor", "theta_out"}
                    for n in doc["oat"].values())
-        # each gate bank lies in the sidecar as its four stacks, and only there
+        # each gate bank lies in the sidecar as its boundaries and weights, and
+        # only there
         assert set(doc) == {"format", "version", "config", "weights_file", "oat",
                             "reports"}
         sidecar = load_weights(str(tmp_path / doc["weights_file"]))
         for site, c in block.hg.items():
-            T, N = c.theta.shape
+            T, N = c.d.shape
             assert T == block.config.T
             assert sidecar[site + ".boundaries"].shape == (1, N + 1)
-            for k in ("theta", "h", "d"):
-                assert sidecar[f"{site}.{k}"].shape == (T, N)
+            assert sidecar[site + ".d"].shape == (T, N)
         n_weights = len(expected_shapes(block.config))
-        assert len(sidecar.names) == n_weights + 4 * len(block.hg)
+        assert len(sidecar.names) == n_weights + 2 * len(block.hg)
         back = load_block(p)
         assert back.config == block.config
         assert back.oat == block.oat
@@ -671,7 +671,7 @@ class TestBlockSerialization:
             doc = json.load(fh)
         with open(p, "w") as fh:
             json.dump(dict(doc, version=1), fh)
-        with pytest.raises(FormatError, match="version: expected 4, found 1; reconvert"):
+        with pytest.raises(FormatError, match="version: expected 5, found 1; reconvert"):
             load_block(p)
 
     def test_version_2_file_refused(self, tiny_block, tmp_path):
@@ -681,26 +681,26 @@ class TestBlockSerialization:
             doc = json.load(fh)
         with open(p, "w") as fh:
             json.dump(dict(doc, version=2), fh)
-        with pytest.raises(FormatError, match="expected 4, found 2; reconvert the block "
+        with pytest.raises(FormatError, match="expected 5, found 2; reconvert the block "
                                               "with `spikeconvert convert`"):
             load_block(p)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_gate_banks_round_trip_bit_for_bit(self, tiny_block, data):
-        # any finite bank at any N and T <= 20 comes back from the sidecar with
-        # the same bits, signed zeros and subnormals included
+        # any bank at any N and T <= 20 comes back from the sidecar with the
+        # same bits, signed zeros and subnormal weights included
         N = data.draw(st.integers(1, 6), label="N")
         T = data.draw(st.integers(1, 20), label="T")
         finite = st.floats(allow_nan=False, allow_infinity=False)
-        positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-
-        def stack(values):
-            flat = data.draw(st.lists(values, min_size=T * N, max_size=T * N))
-            return np.array(flat, dtype=np.float64).reshape(T, N)
-
-        edges = data.draw(st.lists(finite, min_size=N + 1, max_size=N + 1, unique=True))
-        bank = HGConfig(sorted(edges), stack(positive), stack(finite), stack(finite))
+        edges = sorted(data.draw(st.lists(finite, min_size=N + 1, max_size=N + 1,
+                                          unique=True)))
+        # the widths whose guard step w * 2^-(T+8) is a finite normal float
+        with np.errstate(over="ignore"):
+            guards = np.diff(edges) * 2.0 ** -(T + 8)
+        assume(np.all((guards >= np.finfo(np.float64).tiny) & np.isfinite(guards)))
+        weights = data.draw(st.lists(finite, min_size=T * N, max_size=T * N))
+        bank = HGConfig(edges, np.reshape(weights, (T, N)))
         cfg = dataclasses.replace(tiny_block.config, T=T)
         block = ConvertedBlock(
             cfg, tiny_block.weights,
@@ -712,7 +712,7 @@ class TestBlockSerialization:
             save_block(block, os.path.join(tmp, "block.json"))
             back = load_block(os.path.join(tmp, "block.json"))
         for site in block.hg:
-            for k in ("boundaries", "theta", "h", "d"):
+            for k in ("boundaries", "d"):
                 assert getattr(back.hg[site], k).tobytes() == getattr(bank, k).tobytes()
 
     def test_encoder_depth_other_than_config_refused(self, tiny_block,

@@ -5,6 +5,7 @@ the matrix entry points (encode_matrix, apply_hg) are checked against them
 on generated inputs.
 """
 import dataclasses
+import re
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import dyadic_schedule
 from spikeconvert import neurons
 from spikeconvert.errors import NonFiniteError, ShapeError
 from spikeconvert.neurons import (
@@ -19,6 +21,7 @@ from spikeconvert.neurons import (
     MTConfig,
     OATConfig,
     SpikeMatrixTrain,
+    _check_steps,
     _fs_bits,
     _hg_run,
     _mt_chunk,
@@ -28,10 +31,8 @@ from spikeconvert.neurons import (
     _sum_steps,
     decode,
     fs_encode,
-    hg_at_steps,
     hg_eval,
     mt_encode,
-    truncate_schedule,
 )
 from spikeconvert.spikeops import apply_hg, decode_train, encode_matrix
 from spikeconvert.tensors import Matrix
@@ -126,25 +127,18 @@ class TestFSNeuron:
             assert dec1(fs_encode(x, d, d, d)) == x
 
     # A fitted few-step kernel is a bank of one sub-range: HGConfig's
-    # whole-array checks refuse a bad schedule, naming its entry.
+    # whole-array checks refuse bad weights, naming their entry.
     def test_param_length_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="theta=1 h=2 d=2"):
             fs_encode(0.5, (0.5,), (0.5, 0.25), (0.5, 0.25))
-        with pytest.raises(ShapeError, match=r"h must be \(1, 1\) like theta, "
-                                             r"got \(2, 1\)"):
-            HGConfig((0.0, 1.0), [[0.5]], [[0.5], [0.25]], [[0.5], [0.25]])
+        with pytest.raises(ShapeError, match=r"2 sub-kernels need 3 boundaries, "
+                                             r"got shape \(2,\)"):
+            HGConfig((0.0, 1.0), [[0.5, 0.25]])
 
-    def test_nonpositive_theta_rejected(self):
-        with pytest.raises(ValueError, match=r"theta\[0, 0\] must be positive, got 0.0"):
-            HGConfig((0.0, 1.0), [[0.0]], [[0.1]], [[0.1]])
-
-    @pytest.mark.parametrize("h, d", [(float("nan"), 0.1), (0.1, float("nan")),
-                                      (float("inf"), 0.1), (0.1, -float("inf"))])
-    def test_non_finite_reset_or_weight_rejected(self, h, d):
-        name, bad = ("h", h) if not np.isfinite(h) else ("d", d)
-        with pytest.raises(ValueError, match=rf"{name}\[0, 0\] must be finite, "
-                                             rf"got {bad}"):
-            HGConfig((0.0, 1.0), [[1.0]], [[h]], [[d]])
+    @pytest.mark.parametrize("d", [float("nan"), -float("inf")])
+    def test_non_finite_weight_rejected(self, d):
+        with pytest.raises(ValueError, match=rf"d\[0, 0\] must be finite, got {d}"):
+            HGConfig((0.0, 1.0), [[d]])
 
 
 class TestMTNeuron:
@@ -435,17 +429,15 @@ class TestOATNeuron:
 def step_fn_config() -> HGConfig:
     """Two-range hierarchy decoding a step function exactly.
 
-    Range [0,1) decodes 2.0, range [1,2) decodes 5.0, via a single
-    always-fires step (guard handled by the intercept construction).
+    Range [0,1) decodes 2.0, range [1,2) decodes 5.0, through the always-on
+    step 0; the one rung weighs 0.0.
     """
-    return HGConfig(boundaries=(0.0, 1.0, 2.0), theta=[[1e-9, 1e-9], [1.0, 1.0]],
-                    h=[[0.0, 0.0], [1.0, 1.0]], d=[[2.0, 5.0], [0.0, 0.0]])
+    return HGConfig(boundaries=(0.0, 1.0, 2.0), d=[[2.0, 5.0], [0.0, 0.0]])
 
 
 class TestHGNeuron:
     def test_zero_function(self):
-        c = HGConfig(boundaries=(0.0, 1.0), theta=[[0.5], [0.25]],
-                     h=[[0.5], [0.25]], d=[[0.0], [0.0]])
+        c = HGConfig(boundaries=(0.0, 1.0), d=[[0.0], [0.0]])
         t = apply_hg(Matrix(np.array([[0.3, 0.9]])), c)
         assert np.array_equal(decode(t).array, np.zeros((1, 2)))
 
@@ -487,39 +479,58 @@ class TestHGNeuron:
 
     def test_boundaries_must_increase(self):
         with pytest.raises(ValueError):
-            HGConfig((0.0, 0.0), [[0.5]], [[0.5]], [[0.5]])
+            HGConfig((0.0, 0.0), [[0.5]])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_boundary_rejected(self, bad):
         # a NaN compares false both ways, so the ordering check alone lets it in
         with pytest.raises(ValueError, match=r"boundaries\[1\]"):
-            HGConfig((0.0, bad), [[0.5]], [[0.5]], [[0.5]])
+            HGConfig((0.0, bad), [[0.5]])
 
     def test_stacks_checked_as_whole_arrays(self):
         c = step_fn_config()
-        with pytest.raises(ShapeError, match=r"h must be \(2, 2\) like theta, "
-                                             r"got \(1, 2\)"):
-            HGConfig(c.boundaries, c.theta, c.h[:1], c.d)
+        with pytest.raises(ShapeError, match=r"d must be \(T, N\) with T, N >= 1, "
+                                             r"got \(2,\)"):
+            HGConfig(c.boundaries[:2], c.d[0])
         with pytest.raises(ShapeError, match="2 sub-kernels need 3 boundaries"):
-            HGConfig(c.boundaries[:2], c.theta, c.h, c.d)
+            HGConfig(c.boundaries[:2], c.d)
         with pytest.raises(ShapeError, match="T, N >= 1"):
-            HGConfig((0.0,), np.zeros((2, 0)), np.zeros((2, 0)), np.zeros((2, 0)))
-        with pytest.raises(ValueError, match=r"theta\[1, 0\] must be positive, got -1.0"):
-            HGConfig(c.boundaries, c.theta * [[1.0], [-1.0]], c.h, c.d)
+            HGConfig((0.0,), np.zeros((2, 0)))
         with pytest.raises(ValueError, match=r"boundaries\[2\]=1.0 after 1.0"):
-            HGConfig((0.0, 1.0, 1.0), c.theta, c.h, c.d)
+            HGConfig((0.0, 1.0, 1.0), c.d)
 
     def test_stacks_hold_the_subneuron_schedules(self):
         c = step_fn_config()
-        # column i is sub-range i's schedule
+        # column i is sub-range i's step weights; its guard step
+        # w * 2^-(T+8) follows from its width w = 1 and T = 2
         for i, d in enumerate((2.0, 5.0)):
-            assert [a[:, i].tolist() for a in (c.theta, c.h, c.d)] == [
-                [1e-9, 1.0], [0.0, 1.0], [d, 0.0]]
-        assert c.steps == 2 and c.guard.tolist() == [1e-9, 1e-9]
-        assert HGConfig(c.boundaries, c.theta, c.h, c.d) == c
-        assert HGConfig(c.boundaries, c.theta, c.h, 2 * c.d) != c
-        arrays = (c.boundaries, c.theta, c.h, c.d, c.guard)
+            assert c.d[:, i].tolist() == [d, 0.0]
+        assert c.steps == 2 and c.guard.tolist() == [2.0**-10, 2.0**-10]
+        assert HGConfig(c.boundaries, c.d) == c
+        assert HGConfig(c.boundaries, 2 * c.d) != c
+        assert HGConfig(2 * c.boundaries, c.d) != c
+        arrays = (c.boundaries, c.d, c.guard)
         assert not any(a.flags.writeable for a in arrays)
+
+    def test_steps_outside_the_closed_form_refused(self):
+        # K = floor(u / q) has T - 1 bits and floors exactly below 2^51
+        HGConfig((0.0, 1.0), np.zeros((52, 1)))
+        with pytest.raises(ValueError, match=r"T, d's row count, must be within "
+                                             r"1\.\.52 steps, got 53"):
+            HGConfig((0.0, 1.0), np.zeros((53, 1)))
+
+    @pytest.mark.parametrize("edges, bad, guard", [
+        ((0.0, 1e-300, 1.1e-300), 1, r"\d\.\d+e-309"),  # below the normal range
+        ((-1e308, 1e308, 1.5e308), 0, "inf"),  # a width that overflows
+    ])
+    def test_range_outside_the_closed_form_refused(self, edges, bad, guard):
+        # every rung is a power-of-two multiple of the guard, the smallest
+        lo, hi = (re.escape(str(b)) for b in edges[bad:bad + 2])
+        with pytest.raises(ValueError, match=rf"range \[{lo}, {hi}\] does not fit at "
+                                             rf"T=16: its guard step \(hi - lo\) \* "
+                                             rf"2\^-\(T\+8\) = {guard} must be a "
+                                             rf"finite normal float"):
+            HGConfig(edges, np.zeros((16, 2)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_raises(self, bad):
@@ -528,6 +539,30 @@ class TestHGNeuron:
         x = Matrix._wrap(np.array([[bad, 0.6]]))
         with pytest.raises(NonFiniteError):
             apply_hg(x, step_fn_config())
+
+
+def truncate_schedule(theta, h, d, T: int) -> tuple[tuple, tuple, tuple]:
+    """First T steps of a schedule's theta, h and d; silent padding when T
+    is longer: the oracle of a gate run at another step count.
+
+    Running a kernel below its fitted depth drops the finest refinement
+    steps, which is how timestep sweeps degrade resolution.
+    """
+    _check_steps(T)
+    pad = max(T - len(theta), 0)
+    big = 1e300  # threshold no finite membrane reaches
+    return (tuple(theta[:T]) + (big,) * pad, tuple(h[:T]) + (0.0,) * pad,
+            tuple(d[:T]) + (0.0,) * pad)
+
+
+def hg_at_steps(c: HGConfig, T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bank's (T, N) theta, h and d stacks at T steps: each column is
+    its sub-range's dyadic schedule at the fitted depth, resized through
+    truncate_schedule."""
+    widths = np.diff(c.boundaries)
+    columns = (truncate_schedule(*dyadic_schedule(w, c.steps), d, T)
+               for w, d in zip(widths, c.d.T))
+    return tuple(np.array(s).T for s in zip(*columns))
 
 
 class TestScheduleResizing:
@@ -544,38 +579,41 @@ class TestScheduleResizing:
 
     @pytest.mark.parametrize("T", [0, -1])
     def test_step_count_below_one_named(self, T):
-        # a negative T would slice the schedule from the end
+        # the gate itself refuses it, naming T, before it sizes a train
         with pytest.raises(ValueError, match=f"T must be at least 1, got {T}"):
-            hg_at_steps(step_fn_config(), T)
+            _hg_run(np.array([0.5]), step_fn_config(), T)
 
     def test_hg_at_steps_same_t_is_identity(self):
+        # at the fitted depth: each column's dyadic schedule and weights
         c = step_fn_config()
-        assert hg_at_steps(c, 2) is c
+        theta, h, d = hg_at_steps(c, 2)
+        assert theta.T.tolist() == [[2.0**-10, 0.5]] * 2
+        assert h.T.tolist() == [[0.0, 0.5]] * 2
+        assert d.tobytes() == c.d.tobytes()
 
     @pytest.mark.parametrize("T", [1, 3])
     def test_hg_at_steps_resizes_each_column(self, T):
         c = step_fn_config()
         r = hg_at_steps(c, T)
-        assert r.boundaries.tobytes() == c.boundaries.tobytes()
         for i in range(2):
-            col = truncate_schedule(c.theta[:, i], c.h[:, i], c.d[:, i], T)
-            assert [a[:, i].tolist() for a in (r.theta, r.h, r.d)] == list(map(list, col))
+            col = truncate_schedule(*dyadic_schedule(1.0, 2), c.d[:, i], T)
+            assert [a[:, i].tolist() for a in r] == list(map(list, col))
 
 
 finite = st.floats(-4.0, 4.0, allow_nan=False)
 
 
 @st.composite
-def banks(draw):
-    """Gated banks of 1..5 sub-kernels sharing a 1..8-step schedule."""
+def banks(draw, widths=st.floats(0.01, 5.0), max_steps=8):
+    """Gated banks of 1..5 sub-kernels at 1..max_steps steps, with step
+    weights of either sign, signed zeros included."""
     n = draw(st.integers(1, 5))
-    T = draw(st.integers(1, 8))
+    T = draw(st.integers(1, max_steps))
     lo = draw(st.floats(-10.0, 10.0))
-    widths = draw(st.lists(st.floats(0.01, 5.0), min_size=n, max_size=n))
-    boundaries = tuple(float(b) for b in np.cumsum([lo] + widths))
-    theta, h, d = (draw(hnp.arrays(np.float64, (T, n), elements=el))
-                   for el in (st.floats(1e-3, 4.0), finite, finite))
-    return HGConfig(boundaries, theta, h, d)
+    ws = draw(st.lists(widths, min_size=n, max_size=n))
+    boundaries = tuple(float(b) for b in np.cumsum([lo] + ws))
+    weights = finite | st.sampled_from([0.0, -0.0])
+    return HGConfig(boundaries, draw(hnp.arrays(np.float64, (T, n), elements=weights)))
 
 
 @st.composite
@@ -661,59 +699,62 @@ def schedules_with_edge_inputs(draw):
     return (tuple(theta), tuple(h), tuple(d)), np.array(xs)
 
 
-def hg_run_reference(flat, c):
+def hg_run_reference(flat, c, T):
     """The per-sub-kernel loop that _hg_run replaced, kept as its oracle.
 
     Each sub-range runs its own few-step kernel (fs_run_reference, the
-    per-step oracle of _fs_bits) on the elements routed to it.
+    per-step oracle of _fs_bits) on the elements routed to it, through its
+    dyadic schedule resized to T steps (hg_at_steps); step 0 is the guard
+    step, whose threshold seeds the membrane.
     """
     bs = np.asarray(c.boundaries)
     lo, hi = bs[0], bs[-1]
     clamped = int(np.count_nonzero((flat < lo) | (flat >= hi)))
     x = np.clip(flat, lo, np.nextafter(hi, lo))
     bucket = np.searchsorted(bs, x, side="right") - 1
-    T, N = c.theta.shape
-    bucket = np.clip(bucket, 0, N - 1)
+    bucket = np.clip(bucket, 0, c.d.shape[1] - 1)
     values = np.zeros((T, flat.size))
-    for i, (theta, h, d) in enumerate(zip(c.theta.T, c.h.T, c.d.T)):
+    for i, (theta, h, d) in enumerate(zip(*(a.T for a in hg_at_steps(c, T)))):
         idx = np.nonzero(bucket == i)[0]
         if idx.size == 0:
             continue
-        u = x[idx] - bs[i] + (theta[0] if h[0] == 0.0 else 0.0)
+        u = x[idx] - bs[i] + theta[0]
         values[:, idx], _ = fs_run_reference(u, theta, h, d)
     return values, clamped
 
 
 @st.composite
 def bank_runs(draw):
-    """A bank, a step count below, at or above its fitted depth (1..8), and
-    inputs that include every boundary, the float just below each, and
-    out-of-range values."""
-    c = draw(banks())
-    if draw(st.booleans()):
-        # a zero first reset makes step 0 the intercept and its threshold the guard
-        h = c.h.copy()
-        h[0] = 0.0
-        c = HGConfig(c.boundaries, c.theta, h, c.d)
-    bs = list(c.boundaries)
-    edges = bs + [float(np.nextafter(b, -np.inf)) for b in bs]
-    xs = draw(st.lists(st.one_of(st.sampled_from(edges), st.floats(-30.0, 30.0)),
-                       min_size=1, max_size=24))
-    return c, np.array(xs), draw(st.integers(1, 12))
+    """A bank of 1..5 sub-ranges of widths 1e-6..1e3 at 1..12 steps, a step
+    count from 1 to 4 past its fitted depth, and inputs that include every
+    boundary and rung edges b + k * q - guard, each with its one-ulp
+    neighbours, and out-of-range values."""
+    c = draw(banks(widths=st.floats(1e-6, 1e3), max_steps=12))
+    bs, T = c.boundaries, c.steps
+    edges = [bs]
+    for b, w, g in zip(bs, np.diff(bs), c.guard):
+        k = np.array(draw(st.lists(st.integers(0, 2 ** (T - 1)), max_size=8)))
+        edges.append(b + k * (w * 2.0 ** (1 - T)) - g)
+    edges = np.concatenate(edges)
+    edges = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                            np.nextafter(edges, np.inf)])
+    out = draw(st.lists(st.floats(-1e308, 1e308) | st.sampled_from([-1e308, 1e308]),
+                        max_size=8))
+    return c, np.concatenate([edges, out]), draw(st.integers(1, T + 4))
 
 
 class TestGateBank:
     @settings(max_examples=300, deadline=None)
     @given(case=bank_runs())
-    # 0.6 fires step 0's -0.0 weight, which keeps its sign, and not step 1's
-    # -2.0; 1.2 (u = 0.2) fires neither of its negative weights: +0.0 each
-    @example(case=(HGConfig((0.0, 1.0, 2.0), [[0.5, 0.5], [0.25, 0.25]],
-                            [[0.5, 0.5], [0.25, 0.25]], [[-0.0, -1.5], [-2.0, 0.5]]),
-                   np.array([0.6, 1.2]), 2))
+    # 0.3 fires step 0's -0.0 weight, which keeps its sign, and not step 1's
+    # -2.0, which gives +0.0; 1.7 (u = 0.7) fires both of its weights, the
+    # -0.0 rung keeping its sign
+    @example(case=(HGConfig((0.0, 1.0, 2.0), [[-0.0, -1.5], [-2.0, -0.0]]),
+                   np.array([0.3, 1.7]), 2))
     def test_matches_per_sub_kernel_reference(self, case):
         c, xs, T = case
         values, clamped = _hg_run(xs, c, T)
-        ref_values, ref_clamped = hg_run_reference(xs, hg_at_steps(c, T))
+        ref_values, ref_clamped = hg_run_reference(xs, c, T)
         assert values.tobytes() == ref_values.tobytes()
         assert clamped == ref_clamped
         counters = {}

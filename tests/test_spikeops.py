@@ -90,8 +90,7 @@ class TestTrainPlumbing:
         # a negative T would slice the bank's schedules from the end, and T=0
         # would give an empty train
         x = Matrix(np.array([[-0.5, 0.25]]))
-        bank = HGConfig((-1.0, 1.0), np.full((8, 1), 0.5), np.full((8, 1), 0.5),
-                        np.ones((8, 1)))
+        bank = HGConfig((-1.0, 1.0), np.ones((8, 1)))
         with pytest.raises(ValueError, match=f"T must be at least 1, got {T}"):
             apply_hg(x, bank, T)
         with pytest.raises(ValueError, match=f"T must be at least 1, got {T}"):
@@ -451,8 +450,7 @@ class TestBLASWeightProducts:
 
 _X = Matrix(np.array([[-2.0, -0.3, 0.0], [0.4, 1.2, 5.0]]))
 _OAT = OATConfig(0.5, 4.0, 3, 4)
-_BANK = HGConfig((-1.0, 0.0, 1.0), np.full((4, 2), 0.5), np.full((4, 2), 0.5),
-                 np.ones((4, 2)))
+_BANK = HGConfig((-1.0, 0.0, 1.0), np.ones((4, 2)))
 _ENC = encode_matrix(_X, _OAT)
 PUBLIC_KERNELS = {
     "apply_hg": lambda: apply_hg(_X, _BANK, 4),

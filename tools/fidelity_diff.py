@@ -25,10 +25,10 @@ and whether the SOP/FLOP totals and the gate clamp totals of each layer
 (`input`, `layers.<i>`) are equal. Then it says
 whether the saved block files and the calibrate outputs are byte-identical,
 and whether the loaded blocks are equal bit for bit: each gate bank's
-boundaries and sub-neuron schedules (read from its (T, N) theta/h/d stacks,
-which every checkout since block format 3 has) and each encoder's
-thresholds. The exit status is 0 when the per-layer totals and the files
-all match, and 1 otherwise, so a site renamed within its layer shows in the
+boundaries and (T, N) step weights d, which fix its schedule and which
+every checkout since block format 3 holds, and each encoder's thresholds.
+The exit status is 0 when the per-layer totals and the files all match,
+and 1 otherwise, so a site renamed within its layer shows in the
 ledgers and counters columns without reading as a numerics change, and a
 block file laid out anew, with "loaded blocks equal", is told apart from
 one whose numbers moved. The bytes and saturated columns are reported but
@@ -68,12 +68,11 @@ INPUT_SEED = 4242
 
 def block_numbers(block) -> dict:
     """A block's fitted numbers as float64 arrays: each gate bank's boundaries
-    and (N, 3, T) theta/h/d schedules, and each encoder's thresholds."""
+    and step weights d, and each encoder's thresholds."""
     numbers = {}
     for site, c in block.hg.items():
-        numbers["hg", site, "boundaries"] = np.array(c.boundaries, dtype=np.float64)
-        numbers["hg", site, "schedules"] = np.array(
-            [c.theta, c.h, c.d], dtype=np.float64).transpose(2, 0, 1)
+        for name in ("boundaries", "d"):
+            numbers["hg", site, name] = np.array(getattr(c, name), dtype=np.float64)
     for site, c in block.oat.items():
         numbers["oat", site] = np.array([c.theta_nor, c.theta_out])
     return numbers

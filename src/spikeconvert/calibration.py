@@ -4,9 +4,9 @@ Three concerns live here.
 
 Threshold selection turns an activation sample into the two magnitude
 thresholds of the dual-range encoder (a high quantile for the typical range,
-the sample max for outliers) and into sub-range boundaries for the gated
-kernel bank (equal-probability-mass quantiles, so dense regions get narrow
-sub-ranges).
+the sample max for outliers). A gated kernel bank's sub-range boundaries are
+equal-probability-mass quantiles of a curvature sample of its target, not of
+activations, so the target's bends get narrow sub-ranges (fit_target).
 
 Fitting tunes one few-step kernel per sub-range to a scalar target function.
 Thresholds and resets follow the dyadic schedule that the gated bank runs
@@ -82,8 +82,13 @@ def _square(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=np.float64) ** 2
 
 
+# The LayerNorm epsilon: the float LayerNorm (model) divides by
+# sqrt(var + _LN_EPS), and the invsqrt target is the same function.
+_LN_EPS = 1e-5
+
+
 def _invsqrt(x: np.ndarray) -> np.ndarray:
-    return 1.0 / np.sqrt(np.asarray(x, dtype=np.float64) + 1e-5)
+    return 1.0 / np.sqrt(np.asarray(x, dtype=np.float64) + _LN_EPS)
 
 
 @dataclass(frozen=True)
@@ -147,48 +152,6 @@ def select_oat_thresholds(
         )
         out = nor * (1.0 + 2.0**-20)
     return nor, out
-
-
-def select_hierarchy(
-    sample: np.ndarray | Matrix,
-    N: int,
-    lo: float | None = None,
-    hi: float | None = None,
-) -> tuple[float, ...]:
-    """Sub-range boundaries at equal-probability-mass quantiles of a sample.
-
-    Returns N+1 strictly increasing floats. The outer boundaries default to
-    the sample min and max (padded by a hair so the extremes stay in range)
-    and can be pinned with lo/hi. Duplicate quantiles collapse, reducing the
-    number of sub-ranges with a warning.
-    """
-    if N < 1:
-        raise ValueError(f"need at least one sub-range, got N={N}")
-    vals = sample.data if isinstance(sample, Matrix) else np.asarray(sample)
-    vals = np.sort(vals.astype(np.float64).reshape(-1))
-    if vals.size == 0:
-        raise CalibrationError("cannot place boundaries on an empty sample")
-    eps = 1e-9 * max(1.0, float(vals[-1] - vals[0]))
-    left = float(vals[0]) - eps if lo is None else lo
-    right = float(vals[-1]) + eps if hi is None else hi
-    if not left < right:
-        raise CalibrationError(
-            f"degenerate sample range [{left}, {right}] cannot be partitioned"
-        )
-    inner = [percentile(vals, k / N) for k in range(1, N)]
-    bounds = [left] + inner + [right]
-    span = right - left
-    kept = [bounds[0]]
-    for b in bounds[1:]:
-        if b - kept[-1] > 1e-12 * span:
-            kept.append(b)
-    kept[-1] = right
-    if len(kept) < len(bounds):
-        warnings.warn(
-            f"sample supports only {len(kept) - 1} distinct sub-ranges, not {N}",
-            stacklevel=2,
-        )
-    return tuple(kept)
 
 
 def curvature_sample(
@@ -441,40 +404,6 @@ def _check_keys(where: str, node: dict, keys: set[str]) -> None:
         )
 
 
-def fit_hg(
-    target: str,
-    sample: np.ndarray | Matrix,
-    N: int,
-    T: int,
-    M: int,
-    seed: int,
-    lo: float | None = None,
-    hi: float | None = None,
-) -> tuple[HGConfig, CalibrationReport]:
-    """Partition the sample's range into N sub-ranges and fit each one.
-
-    Sub-range i is fitted with seed + i, so the N=1 case is exactly
-    fit_fs(seed) on the full range.
-    """
-    spec = target_fn(target)
-    boundaries = select_hierarchy(sample, N, lo=lo, hi=hi)
-    banks = []
-    errs = []
-    for i in range(len(boundaries) - 1):
-        try:
-            bank, err = fit_fs(spec.fn, boundaries[i], boundaries[i + 1], T, M, seed + i)
-        except CalibrationError as exc:
-            raise CalibrationError(
-                f"fit of {target!r} failed on sub-range "
-                f"[{boundaries[i]}, {boundaries[i + 1]}]: {exc}"
-            )
-        banks.append(bank)
-        errs.append(err)
-    cfg = HGConfig(boundaries, np.hstack([b.d for b in banks]))
-    report = CalibrationReport(target, tuple(errs), M, seed)
-    return cfg, report
-
-
 def fit_target(
     name: str,
     N: int,
@@ -484,11 +413,20 @@ def fit_target(
     lo: float | None = None,
     hi: float | None = None,
 ) -> tuple[HGConfig, CalibrationReport]:
-    """Fit a named target on an explicit range using curvature sampling.
+    """Fit a named target's bank of N sub-ranges on [lo, hi] (default: the
+    target's own range).
 
-    A range that starts below the target's domain floor is refused, and so
-    is one the bank refuses as a whole (_gate_guards), before it is sampled.
+    The inner boundaries are the k/N quantiles of a curvature sample of the
+    target (curvature_sample), so sub-ranges narrow where it bends. A
+    boundary within 1e-12 of the span of the last one kept is dropped, with
+    a warning, leaving fewer sub-ranges. Sub-range i is fitted with seed + i,
+    so N=1 is exactly fit_fs(seed) on [lo, hi]; a fit that fails names the
+    target and its sub-range. A range that starts below the target's domain
+    floor is refused, and so is one the bank refuses as a whole
+    (_gate_guards), before it is sampled.
     """
+    if N < 1:
+        raise ValueError(f"need at least one sub-range, got N={N}")
     spec = target_fn(name)
     lo = spec.lo if lo is None else lo
     hi = spec.hi if hi is None else hi
@@ -500,7 +438,29 @@ def fit_target(
     _gate_guards(np.array([lo, hi]), T)
     rng = np.random.default_rng(seed)
     sample = curvature_sample(spec.fn, lo, hi, 4 * M, rng)
-    return fit_hg(name, sample, N, T, M, seed, lo=lo, hi=hi)
+    sample.sort()
+    bounds = [lo] + [percentile(sample, k / N) for k in range(1, N)] + [hi]
+    kept = [lo]
+    for b in bounds[1:]:
+        if b - kept[-1] > 1e-12 * (hi - lo):
+            kept.append(b)
+    kept[-1] = hi
+    if len(kept) < len(bounds):
+        warnings.warn(
+            f"sample supports only {len(kept) - 1} distinct sub-ranges, not {N}",
+            stacklevel=2,
+        )
+    banks, errs = [], []
+    for i, (a, b) in enumerate(zip(kept, kept[1:])):
+        try:
+            # looked up at each call: perfbench ticks its clock at calibration.fit_fs
+            bank, err = fit_fs(spec.fn, a, b, T, M, seed + i)
+        except (CalibrationError, ValueError) as exc:
+            raise type(exc)(f"fit of {name!r} failed on sub-range [{a}, {b}]: {exc}")
+        banks.append(bank)
+        errs.append(err)
+    cfg = HGConfig(kept, np.hstack([bank.d for bank in banks]))
+    return cfg, CalibrationReport(name, tuple(errs), M, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,8 @@ def cmd_calibrate(args) -> int:
     if not 1 <= args.steps <= _MAX_GATE_STEPS:
         raise ValueError(
             f"--steps must be within 1..{_MAX_GATE_STEPS}, got {args.steps}")
+    if args.levels < 1:
+        raise ValueError(f"--levels must be at least 1, got {args.levels}")
     seed = _seed_override()
     if seed is None:
         seed = args.seed
@@ -111,7 +113,7 @@ def cmd_calibrate(args) -> int:
     dump_json({"hg": hg_to_dict(gate), "report": report.to_dict()}, args.out)
     print(
         f"fitted {args.target} on [{gate.boundaries[0]:.6g}, "
-        f"{gate.boundaries[-1]:.6g}] with {args.levels} sub-ranges: "
+        f"{gate.boundaries[-1]:.6g}] with {gate.d.shape[1]} sub-ranges: "
         f"max abs err {report.max_abs_err:.6g} -> {args.out}"
     )
     return 0

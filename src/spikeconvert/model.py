@@ -29,6 +29,7 @@ import numpy as np
 
 from .calibration import (
     _DISTRIBUTIONS,
+    _LN_EPS,
     _MAX_SAMPLES,
     TARGETS,
     CalibrationReport,
@@ -65,7 +66,6 @@ from .spikeops import (
 from .tensors import Matrix, stats
 
 _FFN_KINDS = ("standard", "gated")
-_LN_EPS = 1e-5  # matches the fitted inverse-root target 1/sqrt(x + 1e-5)
 
 
 @functools.cache

@@ -1,12 +1,8 @@
 """Spiking neuron kernels: temporal encoders that trade timesteps for precision.
 
-Four kernels are implemented. Each emits a SpikeMatrixTrain, the package's
+Three kernels are implemented. Each emits a SpikeMatrixTrain, the package's
 one train type: T steps of weighted spike values with matrix shape.
 
-fs_encode    few-step kernel with free per-step parameters. Membrane starts
-             at the input, fires whenever it reaches the step threshold,
-             subtracts the step reset, and each firing contributes the step
-             output weight to the decoded value.
 mt_encode    multi-level threshold encoder on a dyadic schedule. At step t
              the threshold is tau * 2^-t and a firing emits one of H signed
              grid levels, so magnitudes halve per step while each event
@@ -15,11 +11,15 @@ dual-range   outlier-aware wrapper: elements are routed by magnitude to one
              of two mt encoders, a fine one for the typical range and a
              coarse one for the rare large values, so outliers stop
              inflating everyone else's quantization step.
-gated bank   bank of fitted fs kernels. The input range is split into
-             sub-ranges; exactly one sub-kernel is active per element and
-             approximates an arbitrary scalar function on its sub-range.
-             A bank is its boundaries and its (T, N) step weights: every
-             sub-kernel runs the one dyadic schedule below.
+gated bank   bank of fitted few-spikes (FS) kernels. The input range is
+             split into sub-ranges; exactly one sub-kernel is active per
+             element and approximates an arbitrary scalar function on its
+             sub-range. A sub-kernel's membrane starts at its input, fires
+             at each step where it reaches the step threshold, subtracts
+             the step reset there, and each firing adds the step output
+             weight to the decoded value. A bank is its boundaries and its
+             (T, N) step weights: every sub-kernel runs the one dyadic
+             schedule below.
 
 The dyadic schedule of a sub-range [b, b + w) at T steps: step 0 is an
 always-on guard step, threshold g = w * 2^-(T+8) and reset 0, whose weight
@@ -33,9 +33,8 @@ above w). It holds while K < 2^51 and every rung is a normal float, so a
 bank refuses T above _MAX_GATE_STEPS and any sub-range whose guard, the
 smallest rung, is not a finite normal float (_gate_guards).
 
-fs_encode and mt_encode encode one scalar and serve as reference kernels;
-mt_encode runs the greedy step loop, _mt_loop, and fs_encode the few-step
-recurrence, _fs_bits. The dual-range encoder (one mt pass with a
+mt_encode encodes one scalar through the greedy step loop, _mt_loop, and
+serves as the reference kernel. The dual-range encoder (one mt pass with a
 per-element tau) and the gated bank run whole matrices through
 spikeops.encode_matrix and apply_hg.
 
@@ -347,41 +346,6 @@ def _sum_steps(values: np.ndarray) -> np.ndarray:
 def decode(s: SpikeMatrixTrain) -> Matrix:
     """Accumulated membrane view of a train: the per-element step sum."""
     return Matrix._wrap(_sum_steps(s.values))
-
-
-# ---------------------------------------------------------------------------
-# few-step kernel
-
-
-def _fs_bits(x: np.ndarray, theta, h) -> np.ndarray:
-    """Firing masks of the few-step recurrence on a 1-D batch, (T, n): the
-    membrane starts at x; step t fires where it is at or above theta[t] and
-    subtracts h[t] there."""
-    fired = np.empty((len(theta), np.size(x)), dtype=bool)
-    v = np.array(x, dtype=np.float64)
-    reset = np.empty_like(v)
-    for row, theta_t, h_t in zip(fired, theta, h):
-        np.greater_equal(v, theta_t, out=row)
-        v -= np.multiply(h_t, row, out=reset)
-    return fired
-
-
-def fs_encode(x: float, theta, h, d) -> SpikeMatrixTrain:
-    """Encode one scalar through a few-step kernel with the per-step
-    thresholds theta, resets h and output weights d.
-
-    The membrane starts at x; step t fires when it is at or above theta[t],
-    emits weight d[t], and subtracts reset h[t]. Inputs below every
-    threshold produce an all-silent train that decodes to zero. The train
-    has shape (steps, 1, 1).
-    """
-    if not np.isfinite(x):
-        raise NonFiniteError(f"fs_encode input must be finite, got {x}")
-    if not len(theta) == len(h) == len(d):
-        raise ShapeError(f"schedule lengths differ: theta={len(theta)} "
-                         f"h={len(h)} d={len(d)}")
-    fired = _fs_bits(np.array([x]), theta, h)[:, :, None]
-    return SpikeMatrixTrain(np.where(fired, np.reshape(d, (-1, 1, 1)), 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Blocks shared across test modules, converted once per session, and the
-gate oracles' dyadic schedule.
+gate oracles' dyadic schedule and few-step recurrence.
 
 No test mutates these blocks (a ConvertedBlock is frozen and its arrays are
 read-only), so one conversion of each serves every module.
@@ -19,6 +19,25 @@ def dyadic_schedule(w: float, T: int) -> tuple[tuple, tuple]:
     guard = w * 2.0 ** -(T + 8)
     rungs = tuple(w * 2.0**-t for t in range(1, T))
     return (guard,) + rungs, (0.0,) + rungs
+
+
+def fs_run_reference(x, theta, h, d):
+    """The few-step (FS) recurrence, one step at a time, on a 1-D batch: the
+    one FS recurrence in the tree, the oracle of every gate kernel. The
+    membrane starts at x; step t fires where it is at or above theta[t],
+    emits d[t] there and subtracts h[t]. Returns the (T, n) emitted values,
+    +0.0 where silent, and the (T, n) firing mask."""
+    x = np.asarray(x, dtype=np.float64)
+    T = len(theta)
+    values = np.zeros((T, x.size))
+    fired = np.zeros((T, x.size), dtype=bool)
+    v = x.copy()
+    for t in range(T):
+        fire = v >= theta[t]
+        fired[t] = fire
+        values[t] = np.where(fire, d[t], 0.0)
+        v = v - h[t] * fire
+    return values, fired
 
 
 def desk_block(dist: str, **fields) -> ConvertedBlock:

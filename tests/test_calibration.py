@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dyadic_schedule
+from conftest import dyadic_schedule, fs_run_reference
 from spikeconvert import calibration
 from spikeconvert.calibration import (
     TARGETS,
@@ -19,19 +19,17 @@ from spikeconvert.calibration import (
     _target_values,
     curvature_sample,
     fit_fs,
-    fit_hg,
     fit_target,
     gelu,
     hg_to_dict,
     observed_range,
     sample_distribution,
-    select_hierarchy,
     select_oat_thresholds,
     target_fn,
 )
 from spikeconvert.errors import CalibrationError
 from spikeconvert.model import ModelConfig, convert
-from spikeconvert.neurons import _MAX_GATE_STEPS, HGConfig, _fs_bits, _sum_steps, hg_eval
+from spikeconvert.neurons import _MAX_GATE_STEPS, HGConfig, _sum_steps, hg_eval
 from spikeconvert.tensors import Matrix, stats
 
 
@@ -76,46 +74,63 @@ class TestSelectOATThresholds:
             select_oat_thresholds(s, 0.99)
 
 
-class TestSelectHierarchy:
-    def test_n1_single_range(self):
-        b = select_hierarchy(np.array([0.2, 0.9, 0.4]), 1)
-        assert len(b) == 2
-        assert b[0] <= 0.2 and b[-1] >= 0.9
+def fitted_boundaries(monkeypatch, sample, N, lo, hi):
+    """fit_target's boundaries on [lo, hi] with sample in place of its
+    curvature sample, and the warnings it gave."""
+    monkeypatch.setattr(calibration, "curvature_sample",
+                        lambda *args: np.array(sample, dtype=np.float64))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        c, rep = fit_target("gelu", N, 8, 64, seed=0, lo=lo, hi=hi)
+    assert len(rep.per_subrange_max_abs_err) == c.d.shape[1]
+    return tuple(c.boundaries), [str(w.message) for w in caught]
 
-    def test_uniform_quartiles(self):
+
+class TestSelectHierarchy:
+    """fit_target's sub-range boundaries: the pinned ends around the k/N
+    quantiles of its curvature sample."""
+
+    def test_n1_single_range(self, monkeypatch):
+        b, _ = fitted_boundaries(monkeypatch, [0.2, 0.9, 0.4], 1, 0.2, 0.9)
+        assert b == (0.2, 0.9)
+
+    def test_uniform_quartiles(self, monkeypatch):
         rng = np.random.default_rng(4)
         sample = rng.uniform(0.0, 1.0, 100000)
-        b = select_hierarchy(sample, 4)
+        b, _ = fitted_boundaries(monkeypatch, sample, 4, 0.0, 1.0)
         want = (0.0, 0.25, 0.5, 0.75, 1.0)
         for got, w in zip(b, want):
             assert got == pytest.approx(w, abs=0.01)
 
-    def test_inner_boundaries_match_numpy_quantile(self):
+    def test_inner_boundaries_match_numpy_quantile(self, monkeypatch):
         rng = np.random.default_rng(5)
         sample = rng.standard_normal(5001)
-        b = select_hierarchy(sample, 4)
+        b, _ = fitted_boundaries(monkeypatch, sample, 4, sample.min(), sample.max())
         for k in (1, 2, 3):
             assert b[k] == pytest.approx(float(np.quantile(sample, k / 4)),
                                          abs=1e-9)
 
-    def test_heavy_tail_width_ordering(self):
+    def test_heavy_tail_width_ordering(self, monkeypatch):
         rng = np.random.default_rng(6)
         sample = rng.exponential(1.0, 40000)
-        b = select_hierarchy(sample, 4)
+        b, _ = fitted_boundaries(monkeypatch, sample, 4, 0.0, sample.max())
         widths = np.diff(b)
         assert widths[-1] > widths[0]
 
-    def test_pinned_endpoints(self):
-        b = select_hierarchy(np.linspace(0, 1, 100), 2, lo=-5.0, hi=5.0)
+    def test_pinned_endpoints(self, monkeypatch):
+        b, _ = fitted_boundaries(monkeypatch, np.linspace(0, 1, 100), 2, -5.0, 5.0)
         assert b[0] == -5.0 and b[-1] == 5.0
 
-    def test_duplicate_collapse_with_warning(self):
+    def test_duplicate_collapse_with_warning(self, monkeypatch):
         sample = np.array([1.0] * 50 + [2.0])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            b = select_hierarchy(sample, 8)
-        assert caught
-        assert all(b[i] < b[i + 1] for i in range(len(b) - 1))
+        b, caught = fitted_boundaries(monkeypatch, sample, 8, 0.0, 2.0)
+        assert caught == ["sample supports only 2 distinct sub-ranges, not 8"]
+        assert b == (0.0, 1.0, 2.0)
+
+    @pytest.mark.parametrize("N", [0, -3])
+    def test_no_sub_range_refused(self, N):
+        with pytest.raises(ValueError, match=f"need at least one sub-range, got N={N}"):
+            fit_target("gelu", N, 8, 64, seed=0)
 
 
 class TestSolver:
@@ -224,8 +239,9 @@ class TestFitFS:
         assert np.all((x >= 0.0) & (x <= 1e-300))
         c, rep = fit_target("exp", 1, 16, 64, seed=0, lo=0.0, hi=1e-300)
         assert c.boundaries.tolist() == [0.0, 1e-300] and rep.max_abs_err < 1e-14
-        with pytest.raises(ValueError, match=r"range \[0\.0, \d\.\d+e-301\] does not "
-                                             r"fit at T=16"):
+        with pytest.raises(ValueError, match=r"^fit of 'exp' failed on sub-range \[0\.0, "
+                                             r"\d\.\d+e-301\]: range \[0\.0, \d\.\d+e-301\] "
+                                             r"does not fit at T=16"):
             fit_target("exp", 4, 16, 64, seed=0, lo=0.0, hi=1e-300)
 
     @pytest.mark.parametrize("name, lo", [("reciprocal", -1.0), ("reciprocal", 0.0),
@@ -235,6 +251,12 @@ class TestFitFS:
         with pytest.raises(CalibrationError, match=f"domain floor {floor}"):
             fit_target(name, 2, 8, 64, seed=0, lo=lo, hi=1.0)
         fit_target(name, 2, 8, 64, seed=0, lo=floor, hi=1.0)  # the floor itself fits
+
+
+def recurrence_bits(u, w, T):
+    """The (T, n) firing bits, as 0.0/1.0, of the dyadic schedule of width w
+    at T steps, stepped through by the few-step recurrence."""
+    return fs_run_reference(u, *dyadic_schedule(w, T), np.ones(T))[0]
 
 
 def fit_fs_reference(target, lo, hi, T, M, seed):
@@ -248,8 +270,8 @@ def fit_fs_reference(target, lo, hi, T, M, seed):
     y_val = _target_values(target, x_val)
     theta, h = dyadic_schedule(w, T)
     guard = theta[0]
-    d = _solve_weights(_fs_bits(u_train + guard, theta, h).astype(np.float64).T, y_train)
-    weighted = _fs_bits(x_val - lo + guard, theta, h) * d[:, None]
+    d = _solve_weights(recurrence_bits(u_train + guard, w, T).T, y_train)
+    weighted = fs_run_reference(x_val - lo + guard, theta, h, d)[1] * d[:, None]
     err = float(np.abs(_sum_steps(weighted) - y_val).max())
     return HGConfig((lo, hi), d[:, None]), err
 
@@ -302,7 +324,7 @@ class TestDyadicDecode:
     def test_matches_step_sum(self, case):
         u, w, d = case
         theta, h = dyadic_schedule(w, d.size)
-        ref = _sum_steps(_fs_bits(u, theta, h) * d[:, None])
+        ref = _sum_steps(fs_run_reference(u, theta, h, d)[1] * d[:, None])
         # the same products and additions, so even signed zeros
         assert _dyadic_decode(u, w, d).tobytes() == ref.tobytes()
 
@@ -315,7 +337,7 @@ class TestDyadicDecode:
         # the fit's design matrix: 0.0/1.0 bits, step 0 always on
         u, w, d = case
         bits = _dyadic_bits(u, w, d.size)
-        ref = _fs_bits(u, *dyadic_schedule(w, d.size)).astype(np.float64)
+        ref = recurrence_bits(u, w, d.size)
         assert bits.tobytes() == ref.tobytes()
 
     def test_examples_reach_their_branches(self):
@@ -367,7 +389,7 @@ class TestOneScheduleFit:
             calls.append(args)
             return fit_fs_reference(*args)
 
-        # fit_hg calls fit_fs through the module, so this swaps every fit
+        # fit_target calls fit_fs through the module, so this swaps every fit
         monkeypatch.setattr(calibration, "fit_fs", reference)
         ref = convert(cfg, w, calib)
         assert len(calls) == sum(c.d.shape[1] for c in ref.hg.values())
@@ -376,9 +398,10 @@ class TestOneScheduleFit:
 
 
 class TestFitHG:
+    """A gated bank fitted through fit_target."""
+
     def test_n1_equals_plain_fit(self):
-        sample = np.linspace(-1.0, 1.5, 512)
-        c, rep = fit_hg("gelu", sample, 1, 10, 256, seed=5, lo=-1.0, hi=1.5)
+        c, rep = fit_target("gelu", 1, 10, 256, seed=5, lo=-1.0, hi=1.5)
         p, err = fit_fs(gelu, -1.0, 1.5, 10, 256, seed=5)
         assert c == p
         assert rep.max_abs_err == err
@@ -391,23 +414,18 @@ class TestFitHG:
         # one sub-range spans the whole validation grid, so the reported
         # error must be exactly what the bank decodes on it
         M = 256
-        c, rep = fit_hg(name, np.linspace(lo, hi, 512), 1, T, M, seed=seed,
-                        lo=lo, hi=hi)
+        c, rep = fit_target(name, 1, T, M, seed=seed, lo=lo, hi=hi)
         grid = np.linspace(lo, hi, 10 * M)
         runtime = np.abs(hg_eval(c, grid) - target_fn(name).fn(grid))
         assert rep.max_abs_err == float(runtime.max())
 
     def test_exp_refinement_beats_single_range(self):
-        rng = np.random.default_rng(10)
-        sample = curvature_sample(np.exp, -4.0, 2.0, 4096, rng)
-        _, rep4 = fit_hg("exp", sample, 4, 16, 512, seed=6, lo=-4.0, hi=2.0)
-        _, rep1 = fit_hg("exp", sample, 1, 16, 512, seed=6, lo=-4.0, hi=2.0)
+        _, rep4 = fit_target("exp", 4, 16, 512, seed=6, lo=-4.0, hi=2.0)
+        _, rep1 = fit_target("exp", 1, 16, 512, seed=6, lo=-4.0, hi=2.0)
         assert all(e < rep1.max_abs_err for e in rep4.per_subrange_max_abs_err)
 
     def test_invsqrt_positive_range_finite(self):
-        rng = np.random.default_rng(11)
-        sample = rng.uniform(0.0, 4.0, 2048)
-        c, rep = fit_hg("invsqrt", sample, 4, 16, 256, seed=7, lo=0.0, hi=4.0)
+        c, rep = fit_target("invsqrt", 4, 16, 256, seed=7, lo=0.0, hi=4.0)
         assert np.isfinite(rep.max_abs_err)
         assert all(np.isfinite(e) for e in rep.per_subrange_max_abs_err)
         ys = hg_eval(c, np.linspace(0.0, 4.0, 1000))

@@ -185,6 +185,25 @@ class TestCalibrate:
         assert f"{flag} must be within" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("levels", ["0", "-3"])
+    def test_levels_below_one_named(self, tmp_path, capsys, levels):
+        code = main(["calibrate", "--target", "exp", "--levels", levels,
+                     "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert f"--levels must be at least 1, got {levels}" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_collapsed_sub_range_count_printed(self, tmp_path, capsys):
+        # quantiles of a range this narrow coincide, so fewer sub-ranges are
+        # fitted than --levels asks for, and the summary counts those
+        out = tmp_path / "x.json"
+        with pytest.warns(UserWarning, match="distinct sub-ranges, not 8"):
+            code = main(["calibrate", "--target", "exp", "--levels", "8", "--samples",
+                         "64", "--range", "1", "1.000000000000001", "--out", str(out)])
+        assert code == 0
+        n = np.shape(json.loads(out.read_text())["hg"]["d"])[1]
+        assert n < 8 and f"with {n} sub-ranges:" in capsys.readouterr().out
+
     def test_range_below_target_floor_named(self, tmp_path, capsys):
         code = main(["calibrate", "--target", "reciprocal", "--range", "-1", "1",
                      "--out", str(tmp_path / "x.json")])
@@ -250,7 +269,7 @@ class TestCalibrate:
         # the curvature's finite difference squares to 0 here; the one range fits
         ("1", "0", "1e-300", 0, ""),
         # its four sub-ranges are too narrow for a normal guard step
-        ("4", "0", "1e-300", 2, "error: range [0.0, "),
+        ("4", "0", "1e-300", 2, "error: fit of 'exp' failed on sub-range [0.0, "),
         # the width overflows: the whole range is named before it is sampled
         ("1", "-1.7e308", "1.7e308", 2, "error: range [-1.7e+308, 1.7e+308] does not "
          "fit at T=16: its guard step (hi - lo) * 2^-(T+8) = inf must be a finite "

@@ -1,8 +1,8 @@
 """Neuron dynamics: hand-simulated schedules, round-trips, enumeration.
 
-The scalar reference kernels (fs_encode, mt_encode) are checked by hand;
-the matrix entry points (encode_matrix, apply_hg) are checked against them
-on generated inputs.
+The reference kernels, mt_encode and the tests' few-step recurrence
+(conftest.fs_run_reference), are checked by hand; the matrix entry points
+(encode_matrix, apply_hg) are checked against them on generated inputs.
 """
 import dataclasses
 import re
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dyadic_schedule
+from conftest import dyadic_schedule, fs_run_reference
 from spikeconvert import neurons
 from spikeconvert.errors import NonFiniteError, ShapeError
 from spikeconvert.neurons import (
@@ -22,7 +22,6 @@ from spikeconvert.neurons import (
     OATConfig,
     SpikeMatrixTrain,
     _check_steps,
-    _fs_bits,
     _hg_run,
     _mt_chunk,
     _mt_loop,
@@ -30,7 +29,6 @@ from spikeconvert.neurons import (
     _mt_table,
     _sum_steps,
     decode,
-    fs_encode,
     hg_eval,
     mt_encode,
 )
@@ -90,47 +88,42 @@ class TestSpikeTrain:
 
 
 class TestFSNeuron:
+    """The few-step oracle, fs_run_reference, by hand; and a fitted few-step
+    kernel as a bank of one sub-range."""
+
     P2 = ((0.5, 0.25), (0.5, 0.25), (0.5, 0.25))  # theta, h, d
 
     def test_hand_example_two_spikes(self):
         # v=0.75 >= 0.5 fire (emit 0.5, v -> 0.25); 0.25 >= 0.25 fire again
-        t = fs_encode(0.75, *self.P2)
-        assert t.events[:, 0, 0].tolist() == [True, True]
-        assert dec1(t) == 0.75
+        values, fired = fs_run_reference([0.75], *self.P2)
+        assert fired[:, 0].tolist() == [True, True]
+        assert _sum_steps(values)[0] == 0.75
 
     def test_zero_input_silent(self):
-        t = fs_encode(0.0, *self.P2)
-        assert not t.events.any()
-        assert dec1(t) == 0.0
+        values, fired = fs_run_reference([0.0], *self.P2)
+        assert not fired.any()
+        assert _sum_steps(values)[0] == 0.0
 
     def test_negative_input_silent(self):
-        t = fs_encode(-1.0, *self.P2)
-        assert not t.events.any()
+        _, fired = fs_run_reference([-1.0], *self.P2)
+        assert not fired.any()
 
     def test_fires_at_exact_threshold(self):
-        t = fs_encode(0.5, *self.P2)
-        assert t.events[0, 0, 0]
-        assert dec1(t) == 0.5
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(NonFiniteError):
-            fs_encode(float("nan"), *self.P2)
+        values, fired = fs_run_reference([0.5], *self.P2)
+        assert fired[0, 0]
+        assert _sum_steps(values)[0] == 0.5
 
     def test_subset_sum_round_trip_exact(self):
         # every subset sum of a dyadic {d(t)} is reproduced exactly
         T = 10
         d = tuple(2.0 ** -(t + 1) for t in range(T))
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            mask = rng.random(T) < 0.5
-            x = float(np.sum(np.array(d)[mask]))
-            assert dec1(fs_encode(x, d, d, d)) == x
+        masks = np.random.default_rng(11).random((200, T)) < 0.5
+        xs = np.where(masks, d, 0.0).sum(axis=1)
+        values, _ = fs_run_reference(xs, d, d, d)
+        assert np.array_equal(_sum_steps(values), xs)
 
-    # A fitted few-step kernel is a bank of one sub-range: HGConfig's
-    # whole-array checks refuse bad weights, naming their entry.
+    # HGConfig's whole-array checks refuse bad weights, naming their entry.
     def test_param_length_mismatch_rejected(self):
-        with pytest.raises(ShapeError, match="theta=1 h=2 d=2"):
-            fs_encode(0.5, (0.5,), (0.5, 0.25), (0.5, 0.25))
         with pytest.raises(ShapeError, match=r"2 sub-kernels need 3 boundaries, "
                                              r"got shape \(2,\)"):
             HGConfig((0.0, 1.0), [[0.5, 0.25]])
@@ -168,12 +161,12 @@ class TestMTNeuron:
         T = 12
         cfg = MTConfig(1.0, 1, T)
         sched = tuple(2.0 ** -(t + 1) for t in range(T))
-        rng = np.random.default_rng(23)
-        for x in rng.uniform(-2.0, 2.0, 1000):
+        xs = np.random.default_rng(23).uniform(-2.0, 2.0, 1000)
+        fs_values, fs_fired = fs_run_reference(np.abs(xs), sched, sched, sched)
+        for j, x in enumerate(xs):
             mt = mt_encode(float(x), cfg)
-            fs = fs_encode(abs(float(x)), sched, sched, sched)
-            assert np.array_equal(mt.values, np.sign(x) * fs.values)
-            assert np.array_equal(mt.events, fs.events)
+            assert np.array_equal(mt.values[:, 0, 0], np.sign(x) * fs_values[:, j])
+            assert np.array_equal(mt.events[:, 0, 0], fs_fired[:, j])
 
     def test_round_trip_idempotent(self):
         # whatever the encoder produces is itself exactly representable
@@ -574,8 +567,8 @@ class TestScheduleResizing:
     def test_pad_never_fires(self):
         q = truncate_schedule((0.5,), (0.5,), (0.5,), 3)
         assert q == ((0.5, 1e300, 1e300), (0.5, 0.0, 0.0), (0.5, 0.0, 0.0))
-        t = fs_encode(0.75, *q)
-        assert not t.events[1:, 0].any()
+        _, fired = fs_run_reference([0.75], *q)
+        assert not fired[1:].any()
 
     @pytest.mark.parametrize("T", [0, -1])
     def test_step_count_below_one_named(self, T):
@@ -649,21 +642,6 @@ class TestMatrixEntryPoints:
             assert got[i, j] == dec1(ref)
 
 
-def fs_run_reference(x, theta, h, d):
-    """The per-step few-step loop, kept as the oracle of _fs_bits."""
-    x = np.asarray(x, dtype=np.float64)
-    T = len(theta)
-    values = np.zeros((T, x.size))
-    fired = np.zeros((T, x.size), dtype=bool)
-    v = x.copy()
-    for t in range(T):
-        fire = v >= theta[t]
-        fired[t] = fire
-        values[t] = np.where(fire, d[t], 0.0)
-        v = v - h[t] * fire
-    return values, fired
-
-
 def fs_decode_reference(x, theta, h, d):
     """The few-step recurrence with each step's weighted bits added as the
     step fires, in step order: the streamed decode that validated gate fits
@@ -702,10 +680,10 @@ def schedules_with_edge_inputs(draw):
 def hg_run_reference(flat, c, T):
     """The per-sub-kernel loop that _hg_run replaced, kept as its oracle.
 
-    Each sub-range runs its own few-step kernel (fs_run_reference, the
-    per-step oracle of _fs_bits) on the elements routed to it, through its
-    dyadic schedule resized to T steps (hg_at_steps); step 0 is the guard
-    step, whose threshold seeds the membrane.
+    Each sub-range runs its own few-step kernel (fs_run_reference) on the
+    elements routed to it, through its dyadic schedule resized to T steps
+    (hg_at_steps); step 0 is the guard step, whose threshold seeds the
+    membrane.
     """
     bs = np.asarray(c.boundaries)
     lo, hi = bs[0], bs[-1]
@@ -765,16 +743,6 @@ class TestGateBank:
 
 class TestFSRecurrence:
     @settings(max_examples=300, deadline=None)
-    @given(case=schedules_with_edge_inputs())
-    def test_matches_per_step_reference(self, case):
-        p, xs = case
-        ref_values, ref_fired = fs_run_reference(xs, *p)
-        assert np.array_equal(_fs_bits(xs, *p[:2]), ref_fired)
-        for j, x in enumerate(xs):
-            train = fs_encode(float(x), *p)
-            assert train.values[:, 0, 0].tobytes() == ref_values[:, j].tobytes()
-
-    @settings(max_examples=300, deadline=None)
     @given(case=schedules_with_edge_inputs(), silent=st.sets(st.integers(0, 7)))
     @example(case=(((0.5,), (0.5,), (-1.5,)), np.array([0.0, 0.5, 2.0])),
              silent=set())
@@ -786,7 +754,7 @@ class TestFSRecurrence:
         (theta, h, d), xs = case
         theta = tuple(1e300 if t in silent else v for t, v in enumerate(theta))
         d = np.array(d)
-        ref = _sum_steps(_fs_bits(xs, theta, h) * d[:, None])
+        ref = _sum_steps(fs_run_reference(xs, theta, h, d)[1] * d[:, None])
         got = fs_decode_reference(xs, theta, h, d)
         assert np.array_equal(got, ref)
         assert got.tobytes() == ref.tobytes()  # the same additions, so even signed zeros

@@ -8,7 +8,6 @@ import importlib.util
 import pathlib
 import sys
 
-import numpy as np
 import pytest
 
 from spikeconvert import calibration
@@ -43,7 +42,7 @@ def test_every_probe_resolves_and_is_restored(layertrace):
 
 def test_fit_fs_is_a_module_level_callable(monkeypatch):
     # perfbench/run.py scales convert by ticking its clock at calibration.fit_fs,
-    # which fit_hg must look up through the module for every fit
+    # which fit_target must look up through the module for every sub-range
     assert callable(calibration.fit_fs)
     assert calibration.fit_fs.__module__ == calibration.__name__
     fit_fs, calls = calibration.fit_fs, []
@@ -53,5 +52,5 @@ def test_fit_fs_is_a_module_level_callable(monkeypatch):
         return fit_fs(*args)
 
     monkeypatch.setattr(calibration, "fit_fs", ticked)
-    calibration.fit_hg("gelu", np.linspace(-1.0, 1.0, 64), 3, 4, 64, seed=0)
+    calibration.fit_target("gelu", 3, 4, 64, seed=0, lo=-1.0, hi=1.0)
     assert len(calls) == 3

@@ -25,10 +25,21 @@ own products and additions, so it matches the recurrence bit for bit
 (_dyadic_decode). The fit refuses the parameters the bank refuses, more
 than _MAX_GATE_STEPS steps or a sub-range whose guard step is not a finite
 normal float, and more than _MAX_SAMPLES training samples.
+
+A fit allocates no array of the grid's size: it works in a set of arrays
+(_FitWork) that its thread keeps for the next fit at the same M and T,
+unless they take more than _KEEP_WORK_BYTES. They hold the training
+sample, one block of the validation grid at a time, the design matrix and
+then the decode's table. The targets of TARGETS write their values into
+them in place (out=). So convert, which makes every fit at one M and T,
+maps these pages once, not once per fit. The arrays are per thread, so
+fits may run in threads at once; a target must not itself call fit_fs,
+and no bank or error a fit returns shares their memory.
 """
 from __future__ import annotations
 
 import numbers
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -53,33 +64,60 @@ _RANGE_PAD = 0.1
 # The most training samples M a fit takes: its validation grid holds 10 * M
 # float64 values, 80 MiB at this ceiling.
 _MAX_SAMPLES = 2**20
+# A fit decodes its validation grid in this many blocks: fewer keep more
+# memory, more make more numpy calls. At M = 4096 on a 2-vCPU Xeon, 2 to 4
+# blocks fitted equally fast and 10 blocks 17 % slower.
+_VAL_BLOCKS = 4
+# The most bytes of work arrays a thread keeps from one fit to the next
+# (a fit at M = 4096, T = 16 takes 0.9 MiB); larger ones are made per fit.
+_KEEP_WORK_BYTES = 2**24
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
+def _out(x: np.ndarray, out: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    # a target's input as float64, and the array its values go to
     x = np.asarray(x, dtype=np.float64)
-    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x))))
+    return x, np.empty_like(x) if out is None else out
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    x, y = _out(x, out)
+    np.multiply(x, x, out=y)
+    y *= x
+    y *= 0.044715
+    y += x
+    y *= np.sqrt(2.0 / np.pi)
+    np.tanh(y, out=y)
+    y += 1.0
+    # x * (0.5 * t) is (0.5 * x) * t, t = 1 + tanh(...): 0.5 * t is exact, t
+    # being 0 or at least 2^-53, and 0.5 * x is exact unless |x| < 2^-1021,
+    # where t is 1
+    y *= 0.5
+    y *= x
+    return y
 
 
-def silu(x: np.ndarray) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64) * _sigmoid(x)
+def silu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x * sigmoid(x), the sigmoid as 1 / (1 + e) where x >= 0 and as
+    e / (1 + e) elsewhere, e = exp(-|x|), so that e never overflows."""
+    x, y = _out(x, out)
+    np.abs(x, out=y)
+    np.negative(y, out=y)
+    np.exp(y, out=y)
+    one_plus = y + 1.0
+    y /= one_plus
+    np.divide(1.0, one_plus, out=y, where=x >= 0.0)
+    y *= x
+    return y
 
 
-def _reciprocal(x: np.ndarray) -> np.ndarray:
-    return 1.0 / np.asarray(x, dtype=np.float64)
+def _reciprocal(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    x, y = _out(x, out)
+    return np.divide(1.0, x, out=y)
 
 
-def _square(x: np.ndarray) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64) ** 2
+def _square(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    x, y = _out(x, out)
+    return np.multiply(x, x, out=y)
 
 
 # The LayerNorm epsilon: the float LayerNorm (model) divides by
@@ -87,8 +125,11 @@ def _square(x: np.ndarray) -> np.ndarray:
 _LN_EPS = 1e-5
 
 
-def _invsqrt(x: np.ndarray) -> np.ndarray:
-    return 1.0 / np.sqrt(np.asarray(x, dtype=np.float64) + _LN_EPS)
+def _invsqrt(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    x, y = _out(x, out)
+    np.add(x, _LN_EPS, out=y)
+    np.sqrt(y, out=y)
+    return np.divide(1.0, y, out=y)
 
 
 @dataclass(frozen=True)
@@ -109,6 +150,9 @@ TARGETS: dict[str, Target] = {
     "square": Target(_square, -5.0, 5.0, None),
     "invsqrt": Target(_invsqrt, 0.0, 4.0, 0.0),
 }
+# the target functions that take out= and write their values there, by
+# identity, as any callable may be a target, hashable or not
+_IN_PLACE = frozenset(id(spec.fn) for spec in TARGETS.values())
 
 
 def target_fn(name: str) -> Target:
@@ -223,44 +267,65 @@ def observed_range(
 # kernel fitting
 
 
-def _dyadic_bits(u: np.ndarray, w: float, T: int) -> np.ndarray:
+def _dyadic_bits(u: np.ndarray, w: float, T: int, out: tuple | None = None) -> np.ndarray:
     """The (T, n) firing bits, as 0.0/1.0, of the dyadic schedule of width w
     on inputs guard <= u <= fl(w + guard): the always-on step's bit on top
-    of the rungs' digits of K = floor(u / q) (_dyadic_digits)."""
-    bits = np.ones((T, u.size))
-    bits[1:] = _rung_bits(_dyadic_digits(u, w * 2.0 ** (1 - T), T), T)
+    of the rungs' digits of K = floor(u / q) (_dyadic_digits). out, if
+    given, is (bits, K, r): a (T, n) float64 array the bits are written to,
+    and the pair _dyadic_digits writes to."""
+    bits, digits = (np.empty((T, u.size)), None) if out is None else (out[0], out[1:])
+    bits[0] = 1.0
+    bits[1:] = _rung_bits(_dyadic_digits(u, w * 2.0 ** (1 - T), T, out=digits), T)
     return bits
 
 
-def _dyadic_decode(u: np.ndarray, w: float, d: np.ndarray) -> np.ndarray:
+def _step_sums(d: np.ndarray, P: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The 2^P in-order partial sums d[0] + b_1 d[1] + ... + b_P d[P] over
+    the first P rungs' bits: entry j's bits are j's P binary digits, rung
+    1's the top one. out, if given, is the array of 2^P entries they are
+    built in.
+
+    Built with the recurrence's own products (d[t] * 0.0 for a silent step)
+    and its left-to-right additions, so signed zeros come out as the
+    recurrence's.
+    """
+    sums = np.empty(2**P) if out is None else out
+    sums[0] = d[0] * 1.0
+    for t in range(1, P + 1):
+        # the sums over rungs 1..t-1 sit at entries j * 2^(P-t+1); each is
+        # extended by rung t's bit 1 at 2^(P-t) past it, then by bit 0 in place
+        levels = sums.reshape(2 ** (t - 1), 2, 2 ** (P - t))
+        np.add(levels[:, 0, 0], d[t] * 1.0, out=levels[:, 1, 0])
+        levels[:, 0, 0] += d[t] * 0.0
+    return sums
+
+
+def _dyadic_decode(u: np.ndarray, w: float, d: np.ndarray,
+                   sums: np.ndarray | None = None, out: tuple | None = None) -> np.ndarray:
     """The dyadic schedule of width w decoded with step weights d on inputs
     guard <= u <= fl(w + guard): bit for bit the in-order step sum of the
     recurrence's weighted firing bits, read off the digits of
     K = floor(u / q) (_dyadic_digits).
 
-    The decode is gathered from a table of the in-order partial sums
-    d[0] + b_1 d[1] + ... + b_P d[P] over the first P rungs' bits. The table
-    is built with the recurrence's own products (d[t] * 0.0 for a silent
-    step) and its left-to-right additions, so signed zeros come out as the
-    recurrence's. It has at most u.size entries; any rungs past P are added
-    one at a time, in order, from K's digits.
+    The decode is gathered from sums, the table _step_sums(d, P) of the
+    first P rungs (by default P = T - 1, or less so that the table has at
+    most u.size entries), and any rungs past P are added one at a time, in
+    order, from K's digits. out, if given, is a pair of arrays shaped like
+    u, float64 and int64: the decode is written to the first, and K to the
+    second.
     """
     T = d.size
-    K = _dyadic_digits(u, w * 2.0 ** (1 - T), T)
-    P = min(T - 1, u.size.bit_length() - 1)
-    # two buffers in turn: entry 2j + b of the next level extends prefix j
-    # with step t's bit b
-    sums, longer = np.empty(2**P), np.empty(2**P)
-    sums[0] = d[0] * 1.0
-    for t in range(1, P + 1):
-        n = 2 ** (t - 1)
-        np.add(sums[:n], d[t] * 0.0, out=longer[0:2 * n:2])
-        np.add(sums[:n], d[t] * 1.0, out=longer[1:2 * n:2])
-        sums, longer = longer, sums
-    out = sums.take(K if P == T - 1 else K >> (T - 1 - P))
+    if sums is None:
+        sums = _step_sums(d, min(T - 1, u.size.bit_length() - 1))
+    P = sums.size.bit_length() - 1
+    dec, K = (None, None) if out is None else out
+    # the quotient u / q goes to the decode's array, which the gather overwrites
+    K = _dyadic_digits(u, w * 2.0 ** (1 - T), T, out=None if out is None else (K, dec))
+    # every index is within the table, so "clip" only spares a buffered copy
+    dec = np.take(sums, K if P == T - 1 else K >> (T - 1 - P), out=dec, mode="clip")
     for t in range(P + 1, T):
-        out += ((K >> (T - 1 - t)) & 1) * d[t]
-    return out
+        dec += ((K >> (T - 1 - t)) & 1) * d[t]
+    return dec
 
 
 def _solve_weights(B: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -279,13 +344,59 @@ def _solve_weights(B: np.ndarray, y: np.ndarray) -> np.ndarray:
     return d
 
 
-def _target_values(target: Callable, x: np.ndarray) -> np.ndarray:
+def _target_values(target: Callable, x: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """target(x) as float64, refused where it is not finite. out, if given,
+    is the array the values go to: a target of TARGETS writes them there in
+    place, any other callable's are copied there."""
     with np.errstate(all="ignore"):
-        y = np.asarray(target(x), dtype=np.float64)
-    if not np.all(np.isfinite(y)):
+        if out is None:
+            y = np.asarray(target(x), dtype=np.float64)
+        elif id(target) in _IN_PLACE:
+            y = target(x, out=out)
+        else:
+            y = out
+            y[...] = target(x)
+    if not np.isfinite(y).all():
         bad = float(x[~np.isfinite(y)][0])
         raise CalibrationError(f"target produced a non-finite value at x={bad}")
     return y
+
+
+class _FitWork:
+    """The arrays fit_fs works in at M training samples and T steps.
+
+    Four float64 arrays and one int64 array of L = 10 M / _VAL_BLOCKS
+    entries (at least M + 2) hold the training sample and then, in turn,
+    each block of the validation grid. bits holds the (T, M + 2) design
+    matrix and, once the weights are solved, the decode's table of partial
+    sums over the P rungs _dyadic_decode would take on the whole grid:
+    2^P <= min(2^(T-1), 10 M) entries, never more than T (M + 2) for M >= 64.
+    """
+
+    def __init__(self, M: int, T: int) -> None:
+        L = -(-10 * M // _VAL_BLOCKS)
+        self.key = (M, T)
+        self.index = np.arange(L, dtype=np.float64)
+        self.u, self.x, self.y = np.empty(L), np.empty(L), np.empty(L)
+        self.K = np.empty(L, dtype=np.int64)
+        self.bits = np.empty((T, M + 2))
+        self.P = min(T - 1, (10 * M).bit_length() - 1)
+        self.nbytes = 5 * self.u.nbytes + self.bits.nbytes
+
+
+_FIT_WORK = threading.local()
+
+
+def _fit_work(M: int, T: int) -> _FitWork:
+    """This thread's work arrays for fits at (M, T), kept for the next fit
+    unless they take more than _KEEP_WORK_BYTES."""
+    work = getattr(_FIT_WORK, "work", None)
+    if work is None or work.key != (M, T):
+        work = _FitWork(M, T)
+        if work.nbytes <= _KEEP_WORK_BYTES:
+            _FIT_WORK.work = work
+    return work
 
 
 def fit_fs(
@@ -310,6 +421,9 @@ def fit_fs(
     bank makes. M above _MAX_SAMPLES and what the bank refuses (T above
     _MAX_GATE_STEPS, a range whose guard step is not a finite normal float)
     are refused.
+
+    The fit works in its thread's _FitWork, so a target must not fit in
+    turn; nothing it returns shares memory with those arrays.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -318,24 +432,42 @@ def fit_fs(
                          f"got M={M}")
     guard = float(_gate_guards(np.array([lo, hi]), T)[0])
     w = hi - lo
+    work = _fit_work(M, T)
+    n = M + 2
+    u, x, y, K = work.u, work.x, work.y, work.K
     rng = np.random.default_rng(seed)
-    u_train = np.concatenate([rng.uniform(0.0, w, M), [0.0, w]])
-    y_train = _target_values(target, u_train + lo)
-    x_val = np.linspace(lo, hi, 10 * M)
-    y_val = _target_values(target, x_val)
+    # rng.uniform(0.0, w, M) in place: it draws 0.0 + w * r for each r of
+    # rng.random(), the same floats
+    rng.random(out=u[:M])
+    u[:M] *= w
+    u[M:n] = 0.0, w
+    np.add(u[:n], lo, out=x[:n])
+    _target_values(target, x[:n], out=y[:n])
+    np.add(u[:n], guard, out=x[:n])
+    d = _solve_weights(_dyadic_bits(x[:n], w, T, out=(work.bits, K[:n], u[:n])).T, y[:n])
 
-    d = _solve_weights(_dyadic_bits(u_train + guard, w, T).T, y_train)
-    # the bank's own input mapping and in-order decode (a BLAS d @ bits would
-    # reorder the sum), so err is the error the bank makes at run time. In
-    # place, and x_val dropped: each grid-sized array alive at once costs its
-    # page faults on every fit.
-    u_val = x_val - lo
-    del x_val
-    u_val += guard
-    dev = _dyadic_decode(u_val, w, d)
-    dev -= y_val
-    err = float(np.abs(dev, out=dev).max())
-    return HGConfig((lo, hi), d[:, None]), err
+    # the validation grid np.linspace(lo, hi, 10 * M), by its own arithmetic,
+    # a block at a time, decoded as the bank decodes at run time (a BLAS
+    # d @ bits would reorder the sum), so err is the error the bank makes
+    sums = _step_sums(d, work.P, out=work.bits.reshape(-1)[:2**work.P])
+    n_val = 10 * M
+    step = w / (n_val - 1)
+    err = np.float64(0.0)
+    for start in range(0, n_val, u.size):
+        m = min(u.size, n_val - start)
+        xb, yb, ub = x[:m], y[:m], u[:m]
+        np.add(work.index[:m], start, out=xb)
+        xb *= step
+        xb += lo
+        if start + m == n_val:
+            xb[-1] = hi
+        _target_values(target, xb, out=yb)
+        np.subtract(xb, lo, out=ub)
+        ub += guard
+        dev = _dyadic_decode(ub, w, d, sums, out=(xb, K[:m]))
+        dev -= yb
+        err = np.maximum(err, np.abs(dev, out=dev).max())
+    return HGConfig((lo, hi), d[:, None]), float(err)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 Exit codes are a stable contract: 0 on success, 2 for usage or input
 problems (unknown targets, unreadable or malformed files, bad shapes), 3
-when the spike path itself produces a non-finite value. Reports carry no
+when the spike path itself produces a non-finite value. A warning the
+library gives on the way is printed as one `warning: <message>` line on
+stderr and leaves the exit code as it is. Reports carry no
 timestamps and are byte-identical across reruns with the same flags and
 seeds. The LAS_SEED environment variable overrides every seed in play.
 """
@@ -13,6 +15,7 @@ import functools
 import os
 import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -295,6 +298,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    # one line that names the cause, like an error, not the warning's source line
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -302,7 +310,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.fn(args)
     except SpikePathError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

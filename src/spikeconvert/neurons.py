@@ -469,7 +469,7 @@ def mt_encode(x: float, c: MTConfig) -> SpikeMatrixTrain:
 # gated bank of fitted kernels
 
 
-def _dyadic_digits(u: np.ndarray, q, T: int) -> np.ndarray:
+def _dyadic_digits(u: np.ndarray, q, T: int, out: tuple | None = None) -> np.ndarray:
     """K = floor(u / q) as int64, floored as a real quotient and capped at
     2^(T-1) - 1: bit T-1-t of K is the firing bit of rung t of the dyadic
     schedule with finest rung q (a scalar, or one per element of u) on
@@ -477,12 +477,15 @@ def _dyadic_digits(u: np.ndarray, q, T: int) -> np.ndarray:
 
     The rounded u / q floors to K except where it rounds onto an integer;
     there np.floor_divide recomputes K exactly, which holds while
-    K < 2^51 (_MAX_GATE_STEPS).
+    K < 2^51 (_MAX_GATE_STEPS). out, if given, is a pair of arrays shaped
+    like u, int64 and float64, that K and the rounded u / q are written to.
     """
-    r = u / q
-    K = r.astype(np.int64)  # the floor, as r >= 0
+    K, r = (np.empty(u.shape, dtype=np.int64), None) if out is None else out
+    r = np.divide(u, q, out=r)
+    np.copyto(K, r, casting="unsafe")  # the floor, as r >= 0
     edge = np.flatnonzero(K == r)
-    K[edge] = np.floor_divide(u[edge], np.broadcast_to(q, u.shape)[edge])
+    if edge.size:
+        K[edge] = np.floor_divide(u[edge], np.broadcast_to(q, u.shape)[edge])
     np.minimum(K, 2 ** (T - 1) - 1, out=K)
     return K
 

@@ -1,4 +1,7 @@
 """Threshold selection and kernel fitting against quantile/LSQ oracles."""
+import sys
+import threading
+import tracemalloc
 import warnings
 
 import hypothesis.extra.numpy as hnp
@@ -395,6 +398,136 @@ class TestOneScheduleFit:
         assert len(calls) == sum(c.d.shape[1] for c in ref.hg.values())
         assert block.hg == ref.hg
         assert block.reports == ref.reports
+
+
+def textbook_targets():
+    """Each target of TARGETS as a plain numpy expression: the oracle of its
+    in-place form."""
+    def sigmoid(x):
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    c = np.sqrt(2.0 / np.pi)
+    return {
+        "gelu": lambda x: 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * (x * x * x)))),
+        "silu": lambda x: x * sigmoid(x),
+        "exp": np.exp,
+        "reciprocal": lambda x: 1.0 / x,
+        "square": lambda x: x**2,
+        "invsqrt": lambda x: 1.0 / np.sqrt(x + 1e-5),
+    }
+
+
+# both silu branches, signed zeros, the smallest subnormals, the edge below
+# which 0.5 * x rounds, the largest finite floats, and where exp overflows
+_TARGET_EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 3 * 2.0**-1023, -3 * 2.0**-1023,
+                          2.0**-1021, -(2.0**-1021), 1e-300, -1e-300, 1e200, -1e200,
+                          1.7e308, -1.7e308, 709.0, 710.0, -745.0, -746.0, 1.0, -1.0])
+
+
+def target_inputs():
+    rng = np.random.default_rng(12)
+    scattered = np.ldexp(rng.uniform(-1.0, 1.0, 4000), rng.integers(-1074, 1024, 4000))
+    return np.concatenate([_TARGET_EDGES, rng.uniform(-30.0, 30.0, 4000), scattered])
+
+
+class TestFitWork:
+    """fit_fs's reused work arrays and the targets' in-place forms."""
+
+    @pytest.mark.parametrize("name", sorted(TARGETS))
+    def test_in_place_target_equals_plain_call(self, name):
+        x = target_inputs()
+        fn = TARGETS[name].fn
+        with np.errstate(all="ignore"):
+            want = textbook_targets()[name](x)
+            plain = fn(x)
+            out = np.full_like(x, np.nan)
+            got = fn(x, out=out)
+        assert got is out
+        assert plain.tobytes() == want.tobytes()
+        assert out.tobytes() == want.tobytes()
+        assert x.tobytes() == target_inputs().tobytes()  # the input is left alone
+
+    @pytest.mark.parametrize("name", sorted(TARGETS))
+    def test_warm_fit_allocates_no_grid_sized_array(self, name):
+        # a fit that makes its grid, the grid's decode and the (T, M + 2)
+        # design matrix anew each time peaks at 1858 KiB here for gelu
+        spec = TARGETS[name]
+        lo = 0.5 if spec.floor is not None else spec.lo
+        fit_fs(spec.fn, lo, spec.hi, 16, 4096, 0)
+        tracemalloc.start()
+        try:
+            fit_fs(spec.fn, lo, spec.hi, 16, 4096, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
+
+    def test_interleaved_shapes_match_reference(self):
+        for M, T in ((64, 4), (4096, 16), (64, 25), (4096, 16)):
+            case = (gelu, -1.5, 2.5, T, M, M + T)
+            assert fit_fs(*case) == fit_fs_reference(*case)
+
+    def test_unkept_work_arrays_fit_the_same(self, monkeypatch):
+        case = (np.exp, -1.0, 0.5, 12, 256, 3)
+        monkeypatch.setattr(calibration, "_KEEP_WORK_BYTES", 0)
+        assert fit_fs(*case) == fit_fs_reference(*case)
+
+    def test_returned_bank_shares_no_memory(self):
+        a, err_a = fit_fs(gelu, -1.0, 1.0, 16, 4096, 0)
+        d_a = a.d.tobytes()
+        b, _ = fit_fs(np.exp, -3.0, 0.0, 16, 4096, 1)
+        assert a.d.tobytes() == d_a and a != b
+        assert fit_fs(gelu, -1.0, 1.0, 16, 4096, 0) == (a, err_a)
+
+    @pytest.mark.parametrize("k", [0, 300, 500, 639])
+    def test_refusal_on_the_grid_names_x(self, k):
+        # a value only grid point k takes, in the first, a middle or the last
+        # block, is named as the grid's, not as a block's
+        x_k = float(np.linspace(-1.0, 1.0, 640)[k])
+
+        def hole(x):
+            return np.where(x == x_k, np.nan, x)
+
+        with pytest.raises(CalibrationError, match=f"non-finite value at x={x_k}$"):
+            fit_fs(hole, -1.0, 1.0, 8, 64, seed=0)
+
+    def test_in_place_refusal_names_x(self):
+        with pytest.raises(CalibrationError, match=r"at x=(-\S+)$") as info:
+            fit_fs(TARGETS["invsqrt"].fn, -1.0, 1.0, 8, 64, seed=0)
+        x = float(info.value.args[0].rsplit("=", 1)[1])
+        with np.errstate(invalid="ignore"):
+            assert not np.isfinite(TARGETS["invsqrt"].fn(np.array([x])))[0]
+
+    def test_threads_fit_as_one_thread_does(self):
+        # one (M, T), so that shared work arrays would be written by all four
+        cases = [(TARGETS[name].fn, lo, lo + 1.5, 12, 256, seed)
+                 for seed, (name, lo) in enumerate([
+                     ("gelu", -2.0), ("silu", -1.0), ("exp", -3.0), ("square", 0.5)])]
+        want = [fit_fs(*case) for case in cases]
+        got = [None] * len(cases)
+
+        def fit(i):
+            for _ in range(20):
+                got[i] = fit_fs(*cases[i])
+                assert got[i] == want[i]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fit, args=(i,)) for i in range(len(cases))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want
 
 
 class TestFitHG:

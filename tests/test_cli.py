@@ -197,12 +197,14 @@ class TestCalibrate:
         # quantiles of a range this narrow coincide, so fewer sub-ranges are
         # fitted than --levels asks for, and the summary counts those
         out = tmp_path / "x.json"
-        with pytest.warns(UserWarning, match="distinct sub-ranges, not 8"):
-            code = main(["calibrate", "--target", "exp", "--levels", "8", "--samples",
-                         "64", "--range", "1", "1.000000000000001", "--out", str(out)])
+        code = main(["calibrate", "--target", "exp", "--levels", "8", "--samples",
+                     "64", "--range", "1", "1.000000000000001", "--out", str(out)])
         assert code == 0
         n = np.shape(json.loads(out.read_text())["hg"]["d"])[1]
-        assert n < 8 and f"with {n} sub-ranges:" in capsys.readouterr().out
+        printed = capsys.readouterr()
+        assert n < 8 and f"with {n} sub-ranges:" in printed.out
+        # the warning is one line naming the cause, not Python's warning format
+        assert printed.err == f"warning: sample supports only {n} distinct sub-ranges, not 8\n"
 
     def test_range_below_target_floor_named(self, tmp_path, capsys):
         code = main(["calibrate", "--target", "reciprocal", "--range", "-1", "1",
@@ -297,6 +299,20 @@ class TestConvert:
         out = capsys.readouterr().out
         assert "converted 1-layer block" in out
         assert "10 encoder sites" in out and "5 gate sites" in out
+
+    def test_degenerate_sample_warning_is_one_line(self, work, tmp_path, capsys):
+        # all-zero weights leave an encoder site's activations all zero, so
+        # select_oat_thresholds nudges its outlier threshold apart
+        ws = load_weights(str(work / "weights.lasw"))
+        zeros = tmp_path / "zeros.lasw"
+        save_weights(WeightSet({k: Matrix(np.zeros_like(ws[k].array)) for k in ws.names}),
+                     str(zeros))
+        code = main(["convert", "--config", str(work / "config.json"),
+                     "--weights", str(zeros), "--out", str(tmp_path / "z.json")])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["warning: degenerate activation sample: outlier "
+                                    "threshold adjusted above the normal threshold"]
 
     def test_outlier_distribution_flag(self, work, tmp_path, capsys):
         # the calibration sample follows the config's calib_distribution

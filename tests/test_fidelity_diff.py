@@ -95,6 +95,19 @@ class TestCompare:
         assert fidelity_diff.report(same, results([run([1.0], site="layers.0.attn.x")]))
         assert "default.json: DIFFERS" in capsys.readouterr().out
 
+    def test_convert_cost_is_reported_not_judged(self, capsys):
+        old = dict(results([run([1.0])]), cost={"default": (0.375, 69120)})
+        new = dict(results([run([1.0])]), cost={"default": (0.243, 524)})
+        # a costlier convert is no numerics change either way round
+        assert fidelity_diff.report(old, new) and fidelity_diff.report(new, old)
+        assert ("convert default: cpu 0.375 s -> 0.243 s, minor faults 69120 -> 524"
+                in capsys.readouterr().out)
+
+    def test_convert_cost_from_getrusage(self):
+        before = SimpleNamespace(ru_utime=1.0, ru_stime=0.25, ru_minflt=100)
+        after = SimpleNamespace(ru_utime=1.5, ru_stime=0.5, ru_minflt=160)
+        assert fidelity_diff.convert_cost(before, after) == (0.75, 60)
+
     def test_direction_is_mean_error_and_clamp_total(self):
         runs = [run([1.0], err=0.02, clamped=3), run([1.0], err=0.04)]
         assert fidelity_diff.direction(runs) == (pytest.approx(0.03), 3)

@@ -34,6 +34,12 @@ block file laid out anew, with "loaded blocks equal", is told apart from
 one whose numbers moved. The bytes and saturated columns are reported but
 do not decide it, so a checkout that adds a kind of counter shows in the
 counters column without reading as a numerics change either.
+
+Last it gives what each block's convert cost in its checkout's worker, as
+old -> new: CPU seconds (user + system) and minor page faults, from
+resource.getrusage around the one convert call. These are measurements of
+a single run on a possibly shared machine, reported for information; they
+do not decide the exit status.
 """
 from __future__ import annotations
 
@@ -42,6 +48,7 @@ import contextlib
 import io
 import os
 import pickle
+import resource
 import subprocess
 import sys
 import tempfile
@@ -94,14 +101,17 @@ def run_checkout(n_inputs: int, tmp: str) -> dict:
     from spikeconvert import cli, model
     from spikeconvert.calibration import sample_distribution
 
-    result: dict = {"files": {}, "loaded": {}, "runs": {}}
+    result: dict = {"files": {}, "loaded": {}, "runs": {}, "cost": {}}
     for index, (name, (fields, dist, steps)) in enumerate(BLOCKS.items()):
         cfg = model.ModelConfig(**fields)
         w = model.WeightSet.random(cfg, int(cfg.seeds["weights"]))
         rng = np.random.default_rng(int(cfg.seeds["calibration"]))
         sample = sample_distribution(cfg.calib_distribution, cfg.seq_len * 32,
                                      cfg.d_model, rng)
+        before = resource.getrusage(resource.RUSAGE_SELF)
         block = model.convert(cfg, w, sample)
+        after = resource.getrusage(resource.RUSAGE_SELF)
+        result["cost"][name] = convert_cost(before, after)
         path = os.path.join(tmp, f"{name}.json")
         model.save_block(block, path)
         for ext in (".json", ".lasw"):
@@ -128,6 +138,12 @@ def run_checkout(n_inputs: int, tmp: str) -> dict:
         with open(path, "rb") as fh:
             result["files"][name] = fh.read()
     return result
+
+
+def convert_cost(before, after) -> tuple[float, int]:
+    """(CPU seconds, minor page faults) between two getrusage readings."""
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    return cpu, after.ru_minflt - before.ru_minflt
 
 
 def collect(checkout: str, n_inputs: int, tmp: str) -> dict:
@@ -222,6 +238,10 @@ def report(old: dict, new: dict) -> bool:
               if not same_numbers(old["loaded"][name], new["loaded"].get(name, {}))]
     print(f"loaded blocks DIFFER: {', '.join(differ)}" if differ
           else "loaded blocks equal")
+    for name in sorted(old.get("cost", {})):
+        (cpu_old, faults_old), (cpu_new, faults_new) = old["cost"][name], new["cost"][name]
+        print(f"convert {name}: cpu {cpu_old:.3f} s -> {cpu_new:.3f} s, minor faults "
+              f"{faults_old} -> {faults_new} (one run each, not part of the verdict)")
     return same
 
 

@@ -43,7 +43,10 @@ class EnergyLedger:
         self.by_site: dict[str, dict[str, int]] = {}
 
     def _bucket(self, site: str) -> dict[str, int]:
-        return self.by_site.setdefault(site, {"sops": 0, "flops": 0})
+        bucket = self.by_site.get(site)
+        if bucket is None:  # a new dict only for a new site, not per call
+            bucket = self.by_site[site] = {"sops": 0, "flops": 0}
+        return bucket
 
     def record_sop(self, site: str, n: int) -> None:
         """Charge n spike events (each sop_weight accumulations) at site."""

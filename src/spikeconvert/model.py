@@ -19,7 +19,6 @@ import dataclasses
 import functools
 import json
 import math
-import numbers
 import os
 import struct
 import typing
@@ -507,11 +506,6 @@ def relative_error(approx: Matrix, ref: Matrix) -> float:
     return num / max(denom, 1e-300)
 
 
-def _regroup(ts: SpikeMatrixTrain, fn) -> SpikeMatrixTrain:
-    # one reshape or transpose of a train's values
-    return SpikeMatrixTrain._wrap(fn(ts.values))
-
-
 def spike_forward(
     block: ConvertedBlock, x: Matrix, T: int | None = None
 ) -> tuple[Matrix, RunTrace]:
@@ -524,7 +518,6 @@ def spike_forward(
     cfg = block.config
     if T is None:
         T = cfg.T
-    _check_type("T", T, numbers.Integral)
     _check_exact_range(cfg.H, T)
     w = block.weights
     ledger = EnergyLedger(
@@ -557,15 +550,15 @@ def spike_forward(
                               p[A + n], T, ledger, A + n, counters) for n in "kv")
         # every head at once: (T, heads, rows, rows) logits, whose rows
         # the softmax and the probs encoder take as (T, heads * rows, rows)
-        logits = saa_mul(_regroup(q, heads),
-                         _regroup(k, lambda a: heads(a).swapaxes(2, 3)),
+        logits = saa_mul(q._regroup(heads),
+                         k._regroup(lambda a: heads(a).swapaxes(2, 3)),
                          ledger, A + "qk")
-        probs = spike_softmax(_regroup(logits, lambda a: a.reshape(T, nh * r, r)),
+        probs = spike_softmax(logits._regroup(lambda a: a.reshape(T, nh * r, r)),
                               p, L + "attn", ledger, counters)
         probs = reencode(probs, p[A + "probs"], ledger, A + "probs", counters)
-        pv = saa_mul(_regroup(probs, lambda a: a.reshape(T, nh, r, r)),
-                     _regroup(v, heads), ledger, A + "pv")
-        merged = _regroup(pv, lambda a: a.swapaxes(1, 2).reshape(T, r, -1))
+        pv = saa_mul(probs._regroup(lambda a: a.reshape(T, nh, r, r)),
+                     v._regroup(heads), ledger, A + "pv")
+        merged = pv._regroup(lambda a: a.swapaxes(1, 2).reshape(T, r, -1))
         ctx = reencode(merged, p[A + "out"], ledger, A + "out", counters)
         return project(ctx, p[A + "wo"], None, ledger, A + "wo")
 

@@ -1,7 +1,10 @@
 """Spiking neuron kernels: temporal encoders that trade timesteps for precision.
 
 Three kernels are implemented. Each emits a SpikeMatrixTrain, the package's
-one train type: T steps of weighted spike values with matrix shape.
+one train type: T steps of weighted spike values with matrix shape. A
+train's values are read-only, so it computes its event mask (the nonzero
+values) and its event count once, when first read, and keeps them; every
+kernel that charges events reads them from there.
 
 mt_encode    multi-level threshold encoder on a dyadic schedule. At step t
              the threshold is tau * 2^-t and a firing emits one of H signed
@@ -39,22 +42,25 @@ per-element tau) and the gated bank run whole matrices through
 spikeops.encode_matrix and apply_hg.
 
 The dual-range pass, _mt_run, takes its steps P at a time from cached
-tables of the step loop's emissions and matches _mt_loop bit for bit. Its
-last chunk is in unit steps, so it needs no rescaling and no membrane
-update. It also counts the saturated elements, those above the top grid
-level. The configs refuse H > 1024 and any T above a step ceiling (25 at
-H = 5), past which a decoded grid value may not re-encode exactly; below it
-every unit-space integer is exact, which _mt_run relies on.
+tables of the step loop's emissions and matches _mt_loop bit for bit. Each
+chunk reads a table pre-scaled to its smallest step, cached with the
+unscaled one, so a chunk is one gather and one subtraction. Its last chunk
+is in unit steps, so it needs no membrane update. It also counts the
+saturated elements, those above the top grid level. The configs refuse
+H > 1024 and any T above a step ceiling (25 at H = 5), past which a
+decoded grid value may not re-encode exactly; below it every unit-space
+integer is exact, which _mt_run relies on.
 
-The gated bank reads every element's firing bits off K's digits. A run at
-fewer steps than the fitted T takes K's top digits, the first steps of the
-schedule; a run at more steps adds silent steps. Its output is each
-element's gathered step weights, with their bit patterns multiplied by the
-firing bits: a fired step keeps its weight's bits, -0.0 included, and a
-silent step is +0.0, as a select on the mask gives. decode sums a train's
-steps in step order with one reduction over the step axis, started from
--0.0, which adds nothing even to a column of -0.0; a one-element step keeps
-the step loop, because numpy sums that pairwise.
+The gated bank reads every element's firing bits off K's digits, shifted
+and masked into one contiguous row per rung. A run at fewer steps than the
+fitted T takes K's top digits, the first steps of the schedule; a run at
+more steps adds silent steps. Its output is each element's gathered step
+weights, with their bit patterns multiplied by the firing bits: a fired
+step keeps its weight's bits, -0.0 included, and a silent step is +0.0, as
+a select on the mask gives. decode sums a train's steps in step order with
+one reduction over the step axis, started from -0.0, which adds nothing
+even to a column of -0.0; a one-element step keeps the step loop, because
+numpy sums that pairwise.
 
 hg_eval decodes the bank on a 1-D batch, which is how a fitted bank's error
 is checked. All encoders are deterministic and produce bit-identical
@@ -125,6 +131,9 @@ def _max_steps(H: int) -> int:
 
 
 def _check_steps(T: int) -> None:
+    # every step count in the package passes here: a float or a bool is
+    # refused by name before numpy can misread it as a shape
+    _check_type("T", T, numbers.Integral)
     if T < 1:
         raise ValueError(f"T must be at least 1, got {T}")
 
@@ -162,8 +171,7 @@ class MTConfig:
 
     def __post_init__(self) -> None:
         _check_finite_real("tau", self.tau)
-        for name in ("H", "T"):
-            _check_type(name, getattr(self, name), numbers.Integral)
+        _check_type("H", self.H, numbers.Integral)  # _check_exact_range checks T
         if not self.tau > 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.H < 1:
@@ -183,8 +191,7 @@ class OATConfig:
     def __post_init__(self) -> None:
         for name in ("theta_nor", "theta_out"):
             _check_finite_real(name, getattr(self, name))
-        for name in ("H", "T"):
-            _check_type(name, getattr(self, name), numbers.Integral)
+        _check_type("H", self.H, numbers.Integral)  # _check_exact_range checks T
         if not 0.0 < self.theta_nor < self.theta_out:
             raise ValueError(
                 f"need theta_out > theta_nor > 0, got "
@@ -281,12 +288,17 @@ class SpikeMatrixTrain:
     a nonzero value: a firing adds its step weight, so one of weight 0.0
     adds nothing and is no event. Batch axes may follow the step axis, as
     in a (T, heads, rows, cols) stack of attention heads.
+
+    The values are read-only, so the event mask and the event count are
+    computed once, when first read, and kept with the train; the mask is
+    read-only too. The constructor copies its input, so a caller's later
+    write cannot change a train or its cached mask.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "_events", "_count")
 
     def __init__(self, values: np.ndarray) -> None:
-        values = np.ascontiguousarray(values, dtype=np.float64)
+        values = np.array(values, dtype=np.float64, order="C")
         if values.ndim < 3:
             raise ShapeError(
                 f"train values must be (steps, ..., rows, cols), got ndim={values.ndim}"
@@ -297,6 +309,7 @@ class SpikeMatrixTrain:
             raise NonFiniteError("spike train contains non-finite values")
         values.setflags(write=False)
         self.values = values
+        self._events = self._count = None
 
     @classmethod
     def _wrap(cls, values: np.ndarray):
@@ -306,12 +319,35 @@ class SpikeMatrixTrain:
         train = object.__new__(cls)
         values.setflags(write=False)
         train.values = values
+        train._events = train._count = None
+        return train
+
+    def _regroup(self, fn):
+        # fn, one reshape or transpose, applied to the values; a cached mask
+        # goes through fn with them, and the event count carries over
+        train = SpikeMatrixTrain._wrap(fn(self.values))
+        if self._events is not None:
+            events = fn(self._events)  # a reshape may copy
+            events.setflags(write=False)
+            train._events, train._count = events, self._count
         return train
 
     @property
     def events(self) -> np.ndarray:
-        """The firing mask: where a value is nonzero."""
-        return self.values != 0.0
+        """The read-only firing mask: where a value is nonzero."""
+        if self._events is None:
+            events = self.values != 0.0
+            events.setflags(write=False)
+            self._events = events
+        return self._events
+
+    @property
+    def event_count(self) -> int:
+        """How many values are nonzero; a count over the bool mask is
+        several times faster than one over the floats."""
+        if self._count is None:
+            self._count = int(np.count_nonzero(self.events))
+        return self._count
 
     @property
     def steps(self) -> int:
@@ -404,12 +440,17 @@ def _mt_chunk(H: int) -> int:
     return max(1, (_MT_TABLE_ROWS // (2 * H)).bit_length() - 1)
 
 
-@functools.lru_cache(maxsize=16)
-def _mt_table(H: int, P: int) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=64)
+def _mt_table(H: int, P: int, p: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """The step loop run once over every chunk input R < 2H * 2^P, in units
-    of the chunk's smallest step: (P, R) emissions and (R,) chunk totals."""
-    emits = _mt_steps(np.arange(2 * H * 2**P, dtype=np.float64), H, P)
-    totals = emits.sum(axis=0)
+    of the chunk's smallest step, then scaled by 2^p, the size of that step
+    in grid units: (P, R) emissions and (R,) chunk totals. The scaling is
+    exact, as every entry is an integer far below 2^53."""
+    if p:
+        emits, totals = (a * 2.0**p for a in _mt_table(H, P))
+    else:
+        emits = _mt_steps(np.arange(2 * H * 2**P, dtype=np.float64), H, P)
+        totals = emits.sum(axis=0)
     for arr in (emits, totals):
         arr.setflags(write=False)
     return emits, totals
@@ -422,37 +463,39 @@ def _mt_run(x: np.ndarray, tau: float | np.ndarray, H: int, T: int) -> tuple:
 
     The T steps are taken P at a time. Within a chunk whose smallest step is
     2^p units, every decision depends only on floor(a / 2^p), so that index
-    picks the chunk's emissions from _mt_table and the chunk total is
-    subtracted. The result is exact: every unit-space quantity is an integer
-    below 2^53 (the configs' step ceiling keeps (2H-1) * 2^T far below it),
-    and the magnitude is first clamped at (2H-1)(2^T-1), the sum of all
-    saturated emissions, above which every step saturates, so no emission
-    changes and every index stays below (2H-1) * 2^P. The elements that cap
-    pulls down are the saturated ones.
+    picks the chunk's emissions from _mt_table, pre-scaled by 2^p, and the
+    chunk total is subtracted. The result is exact: every unit-space
+    quantity is an integer below 2^53 (the configs' step ceiling keeps
+    (2H-1) * 2^T far below it), and the magnitude is first clamped at
+    (2H-1)(2^T-1), the sum of all saturated emissions, above which every
+    step saturates, so no emission changes and every index stays below
+    (2H-1) * 2^P. The elements that cap pulls down are the saturated ones.
     """
     sign, a, unit = _mt_units(x, tau, H, T)
     top = (2 * H - 1) * (2.0**T - 1)
-    saturated = int(np.count_nonzero(a > top))
-    # fmin: a NaN magnitude (a grid unit that underflowed to zero) saturates
-    # rather than indexing outside the tables; its values stay NaN
-    a = np.fmin(a, top)
+    saturated = 0
+    if a.size and not a.max() <= top:  # a NaN maximum takes this branch too
+        saturated = int(np.count_nonzero(a > top))
+        # fmin: a NaN magnitude (a grid unit that underflowed to zero)
+        # saturates rather than indexing outside the tables; its values stay NaN
+        a = np.fmin(a, top)
     emits = np.empty((T, a.size))
     P = _mt_chunk(H)
     t = 0
     while True:
         n = (T - t) % P or P  # a short chunk goes first
         p = T - t - n  # the chunk's smallest step is 2^p units
-        tab_emits, tab_totals = _mt_table(H, n)
+        tab_emits, tab_totals = _mt_table(H, n, p)
         if p == 0:  # the last chunk: unit steps, and a is not read again
-            np.take(tab_emits, a.astype(np.intp), axis=1, out=emits[t:])
+            tab_emits.take(a.astype(np.intp), axis=1, out=emits[t:])
             break
         idx = (a * 2.0**-p).astype(np.intp)  # floor: a is nonnegative
-        np.take(tab_emits, idx, axis=1, out=emits[t:t + n])
-        emits[t:t + n] *= 2.0**p
-        a -= tab_totals[idx] * 2.0**p
+        tab_emits.take(idx, axis=1, out=emits[t:t + n])
+        a -= tab_totals.take(idx)
         t += n
     # sign is +-1 or 0, so this rounds as _mt_loop's sign * emits * unit
-    return emits * (sign * unit), saturated
+    emits *= sign * unit
+    return emits, saturated
 
 
 def mt_encode(x: float, c: MTConfig) -> SpikeMatrixTrain:
@@ -490,12 +533,25 @@ def _dyadic_digits(u: np.ndarray, q, T: int, out: tuple | None = None) -> np.nda
     return K
 
 
-def _rung_bits(K: np.ndarray, T: int) -> np.ndarray:
-    """(T-1, n) uint8 firing bits of the T-step dyadic schedule's rungs from
-    K = _dyadic_digits(...): row t-1 is rung t's, bit T-1-t of K."""
-    digits = np.unpackbits(K.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8),
-                           axis=1, count=T - 1, bitorder="little")
-    return digits[:, ::-1].T
+@functools.cache
+def _rung_shifts(T: int) -> np.ndarray:
+    """The (T-1, 1) shifts that bring rungs 1..T-1 of the T-step schedule to
+    bit 0 of K: rung t fires on bit T-1-t. They are of the narrowest
+    unsigned type that holds K < 2^(T-1), as fewer bytes per digit go faster."""
+    digit = np.min_scalar_type(2 ** (T - 1) - 1)
+    shifts = np.arange(T - 2, -1, -1, dtype=digit)[:, None]
+    shifts.setflags(write=False)
+    return shifts
+
+
+def _rung_bits(K: np.ndarray, T: int, rungs: int | None = None) -> np.ndarray:
+    """(rungs, n) firing bits, 0 or 1, of the T-step dyadic schedule's first
+    rungs rungs (default: all T-1) from K = _dyadic_digits(...): row t-1 is
+    rung t's, bit T-1-t of K, shifted and masked into one contiguous row."""
+    shifts = _rung_shifts(T)[:rungs]
+    bits = np.right_shift(K.astype(shifts.dtype), shifts)
+    bits &= 1
+    return bits
 
 
 def _hg_run(flat: np.ndarray, c: HGConfig, T: int | None = None) -> tuple:
@@ -516,10 +572,10 @@ def _hg_run(flat: np.ndarray, c: HGConfig, T: int | None = None) -> tuple:
     # the first n steps of the fitted schedule; any more are silent
     n = min(T, fitted)
     values = np.zeros((T, flat.size)) if T > n else np.empty((T, flat.size))
-    np.take(d[:n], bucket, axis=1, out=values[:n])
+    d[:n].take(bucket, axis=1, out=values[:n])
     # a fired step keeps its weight's bits, -0.0 included; a silent one is +0.0
     bits = values[1:n].view(np.uint64)
-    bits *= _rung_bits(K, fitted)[:n - 1]
+    bits *= _rung_bits(K, fitted, n - 1)
     return values, clamped
 
 

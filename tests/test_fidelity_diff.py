@@ -6,7 +6,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from spikeconvert.calibration import sample_distribution
+from spikeconvert.model import spike_forward
 from spikeconvert.neurons import HGConfig, OATConfig
+from spikeconvert.tensors import Matrix
 
 _PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "fidelity_diff.py"
 _spec = importlib.util.spec_from_file_location("fidelity_diff", _PATH)
@@ -162,3 +165,24 @@ class TestLoadedBlocks:
         assert "default.json: DIFFERS" in out and "loaded blocks equal" in out
         assert fidelity_diff.report(old, results([run([1.0])], numbers=loaded(d0=3.0)))
         assert "loaded blocks DIFFER: default" in capsys.readouterr().out
+
+
+class TestRows:
+    def test_default_x3_row_runs_the_scaled_inputs(self, default_block, capsys):
+        rng = np.random.default_rng(0)
+        xs = [sample_distribution("normal", 8, 32, rng) for _ in range(2)]
+        runs = fidelity_diff.block_runs("default", default_block, default_block, xs,
+                                        (4,))
+        assert set(runs) == {("default", 4), ("default/loaded", 4), ("default/x3", 16)}
+        for x, (out, err, ledger, counters) in zip(xs, runs["default/x3", 16]):
+            want, trace = spike_forward(default_block, Matrix(3 * x.array), T=16)
+            assert out.tobytes() == want.array.tobytes()
+            assert err == trace.output_rel_err
+            assert ledger == trace.ledger.to_dict() and counters == trace.counters
+        # the row reaches the encoders' saturation and the gates' clamps
+        keys = {k.rsplit(".", 1)[1] for *_, c in runs["default/x3", 16] for k in c}
+        assert keys == {"saturated", "clamped"}
+        same = dict(results([]), runs=runs)
+        assert fidelity_diff.report(same, same)
+        rows = [line.split()[:2] for line in capsys.readouterr().out.splitlines()[1:4]]
+        assert rows == [["default", "4"], ["default/loaded", "4"], ["default/x3", "16"]]

@@ -68,6 +68,31 @@ class TestTrainPlumbing:
         with pytest.raises(ShapeError):
             SpikeMatrixTrain(np.zeros((2, 3)))
 
+    def test_constructor_copies_its_input(self):
+        # the train holds a copy: a later write to the caller's array,
+        # here a slice of it, must not reach the train or its cached mask
+        base = np.zeros((3, 2, 2))
+        t = SpikeMatrixTrain(base[1:])
+        assert t.event_count == 0 and not t.events.any()
+        base[1, 0, 0] = 5.0
+        assert base.flags.writeable
+        assert dec(t)[0, 0] == 0.0
+        # nor can an inf be planted past the finiteness check
+        base[2, 1, 1] = np.inf
+        assert np.isfinite(t.values).all()
+        assert t.event_count == 0 and not t.events.any()
+        assert dec(t).tobytes() == np.zeros((2, 2)).tobytes()
+
+    @pytest.mark.parametrize("T", [2.5, 4.0, True, np.float64(4.0)])
+    def test_step_count_must_be_an_integer(self, T):
+        # named, as spike_forward names it, not numpy's shape TypeError
+        x = Matrix(np.array([[-0.5, 0.25]]))
+        bank = HGConfig((-1.0, 1.0), np.ones((8, 1)))
+        with pytest.raises(ValueError, match=r"^T must be Integral, got "):
+            apply_hg(x, bank, T)
+        with pytest.raises(ValueError, match=r"^T must be Integral, got "):
+            encode_matrix(x, OAT_UNIT, T)
+
     def test_constant_train_delivers_once(self):
         x = Matrix(np.array([[1.5, -2.0]]))
         ts = constant_train(x, 4)
@@ -216,6 +241,16 @@ class TestSoftmaxOffset:
             want = z - z.max(axis=1, keepdims=True)
             assert np.max(np.abs(dec(out) - want)) <= 1e-12
 
+    @pytest.mark.parametrize("cols", [1, 16, 17, 64])
+    @pytest.mark.parametrize("last", [False, True])
+    def test_row_max_in_an_end_column(self, cols, last):
+        # both row-max forms, the running maximum up to 16 columns and the
+        # reduction past them, must reach the first and the last column
+        rng = np.random.default_rng(cols)
+        ramp = np.arange(cols, dtype=np.float64)
+        zs = SpikeMatrixTrain(rng.random((4, 3, cols)) + (ramp if last else ramp[::-1]))
+        assert_same_run(softmax_offset, softmax_offset_reference, zs)
+
     def test_empty_row_rejected(self):
         with pytest.raises(ShapeError):
             softmax_offset(SpikeMatrixTrain(np.zeros((2, 3, 0))))
@@ -324,26 +359,36 @@ def assert_same_run(kernel, reference, *trains):
 
 
 dims = st.integers(1, 6)
+# a step's (rows, cols): small ones, and up to 8 x 128 values, the gated
+# FFN's Hadamard step; past 16 columns softmax_offset takes its reduction
+steps = st.one_of(st.tuples(dims, dims), st.tuples(st.integers(1, 8),
+                                                   st.integers(1, 128)))
 run_params = dict(T=st.integers(1, 10), density=st.floats(0.0, 1.0),
                   seed=st.integers(0, 2**32 - 1))
+WIDE = dict(step=(8, 128), T=10, density=0.5, seed=7)
 
 
 class TestWholeTensorKernels:
     """The prefix-sum kernels equal the per-step loops bit for bit."""
 
     @settings(max_examples=150, deadline=None)
-    @given(rows=dims, inner=dims, cols=dims, **run_params)
-    def test_saa_mul_matches_per_step(self, rows, inner, cols, T, density, seed):
+    @given(step=steps, cols=dims, **run_params)
+    @example(cols=6, **WIDE)
+    def test_saa_mul_matches_per_step(self, step, cols, T, density, seed):
+        rows, inner = step
         rng = np.random.default_rng(seed)
         assert_same_run(saa_mul, saa_mul_reference,
                         event_train(rng, T, (rows, inner), density),
                         event_train(rng, T, (inner, cols), density))
 
     @settings(max_examples=150, deadline=None)
-    @given(rows=dims, cols=dims, mode=st.sampled_from(
+    @given(step=steps, mode=st.sampled_from(
                ["same", "b_column", "a_column", "b_row", "b_scalar", "self"]),
            **run_params)
-    def test_hadamard_mul_matches_per_step(self, rows, cols, mode, T, density, seed):
+    @example(mode="b_column", **WIDE)
+    @example(mode="self", **WIDE)
+    def test_hadamard_mul_matches_per_step(self, step, mode, T, density, seed):
+        rows, cols = step
         rng = np.random.default_rng(seed)
         if mode == "self":  # one train object as both operands, as a square
             a = event_train(rng, T, (rows, cols), density)
@@ -361,8 +406,10 @@ class TestWholeTensorKernels:
                         event_train(rng, T, b_shape, density))
 
     @settings(max_examples=150, deadline=None)
-    @given(rows=dims, cols=dims, **run_params)
-    def test_softmax_offset_matches_per_step(self, rows, cols, T, density, seed):
+    @given(step=steps, **run_params)
+    @example(**WIDE)
+    def test_softmax_offset_matches_per_step(self, step, T, density, seed):
+        rows, cols = step
         rng = np.random.default_rng(seed)
         assert_same_run(softmax_offset, softmax_offset_reference,
                         event_train(rng, T, (rows, cols), density))
@@ -494,6 +541,66 @@ class TestChainHelpers:
         assert got.array.tobytes() == ref.tobytes()
         assert ledger.to_dict() == ref_ledger.to_dict()
         assert set(ledger.by_site) == {"w", "w_decode"}
+
+
+def _charged_kernel_trains(name, rng, T, rows, cols, density):
+    """Run one kernel with a ledger, so that it charges from the trains'
+    caches; returns every train it read or made."""
+    x = Matrix(rng.standard_normal((rows, cols)))
+    a = event_train(rng, T, (rows, cols), density)
+    b = event_train(rng, T, (cols, 3), density)
+    ledger = EnergyLedger()
+    if name == "saa_mul":
+        return [a, b, saa_mul(a, b, ledger)]
+    if name == "hadamard_mul":
+        c = event_train(rng, T, (rows, 1), density)
+        return [a, c, hadamard_mul(a, c, ledger), hadamard_mul(a, a, ledger)]
+    if name == "saw_mul":
+        return [b, saw_mul(Matrix(rng.standard_normal((2, cols))), b, ledger)]
+    if name == "saw_mul_right":
+        return [a, saw_mul_right(a, Matrix(rng.standard_normal((cols, 2))), ledger)]
+    if name == "regroup":  # regroups of a train whose mask is cached
+        a.event_count
+        # the last reshape copies, as attention's head regroup does
+        return [a, a._regroup(lambda v: v.swapaxes(1, 2)),
+                a._regroup(lambda v: v.reshape(T, -1, 1)),
+                a._regroup(lambda v: v.swapaxes(1, 2).reshape(T, -1, 1))]
+    if name == "decode_train":
+        decode_train(a, ledger)
+        return [a]
+    return {
+        "encode_matrix": lambda: [encode_matrix(x, _OAT, T, ledger)],
+        "apply_hg": lambda: [apply_hg(x, _BANK, T, ledger)],
+        "softmax_offset": lambda: [a, softmax_offset(a, ledger)],
+        "reencode": lambda: [a, reencode(a, _OAT, ledger)],
+        "constant_train": lambda: [constant_train(x, T)],
+    }[name]()
+
+
+class TestEventCache:
+    """Every train's cached event mask and count are its values' own."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(name=st.sampled_from(
+               ["saa_mul", "hadamard_mul", "saw_mul", "saw_mul_right", "regroup",
+                "encode_matrix", "apply_hg", "softmax_offset", "reencode",
+                "decode_train", "constant_train"]),
+           step=steps, **run_params)
+    def test_cached_mask_and_count_are_the_values(self, name, step, T, density,
+                                                   seed):
+        rng = np.random.default_rng(seed)
+        for train in _charged_kernel_trains(name, rng, T, *step, density):
+            mask = train.events
+            assert mask.shape == train.values.shape
+            assert mask.tobytes() == (train.values != 0.0).tobytes()
+            assert train.event_count == np.count_nonzero(train.values)
+            assert not mask.flags.writeable
+            with pytest.raises(ValueError):
+                mask[(0,) * mask.ndim] = True
+            for attr in ("events", "event_count"):
+                with pytest.raises(AttributeError):
+                    setattr(train, attr, None)
+            assert train.events is mask
 
 
 class TestImmutability:

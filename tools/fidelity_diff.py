@@ -13,6 +13,10 @@ block and on the loaded one (`<name>/loaded`):
   default  the default ModelConfig calibrated on normal data, T = 1..20
   gated    the 2-layer gated-FFN block calibrated on normal_outliers, T = 4, 16
 
+and once more on the converted default block with every input scaled by 3,
+at T = 16 (`default/x3`): there the encoders saturate and the gates clamp
+on most inputs, so those paths are compared byte for byte as well.
+
 For every block and T the report gives the largest relative output
 difference, max|out_new - out_old| / max|out_old| over the inputs; the
 largest relative difference of output_rel_err; the mean output_rel_err, the
@@ -70,6 +74,8 @@ CALIBRATE = {
     "calibrate_t25.json": ["calibrate", "--target", "exp", "--levels", "8",
                            "--steps", "25", "--samples", "64", "--seed", "7"],
 }
+# block name: (input scale, step count) of each scaled row, `<name>/x<scale>`
+SCALED = {"default": ((3, 16),)}
 INPUT_SEED = 4242
 
 
@@ -122,14 +128,7 @@ def run_checkout(n_inputs: int, tmp: str) -> dict:
         rng = np.random.default_rng([INPUT_SEED, index])
         xs = [sample_distribution(dist, cfg.seq_len, cfg.d_model, rng)
               for _ in range(n_inputs)]
-        for T in steps:
-            for key, blk in ((name, block), (name + "/loaded", loaded)):
-                runs = []
-                for x in xs:
-                    out, trace = model.spike_forward(blk, x, T=T)
-                    runs.append((out.array.copy(), trace.output_rel_err,
-                                 trace.ledger.to_dict(), dict(trace.counters)))
-                result["runs"][key, T] = runs
+        result["runs"].update(block_runs(name, block, loaded, xs, steps))
     for name, flags in CALIBRATE.items():
         path = os.path.join(tmp, name)
         with contextlib.redirect_stdout(io.StringIO()):
@@ -138,6 +137,27 @@ def run_checkout(n_inputs: int, tmp: str) -> dict:
         with open(path, "rb") as fh:
             result["files"][name] = fh.read()
     return result
+
+
+def block_runs(name: str, block, loaded, xs: list, steps: tuple) -> dict:
+    """(row, T) -> one (output, output_rel_err, ledger, counters) per input:
+    the converted block and the loaded one at each T, and the converted
+    block on the scaled inputs of each SCALED row of name."""
+    from spikeconvert import model
+    from spikeconvert.tensors import Matrix
+
+    rows = [(name, block, xs, T) for T in steps]
+    rows += [(name + "/loaded", loaded, xs, T) for T in steps]
+    rows += [(f"{name}/x{scale}", block, [Matrix(x.array * scale) for x in xs], T)
+             for scale, T in SCALED.get(name, ())]
+    runs = {}
+    for key, blk, inputs, T in rows:
+        runs[key, T] = []
+        for x in inputs:
+            out, trace = model.spike_forward(blk, x, T=T)
+            runs[key, T].append((out.array.copy(), trace.output_rel_err,
+                                 trace.ledger.to_dict(), dict(trace.counters)))
+    return runs
 
 
 def convert_cost(before, after) -> tuple[float, int]:

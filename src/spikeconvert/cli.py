@@ -156,10 +156,9 @@ def cmd_run(args) -> int:
     _, trace = spike_forward(block, x, T=steps)
     if args.report is not None:
         dump_json(_run_report(block, trace), args.report)
-    ratio = trace.ledger.to_dict()["ratio"]
     print(
         f"T={steps} output_rel_err={trace.output_rel_err:.6g} "
-        f"sops={trace.ledger.sops} ratio={ratio:.6g}"
+        f"sops={trace.ledger.sops} ratio={energy_ratio(trace.ledger):.6g}"
     )
     return 0
 

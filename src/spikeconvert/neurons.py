@@ -239,12 +239,16 @@ class HGConfig:
     """Gated bank: N+1 sub-range boundaries and the (T, N) step weights d,
     column i sub-range i's, as read-only float64 arrays. Each sub-range runs
     the dyadic schedule of the module docstring, which its width and T fix,
-    so the bank derives everything else: guard holds the (N,) guard steps.
-    Two banks are equal when their boundaries and weights are."""
+    so the bank derives everything else, once: guard holds the (N,) guard
+    steps, rung the (N,) finest rungs q and top the largest float below the
+    last boundary, where the bank clamps its inputs. Two banks are equal when
+    their boundaries and weights are."""
 
     boundaries: np.ndarray
     d: np.ndarray
     guard: np.ndarray = field(init=False, repr=False)
+    rung: np.ndarray = field(init=False, repr=False)
+    top: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("boundaries", "d"):
@@ -267,8 +271,12 @@ class HGConfig:
             raise ValueError(f"boundaries must be strictly increasing, got "
                              f"boundaries[{i}]={float(bs[i])} after {float(bs[i - 1])}")
         guard = _gate_guards(bs, d.shape[0], steps="T, d's row count,")
-        guard.setflags(write=False)
+        rung = (bs[1:] - bs[:-1]) * 2.0 ** (1 - d.shape[0])
+        for a in (guard, rung):
+            a.setflags(write=False)
         object.__setattr__(self, "guard", guard)
+        object.__setattr__(self, "rung", rung)
+        object.__setattr__(self, "top", np.nextafter(bs[-1], bs[0]))
 
     @property
     def steps(self) -> int:
@@ -563,12 +571,11 @@ def _hg_run(flat: np.ndarray, c: HGConfig, T: int | None = None) -> tuple:
     _check_steps(T)
     lo, hi = bs[0], bs[-1]
     clamped = int(np.count_nonzero((flat < lo) | (flat >= hi)))
-    x = np.minimum(np.maximum(flat, lo), np.nextafter(hi, lo))
+    x = np.minimum(np.maximum(flat, lo), c.top)
     # lo <= x < hi, so every bucket index is already within 0..N-1
     bucket = np.searchsorted(bs, x, side="right") - 1
     u = x - bs[bucket] + c.guard[bucket]
-    q = (bs[1:] - bs[:-1]) * 2.0 ** (1 - fitted)
-    K = _dyadic_digits(u, q[bucket], fitted)
+    K = _dyadic_digits(u, c.rung[bucket], fitted)
     # the first n steps of the fitted schedule; any more are silent
     n = min(T, fitted)
     values = np.zeros((T, flat.size)) if T > n else np.empty((T, flat.size))

@@ -227,7 +227,9 @@ def _prefix_sums(v: np.ndarray) -> np.ndarray:
     """Running sums over the T axis from a +0.0 start: p[t] = v[0] + ... +
     v[t-1], added in step order, for t = 0..T (T + 1 steps), one np.add per
     step: on a (16, 8, 128) stack that took 24 us against 90 us for a
-    cumsum over the step axis."""
+    cumsum over the step axis. The exclusive sums of a T-step train, the
+    sums of the steps before each step, are _prefix_sums(v[:-1]): T rows,
+    the first +0.0."""
     p = np.empty((v.shape[0] + 1,) + v.shape[1:])
     p[0] = 0.0
     for t, step in enumerate(v):
@@ -258,7 +260,7 @@ def saa_mul(
         raise ShapeError(f"trains do not multiply: {qs.shape} x {ks.shape}")
     # sliced and transposed views are copied, so BLAS sees one layout
     vq, vk = np.ascontiguousarray(qs.values), np.ascontiguousarray(ks.values)
-    out = vq @ vk + vq @ _prefix_sums(vk)[:-1] + _prefix_sums(vq)[:-1] @ vk
+    out = vq @ vk + vq @ _prefix_sums(vk[:-1]) + _prefix_sums(vq[:-1]) @ vk
     if ledger is not None:
         eq, ek = qs.events, ks.events
         pairs = int((eq.sum(axis=-2) * ek.sum(axis=-1)).sum())
@@ -286,10 +288,10 @@ def hadamard_mul(
     va, vb = a.values, b.values
     if a is b:
         # a square: one prefix sum and one cross product, as va * P == P * va
-        X = va * _prefix_sums(va)[:-1]
+        X = va * _prefix_sums(va[:-1])
         out = va * va + X + X
     else:
-        out = va * vb + va * _prefix_sums(vb)[:-1] + _prefix_sums(va)[:-1] * vb
+        out = va * vb + va * _prefix_sums(vb[:-1]) + _prefix_sums(va[:-1]) * vb
     if ledger is not None:
         # a mask broadcast to the output shape repeats each entry equally often
         n_a = a.event_count * (out.size // max(va.size, 1))

@@ -173,7 +173,8 @@ class TestRows:
         xs = [sample_distribution("normal", 8, 32, rng) for _ in range(2)]
         runs = fidelity_diff.block_runs("default", default_block, default_block, xs,
                                         (4,))
-        assert set(runs) == {("default", 4), ("default/loaded", 4), ("default/x3", 16)}
+        assert set(runs) == {("default", 4), ("default/loaded", 4), ("default/x3", 16),
+                             ("default/sweep", 4)}
         for x, (out, err, ledger, counters) in zip(xs, runs["default/x3", 16]):
             want, trace = spike_forward(default_block, Matrix(3 * x.array), T=16)
             assert out.tobytes() == want.array.tobytes()
@@ -184,5 +185,31 @@ class TestRows:
         assert keys == {"saturated", "clamped"}
         same = dict(results([]), runs=runs)
         assert fidelity_diff.report(same, same)
-        rows = [line.split()[:2] for line in capsys.readouterr().out.splitlines()[1:4]]
-        assert rows == [["default", "4"], ["default/loaded", "4"], ["default/x3", "16"]]
+        rows = [line.split()[:2] for line in capsys.readouterr().out.splitlines()[1:5]]
+        assert rows == [["default", "4"], ["default/loaded", "4"], ["default/sweep", "4"],
+                        ["default/x3", "16"]]
+
+    def test_sweep_row_runs_each_input_through_every_step(self, default_block,
+                                                          monkeypatch):
+        from spikeconvert import model
+
+        calls = []
+
+        def recorded(blk, x, T):
+            calls.append((blk, x, T))
+            return spike_forward(blk, x, T)
+
+        monkeypatch.setattr(model, "spike_forward", recorded)
+        rng = np.random.default_rng(1)
+        xs = [sample_distribution("normal", 8, 32, rng) for _ in range(2)]
+        runs = fidelity_diff.block_runs("default", default_block, default_block, xs,
+                                        (4, 16))
+        # input outer, T inner, on the converted block
+        assert calls[-4:] == [(default_block, x, T) for x in xs for T in (4, 16)]
+        # each run equals the row that runs T outer, byte for byte
+        for T in (4, 16):
+            for (out, err, ledger, counters), (want, want_err, want_ledger,
+                                               want_counters) in zip(
+                    runs["default/sweep", T], runs["default", T], strict=True):
+                assert out.tobytes() == want.tobytes() and err == want_err
+                assert ledger == want_ledger and counters == want_counters

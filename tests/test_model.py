@@ -516,6 +516,106 @@ class TestSpikeForward:
         assert trw.ledger.sops == 3 * tr1.ledger.sops
 
 
+def fresh_run(block, x, T):
+    """spike_forward on a new block of block's fields, which keeps no
+    oracle yet, so the float oracle is computed for this call."""
+    copy = ConvertedBlock(block.config, block.weights, block.oat, block.hg,
+                          block.reports)
+    return spike_forward(copy, x, T)
+
+
+def assert_same_run(got, want):
+    (out, trace), (want_out, want_trace) = got, want
+    assert out.array.tobytes() == want_out.array.tobytes()
+    assert trace.to_dict() == want_trace.to_dict()
+    # the oracle's sites come first in the ledger, as when it runs
+    assert list(trace.ledger.by_site) == list(want_trace.ledger.by_site)
+
+
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """The inputs spike_forward has run the float oracle on, in call order."""
+    import spikeconvert.model as model
+
+    calls = []
+
+    def counted(cfg, w, x, **kwargs):
+        calls.append(x)
+        return float_forward(cfg, w, x, **kwargs)
+
+    monkeypatch.setattr(model, "float_forward", counted)
+    return calls
+
+
+class TestOracleReuse:
+    """spike_forward keeps the float oracle of the last input it ran on a
+    block; a repeated input reuses it with every result unchanged."""
+
+    @staticmethod
+    def inputs(block, n):
+        rng = np.random.default_rng(17)
+        return [sample_distribution("normal", block.config.seq_len,
+                                    block.config.d_model, rng) for _ in range(n)]
+
+    def test_repeated_input_matches_fresh_runs(self, gated_block, oracle_calls):
+        block = dataclasses.replace(gated_block)  # an empty slot of its own
+        (x,) = self.inputs(block, 1)
+        for T in (4, 16, 16):
+            assert_same_run(spike_forward(block, x, T), fresh_run(block, x, T))
+        # one oracle on the shared block and one per fresh run
+        assert len(oracle_calls) == 1 + 3
+
+    def test_other_input_misses(self, default_block, oracle_calls):
+        block = dataclasses.replace(default_block)
+        x, y = self.inputs(block, 2)
+        for z in (x, y, x):
+            assert_same_run(spike_forward(block, z, 4), fresh_run(block, z, 4))
+        # each input on the block and again on its fresh copy: with one
+        # slot, x is computed again after y
+        assert oracle_calls == [x, x, y, y, x, x]
+
+    def test_same_bytes_in_another_shape_are_refused(self, default_block):
+        block = dataclasses.replace(default_block)
+        (x,) = self.inputs(block, 1)
+        spike_forward(block, x, 4)
+        with pytest.raises(ShapeError, match="16 features"):
+            spike_forward(block, Matrix(x.array.reshape(16, 16)), 4)
+
+    def test_loaded_and_ablated_blocks_keep_their_own(self, default_block,
+                                                       tmp_path, oracle_calls):
+        block = dataclasses.replace(default_block)
+        p = str(tmp_path / "block.json")
+        save_block(block, p)
+        (x,) = self.inputs(block, 1)
+        spike_forward(block, x, 16)
+        # the ablation shares the weights; its encoders differ
+        for other in (load_block(p), ablate_dual_range(block)):
+            for T in (4, 16):
+                assert_same_run(spike_forward(other, x, T), fresh_run(other, x, T))
+        assert block._oracle_slot is not None
+        assert ablate_dual_range(block)._oracle_slot is None
+        assert dataclasses.replace(block)._oracle_slot is None
+
+    def test_slot_is_neither_compared_nor_saved(self, default_block, tmp_path):
+        block = dataclasses.replace(default_block)
+        spike_forward(block, self.inputs(block, 1)[0], 4)
+        assert block == default_block == dataclasses.replace(block)
+        assert "_oracle_slot" not in repr(block)
+        p = str(tmp_path / "block.json")
+        save_block(block, p)
+        with open(p) as fh:
+            assert "oracle" not in fh.read()
+
+    def test_sop_bits_ledger(self, default_block):
+        cfg = dataclasses.replace(default_block.config, sop_bits=True)
+        block = dataclasses.replace(default_block, config=cfg)
+        (x,) = self.inputs(block, 1)
+        for T in (4, 16, 16):
+            got = spike_forward(block, x, T)
+            assert_same_run(got, fresh_run(block, x, T))
+        assert got[1].ledger.sop_weight == 4  # ceil(log2(2H)) for H=5
+
+
 class TestRelativeError:
     def test_hand_value(self):
         approx = Matrix(np.array([[1.0, 2.0]]))

@@ -366,6 +366,8 @@ steps = st.one_of(st.tuples(dims, dims), st.tuples(st.integers(1, 8),
 run_params = dict(T=st.integers(1, 10), density=st.floats(0.0, 1.0),
                   seed=st.integers(0, 2**32 - 1))
 WIDE = dict(step=(8, 128), T=10, density=0.5, seed=7)
+# one step: the exclusive prefix sums are the one +0.0 row
+ONE_STEP = dict(step=(3, 5), T=1, density=0.5, seed=3)
 
 
 class TestWholeTensorKernels:
@@ -374,6 +376,7 @@ class TestWholeTensorKernels:
     @settings(max_examples=150, deadline=None)
     @given(step=steps, cols=dims, **run_params)
     @example(cols=6, **WIDE)
+    @example(cols=4, **ONE_STEP)
     def test_saa_mul_matches_per_step(self, step, cols, T, density, seed):
         rows, inner = step
         rng = np.random.default_rng(seed)
@@ -387,6 +390,8 @@ class TestWholeTensorKernels:
            **run_params)
     @example(mode="b_column", **WIDE)
     @example(mode="self", **WIDE)
+    @example(mode="b_column", **ONE_STEP)
+    @example(mode="self", **ONE_STEP)
     def test_hadamard_mul_matches_per_step(self, step, mode, T, density, seed):
         rows, cols = step
         rng = np.random.default_rng(seed)
@@ -408,6 +413,7 @@ class TestWholeTensorKernels:
     @settings(max_examples=150, deadline=None)
     @given(step=steps, **run_params)
     @example(**WIDE)
+    @example(**ONE_STEP)
     def test_softmax_offset_matches_per_step(self, step, T, density, seed):
         rows, cols = step
         rng = np.random.default_rng(seed)

@@ -15,7 +15,12 @@ block and on the loaded one (`<name>/loaded`):
 
 and once more on the converted default block with every input scaled by 3,
 at T = 16 (`default/x3`): there the encoders saturate and the gates clamp
-on most inputs, so those paths are compared byte for byte as well.
+on most inputs, so those paths are compared byte for byte as well. Those
+rows run each T over all inputs in turn, so no call repeats the input of
+the call before it. The `<name>/sweep` rows run the converted block the
+other way round, each input through all of the block's step counts in
+turn, as a sweep over T does: a call there repeats the previous input at
+the next T, where spike_forward reuses that input's float oracle.
 
 For every block and T the report gives the largest relative output
 difference, max|out_new - out_old| / max|out_old| over the inputs; the
@@ -141,8 +146,9 @@ def run_checkout(n_inputs: int, tmp: str) -> dict:
 
 def block_runs(name: str, block, loaded, xs: list, steps: tuple) -> dict:
     """(row, T) -> one (output, output_rel_err, ledger, counters) per input:
-    the converted block and the loaded one at each T, and the converted
-    block on the scaled inputs of each SCALED row of name."""
+    the converted block and the loaded one at each T, the converted block
+    on the scaled inputs of each SCALED row of name, and the converted
+    block's sweep row, input outer and T inner."""
     from spikeconvert import model
     from spikeconvert.tensors import Matrix
 
@@ -150,13 +156,14 @@ def block_runs(name: str, block, loaded, xs: list, steps: tuple) -> dict:
     rows += [(name + "/loaded", loaded, xs, T) for T in steps]
     rows += [(f"{name}/x{scale}", block, [Matrix(x.array * scale) for x in xs], T)
              for scale, T in SCALED.get(name, ())]
-    runs = {}
-    for key, blk, inputs, T in rows:
-        runs[key, T] = []
-        for x in inputs:
-            out, trace = model.spike_forward(blk, x, T=T)
-            runs[key, T].append((out.array.copy(), trace.output_rel_err,
-                                 trace.ledger.to_dict(), dict(trace.counters)))
+    calls = [(key, blk, x, T) for key, blk, inputs, T in rows for x in inputs]
+    calls += [(name + "/sweep", block, x, T) for x in xs for T in steps]
+    runs: dict = {}
+    for key, blk, x, T in calls:
+        out, trace = model.spike_forward(blk, x, T=T)
+        runs.setdefault((key, T), []).append(
+            (out.array.copy(), trace.output_rel_err, trace.ledger.to_dict(),
+             dict(trace.counters)))
     return runs
 
 

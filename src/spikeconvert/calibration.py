@@ -24,7 +24,8 @@ the in-order partial sums of the step weights, built with the recurrence's
 own products and additions, so it matches the recurrence bit for bit
 (_dyadic_decode). The fit refuses the parameters the bank refuses, more
 than _MAX_GATE_STEPS steps or a sub-range whose guard step is not a finite
-normal float, and more than _MAX_SAMPLES training samples.
+normal float, and more than _MAX_SAMPLES training samples; fit_target
+refuses more than _MAX_SUBRANGES sub-ranges before it samples anything.
 
 A fit allocates no array of the grid's size: it works in a set of arrays
 (_FitWork) that its thread keeps for the next fit at the same M and T,
@@ -38,7 +39,6 @@ and no bank or error a fit returns shares their memory.
 """
 from __future__ import annotations
 
-import numbers
 import threading
 import warnings
 from dataclasses import dataclass
@@ -48,7 +48,6 @@ import numpy as np
 
 from .errors import CalibrationError, FormatError
 from .neurons import HGConfig, _dyadic_digits, _gate_guards, _rung_bits
-from .neurons import _check_finite_reals, _check_type
 from .tensors import ActivationStats, Matrix, percentile
 
 # Importance-density shape for boundary placement: weight ~ |f''|^_CURVE_EXP
@@ -64,6 +63,9 @@ _RANGE_PAD = 0.1
 # The most training samples M a fit takes: its validation grid holds 10 * M
 # float64 values, 80 MiB at this ceiling.
 _MAX_SAMPLES = 2**20
+# The most sub-ranges N a bank is fitted with: a fit's time and memory grow
+# linearly with N, and convert fits every gate site at the config's N.
+_MAX_SUBRANGES = 1024
 # A fit decodes its validation grid in this many blocks: fewer keep more
 # memory, more make more numpy calls. At M = 4096 on a 2-vCPU Xeon, 2 to 4
 # blocks fitted equally fast and 10 blocks 17 % slower.
@@ -485,12 +487,6 @@ class CalibrationReport:
             raise CalibrationError(
                 "per-range errors must be nonempty, finite and nonnegative"
             )
-        if self.samples_per_range < 64:  # the fit_fs floor
-            raise ValueError(
-                f"samples_per_range must be at least 64, got {self.samples_per_range}"
-            )
-        if self.seed < 0:  # np.random.default_rng refuses it: no fit has one
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     @property
     def max_abs_err(self) -> float:
@@ -504,26 +500,11 @@ class CalibrationReport:
             "seed": self.seed,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CalibrationReport":
-        # checked, not coerced: int(5.7) would load a corrupt count as 5
-        for name in ("samples_per_range", "seed"):
-            _check_type(name, d[name], numbers.Integral)
-        errs = _tuple("per_subrange_max_abs_err", d["per_subrange_max_abs_err"])
-        _check_finite_reals("per_subrange_max_abs_err", errs)
-        return cls(d["target"], errs, d["samples_per_range"], d["seed"])
-
 
 def hg_to_dict(cfg: HGConfig) -> dict:
     """The bank as JSON: its boundaries and its (T, N) step weights, one row
     per step, as a block's sidecar stores them."""
     return {"boundaries": cfg.boundaries.tolist(), "d": cfg.d.tolist()}
-
-
-def _tuple(name: str, node) -> tuple:
-    # a JSON list node, checked before its entries are read
-    _check_type(name, node, list)
-    return tuple(node)
 
 
 def _check_keys(where: str, node: dict, keys: set[str]) -> None:
@@ -555,10 +536,12 @@ def fit_target(
     so N=1 is exactly fit_fs(seed) on [lo, hi]; a fit that fails names the
     target and its sub-range. A range that starts below the target's domain
     floor is refused, and so is one the bank refuses as a whole
-    (_gate_guards), before it is sampled.
+    (_gate_guards) and an N above _MAX_SUBRANGES, before it is sampled.
     """
     if N < 1:
         raise ValueError(f"need at least one sub-range, got N={N}")
+    if N > _MAX_SUBRANGES:
+        raise ValueError(f"need at most {_MAX_SUBRANGES} sub-ranges, got N={N}")
     spec = target_fn(name)
     lo = spec.lo if lo is None else lo
     hi = spec.hi if hi is None else hi

@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .calibration import (
     _MAX_SAMPLES,
+    _MAX_SUBRANGES,
     TARGETS,
     fit_target,
     hg_to_dict,
@@ -102,8 +103,9 @@ def cmd_calibrate(args) -> int:
     if not 1 <= args.steps <= _MAX_GATE_STEPS:
         raise ValueError(
             f"--steps must be within 1..{_MAX_GATE_STEPS}, got {args.steps}")
-    if args.levels < 1:
-        raise ValueError(f"--levels must be at least 1, got {args.levels}")
+    if not 1 <= args.levels <= _MAX_SUBRANGES:
+        raise ValueError(
+            f"--levels must be within 1..{_MAX_SUBRANGES}, got {args.levels}")
     seed = _seed_override()
     if seed is None:
         seed = args.seed

@@ -10,8 +10,9 @@ execution then drives the whole block through the spike kernels at any
 timestep budget and reports deviations plus an operation ledger. Both paths
 run attention on all heads at once, as (heads, rows, d_head) stacks.
 
-Weights travel in a little-endian binary container (magic LASW), configs
-and converted blocks in deterministic JSON.
+Weights travel in a little-endian binary container (magic LASW) and configs
+in deterministic JSON. A converted block is a JSON file that names its
+config and its LASW sidecar, which holds every number of the block once.
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ from .calibration import (
     _DISTRIBUTIONS,
     _LN_EPS,
     _MAX_SAMPLES,
+    _MAX_SUBRANGES,
     TARGETS,
     CalibrationReport,
     _check_keys,
@@ -98,8 +100,7 @@ class ModelConfig:
         # JSON configs arrive untyped: check every field before comparing it
         for name, kind in _field_types(type(self)).items():
             _check_type(name, getattr(self, name), kind)
-        for name in ("d_model", "n_heads", "d_ff", "seq_len", "T", "H",
-                     "N_per_nonlinearity", "samples_per_range"):
+        for name in ("d_model", "n_heads", "d_ff", "seq_len", "T", "H"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         _check_exact_range(self.H, self.T)
@@ -118,9 +119,11 @@ class ModelConfig:
             raise ValueError(f"n_layers must be within 1..4, got {self.n_layers}")
         if not 0.0 < self.normal_quantile < 1.0:
             raise ValueError("normal_quantile must be in (0, 1)")
-        if not 64 <= self.samples_per_range <= _MAX_SAMPLES:
-            raise ValueError(f"samples_per_range must be within 64..{_MAX_SAMPLES}, "
-                             f"got {self.samples_per_range}")
+        for name, lo, hi in (("N_per_nonlinearity", 1, _MAX_SUBRANGES),
+                             ("samples_per_range", 64, _MAX_SAMPLES)):
+            if not lo <= getattr(self, name) <= hi:
+                raise ValueError(f"{name} must be within {lo}..{hi}, "
+                                 f"got {getattr(self, name)}")
         _check_keys("seeds", self.seeds, {"weights", "calibration", "input"})
         for key, seed in self.seeds.items():
             _check_type(f"seeds[{key!r}]", seed, int)
@@ -386,6 +389,7 @@ class ConvertedBlock:
             if (c.H, c.T) != (cfg.H, cfg.T):
                 raise CalibrationError(f"encoder site {site!r}: H, T must be the "
                                        f"config's {cfg.H}, {cfg.T}, got {c.H}, {c.T}")
+        seeds = _fit_seeds(cfg)
         for site, target in targets.items():
             r, (steps, n) = self.reports[site], self.hg[site].d.shape
             # a bank carries its own step count: a shorter one would run
@@ -394,12 +398,23 @@ class ConvertedBlock:
                 raise CalibrationError(f"hg site {site!r}: d must be {cfg.T} "
                                        f"rows, one per step of the config's T, "
                                        f"got {steps}")
-            if r.target != target:
-                raise CalibrationError(f"reports site {site!r}: target must be "
-                                       f"{target!r}, got {r.target!r}")
+            # a saved report keeps only its errors: the rest is the config's
+            want, got = (target, cfg.samples_per_range, seeds[site]), (
+                r.target, r.samples_per_range, r.seed)
+            if got != want:
+                raise CalibrationError(f"reports site {site!r}: target, samples_per_range "
+                                       f"and seed must be the config's {want}, got {got}")
             if len(r.per_subrange_max_abs_err) != n:
                 raise CalibrationError(f"reports site {site!r}: per_subrange_max_abs_err "
                                        f"must be {n} errors, one per gate sub-range")
+
+
+def _fit_seeds(cfg: ModelConfig) -> dict[str, int]:
+    """Each gate site's fit seed, in site-name order: the config's
+    calibration seed plus 1000 per site. convert fits with them and
+    load_block rebuilds the reports with them, so a block file stores none."""
+    base = int(cfg.seeds["calibration"])
+    return {site: base + 1000 * (i + 1) for i, site in enumerate(sorted(hg_sites(cfg)))}
 
 
 def convert(cfg: ModelConfig, w: WeightSet, calib_sample: Matrix) -> ConvertedBlock:
@@ -437,11 +452,11 @@ def convert(cfg: ModelConfig, w: WeightSet, calib_sample: Matrix) -> ConvertedBl
         t_nor, t_out = select_oat_thresholds(st, cfg.normal_quantile)
         oat[site] = OATConfig(t_nor, t_out, cfg.H, cfg.T)
 
-    calib_seed = int(cfg.seeds["calibration"])
+    targets = hg_sites(cfg)
     hg: dict[str, HGConfig] = {}
     reports: dict[str, CalibrationReport] = {}
-    for idx, (site, target) in enumerate(sorted(hg_sites(cfg).items())):
-        seed = calib_seed + 1000 * (idx + 1)
+    for site, seed in _fit_seeds(cfg).items():
+        target = targets[site]
         lo, hi = observed_range(pooled(site), floor=TARGETS[target].floor)
         try:
             fitted, report = fit_target(target, cfg.N_per_nonlinearity,
@@ -624,12 +639,13 @@ def spike_forward(
 _MAGIC = b"LASW"
 _WEIGHT_VERSION = 1
 _BLOCK_FORMAT = "spikeconvert-block"
-_BLOCK_VERSION = 5
-_REPORT_KEYS = {f.name for f in dataclasses.fields(CalibrationReport)}
-_BLOCK_KEYS = {"format", "version", "config", "weights_file", "oat", "reports"}
-# a gate site's bank in the block's LASW sidecar: <site>.<name> for each name,
-# boundaries as a (1, N+1) row and the step weights d as a (T, N) stack
-_GATE_TENSORS = ("boundaries", "d")
+_BLOCK_VERSION = 6
+_BLOCK_KEYS = {"format", "version", "config", "weights_file"}
+# a gate site's tensors in the block's LASW sidecar, <site>.<name> for each
+# name: its bank's boundaries as a (1, N+1) row and step weights d as a (T, N)
+# stack, and its fit's per-sub-range errors err as a (1, N) row. An encoder
+# site's is <site>.theta, its [theta_nor, theta_out] as a (1, 2) row.
+_GATE_TENSORS = ("boundaries", "d", "err")
 
 
 def dump_json(obj: dict, path: str) -> None:
@@ -741,62 +757,81 @@ def load_weights(path: str) -> WeightSet:
     return _weight_set(_read_lasw(path))
 
 
-def _sites(doc: dict, section: str, keys: set[str], parse) -> dict:
-    """Parse a section's site nodes, each holding exactly keys; errors name the site."""
-    _check_type(section, doc[section], dict)
-    parsed = {}
-    for site, node in doc[section].items():
-        where = f"{section} site {site!r}"
-        _check_type(where, node, dict)
-        _check_keys(where, node, keys)
-        try:
-            parsed[site] = parse(node)
-        except (ValueError, CalibrationError) as exc:
-            raise type(exc)(f"{where}: {exc}") from exc
-    return parsed
-
-
-def _gate_bank(site: str, tensors: dict[str, np.ndarray], path: str) -> HGConfig:
-    """Take a gate site's tensors out of a sidecar's and build its bank;
-    errors name the site and the tensor."""
-    where = f"hg site {site!r}"
-    names = [f"{site}.{name}" for name in _GATE_TENSORS]
-    missing = [name for name in names if name not in tensors]
+def _take(where: str, site: str, names, tensors: dict[str, np.ndarray],
+          path: str) -> list[np.ndarray]:
+    """Take a site's tensors, <site>.<name> for each name, out of a sidecar's."""
+    keys = [f"{site}.{name}" for name in names]
+    missing = [key for key in keys if key not in tensors]
     if missing:
         raise FormatError(f"{where}: tensors {missing} missing from {path!r}")
-    b, d = (tensors.pop(name) for name in names)
-    if b.shape != (1, d.shape[1] + 1):
-        raise ShapeError(f"{where}: boundaries must be (1, N+1) = "
-                         f"(1, {d.shape[1] + 1}) for d's N, got {b.shape}")
+    return [tensors.pop(key) for key in keys]
+
+
+def _row(where: str, name: str, a: np.ndarray, n: int) -> np.ndarray:
+    """The entries of a tensor that must be a (1, n) row."""
+    if a.shape != (1, n):
+        raise ShapeError(f"{where}: {name} must be (1, {n}), got {a.shape}")
+    return a[0]
+
+
+def _encoder(site: str, cfg: ModelConfig, tensors: dict[str, np.ndarray],
+             path: str) -> OATConfig:
+    """Take an encoder site's thresholds out of a sidecar's tensors and build
+    its encoder at the config's H and T; errors name the site and the tensor."""
+    where = f"encoder site {site!r}"
+    (theta,) = _take(where, site, ("theta",), tensors, path)
+    theta = _row(where, "theta", theta, 2)
     try:
-        return HGConfig(b[0], d)
+        return OATConfig(*theta.tolist(), cfg.H, cfg.T)
+    except ValueError as exc:
+        raise ValueError(f"{where}: theta: {exc}") from exc
+
+
+def _gate(site: str, target: str, seed: int, cfg: ModelConfig,
+          tensors: dict[str, np.ndarray], path: str) -> tuple[HGConfig, CalibrationReport]:
+    """Take a gate site's tensors out of a sidecar's and build its bank and
+    its fit's report, whose target, sample count and seed the config fixes;
+    errors name the site and the tensor."""
+    where = f"hg site {site!r}"
+    b, d, err = _take(where, site, _GATE_TENSORS, tensors, path)
+    n = d.shape[1]
+    b = _row(where, "boundaries", b, n + 1)
+    err = _row(where, "err", err, n)
+    try:
+        bank = HGConfig(b, d)
     except ValueError as exc:
         raise type(exc)(f"{where}: {exc}") from exc
+    try:
+        return bank, CalibrationReport(target, tuple(err.tolist()),
+                                       cfg.samples_per_range, seed)
+    except CalibrationError as exc:
+        raise CalibrationError(f"{where}: err: {exc}") from exc
 
 
 def save_block(block: ConvertedBlock, path: str) -> None:
-    """Write the block's JSON to path and its weights and gate banks to the
-    LASW sidecar beside it (path with a .lasw suffix)."""
+    """Write the block's JSON to path, and its weights, encoder thresholds,
+    gate banks and fit errors to the LASW sidecar beside it (path with a
+    .lasw suffix). The JSON names the format, the config and the sidecar."""
     block.check_complete()  # what the file leaves out must be derivable on load
     weights_path = os.path.splitext(path)[0] + ".lasw"
-    gates = {f"{site}.{name}": a for site, c in block.hg.items()
-             for name, a in zip(_GATE_TENSORS, (c.boundaries[None], c.d))}
-    _write_lasw(_weight_arrays(block.weights) | gates, weights_path)
-    doc = {
-        "format": _BLOCK_FORMAT,
-        "version": _BLOCK_VERSION,
-        "config": block.config.to_dict(),
-        "weights_file": os.path.basename(weights_path),
-        "oat": {site: {"theta_nor": c.theta_nor, "theta_out": c.theta_out}
-                for site, c in block.oat.items()},
-        "reports": {site: r.to_dict() for site, r in block.reports.items()},
-    }
-    dump_json(doc, path)
+    tensors = _weight_arrays(block.weights)
+    for site, c in block.oat.items():
+        tensors[site + ".theta"] = np.array([[c.theta_nor, c.theta_out]])
+    for site, c in block.hg.items():
+        err = np.array([block.reports[site].per_subrange_max_abs_err])
+        tensors |= {f"{site}.{name}": a for name, a in
+                    zip(_GATE_TENSORS, (c.boundaries[None], c.d, err))}
+    _write_lasw(tensors, weights_path)
+    dump_json({"format": _BLOCK_FORMAT, "version": _BLOCK_VERSION,
+               "config": block.config.to_dict(),
+               "weights_file": os.path.basename(weights_path)}, path)
 
 
 def load_block(path: str) -> ConvertedBlock:
     """Read a block file and the sidecar its weights_file names, which lies
-    in the block file's directory."""
+    in the block file's directory. Each report's target, sample count and
+    seed are the config's (hg_sites, samples_per_range, _fit_seeds); the
+    sidecar holds its errors."""
     doc = read_json(path)
     _check_type("block", doc, dict)
     if doc.get("format") != _BLOCK_FORMAT:
@@ -818,14 +853,12 @@ def load_block(path: str) -> ConvertedBlock:
                          f"directory, got {name!r}")
     weights_path = os.path.join(os.path.dirname(path) or ".", name)
     tensors = _read_lasw(weights_path)
-    hg = {site: _gate_bank(site, tensors, weights_path) for site in hg_sites(cfg)}
-    block = ConvertedBlock(
-        config=cfg,
-        weights=_weight_set(tensors),  # what the gate banks leave
-        oat=_sites(doc, "oat", {"theta_nor", "theta_out"},
-                   lambda d: OATConfig(d["theta_nor"], d["theta_out"], cfg.H, cfg.T)),
-        hg=hg,
-        reports=_sites(doc, "reports", _REPORT_KEYS, CalibrationReport.from_dict),
-    )
+    oat = {site: _encoder(site, cfg, tensors, weights_path) for site in oat_sites(cfg)}
+    hg, reports, targets = {}, {}, hg_sites(cfg)
+    for site, seed in _fit_seeds(cfg).items():
+        hg[site], reports[site] = _gate(site, targets[site], seed, cfg, tensors,
+                                        weights_path)
+    # the weights are what the encoders and gates leave
+    block = ConvertedBlock(cfg, _weight_set(tensors), oat, hg, reports)
     block.check_complete()
     return block

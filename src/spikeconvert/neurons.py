@@ -69,7 +69,6 @@ trains for identical inputs and configurations.
 from __future__ import annotations
 
 import functools
-import math
 import numbers
 import sys
 from dataclasses import dataclass, field
@@ -96,15 +95,6 @@ def _check_finite_real(name: str, value) -> None:
     _check_type(name, value, numbers.Real)
     if not abs(value) <= sys.float_info.max:  # exact, so a huge int fails too
         raise ValueError(f"{name} must be finite, got {value}")
-
-
-def _check_finite_reals(name: str, values: tuple) -> None:
-    # A C-level pass settles the all-finite-float case; the per-element loop
-    # names the first bad entry.
-    if set(map(type, values)) <= {float} and all(map(math.isfinite, values)):
-        return
-    for i, v in enumerate(values):
-        _check_finite_real(f"{name}[{i}]", v)
 
 
 # Largest H the dual-range and multi-level encoders take; it keeps

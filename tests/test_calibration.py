@@ -135,6 +135,15 @@ class TestSelectHierarchy:
         with pytest.raises(ValueError, match=f"need at least one sub-range, got N={N}"):
             fit_target("gelu", N, 8, 64, seed=0)
 
+    def test_sub_range_ceiling_refused_before_sampling(self, monkeypatch):
+        def sampled(*args):
+            raise AssertionError("sampled a refused N")
+
+        monkeypatch.setattr(calibration, "curvature_sample", sampled)
+        N = calibration._MAX_SUBRANGES + 1
+        with pytest.raises(ValueError, match=f"need at most 1024 sub-ranges, got N={N}"):
+            fit_target("gelu", N, 8, 64, seed=0)
+
 
 class TestSolver:
     def test_reaches_least_squares_objective(self):
@@ -591,11 +600,13 @@ class TestFitHG:
 
     def test_report_round_trip(self):
         c, rep = fit_target("exp", 2, 8, 128, seed=3)
-        again = CalibrationReport.from_dict(rep.to_dict())
-        assert again == rep
+        # the calibrate --out form of the report and of the bank holds every
+        # one of their numbers, the weights in the sidecar's (T, N) layout
+        doc = rep.to_dict()
+        again = CalibrationReport(**dict(doc, per_subrange_max_abs_err=tuple(
+            doc["per_subrange_max_abs_err"])))
+        assert again == rep and doc["target"] == "exp" and doc["seed"] == 3
         assert again.max_abs_err == max(rep.per_subrange_max_abs_err)
-        # the calibrate --out form of the bank holds every one of its numbers,
-        # the weights in the sidecar's (T, N) layout
         doc = hg_to_dict(c)
         assert set(doc) == {"boundaries", "d"} and np.shape(doc["d"]) == (8, 2)
         assert HGConfig(doc["boundaries"], doc["d"]) == c

@@ -3,6 +3,7 @@
 Everything drives cli.main() in process with a tiny 8-feature block, so the
 whole file stays fast while covering every subcommand and failure class.
 """
+import dataclasses
 import json
 import shutil
 import struct
@@ -11,11 +12,13 @@ import numpy as np
 import pytest
 
 from spikeconvert import cli
+from spikeconvert.calibration import sample_distribution
 from spikeconvert.cli import _run_report, main
 from spikeconvert.model import (
     ConvertedBlock,
     ModelConfig,
     WeightSet,
+    convert,
     load_block,
     load_config,
     load_weights,
@@ -79,9 +82,9 @@ def _run_edited_block(work, tmp_path, path, value):
     """Run a copy of work's block with the node at path set to value, or
     deleted when value is DROP; returns the exit code.
 
-    A path ("sidecar", site) edits the site's gate tensors in the block's
-    LASW sidecar instead: value maps each tensor's leaf name (d, ...) to
-    a function of the tensor (None for a new one) or to DROP."""
+    A path ("sidecar", site) edits the site's tensors in the block's LASW
+    sidecar instead: value maps each tensor's leaf name (theta, d, err, ...)
+    to a function of the tensor (None for a new one) or to DROP."""
     with open(work / "block.json") as fh:
         doc = json.load(fh)
     if path[0] == "sidecar":
@@ -190,7 +193,14 @@ class TestCalibrate:
         code = main(["calibrate", "--target", "exp", "--levels", levels,
                      "--out", str(tmp_path / "x.json")])
         assert code == 2
-        assert f"--levels must be at least 1, got {levels}" in capsys.readouterr().err
+        assert f"--levels must be within 1..1024, got {levels}" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_levels_above_bound_named(self, tmp_path, capsys):
+        code = main(["calibrate", "--target", "exp", "--levels", "1025",
+                     "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert "--levels must be within 1..1024, got 1025" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
     def test_collapsed_sub_range_count_printed(self, tmp_path, capsys):
@@ -341,6 +351,26 @@ class TestConvert:
         assert ("calib_distribution must be one of ('normal', 'uniform', "
                 "'normal_outliers', 'uniform_outliers'), got 'bogus'"
                 in capsys.readouterr().err)
+
+    def test_seed_env_override_fixes_the_report_seeds(self, default_work, tmp_path,
+                                                     capsys, monkeypatch):
+        # a block file stores no seed: the loaded reports' come from the
+        # overridden config, as an in-process convert of it fits them
+        monkeypatch.setenv("LAS_SEED", "5")
+        out = tmp_path / "block.json"
+        assert main(["convert", "--config", str(default_work / "config.json"),
+                     "--weights", str(default_work / "weights.lasw"),
+                     "--out", str(out)]) == 0
+        cfg = dataclasses.replace(load_config(str(default_work / "config.json")),
+                                  seeds={"weights": 5, "calibration": 6, "input": 7})
+        sample = sample_distribution(cfg.calib_distribution, cfg.seq_len * 32,
+                                     cfg.d_model, np.random.default_rng(6))
+        want = convert(cfg, load_weights(str(default_work / "weights.lasw")), sample)
+        got = load_block(str(out)).reports
+        assert {s: r.seed for s, r in got.items()} == {
+            s: r.seed for s, r in want.reports.items()}
+        assert got == want.reports
+        assert got != load_block(str(default_work / "block.json")).reports
 
     def test_missing_weights_file(self, work, tmp_path, capsys):
         assert main(["convert", "--config", str(work / "config.json"),
@@ -554,7 +584,7 @@ class TestRun:
     def test_version_2_block_refused(self, work, tmp_path, capsys):
         # format 2 kept the gate banks in the JSON; the sidecar lacks them
         assert _run_edited_block(work, tmp_path, ("version",), 2) == 2
-        assert ("unsupported block version: expected 5, found 2; reconvert the "
+        assert ("unsupported block version: expected 6, found 2; reconvert the "
                 "block with `spikeconvert convert`" in capsys.readouterr().err)
 
     def test_version_4_block_refused(self, work, tmp_path, capsys):
@@ -569,7 +599,26 @@ class TestRun:
         bp = tmp_path / "v4.json"
         bp.write_text(json.dumps(dict(doc, version=4)))
         assert main(["run", "--block", str(bp), "--input", str(work / "input.lasw")]) == 2
-        assert ("unsupported block version: expected 5, found 4; reconvert the "
+        assert ("unsupported block version: expected 6, found 4; reconvert the "
+                "block with `spikeconvert convert`" in capsys.readouterr().err)
+
+    def test_version_5_block_refused(self, work, tmp_path, capsys):
+        # format 5 kept the encoder thresholds and the reports in the JSON,
+        # and the sidecar only the weights and each gate's boundaries and d
+        doc = json.loads((work / "block.json").read_text())
+        block = load_block(str(work / "block.json"))
+        ws = load_weights(str(work / doc["weights_file"]))
+        _write_lasw({name: ws[name].array for name in ws.names
+                     if not name.endswith((".theta", ".err"))},
+                    str(tmp_path / doc["weights_file"]))
+        doc |= {"version": 5,
+                "oat": {site: {"theta_nor": c.theta_nor, "theta_out": c.theta_out}
+                        for site, c in block.oat.items()},
+                "reports": {site: r.to_dict() for site, r in block.reports.items()}}
+        bp = tmp_path / "v5.json"
+        bp.write_text(json.dumps(doc))
+        assert main(["run", "--block", str(bp), "--input", str(work / "input.lasw")]) == 2
+        assert ("unsupported block version: expected 6, found 5; reconvert the "
                 "block with `spikeconvert convert`" in capsys.readouterr().err)
 
     @UNREADABLE_JSON
@@ -587,8 +636,8 @@ class TestRun:
         assert code == 2
         assert "block must be dict" in capsys.readouterr().err
 
-    # gate banks live in the sidecar: ("sidecar", site) cases edit its tensors,
-    # and the message names the site and the tensor
+    # every number lives in the sidecar: ("sidecar", site) cases edit its
+    # tensors, and the message names the site and the tensor
     @pytest.mark.parametrize("path, value, field", [
         (("sidecar", "layers.0.ffn.act"), {"boundaries": _entry((0, 1), np.inf)},
          "tensor 'layers.0.ffn.act.boundaries'"),
@@ -603,8 +652,9 @@ class TestRun:
         (("sidecar", "layers.0.attn.exp"),
          {"boundaries": _repeated_edge},
          "hg site 'layers.0.attn.exp': boundaries"),
-        (("oat", "input", "theta_nor"), "0.5", "theta_nor"),
-        (("oat", "input", "theta_out"), [40.0], "theta_out"),
+        # an encoder's thresholds are one (1, 2) row, [theta_nor, theta_out]
+        (("sidecar", "input"), {"theta": lambda t: t.T}, "encoder site 'input': theta"),
+        (("sidecar", "input"), {"theta": _entry((0, 1), np.inf)}, "tensor 'input.theta'"),
         # an encoder's H and T are read from the config
         (("config", "H"), 5.7, "H"),
         (("config", "T"), "8", "T"),
@@ -615,34 +665,35 @@ class TestRun:
          "hg site 'layers.0.ffn.act': boundaries"),
         (("sidecar", "layers.0.attn.exp"), {"boundaries": _fewer_cols},
          "hg site 'layers.0.attn.exp': boundaries"),
-        (("oat", "input"), 3, "oat site 'input'"),
+        (("sidecar", "layers.0.attn.q"), {"theta": _fewer_cols},
+         "encoder site 'layers.0.attn.q': theta"),
         # a bank carries its step count, which must be the config's T
         (("sidecar", "layers.0.attn.exp"), {"d": _fewer_rows},
          "hg site 'layers.0.attn.exp': d"),
-        (("reports", "layers.0.ffn.act"), 1, "reports site 'layers.0.ffn.act'"),
-        (("reports",), [], "reports"),
+        # a gate's fit errors are one (1, N) row, one per sub-range of its bank
+        (("sidecar", "layers.0.ffn.act"), {"err": lambda e: e.T},
+         "hg site 'layers.0.ffn.act': err"),
+        (("sidecar", "layers.0.ffn.act"), {"err": _fewer_cols},
+         "hg site 'layers.0.ffn.act': err"),
         (("config",), 5, "config"),
-        # calibration reports are checked, not coerced, and must describe
-        # their site's gate
-        (("reports", "layers.0.ffn.act", "target"), 5,
-         "reports site 'layers.0.ffn.act': target"),
-        (("reports", "layers.0.ffn.act", "seed"), "6", "seed"),
-        (("reports", "layers.0.ffn.act", "samples_per_range"), True,
-         "samples_per_range"),
-        # a bank of N-1 sub-ranges against a report of N errors
+        (("sidecar", "layers.0.ffn.act"), {"err": _entry((0, 0), -0.5)},
+         "hg site 'layers.0.ffn.act': err: per-range errors"),
+        # a report's seed and sample count are the config's, checked, not
+        # coerced
+        (("config", "seeds", "calibration"), "6", "seeds['calibration']"),
+        (("config", "samples_per_range"), True, "samples_per_range"),
+        # a bank of N-1 sub-ranges against N errors
         (("sidecar", "layers.0.ffn.act"),
          dict.fromkeys(("boundaries", "d"), _fewer_cols),
-         "reports site 'layers.0.ffn.act': per_subrange_max_abs_err"),
-        (("reports", "layers.0.ffn.act", "per_subrange_max_abs_err"), [0.01],
-         "reports site 'layers.0.ffn.act': per_subrange_max_abs_err"),
-        (("reports", "layers.0.ffn.act", "per_subrange_max_abs_err", 0), None,
-         "per_subrange_max_abs_err[0]"),
-        (("reports", "layers.0.ffn.act", "samples_per_range"), 0,
-         "reports site 'layers.0.ffn.act': samples_per_range"),
-        # a node holds exactly its own fields: no copies left from format 1
-        (("reports", "layers.0.ffn.act", "max_abs_err"), 0.1,
-         "reports site 'layers.0.ffn.act'"),
-        (("oat", "input", "H"), 5, "oat site 'input'"),
+         "hg site 'layers.0.ffn.act': err"),
+        (("sidecar", "layers.0.attn.exp"), {"err": lambda e: np.hstack([e, e])},
+         "hg site 'layers.0.attn.exp': err"),
+        (("sidecar", "layers.0.ffn.act"), {"err": _entry((0, 0), np.nan)},
+         "tensor 'layers.0.ffn.act.err'"),
+        (("config", "samples_per_range"), 0, "samples_per_range"),
+        (("config", "N_per_nonlinearity"), 1025, "N_per_nonlinearity"),
+        (("sidecar", "layers.0.ffn.in"), {"theta": lambda t: np.hstack([t, t])},
+         "encoder site 'layers.0.ffn.in': theta"),
         (("config",), None, "config"),
         (("weights_file",), 5, "weights_file"),
         (("weights_file",), None, "weights_file"),
@@ -661,21 +712,28 @@ class TestRun:
 
 
     @pytest.mark.parametrize("path, value, message", [
-        (("extra",), 1, "block must be an object with exactly the keys ['config', "
-         "'format', 'oat', 'reports', 'version', 'weights_file']; "
-         "missing [], unknown ['extra']"),
-        (("reports",), DROP, "block must be an object with exactly the keys "
-         "['config', 'format', 'oat', 'reports', 'version', 'weights_file']; "
-         "missing ['reports'], unknown []"),
-        # the sidecar holds exactly the weights and each gate site's two tensors
+        (("extra",), 1, "block must be an object with exactly the keys "
+         "['config', 'format', 'version', 'weights_file']; missing [], unknown ['extra']"),
+        # a `reports` or `oat` section left from format 5 is refused
+        (("reports",), {}, "block must be an object with exactly the keys "
+         "['config', 'format', 'version', 'weights_file']; missing [], unknown ['reports']"),
+        # the sidecar holds exactly the weights, each encoder site's one tensor
+        # and each gate site's three
         (("sidecar", "layers.0.ffn.act"), {"extra": lambda _: np.zeros((1, 1))},
          "does not match config: missing=[] extra=['layers.0.ffn.act.extra']"),
         (("sidecar", "layers.0.attn.exp"), {"d": DROP},
          "hg site 'layers.0.attn.exp': tensors ['layers.0.attn.exp.d'] missing from"),
         # an `hg` node left from format 2 is refused too
-        (("hg",), {}, "block must be an object with exactly the keys ['config', "
-         "'format', 'oat', 'reports', 'version', 'weights_file']; "
-         "missing [], unknown ['hg']"),
+        (("hg",), {}, "block must be an object with exactly the keys "
+         "['config', 'format', 'version', 'weights_file']; missing [], unknown ['hg']"),
+        (("oat",), {}, "block must be an object with exactly the keys "
+         "['config', 'format', 'version', 'weights_file']; missing [], unknown ['oat']"),
+        (("sidecar", "layers.0.attn.q"), {"theta": DROP},
+         "encoder site 'layers.0.attn.q': tensors ['layers.0.attn.q.theta'] missing from"),
+        (("sidecar", "layers.0.ffn.act"), {"err": DROP},
+         "hg site 'layers.0.ffn.act': tensors ['layers.0.ffn.act.err'] missing from"),
+        (("sidecar", "input"), {"scale": lambda _: np.ones((1, 1))},
+         "does not match config: missing=[] extra=['input.scale']"),
     ])
     def test_unknown_or_missing_key_named(self, work, tmp_path, capsys, path,
                                           value, message):
@@ -686,18 +744,25 @@ class TestRun:
     def test_underflowing_grid_unit_named(self, work, tmp_path, capsys, site):
         # at T=25 the unit 1e-320 * 2^-25 / 3 is 0, and an exact zero input
         # would encode as 0/0 in a later sublayer: refused on load instead
-        assert _run_edited_block(work, tmp_path, ("oat", site, "theta_nor"),
-                                 1e-320) == 2
+        assert _run_edited_block(work, tmp_path, ("sidecar", site),
+                                 {"theta": _entry((0, 0), 1e-320)}) == 2
         err = capsys.readouterr().err
-        assert f"oat site '{site}': theta_nor=1e-320 is too small" in err
+        assert f"encoder site '{site}': theta: theta_nor=1e-320 is too small" in err
         assert "every T <= 25, so theta_nor >= " in err
 
+    @pytest.mark.parametrize("theta", [(40.0, 0.5), (0.5, 0.5), (-0.5, 40.0)])
+    def test_unordered_thresholds_named(self, work, tmp_path, capsys, theta):
+        assert _run_edited_block(work, tmp_path, ("sidecar", "layers.0.attn.k"),
+                                 {"theta": lambda _: np.array([theta])}) == 2
+        assert ("encoder site 'layers.0.attn.k': theta: need theta_out > theta_nor > 0"
+                in capsys.readouterr().err)
+
     def test_negative_report_seed_refused(self, default_work, tmp_path, capsys):
-        # no fit can be reproduced from a negative seed
-        site = "layers.0.ffn.act"
+        # no fit can be reproduced from a negative seed, and every report's
+        # seed follows from the config's calibration seed
         assert _run_edited_block(default_work, tmp_path,
-                                 ("reports", site, "seed"), -5) == 2
-        assert (f"reports site '{site}': seed must be nonnegative, got -5"
+                                 ("config", "seeds", "calibration"), -5) == 2
+        assert ("seeds['calibration'] must be nonnegative, got -5"
                 in capsys.readouterr().err)
 
 

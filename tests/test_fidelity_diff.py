@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from spikeconvert.calibration import sample_distribution
+from spikeconvert.calibration import CalibrationReport
 from spikeconvert.model import spike_forward
 from spikeconvert.neurons import HGConfig, OATConfig
 from spikeconvert.tensors import Matrix
@@ -26,11 +27,13 @@ def run(out, err=0.01, sops=10, clamped=0, site="layers.0.attn.in",
             {gate + ".clamped": clamped} if clamped else {})
 
 
-def loaded(d0=1.0, theta_nor=0.5):
+def loaded(d0=1.0, theta_nor=0.5, err=0.25, seed=1022):
     """The numbers of a loaded one-gate, one-encoder block."""
     bank = HGConfig((0.0, 1.0, 2.0), [[d0, 2.0]])
+    report = CalibrationReport("exp", (err, 0.5), 4096, seed)
     block = SimpleNamespace(hg={"layers.0.attn.exp": bank},
-                            oat={"input": OATConfig(theta_nor, 4.0, 5, 16)})
+                            oat={"input": OATConfig(theta_nor, 4.0, 5, 16)},
+                            reports={"layers.0.attn.exp": report})
     return {"default": fidelity_diff.block_numbers(block)}
 
 
@@ -141,13 +144,19 @@ class TestLoadedBlocks:
     def test_numbers_read_from_the_stacks(self):
         numbers = loaded()["default"]
         # each bank's boundaries and (T, N) weights, which every block format
-        # since 3 stores
-        assert set(numbers) == {("hg", "layers.0.attn.exp", "boundaries"),
-                                ("hg", "layers.0.attn.exp", "d"),
-                                ("oat", "input")}
-        assert numbers["hg", "layers.0.attn.exp", "boundaries"].tolist() == [0.0, 1.0, 2.0]
-        assert numbers["hg", "layers.0.attn.exp", "d"].tolist() == [[1.0, 2.0]]
+        # since 3 stores, each encoder's thresholds and each gate's report
+        site = "layers.0.attn.exp"
+        assert set(numbers) == {("hg", site, "boundaries"), ("hg", site, "d"),
+                                ("oat", "input"), ("report", site, "err"),
+                                ("report", site, "target"),
+                                ("report", site, "samples_per_range"),
+                                ("report", site, "seed")}
+        assert numbers["hg", site, "boundaries"].tolist() == [0.0, 1.0, 2.0]
+        assert numbers["hg", site, "d"].tolist() == [[1.0, 2.0]]
         assert numbers["oat", "input"].tolist() == [0.5, 4.0]
+        assert numbers["report", site, "err"].tolist() == [0.25, 0.5]
+        assert [numbers["report", site, k].item()
+                for k in ("target", "samples_per_range", "seed")] == ["exp", 4096, 1022]
 
     def test_equal_only_bit_for_bit(self):
         assert fidelity_diff.same_numbers(loaded()["default"], loaded()["default"])
@@ -155,6 +164,10 @@ class TestLoadedBlocks:
                                               loaded(d0=-0.0)["default"])
         assert not fidelity_diff.same_numbers(loaded()["default"],
                                               loaded(theta_nor=0.25)["default"])
+        assert not fidelity_diff.same_numbers(loaded()["default"],
+                                              loaded(err=0.125)["default"])
+        assert not fidelity_diff.same_numbers(loaded()["default"],
+                                              loaded(seed=1023)["default"])
 
     def test_report_tells_layout_from_numerics(self, capsys):
         # a new file layout with the same numbers: the files differ, the

@@ -45,6 +45,7 @@ from spikeconvert.model import (
     save_weights,
     spike_forward,
 )
+from spikeconvert.model import _write_lasw
 from spikeconvert.neurons import HGConfig, _max_steps
 from spikeconvert.spikeops import (
     constant_train,
@@ -112,6 +113,12 @@ class TestModelConfig:
             ModelConfig(H=1025)
         with pytest.raises(ValueError, match=r"grid units, so T <= 25"):
             ModelConfig(T=26)
+
+    def test_sub_range_ceiling_named(self):
+        ModelConfig(N_per_nonlinearity=1024)
+        with pytest.raises(ValueError, match=r"N_per_nonlinearity must be within "
+                                             r"1\.\.1024, got 1025"):
+            ModelConfig(N_per_nonlinearity=1025)
 
     def test_sample_count_ceiling_named(self):
         ModelConfig(samples_per_range=2**20)
@@ -735,23 +742,21 @@ class TestBlockSerialization:
         save_block(block, p)
         with open(p) as fh:
             doc = json.load(fh)
-        assert all(set(n) == {"target", "per_subrange_max_abs_err",
-                              "samples_per_range", "seed"}
-                   for n in doc["reports"].values())
-        assert all(set(n) == {"theta_nor", "theta_out"}
-                   for n in doc["oat"].values())
-        # each gate bank lies in the sidecar as its boundaries and weights, and
-        # only there
-        assert set(doc) == {"format", "version", "config", "weights_file", "oat",
-                            "reports"}
+        # the JSON names the block; every number lies in the sidecar, once
+        assert set(doc) == {"format", "version", "config", "weights_file"}
         sidecar = load_weights(str(tmp_path / doc["weights_file"]))
+        for site, c in block.oat.items():
+            assert sidecar[site + ".theta"].array.tolist() == [[c.theta_nor,
+                                                                c.theta_out]]
         for site, c in block.hg.items():
             T, N = c.d.shape
             assert T == block.config.T
             assert sidecar[site + ".boundaries"].shape == (1, N + 1)
             assert sidecar[site + ".d"].shape == (T, N)
+            assert sidecar[site + ".err"].array.tolist() == [
+                list(block.reports[site].per_subrange_max_abs_err)]
         n_weights = len(expected_shapes(block.config))
-        assert len(sidecar.names) == n_weights + 2 * len(block.hg)
+        assert len(sidecar.names) == n_weights + len(block.oat) + 3 * len(block.hg)
         back = load_block(p)
         assert back.config == block.config
         assert back.oat == block.oat
@@ -771,7 +776,7 @@ class TestBlockSerialization:
             doc = json.load(fh)
         with open(p, "w") as fh:
             json.dump(dict(doc, version=1), fh)
-        with pytest.raises(FormatError, match="version: expected 5, found 1; reconvert"):
+        with pytest.raises(FormatError, match="version: expected 6, found 1; reconvert"):
             load_block(p)
 
     def test_version_2_file_refused(self, tiny_block, tmp_path):
@@ -781,7 +786,7 @@ class TestBlockSerialization:
             doc = json.load(fh)
         with open(p, "w") as fh:
             json.dump(dict(doc, version=2), fh)
-        with pytest.raises(FormatError, match="expected 5, found 2; reconvert the block "
+        with pytest.raises(FormatError, match="expected 6, found 2; reconvert the block "
                                               "with `spikeconvert convert`"):
             load_block(p)
 
@@ -845,10 +850,51 @@ class TestBlockSerialization:
     def test_missing_site_rejected_on_load(self, tiny_block, tmp_path):
         p = str(tmp_path / "block.json")
         save_block(tiny_block, p)
-        with open(p) as fh:
-            doc = json.load(fh)
-        del doc["oat"]["layers.0.attn.q"]
-        with open(p, "w") as fh:
-            json.dump(doc, fh)
-        with pytest.raises(CalibrationError, match="attn.q"):
+        sidecar = str(tmp_path / "block.lasw")
+        ws = load_weights(sidecar)
+        _write_lasw({name: ws[name].array for name in ws.names
+                     if name != "layers.0.attn.q.theta"}, sidecar)
+        with pytest.raises(FormatError, match=r"encoder site 'layers.0.attn.q': tensors "
+                                              r"\['layers.0.attn.q.theta'\] missing"):
             load_block(p)
+
+    def test_report_fields_other_than_config_refused(self, tiny_block, tmp_path):
+        # a saved report keeps only its errors, so one whose target, sample
+        # count or seed is not the config's cannot be written faithfully
+        site = "layers.0.attn.exp"
+        for name, value in (("target", "gelu"), ("samples_per_range", 64),
+                            ("seed", 1)):
+            reports = dict(tiny_block.reports)
+            reports[site] = dataclasses.replace(reports[site], **{name: value})
+            bad = dataclasses.replace(tiny_block, reports=reports)
+            with pytest.raises(CalibrationError,
+                               match=f"reports site '{site}': target, samples_per_range "
+                                     f"and seed must be the config's"):
+                save_block(bad, str(tmp_path / "block.json"))
+
+    @settings(max_examples=25, deadline=None)
+    @given(ffn_kind=st.sampled_from(["standard", "gated"]),
+           n_layers=st.integers(1, 2), N=st.integers(1, 4), T=st.integers(4, 16),
+           seeds=st.tuples(*[st.integers(0, 2**32)] * 3))
+    def test_small_blocks_round_trip(self, ffn_kind, n_layers, N, T, seeds):
+        cfg = ModelConfig(**{**TINY, "ffn_kind": ffn_kind, "n_layers": n_layers,
+                             "N_per_nonlinearity": N, "T": T, "samples_per_range": 64,
+                             "seeds": dict(zip(("weights", "calibration", "input"),
+                                               seeds))})
+        sample = sample_distribution("normal", 2 * cfg.seq_len, cfg.d_model,
+                                     np.random.default_rng(seeds[1]))
+        block = convert(cfg, WeightSet.random(cfg, seeds[0]), sample)
+        with tempfile.TemporaryDirectory() as tmp:
+            p = os.path.join(tmp, "block.json")
+            save_block(block, p)
+            sidecar = load_weights(os.path.join(tmp, "block.lasw"))
+            back = load_block(p)
+        weights = expected_shapes(cfg)
+        assert set(sidecar.names) == set(weights) | {
+            f"{site}.theta" for site in oat_sites(cfg)} | {
+            f"{site}.{name}" for site in hg_sites(cfg) for name in ("boundaries", "d", "err")}
+        assert back.config == block.config
+        assert all(np.array_equal(back.weights[name].array, block.weights[name].array)
+                   for name in weights)
+        assert back.oat == block.oat and back.hg == block.hg
+        assert back.reports == block.reports

@@ -35,7 +35,9 @@ and whether the SOP/FLOP totals and the gate clamp totals of each layer
 whether the saved block files and the calibrate outputs are byte-identical,
 and whether the loaded blocks are equal bit for bit: each gate bank's
 boundaries and (T, N) step weights d, which fix its schedule and which
-every checkout since block format 3 holds, and each encoder's thresholds.
+every checkout since block format 3 holds, each encoder's thresholds, and
+each gate's calibration report (its per-sub-range errors, target,
+samples_per_range and seed).
 The exit status is 0 when the per-layer totals and the files all match,
 and 1 otherwise, so a site renamed within its layer shows in the
 ledgers and counters columns without reading as a numerics change, and a
@@ -85,22 +87,29 @@ INPUT_SEED = 4242
 
 
 def block_numbers(block) -> dict:
-    """A block's fitted numbers as float64 arrays: each gate bank's boundaries
-    and step weights d, and each encoder's thresholds."""
+    """A block's fitted numbers as numpy arrays: each gate bank's boundaries
+    and step weights d, each encoder's thresholds, and each gate's report:
+    its per-sub-range errors (float64), and its target, samples_per_range
+    and seed."""
     numbers = {}
     for site, c in block.hg.items():
         for name in ("boundaries", "d"):
             numbers["hg", site, name] = np.array(getattr(c, name), dtype=np.float64)
     for site, c in block.oat.items():
         numbers["oat", site] = np.array([c.theta_nor, c.theta_out])
+    for site, r in block.reports.items():
+        numbers["report", site, "err"] = np.array(r.per_subrange_max_abs_err,
+                                                  dtype=np.float64)
+        for name in ("target", "samples_per_range", "seed"):
+            numbers["report", site, name] = np.array(getattr(r, name))
     return numbers
 
 
 def same_numbers(old: dict, new: dict) -> bool:
-    """Equal keys, shapes and bits (so 0.0 and -0.0 differ)."""
+    """Equal keys, dtypes, shapes and bits (so 0.0 and -0.0 differ)."""
     return old.keys() == new.keys() and all(
-        old[k].shape == new[k].shape and old[k].tobytes() == new[k].tobytes()
-        for k in old)
+        old[k].dtype == new[k].dtype and old[k].shape == new[k].shape
+        and old[k].tobytes() == new[k].tobytes() for k in old)
 
 
 def run_checkout(n_inputs: int, tmp: str) -> dict:

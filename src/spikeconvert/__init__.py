@@ -3,155 +3,9 @@
 The package is organized bottom-up: exact matrix primitives, the three
 spiking neuron kernels, calibration of thresholds and piecewise kernels,
 spike-domain transformer components, energy accounting, and finally whole
-toy blocks with conversion, serialization, and a CLI.
+toy blocks with conversion, serialization, and a CLI. Each name is imported
+from the module that defines it (`spikeconvert.model.convert`); the package
+itself provides only `__version__`.
 """
-from .calibration import (
-    TARGETS,
-    CalibrationReport,
-    Target,
-    curvature_sample,
-    fit_fs,
-    fit_target,
-    gelu,
-    hg_to_dict,
-    observed_range,
-    sample_distribution,
-    select_oat_thresholds,
-    silu,
-    target_fn,
-)
-from .energy import (
-    DEFAULT_FLOP_COSTS,
-    E_AC,
-    E_MAC,
-    EnergyLedger,
-    energy_ratio,
-)
-from .errors import (
-    CalibrationError,
-    EmptyInputError,
-    EnergyAccountingError,
-    FormatError,
-    NonFiniteError,
-    ShapeError,
-    SpikePathError,
-    StepMismatchError,
-)
-from .model import (
-    ConvertedBlock,
-    ModelConfig,
-    RunTrace,
-    WeightSet,
-    ablate_dual_range,
-    convert,
-    dump_json,
-    expected_shapes,
-    float_forward,
-    hg_sites,
-    load_block,
-    load_config,
-    load_weights,
-    oat_sites,
-    relative_error,
-    save_block,
-    save_config,
-    save_weights,
-    spike_forward,
-)
-from .neurons import (
-    HGConfig,
-    MTConfig,
-    OATConfig,
-    SpikeMatrixTrain,
-    decode,
-    mt_encode,
-)
-from .spikeops import (
-    apply_hg,
-    constant_train,
-    decode_train,
-    encode_matrix,
-    hadamard_mul,
-    saa_mul,
-    saw_mul,
-    saw_mul_right,
-    softmax_offset,
-    spike_ffn,
-    spike_gated_ffn,
-    spike_layernorm,
-    spike_softmax,
-)
-from .tensors import ActivationStats, Matrix, percentile
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ActivationStats",
-    "CalibrationError",
-    "CalibrationReport",
-    "ConvertedBlock",
-    "DEFAULT_FLOP_COSTS",
-    "E_AC",
-    "E_MAC",
-    "EmptyInputError",
-    "EnergyAccountingError",
-    "EnergyLedger",
-    "FormatError",
-    "HGConfig",
-    "MTConfig",
-    "Matrix",
-    "ModelConfig",
-    "NonFiniteError",
-    "OATConfig",
-    "RunTrace",
-    "ShapeError",
-    "SpikeMatrixTrain",
-    "SpikePathError",
-    "StepMismatchError",
-    "TARGETS",
-    "Target",
-    "WeightSet",
-    "ablate_dual_range",
-    "apply_hg",
-    "constant_train",
-    "convert",
-    "curvature_sample",
-    "decode",
-    "decode_train",
-    "dump_json",
-    "encode_matrix",
-    "energy_ratio",
-    "expected_shapes",
-    "fit_fs",
-    "fit_target",
-    "float_forward",
-    "gelu",
-    "hadamard_mul",
-    "hg_sites",
-    "hg_to_dict",
-    "load_block",
-    "load_config",
-    "load_weights",
-    "mt_encode",
-    "oat_sites",
-    "observed_range",
-    "percentile",
-    "relative_error",
-    "saa_mul",
-    "sample_distribution",
-    "save_block",
-    "save_config",
-    "save_weights",
-    "saw_mul",
-    "saw_mul_right",
-    "select_oat_thresholds",
-    "silu",
-    "softmax_offset",
-    "spike_ffn",
-    "spike_forward",
-    "spike_gated_ffn",
-    "spike_layernorm",
-    "spike_softmax",
-    "target_fn",
-    "__version__",
-]

@@ -64,8 +64,10 @@ _RANGE_PAD = 0.1
 # float64 values, 80 MiB at this ceiling.
 _MAX_SAMPLES = 2**20
 # The most sub-ranges N a bank is fitted with: a fit's time and memory grow
-# linearly with N, and convert fits every gate site at the config's N.
-_MAX_SUBRANGES = 1024
+# linearly with N, and convert fits every gate site at the config's N. It is
+# also the spacing of model._fit_seeds, so the sub-range seeds seed + i of
+# one site never reach the next site's.
+_MAX_SUBRANGES = 1000
 # A fit decodes its validation grid in this many blocks: fewer keep more
 # memory, more make more numpy calls. At M = 4096 on a 2-vCPU Xeon, 2 to 4
 # blocks fitted equally fast and 10 blocks 17 % slower.

@@ -248,7 +248,8 @@ class WeightSet:
 
 def _record(recorder: dict | None, site: str, arr: np.ndarray) -> None:
     if recorder is not None:
-        recorder.setdefault(site, []).append(np.array(arr, copy=True))
+        # kept, not copied: float_forward never writes into an array it records
+        recorder.setdefault(site, []).append(arr)
 
 
 def _float_layernorm(a, gamma, beta, ledger, site, recorder):
@@ -398,6 +399,12 @@ class ConvertedBlock:
                 raise CalibrationError(f"hg site {site!r}: d must be {cfg.T} "
                                        f"rows, one per step of the config's T, "
                                        f"got {steps}")
+            # convert fits at most N; fewer stay legal, since fit_target
+            # drops collapsed boundaries
+            if n > cfg.N_per_nonlinearity:
+                raise CalibrationError(f"hg site {site!r}: {n} sub-ranges must be at most "
+                                       f"the config's N_per_nonlinearity "
+                                       f"{cfg.N_per_nonlinearity}")
             # a saved report keeps only its errors: the rest is the config's
             want, got = (target, cfg.samples_per_range, seeds[site]), (
                 r.target, r.samples_per_range, r.seed)
@@ -411,10 +418,13 @@ class ConvertedBlock:
 
 def _fit_seeds(cfg: ModelConfig) -> dict[str, int]:
     """Each gate site's fit seed, in site-name order: the config's
-    calibration seed plus 1000 per site. convert fits with them and
-    load_block rebuilds the reports with them, so a block file stores none."""
+    calibration seed plus _MAX_SUBRANGES per site, so one site's sub-range
+    seeds (seed + i, i < N) never reach the next site's. convert fits with
+    them and load_block rebuilds the reports with them, so a block file
+    stores none."""
     base = int(cfg.seeds["calibration"])
-    return {site: base + 1000 * (i + 1) for i, site in enumerate(sorted(hg_sites(cfg)))}
+    return {site: base + _MAX_SUBRANGES * (i + 1)
+            for i, site in enumerate(sorted(hg_sites(cfg)))}
 
 
 def convert(cfg: ModelConfig, w: WeightSet, calib_sample: Matrix) -> ConvertedBlock:

@@ -141,7 +141,7 @@ class TestSelectHierarchy:
 
         monkeypatch.setattr(calibration, "curvature_sample", sampled)
         N = calibration._MAX_SUBRANGES + 1
-        with pytest.raises(ValueError, match=f"need at most 1024 sub-ranges, got N={N}"):
+        with pytest.raises(ValueError, match=f"need at most 1000 sub-ranges, got N={N}"):
             fit_target("gelu", N, 8, 64, seed=0)
 
 

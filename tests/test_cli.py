@@ -128,6 +128,17 @@ def _fewer_cols(a):
     return a[:, :-1]
 
 
+def _extra_col(a):
+    """One more column, a copy of the last."""
+    return np.hstack([a, a[:, -1:]])
+
+
+def _extra_edge(b):
+    """One more boundary, as far past the last as the last is past the one
+    before it."""
+    return np.hstack([b, 2 * b[:, -1:] - b[:, -2:-1]])
+
+
 def _repeated_edge(b):
     """Boundaries whose third edge repeats the second."""
     return _entry((0, 2), b[0, 1])(b)
@@ -193,14 +204,14 @@ class TestCalibrate:
         code = main(["calibrate", "--target", "exp", "--levels", levels,
                      "--out", str(tmp_path / "x.json")])
         assert code == 2
-        assert f"--levels must be within 1..1024, got {levels}" in capsys.readouterr().err
+        assert f"--levels must be within 1..1000, got {levels}" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
     def test_levels_above_bound_named(self, tmp_path, capsys):
-        code = main(["calibrate", "--target", "exp", "--levels", "1025",
+        code = main(["calibrate", "--target", "exp", "--levels", "1001",
                      "--out", str(tmp_path / "x.json")])
         assert code == 2
-        assert "--levels must be within 1..1024, got 1025" in capsys.readouterr().err
+        assert "--levels must be within 1..1000, got 1001" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
     def test_collapsed_sub_range_count_printed(self, tmp_path, capsys):
@@ -704,6 +715,11 @@ class TestRun:
         (("weights_file",), "", "weights_file"),
         (("weights_file",), ".", "weights_file"),
         (("weights_file",), "..", "weights_file"),
+        # a bank of more sub-ranges than the config's N_per_nonlinearity (8),
+        # its boundaries, d and err widened to match
+        (("sidecar", "layers.0.ffn.act"),
+         {"boundaries": _extra_edge, "d": _extra_col, "err": _extra_col},
+         "hg site 'layers.0.ffn.act': 9 sub-ranges"),
     ])
     def test_wrongly_typed_block_field_named(self, work, tmp_path, capsys,
                                              path, value, field):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spikeconvert.calibration import gelu, sample_distribution, silu
+from spikeconvert.calibration import _MAX_SUBRANGES, gelu, sample_distribution, silu
 from spikeconvert.errors import (
     CalibrationError,
     FormatError,
@@ -45,7 +45,7 @@ from spikeconvert.model import (
     save_weights,
     spike_forward,
 )
-from spikeconvert.model import _write_lasw
+from spikeconvert.model import _fit_seeds, _write_lasw
 from spikeconvert.neurons import HGConfig, _max_steps
 from spikeconvert.spikeops import (
     constant_train,
@@ -115,10 +115,10 @@ class TestModelConfig:
             ModelConfig(T=26)
 
     def test_sub_range_ceiling_named(self):
-        ModelConfig(N_per_nonlinearity=1024)
+        ModelConfig(N_per_nonlinearity=1000)
         with pytest.raises(ValueError, match=r"N_per_nonlinearity must be within "
-                                             r"1\.\.1024, got 1025"):
-            ModelConfig(N_per_nonlinearity=1025)
+                                             r"1\.\.1000, got 1001"):
+            ModelConfig(N_per_nonlinearity=1001)
 
     def test_sample_count_ceiling_named(self):
         ModelConfig(samples_per_range=2**20)
@@ -172,6 +172,16 @@ class TestSites:
         assert len(oat_sites(cfg)) == 1 + 2 * 9
         assert len(hg_sites(cfg)) == 10
         assert "layers.1.ln2.invsqrt" in hg_sites(cfg)
+
+    def test_fit_seed_ranges_are_disjoint_at_the_ceiling(self):
+        # sub-range i of a site fits with seed + i: at the most sub-ranges,
+        # no two sites' seed ranges [s, s + N) meet
+        N = _MAX_SUBRANGES
+        cfg = ModelConfig(**{**TINY, "ffn_kind": "gated", "n_layers": 4,
+                             "N_per_nonlinearity": N})
+        starts = sorted(_fit_seeds(cfg).values())
+        assert len(starts) == len(hg_sites(cfg)) == 20
+        assert all(a + N <= b for a, b in zip(starts, starts[1:]))
 
     def test_expected_shapes(self, tiny_cfg):
         shapes = expected_shapes(tiny_cfg)
@@ -374,6 +384,33 @@ class TestFloatForward:
         y = float_forward(tiny_cfg, tiny_weights, tiny_input, recorder=recorder)
         assert [a.shape for a in recorder["layers.0.attn"]] == [y.shape]
         assert [a.tobytes() for a in recorder["layers.0.ffn"]] == [y.array.tobytes()]
+
+    def test_recorded_arrays_keep_their_bytes(self, tiny_block, tiny_input,
+                                              monkeypatch):
+        # a recorder keeps the arrays float_forward builds, not copies: no
+        # later step of that run, and no later run on the same block, may
+        # write into them or into the residuals the block's oracle slot keeps
+        import spikeconvert.model as model
+
+        record, recorder, at_record = model._record, {}, {}
+
+        def snapshot(rec, site, arr):
+            if rec is recorder:
+                at_record.setdefault(site, []).append(arr.tobytes())
+            record(rec, site, arr)
+
+        monkeypatch.setattr(model, "_record", snapshot)
+        cfg, w, x2 = tiny_block.config, tiny_block.weights, Matrix(tiny_input.array * 2)
+        float_forward(cfg, w, tiny_input, recorder=recorder)
+        block = ConvertedBlock(cfg, w, tiny_block.oat, tiny_block.hg, tiny_block.reports)
+        spike_forward(block, tiny_input, T=4)
+        residuals = {k: (a, a.tobytes()) for k, a in block._oracle_slot[2].items()}
+        spike_forward(block, tiny_input, T=8)
+        float_forward(cfg, w, x2, recorder={})
+        spike_forward(block, x2)
+        assert at_record == {
+            k: [a.tobytes() for a in v] for k, v in recorder.items()}
+        assert all(a.tobytes() == b for a, b in residuals.values())
 
     def test_flop_charges(self, tiny_cfg, tiny_weights, tiny_input):
         from spikeconvert.energy import EnergyLedger
@@ -806,7 +843,8 @@ class TestBlockSerialization:
         assume(np.all((guards >= np.finfo(np.float64).tiny) & np.isfinite(guards)))
         weights = data.draw(st.lists(finite, min_size=T * N, max_size=T * N))
         bank = HGConfig(edges, np.reshape(weights, (T, N)))
-        cfg = dataclasses.replace(tiny_block.config, T=T)
+        # the config must allow the bank's N sub-ranges
+        cfg = dataclasses.replace(tiny_block.config, T=T, N_per_nonlinearity=N)
         block = ConvertedBlock(
             cfg, tiny_block.weights,
             {site: dataclasses.replace(c, T=T) for site, c in tiny_block.oat.items()},
@@ -856,6 +894,28 @@ class TestBlockSerialization:
                      if name != "layers.0.attn.q.theta"}, sidecar)
         with pytest.raises(FormatError, match=r"encoder site 'layers.0.attn.q': tensors "
                                               r"\['layers.0.attn.q.theta'\] missing"):
+            load_block(p)
+
+    def test_bank_wider_than_config_refused(self, tiny_block, tmp_path):
+        # convert fits at most N_per_nonlinearity sub-ranges: a sidecar bank
+        # of N + 1, its boundaries, d and err all widened to match, is refused
+        p = str(tmp_path / "block.json")
+        save_block(tiny_block, p)
+        sidecar = str(tmp_path / "block.lasw")
+        ws = load_weights(sidecar)
+        tensors = {name: ws[name].array for name in ws.names}
+        site = "layers.0.ffn.act"
+        # one more sub-range, a copy of the last, past the upper boundary
+        b = tensors[site + ".boundaries"]
+        tensors[site + ".boundaries"] = np.hstack([b, 2 * b[:, -1:] - b[:, -2:-1]])
+        for leaf in ("d", "err"):
+            a = tensors[f"{site}.{leaf}"]
+            tensors[f"{site}.{leaf}"] = np.hstack([a, a[:, -1:]])
+        assert tensors[site + ".d"].shape[1] == tiny_block.config.N_per_nonlinearity + 1
+        _write_lasw(tensors, sidecar)
+        with pytest.raises(CalibrationError,
+                           match=f"hg site '{site}': 5 sub-ranges must be at most "
+                                 f"the config's N_per_nonlinearity 4"):
             load_block(p)
 
     def test_report_fields_other_than_config_refused(self, tiny_block, tmp_path):

@@ -177,8 +177,9 @@ def select_oat_thresholds(
     """Pick (theta_nor, theta_out) from an activation sample's statistics.
 
     theta_nor is the normal_quantile of |activation|, theta_out the sample's
-    max magnitude. Degenerate samples (constant, or almost all zero) get
-    nudged apart so the strict ordering theta_out > theta_nor > 0 holds.
+    largest |activation| (stats.max_abs). Degenerate samples (constant, or
+    almost all zero) get nudged apart so the strict ordering
+    theta_out > theta_nor > 0 holds.
     """
     if not 0.0 < normal_quantile < 1.0:
         raise ValueError(f"normal_quantile must be in (0, 1), got {normal_quantile}")
@@ -187,7 +188,7 @@ def select_oat_thresholds(
             f"stats were built without the {normal_quantile} magnitude quantile"
         )
     nor = stats.abs_percentiles[normal_quantile]
-    out = max(abs(stats.minimum), abs(stats.maximum))
+    out = stats.max_abs
     if nor <= 0.0:
         # almost everything is exactly zero; any tiny positive threshold
         # keeps the fine path alive without touching the outlier path

@@ -63,8 +63,9 @@ even to a column of -0.0; a one-element step keeps the step loop, because
 numpy sums that pairwise.
 
 hg_eval decodes the bank on a 1-D batch, which is how a fitted bank's error
-is checked. All encoders are deterministic and produce bit-identical
-trains for identical inputs and configurations.
+is checked; it refuses a non-finite input, as apply_hg does. All encoders
+are deterministic and produce bit-identical trains for identical inputs and
+configurations.
 """
 from __future__ import annotations
 
@@ -552,9 +553,12 @@ def _rung_bits(K: np.ndarray, T: int, rungs: int | None = None) -> np.ndarray:
     return bits
 
 
-def _hg_run(flat: np.ndarray, c: HGConfig, T: int | None = None) -> tuple:
+def _hg_run(flat: np.ndarray, c: HGConfig, T: int | None, what: str) -> tuple:
     """Returns (values, clamped_count) over a flat batch at T steps
-    (default: the fitted depth)."""
+    (None: the fitted depth). A non-finite entry raises NonFiniteError,
+    naming the input as what."""
+    if not np.isfinite(flat).all():
+        raise NonFiniteError(f"{what} contains non-finite values")
     bs, d = c.boundaries, c.d
     fitted = d.shape[0]
     T = fitted if T is None else T
@@ -577,6 +581,8 @@ def _hg_run(flat: np.ndarray, c: HGConfig, T: int | None = None) -> tuple:
 
 
 def hg_eval(c: HGConfig, x: np.ndarray) -> np.ndarray:
-    """Decoded outputs of the gated bank on a 1-D batch, as apply_hg decodes them."""
-    values, _ = _hg_run(np.asarray(x, dtype=np.float64).reshape(-1), c)
+    """Decoded outputs of the gated bank on a 1-D batch, as apply_hg decodes
+    them; a non-finite entry raises NonFiniteError, as there."""
+    values, _ = _hg_run(np.asarray(x, dtype=np.float64).reshape(-1), c, None,
+                        "hg_eval input")
     return _sum_steps(values)

@@ -155,9 +155,7 @@ def apply_hg(
     NonFiniteError instead. Another T runs the first T steps of the
     fitted schedule (coarser output), or pads it with silent steps.
     """
-    if not np.isfinite(x.data).all():
-        raise NonFiniteError(f"gate input at {site!r} contains non-finite values")
-    values, clamped = _hg_run(x.data, cfg, T)
+    values, clamped = _hg_run(x.data, cfg, T, f"gate input at {site!r}")
     _count(counters, site + ".clamped", clamped)
     return _train(values, x, ledger, site)
 

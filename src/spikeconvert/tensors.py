@@ -2,8 +2,10 @@
 
 All storage is row-major float64 and immutable after construction. numpy
 carries the arithmetic; the wrappers add the shape and finiteness checks
-that the spike machinery relies on. Percentiles use sorted linear
-interpolation so threshold selection is reproducible down to the bit.
+that the spike machinery relies on. stats gives the two magnitudes that
+threshold selection reads: quantiles of |x| and the largest |x|, both from
+one sort of |x|. Percentiles use sorted linear interpolation so threshold
+selection is reproducible down to the bit.
 """
 from __future__ import annotations
 
@@ -74,20 +76,14 @@ class Matrix:
 
 @dataclass(frozen=True)
 class ActivationStats:
-    """Summary of one batch of activation values.
+    """The magnitudes of one batch of activation values.
 
-    percentiles maps each requested quantile in [0, 1] to the value at that
-    rank of the signed sample; abs_percentiles does the same for |values|,
-    which is what threshold selection wants.
+    abs_percentiles maps each requested quantile in [0, 1] to the value at
+    that rank of |values|; max_abs is the largest |value|.
     """
 
-    count: int
-    mean: float
-    std: float
-    minimum: float
-    maximum: float
-    percentiles: Mapping[float, float]
     abs_percentiles: Mapping[float, float]
+    max_abs: float
 
 
 def percentile(sorted_values: np.ndarray, q: float) -> float:
@@ -106,19 +102,11 @@ def percentile(sorted_values: np.ndarray, q: float) -> float:
 
 
 def stats(x: Matrix, quantiles: Iterable[float] = ()) -> ActivationStats:
-    """Summary statistics of all entries of x at the requested quantiles."""
-    a = x.data
-    if a.size == 0:
+    """The quantiles of |x| at the requested ranks, and the largest |x|."""
+    if x.data.size == 0:
         raise EmptyInputError("stats on an empty Matrix")
-    qs = tuple(quantiles)
-    signed = np.sort(a)
-    absolute = np.sort(np.abs(a))
+    absolute = np.sort(np.abs(x.data))
     return ActivationStats(
-        count=int(a.size),
-        mean=float(np.mean(a)),
-        std=float(np.std(a)),
-        minimum=float(signed[0]),
-        maximum=float(signed[-1]),
-        percentiles={q: percentile(signed, q) for q in qs},
-        abs_percentiles={q: percentile(absolute, q) for q in qs},
+        abs_percentiles={q: percentile(absolute, q) for q in quantiles},
+        max_abs=float(absolute[-1]),
     )

@@ -33,7 +33,7 @@ from spikeconvert.calibration import (
 from spikeconvert.errors import CalibrationError
 from spikeconvert.model import ModelConfig, convert
 from spikeconvert.neurons import _MAX_GATE_STEPS, HGConfig, _sum_steps, hg_eval
-from spikeconvert.tensors import Matrix, stats
+from spikeconvert.tensors import Matrix, percentile, stats
 
 
 class TestSelectOATThresholds:
@@ -75,6 +75,61 @@ class TestSelectOATThresholds:
         s = stats(Matrix(np.ones((2, 2))), quantiles=(0.5,))
         with pytest.raises(CalibrationError):
             select_oat_thresholds(s, 0.99)
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(["normal", "signed_zeros", "constant", "all_zero",
+                                 "outliers", "mostly_zero"]),
+           n=st.one_of(st.integers(1, 64), st.integers(1, 10**5)),
+           q=st.one_of(st.sampled_from([0.5, 0.97, 0.99]),
+                       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+           seed=st.integers(0, 2**32 - 1))
+    @example(kind="constant", n=16, q=0.99, seed=0)
+    @example(kind="all_zero", n=10**5, q=0.99, seed=1)
+    @example(kind="outliers", n=10**5, q=0.99, seed=2)
+    @example(kind="mostly_zero", n=1000, q=0.97, seed=3)
+    @example(kind="signed_zeros", n=1, q=0.5, seed=4)
+    def test_matches_two_sort_thresholds(self, kind, n, q, seed):
+        # stats sorts |x| once and takes its last entry as the largest
+        # magnitude; the thresholds, and whether they warn, equal bit for bit
+        # those of the signed sort and max(|minimum|, |maximum|) it replaced
+        a = threshold_sample(kind, n, np.random.default_rng(seed))
+        want, want_warned = two_sort_thresholds(a, q)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = select_oat_thresholds(stats(Matrix(a.reshape(1, -1)), (q,)), q)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert bool(caught) == want_warned
+
+
+def threshold_sample(kind, n, rng):
+    """n activation values of one kind: signed zeros, constant and all-zero
+    samples, and 1 % outliers at +-20 among uniform or zero values."""
+    zeros = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    if kind == "normal":
+        return rng.standard_normal(n)
+    if kind == "signed_zeros":
+        return np.where(rng.random(n) < 0.5, zeros, rng.standard_normal(n))
+    if kind == "constant":
+        return np.full(n, rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0))
+    if kind == "all_zero":
+        return zeros
+    a = rng.uniform(-1.0, 1.0, n) if kind == "outliers" else zeros
+    hit = rng.choice(n, max(1, n // 100), replace=False)
+    a[hit] = rng.choice([-20.0, 20.0], hit.size)
+    return a
+
+
+def two_sort_thresholds(a, q):
+    """select_oat_thresholds as it was computed from a signed sort and a sort
+    of |a|: (theta_nor, theta_out) and whether it warned."""
+    signed, absolute = np.sort(a), np.sort(np.abs(a))
+    nor = percentile(absolute, q)
+    out = max(abs(float(signed[0])), abs(float(signed[-1])))
+    if nor <= 0.0:
+        nor = out * 2.0**-20 if out > 0.0 else 2.0**-20
+    if out <= nor:
+        return (nor, nor * (1.0 + 2.0**-20)), True
+    return (nor, out), False
 
 
 def fitted_boundaries(monkeypatch, sample, N, lo, hi):

@@ -533,6 +533,15 @@ class TestHGNeuron:
         with pytest.raises(NonFiniteError):
             apply_hg(x, step_fn_config())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_hg_eval_refuses_non_finite_input(self, bad):
+        # a 4-sub-range bank, as an exp gate's on [-8, 0]: unchecked, NaN
+        # gathered a guard past the last sub-range and +-inf decoded as the
+        # edge sub-ranges' outputs
+        bank = HGConfig((-8.0, -4.0, -2.0, -1.0, 0.0), np.ones((6, 4)))
+        with pytest.raises(NonFiniteError, match="^hg_eval input contains"):
+            hg_eval(bank, np.array([0.0, bad]))
+
 
 def truncate_schedule(theta, h, d, T: int) -> tuple[tuple, tuple, tuple]:
     """First T steps of a schedule's theta, h and d; silent padding when T
@@ -574,7 +583,7 @@ class TestScheduleResizing:
     def test_step_count_below_one_named(self, T):
         # the gate itself refuses it, naming T, before it sizes a train
         with pytest.raises(ValueError, match=f"T must be at least 1, got {T}"):
-            _hg_run(np.array([0.5]), step_fn_config(), T)
+            _hg_run(np.array([0.5]), step_fn_config(), T, "x")
 
     def test_hg_at_steps_same_t_is_identity(self):
         # at the fitted depth: each column's dyadic schedule and weights
@@ -731,7 +740,7 @@ class TestGateBank:
                    np.array([0.3, 1.7]), 2))
     def test_matches_per_sub_kernel_reference(self, case):
         c, xs, T = case
-        values, clamped = _hg_run(xs, c, T)
+        values, clamped = _hg_run(xs, c, T, "xs")
         ref_values, ref_clamped = hg_run_reference(xs, c, T)
         assert values.tobytes() == ref_values.tobytes()
         assert clamped == ref_clamped

@@ -356,6 +356,15 @@ def assert_same_run(kernel, reference, *trains):
     assert got.values.tobytes() == ref.values.tobytes()
     assert got.values.shape == ref.values.shape
     assert got_ledger.to_dict() == ref_ledger.to_dict()
+    return got
+
+
+def assert_decodes_to(ts, want, magnitude):
+    """Criteria 1-3 as identities: the decoded train equals the float result
+    of the decoded operands within 1e-12 x (1 + magnitude), where magnitude
+    is the same operation on their absolute values, the scale of the
+    rounding of either order of summation."""
+    assert np.all(np.abs(dec(ts) - want) <= 1e-12 * (1.0 + magnitude))
 
 
 dims = st.integers(1, 6)
@@ -363,15 +372,17 @@ dims = st.integers(1, 6)
 # FFN's Hadamard step; past 16 columns softmax_offset takes its reduction
 steps = st.one_of(st.tuples(dims, dims), st.tuples(st.integers(1, 8),
                                                    st.integers(1, 128)))
-run_params = dict(T=st.integers(1, 10), density=st.floats(0.0, 1.0),
+# T up to 25, the step ceiling of a dual-range encoder at H = 5
+run_params = dict(T=st.integers(1, 25), density=st.floats(0.0, 1.0),
                   seed=st.integers(0, 2**32 - 1))
-WIDE = dict(step=(8, 128), T=10, density=0.5, seed=7)
+WIDE = dict(step=(8, 128), T=25, density=0.5, seed=7)
 # one step: the exclusive prefix sums are the one +0.0 row
 ONE_STEP = dict(step=(3, 5), T=1, density=0.5, seed=3)
 
 
 class TestWholeTensorKernels:
-    """The prefix-sum kernels equal the per-step loops bit for bit."""
+    """The prefix-sum kernels equal the per-step loops bit for bit, and
+    decode to the float product (or offset) of their decoded operands."""
 
     @settings(max_examples=150, deadline=None)
     @given(step=steps, cols=dims, **run_params)
@@ -380,9 +391,10 @@ class TestWholeTensorKernels:
     def test_saa_mul_matches_per_step(self, step, cols, T, density, seed):
         rows, inner = step
         rng = np.random.default_rng(seed)
-        assert_same_run(saa_mul, saa_mul_reference,
-                        event_train(rng, T, (rows, inner), density),
-                        event_train(rng, T, (inner, cols), density))
+        q = event_train(rng, T, (rows, inner), density)
+        k = event_train(rng, T, (inner, cols), density)
+        got = assert_same_run(saa_mul, saa_mul_reference, q, k)
+        assert_decodes_to(got, dec(q) @ dec(k), np.abs(dec(q)) @ np.abs(dec(k)))
 
     @settings(max_examples=150, deadline=None)
     @given(step=steps, mode=st.sampled_from(
@@ -396,19 +408,19 @@ class TestWholeTensorKernels:
         rows, cols = step
         rng = np.random.default_rng(seed)
         if mode == "self":  # one train object as both operands, as a square
-            a = event_train(rng, T, (rows, cols), density)
-            assert_same_run(hadamard_mul, hadamard_mul_reference, a, a)
-            return
-        a_shape, b_shape = {
-            "same": ((rows, cols), (rows, cols)),
-            "b_column": ((rows, cols), (rows, 1)),
-            "a_column": ((rows, 1), (rows, cols)),
-            "b_row": ((rows, cols), (1, cols)),
-            "b_scalar": ((rows, cols), (1, 1)),
-        }[mode]
-        assert_same_run(hadamard_mul, hadamard_mul_reference,
-                        event_train(rng, T, a_shape, density),
-                        event_train(rng, T, b_shape, density))
+            a = b = event_train(rng, T, (rows, cols), density)
+        else:
+            a_shape, b_shape = {
+                "same": ((rows, cols), (rows, cols)),
+                "b_column": ((rows, cols), (rows, 1)),
+                "a_column": ((rows, 1), (rows, cols)),
+                "b_row": ((rows, cols), (1, cols)),
+                "b_scalar": ((rows, cols), (1, 1)),
+            }[mode]
+            a = event_train(rng, T, a_shape, density)
+            b = event_train(rng, T, b_shape, density)
+        got = assert_same_run(hadamard_mul, hadamard_mul_reference, a, b)
+        assert_decodes_to(got, dec(a) * dec(b), np.abs(dec(a)) * np.abs(dec(b)))
 
     @settings(max_examples=150, deadline=None)
     @given(step=steps, **run_params)
@@ -417,8 +429,10 @@ class TestWholeTensorKernels:
     def test_softmax_offset_matches_per_step(self, step, T, density, seed):
         rows, cols = step
         rng = np.random.default_rng(seed)
-        assert_same_run(softmax_offset, softmax_offset_reference,
-                        event_train(rng, T, (rows, cols), density))
+        z = event_train(rng, T, (rows, cols), density)
+        got = assert_same_run(softmax_offset, softmax_offset_reference, z)
+        row_max = dec(z).max(axis=1, keepdims=True)
+        assert_decodes_to(got, dec(z) - row_max, np.abs(dec(z)) + np.abs(row_max))
 
     @settings(max_examples=50, deadline=None)
     @given(rows=dims, cols=dims, **run_params)
@@ -487,6 +501,7 @@ class TestBLASWeightProducts:
                           for a, b in ((W.array, xs.values),
                                        (np.abs(W.array), np.abs(xs.values))))
             sops = int(np.count_nonzero(xs.events)) * rows
+            assert_decodes_to(got, W.array @ dec(xs), np.abs(W.array) @ np.abs(dec(xs)))
         else:
             W = Matrix(rng.standard_normal((inner, cols)))
             xs = event_train(rng, T, (rows, inner), density)
@@ -495,6 +510,7 @@ class TestBLASWeightProducts:
                           for a, b in ((xs.values, W.array),
                                        (np.abs(xs.values), np.abs(W.array))))
             sops = int(np.count_nonzero(xs.events)) * cols
+            assert_decodes_to(got, dec(xs) @ W.array, np.abs(dec(xs)) @ np.abs(W.array))
         assert got.values.shape == ref.shape
         eps = np.finfo(np.float64).eps
         assert np.all(np.abs(got.values - ref) <= 2 * inner * eps * terms)

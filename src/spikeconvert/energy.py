@@ -10,6 +10,11 @@ so values below 1 mean the event-driven path is estimated cheaper than the
 float path it replaces. Threshold comparisons are charged nothing; a config
 flag can charge multi-level events at ceil(log2(levels)) accumulations each
 instead of one.
+
+A run charges one EnergyLedger: every kernel records its SOPs or FLOPs at
+its site, and every gate clamp and encoder saturation as a counter on the
+same ledger. A call given no ledger charges UNCHARGED, which records
+nothing.
 """
 from __future__ import annotations
 
@@ -29,7 +34,9 @@ class EnergyLedger:
     """Monotone per-site SOP/FLOP counters with fixed energy constants.
 
     sop_weight is the charge per spike event (1 by default; the multi-level
-    alternative charges each event as its bit width).
+    alternative charges each event as its bit width). counters maps
+    "<gate site>.clamped" and "<encoder site>.saturated" to how many inputs
+    fell outside the gate's range or above the encoder's top grid level.
     """
 
     def __init__(self, sop_weight: int = 1) -> None:
@@ -41,6 +48,7 @@ class EnergyLedger:
         self.sops = 0
         self.flops = 0
         self.by_site: dict[str, dict[str, int]] = {}
+        self.counters: dict[str, int] = {}
 
     def _bucket(self, site: str) -> dict[str, int]:
         bucket = self.by_site.get(site)
@@ -61,6 +69,12 @@ class EnergyLedger:
             raise EnergyAccountingError(f"cannot record {n} FLOPs at {site!r}")
         self.flops += int(n)
         self._bucket(site)["flops"] += int(n)
+
+    def count(self, key: str, n: int) -> None:
+        """Add n to the counter at key; a counter appears only once it has
+        something to count."""
+        if n:
+            self.counters[key] = self.counters.get(key, 0) + n
 
     def charge(self, site: str, kind: str, count: int) -> None:
         """Record count evaluations of a native float operator at site,
@@ -92,7 +106,7 @@ class EnergyLedger:
         for site, counts in by_site.items():
             where = f"by_site[{site!r}]"
             _check_type(where, counts, dict)
-            sops, flops = _count(where, counts, "sops"), _count(where, counts, "flops")
+            sops, flops = _tally(where, counts, "sops"), _tally(where, counts, "flops")
             if sops % ledger.sop_weight:
                 # each event charges sop_weight: flooring would hide a corrupt count
                 raise EnergyAccountingError(
@@ -101,17 +115,32 @@ class EnergyLedger:
                 )
             ledger.record_sop(site, sops // ledger.sop_weight)
             ledger.record_flop(site, flops)
-        totals = _count("ledger", d, "sops"), _count("ledger", d, "flops")
+        totals = _tally("ledger", d, "sops"), _tally("ledger", d, "flops")
         if (ledger.sops, ledger.flops) != totals:
             raise EnergyAccountingError("ledger totals do not match site breakdown")
         return ledger
 
 
-def _count(where: str, node: dict, key: str) -> int:
+class _Uncharged(EnergyLedger):
+    """A ledger that records nothing: the default of every kernel, so a call
+    that charges no run shares no state with another."""
+
+    def _ignore(self, key: str, n: int) -> None:
+        pass
+
+    record_sop = record_flop = count = _ignore
+
+
+UNCHARGED = _Uncharged()
+
+
+def _tally(where: str, node: dict, key: str) -> int:
     # checked, not coerced: int(2.7) would read a corrupt count as 2
     if key not in node:
         raise FormatError(f"{where} lacks the count {key!r}")
     _check_type(f"{where}.{key}", node[key], numbers.Integral)
+    if node[key] >= 2**53:  # energy_ratio takes it as a float64
+        raise EnergyAccountingError(f"{where}.{key} must be below 2**53")
     return node[key]
 
 

@@ -42,7 +42,7 @@ from .calibration import (
     silu,
 )
 from .errors import CalibrationError
-from .energy import EnergyLedger
+from .energy import UNCHARGED, EnergyLedger
 from .errors import (
     EmptyInputError,
     FormatError,
@@ -252,7 +252,7 @@ def _record(recorder: dict | None, site: str, arr: np.ndarray) -> None:
         recorder.setdefault(site, []).append(arr)
 
 
-def _float_layernorm(a, gamma, beta, ledger, site, recorder):
+def _float_layernorm(a, gamma, beta, site, recorder, ledger=UNCHARGED):
     r, d = a.shape
     mu = a.mean(axis=1, keepdims=True)
     c = a - mu
@@ -260,10 +260,9 @@ def _float_layernorm(a, gamma, beta, ledger, site, recorder):
     var = (c * c).mean(axis=1, keepdims=True)
     _record(recorder, site + ".invsqrt", var)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
-    if ledger is not None:
-        ledger.record_flop(site, 4 * r * d + r)  # mean, center, square-sum
-        ledger.charge(site, "sqrt", r)
-        ledger.record_flop(site, 3 * r * d)  # scale by inv, gamma, beta
+    ledger.record_flop(site, 4 * r * d + r)  # mean, center, square-sum
+    ledger.charge(site, "sqrt", r)
+    ledger.record_flop(site, 3 * r * d)  # scale by inv, gamma, beta
     return c * inv * gamma + beta
 
 
@@ -271,12 +270,12 @@ def float_forward(
     cfg: ModelConfig,
     w: WeightSet,
     x: Matrix,
-    ledger: EnergyLedger | None = None,
+    ledger: EnergyLedger = UNCHARGED,
     recorder: dict | None = None,
 ) -> Matrix:
     """Pure float encoder stack; the oracle for every spike comparison.
 
-    Optionally charges float-path FLOPs to a ledger and records per-site
+    Charges float-path FLOPs to the ledger and optionally records per-site
     activations: each encoder and gate input for calibration, and the
     residual stream after each sublayer at that sublayer's key
     (layers.<i>.attn, layers.<i>.ffn) for the spike path's per-layer errors.
@@ -291,19 +290,15 @@ def float_forward(
     cur = x.array.copy()
     _record(recorder, "input", cur)
 
-    def mac(site: str, n: int) -> None:
-        if ledger is not None:
-            ledger.record_flop(site, n)
-
     for i in range(cfg.n_layers):
         L = f"layers.{i}."
         ln1 = _float_layernorm(cur, w[L + "ln1.gamma"].array, w[L + "ln1.beta"].array,
-                               ledger, L + "ln1", recorder)
+                               L + "ln1", recorder, ledger)
         _record(recorder, L + "attn.in", ln1)
         q = (ln1 @ w[L + "attn.wq"].array) * scale
         k = ln1 @ w[L + "attn.wk"].array
         v = ln1 @ w[L + "attn.wv"].array
-        mac(L + "attn.qkv", 3 * r * d * d + r * d)
+        ledger.record_flop(L + "attn.qkv", 3 * r * d * d + r * d)
         _record(recorder, L + "attn.q", q)
         _record(recorder, L + "attn.k", k)
         _record(recorder, L + "attn.v", v)
@@ -319,27 +314,25 @@ def float_forward(
         probs = e / denom
         _record(recorder, L + "attn.probs", probs)
         ctx = (probs @ vh).swapaxes(0, 1).reshape(r, d)
-        mac(L + "attn.scores", nh * (2 * r * r * dh + 3 * r * r))
-        if ledger is not None:
-            ledger.charge(L + "attn.scores", "exp", nh * r * r)
+        ledger.record_flop(L + "attn.scores", nh * (2 * r * r * dh + 3 * r * r))
+        ledger.charge(L + "attn.scores", "exp", nh * r * r)
         _record(recorder, L + "attn.out", ctx)
         attn = ctx @ w[L + "attn.wo"].array
-        mac(L + "attn.wo", r * d * d)
+        ledger.record_flop(L + "attn.wo", r * d * d)
         cur = cur + attn
-        mac(L + "attn.residual", r * d)
+        ledger.record_flop(L + "attn.residual", r * d)
         _record(recorder, L + "attn", cur)
 
         ln2 = _float_layernorm(cur, w[L + "ln2.gamma"].array, w[L + "ln2.beta"].array,
-                               ledger, L + "ln2", recorder)
+                               L + "ln2", recorder, ledger)
         _record(recorder, L + "ffn.in", ln2)
         if cfg.ffn_kind == "standard":
             pre = ln2 @ w[L + "ffn.w1"].array + w[L + "ffn.b1"].array
             _record(recorder, L + "ffn.act", pre)
             hid = gelu(pre)
             out = hid @ w[L + "ffn.w2"].array + w[L + "ffn.b2"].array
-            mac(L + "ffn", r * d * f + r * f + r * f * d + r * d)
-            if ledger is not None:
-                ledger.charge(L + "ffn", "gelu", r * f)
+            ledger.record_flop(L + "ffn", r * d * f + r * f + r * f * d + r * d)
+            ledger.charge(L + "ffn", "gelu", r * f)
         else:
             g_pre = ln2 @ w[L + "ffn.wg"].array + w[L + "ffn.bg"].array
             _record(recorder, L + "ffn.act", g_pre)
@@ -349,13 +342,13 @@ def float_forward(
             z = u * g
             _record(recorder, L + "ffn.z", z)
             out = z @ w[L + "ffn.wd"].array + w[L + "ffn.bd"].array
-            mac(L + "ffn", 2 * (r * d * f + r * f) + r * f + r * f * d + r * d)
-            if ledger is not None:
-                # silu = x * sigmoid(x): one exp plus three elementwise ops
-                ledger.charge(L + "ffn", "exp", r * f)
-                ledger.record_flop(L + "ffn", 3 * r * f)
+            ledger.record_flop(L + "ffn",
+                               2 * (r * d * f + r * f) + r * f + r * f * d + r * d)
+            # silu = x * sigmoid(x): one exp plus three elementwise ops
+            ledger.charge(L + "ffn", "exp", r * f)
+            ledger.record_flop(L + "ffn", 3 * r * f)
         cur = cur + out
-        mac(L + "ffn.residual", r * d)
+        ledger.record_flop(L + "ffn.residual", r * d)
         _record(recorder, L + "ffn", cur)
     return Matrix(cur)
 
@@ -505,9 +498,9 @@ class RunTrace:
 
     per_layer maps each sublayer key (layers.<i>.attn, layers.<i>.ffn) to the
     mean absolute deviation of the residual stream after that sublayer.
-    counters maps "<gate site>.clamped" and "<encoder site>.saturated" to
-    how many inputs fell outside the gate's range or above the encoder's top
-    grid level; a site with none has no entry.
+    counters is the ledger's: it maps "<gate site>.clamped" and "<encoder
+    site>.saturated" to how many inputs fell outside the gate's range or
+    above the encoder's top grid level; a site with none has no entry.
     """
 
     steps: int
@@ -582,7 +575,6 @@ def spike_forward(
     # every site's weight, encoder or gate by its block key; every encoder
     # and gate runs at T, whatever depth it was fitted at
     p = {name: w[name] for name in w.names} | block.oat | block.hg
-    counters: dict[str, int] = {}
     per_layer: dict[str, float] = {}
     scale = 1.0 / math.sqrt(cfg.d_head)
     r, nh = x.rows, cfg.n_heads
@@ -593,35 +585,34 @@ def spike_forward(
 
     def attention(L: str, stream: SpikeMatrixTrain) -> Matrix:
         A = L + "attn."
-        ln1 = spike_layernorm(stream, p, L + "ln1", ledger, counters)
-        attn_in = reencode(ln1, p[A + "in"], ledger, A + "in", counters)
+        ln1 = spike_layernorm(stream, p, L + "ln1", ledger)
+        attn_in = reencode(ln1, p[A + "in"], ledger, A + "in")
         q = project(attn_in, p[A + "wq"], None, ledger, A + "wq")
         # unchecked: its encoder refuses a non-finite entry
-        q = encode_matrix(Matrix._wrap(q.array * scale), p[A + "q"], T, ledger, A + "q",
-                          counters)
+        q = encode_matrix(Matrix._wrap(q.array * scale), p[A + "q"], T, ledger, A + "q")
         k, v = (encode_matrix(project(attn_in, p[A + "w" + n], None, ledger, A + "w" + n),
-                              p[A + n], T, ledger, A + n, counters) for n in "kv")
+                              p[A + n], T, ledger, A + n) for n in "kv")
         # every head at once: (T, heads, rows, rows) logits, whose rows
         # the softmax and the probs encoder take as (T, heads * rows, rows)
         logits = saa_mul(q._regroup(heads),
                          k._regroup(lambda a: heads(a).swapaxes(2, 3)),
                          ledger, A + "qk")
         probs = spike_softmax(logits._regroup(lambda a: a.reshape(T, nh * r, r)),
-                              p, L + "attn", ledger, counters)
-        probs = reencode(probs, p[A + "probs"], ledger, A + "probs", counters)
+                              p, L + "attn", ledger)
+        probs = reencode(probs, p[A + "probs"], ledger, A + "probs")
         pv = saa_mul(probs._regroup(lambda a: a.reshape(T, nh, r, r)),
                      v._regroup(heads), ledger, A + "pv")
         merged = pv._regroup(lambda a: a.swapaxes(1, 2).reshape(T, r, -1))
-        ctx = reencode(merged, p[A + "out"], ledger, A + "out", counters)
+        ctx = reencode(merged, p[A + "out"], ledger, A + "out")
         return project(ctx, p[A + "wo"], None, ledger, A + "wo")
 
     def feed_forward(L: str, stream: SpikeMatrixTrain) -> Matrix:
-        ln2 = spike_layernorm(stream, p, L + "ln2", ledger, counters)
-        out = ffn(ln2, p, L + "ffn", ledger, counters)
+        ln2 = spike_layernorm(stream, p, L + "ln2", ledger)
+        out = ffn(ln2, p, L + "ffn", ledger)
         return decode_train(out, ledger, L + "ffn.out_decode")
 
     cur = x.array.copy()
-    stream = encode_matrix(Matrix(cur), p["input"], T, ledger, "input", counters)
+    stream = encode_matrix(Matrix(cur), p["input"], T, ledger, "input")
     for i in range(cfg.n_layers):
         L = f"layers.{i}."
         for sub, run in (("attn", attention), ("ffn", feed_forward)):
@@ -637,7 +628,7 @@ def spike_forward(
         steps=T,
         output_rel_err=relative_error(out, y_ref),
         per_layer=per_layer,
-        counters=counters,
+        counters=ledger.counters,
         ledger=ledger,
     )
     return out, trace

@@ -43,19 +43,21 @@ with the same error.
 
 The composite layers (softmax, LayerNorm, FFN, gated FFN) weave these
 products together with the fitted neuron gates, through reencode and
-project. Each is called as (xs, p, site, ledger, counters): p maps block
-keys to the block's weights (Matrix), encoders (OATConfig) and gate banks
+project. Each is called as (xs, p, site, ledger): p maps block keys to
+the block's weights (Matrix), encoders (OATConfig) and gate banks
 (HGConfig), and site is the sublayer key ("layers.0.ln1"). A composite
 reads every weight, encoder and gate at site + leaf ("layers.0.ln1.gamma")
-and charges each encoder and gate at that same key. The optional energy
-ledger records event-gated additions per site; the optional counters dict
-tallies gate range clamps as "<gate site>.clamped" and encoder inputs
-above the top grid level as "<encoder site>.saturated".
+and charges each encoder and gate at that same key. Every kernel and
+sublayer charges one energy.EnergyLedger: event-gated additions per site,
+gate range clamps as the counter "<gate site>.clamped" and encoder inputs
+above the top grid level as "<encoder site>.saturated". A call given no
+ledger charges energy.UNCHARGED, which records nothing.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from .energy import UNCHARGED
 from .errors import NonFiniteError, ShapeError, StepMismatchError
 from .neurons import (
     HGConfig,
@@ -70,15 +72,14 @@ from .tensors import Matrix
 
 
 def decode_train(
-    ts: SpikeMatrixTrain, ledger=None, site: str = "decode"
+    ts: SpikeMatrixTrain, ledger=UNCHARGED, site: str = "decode"
 ) -> Matrix:
     """Sum the train over steps: the membrane view a downstream gate sees.
 
     Each event is one accumulation into the receiving membrane, so the
-    event count is charged when a ledger is given.
+    event count is charged.
     """
-    if ledger is not None:
-        ledger.record_sop(site, ts.event_count)
+    ledger.record_sop(site, ts.event_count)
     return decode(ts)
 
 
@@ -86,9 +87,8 @@ def encode_matrix(
     x: Matrix,
     cfg: OATConfig,
     T: int | None = None,
-    ledger=None,
+    ledger=UNCHARGED,
     site: str = "encode",
-    counters: dict | None = None,
 ) -> SpikeMatrixTrain:
     """Encode a float matrix through the dual-range encoder (T overridable).
 
@@ -96,8 +96,8 @@ def encode_matrix(
     elements at or above theta_nor take the coarse one (tau = theta_out).
     Each emission subtracts from the encoder membrane: one accumulation per
     event on the ledger. Elements above their range's top grid level
-    saturate, and the saturation counter records how many there were. A
-    non-finite input raises NonFiniteError.
+    saturate, and the ledger's saturation counter records how many there
+    were. A non-finite input raises NonFiniteError.
     """
     if not np.isfinite(x.data).all():
         raise NonFiniteError(f"encoder input at {site!r} contains non-finite values")
@@ -109,21 +109,14 @@ def encode_matrix(
     # encoding each range on its own
     tau = np.where(np.abs(x.data) >= cfg.theta_nor, cfg.theta_out, cfg.theta_nor)
     values, saturated = _mt_run(x.data, tau, cfg.H, T)
-    _count(counters, site + ".saturated", saturated)
+    ledger.count(site + ".saturated", saturated)
     return _train(values, x, ledger, site)
-
-
-def _count(counters: dict | None, key: str, n: int) -> None:
-    # a counter appears only once it has something to count
-    if counters is not None and n:
-        counters[key] = counters.get(key, 0) + n
 
 
 def _train(values, x: Matrix, ledger, site: str) -> SpikeMatrixTrain:
     # an encoder or gate output over a flat batch, shaped like its input
     train = SpikeMatrixTrain._wrap(values.reshape(values.shape[0], x.rows, x.cols))
-    if ledger is not None:
-        ledger.record_sop(site, train.event_count)
+    ledger.record_sop(site, train.event_count)
     return train
 
 
@@ -141,9 +134,8 @@ def apply_hg(
     x: Matrix,
     cfg: HGConfig,
     T: int | None = None,
-    ledger=None,
+    ledger=UNCHARGED,
     site: str = "gate",
-    counters: dict | None = None,
 ) -> SpikeMatrixTrain:
     """Drive a fitted gated bank over a decoded matrix, producing a train.
 
@@ -151,26 +143,22 @@ def apply_hg(
     processed by that sub-range's fitted kernel with the membrane seeded
     relative to the sub-range floor. Out-of-range inputs clamp to the
     nearest sub-range edge, so decoding saturates instead of failing; the
-    clamp counter records how many there were. A non-finite input raises
-    NonFiniteError instead. Another T runs the first T steps of the
+    ledger's clamp counter records how many there were. A non-finite input
+    raises NonFiniteError instead. Another T runs the first T steps of the
     fitted schedule (coarser output), or pads it with silent steps.
     """
     values, clamped = _hg_run(x.data, cfg, T, f"gate input at {site!r}")
-    _count(counters, site + ".clamped", clamped)
+    ledger.count(site + ".clamped", clamped)
     return _train(values, x, ledger, site)
 
 
 def reencode(
-    ts: SpikeMatrixTrain,
-    cfg: OATConfig,
-    ledger=None,
-    site: str = "encode",
-    counters: dict | None = None,
+    ts: SpikeMatrixTrain, cfg: OATConfig, ledger=UNCHARGED, site: str = "encode"
 ) -> SpikeMatrixTrain:
     """Decode a train (charged at site + "_decode") and encode the result
     again through the dual-range encoder at site, at the train's T."""
     return encode_matrix(decode_train(ts, ledger, site + "_decode"), cfg, ts.steps,
-                         ledger, site, counters)
+                         ledger, site)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +166,7 @@ def reencode(
 
 
 def saw_mul(
-    W: Matrix, xs: SpikeMatrixTrain, ledger=None, site: str = "saw"
+    W: Matrix, xs: SpikeMatrixTrain, ledger=UNCHARGED, site: str = "saw"
 ) -> SpikeMatrixTrain:
     """Fixed weight (left) times spike train: out(t) = W @ xs(t).
 
@@ -190,13 +178,12 @@ def saw_mul(
             f"weight {W.shape} cannot multiply {xs.shape} train from the left"
         )
     out = W.array @ xs.values
-    if ledger is not None:
-        ledger.record_sop(site, xs.event_count * W.rows)
+    ledger.record_sop(site, xs.event_count * W.rows)
     return SpikeMatrixTrain._wrap(out)
 
 
 def saw_mul_right(
-    xs: SpikeMatrixTrain, W: Matrix, ledger=None, site: str = "saw"
+    xs: SpikeMatrixTrain, W: Matrix, ledger=UNCHARGED, site: str = "saw"
 ) -> SpikeMatrixTrain:
     """Spike train times fixed weight (right): out(t) = xs(t) @ W."""
     if xs.cols != W.rows:
@@ -204,13 +191,12 @@ def saw_mul_right(
             f"train {xs.shape} cannot multiply weight {W.shape} from the right"
         )
     out = xs.values @ W.array
-    if ledger is not None:
-        ledger.record_sop(site, xs.event_count * W.cols)
+    ledger.record_sop(site, xs.event_count * W.cols)
     return SpikeMatrixTrain._wrap(out)
 
 
 def project(
-    xs: SpikeMatrixTrain, W: Matrix, b: Matrix | None = None, ledger=None,
+    xs: SpikeMatrixTrain, W: Matrix, b: Matrix | None = None, ledger=UNCHARGED,
     site: str = "saw",
 ) -> Matrix:
     """Decoded xs @ W plus an optional (1, cols) bias row: the product is
@@ -236,7 +222,7 @@ def _prefix_sums(v: np.ndarray) -> np.ndarray:
 
 
 def saa_mul(
-    qs: SpikeMatrixTrain, ks: SpikeMatrixTrain, ledger=None, site: str = "saa"
+    qs: SpikeMatrixTrain, ks: SpikeMatrixTrain, ledger=UNCHARGED, site: str = "saa"
 ) -> SpikeMatrixTrain:
     """Train times train without per-step dense products.
 
@@ -259,16 +245,13 @@ def saa_mul(
     # sliced and transposed views are copied, so BLAS sees one layout
     vq, vk = np.ascontiguousarray(qs.values), np.ascontiguousarray(ks.values)
     out = vq @ vk + vq @ _prefix_sums(vk[:-1]) + _prefix_sums(vq[:-1]) @ vk
-    if ledger is not None:
-        eq, ek = qs.events, ks.events
-        pairs = int((eq.sum(axis=-2) * ek.sum(axis=-1)).sum())
-        ledger.record_sop(site, pairs + qs.event_count * ks.cols
-                          + ks.event_count * qs.rows)
+    pairs = int((qs.events.sum(axis=-2) * ks.events.sum(axis=-1)).sum())
+    ledger.record_sop(site, pairs + qs.event_count * ks.cols + ks.event_count * qs.rows)
     return SpikeMatrixTrain._wrap(out)
 
 
 def hadamard_mul(
-    a: SpikeMatrixTrain, b: SpikeMatrixTrain, ledger=None, site: str = "hadamard"
+    a: SpikeMatrixTrain, b: SpikeMatrixTrain, ledger=UNCHARGED, site: str = "hadamard"
 ) -> SpikeMatrixTrain:
     """Elementwise train product, same prefix-sum scheme as saa_mul.
 
@@ -290,16 +273,15 @@ def hadamard_mul(
         out = va * va + X + X
     else:
         out = va * vb + va * _prefix_sums(vb[:-1]) + _prefix_sums(va[:-1]) * vb
-    if ledger is not None:
-        # a mask broadcast to the output shape repeats each entry equally often
-        n_a = a.event_count * (out.size // max(va.size, 1))
-        if a is b:
-            sops = 3 * n_a
-        else:
-            # the pair mask broadcasts to the output shape itself
-            sops = (int(np.count_nonzero(a.events & b.events)) + n_a
-                    + b.event_count * (out.size // max(vb.size, 1)))
-        ledger.record_sop(site, sops)
+    # a mask broadcast to the output shape repeats each entry equally often
+    n_a = a.event_count * (out.size // max(va.size, 1))
+    if a is b:
+        sops = 3 * n_a
+    else:
+        # the pair mask broadcasts to the output shape itself
+        sops = (int(np.count_nonzero(a.events & b.events)) + n_a
+                + b.event_count * (out.size // max(vb.size, 1)))
+    ledger.record_sop(site, sops)
     return SpikeMatrixTrain._wrap(out)
 
 
@@ -316,7 +298,7 @@ _RUNNING_MAX_COLS = 16
 
 
 def softmax_offset(
-    zs: SpikeMatrixTrain, ledger=None, site: str = "offset"
+    zs: SpikeMatrixTrain, ledger=UNCHARGED, site: str = "offset"
 ) -> SpikeMatrixTrain:
     """Shift a logit train so its decode is logits minus the row max.
 
@@ -338,9 +320,8 @@ def softmax_offset(
     else:
         prefix_max = prefix.max(axis=-1, keepdims=True)
     out = SpikeMatrixTrain._wrap(zs.values + (prefix_max[:-1] - prefix_max[1:]))
-    if ledger is not None:
-        # every nonzero corrected value is one accumulation downstream
-        ledger.record_sop(site, out.event_count)
+    # every nonzero corrected value is one accumulation downstream
+    ledger.record_sop(site, out.event_count)
     return out
 
 
@@ -357,7 +338,7 @@ def _with_bias(values: np.ndarray, b: Matrix) -> SpikeMatrixTrain:
 
 
 def spike_softmax(
-    zs: SpikeMatrixTrain, p, site: str, ledger=None, counters: dict | None = None
+    zs: SpikeMatrixTrain, p, site: str, ledger=UNCHARGED
 ) -> SpikeMatrixTrain:
     """Row softmax from spike parts: exp gate, reciprocal gate, Hadamard.
 
@@ -370,16 +351,15 @@ def spike_softmax(
     T = zs.steps
     shifted = softmax_offset(zs, ledger, site + ".offset")
     zhat = decode_train(shifted, ledger, site + ".offset_decode")
-    e_train = apply_hg(zhat, p[site + ".exp"], T, ledger, site + ".exp", counters)
+    e_train = apply_hg(zhat, p[site + ".exp"], T, ledger, site + ".exp")
     denom = decode_train(e_train, ledger, site + ".denom")
     row_sums = Matrix._wrap(denom.array.sum(axis=1, keepdims=True))
-    inv_train = apply_hg(row_sums, p[site + ".recip"], T, ledger, site + ".recip",
-                         counters)
+    inv_train = apply_hg(row_sums, p[site + ".recip"], T, ledger, site + ".recip")
     return hadamard_mul(e_train, inv_train, ledger, site + ".norm")
 
 
 def spike_layernorm(
-    xs: SpikeMatrixTrain, p, site: str, ledger=None, counters: dict | None = None
+    xs: SpikeMatrixTrain, p, site: str, ledger=UNCHARGED
 ) -> SpikeMatrixTrain:
     """Spike LayerNorm: center, exact Hadamard variance, inverse-root Hadamard.
 
@@ -395,38 +375,32 @@ def spike_layernorm(
     x = decode_train(xs, ledger, site + ".in_decode")
     mu = x.array.mean(axis=1, keepdims=True)
     centered = Matrix._wrap(x.array - mu)  # unchecked: its encoder checks
-    if ledger is not None:
-        # row-mean accumulation plus per-element subtraction
-        ledger.record_sop(site + ".mean", 2 * x.rows * x.cols)
-    c_train = encode_matrix(centered, p[site + ".center"], T, ledger, site + ".center",
-                            counters)
+    # row-mean accumulation plus per-element subtraction
+    ledger.record_sop(site + ".mean", 2 * x.rows * x.cols)
+    c_train = encode_matrix(centered, p[site + ".center"], T, ledger, site + ".center")
     sq_train = hadamard_mul(c_train, c_train, ledger, site + ".square")
     sq = decode_train(sq_train, ledger, site + ".square_decode")
     var = Matrix._wrap(sq.array.mean(axis=1, keepdims=True))
-    if ledger is not None:
-        ledger.record_sop(site + ".variance", x.rows * x.cols)
-    inv_train = apply_hg(var, p[site + ".invsqrt"], T, ledger, site + ".invsqrt",
-                         counters)
+    ledger.record_sop(site + ".variance", x.rows * x.cols)
+    inv_train = apply_hg(var, p[site + ".invsqrt"], T, ledger, site + ".invsqrt")
     normed = hadamard_mul(c_train, inv_train, ledger, site + ".norm")
     return _with_bias(normed.values * p[site + ".gamma"].array[0], p[site + ".beta"])
 
 
-def spike_ffn(
-    xs: SpikeMatrixTrain, p, site: str, ledger=None, counters: dict | None = None
-) -> SpikeMatrixTrain:
+def spike_ffn(xs: SpikeMatrixTrain, p, site: str, ledger=UNCHARGED) -> SpikeMatrixTrain:
     """Two-layer FFN: re-encode the input (".in"), project through ".w1"
     plus ".b1", gate the activation (".act"), project through ".w2" plus
     ".b2"."""
     T = xs.steps
-    xt = reencode(xs, p[site + ".in"], ledger, site + ".in", counters)
+    xt = reencode(xs, p[site + ".in"], ledger, site + ".in")
     pre = project(xt, p[site + ".w1"], p[site + ".b1"], ledger, site + ".w1")
-    act_train = apply_hg(pre, p[site + ".act"], T, ledger, site + ".act", counters)
+    act_train = apply_hg(pre, p[site + ".act"], T, ledger, site + ".act")
     out = saw_mul_right(act_train, p[site + ".w2"], ledger, site + ".w2")
     return _with_bias(out.values, p[site + ".b2"])
 
 
 def spike_gated_ffn(
-    xs: SpikeMatrixTrain, p, site: str, ledger=None, counters: dict | None = None
+    xs: SpikeMatrixTrain, p, site: str, ledger=UNCHARGED
 ) -> SpikeMatrixTrain:
     """Gated FFN: activation-gated up-projection with a Hadamard interaction.
 
@@ -435,12 +409,12 @@ def spike_gated_ffn(
     ".in", ".mid" and ".z"; the gate is ".act".
     """
     T = xs.steps
-    xt = reencode(xs, p[site + ".in"], ledger, site + ".in", counters)
+    xt = reencode(xs, p[site + ".in"], ledger, site + ".in")
     g_pre = project(xt, p[site + ".wg"], p[site + ".bg"], ledger, site + ".wg")
-    g_train = apply_hg(g_pre, p[site + ".act"], T, ledger, site + ".act", counters)
+    g_train = apply_hg(g_pre, p[site + ".act"], T, ledger, site + ".act")
     u = project(xt, p[site + ".wu"], p[site + ".bu"], ledger, site + ".wu")
-    u_train = encode_matrix(u, p[site + ".mid"], T, ledger, site + ".mid", counters)
+    u_train = encode_matrix(u, p[site + ".mid"], T, ledger, site + ".mid")
     z_train = hadamard_mul(u_train, g_train, ledger, site + ".interact")
-    zt = reencode(z_train, p[site + ".z"], ledger, site + ".z", counters)
+    zt = reencode(z_train, p[site + ".z"], ledger, site + ".z")
     out = saw_mul_right(zt, p[site + ".wd"], ledger, site + ".wd")
     return _with_bias(out.values, p[site + ".bd"])

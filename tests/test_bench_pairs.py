@@ -111,14 +111,17 @@ def test_export_holds_only_committed_files(tmp_path):
 
 
 def fake_main(monkeypatch, broken=()):
-    """Runs main on canned output; a (side, workload, seed) in broken exits
-    non-zero. Returns main's status and the (side, workload, seed, seconds)
-    of each run."""
-    calls = []
-    monkeypatch.setattr(bench_pairs, "export", lambda ref, dest: None)
+    """Runs main on canned output for the refs "p" and "c"; a (side,
+    workload, seed) in broken exits non-zero. Returns main's status and the
+    (side, workload, seed, seconds, path) of each run, its side read from
+    the ref last exported into its path."""
+    calls, exported = [], {}
+    monkeypatch.setattr(bench_pairs, "export",
+                        lambda ref, dest: exported.__setitem__(dest, ref))
 
     def run_one(copy, workload, seed, seconds):
-        calls.append((pathlib.Path(copy).name, workload, seed, seconds))
+        side = {"p": "parent", "c": "change"}[exported[copy]]
+        calls.append((side, workload, seed, seconds, copy))
         return None if calls[-1][:3] in broken else canned()
 
     monkeypatch.setattr(bench_pairs, "run_one", run_one)
@@ -139,6 +142,19 @@ def test_main_alternates_sides_and_prints_one_table_per_workload(monkeypatch, ca
     assert "### certify (10 pairs)" in out and "### stream (10 pairs)" in out
     assert out.count("runs that exited non-zero: parent 0, change 0") == 2
     assert "warning" not in out
+
+
+def test_each_pair_runs_both_refs_from_one_path_of_its_own_length(monkeypatch):
+    _, calls = fake_main(monkeypatch)
+    paths = {}
+    for side, workload, seed, _, path in calls:
+        paths.setdefault((workload, seed), []).append((side, path))
+    for runs in paths.values():
+        # both sides ran, each right after its own ref was exported there
+        assert sorted(side for side, _ in runs) == ["change", "parent"]
+        assert runs[0][1] == runs[1][1]
+    lengths = {len(pathlib.Path(runs[0][1]).name) for runs in paths.values()}
+    assert lengths == set(range(1, 11))
 
 
 def test_a_broken_run_is_counted_and_the_comparison_goes_on(monkeypatch, capsys):

@@ -911,6 +911,22 @@ class TestEnergy:
         assert main(["energy", "--report", str(p)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("site, key", [("input", "sops"),
+                                           ("layers.0.attn.qkv", "flops")])
+    def test_count_past_float_precision_named(self, work, tmp_path, capsys,
+                                              site, key):
+        # valid JSON, and the totals agree: only the float quotient would fail
+        with open(work / "report.json") as fh:
+            doc = json.load(fh)
+        counts = doc["ledger"]["by_site"][site]
+        doc["ledger"][key] += 10**400 - counts[key]
+        counts[key] = 10**400
+        p = tmp_path / "huge_report.json"
+        p.write_text(json.dumps(doc))
+        assert main(["energy", "--report", str(p)]) == 2
+        assert (f"by_site[{site!r}].{key} must be below 2**53"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("path, field", [
         (("ledger", "sops"), "sops"),
         (("ledger", "by_site", "input", "sops"), "by_site['input'].sops"),

@@ -1,16 +1,21 @@
 """Energy ledger accounting: hand-counted ledgers and exact quotients."""
+import inspect
+
 import numpy as np
 import pytest
 
+from spikeconvert import model, spikeops
 from spikeconvert.energy import (
     DEFAULT_FLOP_COSTS,
     E_AC,
     E_MAC,
+    UNCHARGED,
     EnergyLedger,
     energy_ratio,
 )
 from spikeconvert.errors import EnergyAccountingError
-from spikeconvert.neurons import OATConfig
+from spikeconvert.model import ModelConfig, WeightSet, float_forward
+from spikeconvert.neurons import HGConfig, OATConfig
 from spikeconvert.spikeops import (
     SpikeMatrixTrain,
     decode_train,
@@ -77,6 +82,90 @@ class TestCharges:
         assert led.sops == 20
         with pytest.raises(EnergyAccountingError):
             EnergyLedger(sop_weight=0)
+
+    def test_counter_appears_once_it_counts(self):
+        led = EnergyLedger()
+        led.count("g.clamped", 0)
+        assert led.counters == {}
+        led.count("g.clamped", 2)
+        led.count("g.clamped", 3)
+        led.count("e.saturated", 0)
+        assert led.counters == {"g.clamped": 5}
+        assert "counters" not in led.to_dict()  # reports carry them beside it
+
+
+# Inputs on which every kernel charges events, the gates clamp (|x| > 1)
+# and the encoders saturate (5.0 is past the coarse range's top level).
+_X = Matrix(np.array([[-2.0, -0.3, 0.0], [0.4, 1.2, 5.0]]))
+_OAT = OATConfig(0.5, 1.0, 3, 4)
+_BANK = HGConfig((-1.0, 0.0, 1.0), np.ones((4, 2)))
+_TRAIN = spikeops.constant_train(_X, 4)
+_TRAIN_T = SpikeMatrixTrain(_TRAIN.values.transpose(0, 2, 1))
+_W, _B = Matrix(np.full((3, 3), 0.5)), Matrix(np.full((1, 3), 0.1))
+_P = ({f"s.{k}": _BANK for k in ("exp", "recip", "invsqrt", "act")}
+      | {f"s.{k}": _OAT for k in ("center", "in", "mid", "z")}
+      | {f"s.{k}": _W for k in ("w1", "w2", "wg", "wu", "wd")}
+      | {f"s.{k}": _B for k in ("gamma", "beta", "b1", "b2", "bg", "bu", "bd")})
+# each public spikeops function that takes a ledger, called with **kw
+KERNEL_CALLS = {
+    "decode_train": lambda **kw: decode_train(_TRAIN, **kw),
+    "encode_matrix": lambda **kw: encode_matrix(_X, _OAT, **kw),
+    "apply_hg": lambda **kw: spikeops.apply_hg(_X, _BANK, **kw),
+    "reencode": lambda **kw: spikeops.reencode(_TRAIN, _OAT, **kw),
+    "saw_mul": lambda **kw: saw_mul(Matrix(np.ones((4, 2))), _TRAIN, **kw),
+    "saw_mul_right": lambda **kw: spikeops.saw_mul_right(_TRAIN, _W, **kw),
+    "project": lambda **kw: spikeops.project(_TRAIN, _W, _B, **kw),
+    "saa_mul": lambda **kw: saa_mul(_TRAIN, _TRAIN_T, **kw),
+    "hadamard_mul": lambda **kw: (hadamard_mul(_TRAIN, _TRAIN, **kw),
+                                  hadamard_mul(_TRAIN, encode_matrix(_X, _OAT), **kw)),
+    "softmax_offset": lambda **kw: spikeops.softmax_offset(_TRAIN, **kw),
+    "spike_softmax": lambda **kw: spikeops.spike_softmax(_TRAIN, _P, "s", **kw),
+    "spike_layernorm": lambda **kw: spikeops.spike_layernorm(_TRAIN, _P, "s", **kw),
+    "spike_ffn": lambda **kw: spikeops.spike_ffn(_TRAIN, _P, "s", **kw),
+    "spike_gated_ffn": lambda **kw: spikeops.spike_gated_ffn(_TRAIN, _P, "s", **kw),
+}
+
+
+def _float_forwards(**kw):
+    for kind in ("standard", "gated"):
+        cfg = ModelConfig(d_model=8, d_ff=16, n_heads=2, ffn_kind=kind)
+        x = Matrix(np.random.default_rng(0).standard_normal((3, 8)))
+        float_forward(cfg, WeightSet.random(cfg, 1), x, **kw)
+
+
+class TestUncharged:
+    """A call given no ledger charges UNCHARGED, which records nothing."""
+
+    def test_every_kernel_defaults_to_it(self):
+        charged = {name for name, f in vars(spikeops).items()
+                   if inspect.isfunction(f) and f.__module__ == spikeops.__name__
+                   and not name.startswith("_")
+                   and "ledger" in inspect.signature(f).parameters}
+        assert charged == set(KERNEL_CALLS)
+        for f in [getattr(spikeops, name) for name in charged] + [
+                float_forward, model._float_layernorm]:
+            assert inspect.signature(f).parameters["ledger"].default is UNCHARGED, f
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CALLS))
+    def test_kernel_charges_a_given_ledger(self, name):
+        led = EnergyLedger()
+        KERNEL_CALLS[name](ledger=led)
+        assert led.sops > 0
+        if name in ("encode_matrix", "apply_hg", "reencode"):
+            assert led.counters
+
+    def test_calls_without_a_ledger_run_and_record_nothing(self):
+        for call in KERNEL_CALLS.values():
+            call()
+        _float_forwards()
+        led = EnergyLedger()
+        _float_forwards(ledger=led)
+        assert led.flops > 0
+        for record in (UNCHARGED.record_sop, UNCHARGED.record_flop, UNCHARGED.count):
+            record("s", 1)
+        UNCHARGED.charge("s", "exp", 1)
+        # no field moved, whichever recording method a call reached
+        assert vars(UNCHARGED) == vars(EnergyLedger())
 
 
 class TestSerialization:

@@ -19,7 +19,7 @@ from conftest import desk_block
 
 from spikeconvert import model, spikeops
 from spikeconvert.calibration import gelu, silu
-from spikeconvert.energy import EnergyLedger
+from spikeconvert.energy import UNCHARGED, EnergyLedger
 from spikeconvert.errors import (
     EmptyInputError,
     NonFiniteError,
@@ -76,7 +76,7 @@ def per_head_float_forward(
     cfg: ModelConfig,
     w: WeightSet,
     x: Matrix,
-    ledger: EnergyLedger | None = None,
+    ledger: EnergyLedger = UNCHARGED,
     recorder: dict | None = None,
 ) -> Matrix:
     """float_forward with its per-head attention loop, as it was before
@@ -99,7 +99,7 @@ def per_head_float_forward(
     for i in range(cfg.n_layers):
         L = f"layers.{i}."
         ln1 = _float_layernorm(cur, w[L + "ln1.gamma"].array, w[L + "ln1.beta"].array,
-                               ledger, L + "ln1", recorder)
+                               L + "ln1", recorder, ledger)
         _record(recorder, L + "attn.in", ln1)
         q = (ln1 @ w[L + "attn.wq"].array) * scale
         k = ln1 @ w[L + "attn.wk"].array
@@ -131,7 +131,7 @@ def per_head_float_forward(
         _record(recorder, L + "attn", cur)
 
         ln2 = _float_layernorm(cur, w[L + "ln2.gamma"].array, w[L + "ln2.beta"].array,
-                               ledger, L + "ln2", recorder)
+                               L + "ln2", recorder, ledger)
         _record(recorder, L + "ffn.in", ln2)
         if cfg.ffn_kind == "standard":
             pre = ln2 @ w[L + "ffn.w1"].array + w[L + "ffn.b1"].array
@@ -184,36 +184,35 @@ def per_head_spike_forward(
     oat, hg = block.oat, block.hg
     # the sublayers read their weights, encoders and gates by block key
     p = {name: w[name] for name in w.names} | oat | hg
-    counters: dict[str, int] = {}
     per_layer: dict[str, float] = {}
     scale = 1.0 / math.sqrt(cfg.d_head)
 
     cur = x.array.copy()
-    stream = encode_matrix(Matrix(cur), oat["input"], T, ledger, "input", counters)
+    stream = encode_matrix(Matrix(cur), oat["input"], T, ledger, "input")
     for i in range(cfg.n_layers):
         L = f"layers.{i}."
         try:
-            ln1 = spike_layernorm(stream, p, L + "ln1", ledger, counters)
+            ln1 = spike_layernorm(stream, p, L + "ln1", ledger)
             attn_in = encode_matrix(
                 decode_train(ln1, ledger, L + "attn.in_decode"),
-                oat[L + "attn.in"], T, ledger, L + "attn.in", counters,
+                oat[L + "attn.in"], T, ledger, L + "attn.in",
             )
             q_f = decode_train(saw_mul_right(attn_in, w[L + "attn.wq"], ledger,
                                              L + "attn.wq"),
                                ledger, L + "attn.wq_decode")
             q = encode_matrix(Matrix(q_f.array * scale), oat[L + "attn.q"], T,
-                              ledger, L + "attn.q", counters)
+                              ledger, L + "attn.q")
             k = encode_matrix(
                 decode_train(saw_mul_right(attn_in, w[L + "attn.wk"], ledger,
                                            L + "attn.wk"),
                              ledger, L + "attn.wk_decode"),
-                oat[L + "attn.k"], T, ledger, L + "attn.k", counters,
+                oat[L + "attn.k"], T, ledger, L + "attn.k",
             )
             v = encode_matrix(
                 decode_train(saw_mul_right(attn_in, w[L + "attn.wv"], ledger,
                                            L + "attn.wv"),
                              ledger, L + "attn.wv_decode"),
-                oat[L + "attn.v"], T, ledger, L + "attn.v", counters,
+                oat[L + "attn.v"], T, ledger, L + "attn.v",
             )
             heads = []
             for h in range(cfg.n_heads):
@@ -221,16 +220,16 @@ def per_head_spike_forward(
                 logits = saa_mul(slice_cols(q, lo, hi),
                                  transpose_train(slice_cols(k, lo, hi)),
                                  ledger, L + "attn.qk")
-                probs = spike_softmax(logits, p, L + "attn", ledger, counters)
+                probs = spike_softmax(logits, p, L + "attn", ledger)
                 probs_enc = encode_matrix(
                     decode_train(probs, ledger, L + "attn.probs_decode"),
-                    oat[L + "attn.probs"], T, ledger, L + "attn.probs", counters,
+                    oat[L + "attn.probs"], T, ledger, L + "attn.probs",
                 )
                 heads.append(saa_mul(probs_enc, slice_cols(v, lo, hi),
                                      ledger, L + "attn.pv"))
             ctx = encode_matrix(
                 decode_train(concat_cols(heads), ledger, L + "attn.out_decode"),
-                oat[L + "attn.out"], T, ledger, L + "attn.out", counters,
+                oat[L + "attn.out"], T, ledger, L + "attn.out",
             )
             attn_out = decode_train(saw_mul_right(ctx, w[L + "attn.wo"], ledger,
                                                   L + "attn.wo"),
@@ -242,11 +241,11 @@ def per_head_spike_forward(
         per_layer[L + "attn"] = float(np.abs(cur - refs[L + "attn"][0]).mean())
 
         try:
-            ln2 = spike_layernorm(stream, p, L + "ln2", ledger, counters)
+            ln2 = spike_layernorm(stream, p, L + "ln2", ledger)
             if cfg.ffn_kind == "standard":
-                ffn_out = spike_ffn(ln2, p, L + "ffn", ledger, counters)
+                ffn_out = spike_ffn(ln2, p, L + "ffn", ledger)
             else:
-                ffn_out = spike_gated_ffn(ln2, p, L + "ffn", ledger, counters)
+                ffn_out = spike_gated_ffn(ln2, p, L + "ffn", ledger)
             ffn_dec = decode_train(ffn_out, ledger, L + "ffn.out_decode")
             cur = cur + ffn_dec.array
             stream = constant_train(Matrix(cur), T)
@@ -259,7 +258,7 @@ def per_head_spike_forward(
         steps=T,
         output_rel_err=relative_error(out, y_ref),
         per_layer=per_layer,
-        counters=counters,
+        counters=ledger.counters,
         ledger=ledger,
     )
     return out, trace

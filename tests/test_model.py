@@ -215,7 +215,7 @@ class TestSiteTree:
             _, trace = spike_forward(block, x, T)
             sites = set(trace.ledger.by_site)
             assert set(block.oat) | set(block.hg) <= sites
-            assert trace.counters
+            assert trace.counters and trace.counters == trace.ledger.counters
             for key in trace.counters:
                 site, kind = key.rsplit(".", 1)
                 assert site in {"clamped": block.hg, "saturated": block.oat}[kind], key

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import dyadic_schedule, fs_run_reference
 from spikeconvert import neurons
+from spikeconvert.energy import EnergyLedger
 from spikeconvert.errors import NonFiniteError, ShapeError
 from spikeconvert.neurons import (
     HGConfig,
@@ -372,13 +373,13 @@ class TestOATNeuron:
         unit = 2.0**-8
         top = 2295 * unit
         on, above = np.array([[top, -top]]), np.array([[top + unit, -top - unit, 0.5]])
-        counters: dict = {}
-        assert np.array_equal(decode(encode_matrix(Matrix(on), cfg, counters=counters,
+        ledger = EnergyLedger()
+        assert np.array_equal(decode(encode_matrix(Matrix(on), cfg, ledger=ledger,
                                                    site="e")).array, on)
-        assert counters == {}
-        train = encode_matrix(Matrix(above), cfg, counters=counters, site="e")
+        assert ledger.counters == {}
+        train = encode_matrix(Matrix(above), cfg, ledger=ledger, site="e")
         assert decode(train).array[0, :2].tolist() == [top, -top]
-        assert counters == {"e.saturated": 2}
+        assert ledger.counters == {"e.saturated": 2}
         assert _mt_run(above[0], 5.0, 5, 8)[1] == 2
 
     def test_decode_mse_beats_single_coarse_neuron(self):
@@ -744,10 +745,10 @@ class TestGateBank:
         ref_values, ref_clamped = hg_run_reference(xs, c, T)
         assert values.tobytes() == ref_values.tobytes()
         assert clamped == ref_clamped
-        counters = {}
-        train = apply_hg(Matrix(xs[None]), c, T, counters=counters, site="g")
+        ledger = EnergyLedger()
+        train = apply_hg(Matrix(xs[None]), c, T, ledger=ledger, site="g")
         assert train.values.tobytes() == ref_values.tobytes()
-        assert counters.get("g.clamped", 0) == ref_clamped
+        assert ledger.counters.get("g.clamped", 0) == ref_clamped
 
 
 class TestFSRecurrence:

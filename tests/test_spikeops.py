@@ -704,12 +704,12 @@ class TestSpikeSoftmax:
         assert np.max(np.abs(out.sum(axis=1) - 1.0)) <= row_tol + 1e-12
 
     def test_out_of_range_denominator_counted(self, exp_gate, recip_gate):
-        counters = {}
+        ledger = EnergyLedger()
         # 40 columns of equal logits: the denominator 40 exceeds hi=17
         zs = constant_train(Matrix(np.zeros((1, 40))), T16)
         spike_softmax(zs, softmax_params(exp_gate[0], recip_gate[0]), "softmax",
-                      counters=counters)
-        assert counters.get("softmax.recip.clamped", 0) >= 1
+                      ledger=ledger)
+        assert ledger.counters.get("softmax.recip.clamped", 0) >= 1
 
 
 def layernorm_params(gamma, beta, invsqrt_cfg, oat):

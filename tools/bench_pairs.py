@@ -3,16 +3,21 @@
 Usage:
     python tools/bench_pairs.py PARENT CHANGE
 
-PARENT and CHANGE are git refs of this repository. Each is exported with
-`git archive` into its own temporary directory, so both copies hold only
-committed files: no __pycache__, no untracked or ignored files. Then, for
-each workload W of BENCHMARK.json, it runs
+PARENT and CHANGE are git refs of this repository. For each workload W of
+BENCHMARK.json it runs
 
     python3 perfbench/run.py --workload W --seed S --seconds SECONDS
 
-in each copy, at SECONDS, BENCHMARK.json's run_seconds, for PAIRS pairs at
+for each ref, at SECONDS, BENCHMARK.json's run_seconds, for PAIRS pairs at
 seeds S = 1, 2, ..., and alternates which side runs first: the parent in
-odd pairs, the change in even ones.
+odd pairs, the change in even ones. Just before each run, the ref is
+exported with `git archive` into a fresh copy, so it holds only committed
+files: no __pycache__, no untracked or ignored files. Both runs of pair i
+use one path, a directory whose name has i characters. The scaled
+convert_s and setup_s follow the process's heap layout, which the
+checkout path is part of (see the fit-kernel note below), so the two
+sides of a pair share a path, and the pairs spread its length rather
+than fix one for the whole comparison.
 
 It prints one table per workload. Each row is a metric of BENCHMARK.json's
 end_to_end list, with the parent's and the change's median [q1, q3] over
@@ -42,6 +47,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -150,18 +156,19 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     workloads, seconds, better = benchmark()
     status = 0
+    refs = {"parent": args.parent, "change": args.change}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
-        copies = {}
-        for side, ref in (("parent", args.parent), ("change", args.change)):
-            copies[side] = os.path.join(tmp, side)
-            export(ref, copies[side])
         for workload in workloads:
             runs = {"parent": [], "change": []}
             broken = {"parent": 0, "change": 0}
             for i in range(PAIRS):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                outs = {side: run_one(copies[side], workload, i + 1, seconds)
-                        for side in order}
+                copy = os.path.join(tmp, "p" * (i + 1))
+                outs = {}
+                for side in order:
+                    shutil.rmtree(copy, ignore_errors=True)
+                    export(refs[side], copy)
+                    outs[side] = run_one(copy, workload, i + 1, seconds)
                 for side, out in outs.items():
                     broken[side] += out is None
                 if None not in outs.values():

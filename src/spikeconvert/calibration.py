@@ -11,31 +11,32 @@ activations, so the target's bends get narrow sub-ranges (fit_target).
 Fitting tunes one few-step kernel per sub-range to a scalar target function.
 Thresholds and resets follow the dyadic schedule that the gated bank runs
 (defined in the neurons module docstring), so the firing bits are fixed,
-the binary digits of K = floor(u / q) that the bank fires on, and the
-per-step output weights solve one linear least-squares problem directly.
-The schedule's first step is an always-on spike, a constant term that a
-plain dyadic ladder cannot express, needed wherever the target is far from
-zero at a sub-range floor.
+the binary digits of K = floor(u / q) that the bank fires on. Over the
+sub-range's 2^(T-1) cells of K, taken as equally likely, the rung bits are
+independent fair coins, so the step weights that fit the target best in
+L2 have a closed form and need no solver: rung t weighs
+E[f | bit t set] - E[f | bit t clear], and the always-on first step, a
+constant term that a plain dyadic ladder cannot express, takes the mean of
+f less half the rung weights (_closed_form_weights).
 
-Errors are always reported on a validation grid 10x denser than the
-training sample, never on the training sample itself, and are decoded as
-the gated bank decodes at run time: one lookup of K's digits in a table of
-the in-order partial sums of the step weights, built with the recurrence's
-own products and additions, so it matches the recurrence bit for bit
-(_dyadic_decode). The fit refuses the parameters the bank refuses, more
-than _MAX_GATE_STEPS steps or a sub-range whose guard step is not a finite
-normal float, and more than _MAX_SAMPLES training samples; fit_target
-refuses more than _MAX_SUBRANGES sub-ranges before it samples anything.
+Errors are always reported on a validation grid of 10 M points, and are
+decoded as the gated bank decodes at run time: one lookup of K's digits in
+a table of the in-order partial sums of the step weights, built with the
+recurrence's own products and additions, so it matches the recurrence bit
+for bit (_dyadic_decode). The fit refuses the parameters the bank refuses,
+more than _MAX_GATE_STEPS steps or a sub-range whose guard step is not a
+finite normal float, and an M above _MAX_SAMPLES; fit_target refuses more
+than _MAX_SUBRANGES sub-ranges before it samples anything.
 
 A fit allocates no array of the grid's size: it works in a set of arrays
 (_FitWork) that its thread keeps for the next fit at the same M and T,
-unless they take more than _KEEP_WORK_BYTES. They hold the training
-sample, one block of the validation grid at a time, the design matrix and
-then the decode's table. The targets of TARGETS write their values into
-them in place (out=). So convert, which makes every fit at one M and T,
-maps these pages once, not once per fit. The arrays are per thread, so
-fits may run in threads at once; a target must not itself call fit_fs,
-and no bank or error a fit returns shares their memory.
+unless they take more than _KEEP_WORK_BYTES. They hold one block of the
+validation grid at a time and the decode's table. The targets of TARGETS
+write their values into them in place (out=). So convert, which makes
+every fit at one M and T, maps these pages once, not once per fit. The
+arrays are per thread, so fits may run in threads at once; a target must
+not itself call fit_fs, and no bank or error a fit returns shares their
+memory.
 """
 from __future__ import annotations
 
@@ -47,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CalibrationError, FormatError
-from .neurons import HGConfig, _dyadic_digits, _gate_guards, _rung_bits
+from .neurons import HGConfig, _dyadic_digits, _gate_guards
 from .tensors import ActivationStats, Matrix, percentile
 
 # Importance-density shape for boundary placement: weight ~ |f''|^_CURVE_EXP
@@ -60,14 +61,17 @@ _UNIFORM_MIX = 0.05
 _GRID_CELLS = 2048
 # the fraction of the observed span a gate's fitted range adds on each side
 _RANGE_PAD = 0.1
-# The most training samples M a fit takes: its validation grid holds 10 * M
-# float64 values, 80 MiB at this ceiling.
+# The most samples M a fit takes: fit_target places boundaries by a
+# curvature sample of 4 * M points, and fit_fs validates on 10 * M grid
+# points, a block at a time in five arrays, 100 MiB at this ceiling.
 _MAX_SAMPLES = 2**20
 # The most sub-ranges N a bank is fitted with: a fit's time and memory grow
-# linearly with N, and convert fits every gate site at the config's N. It is
-# also the spacing of model._fit_seeds, so the sub-range seeds seed + i of
-# one site never reach the next site's.
+# linearly with N, and convert fits every gate site at the config's N.
 _MAX_SUBRANGES = 1000
+# The closed-form weights take the conditional means of the first this many
+# rungs from the target at the midpoints of the 2^_MEAN_RUNGS equal cells of
+# a sub-range; finer rungs take the target's mean slope.
+_MEAN_RUNGS = 8
 # A fit decodes its validation grid in this many blocks: fewer keep more
 # memory, more make more numpy calls. At M = 4096 on a 2-vCPU Xeon, 2 to 4
 # blocks fitted equally fast and 10 blocks 17 % slower.
@@ -272,18 +276,6 @@ def observed_range(
 # kernel fitting
 
 
-def _dyadic_bits(u: np.ndarray, w: float, T: int, out: tuple | None = None) -> np.ndarray:
-    """The (T, n) firing bits, as 0.0/1.0, of the dyadic schedule of width w
-    on inputs guard <= u <= fl(w + guard): the always-on step's bit on top
-    of the rungs' digits of K = floor(u / q) (_dyadic_digits). out, if
-    given, is (bits, K, r): a (T, n) float64 array the bits are written to,
-    and the pair _dyadic_digits writes to."""
-    bits, digits = (np.empty((T, u.size)), None) if out is None else (out[0], out[1:])
-    bits[0] = 1.0
-    bits[1:] = _rung_bits(_dyadic_digits(u, w * 2.0 ** (1 - T), T, out=digits), T)
-    return bits
-
-
 def _step_sums(d: np.ndarray, P: int, out: np.ndarray | None = None) -> np.ndarray:
     """The 2^P in-order partial sums d[0] + b_1 d[1] + ... + b_P d[P] over
     the first P rungs' bits: entry j's bits are j's P binary digits, rung
@@ -333,22 +325,6 @@ def _dyadic_decode(u: np.ndarray, w: float, d: np.ndarray,
     return dec
 
 
-def _solve_weights(B: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least-squares output weights for the (n, T) firing-bit design B.
-
-    Solves the normal equations of the steps that fire in training; a step
-    that never fires keeps weight 0.0. lstsq on the reduced Gram system
-    gives a rank-deficient design (a duplicated or constant column) its
-    minimum-norm least-squares solution instead of an error.
-    """
-    G = B.T @ B
-    fired = np.diag(G) > 0.0
-    d = np.zeros(B.shape[1])
-    c = (B.T @ y)[fired]
-    d[fired] = np.linalg.lstsq(G[np.ix_(fired, fired)], c, rcond=None)[0]
-    return d
-
-
 def _target_values(target: Callable, x: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
     """target(x) as float64, refused where it is not finite. out, if given,
@@ -368,15 +344,46 @@ def _target_values(target: Callable, x: np.ndarray,
     return y
 
 
+# the midpoints of the 2^_MEAN_RUNGS equal cells of [0, 1], then its two ends
+_MEAN_POINTS = np.append((np.arange(2**_MEAN_RUNGS) + 0.5) / 2**_MEAN_RUNGS, (0.0, 1.0))
+
+
+def _closed_form_weights(target: Callable, lo: float, hi: float, T: int) -> np.ndarray:
+    """The T step weights of the dyadic schedule on [lo, hi] that fit target
+    best in L2 over the sub-range's 2^(T-1) cells of K, taken as equally
+    likely.
+
+    There the rung bits b_t are independent fair coins, so the centred bits
+    b_t - 1/2 are orthogonal: rung t weighs
+    d_t = E[f | b_t = 1] - E[f | b_t = 0], and the always-on step
+    d_0 = E[f] - (d_1 + ... + d_(T-1)) / 2. The means are taken over f at the
+    midpoints of 2^_MEAN_RUNGS equal cells, one reshape per rung; a finer
+    rung takes (f(hi) - f(lo)) * 2^-t, its d_t for the line through the
+    ends, which is exact for an affine target.
+    """
+    x = _MEAN_POINTS * (hi - lo)
+    x += lo
+    x[-2:] = lo, hi
+    f = _target_values(target, x)
+    mids = f[:-2]
+    coarse = min(T - 1, _MEAN_RUNGS)
+    d = np.empty(T)
+    for t in range(1, coarse + 1):
+        # rung t fires on the upper half of each cell of the rungs above it
+        clear, fired = mids.reshape(2 ** (t - 1), 2, -1).mean(axis=(0, 2))
+        d[t] = fired - clear
+    d[coarse + 1:] = (f[-1] - f[-2]) * 2.0 ** -np.arange(coarse + 1, T)
+    d[0] = mids.mean() - 0.5 * d[1:].sum()
+    return d
+
+
 class _FitWork:
-    """The arrays fit_fs works in at M training samples and T steps.
+    """The arrays fit_fs validates in at M samples and T steps.
 
     Four float64 arrays and one int64 array of L = 10 M / _VAL_BLOCKS
-    entries (at least M + 2) hold the training sample and then, in turn,
-    each block of the validation grid. bits holds the (T, M + 2) design
-    matrix and, once the weights are solved, the decode's table of partial
-    sums over the P rungs _dyadic_decode would take on the whole grid:
-    2^P <= min(2^(T-1), 10 M) entries, never more than T (M + 2) for M >= 64.
+    entries hold, in turn, each block of the validation grid. sums holds
+    the decode's table of partial sums over the P rungs _dyadic_decode
+    would take on the whole grid: 2^P <= min(2^(T-1), 10 M) entries.
     """
 
     def __init__(self, M: int, T: int) -> None:
@@ -385,9 +392,9 @@ class _FitWork:
         self.index = np.arange(L, dtype=np.float64)
         self.u, self.x, self.y = np.empty(L), np.empty(L), np.empty(L)
         self.K = np.empty(L, dtype=np.int64)
-        self.bits = np.empty((T, M + 2))
         self.P = min(T - 1, (10 * M).bit_length() - 1)
-        self.nbytes = 5 * self.u.nbytes + self.bits.nbytes
+        self.sums = np.empty(2**self.P)
+        self.nbytes = 5 * self.u.nbytes + self.sums.nbytes
 
 
 _FIT_WORK = threading.local()
@@ -410,22 +417,19 @@ def fit_fs(
     hi: float,
     T: int,
     M: int,
-    seed: int,
 ) -> tuple[HGConfig, float]:
     """Fit one few-step kernel to target on [lo, hi]: a bank of one sub-range.
 
-    Solves the output weights of the dyadic schedule on M uniform training
-    samples plus the endpoints; reports the max abs error over an inclusive
-    validation grid with 10x the training density. Deterministic for a
-    given seed. Inputs are taken relative to lo, which is how the gated bank
-    seeds sub-range members.
+    The step weights of the dyadic schedule are its L2 fit in closed form
+    (_closed_form_weights); the fit reports the max abs error over an
+    inclusive validation grid of 10 M points. Inputs are taken relative to
+    lo, which is how the gated bank seeds sub-range members.
 
-    The training bits are the digits of K = floor(u / q) that the bank fires
-    on, and the validation grid is decoded from them by _dyadic_decode, bit
-    for bit as the bank decodes at run time. So the error is the one the
-    bank makes. M above _MAX_SAMPLES and what the bank refuses (T above
-    _MAX_GATE_STEPS, a range whose guard step is not a finite normal float)
-    are refused.
+    The validation grid is decoded from the digits of K = floor(u / q) that
+    the bank fires on by _dyadic_decode, bit for bit as the bank decodes at
+    run time. So the error is the one the bank makes. M outside
+    64.._MAX_SAMPLES and what the bank refuses (T above _MAX_GATE_STEPS, a
+    range whose guard step is not a finite normal float) are refused.
 
     The fit works in its thread's _FitWork, so a target must not fit in
     turn; nothing it returns shares memory with those arrays.
@@ -433,28 +437,17 @@ def fit_fs(
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     if not 64 <= M <= _MAX_SAMPLES:
-        raise ValueError(f"M must be within 64..{_MAX_SAMPLES} training samples, "
-                         f"got M={M}")
+        raise ValueError(f"M must be within 64..{_MAX_SAMPLES} samples, got M={M}")
     guard = float(_gate_guards(np.array([lo, hi]), T)[0])
     w = hi - lo
+    d = _closed_form_weights(target, lo, hi, T)
     work = _fit_work(M, T)
-    n = M + 2
     u, x, y, K = work.u, work.x, work.y, work.K
-    rng = np.random.default_rng(seed)
-    # rng.uniform(0.0, w, M) in place: it draws 0.0 + w * r for each r of
-    # rng.random(), the same floats
-    rng.random(out=u[:M])
-    u[:M] *= w
-    u[M:n] = 0.0, w
-    np.add(u[:n], lo, out=x[:n])
-    _target_values(target, x[:n], out=y[:n])
-    np.add(u[:n], guard, out=x[:n])
-    d = _solve_weights(_dyadic_bits(x[:n], w, T, out=(work.bits, K[:n], u[:n])).T, y[:n])
 
     # the validation grid np.linspace(lo, hi, 10 * M), by its own arithmetic,
     # a block at a time, decoded as the bank decodes at run time (a BLAS
     # d @ bits would reorder the sum), so err is the error the bank makes
-    sums = _step_sums(d, work.P, out=work.bits.reshape(-1)[:2**work.P])
+    sums = _step_sums(d, work.P, out=work.sums)
     n_val = 10 * M
     step = w / (n_val - 1)
     err = np.float64(0.0)
@@ -533,13 +526,14 @@ def fit_target(
     target's own range).
 
     The inner boundaries are the k/N quantiles of a curvature sample of the
-    target (curvature_sample), so sub-ranges narrow where it bends. A
-    boundary within 1e-12 of the span of the last one kept is dropped, with
-    a warning, leaving fewer sub-ranges. Sub-range i is fitted with seed + i,
-    so N=1 is exactly fit_fs(seed) on [lo, hi]; a fit that fails names the
-    target and its sub-range. A range that starts below the target's domain
-    floor is refused, and so is one the bank refuses as a whole
-    (_gate_guards) and an N above _MAX_SUBRANGES, before it is sampled.
+    target (curvature_sample), so sub-ranges narrow where it bends: the seed
+    draws that sample and nothing else. A boundary within 1e-12 of the span
+    of the last one kept is dropped, with a warning, leaving fewer
+    sub-ranges. Each sub-range is fitted by fit_fs, so N=1 is exactly
+    fit_fs on [lo, hi]; a fit that fails names the target and its
+    sub-range. A range that starts below the target's domain floor is
+    refused, and so is one the bank refuses as a whole (_gate_guards) and
+    an N above _MAX_SUBRANGES, before it is sampled.
     """
     if N < 1:
         raise ValueError(f"need at least one sub-range, got N={N}")
@@ -569,10 +563,10 @@ def fit_target(
             stacklevel=2,
         )
     banks, errs = [], []
-    for i, (a, b) in enumerate(zip(kept, kept[1:])):
+    for a, b in zip(kept, kept[1:]):
         try:
             # looked up at each call: perfbench ticks its clock at calibration.fit_fs
-            bank, err = fit_fs(spec.fn, a, b, T, M, seed + i)
+            bank, err = fit_fs(spec.fn, a, b, T, M)
         except (CalibrationError, ValueError) as exc:
             raise type(exc)(f"fit of {name!r} failed on sub-range [{a}, {b}]: {exc}")
         banks.append(bank)

@@ -253,7 +253,8 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--range", nargs=2, type=float, metavar=("LO", "HI"))
     c.add_argument("--levels", type=int, default=8, help="sub-range count N")
     c.add_argument("--steps", type=int, default=16)
-    c.add_argument("--samples", type=int, default=4096, help="training samples M")
+    c.add_argument("--samples", type=int, default=4096,
+                   help="samples M: 4M place the boundaries, 10M validate each fit")
     c.add_argument("--seed", type=_seed_flag, default=7)
     c.add_argument("--out", required=True)
     c.set_defaults(fn=cmd_calibrate)

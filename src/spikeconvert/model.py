@@ -41,9 +41,9 @@ from .calibration import (
     select_oat_thresholds,
     silu,
 )
-from .errors import CalibrationError
 from .energy import UNCHARGED, EnergyLedger
 from .errors import (
+    CalibrationError,
     EmptyInputError,
     FormatError,
     NonFiniteError,
@@ -411,12 +411,13 @@ class ConvertedBlock:
 
 def _fit_seeds(cfg: ModelConfig) -> dict[str, int]:
     """Each gate site's fit seed, in site-name order: the config's
-    calibration seed plus _MAX_SUBRANGES per site, so one site's sub-range
-    seeds (seed + i, i < N) never reach the next site's. convert fits with
-    them and load_block rebuilds the reports with them, so a block file
-    stores none."""
+    calibration seed plus 1000 per site. A site's seed draws the curvature
+    sample that places its boundaries (fit_target); the step weights take
+    none. convert fits with them and load_block rebuilds the reports with
+    them, so a block file stores none, and a block converted again from the
+    same config gets the same boundaries."""
     base = int(cfg.seeds["calibration"])
-    return {site: base + _MAX_SUBRANGES * (i + 1)
+    return {site: base + 1000 * (i + 1)
             for i, site in enumerate(sorted(hg_sites(cfg)))}
 
 

@@ -543,10 +543,10 @@ def _rung_shifts(T: int) -> np.ndarray:
     return shifts
 
 
-def _rung_bits(K: np.ndarray, T: int, rungs: int | None = None) -> np.ndarray:
+def _rung_bits(K: np.ndarray, T: int, rungs: int) -> np.ndarray:
     """(rungs, n) firing bits, 0 or 1, of the T-step dyadic schedule's first
-    rungs rungs (default: all T-1) from K = _dyadic_digits(...): row t-1 is
-    rung t's, bit T-1-t of K, shifted and masked into one contiguous row."""
+    rungs rungs from K = _dyadic_digits(...): row t-1 is rung t's, bit
+    T-1-t of K, shifted and masked into one contiguous row."""
     shifts = _rung_shifts(T)[:rungs]
     bits = np.right_shift(K.astype(shifts.dtype), shifts)
     bits &= 1

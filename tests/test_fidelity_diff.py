@@ -159,15 +159,21 @@ class TestLoadedBlocks:
                 for k in ("target", "samples_per_range", "seed")] == ["exp", 4096, 1022]
 
     def test_equal_only_bit_for_bit(self):
-        assert fidelity_diff.same_numbers(loaded()["default"], loaded()["default"])
-        assert not fidelity_diff.same_numbers(loaded(d0=0.0)["default"],
-                                              loaded(d0=-0.0)["default"])
-        assert not fidelity_diff.same_numbers(loaded()["default"],
-                                              loaded(theta_nor=0.25)["default"])
-        assert not fidelity_diff.same_numbers(loaded()["default"],
-                                              loaded(err=0.125)["default"])
-        assert not fidelity_diff.same_numbers(loaded()["default"],
-                                              loaded(seed=1023)["default"])
+        def kinds(old, new):
+            return fidelity_diff.differing_kinds(old["default"], new["default"])
+
+        assert kinds(loaded(), loaded()) == []
+        assert kinds(loaded(d0=0.0), loaded(d0=-0.0)) == ["hg.d"]
+        assert kinds(loaded(), loaded(theta_nor=0.25)) == ["oat"]
+        assert kinds(loaded(), loaded(err=0.125)) == ["report.err"]
+        assert kinds(loaded(), loaded(seed=1023)) == ["report.seed"]
+        assert kinds(loaded(), loaded(d0=3.0, err=0.125)) == ["hg.d", "report.err"]
+
+    def test_key_on_one_side_differs(self):
+        old = loaded()["default"]
+        new = {k: v for k, v in old.items() if k[0] != "oat"}
+        assert fidelity_diff.differing_kinds(old, new) == ["oat"]
+        assert fidelity_diff.differing_kinds(new, old) == ["oat"]
 
     def test_report_tells_layout_from_numerics(self, capsys):
         # a new file layout with the same numbers: the files differ, the
@@ -177,7 +183,19 @@ class TestLoadedBlocks:
         out = capsys.readouterr().out
         assert "default.json: DIFFERS" in out and "loaded blocks equal" in out
         assert fidelity_diff.report(old, results([run([1.0])], numbers=loaded(d0=3.0)))
-        assert "loaded blocks DIFFER: default" in capsys.readouterr().out
+        assert "loaded blocks DIFFER: default (hg.d)\n" in capsys.readouterr().out
+
+    def test_report_names_what_moved_and_the_worst_gate_error(self, capsys):
+        # a refit moves the weights and the errors; the worst error is the
+        # largest over every gate's sub-ranges, old -> new
+        old = results([run([1.0])])
+        new = results([run([1.0])], numbers=loaded(d0=3.0, err=0.375))
+        fidelity_diff.report(old, new)
+        out = capsys.readouterr().out
+        assert "loaded blocks DIFFER: default (hg.d, report.err)\n" in out
+        assert "worst gate err default: 0.5 -> 0.5\n" in out
+        fidelity_diff.report(old, results([run([1.0])], numbers=loaded(err=0.625)))
+        assert "worst gate err default: 0.5 -> 0.625\n" in capsys.readouterr().out
 
 
 class TestRows:

@@ -18,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spikeconvert.calibration import _MAX_SUBRANGES, gelu, sample_distribution, silu
+from spikeconvert.energy import EnergyLedger
 from spikeconvert.errors import (
     CalibrationError,
     FormatError,
@@ -174,14 +175,14 @@ class TestSites:
         assert "layers.1.ln2.invsqrt" in hg_sites(cfg)
 
     def test_fit_seed_ranges_are_disjoint_at_the_ceiling(self):
-        # sub-range i of a site fits with seed + i: at the most sub-ranges,
-        # no two sites' seed ranges [s, s + N) meet
-        N = _MAX_SUBRANGES
+        # a site's seed draws the sample that places its boundaries: the
+        # sites' seeds lie 1000 apart in site-name order, whatever the
+        # sub-range count, so a block converted again keeps its boundaries
         cfg = ModelConfig(**{**TINY, "ffn_kind": "gated", "n_layers": 4,
-                             "N_per_nonlinearity": N})
-        starts = sorted(_fit_seeds(cfg).values())
-        assert len(starts) == len(hg_sites(cfg)) == 20
-        assert all(a + N <= b for a, b in zip(starts, starts[1:]))
+                             "N_per_nonlinearity": _MAX_SUBRANGES})
+        seeds = _fit_seeds(cfg)
+        assert list(seeds) == sorted(hg_sites(cfg)) and len(seeds) == 20
+        assert list(seeds.values()) == [6 + 1000 * (i + 1) for i in range(20)]
 
     def test_expected_shapes(self, tiny_cfg):
         shapes = expected_shapes(tiny_cfg)
@@ -413,13 +414,42 @@ class TestFloatForward:
         assert all(a.tobytes() == b for a, b in residuals.values())
 
     def test_flop_charges(self, tiny_cfg, tiny_weights, tiny_input):
-        from spikeconvert.energy import EnergyLedger
         led = EnergyLedger()
         float_forward(tiny_cfg, tiny_weights, tiny_input, ledger=led)
         r, f = tiny_input.rows, tiny_cfg.d_ff
         # the gelu charge (70 each) is folded into the ffn site
         assert led.by_site["layers.0.ffn"]["flops"] >= 70 * r * f
         assert led.sops == 0 and led.flops > 0
+
+    @pytest.mark.parametrize("ffn_kind", ["standard", "gated"])
+    def test_flop_charge_of_every_site(self, ffn_kind):
+        # each site's FLOPs as a formula in (rows, d_model, d_ff, heads), with
+        # sqrt, exp and gelu at 12, 20 and 70 FLOPs each; the sizes differ
+        # pairwise, so a swapped factor changes a charge
+        r, d, f, nh = 3, 8, 12, 2
+        dh = d // nh
+        cfg = ModelConfig(**{**TINY, "d_model": d, "d_ff": f, "n_heads": nh,
+                             "ffn_kind": ffn_kind})
+        led = EnergyLedger()
+        x = Matrix(np.random.default_rng(8).standard_normal((r, d)))
+        float_forward(cfg, WeightSet.random(cfg, 5), x, ledger=led)
+        layernorm = (4 * r * d + r) + 12 * r + 3 * r * d
+        if ffn_kind == "standard":
+            ffn = r * d * f + r * f + 70 * r * f + r * f * d + r * d
+        else:
+            # gate and up projections, the product, silu as exp plus three ops
+            ffn = 2 * (r * d * f + r * f) + r * f + (20 + 3) * r * f + r * f * d + r * d
+        assert {site: c["flops"] for site, c in led.by_site.items()} == {
+            "layers.0.ln1": layernorm,
+            "layers.0.attn.qkv": 3 * r * d * d + r * d,
+            "layers.0.attn.scores": nh * (2 * r * r * dh + 3 * r * r) + 20 * nh * r * r,
+            "layers.0.attn.wo": r * d * d,
+            "layers.0.attn.residual": r * d,
+            "layers.0.ln2": layernorm,
+            "layers.0.ffn": ffn,
+            "layers.0.ffn.residual": r * d,
+        }
+        assert led.sops == 0
 
 
 class TestConvert:

@@ -37,7 +37,9 @@ and whether the loaded blocks are equal bit for bit: each gate bank's
 boundaries and (T, N) step weights d, which fix its schedule and which
 every checkout since block format 3 holds, each encoder's thresholds, and
 each gate's calibration report (its per-sub-range errors, target,
-samples_per_range and seed).
+samples_per_range and seed). A block that differs is listed with the kinds
+of numbers that differ (`hg.d`, `report.err`, ...), and each block's worst
+gate fit error is given as old -> new.
 The exit status is 0 when the per-layer totals and the files all match,
 and 1 otherwise, so a site renamed within its layer shows in the
 ledgers and counters columns without reading as a numerics change, and a
@@ -105,11 +107,20 @@ def block_numbers(block) -> dict:
     return numbers
 
 
-def same_numbers(old: dict, new: dict) -> bool:
-    """Equal keys, dtypes, shapes and bits (so 0.0 and -0.0 differ)."""
-    return old.keys() == new.keys() and all(
-        old[k].dtype == new[k].dtype and old[k].shape == new[k].shape
-        and old[k].tobytes() == new[k].tobytes() for k in old)
+def differing_kinds(old: dict, new: dict) -> list[str]:
+    """The kinds of block numbers that differ, each a key less its site
+    (`hg.boundaries`, `hg.d`, `oat`, `report.err`, ...): a key on one side
+    only, or unequal dtypes, shapes or bits (so 0.0 and -0.0 differ)."""
+    return sorted({".".join((k[0],) + k[2:]) for k in old.keys() | new.keys()
+                   if k not in old or k not in new or old[k].dtype != new[k].dtype
+                   or old[k].shape != new[k].shape
+                   or old[k].tobytes() != new[k].tobytes()})
+
+
+def worst_gate_err(numbers: dict) -> float:
+    """The largest per-sub-range fit error over a block's gate reports."""
+    return max(float(v.max()) for k, v in numbers.items()
+               if k[0] == "report" and k[-1] == "err")
 
 
 def run_checkout(n_inputs: int, tmp: str) -> dict:
@@ -270,10 +281,14 @@ def report(old: dict, new: dict) -> bool:
         identical = old["files"][name] == new["files"].get(name)
         same &= identical
         print(f"{name}: {'byte-identical' if identical else 'DIFFERS'}")
-    differ = [name for name in sorted(old["loaded"])
-              if not same_numbers(old["loaded"][name], new["loaded"].get(name, {}))]
+    differ = [f"{name} ({', '.join(kinds)})" for name in sorted(old["loaded"])
+              if (kinds := differing_kinds(old["loaded"][name],
+                                           new["loaded"].get(name, {})))]
     print(f"loaded blocks DIFFER: {', '.join(differ)}" if differ
           else "loaded blocks equal")
+    for name in sorted(old["loaded"].keys() & new["loaded"].keys()):
+        print(f"worst gate err {name}: {worst_gate_err(old['loaded'][name]):.8g} -> "
+              f"{worst_gate_err(new['loaded'][name]):.8g}")
     for name in sorted(old.get("cost", {})):
         (cpu_old, faults_old), (cpu_new, faults_new) = old["cost"][name], new["cost"][name]
         print(f"convert {name}: cpu {cpu_old:.3f} s -> {cpu_new:.3f} s, minor faults "

@@ -76,8 +76,10 @@ _MEAN_RUNGS = 8
 # memory, more make more numpy calls. At M = 4096 on a 2-vCPU Xeon, 2 to 4
 # blocks fitted equally fast and 10 blocks 17 % slower.
 _VAL_BLOCKS = 4
-# The most bytes of work arrays a thread keeps from one fit to the next
-# (a fit at M = 4096, T = 16 takes 0.9 MiB); larger ones are made per fit.
+# The most bytes of work arrays a thread keeps from one fit to the next (a
+# fit at M = 4096, T = 16 takes 0.64 MiB: five arrays of 10240 float64 or
+# int64 entries and a 2^15-entry table, 671 744 B); larger ones are made
+# per fit.
 _KEEP_WORK_BYTES = 2**24
 
 

@@ -7,9 +7,10 @@ for native nonlinearities, E_MAC each). The headline figure is
     ratio = (SOPs * E_AC) / (FLOPs * E_MAC)
 
 so values below 1 mean the event-driven path is estimated cheaper than the
-float path it replaces. Threshold comparisons are charged nothing; a config
-flag can charge multi-level events at ceil(log2(levels)) accumulations each
-instead of one.
+float path it replaces. Threshold comparisons are charged nothing, and each
+spike event is charged one accumulation. Charging a multi-level event at its
+bit width, ceil(log2(2H)) accumulations, scales every SOP count and the
+ratio by that factor, so it is read off the plain ledger.
 
 A run charges one EnergyLedger: every kernel records its SOPs or FLOPs at
 its site, and every gate clamp and encoder saturation as a counter on the
@@ -31,20 +32,14 @@ DEFAULT_FLOP_COSTS: dict[str, int] = {"mac": 1, "gelu": 70, "exp": 20, "sqrt": 1
 
 
 class EnergyLedger:
-    """Monotone per-site SOP/FLOP counters with fixed energy constants.
+    """Monotone per-site SOP/FLOP counters, charged at E_AC and E_MAC.
 
-    sop_weight is the charge per spike event (1 by default; the multi-level
-    alternative charges each event as its bit width). counters maps
-    "<gate site>.clamped" and "<encoder site>.saturated" to how many inputs
-    fell outside the gate's range or above the encoder's top grid level.
+    counters maps "<gate site>.clamped" and "<encoder site>.saturated" to
+    how many inputs fell outside the gate's range or above the encoder's
+    top grid level.
     """
 
-    def __init__(self, sop_weight: int = 1) -> None:
-        if sop_weight < 1:
-            raise EnergyAccountingError(f"sop_weight must be >= 1, got {sop_weight}")
-        self.e_ac = E_AC
-        self.e_mac = E_MAC
-        self.sop_weight = sop_weight
+    def __init__(self) -> None:
         self.sops = 0
         self.flops = 0
         self.by_site: dict[str, dict[str, int]] = {}
@@ -57,12 +52,11 @@ class EnergyLedger:
         return bucket
 
     def record_sop(self, site: str, n: int) -> None:
-        """Charge n spike events (each sop_weight accumulations) at site."""
+        """Charge n spike events, one accumulation each, at site."""
         if n < 0:
             raise EnergyAccountingError(f"cannot record {n} SOPs at {site!r}")
-        charged = int(n) * self.sop_weight
-        self.sops += charged
-        self._bucket(site)["sops"] += charged
+        self.sops += int(n)
+        self._bucket(site)["sops"] += int(n)
 
     def record_flop(self, site: str, n: int) -> None:
         if n < 0:
@@ -87,9 +81,8 @@ class EnergyLedger:
     def to_dict(self) -> dict:
         ratio = energy_ratio(self) if self.flops > 0 else None
         return {
-            "e_ac": self.e_ac,
-            "e_mac": self.e_mac,
-            "sop_weight": self.sop_weight,
+            "e_ac": E_AC,
+            "e_mac": E_MAC,
             "sops": self.sops,
             "flops": self.flops,
             "ratio": ratio,
@@ -98,23 +91,14 @@ class EnergyLedger:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnergyLedger":
-        sop_weight = d.get("sop_weight", 1)
-        _check_type("sop_weight", sop_weight, numbers.Integral)
-        ledger = cls(sop_weight=sop_weight)
+        ledger = cls()
         by_site = d.get("by_site", {})
         _check_type("by_site", by_site, dict)
         for site, counts in by_site.items():
             where = f"by_site[{site!r}]"
             _check_type(where, counts, dict)
-            sops, flops = _tally(where, counts, "sops"), _tally(where, counts, "flops")
-            if sops % ledger.sop_weight:
-                # each event charges sop_weight: flooring would hide a corrupt count
-                raise EnergyAccountingError(
-                    f"{where}.sops={sops} is not a multiple of sop_weight "
-                    f"{ledger.sop_weight}"
-                )
-            ledger.record_sop(site, sops // ledger.sop_weight)
-            ledger.record_flop(site, flops)
+            ledger.record_sop(site, _tally(where, counts, "sops"))
+            ledger.record_flop(site, _tally(where, counts, "flops"))
         totals = _tally("ledger", d, "sops"), _tally("ledger", d, "flops")
         if (ledger.sops, ledger.flops) != totals:
             raise EnergyAccountingError("ledger totals do not match site breakdown")
@@ -150,4 +134,4 @@ def energy_ratio(ledger: EnergyLedger) -> float:
         raise EnergyAccountingError(
             "energy ratio is undefined: no float-path FLOPs were recorded"
         )
-    return (ledger.sops * ledger.e_ac) / (ledger.flops * ledger.e_mac)
+    return (ledger.sops * E_AC) / (ledger.flops * E_MAC)

@@ -77,7 +77,8 @@ def _field_types(cls: type) -> dict[str, type]:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Block dimensions plus every knob a conversion experiment needs."""
+    """Block dimensions plus every knob a conversion experiment needs. None
+    touches the energy model: a run charges each spike event one SOP."""
 
     d_model: int = 32
     n_heads: int = 4
@@ -94,7 +95,6 @@ class ModelConfig:
     n_layers: int = 1
     normal_quantile: float = 0.99
     samples_per_range: int = 4096
-    sop_bits: bool = False
 
     def __post_init__(self) -> None:
         # JSON configs arrive untyped: check every field before comparing it
@@ -499,15 +499,16 @@ class RunTrace:
 
     per_layer maps each sublayer key (layers.<i>.attn, layers.<i>.ffn) to the
     mean absolute deviation of the residual stream after that sublayer.
-    counters is the ledger's: it maps "<gate site>.clamped" and "<encoder
-    site>.saturated" to how many inputs fell outside the gate's range or
-    above the encoder's top grid level; a site with none has no entry.
+    The ledger holds the run's SOPs and FLOPs by site, and its counters map
+    "<gate site>.clamped" and "<encoder site>.saturated" to how many inputs
+    fell outside the gate's range or above the encoder's top grid level; a
+    site with none has no entry. to_dict writes those counters as
+    `counters`.
     """
 
     steps: int
     output_rel_err: float
     per_layer: dict[str, float]
-    counters: dict[str, int]
     ledger: EnergyLedger
 
     def to_dict(self) -> dict:
@@ -515,7 +516,7 @@ class RunTrace:
             "steps": self.steps,
             "output_rel_err": self.output_rel_err,
             "per_layer": dict(sorted(self.per_layer.items())),
-            "counters": dict(sorted(self.counters.items())),
+            "counters": dict(sorted(self.ledger.counters.items())),
             "ledger": self.ledger.to_dict(),
         }
 
@@ -566,9 +567,7 @@ def spike_forward(
         T = cfg.T
     _check_exact_range(cfg.H, T)
     w = block.weights
-    ledger = EnergyLedger(
-        sop_weight=math.ceil(math.log2(2 * cfg.H)) if cfg.sop_bits else 1
-    )
+    ledger = EnergyLedger()
     y_ref, refs, charges = _oracle(block, x)
     for site, flops in charges:
         ledger.record_flop(site, flops)
@@ -629,7 +628,6 @@ def spike_forward(
         steps=T,
         output_rel_err=relative_error(out, y_ref),
         per_layer=per_layer,
-        counters=ledger.counters,
         ledger=ledger,
     )
     return out, trace
@@ -641,7 +639,7 @@ def spike_forward(
 _MAGIC = b"LASW"
 _WEIGHT_VERSION = 1
 _BLOCK_FORMAT = "spikeconvert-block"
-_BLOCK_VERSION = 6
+_BLOCK_VERSION = 7
 _BLOCK_KEYS = {"format", "version", "config", "weights_file"}
 # a gate site's tensors in the block's LASW sidecar, <site>.<name> for each
 # name: its bank's boundaries as a (1, N+1) row and step weights d as a (T, N)

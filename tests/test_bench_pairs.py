@@ -31,6 +31,7 @@ error_rate                                        0 ratio  0 failed of 286 opera
 """
 BETTER = {"convert_s": "lower", "setup_s": "lower", "seq_per_s": "higher",
           "convert_s wall": "lower", "setup_s wall": "lower"}
+BOUNDS = {"convert_s": 0.25, "setup_s": 0.25, "seq_per_s": 0.25}
 
 
 def canned(convert=0.3, convert_wall=0.4, seq=300.0, failed=0):
@@ -57,10 +58,12 @@ def test_parse_run_reads_metrics_walls_and_failures():
 
 
 def test_workloads_length_and_directions_come_from_the_benchmark_declaration():
-    workloads, seconds, better = bench_pairs.benchmark()
+    workloads, seconds, better, bounds = bench_pairs.benchmark()
     assert workloads == ["certify", "stream", "deep_outliers"] and seconds == 10.0
     assert better["seq_per_s"] == "higher" and better["convert_s"] == "lower"
     assert better["convert_s wall"] == better["setup_s wall"] == "lower"
+    assert bounds["convert_s"] == 0.25 and bounds["energy_ratio"] == 0.02
+    assert set(bounds) == set(better) - {"convert_s wall", "setup_s wall"}
 
 
 def test_table_gives_medians_quartiles_ratio_and_wins():
@@ -69,27 +72,49 @@ def test_table_gives_medians_quartiles_ratio_and_wins():
     change = [bench_pairs.parse_run(canned(convert=c, seq=s, failed=1))
               for c, s in ((0.21, 310.0), (0.21, 290.0), (0.25, 310.0),
                            (0.25, 310.0), (0.25, 300.0))]
-    lines, _ = bench_pairs.summarize("certify", parent, change, BETTER)
+    lines, warnings = bench_pairs.summarize("certify", parent, change, BETTER, BOUNDS)
     rows = {line.split(" | ")[0][2:]: line for line in lines if line.startswith("| ")}
     assert rows["convert_s"] == ("| convert_s | 0.24 [0.22, 0.26] | 0.25 [0.21, 0.25] "
-                                 "| 1.042 | 3/5 |")
+                                 "| 1.042 | 3/5 | 25% |")
     # higher is better: 310 beats 300 three times, and a tie is no win
-    assert rows["seq_per_s"].endswith("| 1.033 | 3/5 |")
-    assert rows["failed checks"] == "| failed checks | 0 | 5 | | |"
+    assert rows["seq_per_s"].endswith("| 1.033 | 3/5 | 25% |")
+    assert rows["convert_s wall"].endswith("| 1.000 | 0/5 |  |")  # no bound of its own
+    assert rows["failed checks"] == "| failed checks | 0 | 5 | | | |"
+    assert warnings == []
     assert set(rows) >= {"convert_s wall", "setup_s wall"}
 
 
 def test_warns_when_scaled_and_wall_ratios_split():
     parent = [bench_pairs.parse_run(canned(convert=0.22, convert_wall=0.30))] * 3
     artifact = [bench_pairs.parse_run(canned(convert=0.30, convert_wall=0.30))] * 3
-    _, warnings = bench_pairs.summarize("stream", parent, artifact, BETTER)
+    _, warnings = bench_pairs.summarize("stream", parent, artifact, BETTER, {})
     assert warnings == [
         "warning: stream convert_s: scaled change/parent 1.364, wall 1.000; a split "
         "this wide is the signature of the fit-kernel reference artifact (ROADMAP "
         "item 1)"]
     # both ratios move together: a real slowdown, not the artifact
     slower = [bench_pairs.parse_run(canned(convert=0.30, convert_wall=0.41))] * 3
-    assert bench_pairs.summarize("stream", parent, slower, BETTER)[1] == []
+    assert bench_pairs.summarize("stream", parent, slower, BETTER, {})[1] == []
+
+
+def test_marks_a_median_worse_than_its_bound():
+    parent = [bench_pairs.parse_run(canned(convert=0.20, convert_wall=0.30,
+                                           seq=400.0))] * 3
+    # convert_s 30 % slower and seq_per_s 20 % lower, against bounds of 25 %
+    change = [bench_pairs.parse_run(canned(convert=0.26, convert_wall=0.39,
+                                           seq=320.0))] * 3
+    lines, warnings = bench_pairs.summarize("stream", parent, change, BETTER, BOUNDS)
+    rows = {line.split(" | ")[0][2:]: line for line in lines if line.startswith("| ")}
+    assert rows["convert_s"].endswith("| 1.300 | 0/3 | 25% PAST |")
+    assert rows["seq_per_s"].endswith("| 0.800 | 0/3 | 25% |")
+    assert warnings == ["warning: stream convert_s: change median 30.0% worse than "
+                        "the parent's, past its bound of 25%"]
+    # higher is better: a throughput 30 % lower is past the bound too
+    lower = [bench_pairs.parse_run(canned(convert=0.20, convert_wall=0.30,
+                                          seq=280.0))] * 3
+    lines, _ = bench_pairs.summarize("stream", parent, lower, BETTER, BOUNDS)
+    assert any(line.startswith("| seq_per_s |") and line.endswith("| 25% PAST |")
+               for line in lines)
 
 
 def test_export_holds_only_committed_files(tmp_path):
@@ -126,7 +151,7 @@ def fake_main(monkeypatch, broken=()):
 
     monkeypatch.setattr(bench_pairs, "run_one", run_one)
     monkeypatch.setattr(bench_pairs, "benchmark",
-                        lambda: (["certify", "stream"], 2.0, BETTER))
+                        lambda: (["certify", "stream"], 2.0, BETTER, BOUNDS))
     return bench_pairs.main(["p", "c"]), calls
 
 

@@ -595,7 +595,7 @@ class TestRun:
     def test_version_2_block_refused(self, work, tmp_path, capsys):
         # format 2 kept the gate banks in the JSON; the sidecar lacks them
         assert _run_edited_block(work, tmp_path, ("version",), 2) == 2
-        assert ("unsupported block version: expected 6, found 2; reconvert the "
+        assert ("unsupported block version: expected 7, found 2; reconvert the "
                 "block with `spikeconvert convert`" in capsys.readouterr().err)
 
     def test_version_4_block_refused(self, work, tmp_path, capsys):
@@ -610,7 +610,7 @@ class TestRun:
         bp = tmp_path / "v4.json"
         bp.write_text(json.dumps(dict(doc, version=4)))
         assert main(["run", "--block", str(bp), "--input", str(work / "input.lasw")]) == 2
-        assert ("unsupported block version: expected 6, found 4; reconvert the "
+        assert ("unsupported block version: expected 7, found 4; reconvert the "
                 "block with `spikeconvert convert`" in capsys.readouterr().err)
 
     def test_version_5_block_refused(self, work, tmp_path, capsys):
@@ -629,7 +629,18 @@ class TestRun:
         bp = tmp_path / "v5.json"
         bp.write_text(json.dumps(doc))
         assert main(["run", "--block", str(bp), "--input", str(work / "input.lasw")]) == 2
-        assert ("unsupported block version: expected 6, found 5; reconvert the "
+        assert ("unsupported block version: expected 7, found 5; reconvert the "
+                "block with `spikeconvert convert`" in capsys.readouterr().err)
+
+    def test_version_6_block_refused(self, work, tmp_path, capsys):
+        # format 6 carried sop_bits in the config; its sidecar is today's
+        doc = json.loads((work / "block.json").read_text())
+        doc["config"]["sop_bits"] = False
+        shutil.copy(work / doc["weights_file"], tmp_path)
+        bp = tmp_path / "v6.json"
+        bp.write_text(json.dumps(dict(doc, version=6)))
+        assert main(["run", "--block", str(bp), "--input", str(work / "input.lasw")]) == 2
+        assert ("unsupported block version: expected 7, found 6; reconvert the "
                 "block with `spikeconvert convert`" in capsys.readouterr().err)
 
     @UNREADABLE_JSON
@@ -750,6 +761,8 @@ class TestRun:
          "hg site 'layers.0.ffn.act': tensors ['layers.0.ffn.act.err'] missing from"),
         (("sidecar", "input"), {"scale": lambda _: np.ones((1, 1))},
          "does not match config: missing=[] extra=['input.scale']"),
+        # the config's `sop_bits` left with format 6
+        (("config", "sop_bits"), True, "unknown config fields: ['sop_bits']"),
     ])
     def test_unknown_or_missing_key_named(self, work, tmp_path, capsys, path,
                                           value, message):
@@ -858,15 +871,21 @@ class TestEnergy:
         assert main(["energy", "--report", str(p)]) == 2
         assert _unreadable_json_named(capsys, p)
 
-    def test_count_off_the_sop_weight_refused(self, tmp_path, capsys):
-        # flooring 7 SOPs at weight 3 to 2 events would agree with the total 6
+    def test_weighted_report_read_as_stored(self, work, tmp_path, capsys):
+        # a report written with sop_weight 4 holds SOP counts already charged
+        # at 4 per event; they are read as they stand, not divided back
+        doc = json.loads((work / "report.json").read_text())
+        led = doc["ledger"]
+        for counts in [led, *led["by_site"].values()]:
+            counts["sops"] *= 4
+        led["sop_weight"] = 4
         p = tmp_path / "weighted_report.json"
-        p.write_text(json.dumps({"ledger": {
-            "sop_weight": 3, "sops": 6, "flops": 10,
-            "by_site": {"input": {"sops": 7, "flops": 10}}}}))
-        assert main(["energy", "--report", str(p)]) == 2
-        assert ("by_site['input'].sops=7 is not a multiple of sop_weight 3"
-                in capsys.readouterr().err)
+        p.write_text(json.dumps(doc))
+        assert main(["energy", "--report", str(p)]) == 0
+        out = capsys.readouterr().out
+        assert f"SOPs={led['sops']} FLOPs={led['flops']} " in out
+        want = (led["sops"] * 0.9) / (led["flops"] * 4.6)
+        assert float(out.split("ratio=")[1]) == pytest.approx(want, rel=1e-5)
 
     @pytest.mark.parametrize("path, value, field", [
         ((), [], "report"),
@@ -874,7 +893,6 @@ class TestEnergy:
         (("ledger", "by_site"), [], "by_site"),
         (("ledger", "by_site", "input"), 3, "by_site['input']"),
         (("ledger", "by_site", "input", "sops"), [1], "by_site['input'].sops"),
-        (("ledger", "sop_weight"), 1.0, "sop_weight"),
     ])
     def test_malformed_report_field_named(self, work, tmp_path, capsys,
                                           path, value, field):

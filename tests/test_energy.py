@@ -76,13 +76,6 @@ class TestCharges:
         with pytest.raises(EnergyAccountingError):
             led.record_flop("x", -1)
 
-    def test_sop_weight_scales_events(self):
-        led = EnergyLedger(sop_weight=4)
-        led.record_sop("x", 5)
-        assert led.sops == 20
-        with pytest.raises(EnergyAccountingError):
-            EnergyLedger(sop_weight=0)
-
     def test_counter_appears_once_it_counts(self):
         led = EnergyLedger()
         led.count("g.clamped", 0)
@@ -170,7 +163,7 @@ class TestUncharged:
 
 class TestSerialization:
     def test_round_trip(self):
-        led = EnergyLedger(sop_weight=2)
+        led = EnergyLedger()
         led.record_sop("a", 3)
         led.record_flop("a", 10)
         led.record_sop("b", 1)
@@ -178,6 +171,17 @@ class TestSerialization:
         assert back.sops == led.sops
         assert back.flops == led.flops
         assert back.by_site == led.by_site
+
+    def test_dict_holds_the_counts_and_the_constants(self):
+        led = EnergyLedger()
+        led.record_sop("a", 3)
+        led.record_flop("a", 10)
+        assert led.to_dict() == {"e_ac": 0.9, "e_mac": 4.6, "sops": 3, "flops": 10,
+                                 "ratio": (3 * 0.9) / (10 * 4.6),
+                                 "by_site": {"a": {"sops": 3, "flops": 10}}}
+        # an older ledger's per-event charge is ignored: its counts stand
+        back = EnergyLedger.from_dict(led.to_dict() | {"sop_weight": 4})
+        assert (back.sops, back.by_site) == (3, led.by_site)
 
     def test_tampered_totals_rejected(self):
         led = EnergyLedger()

@@ -23,7 +23,9 @@ def run(out, err=0.01, sops=10, clamped=0, site="layers.0.attn.in",
     by_site = {"input": {"sops": 3, "flops": 0},
                site: {"sops": sops, "flops": 0},
                "layers.0.attn.qkv": {"sops": 0, "flops": flops}}
-    return (np.array(out, dtype=float), err, {"sops": sops + 3, "by_site": by_site},
+    ledger = {"e_ac": 0.9, "e_mac": 4.6, "sops": sops + 3, "flops": flops,
+              "by_site": by_site}
+    return (np.array(out, dtype=float), err, ledger,
             {gate + ".clamped": clamped} if clamped else {})
 
 
@@ -70,6 +72,15 @@ class TestCompare:
                                        [run([1.0], sops=11, clamped=2)])
         assert not c["ledgers"] and not c["counters"]
         assert not c["layers"] and not c["clamps"]
+
+    def test_ledgers_compared_by_their_counts(self):
+        # a ledger that stops writing a key, such as an older checkout's
+        # sop_weight, keeps equal counts; a moved FLOP count does not
+        old, new = run([1.0]), run([1.0])
+        old[2]["sop_weight"] = 1
+        assert fidelity_diff.compare_runs([old], [new])["ledgers"]
+        c = fidelity_diff.compare_runs([old], [run([1.0], flops=51)])
+        assert not c["ledgers"] and not c["layers"]
 
     def test_rename_within_a_layer_keeps_its_totals(self):
         old = run([1.0], clamped=2, site="layers.0.attn.softmax.offset",
@@ -138,6 +149,13 @@ class TestCompare:
         assert not fidelity_diff.report(old, new)
         row = capsys.readouterr().out.splitlines()[1]
         assert "0.025->0.0009" in row and "8->14" in row
+
+    def test_mean_error_shows_six_digits(self, capsys):
+        # a +0.21 % move, which three digits would print as 0.0012->0.00121
+        old = results([run([1.0], err=1.20302e-3)])
+        new = results([run([1.0], err=1.20557e-3)])
+        assert fidelity_diff.report(old, new)
+        assert "0.00120302->0.00120557" in capsys.readouterr().out.splitlines()[1]
 
 
 class TestLoadedBlocks:
@@ -210,7 +228,7 @@ class TestRows:
             want, trace = spike_forward(default_block, Matrix(3 * x.array), T=16)
             assert out.tobytes() == want.array.tobytes()
             assert err == trace.output_rel_err
-            assert ledger == trace.ledger.to_dict() and counters == trace.counters
+            assert ledger == trace.ledger.to_dict() and counters == trace.ledger.counters
         # the row reaches the encoders' saturation and the gates' clamps
         keys = {k.rsplit(".", 1)[1] for *_, c in runs["default/x3", 16] for k in c}
         assert keys == {"saturated", "clamped"}

@@ -174,9 +174,7 @@ def per_head_spike_forward(
     if T < 1:
         raise ValueError(f"need at least one timestep, got T={T}")
     w = block.weights
-    ledger = EnergyLedger(
-        sop_weight=math.ceil(math.log2(2 * cfg.H)) if cfg.sop_bits else 1
-    )
+    ledger = EnergyLedger()
     refs: dict[str, list[np.ndarray]] = {}
     y_ref = per_head_float_forward(cfg, w, x, ledger=ledger, recorder=refs)
 
@@ -258,7 +256,6 @@ def per_head_spike_forward(
         steps=T,
         output_rel_err=relative_error(out, y_ref),
         per_layer=per_layer,
-        counters=ledger.counters,
         ledger=ledger,
     )
     return out, trace

@@ -139,9 +139,12 @@ class TestModelConfig:
     def test_dict_round_trip(self, tiny_cfg):
         assert ModelConfig.from_dict(tiny_cfg.to_dict()) == tiny_cfg
 
-    def test_unknown_field_rejected(self):
+    def test_unknown_field_rejected(self, tiny_cfg):
         with pytest.raises(ValueError, match="unknown"):
             ModelConfig.from_dict({"d_model": 8, "bogus": 1})
+        # the bit-width SOP charge is a SOP count times ceil(log2(2H)), no field
+        with pytest.raises(ValueError, match=r"unknown config fields: \['sop_bits'\]"):
+            ModelConfig.from_dict(tiny_cfg.to_dict() | {"sop_bits": True})
 
 
 class TestSites:
@@ -216,8 +219,8 @@ class TestSiteTree:
             _, trace = spike_forward(block, x, T)
             sites = set(trace.ledger.by_site)
             assert set(block.oat) | set(block.hg) <= sites
-            assert trace.counters and trace.counters == trace.ledger.counters
-            for key in trace.counters:
+            assert trace.ledger.counters
+            for key in trace.ledger.counters:
                 site, kind = key.rsplit(".", 1)
                 assert site in {"clamped": block.hg, "saturated": block.oat}[kind], key
             for site in sites:
@@ -560,10 +563,14 @@ class TestSpikeForward:
         x = sample_distribution("normal", cfg.seq_len, cfg.d_model,
                                 np.random.default_rng(3))
         _, trace = spike_forward(default_block, x)
-        assert not any(k.endswith(".saturated") for k in trace.counters)
+        assert not any(k.endswith(".saturated") for k in trace.ledger.counters)
         # inputs scaled by 3 overrun the encoders fitted on unscaled data
         _, trace = spike_forward(default_block, Matrix(3.0 * x.array))
-        assert trace.counters.get("layers.0.attn.out.saturated", 0) > 0
+        assert trace.ledger.counters.get("layers.0.attn.out.saturated", 0) > 0
+        # the trace keeps the counters on its ledger alone; its dict writes them
+        assert [f.name for f in dataclasses.fields(trace)] == [
+            "steps", "output_rel_err", "per_layer", "ledger"]
+        assert trace.to_dict()["counters"] == dict(sorted(trace.ledger.counters.items()))
 
     def test_bad_step_count(self, tiny_block, tiny_input):
         with pytest.raises(ValueError):
@@ -579,15 +586,6 @@ class TestSpikeForward:
         _, tr2 = spike_forward(tiny_block, tiny_input, T=2)
         _, tr8 = spike_forward(tiny_block, tiny_input, T=8)
         assert tr8.ledger.sops > tr2.ledger.sops
-
-    def test_bitwidth_charging_scales_sops(self, tiny_block, tiny_input):
-        cfg = dataclasses.replace(tiny_block.config, sop_bits=True)
-        weighted = ConvertedBlock(cfg, tiny_block.weights, tiny_block.oat,
-                                  tiny_block.hg, tiny_block.reports)
-        _, tr1 = spike_forward(tiny_block, tiny_input, T=4)
-        _, trw = spike_forward(weighted, tiny_input, T=4)
-        # ceil(log2(2H)) = 3 for H=3: every event charges 3 accumulations
-        assert trw.ledger.sops == 3 * tr1.ledger.sops
 
 
 def fresh_run(block, x, T):
@@ -679,15 +677,6 @@ class TestOracleReuse:
         save_block(block, p)
         with open(p) as fh:
             assert "oracle" not in fh.read()
-
-    def test_sop_bits_ledger(self, default_block):
-        cfg = dataclasses.replace(default_block.config, sop_bits=True)
-        block = dataclasses.replace(default_block, config=cfg)
-        (x,) = self.inputs(block, 1)
-        for T in (4, 16, 16):
-            got = spike_forward(block, x, T)
-            assert_same_run(got, fresh_run(block, x, T))
-        assert got[1].ledger.sop_weight == 4  # ceil(log2(2H)) for H=5
 
 
 class TestRelativeError:
@@ -843,7 +832,7 @@ class TestBlockSerialization:
             doc = json.load(fh)
         with open(p, "w") as fh:
             json.dump(dict(doc, version=1), fh)
-        with pytest.raises(FormatError, match="version: expected 6, found 1; reconvert"):
+        with pytest.raises(FormatError, match="version: expected 7, found 1; reconvert"):
             load_block(p)
 
     def test_version_2_file_refused(self, tiny_block, tmp_path):
@@ -853,7 +842,20 @@ class TestBlockSerialization:
             doc = json.load(fh)
         with open(p, "w") as fh:
             json.dump(dict(doc, version=2), fh)
-        with pytest.raises(FormatError, match="expected 6, found 2; reconvert the block "
+        with pytest.raises(FormatError, match="expected 7, found 2; reconvert the block "
+                                              "with `spikeconvert convert`"):
+            load_block(p)
+
+    def test_version_6_file_refused(self, tiny_block, tmp_path):
+        # format 6 carried sop_bits in every block's config
+        p = str(tmp_path / "block.json")
+        save_block(tiny_block, p)
+        with open(p) as fh:
+            doc = json.load(fh)
+        doc["config"]["sop_bits"] = False
+        with open(p, "w") as fh:
+            json.dump(dict(doc, version=6), fh)
+        with pytest.raises(FormatError, match="expected 7, found 6; reconvert the block "
                                               "with `spikeconvert convert`"):
             load_block(p)
 

@@ -22,10 +22,14 @@ than fix one for the whole comparison.
 It prints one table per workload. Each row is a metric of BENCHMARK.json's
 end_to_end list, with the parent's and the change's median [q1, q3] over
 the pairs, their ratio change/parent of the medians, and in how many pairs
-the change was better, by the metric's `better` direction. The rows
+the change was better, by the metric's `better` direction. Its last
+column gives the metric's `bound` from BENCHMARK.json, a fraction of the
+parent's median, and reads PAST where the change's median is worse than the
+parent's by more than that: the benchmark gate would refuse such a change.
+Each such row is also named in a warning below the table. The rows
 `convert_s wall` and `setup_s wall` are the wall-clock medians that
 perfbench prints next to those scaled times, and failed checks are summed
-per side.
+per side; none of those has a bound.
 
 A run that exits non-zero (perfbench does when too many operations fail to
 measure anything) is counted as a broken run of its side, its stderr is
@@ -98,13 +102,16 @@ def parse_run(stdout: str) -> dict[str, float]:
 
 
 def benchmark(path: str = os.path.join(_ROOT, "BENCHMARK.json")) -> tuple:
-    """BENCHMARK.json's workload names, its run_seconds, and each metric's
-    direction, "lower" or "higher" is better, the wall rows lower."""
+    """BENCHMARK.json's workload names, its run_seconds, each metric's
+    direction, "lower" or "higher" is better, the wall rows lower, and each
+    end-to-end metric's bound."""
     with open(path) as fh:
         spec = json.load(fh)
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     better.update({name + " wall": "lower" for name in WALLED})
-    return [w["name"] for w in spec["workloads"]], float(spec["run_seconds"]), better
+    bounds = {m["name"]: float(m["bound"]) for m in spec["end_to_end"]}
+    return ([w["name"] for w in spec["workloads"]], float(spec["run_seconds"]),
+            better, bounds)
 
 
 def _spread(values: list[float]) -> tuple[float, float, float]:
@@ -113,14 +120,15 @@ def _spread(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(workload: str, parent: list[dict], change: list[dict],
-              better: dict) -> tuple[list[str], list[str]]:
+              better: dict, bounds: dict) -> tuple[list[str], list[str]]:
     """The table of one workload's pairs, as markdown lines, and its
     warnings. parent[i] and change[i] are the parsed runs of pair i."""
     lines = [f"### {workload} ({len(parent)} pairs)", "",
              "| metric | parent median [q1, q3] | change median [q1, q3] "
-             "| change/parent | change wins |",
-             "| --- | --- | --- | --- | --- |"]
+             "| change/parent | change wins | bound |",
+             "| --- | --- | --- | --- | --- | --- |"]
     medians = {}
+    warnings = []
     for name, direction in better.items():
         if name not in parent[0]:
             continue
@@ -130,12 +138,20 @@ def summarize(workload: str, parent: list[dict], change: list[dict],
         sign = 1.0 if direction == "higher" else -1.0
         wins = sum(sign * (b - a) > 0 for a, b in zip(p, c))
         medians[name] = pm, cm
+        bound = ""
+        if name in bounds:
+            worse = sign * (pm - cm) / pm  # the change's loss, a fraction of pm
+            past = worse > bounds[name]
+            bound = f"{bounds[name]:.0%}" + (" PAST" if past else "")
+            if past:
+                warnings.append(
+                    f"warning: {workload} {name}: change median {worse:.1%} worse "
+                    f"than the parent's, past its bound of {bounds[name]:.0%}")
         lines.append(f"| {name} | {pm:.4g} [{pq1:.4g}, {pq3:.4g}] "
                      f"| {cm:.4g} [{cq1:.4g}, {cq3:.4g}] "
-                     f"| {cm / pm:.3f} | {wins}/{len(p)} |")
+                     f"| {cm / pm:.3f} | {wins}/{len(p)} | {bound} |")
     lines.append(f"| failed checks | {sum(r['failed'] for r in parent):g} "
-                 f"| {sum(r['failed'] for r in change):g} | | |")
-    warnings = []
+                 f"| {sum(r['failed'] for r in change):g} | | | |")
     for name in WALLED:
         if name not in medians or name + " wall" not in medians:
             continue
@@ -154,7 +170,7 @@ def main(argv=None) -> int:
     p.add_argument("parent")
     p.add_argument("change")
     args = p.parse_args(argv)
-    workloads, seconds, better = benchmark()
+    workloads, seconds, better, bounds = benchmark()
     status = 0
     refs = {"parent": args.parent, "change": args.change}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
@@ -178,7 +194,7 @@ def main(argv=None) -> int:
             lines, warnings = ([f"### {workload}: no pair finished"], [])
             if runs["parent"]:
                 lines, warnings = summarize(workload, runs["parent"], runs["change"],
-                                            better)
+                                            better, bounds)
             lines.append(f"runs that exited non-zero: parent {broken['parent']}, "
                          f"change {broken['change']}")
             print("\n".join(lines + [""] + warnings), flush=True)

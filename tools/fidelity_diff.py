@@ -24,12 +24,14 @@ the next T, where spike_forward reuses that input's float oracle.
 
 For every block and T the report gives the largest relative output
 difference, max|out_new - out_old| / max|out_old| over the inputs; the
-largest relative difference of output_rel_err; the mean output_rel_err, the
-total gate clamp count and the total encoder saturation count, each as
-old -> new, so a numerics change shows which way it moved; whether every
-output is equal byte for byte (`bytes`), which a flipped signed zero breaks
-though it reads 0 in the relative difference; whether the per-site SOP
-ledgers and the counters (gate clamps and encoder saturations) are equal;
+largest relative difference of output_rel_err; the mean output_rel_err (to
+6 significant digits), the total gate clamp count and the total encoder
+saturation count, each as old -> new, so a numerics change shows which way
+it moved; whether every output is equal byte for byte (`bytes`), which a
+flipped signed zero breaks though it reads 0 in the relative difference;
+whether the ledgers' counts (SOP and FLOP totals and per-site counts, not
+the energy constants or other keys a ledger's dict carries) and the counters
+(gate clamps and encoder saturations) are equal;
 and whether the SOP/FLOP totals and the gate clamp totals of each layer
 (`input`, `layers.<i>`) are equal. Then it says
 whether the saved block files and the calibrate outputs are byte-identical,
@@ -183,7 +185,7 @@ def block_runs(name: str, block, loaded, xs: list, steps: tuple) -> dict:
         out, trace = model.spike_forward(blk, x, T=T)
         runs.setdefault((key, T), []).append(
             (out.array.copy(), trace.output_rel_err, trace.ledger.to_dict(),
-             dict(trace.counters)))
+             dict(trace.ledger.counters)))
     return runs
 
 
@@ -224,6 +226,11 @@ def layer_totals(ledger: dict, counters: dict) -> tuple[dict, dict]:
     return costs, clamps
 
 
+def ledger_counts(ledger: dict) -> tuple:
+    """A ledger dict's SOP and FLOP totals and its per-site counts."""
+    return ledger["sops"], ledger["flops"], ledger["by_site"]
+
+
 def compare_runs(old: list, new: list) -> dict:
     """Largest relative differences and equality flags over paired runs."""
     out_diff = err_diff = 0.0
@@ -233,7 +240,7 @@ def compare_runs(old: list, new: list) -> dict:
         out_diff = max(out_diff, float(np.abs(n_out - o_out).max() / scale))
         same_bytes &= o_out.shape == n_out.shape and o_out.tobytes() == n_out.tobytes()
         err_diff = max(err_diff, abs(n_err - o_err) / max(abs(o_err), 1e-300))
-        ledgers &= o_led == n_led
+        ledgers &= ledger_counts(o_led) == ledger_counts(n_led)
         counters &= o_cnt == n_cnt
         (o_costs, o_clamps), (n_costs, n_clamps) = (layer_totals(o_led, o_cnt),
                                                     layer_totals(n_led, n_cnt))
@@ -262,7 +269,7 @@ def report(old: dict, new: dict) -> bool:
     same = True
     flags = ("bytes", "ledgers", "counters", "layers", "clamps")
     print(f"{'block':<15} {'T':>3} {'inputs':>6} {'max|dout|/max|out|':>19} "
-          f"{'d(output_rel_err)':>18} {'mean err old->new':>20} "
+          f"{'d(output_rel_err)':>18} {'mean err old->new':>24} "
           f"{'clamps old->new':>15} {'saturated old->new':>18} "
           + " ".join(f"{f:>8}" for f in flags))
     for key in sorted(old["runs"]):
@@ -274,7 +281,7 @@ def report(old: dict, new: dict) -> bool:
         sat_old, sat_new = (counter_total(side["runs"][key], "saturated")
                             for side in (old, new))
         print(f"{key[0]:<15} {key[1]:>3} {len(old['runs'][key]):>6} {c['out']:>19.3g} "
-              f"{c['rel_err']:>18.3g} {f'{err_old:.3g}->{err_new:.3g}':>20} "
+              f"{c['rel_err']:>18.3g} {f'{err_old:.6g}->{err_new:.6g}':>24} "
               f"{f'{clamps_old}->{clamps_new}':>15} {f'{sat_old}->{sat_new}':>18} "
               + " ".join(f"{eq[c[f]]:>8}" for f in flags))
     for name in sorted(old["files"]):

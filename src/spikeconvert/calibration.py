@@ -5,8 +5,9 @@ Three concerns live here.
 Threshold selection turns an activation sample into the two magnitude
 thresholds of the dual-range encoder (a high quantile for the typical range,
 the sample max for outliers). A gated kernel bank's sub-range boundaries are
-equal-probability-mass quantiles of a curvature sample of its target, not of
-activations, so the target's bends get narrow sub-ranges (fit_target).
+the exact equal-mass quantiles of a curvature density of its target, not of
+activations, so the target's bends get narrow sub-ranges (fit_target); no
+random number places them.
 
 Fitting tunes one few-step kernel per sub-range to a scalar target function.
 Thresholds and resets follow the dyadic schedule that the gated bank runs
@@ -26,7 +27,7 @@ recurrence's own products and additions, so it matches the recurrence bit
 for bit (_dyadic_decode). The fit refuses the parameters the bank refuses,
 more than _MAX_GATE_STEPS steps or a sub-range whose guard step is not a
 finite normal float, and an M above _MAX_SAMPLES; fit_target refuses more
-than _MAX_SUBRANGES sub-ranges before it samples anything.
+than _MAX_SUBRANGES sub-ranges before it places a boundary.
 
 A fit allocates no array of the grid's size: it works in a set of arrays
 (_FitWork) that its thread keeps for the next fit at the same M and T,
@@ -49,7 +50,7 @@ import numpy as np
 
 from .errors import CalibrationError, FormatError
 from .neurons import HGConfig, _dyadic_digits, _gate_guards
-from .tensors import ActivationStats, Matrix, percentile
+from .tensors import ActivationStats, Matrix
 
 # Importance-density shape for boundary placement: weight ~ |f''|^_CURVE_EXP
 # blended with a uniform floor so flat regions keep some boundary mass.
@@ -61,9 +62,8 @@ _UNIFORM_MIX = 0.05
 _GRID_CELLS = 2048
 # the fraction of the observed span a gate's fitted range adds on each side
 _RANGE_PAD = 0.1
-# The most samples M a fit takes: fit_target places boundaries by a
-# curvature sample of 4 * M points, and fit_fs validates on 10 * M grid
-# points, a block at a time in five arrays, 100 MiB at this ceiling.
+# The most samples M a fit takes: fit_fs validates on 10 * M grid points, a
+# block at a time in five arrays, 100 MiB at this ceiling.
 _MAX_SAMPLES = 2**20
 # The most sub-ranges N a bank is fitted with: a fit's time and memory grow
 # linearly with N, and convert fits every gate site at the config's N.
@@ -209,17 +209,18 @@ def select_oat_thresholds(
     return nor, out
 
 
-def curvature_sample(
-    fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, n: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Draw n points on [lo, hi] weighted toward high second-derivative.
+def _curvature_density(
+    fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of _GRID_CELLS equal cells of [lo, hi] and each cell's
+    probability under a density weighted toward high second derivative,
+    uniform within each cell.
 
-    Used to place boundaries for pure function fits: the dyadic kernels are
-    affine in their firing bits and cannot express curvature, so their error
-    scales with |f''| times the squared sub-range width. Sampling density
-    |f''|^_CURVE_EXP (plus a uniform floor) hands the quantile splitter narrow
-    sub-ranges exactly where the target bends.
+    The dyadic kernels are affine in their firing bits and cannot express
+    curvature, so their error scales with |f''| times the squared sub-range
+    width. A cell's weight is |f''|^_CURVE_EXP at its centre, blended with a
+    uniform floor of _UNIFORM_MIX, so equal-mass sub-ranges narrow exactly
+    where the target bends.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -238,13 +239,19 @@ def curvature_sample(
     if total <= 0.0 or not np.isfinite(total):
         w = np.ones_like(w)
         total = float(w.sum())
-    p = (1.0 - _UNIFORM_MIX) * w / total + _UNIFORM_MIX / _GRID_CELLS
-    cdf = np.cumsum(p)
+    return edges, (1.0 - _UNIFORM_MIX) * w / total + _UNIFORM_MIX / _GRID_CELLS
+
+
+def curvature_quantiles(
+    fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, N: int,
+) -> np.ndarray:
+    """The N - 1 inner k/N quantiles on [lo, hi] of fn's curvature density
+    (_curvature_density): exact, as that density's CDF is linear within
+    each cell, so no sample and no seed place them."""
+    edges, p = _curvature_density(fn, lo, hi)
+    cdf = np.concatenate(([0.0], np.cumsum(p)))
     cdf[-1] = 1.0
-    idx = np.searchsorted(cdf, rng.random(n), side="right")
-    idx = np.clip(idx, 0, _GRID_CELLS - 1)
-    width = edges[1] - edges[0]
-    return edges[idx] + rng.random(n) * width
+    return np.interp(np.arange(1, N) / N, cdf, edges)
 
 
 def observed_range(
@@ -477,7 +484,6 @@ class CalibrationReport:
     target: str
     per_subrange_max_abs_err: tuple[float, ...]
     samples_per_range: int
-    seed: int
 
     def __post_init__(self) -> None:
         errs = np.asarray(self.per_subrange_max_abs_err)
@@ -495,7 +501,6 @@ class CalibrationReport:
             "target": self.target,
             "per_subrange_max_abs_err": list(self.per_subrange_max_abs_err),
             "samples_per_range": self.samples_per_range,
-            "seed": self.seed,
         }
 
 
@@ -520,22 +525,23 @@ def fit_target(
     N: int,
     T: int,
     M: int,
-    seed: int,
     lo: float | None = None,
     hi: float | None = None,
+    *,
+    seed: int | None = None,
 ) -> tuple[HGConfig, CalibrationReport]:
     """Fit a named target's bank of N sub-ranges on [lo, hi] (default: the
     target's own range).
 
-    The inner boundaries are the k/N quantiles of a curvature sample of the
-    target (curvature_sample), so sub-ranges narrow where it bends: the seed
-    draws that sample and nothing else. A boundary within 1e-12 of the span
-    of the last one kept is dropped, with a warning, leaving fewer
-    sub-ranges. Each sub-range is fitted by fit_fs, so N=1 is exactly
-    fit_fs on [lo, hi]; a fit that fails names the target and its
-    sub-range. A range that starts below the target's domain floor is
-    refused, and so is one the bank refuses as a whole (_gate_guards) and
-    an N above _MAX_SUBRANGES, before it is sampled.
+    The inner boundaries are the exact k/N quantiles of the target's
+    curvature density (curvature_quantiles), so sub-ranges narrow where it
+    bends; no fit draws a random number, and seed is accepted and unused. A
+    boundary within 1e-12 of the span of the last one kept is dropped, with
+    a warning, leaving fewer sub-ranges. Each sub-range is fitted by fit_fs,
+    so N=1 is exactly fit_fs on [lo, hi]; a fit that fails names the target
+    and its sub-range. A range that starts below the target's domain floor
+    is refused, and so is one the bank refuses as a whole (_gate_guards) and
+    an N above _MAX_SUBRANGES, before a boundary is placed.
     """
     if N < 1:
         raise ValueError(f"need at least one sub-range, got N={N}")
@@ -550,18 +556,14 @@ def fit_target(
             f"floor {spec.floor}"
         )
     _gate_guards(np.array([lo, hi]), T)
-    rng = np.random.default_rng(seed)
-    sample = curvature_sample(spec.fn, lo, hi, 4 * M, rng)
-    sample.sort()
-    bounds = [lo] + [percentile(sample, k / N) for k in range(1, N)] + [hi]
     kept = [lo]
-    for b in bounds[1:]:
+    for b in curvature_quantiles(spec.fn, lo, hi, N).tolist() + [hi]:
         if b - kept[-1] > 1e-12 * (hi - lo):
             kept.append(b)
     kept[-1] = hi
-    if len(kept) < len(bounds):
+    if len(kept) < N + 1:
         warnings.warn(
-            f"sample supports only {len(kept) - 1} distinct sub-ranges, not {N}",
+            f"range supports only {len(kept) - 1} distinct sub-ranges, not {N}",
             stacklevel=2,
         )
     banks, errs = [], []
@@ -574,7 +576,7 @@ def fit_target(
         banks.append(bank)
         errs.append(err)
     cfg = HGConfig(kept, np.hstack([bank.d for bank in banks]))
-    return cfg, CalibrationReport(name, tuple(errs), M, seed)
+    return cfg, CalibrationReport(name, tuple(errs), M)
 
 
 # ---------------------------------------------------------------------------

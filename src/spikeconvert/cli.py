@@ -6,7 +6,9 @@ when the spike path itself produces a non-finite value. A warning the
 library gives on the way is printed as one `warning: <message>` line on
 stderr and leaves the exit code as it is. Reports carry no
 timestamps and are byte-identical across reruns with the same flags and
-seeds. The LAS_SEED environment variable overrides every seed in play.
+seeds. The LAS_SEED environment variable overrides the config's seeds in
+init and convert, which fix the weights, the calibration sample and the
+input; a gate fit takes no seed.
 """
 from __future__ import annotations
 
@@ -52,16 +54,6 @@ from .tensors import Matrix
 _INPUT_TENSOR = "input"
 
 
-def _seed_override() -> int | None:
-    raw = os.environ.get("LAS_SEED")
-    if raw is None:
-        return None
-    # numpy refuses a negative seed without naming where it came from
-    if not raw.isdecimal():
-        raise ValueError(f"LAS_SEED must be a nonnegative integer, got {raw!r}")
-    return int(raw)
-
-
 def _seed_flag(raw: str) -> int:
     if not raw.isdecimal():
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {raw!r}")
@@ -69,9 +61,13 @@ def _seed_flag(raw: str) -> int:
 
 
 def _apply_seed_override(cfg: ModelConfig) -> ModelConfig:
-    base = _seed_override()
-    if base is None:
+    raw = os.environ.get("LAS_SEED")
+    if raw is None:
         return cfg
+    # numpy refuses a negative seed without naming where it came from
+    if not raw.isdecimal():
+        raise ValueError(f"LAS_SEED must be a nonnegative integer, got {raw!r}")
+    base = int(raw)
     import dataclasses
 
     return dataclasses.replace(
@@ -106,15 +102,11 @@ def cmd_calibrate(args) -> int:
     if not 1 <= args.levels <= _MAX_SUBRANGES:
         raise ValueError(
             f"--levels must be within 1..{_MAX_SUBRANGES}, got {args.levels}")
-    seed = _seed_override()
-    if seed is None:
-        seed = args.seed
     lo, hi = (None, None) if args.range is None else args.range
     if args.range is not None and not (np.isfinite(args.range).all() and lo < hi):
         raise ValueError(f"--range needs finite LO < HI, got {lo} {hi}")
-    gate, report = fit_target(
-        args.target, args.levels, args.steps, args.samples, seed, lo=lo, hi=hi
-    )
+    gate, report = fit_target(args.target, args.levels, args.steps, args.samples,
+                              lo=lo, hi=hi)
     dump_json({"hg": hg_to_dict(gate), "report": report.to_dict()}, args.out)
     print(
         f"fitted {args.target} on [{gate.boundaries[0]:.6g}, "
@@ -254,8 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--levels", type=int, default=8, help="sub-range count N")
     c.add_argument("--steps", type=int, default=16)
     c.add_argument("--samples", type=int, default=4096,
-                   help="samples M: 4M place the boundaries, 10M validate each fit")
-    c.add_argument("--seed", type=_seed_flag, default=7)
+                   help="samples M: 10M grid points validate each sub-range's fit")
     c.add_argument("--out", required=True)
     c.set_defaults(fn=cmd_calibrate)
 

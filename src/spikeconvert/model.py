@@ -383,7 +383,6 @@ class ConvertedBlock:
             if (c.H, c.T) != (cfg.H, cfg.T):
                 raise CalibrationError(f"encoder site {site!r}: H, T must be the "
                                        f"config's {cfg.H}, {cfg.T}, got {c.H}, {c.T}")
-        seeds = _fit_seeds(cfg)
         for site, target in targets.items():
             r, (steps, n) = self.reports[site], self.hg[site].d.shape
             # a bank carries its own step count: a shorter one would run
@@ -399,33 +398,23 @@ class ConvertedBlock:
                                        f"the config's N_per_nonlinearity "
                                        f"{cfg.N_per_nonlinearity}")
             # a saved report keeps only its errors: the rest is the config's
-            want, got = (target, cfg.samples_per_range, seeds[site]), (
-                r.target, r.samples_per_range, r.seed)
+            want, got = (target, cfg.samples_per_range), (r.target, r.samples_per_range)
             if got != want:
-                raise CalibrationError(f"reports site {site!r}: target, samples_per_range "
-                                       f"and seed must be the config's {want}, got {got}")
+                raise CalibrationError(f"reports site {site!r}: target and "
+                                       f"samples_per_range must be the config's "
+                                       f"{want}, got {got}")
             if len(r.per_subrange_max_abs_err) != n:
                 raise CalibrationError(f"reports site {site!r}: per_subrange_max_abs_err "
                                        f"must be {n} errors, one per gate sub-range")
-
-
-def _fit_seeds(cfg: ModelConfig) -> dict[str, int]:
-    """Each gate site's fit seed, in site-name order: the config's
-    calibration seed plus 1000 per site. A site's seed draws the curvature
-    sample that places its boundaries (fit_target); the step weights take
-    none. convert fits with them and load_block rebuilds the reports with
-    them, so a block file stores none, and a block converted again from the
-    same config gets the same boundaries."""
-    base = int(cfg.seeds["calibration"])
-    return {site: base + 1000 * (i + 1)
-            for i, site in enumerate(sorted(hg_sites(cfg)))}
 
 
 def convert(cfg: ModelConfig, w: WeightSet, calib_sample: Matrix) -> ConvertedBlock:
     """Calibrate every encoder and gate from a float replay of the sample.
 
     The sample holds stacked inputs: its row count must be a multiple of
-    seq_len, and each seq_len slice is replayed as one block input.
+    seq_len, and each seq_len slice is replayed as one block input. A replay
+    that overflows is refused with a NonFiniteError naming the first site,
+    in replay order, that holds a non-finite value.
     """
     w.validate(cfg)
     if calib_sample.rows == 0:
@@ -442,9 +431,19 @@ def convert(cfg: ModelConfig, w: WeightSet, calib_sample: Matrix) -> ConvertedBl
         )
     recorder: dict[str, list[np.ndarray]] = {}
     a = calib_sample.array
-    for b in range(calib_sample.rows // cfg.seq_len):
-        float_forward(cfg, w, Matrix(a[b * cfg.seq_len:(b + 1) * cfg.seq_len]),
-                      recorder=recorder)
+    # numpy's warnings are off: an overflow is refused below, by site
+    with np.errstate(all="ignore"):
+        try:
+            for b in range(calib_sample.rows // cfg.seq_len):
+                float_forward(cfg, w, Matrix(a[b * cfg.seq_len:(b + 1) * cfg.seq_len]),
+                              recorder=recorder)
+        except NonFiniteError:
+            pass  # a non-finite output, whose stream the recorder holds
+    for site, arrs in recorder.items():  # in replay order
+        if not all(np.isfinite(arr).all() for arr in arrs):
+            raise NonFiniteError(f"calibration failed at site {site!r}: the float "
+                                 f"replay of the calibration sample overflowed to a "
+                                 f"non-finite value")
 
     def pooled(site: str) -> np.ndarray:
         return np.concatenate([arr.ravel() for arr in recorder[site]])
@@ -459,13 +458,11 @@ def convert(cfg: ModelConfig, w: WeightSet, calib_sample: Matrix) -> ConvertedBl
     targets = hg_sites(cfg)
     hg: dict[str, HGConfig] = {}
     reports: dict[str, CalibrationReport] = {}
-    for site, seed in _fit_seeds(cfg).items():
-        target = targets[site]
+    for site, target in targets.items():
         lo, hi = observed_range(pooled(site), floor=TARGETS[target].floor)
         try:
             fitted, report = fit_target(target, cfg.N_per_nonlinearity,
-                                        cfg.T, cfg.samples_per_range, seed,
-                                        lo=lo, hi=hi)
+                                        cfg.T, cfg.samples_per_range, lo=lo, hi=hi)
         except CalibrationError as exc:
             raise CalibrationError(f"calibration failed at site {site!r}: {exc}")
         hg[site] = fitted
@@ -787,10 +784,10 @@ def _encoder(site: str, cfg: ModelConfig, tensors: dict[str, np.ndarray],
         raise ValueError(f"{where}: theta: {exc}") from exc
 
 
-def _gate(site: str, target: str, seed: int, cfg: ModelConfig,
+def _gate(site: str, target: str, cfg: ModelConfig,
           tensors: dict[str, np.ndarray], path: str) -> tuple[HGConfig, CalibrationReport]:
     """Take a gate site's tensors out of a sidecar's and build its bank and
-    its fit's report, whose target, sample count and seed the config fixes;
+    its fit's report, whose target and sample count the config fixes;
     errors name the site and the tensor."""
     where = f"hg site {site!r}"
     b, d, err = _take(where, site, _GATE_TENSORS, tensors, path)
@@ -803,7 +800,7 @@ def _gate(site: str, target: str, seed: int, cfg: ModelConfig,
         raise type(exc)(f"{where}: {exc}") from exc
     try:
         return bank, CalibrationReport(target, tuple(err.tolist()),
-                                       cfg.samples_per_range, seed)
+                                       cfg.samples_per_range)
     except CalibrationError as exc:
         raise CalibrationError(f"{where}: err: {exc}") from exc
 
@@ -829,9 +826,9 @@ def save_block(block: ConvertedBlock, path: str) -> None:
 
 def load_block(path: str) -> ConvertedBlock:
     """Read a block file and the sidecar its weights_file names, which lies
-    in the block file's directory. Each report's target, sample count and
-    seed are the config's (hg_sites, samples_per_range, _fit_seeds); the
-    sidecar holds its errors."""
+    in the block file's directory. Each report's target and sample count
+    are the config's (hg_sites, samples_per_range); the sidecar holds its
+    errors."""
     doc = read_json(path)
     _check_type("block", doc, dict)
     if doc.get("format") != _BLOCK_FORMAT:
@@ -854,10 +851,9 @@ def load_block(path: str) -> ConvertedBlock:
     weights_path = os.path.join(os.path.dirname(path) or ".", name)
     tensors = _read_lasw(weights_path)
     oat = {site: _encoder(site, cfg, tensors, weights_path) for site in oat_sites(cfg)}
-    hg, reports, targets = {}, {}, hg_sites(cfg)
-    for site, seed in _fit_seeds(cfg).items():
-        hg[site], reports[site] = _gate(site, targets[site], seed, cfg, tensors,
-                                        weights_path)
+    hg, reports = {}, {}
+    for site, target in hg_sites(cfg).items():
+        hg[site], reports[site] = _gate(site, target, cfg, tensors, weights_path)
     # the weights are what the encoders and gates leave
     block = ConvertedBlock(cfg, _weight_set(tensors), oat, hg, reports)
     block.check_complete()

@@ -7,7 +7,7 @@ import warnings
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import dyadic_schedule, fs_run_reference
@@ -19,7 +19,8 @@ from spikeconvert.calibration import (
     CalibrationReport,
     _dyadic_decode,
     _target_values,
-    curvature_sample,
+    _curvature_density,
+    curvature_quantiles,
     fit_fs,
     fit_target,
     gelu,
@@ -131,72 +132,98 @@ def two_sort_thresholds(a, q):
     return (nor, out), False
 
 
-def fitted_boundaries(monkeypatch, sample, N, lo, hi):
-    """fit_target's boundaries on [lo, hi] with sample in place of its
-    curvature sample, and the warnings it gave."""
-    monkeypatch.setattr(calibration, "curvature_sample",
-                        lambda *args: np.array(sample, dtype=np.float64))
+def fitted_boundaries(name, N, lo, hi, **kw):
+    """fit_target's boundaries for a target on [lo, hi], and the warnings it
+    gave."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        c, rep = fit_target("gelu", N, 8, 64, seed=0, lo=lo, hi=hi)
+        c, rep = fit_target(name, N, 8, 64, lo=lo, hi=hi, **kw)
     assert len(rep.per_subrange_max_abs_err) == c.d.shape[1]
     return tuple(c.boundaries), [str(w.message) for w in caught]
 
 
-class TestSelectHierarchy:
-    """fit_target's sub-range boundaries: the pinned ends around the k/N
-    quantiles of its curvature sample."""
+def density_cdf(name, lo, hi, x):
+    """The curvature density's CDF at x, summed cell by cell: each cell's
+    mass below x, uniform within the cell."""
+    edges, p = _curvature_density(TARGETS[name].fn, lo, hi)
+    below = np.clip((x - edges[:-1]) / (edges[1:] - edges[:-1]), 0.0, 1.0)
+    return float(np.sum(p * below))
 
-    def test_n1_single_range(self, monkeypatch):
-        b, _ = fitted_boundaries(monkeypatch, [0.2, 0.9, 0.4], 1, 0.2, 0.9)
+
+@st.composite
+def target_ranges(draw):
+    """A target, a range within its default one at least a thousandth of
+    that wide, and a sub-range count."""
+    name = draw(st.sampled_from(sorted(TARGETS)))
+    spec = TARGETS[name]
+    span = spec.hi - spec.lo
+    a, b = sorted(draw(st.floats(spec.lo, spec.hi)) for _ in range(2))
+    assume(b - a >= 1e-3 * span)
+    return name, a, b, draw(st.integers(1, 64))
+
+
+class TestSelectHierarchy:
+    """fit_target's sub-range boundaries: the pinned ends around the exact
+    k/N quantiles of its target's curvature density."""
+
+    def test_n1_single_range(self):
+        b, _ = fitted_boundaries("gelu", 1, 0.2, 0.9)
         assert b == (0.2, 0.9)
 
-    def test_uniform_quartiles(self, monkeypatch):
-        rng = np.random.default_rng(4)
-        sample = rng.uniform(0.0, 1.0, 100000)
-        b, _ = fitted_boundaries(monkeypatch, sample, 4, 0.0, 1.0)
-        want = (0.0, 0.25, 0.5, 0.75, 1.0)
-        for got, w in zip(b, want):
-            assert got == pytest.approx(w, abs=0.01)
+    def test_uniform_quartiles(self):
+        # a square's curvature is constant, so its density is uniform
+        b, _ = fitted_boundaries("square", 4, 0.0, 1.0)
+        assert b == pytest.approx((0.0, 0.25, 0.5, 0.75, 1.0), abs=1e-12)
 
-    def test_inner_boundaries_match_numpy_quantile(self, monkeypatch):
-        rng = np.random.default_rng(5)
-        sample = rng.standard_normal(5001)
-        b, _ = fitted_boundaries(monkeypatch, sample, 4, sample.min(), sample.max())
-        for k in (1, 2, 3):
-            assert b[k] == pytest.approx(float(np.quantile(sample, k / 4)),
-                                         abs=1e-9)
+    @settings(max_examples=60, deadline=None)
+    @given(case=target_ranges())
+    def test_inner_boundaries_are_density_quantiles(self, case):
+        name, lo, hi, N = case
+        b, caught = fitted_boundaries(name, N, lo, hi)
+        assert caught == [] and len(b) == N + 1 and (b[0], b[-1]) == (lo, hi)
+        assert all(x < y for x, y in zip(b, b[1:]))
+        for k in range(1, N):
+            assert density_cdf(name, lo, hi, b[k]) == pytest.approx(k / N, abs=1e-12)
 
-    def test_heavy_tail_width_ordering(self, monkeypatch):
-        rng = np.random.default_rng(6)
-        sample = rng.exponential(1.0, 40000)
-        b, _ = fitted_boundaries(monkeypatch, sample, 4, 0.0, sample.max())
+    def test_heavy_tail_width_ordering(self):
+        # exp's curvature grows toward the top of its range, so its
+        # sub-ranges narrow there
+        b, _ = fitted_boundaries("exp", 4, -4.0, 2.0)
         widths = np.diff(b)
-        assert widths[-1] > widths[0]
+        assert all(x > y for x, y in zip(widths, widths[1:]))
 
-    def test_pinned_endpoints(self, monkeypatch):
-        b, _ = fitted_boundaries(monkeypatch, np.linspace(0, 1, 100), 2, -5.0, 5.0)
+    def test_pinned_endpoints(self):
+        b, _ = fitted_boundaries("gelu", 2, -5.0, 5.0)
         assert b[0] == -5.0 and b[-1] == 5.0
 
-    def test_duplicate_collapse_with_warning(self, monkeypatch):
-        sample = np.array([1.0] * 50 + [2.0])
-        b, caught = fitted_boundaries(monkeypatch, sample, 8, 0.0, 2.0)
-        assert caught == ["sample supports only 2 distinct sub-ranges, not 8"]
-        assert b == (0.0, 1.0, 2.0)
+    def test_duplicate_collapse_with_warning(self):
+        # five floats apart: the quantiles of eight sub-ranges coincide
+        lo, hi = 1.0, 1.000000000000001
+        b, caught = fitted_boundaries("exp", 8, lo, hi)
+        assert caught == ["range supports only 5 distinct sub-ranges, not 8"]
+        assert b == tuple(lo + k * 2.0**-52 for k in range(6))
+
+    def test_no_seed_moves_the_fit(self):
+        # no gate fit draws a random number: the seed is accepted, unused
+        for name, lo, hi in (("gelu", -5.0, 5.0), ("exp", -4.0, 2.0)):
+            fits = [fit_target(name, 8, 16, 256, lo=lo, hi=hi, seed=seed)
+                    for seed in (0, 202)]
+            assert fits[0] == fits[1]
+            assert fits[0] == fit_target(name, 8, 16, 256, lo=lo, hi=hi)
 
     @pytest.mark.parametrize("N", [0, -3])
     def test_no_sub_range_refused(self, N):
         with pytest.raises(ValueError, match=f"need at least one sub-range, got N={N}"):
-            fit_target("gelu", N, 8, 64, seed=0)
+            fit_target("gelu", N, 8, 64)
 
     def test_sub_range_ceiling_refused_before_sampling(self, monkeypatch):
-        def sampled(*args):
-            raise AssertionError("sampled a refused N")
+        def placed(*args):
+            raise AssertionError("placed the boundaries of a refused N")
 
-        monkeypatch.setattr(calibration, "curvature_sample", sampled)
+        monkeypatch.setattr(calibration, "curvature_quantiles", placed)
         N = calibration._MAX_SUBRANGES + 1
         with pytest.raises(ValueError, match=f"need at most 1000 sub-ranges, got N={N}"):
-            fit_target("gelu", N, 8, 64, seed=0)
+            fit_target("gelu", N, 8, 64)
 
 
 class TestFitFS:
@@ -249,31 +276,31 @@ class TestFitFS:
         def refuse(*args):
             raise AssertionError("the range must be refused before it is sampled")
 
-        monkeypatch.setattr(calibration, "curvature_sample", refuse)
+        monkeypatch.setattr(calibration, "curvature_quantiles", refuse)
         with pytest.raises(ValueError, match=r"range \[-1\.7e\+308, 1\.7e\+308\] does "
                                              r"not fit at T=16: its guard step"):
-            fit_target("exp", 1, 16, 64, seed=0, lo=-1.7e308, hi=1.7e308)
+            fit_target("exp", 1, 16, 64, lo=-1.7e308, hi=1.7e308)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_narrow_range_fits_until_a_sub_range_does_not(self):
         # e = (hi - lo) / 8192 squares to 0 here, so the curvature divides
         # by e twice; four sub-ranges are too narrow for a normal guard step
-        x = curvature_sample(np.exp, 0.0, 1e-300, 256, np.random.default_rng(0))
-        assert np.all((x >= 0.0) & (x <= 1e-300))
-        c, rep = fit_target("exp", 1, 16, 64, seed=0, lo=0.0, hi=1e-300)
+        x = curvature_quantiles(np.exp, 0.0, 1e-300, 256)
+        assert np.all((x > 0.0) & (x < 1e-300)) and np.all(np.diff(x) > 0.0)
+        c, rep = fit_target("exp", 1, 16, 64, lo=0.0, hi=1e-300)
         assert c.boundaries.tolist() == [0.0, 1e-300] and rep.max_abs_err < 1e-14
         with pytest.raises(ValueError, match=r"^fit of 'exp' failed on sub-range \[0\.0, "
                                              r"\d\.\d+e-301\]: range \[0\.0, \d\.\d+e-301\] "
                                              r"does not fit at T=16"):
-            fit_target("exp", 4, 16, 64, seed=0, lo=0.0, hi=1e-300)
+            fit_target("exp", 4, 16, 64, lo=0.0, hi=1e-300)
 
     @pytest.mark.parametrize("name, lo", [("reciprocal", -1.0), ("reciprocal", 0.0),
                                           ("invsqrt", -1e-9)])
     def test_range_below_target_floor_named(self, name, lo):
         floor = TARGETS[name].floor
         with pytest.raises(CalibrationError, match=f"domain floor {floor}"):
-            fit_target(name, 2, 8, 64, seed=0, lo=lo, hi=1.0)
-        fit_target(name, 2, 8, 64, seed=0, lo=floor, hi=1.0)  # the floor itself fits
+            fit_target(name, 2, 8, 64, lo=lo, hi=1.0)
+        fit_target(name, 2, 8, 64, lo=floor, hi=1.0)  # the floor itself fits
 
 
 def recurrence_bits(u, w, T):
@@ -659,7 +686,7 @@ class TestFitHG:
         doc = rep.to_dict()
         again = CalibrationReport(**dict(doc, per_subrange_max_abs_err=tuple(
             doc["per_subrange_max_abs_err"])))
-        assert again == rep and doc["target"] == "exp" and doc["seed"] == 3
+        assert again == rep and doc["target"] == "exp" and "seed" not in doc
         assert again.max_abs_err == max(rep.per_subrange_max_abs_err)
         doc = hg_to_dict(c)
         assert set(doc) == {"boundaries", "d"} and np.shape(doc["d"]) == (8, 2)
@@ -688,12 +715,11 @@ class TestTargets:
 
 
 class TestSampling:
-    def test_curvature_sample_in_range(self):
-        rng = np.random.default_rng(12)
-        s = curvature_sample(np.exp, -4.0, 2.0, 5000, rng)
-        assert s.min() >= -4.0 and s.max() <= 2.0
-        # exp curvature concentrates samples toward the high end
-        assert np.mean(s > 0.0) > np.mean(s < -2.0)
+    def test_curvature_quantiles_in_range(self):
+        q = curvature_quantiles(np.exp, -4.0, 2.0, 5000)
+        assert q.shape == (4999,) and q.min() > -4.0 and q.max() < 2.0
+        # exp curvature concentrates the quantiles toward the high end
+        assert np.mean(q > 0.0) > np.mean(q < -2.0)
 
     def test_observed_range_padding(self):
         lo, hi = observed_range(np.array([0.0, 1.0]))

@@ -215,17 +215,17 @@ class TestCalibrate:
         assert not (tmp_path / "x.json").exists()
 
     def test_collapsed_sub_range_count_printed(self, tmp_path, capsys):
-        # quantiles of a range this narrow coincide, so fewer sub-ranges are
-        # fitted than --levels asks for, and the summary counts those
+        # quantiles of a range five floats wide coincide, so fewer sub-ranges
+        # are fitted than --levels asks for, and the summary counts those
         out = tmp_path / "x.json"
         code = main(["calibrate", "--target", "exp", "--levels", "8", "--samples",
                      "64", "--range", "1", "1.000000000000001", "--out", str(out)])
         assert code == 0
         n = np.shape(json.loads(out.read_text())["hg"]["d"])[1]
         printed = capsys.readouterr()
-        assert n < 8 and f"with {n} sub-ranges:" in printed.out
+        assert n == 5 and f"with {n} sub-ranges:" in printed.out
         # the warning is one line naming the cause, not Python's warning format
-        assert printed.err == f"warning: sample supports only {n} distinct sub-ranges, not 8\n"
+        assert printed.err == "warning: range supports only 5 distinct sub-ranges, not 8\n"
 
     def test_range_below_target_floor_named(self, tmp_path, capsys):
         code = main(["calibrate", "--target", "reciprocal", "--range", "-1", "1",
@@ -246,30 +246,24 @@ class TestCalibrate:
         assert open(a, "rb").read() == open(b, "rb").read()
 
     def test_seed_env_override(self, tmp_path, capsys, monkeypatch):
+        # a gate fit takes no seed, so LAS_SEED leaves calibrate's file as it is
         base = ["calibrate", "--target", "exp", "--levels", "4", "--steps",
                 "8", "--samples", "128", "--range", "-2", "1"]
         a = str(tmp_path / "a.json")
         b = str(tmp_path / "b.json")
-        c = str(tmp_path / "c.json")
         monkeypatch.setenv("LAS_SEED", "123")
-        assert main(base + ["--seed", "1", "--out", a]) == 0
-        assert main(base + ["--seed", "2", "--out", b]) == 0
+        assert main(base + ["--out", a]) == 0
         monkeypatch.delenv("LAS_SEED")
-        assert main(base + ["--seed", "1", "--out", c]) == 0
-        # the env seed beats both flag seeds; without it the flag matters
+        assert main(base + ["--out", b]) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
-        assert open(a, "rb").read() != open(c, "rb").read()
-
-    def test_bad_seed_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("LAS_SEED", "xyz")
-        assert main(["calibrate", "--target", "exp",
-                     "--out", str(tmp_path / "x.json")]) == 2
+        assert "seed" not in json.loads(open(a).read())["report"]
 
     def test_negative_seed_flag_named(self, tmp_path, capsys):
+        # calibrate has no --seed to take
         assert main(["calibrate", "--target", "exp", "--seed", "-1",
                      "--out", str(tmp_path / "x.json")]) == 2
-        assert ("argument --seed: must be a nonnegative integer, got '-1'"
-                in capsys.readouterr().err)
+        assert "unrecognized arguments: --seed -1" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize("lo, hi", [("0", "inf"), ("1e999", "2"),
                                         ("nan", "1"), ("1", "1"), ("2", "-2")])
@@ -311,6 +305,23 @@ class TestConvert:
     def test_block_is_complete(self, work, capsys):
         block = load_block(str(work / "block.json"))
         block.check_complete()
+
+    def test_overflowing_replay_named(self, default_work, tmp_path, capsys):
+        # finite weights whose float replay of the calibration sample
+        # overflows: one error line naming the site and the cause, and no
+        # numpy warnings before it
+        ws = load_weights(str(default_work / "weights.lasw"))
+        big = {name: ws[name] for name in ws.names}
+        for name in ("layers.0.attn.wq", "layers.0.attn.wk"):
+            big[name] = Matrix(big[name].array * 1e160)
+        save_weights(WeightSet(big), str(tmp_path / "big.lasw"))
+        assert main(["convert", "--config", str(default_work / "config.json"),
+                     "--weights", str(tmp_path / "big.lasw"),
+                     "--out", str(tmp_path / "b.json")]) == 2
+        assert capsys.readouterr().err == (
+            "error: calibration failed at site 'layers.0.attn.exp': the float "
+            "replay of the calibration sample overflowed to a non-finite value\n")
+        assert not (tmp_path / "b.json").exists()
 
     def test_prints_summary(self, work, tmp_path, capsys):
         code = main(["convert", "--config", str(work / "config.json"),
@@ -363,10 +374,11 @@ class TestConvert:
                 "'normal_outliers', 'uniform_outliers'), got 'bogus'"
                 in capsys.readouterr().err)
 
-    def test_seed_env_override_fixes_the_report_seeds(self, default_work, tmp_path,
-                                                     capsys, monkeypatch):
-        # a block file stores no seed: the loaded reports' come from the
-        # overridden config, as an in-process convert of it fits them
+    def test_seed_env_override_fixes_the_reports(self, default_work, tmp_path,
+                                                 capsys, monkeypatch):
+        # the overridden calibration seed draws the calibration sample, so
+        # the loaded reports are those an in-process convert of the
+        # overridden config fits
         monkeypatch.setenv("LAS_SEED", "5")
         out = tmp_path / "block.json"
         assert main(["convert", "--config", str(default_work / "config.json"),
@@ -378,8 +390,6 @@ class TestConvert:
                                      cfg.d_model, np.random.default_rng(6))
         want = convert(cfg, load_weights(str(default_work / "weights.lasw")), sample)
         got = load_block(str(out)).reports
-        assert {s: r.seed for s, r in got.items()} == {
-            s: r.seed for s, r in want.reports.items()}
         assert got == want.reports
         assert got != load_block(str(default_work / "block.json")).reports
 
@@ -700,7 +710,7 @@ class TestRun:
         (("config",), 5, "config"),
         (("sidecar", "layers.0.ffn.act"), {"err": _entry((0, 0), -0.5)},
          "hg site 'layers.0.ffn.act': err: per-range errors"),
-        # a report's seed and sample count are the config's, checked, not
+        # a config's seeds and a report's sample count are checked, not
         # coerced
         (("config", "seeds", "calibration"), "6", "seeds['calibration']"),
         (("config", "samples_per_range"), True, "samples_per_range"),
@@ -787,8 +797,7 @@ class TestRun:
                 in capsys.readouterr().err)
 
     def test_negative_report_seed_refused(self, default_work, tmp_path, capsys):
-        # no fit can be reproduced from a negative seed, and every report's
-        # seed follows from the config's calibration seed
+        # no calibration sample can be drawn again from a negative seed
         assert _run_edited_block(default_work, tmp_path,
                                  ("config", "seeds", "calibration"), -5) == 2
         assert ("seeds['calibration'] must be nonnegative, got -5"

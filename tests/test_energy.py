@@ -242,3 +242,44 @@ class TestSpikeOpCounts:
         saw_mul(Matrix(np.ones((4, 4))), td, led_dense, "w")
         saw_mul(Matrix(np.ones((4, 4))), th, led_half, "w")
         assert led_half.sops < led_dense.sops
+
+
+class TestFloatFlops:
+    """float_forward's FLOP charge at each site, in closed form."""
+
+    @pytest.mark.parametrize("kind", ["standard", "gated"])
+    @pytest.mark.parametrize("r, d, f, h", [(3, 8, 16, 2), (5, 12, 20, 3)])
+    def test_per_site_charges(self, kind, r, d, f, h):
+        cfg = ModelConfig(d_model=d, d_ff=f, n_heads=h, ffn_kind=kind, n_layers=2)
+        x = Matrix(np.random.default_rng(0).standard_normal((r, d)))
+        led = EnergyLedger()
+        float_forward(cfg, WeightSet.random(cfg, 1), x, ledger=led)
+        # a LayerNorm: mean, centre and square-sum (4rd), the variance's
+        # epsilon (r), one sqrt a row (12 each), then scale by the inverse
+        # root, gamma and beta (3rd)
+        layernorm = 7 * r * d + 13 * r
+        ffn = {
+            # w1 and b1, w2 and b2, and a gelu (70 each) per hidden unit
+            "standard": 2 * r * d * f + 71 * r * f + r * d,
+            # wg and bg, wu and bu, the product, wd and bd, and a silu (one
+            # exp, 20, and three ops) per hidden unit
+            "gated": 3 * r * d * f + 26 * r * f + r * d,
+        }[kind]
+        want = {}
+        for i in range(2):
+            L = f"layers.{i}."
+            want |= {
+                L + "ln1": layernorm,
+                # three projections and the query's 1/sqrt(d_head) scale
+                L + "attn.qkv": 3 * r * d * d + r * d,
+                # q k^T and probs v (2 r^2 d over the heads), the max shift,
+                # sum and divide (3 r^2 a head), and one exp (20) per logit
+                L + "attn.scores": 2 * r * r * d + 23 * h * r * r,
+                L + "attn.wo": r * d * d,
+                L + "attn.residual": r * d,
+                L + "ln2": layernorm,
+                L + "ffn": ffn,
+                L + "ffn.residual": r * d,
+            }
+        assert {site: c["flops"] for site, c in led.by_site.items()} == want
+        assert led.flops == sum(want.values()) and led.sops == 0

@@ -17,11 +17,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spikeconvert.calibration import _MAX_SUBRANGES, gelu, sample_distribution, silu
+from spikeconvert.calibration import gelu, sample_distribution, silu
 from spikeconvert.energy import EnergyLedger
 from spikeconvert.errors import (
     CalibrationError,
     FormatError,
+    NonFiniteError,
     ShapeError,
     SpikePathError,
 )
@@ -46,7 +47,7 @@ from spikeconvert.model import (
     save_weights,
     spike_forward,
 )
-from spikeconvert.model import _fit_seeds, _write_lasw
+from spikeconvert.model import _write_lasw
 from spikeconvert.neurons import HGConfig, _max_steps
 from spikeconvert.spikeops import (
     constant_train,
@@ -176,16 +177,6 @@ class TestSites:
         assert len(oat_sites(cfg)) == 1 + 2 * 9
         assert len(hg_sites(cfg)) == 10
         assert "layers.1.ln2.invsqrt" in hg_sites(cfg)
-
-    def test_fit_seed_ranges_are_disjoint_at_the_ceiling(self):
-        # a site's seed draws the sample that places its boundaries: the
-        # sites' seeds lie 1000 apart in site-name order, whatever the
-        # sub-range count, so a block converted again keeps its boundaries
-        cfg = ModelConfig(**{**TINY, "ffn_kind": "gated", "n_layers": 4,
-                             "N_per_nonlinearity": _MAX_SUBRANGES})
-        seeds = _fit_seeds(cfg)
-        assert list(seeds) == sorted(hg_sites(cfg)) and len(seeds) == 20
-        assert list(seeds.values()) == [6 + 1000 * (i + 1) for i in range(20)]
 
     def test_expected_shapes(self, tiny_cfg):
         shapes = expected_shapes(tiny_cfg)
@@ -471,6 +462,20 @@ class TestConvert:
             convert(tiny_cfg, tiny_weights, Matrix(np.ones((4, 5))))
         with pytest.raises(ShapeError, match="sequences"):
             convert(tiny_cfg, tiny_weights, Matrix(np.ones((5, 8))))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_replay_named(self, tiny_cfg, tiny_weights, calib_sample):
+        # finite weights whose replay overflows: q k^T reaches inf, and the
+        # softmax's shifted logits inf - inf at the exp gate, the first site
+        # in replay order that the overflow reaches
+        ws = {name: tiny_weights[name] for name in tiny_weights.names}
+        for name in ("layers.0.attn.wq", "layers.0.attn.wk"):
+            ws[name] = Matrix(ws[name].array * 1e160)
+        with pytest.raises(NonFiniteError, match=r"^calibration failed at site "
+                                                 r"'layers\.0\.attn\.exp': the float "
+                                                 r"replay of the calibration sample "
+                                                 r"overflowed"):
+            convert(tiny_cfg, WeightSet(ws), calib_sample)
 
     def test_outlier_sample_separates_thresholds(self, tiny_cfg, tiny_weights):
         sample = sample_distribution("uniform_outliers", 16, 8,
@@ -951,17 +956,16 @@ class TestBlockSerialization:
             load_block(p)
 
     def test_report_fields_other_than_config_refused(self, tiny_block, tmp_path):
-        # a saved report keeps only its errors, so one whose target, sample
-        # count or seed is not the config's cannot be written faithfully
+        # a saved report keeps only its errors, so one whose target or sample
+        # count is not the config's cannot be written faithfully
         site = "layers.0.attn.exp"
-        for name, value in (("target", "gelu"), ("samples_per_range", 64),
-                            ("seed", 1)):
+        for name, value in (("target", "gelu"), ("samples_per_range", 64)):
             reports = dict(tiny_block.reports)
             reports[site] = dataclasses.replace(reports[site], **{name: value})
             bad = dataclasses.replace(tiny_block, reports=reports)
             with pytest.raises(CalibrationError,
-                               match=f"reports site '{site}': target, samples_per_range "
-                                     f"and seed must be the config's"):
+                               match=f"reports site '{site}': target and "
+                                     f"samples_per_range must be the config's"):
                 save_block(bad, str(tmp_path / "block.json"))
 
     @settings(max_examples=25, deadline=None)

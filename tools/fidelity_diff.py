@@ -6,7 +6,8 @@ Usage:
 OLD and NEW are checkout directories, each holding src/spikeconvert. Each
 runs in its own subprocess with one BLAS thread. There it converts the
 blocks below, saves and loads them again, fits two gates through
-`spikeconvert calibrate` (gelu at T = 16, exp at T = 25 on 64 samples), and
+`spikeconvert calibrate` (gelu at T = 16, exp at T = 25 on 64 samples; no
+--seed, which older checkouts default to 7 and newer ones do not take), and
 runs spike_forward on seeded inputs at each step count, on the converted
 block and on the loaded one (`<name>/loaded`):
 
@@ -38,8 +39,8 @@ whether the saved block files and the calibrate outputs are byte-identical,
 and whether the loaded blocks are equal bit for bit: each gate bank's
 boundaries and (T, N) step weights d, which fix its schedule and which
 every checkout since block format 3 holds, each encoder's thresholds, and
-each gate's calibration report (its per-sub-range errors, target,
-samples_per_range and seed). A block that differs is listed with the kinds
+each gate's calibration report (its per-sub-range errors, target and
+samples_per_range, the fields every checkout's report has). A block that differs is listed with the kinds
 of numbers that differ (`hg.d`, `report.err`, ...), and each block's worst
 gate fit error is given as old -> new.
 The exit status is 0 when the per-layer totals and the files all match,
@@ -81,9 +82,9 @@ CALIBRATE = {
     # output file: `spikeconvert calibrate` flags. At T = 25 on 640 validation
     # points a fit's closed-form decode takes some steps past its sum table.
     "calibrate.json": ["calibrate", "--target", "gelu", "--levels", "8",
-                       "--steps", "16", "--samples", "4096", "--seed", "7"],
+                       "--steps", "16", "--samples", "4096"],
     "calibrate_t25.json": ["calibrate", "--target", "exp", "--levels", "8",
-                           "--steps", "25", "--samples", "64", "--seed", "7"],
+                           "--steps", "25", "--samples", "64"],
 }
 # block name: (input scale, step count) of each scaled row, `<name>/x<scale>`
 SCALED = {"default": ((3, 16),)}
@@ -93,8 +94,8 @@ INPUT_SEED = 4242
 def block_numbers(block) -> dict:
     """A block's fitted numbers as numpy arrays: each gate bank's boundaries
     and step weights d, each encoder's thresholds, and each gate's report:
-    its per-sub-range errors (float64), and its target, samples_per_range
-    and seed."""
+    its per-sub-range errors (float64), and its target and
+    samples_per_range."""
     numbers = {}
     for site, c in block.hg.items():
         for name in ("boundaries", "d"):
@@ -104,7 +105,7 @@ def block_numbers(block) -> dict:
     for site, r in block.reports.items():
         numbers["report", site, "err"] = np.array(r.per_subrange_max_abs_err,
                                                   dtype=np.float64)
-        for name in ("target", "samples_per_range", "seed"):
+        for name in ("target", "samples_per_range"):
             numbers["report", site, name] = np.array(getattr(r, name))
     return numbers
 

@@ -24,10 +24,13 @@ Errors are always reported on a validation grid of 10 M points, and are
 decoded as the gated bank decodes at run time: one lookup of K's digits in
 a table of the in-order partial sums of the step weights, built with the
 recurrence's own products and additions, so it matches the recurrence bit
-for bit (_dyadic_decode). The fit refuses the parameters the bank refuses,
-more than _MAX_GATE_STEPS steps or a sub-range whose guard step is not a
-finite normal float, and an M above _MAX_SAMPLES; fit_target refuses more
-than _MAX_SUBRANGES sub-ranges before it places a boundary.
+for bit (_dyadic_decode). fit_target returns a bank's errors, one per
+sub-range, as its CalibrationReport, and nothing more: the target and the
+sample count are the fit's own arguments. The fit refuses the parameters
+the bank refuses, more than _MAX_GATE_STEPS steps or a sub-range whose
+guard step is not a finite normal float, and an M above _MAX_SAMPLES;
+fit_target refuses more than _MAX_SUBRANGES sub-ranges before it places a
+boundary.
 
 A fit allocates no array of the grid's size: it works in a set of arrays
 (_FitWork) that its thread keeps for the next fit at the same M and T,
@@ -479,11 +482,11 @@ def fit_fs(
 
 @dataclass(frozen=True)
 class CalibrationReport:
-    """The audit figures of one gated-bank fit; the bank itself is its HGConfig."""
+    """The audit figures of one gated-bank fit: its error on each sub-range.
+    The bank itself is its HGConfig, and the target and sample count are
+    the fit's arguments, so the report does not repeat them."""
 
-    target: str
     per_subrange_max_abs_err: tuple[float, ...]
-    samples_per_range: int
 
     def __post_init__(self) -> None:
         errs = np.asarray(self.per_subrange_max_abs_err)
@@ -495,13 +498,6 @@ class CalibrationReport:
     @property
     def max_abs_err(self) -> float:
         return max(self.per_subrange_max_abs_err)
-
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "per_subrange_max_abs_err": list(self.per_subrange_max_abs_err),
-            "samples_per_range": self.samples_per_range,
-        }
 
 
 def hg_to_dict(cfg: HGConfig) -> dict:
@@ -576,7 +572,7 @@ def fit_target(
         banks.append(bank)
         errs.append(err)
     cfg = HGConfig(kept, np.hstack([bank.d for bank in banks]))
-    return cfg, CalibrationReport(name, tuple(errs), M)
+    return cfg, CalibrationReport(tuple(errs))
 
 
 # ---------------------------------------------------------------------------

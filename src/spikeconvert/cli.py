@@ -6,15 +6,15 @@ when the spike path itself produces a non-finite value. A warning the
 library gives on the way is printed as one `warning: <message>` line on
 stderr and leaves the exit code as it is. Reports carry no
 timestamps and are byte-identical across reruns with the same flags and
-seeds. The LAS_SEED environment variable overrides the config's seeds in
-init and convert, which fix the weights, the calibration sample and the
-input; a gate fit takes no seed.
+seeds. The seeds are set in one place, the config's seeds (`init --seed`
+writes them), which fix the weights, the calibration sample and the input;
+a gate fit takes no seed. A command writes what its flags and files fix,
+and no shell variable changes it.
 """
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import re
 import sys
 import warnings
@@ -39,6 +39,7 @@ from .model import (
     WeightSet,
     convert,
     dump_json,
+    hg_sites,
     load_block,
     load_config,
     load_weights,
@@ -54,25 +55,15 @@ from .tensors import Matrix
 _INPUT_TENSOR = "input"
 
 
+def _is_digits(raw: str) -> bool:
+    # ASCII digits only: int() also takes "4_0" and str.isdecimal "٣"
+    return raw.isascii() and raw.isdigit()
+
+
 def _seed_flag(raw: str) -> int:
-    if not raw.isdecimal():
+    if not _is_digits(raw):
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {raw!r}")
     return int(raw)
-
-
-def _apply_seed_override(cfg: ModelConfig) -> ModelConfig:
-    raw = os.environ.get("LAS_SEED")
-    if raw is None:
-        return cfg
-    # numpy refuses a negative seed without naming where it came from
-    if not raw.isdecimal():
-        raise ValueError(f"LAS_SEED must be a nonnegative integer, got {raw!r}")
-    base = int(raw)
-    import dataclasses
-
-    return dataclasses.replace(
-        cfg, seeds={"weights": base, "calibration": base + 1, "input": base + 2}
-    )
 
 
 def _load_input(path: str) -> Matrix:
@@ -107,7 +98,10 @@ def cmd_calibrate(args) -> int:
         raise ValueError(f"--range needs finite LO < HI, got {lo} {hi}")
     gate, report = fit_target(args.target, args.levels, args.steps, args.samples,
                               lo=lo, hi=hi)
-    dump_json({"hg": hg_to_dict(gate), "report": report.to_dict()}, args.out)
+    errs = list(report.per_subrange_max_abs_err)
+    dump_json({"hg": hg_to_dict(gate),
+               "report": {"target": args.target, "per_subrange_max_abs_err": errs,
+                          "samples_per_range": args.samples}}, args.out)
     print(
         f"fitted {args.target} on [{gate.boundaries[0]:.6g}, "
         f"{gate.boundaries[-1]:.6g}] with {gate.d.shape[1]} sub-ranges: "
@@ -117,7 +111,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    cfg = _apply_seed_override(load_config(args.config))
+    cfg = load_config(args.config)
     weights = load_weights(args.weights)
     rng = np.random.default_rng(int(cfg.seeds["calibration"]))
     sample = sample_distribution(cfg.calib_distribution, rows=cfg.seq_len * 32,
@@ -136,11 +130,10 @@ def _run_report(block: ConvertedBlock, trace: RunTrace) -> dict:
     return {
         "tool_version": __version__,
         "config": block.config.to_dict(),
-        "seed": dict(block.config.seeds),
         **trace.to_dict(),
         "calibration": {
-            site: {"target": r.target, "max_abs_err": r.max_abs_err}
-            for site, r in sorted(block.reports.items())
+            site: {"target": target, "max_abs_err": block.reports[site].max_abs_err}
+            for site, target in sorted(hg_sites(block.config).items())
         },
     }
 
@@ -168,10 +161,9 @@ def cmd_compare(args) -> int:
 
 
 def _steps_entry(raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"--steps-list entry {raw!r} is not an integer") from None
+    if not _is_digits(raw.strip()):
+        raise ValueError(f"--steps-list entry {raw!r} is not a nonnegative integer")
+    return int(raw)
 
 
 def cmd_sweep(args) -> int:
@@ -217,7 +209,6 @@ def cmd_init(args) -> int:
         n_layers=args.layers,
         seeds=seeds,
     )
-    cfg = _apply_seed_override(cfg)
     save_config(cfg, args.config_out)
     save_weights(WeightSet.random(cfg, int(cfg.seeds["weights"])), args.weights_out)
     rng = np.random.default_rng(int(cfg.seeds["input"]))

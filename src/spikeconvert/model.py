@@ -12,7 +12,10 @@ run attention on all heads at once, as (heads, rows, d_head) stacks.
 
 Weights travel in a little-endian binary container (magic LASW) and configs
 in deterministic JSON. A converted block is a JSON file that names its
-config and its LASW sidecar, which holds every number of the block once.
+config and its LASW sidecar, which holds every number of the block once. A
+gate's calibration report is its per-sub-range fit errors: its target is
+the site's (hg_sites) and its sample count the config's, so neither is
+stored or held twice.
 """
 from __future__ import annotations
 
@@ -67,6 +70,8 @@ from .spikeops import (
 from .tensors import Matrix, stats
 
 _FFN_KINDS = ("standard", "gated")
+# the quantile of an encoder site's |activation| that convert takes as its theta_nor
+NORMAL_QUANTILE = 0.99
 
 
 @functools.cache
@@ -78,7 +83,8 @@ def _field_types(cls: type) -> dict[str, type]:
 @dataclass(frozen=True)
 class ModelConfig:
     """Block dimensions plus every knob a conversion experiment needs. None
-    touches the energy model: a run charges each spike event one SOP."""
+    touches the energy model: a run charges each spike event one SOP. The
+    encoders' normal quantile is no knob but the constant NORMAL_QUANTILE."""
 
     d_model: int = 32
     n_heads: int = 4
@@ -93,7 +99,6 @@ class ModelConfig:
     )
     calib_distribution: str = "normal"
     n_layers: int = 1
-    normal_quantile: float = 0.99
     samples_per_range: int = 4096
 
     def __post_init__(self) -> None:
@@ -117,8 +122,6 @@ class ModelConfig:
                              f"got {self.calib_distribution!r}")
         if not 1 <= self.n_layers <= 4:
             raise ValueError(f"n_layers must be within 1..4, got {self.n_layers}")
-        if not 0.0 < self.normal_quantile < 1.0:
-            raise ValueError("normal_quantile must be in (0, 1)")
         for name, lo, hi in (("N_per_nonlinearity", 1, _MAX_SUBRANGES),
                              ("samples_per_range", 64, _MAX_SAMPLES)):
             if not lo <= getattr(self, name) <= hi:
@@ -373,18 +376,17 @@ class ConvertedBlock:
 
     def check_complete(self) -> None:
         cfg = self.config
-        targets = hg_sites(cfg)
         self.weights.validate(cfg)
         _check_sites("encoder sites mismatch", self.oat, oat_sites(cfg), CalibrationError)
-        _check_sites("gate sites mismatch", self.hg, targets, CalibrationError)
-        _check_sites("report sites mismatch", self.reports, targets, CalibrationError)
+        _check_sites("gate sites mismatch", self.hg, hg_sites(cfg), CalibrationError)
+        _check_sites("report sites mismatch", self.reports, self.hg, CalibrationError)
         # a saved encoder keeps only its thresholds: H and T are the config's
         for site, c in self.oat.items():
             if (c.H, c.T) != (cfg.H, cfg.T):
                 raise CalibrationError(f"encoder site {site!r}: H, T must be the "
                                        f"config's {cfg.H}, {cfg.T}, got {c.H}, {c.T}")
-        for site, target in targets.items():
-            r, (steps, n) = self.reports[site], self.hg[site].d.shape
+        for site, bank in self.hg.items():
+            steps, n = bank.d.shape
             # a bank carries its own step count: a shorter one would run
             # padded with silent steps
             if steps != cfg.T:
@@ -397,13 +399,7 @@ class ConvertedBlock:
                 raise CalibrationError(f"hg site {site!r}: {n} sub-ranges must be at most "
                                        f"the config's N_per_nonlinearity "
                                        f"{cfg.N_per_nonlinearity}")
-            # a saved report keeps only its errors: the rest is the config's
-            want, got = (target, cfg.samples_per_range), (r.target, r.samples_per_range)
-            if got != want:
-                raise CalibrationError(f"reports site {site!r}: target and "
-                                       f"samples_per_range must be the config's "
-                                       f"{want}, got {got}")
-            if len(r.per_subrange_max_abs_err) != n:
+            if len(self.reports[site].per_subrange_max_abs_err) != n:
                 raise CalibrationError(f"reports site {site!r}: per_subrange_max_abs_err "
                                        f"must be {n} errors, one per gate sub-range")
 
@@ -412,7 +408,9 @@ def convert(cfg: ModelConfig, w: WeightSet, calib_sample: Matrix) -> ConvertedBl
     """Calibrate every encoder and gate from a float replay of the sample.
 
     The sample holds stacked inputs: its row count must be a multiple of
-    seq_len, and each seq_len slice is replayed as one block input. A replay
+    seq_len, and each seq_len slice is replayed as one block input. Each
+    encoder's theta_nor is the NORMAL_QUANTILE of its site's |activation|,
+    and each gate is fitted on its site's observed range. A replay
     that overflows is refused with a NonFiniteError naming the first site,
     in replay order, that holds a non-finite value.
     """
@@ -451,8 +449,8 @@ def convert(cfg: ModelConfig, w: WeightSet, calib_sample: Matrix) -> ConvertedBl
     oat: dict[str, OATConfig] = {}
     for site in oat_sites(cfg):
         vals = pooled(site)
-        st = stats(Matrix(vals.reshape(1, -1)), quantiles=(cfg.normal_quantile,))
-        t_nor, t_out = select_oat_thresholds(st, cfg.normal_quantile)
+        st = stats(Matrix(vals.reshape(1, -1)), quantiles=(NORMAL_QUANTILE,))
+        t_nor, t_out = select_oat_thresholds(st, NORMAL_QUANTILE)
         oat[site] = OATConfig(t_nor, t_out, cfg.H, cfg.T)
 
     targets = hg_sites(cfg)
@@ -636,7 +634,7 @@ def spike_forward(
 _MAGIC = b"LASW"
 _WEIGHT_VERSION = 1
 _BLOCK_FORMAT = "spikeconvert-block"
-_BLOCK_VERSION = 7
+_BLOCK_VERSION = 8
 _BLOCK_KEYS = {"format", "version", "config", "weights_file"}
 # a gate site's tensors in the block's LASW sidecar, <site>.<name> for each
 # name: its bank's boundaries as a (1, N+1) row and step weights d as a (T, N)
@@ -784,11 +782,10 @@ def _encoder(site: str, cfg: ModelConfig, tensors: dict[str, np.ndarray],
         raise ValueError(f"{where}: theta: {exc}") from exc
 
 
-def _gate(site: str, target: str, cfg: ModelConfig,
-          tensors: dict[str, np.ndarray], path: str) -> tuple[HGConfig, CalibrationReport]:
+def _gate(site: str, tensors: dict[str, np.ndarray],
+          path: str) -> tuple[HGConfig, CalibrationReport]:
     """Take a gate site's tensors out of a sidecar's and build its bank and
-    its fit's report, whose target and sample count the config fixes;
-    errors name the site and the tensor."""
+    its fit's report; errors name the site and the tensor."""
     where = f"hg site {site!r}"
     b, d, err = _take(where, site, _GATE_TENSORS, tensors, path)
     n = d.shape[1]
@@ -799,8 +796,7 @@ def _gate(site: str, target: str, cfg: ModelConfig,
     except ValueError as exc:
         raise type(exc)(f"{where}: {exc}") from exc
     try:
-        return bank, CalibrationReport(target, tuple(err.tolist()),
-                                       cfg.samples_per_range)
+        return bank, CalibrationReport(tuple(err.tolist()))
     except CalibrationError as exc:
         raise CalibrationError(f"{where}: err: {exc}") from exc
 
@@ -826,8 +822,8 @@ def save_block(block: ConvertedBlock, path: str) -> None:
 
 def load_block(path: str) -> ConvertedBlock:
     """Read a block file and the sidecar its weights_file names, which lies
-    in the block file's directory. Each report's target and sample count
-    are the config's (hg_sites, samples_per_range); the sidecar holds its
+    in the block file's directory. The sidecar holds every number: the
+    weights, each encoder's thresholds, and each gate's bank and fit
     errors."""
     doc = read_json(path)
     _check_type("block", doc, dict)
@@ -852,8 +848,8 @@ def load_block(path: str) -> ConvertedBlock:
     tensors = _read_lasw(weights_path)
     oat = {site: _encoder(site, cfg, tensors, weights_path) for site in oat_sites(cfg)}
     hg, reports = {}, {}
-    for site, target in hg_sites(cfg).items():
-        hg[site], reports[site] = _gate(site, target, cfg, tensors, weights_path)
+    for site in hg_sites(cfg):
+        hg[site], reports[site] = _gate(site, tensors, weights_path)
     # the weights are what the encoders and gates leave
     block = ConvertedBlock(cfg, _weight_set(tensors), oat, hg, reports)
     block.check_complete()

@@ -35,11 +35,12 @@ reads the dual-range encoder's chunk tables (neurons._mt_run) rather than
 stepping it. Outputs are built
 unchecked through SpikeMatrixTrain._wrap; encode_matrix and apply_hg refuse
 non-finite input, which catches a bad value where a decoded train re-enters.
-For the same reason three intermediates skip Matrix's checked copy and are
+For the same reason five intermediates skip Matrix's checked copy and are
 wrapped as they are: project's bias add, spike_layernorm's centered values
-and attention's scaled q (model.spike_forward). Each feeds an encoder or a
-gate in the same sublayer, so a non-finite entry still ends that sublayer
-with the same error.
+and its variance, spike_softmax's row sums, and attention's scaled q
+(model.spike_forward). Each feeds an encoder or a gate in the same
+sublayer, and both refuse a non-finite entry, so one still ends that
+sublayer with the same error.
 
 The composite layers (softmax, LayerNorm, FFN, gated FFN) weave these
 products together with the fitted neuron gates, through reencode and

@@ -1,4 +1,5 @@
 """Threshold selection and kernel fitting against quantile/LSQ oracles."""
+import dataclasses
 import sys
 import threading
 import tracemalloc
@@ -681,12 +682,13 @@ class TestFitHG:
 
     def test_report_round_trip(self):
         c, rep = fit_target("exp", 2, 8, 128, seed=3)
-        # the calibrate --out form of the report and of the bank holds every
-        # one of their numbers, the weights in the sidecar's (T, N) layout
-        doc = rep.to_dict()
-        again = CalibrationReport(**dict(doc, per_subrange_max_abs_err=tuple(
-            doc["per_subrange_max_abs_err"])))
-        assert again == rep and doc["target"] == "exp" and "seed" not in doc
+        # a report is its per-sub-range errors alone, as the target and the
+        # sample count are the fit's arguments; the calibrate --out form of
+        # the bank holds every one of its numbers, the weights in the
+        # sidecar's (T, N) layout
+        assert [f.name for f in dataclasses.fields(rep)] == ["per_subrange_max_abs_err"]
+        again = CalibrationReport(rep.per_subrange_max_abs_err)
+        assert again == rep and len(rep.per_subrange_max_abs_err) == 2
         assert again.max_abs_err == max(rep.per_subrange_max_abs_err)
         doc = hg_to_dict(c)
         assert set(doc) == {"boundaries", "d"} and np.shape(doc["d"]) == (8, 2)

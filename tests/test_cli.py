@@ -3,7 +3,6 @@
 Everything drives cli.main() in process with a tiny 8-feature block, so the
 whole file stays fast while covering every subcommand and failure class.
 """
-import dataclasses
 import json
 import shutil
 import struct
@@ -12,13 +11,11 @@ import numpy as np
 import pytest
 
 from spikeconvert import cli
-from spikeconvert.calibration import sample_distribution
 from spikeconvert.cli import _run_report, main
 from spikeconvert.model import (
     ConvertedBlock,
     ModelConfig,
     WeightSet,
-    convert,
     load_block,
     load_config,
     load_weights,
@@ -374,24 +371,15 @@ class TestConvert:
                 "'normal_outliers', 'uniform_outliers'), got 'bogus'"
                 in capsys.readouterr().err)
 
-    def test_seed_env_override_fixes_the_reports(self, default_work, tmp_path,
-                                                 capsys, monkeypatch):
-        # the overridden calibration seed draws the calibration sample, so
-        # the loaded reports are those an in-process convert of the
-        # overridden config fits
+    def test_seed_env_ignored(self, default_work, tmp_path, capsys, monkeypatch):
+        # the config's seeds are the only seeds: LAS_SEED, which once
+        # overrode them, changes no byte of the block default_work converted
         monkeypatch.setenv("LAS_SEED", "5")
-        out = tmp_path / "block.json"
         assert main(["convert", "--config", str(default_work / "config.json"),
                      "--weights", str(default_work / "weights.lasw"),
-                     "--out", str(out)]) == 0
-        cfg = dataclasses.replace(load_config(str(default_work / "config.json")),
-                                  seeds={"weights": 5, "calibration": 6, "input": 7})
-        sample = sample_distribution(cfg.calib_distribution, cfg.seq_len * 32,
-                                     cfg.d_model, np.random.default_rng(6))
-        want = convert(cfg, load_weights(str(default_work / "weights.lasw")), sample)
-        got = load_block(str(out)).reports
-        assert got == want.reports
-        assert got != load_block(str(default_work / "block.json")).reports
+                     "--out", str(tmp_path / "block.json")]) == 0
+        for name in ("block.json", "block.lasw"):
+            assert (tmp_path / name).read_bytes() == (default_work / name).read_bytes()
 
     def test_missing_weights_file(self, work, tmp_path, capsys):
         assert main(["convert", "--config", str(work / "config.json"),
@@ -469,9 +457,11 @@ class TestRun:
     def test_report_contents(self, work):
         with open(work / "report.json") as fh:
             rep = json.load(fh)
-        assert set(rep) == {"tool_version", "config", "seed", "steps",
+        # the seeds once, in the config echo
+        assert set(rep) == {"tool_version", "config", "steps",
                             "output_rel_err", "per_layer", "counters",
                             "ledger", "calibration"}
+        assert rep["config"]["seeds"] == TINY["seeds"]
         assert rep["steps"] == 8
         assert rep["output_rel_err"] < 0.15
         assert rep["ledger"]["sops"] > 0 and rep["ledger"]["flops"] > 0
@@ -605,7 +595,7 @@ class TestRun:
     def test_version_2_block_refused(self, work, tmp_path, capsys):
         # format 2 kept the gate banks in the JSON; the sidecar lacks them
         assert _run_edited_block(work, tmp_path, ("version",), 2) == 2
-        assert ("unsupported block version: expected 7, found 2; reconvert the "
+        assert ("unsupported block version: expected 8, found 2; reconvert the "
                 "block with `spikeconvert convert`" in capsys.readouterr().err)
 
     def test_version_4_block_refused(self, work, tmp_path, capsys):
@@ -620,7 +610,7 @@ class TestRun:
         bp = tmp_path / "v4.json"
         bp.write_text(json.dumps(dict(doc, version=4)))
         assert main(["run", "--block", str(bp), "--input", str(work / "input.lasw")]) == 2
-        assert ("unsupported block version: expected 7, found 4; reconvert the "
+        assert ("unsupported block version: expected 8, found 4; reconvert the "
                 "block with `spikeconvert convert`" in capsys.readouterr().err)
 
     def test_version_5_block_refused(self, work, tmp_path, capsys):
@@ -635,11 +625,13 @@ class TestRun:
         doc |= {"version": 5,
                 "oat": {site: {"theta_nor": c.theta_nor, "theta_out": c.theta_out}
                         for site, c in block.oat.items()},
-                "reports": {site: r.to_dict() for site, r in block.reports.items()}}
+                "reports": {site: {"per_subrange_max_abs_err":
+                                   list(r.per_subrange_max_abs_err)}
+                            for site, r in block.reports.items()}}
         bp = tmp_path / "v5.json"
         bp.write_text(json.dumps(doc))
         assert main(["run", "--block", str(bp), "--input", str(work / "input.lasw")]) == 2
-        assert ("unsupported block version: expected 7, found 5; reconvert the "
+        assert ("unsupported block version: expected 8, found 5; reconvert the "
                 "block with `spikeconvert convert`" in capsys.readouterr().err)
 
     def test_version_6_block_refused(self, work, tmp_path, capsys):
@@ -650,8 +642,20 @@ class TestRun:
         bp = tmp_path / "v6.json"
         bp.write_text(json.dumps(dict(doc, version=6)))
         assert main(["run", "--block", str(bp), "--input", str(work / "input.lasw")]) == 2
-        assert ("unsupported block version: expected 7, found 6; reconvert the "
+        assert ("unsupported block version: expected 8, found 6; reconvert the "
                 "block with `spikeconvert convert`" in capsys.readouterr().err)
+
+    def test_version_7_block_refused(self, work, tmp_path, capsys):
+        # format 7 carried normal_quantile in the config; its sidecar is today's
+        doc = json.loads((work / "block.json").read_text())
+        doc["config"]["normal_quantile"] = 0.99
+        shutil.copy(work / doc["weights_file"], tmp_path)
+        bp = tmp_path / "v7.json"
+        bp.write_text(json.dumps(dict(doc, version=7)))
+        assert main(["run", "--block", str(bp), "--input", str(work / "input.lasw")]) == 2
+        assert capsys.readouterr().err == (
+            "error: unsupported block version: expected 8, found 7; reconvert the "
+            "block with `spikeconvert convert`\n")
 
     @UNREADABLE_JSON
     def test_unreadable_block_named(self, work, tmp_path, capsys, content):
@@ -843,13 +847,14 @@ class TestSweep:
                      "--input", str(work / "input.lasw"),
                      "--steps-list", "4,x"]) == 2
 
-    @pytest.mark.parametrize("entry", ["x", "2.5"])
+    # int() takes all but the first two for a number: "1_6" for 16, "\u0664" for 4
+    @pytest.mark.parametrize("entry", ["x", "2.5", "1_6", "\u0664", "+4", "-3"])
     def test_bad_steps_entry_is_named(self, work, capsys, entry):
         assert main(["sweep", "--block", str(work / "block.json"),
                      "--input", str(work / "input.lasw"),
                      "--steps-list", f"4,{entry}"]) == 2
-        err = capsys.readouterr().err
-        assert "--steps-list" in err and repr(entry) in err, err
+        assert capsys.readouterr() == ("", f"error: --steps-list entry {entry!r} "
+                                           f"is not a nonnegative integer\n")
 
 
 class TestEnergy:
@@ -996,14 +1001,25 @@ class TestInit:
         cfg = load_config(c)
         assert cfg.ffn_kind == "gated" and cfg.n_layers == 2
 
-    def test_seed_env_override(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("LAS_SEED", "77")
-        c = str(tmp_path / "c.json")
-        assert main(["init", "--seed", "1", "--config-out", c,
-                     "--weights-out", str(tmp_path / "w.lasw"),
-                     "--input-out", str(tmp_path / "i.lasw")]) == 0
-        cfg = load_config(c)
-        assert cfg.seeds == {"weights": 77, "calibration": 78, "input": 79}
+    def test_seed_env_ignored(self, tmp_path, capsys, monkeypatch):
+        # --seed is the only seed: LAS_SEED, which once overrode it,
+        # changes no byte of the three files
+        files = []
+        for env in ("5", None):
+            if env is None:
+                monkeypatch.delenv("LAS_SEED")
+            else:
+                monkeypatch.setenv("LAS_SEED", env)
+            d = tmp_path / str(env)
+            d.mkdir()
+            assert main(["init", "--seed", "1", "--config-out", str(d / "c.json"),
+                         "--weights-out", str(d / "w.lasw"),
+                         "--input-out", str(d / "i.lasw")]) == 0
+            files.append([(d / name).read_bytes()
+                          for name in ("c.json", "w.lasw", "i.lasw")])
+        assert files[0] == files[1]
+        assert json.loads(files[0][0])["seeds"] == {"weights": 1, "calibration": 2,
+                                                    "input": 3}
 
     def test_negative_seed_flag_named(self, tmp_path, capsys):
         assert main(["init", "--seed", "-3",
@@ -1014,10 +1030,13 @@ class TestInit:
                 in capsys.readouterr().err)
         assert not (tmp_path / "c.json").exists()
 
-    def test_negative_seed_env_named(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("LAS_SEED", "-4")
-        assert main(["init", "--config-out", str(tmp_path / "c.json"),
+    @pytest.mark.parametrize("raw", ["\u0663", "3_0", "+3", " 3"])
+    def test_seed_flag_takes_ascii_digits_only(self, tmp_path, capsys, raw):
+        # int() and str.isdecimal take each of these for a number
+        assert main(["init", "--seed", raw,
+                     "--config-out", str(tmp_path / "c.json"),
                      "--weights-out", str(tmp_path / "w.lasw"),
                      "--input-out", str(tmp_path / "i.lasw")]) == 2
-        assert ("LAS_SEED must be a nonnegative integer, got '-4'"
+        assert (f"argument --seed: must be a nonnegative integer, got {raw!r}"
                 in capsys.readouterr().err)
+        assert not (tmp_path / "c.json").exists()

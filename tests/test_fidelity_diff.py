@@ -29,10 +29,10 @@ def run(out, err=0.01, sops=10, clamped=0, site="layers.0.attn.in",
             {gate + ".clamped": clamped} if clamped else {})
 
 
-def loaded(d0=1.0, theta_nor=0.5, err=0.25, samples=4096):
+def loaded(d0=1.0, theta_nor=0.5, err=0.25):
     """The numbers of a loaded one-gate, one-encoder block."""
     bank = HGConfig((0.0, 1.0, 2.0), [[d0, 2.0]])
-    report = CalibrationReport("exp", (err, 0.5), samples)
+    report = CalibrationReport((err, 0.5))
     block = SimpleNamespace(hg={"layers.0.attn.exp": bank},
                             oat={"input": OATConfig(theta_nor, 4.0, 5, 16)},
                             reports={"layers.0.attn.exp": report})
@@ -163,17 +163,14 @@ class TestLoadedBlocks:
         numbers = loaded()["default"]
         # each bank's boundaries and (T, N) weights, which every block format
         # since 3 stores, each encoder's thresholds and each gate's report
+        # errors, a report's one field
         site = "layers.0.attn.exp"
         assert set(numbers) == {("hg", site, "boundaries"), ("hg", site, "d"),
-                                ("oat", "input"), ("report", site, "err"),
-                                ("report", site, "target"),
-                                ("report", site, "samples_per_range")}
+                                ("oat", "input"), ("report", site, "err")}
         assert numbers["hg", site, "boundaries"].tolist() == [0.0, 1.0, 2.0]
         assert numbers["hg", site, "d"].tolist() == [[1.0, 2.0]]
         assert numbers["oat", "input"].tolist() == [0.5, 4.0]
         assert numbers["report", site, "err"].tolist() == [0.25, 0.5]
-        assert [numbers["report", site, k].item()
-                for k in ("target", "samples_per_range")] == ["exp", 4096]
 
     def test_equal_only_bit_for_bit(self):
         def kinds(old, new):
@@ -183,7 +180,7 @@ class TestLoadedBlocks:
         assert kinds(loaded(d0=0.0), loaded(d0=-0.0)) == ["hg.d"]
         assert kinds(loaded(), loaded(theta_nor=0.25)) == ["oat"]
         assert kinds(loaded(), loaded(err=0.125)) == ["report.err"]
-        assert kinds(loaded(), loaded(samples=64)) == ["report.samples_per_range"]
+        assert kinds(loaded(err=0.0), loaded(err=-0.0)) == ["report.err"]
         assert kinds(loaded(), loaded(d0=3.0, err=0.125)) == ["hg.d", "report.err"]
 
     def test_key_on_one_side_differs(self):

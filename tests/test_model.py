@@ -146,6 +146,10 @@ class TestModelConfig:
         # the bit-width SOP charge is a SOP count times ceil(log2(2H)), no field
         with pytest.raises(ValueError, match=r"unknown config fields: \['sop_bits'\]"):
             ModelConfig.from_dict(tiny_cfg.to_dict() | {"sop_bits": True})
+        # the encoders' normal quantile is the constant NORMAL_QUANTILE
+        with pytest.raises(ValueError,
+                           match=r"unknown config fields: \['normal_quantile'\]"):
+            ModelConfig.from_dict(tiny_cfg.to_dict() | {"normal_quantile": 0.99})
 
 
 class TestSites:
@@ -453,9 +457,7 @@ class TestConvert:
         again = convert(tiny_cfg, tiny_weights, calib_sample)
         assert again.oat == tiny_block.oat
         assert again.hg == tiny_block.hg
-        for site in tiny_block.reports:
-            assert again.reports[site].to_dict() == \
-                tiny_block.reports[site].to_dict()
+        assert again.reports == tiny_block.reports
 
     def test_validates_sample_shape(self, tiny_cfg, tiny_weights):
         with pytest.raises(ShapeError, match="features"):
@@ -837,7 +839,7 @@ class TestBlockSerialization:
             doc = json.load(fh)
         with open(p, "w") as fh:
             json.dump(dict(doc, version=1), fh)
-        with pytest.raises(FormatError, match="version: expected 7, found 1; reconvert"):
+        with pytest.raises(FormatError, match="version: expected 8, found 1; reconvert"):
             load_block(p)
 
     def test_version_2_file_refused(self, tiny_block, tmp_path):
@@ -847,7 +849,7 @@ class TestBlockSerialization:
             doc = json.load(fh)
         with open(p, "w") as fh:
             json.dump(dict(doc, version=2), fh)
-        with pytest.raises(FormatError, match="expected 7, found 2; reconvert the block "
+        with pytest.raises(FormatError, match="expected 8, found 2; reconvert the block "
                                               "with `spikeconvert convert`"):
             load_block(p)
 
@@ -860,7 +862,20 @@ class TestBlockSerialization:
         doc["config"]["sop_bits"] = False
         with open(p, "w") as fh:
             json.dump(dict(doc, version=6), fh)
-        with pytest.raises(FormatError, match="expected 7, found 6; reconvert the block "
+        with pytest.raises(FormatError, match="expected 8, found 6; reconvert the block "
+                                              "with `spikeconvert convert`"):
+            load_block(p)
+
+    def test_version_7_file_refused(self, tiny_block, tmp_path):
+        # format 7 carried normal_quantile in every block's config
+        p = str(tmp_path / "block.json")
+        save_block(tiny_block, p)
+        with open(p) as fh:
+            doc = json.load(fh)
+        doc["config"]["normal_quantile"] = 0.99
+        with open(p, "w") as fh:
+            json.dump(dict(doc, version=7), fh)
+        with pytest.raises(FormatError, match="expected 8, found 7; reconvert the block "
                                               "with `spikeconvert convert`"):
             load_block(p)
 
@@ -954,19 +969,6 @@ class TestBlockSerialization:
                            match=f"hg site '{site}': 5 sub-ranges must be at most "
                                  f"the config's N_per_nonlinearity 4"):
             load_block(p)
-
-    def test_report_fields_other_than_config_refused(self, tiny_block, tmp_path):
-        # a saved report keeps only its errors, so one whose target or sample
-        # count is not the config's cannot be written faithfully
-        site = "layers.0.attn.exp"
-        for name, value in (("target", "gelu"), ("samples_per_range", 64)):
-            reports = dict(tiny_block.reports)
-            reports[site] = dataclasses.replace(reports[site], **{name: value})
-            bad = dataclasses.replace(tiny_block, reports=reports)
-            with pytest.raises(CalibrationError,
-                               match=f"reports site '{site}': target and "
-                                     f"samples_per_range must be the config's"):
-                save_block(bad, str(tmp_path / "block.json"))
 
     @settings(max_examples=25, deadline=None)
     @given(ffn_kind=st.sampled_from(["standard", "gated"]),

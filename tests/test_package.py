@@ -1,4 +1,5 @@
-"""The documented import paths: README's quick start runs as written.
+"""The documented import paths: README's quick start runs as written, and
+README states the block version that load_block reads.
 
 Every name is imported from the module that defines it, and the package
 root provides only __version__, so the quick start is the one import
@@ -12,6 +13,7 @@ import sys
 import types
 
 import spikeconvert
+from spikeconvert.model import _BLOCK_VERSION
 
 _ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -35,3 +37,12 @@ def test_readme_quick_start_runs_as_written():
     # README: "~4e-4 at T=16 on the defaults"
     assert 0 < rel_err < 1e-3
     assert 0 < ratio < 1
+
+
+def test_readme_states_the_block_version():
+    readme = (_ROOT / "README.md").read_text()
+    short = re.findall(r"spikeconvert-block/(\d+)", readme)
+    full = re.findall(r'"format": "spikeconvert-block", "version": (\d+)', readme)
+    refused = re.findall(r"versions\s+1\s+to\s+(\d+);", readme)
+    assert short == full == [str(_BLOCK_VERSION)]
+    assert refused == [str(_BLOCK_VERSION - 1)]

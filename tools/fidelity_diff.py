@@ -39,8 +39,9 @@ whether the saved block files and the calibrate outputs are byte-identical,
 and whether the loaded blocks are equal bit for bit: each gate bank's
 boundaries and (T, N) step weights d, which fix its schedule and which
 every checkout since block format 3 holds, each encoder's thresholds, and
-each gate's calibration report (its per-sub-range errors, target and
-samples_per_range, the fields every checkout's report has). A block that differs is listed with the kinds
+each gate's calibration report by its per-sub-range errors, the one field
+every checkout's report has (a report's target is its site's, and its
+sample count the config's). A block that differs is listed with the kinds
 of numbers that differ (`hg.d`, `report.err`, ...), and each block's worst
 gate fit error is given as old -> new.
 The exit status is 0 when the per-layer totals and the files all match,
@@ -92,10 +93,9 @@ INPUT_SEED = 4242
 
 
 def block_numbers(block) -> dict:
-    """A block's fitted numbers as numpy arrays: each gate bank's boundaries
-    and step weights d, each encoder's thresholds, and each gate's report:
-    its per-sub-range errors (float64), and its target and
-    samples_per_range."""
+    """A block's fitted numbers as float64 arrays: each gate bank's
+    boundaries and step weights d, each encoder's thresholds, and each
+    gate's report, by its per-sub-range errors."""
     numbers = {}
     for site, c in block.hg.items():
         for name in ("boundaries", "d"):
@@ -105,8 +105,6 @@ def block_numbers(block) -> dict:
     for site, r in block.reports.items():
         numbers["report", site, "err"] = np.array(r.per_subrange_max_abs_err,
                                                   dtype=np.float64)
-        for name in ("target", "samples_per_range"):
-            numbers["report", site, name] = np.array(getattr(r, name))
     return numbers
 
 

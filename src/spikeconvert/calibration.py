@@ -20,17 +20,17 @@ E[f | bit t set] - E[f | bit t clear], and the always-on first step, a
 constant term that a plain dyadic ladder cannot express, takes the mean of
 f less half the rung weights (_closed_form_weights).
 
-Errors are always reported on a validation grid of 10 M points, and are
-decoded as the gated bank decodes at run time: one lookup of K's digits in
-a table of the in-order partial sums of the step weights, built with the
-recurrence's own products and additions, so it matches the recurrence bit
-for bit (_dyadic_decode). fit_target returns a bank's errors, one per
-sub-range, as its CalibrationReport, and nothing more: the target and the
-sample count are the fit's own arguments. The fit refuses the parameters
-the bank refuses, more than _MAX_GATE_STEPS steps or a sub-range whose
-guard step is not a finite normal float, and an M above _MAX_SAMPLES;
-fit_target refuses more than _MAX_SUBRANGES sub-ranges before it places a
-boundary.
+Errors are always reported on a validation grid of 10 M points (convert
+fits every gate at M = FIT_SAMPLES), and are decoded as the gated bank
+decodes at run time: one lookup of K's digits in a table of the in-order
+partial sums of the step weights, built with the recurrence's own products
+and additions, so it matches the recurrence bit for bit (_dyadic_decode).
+fit_target returns a bank's errors, one per sub-range, as its
+CalibrationReport, and nothing more: the target and the sample count are
+the fit's own arguments. The fit refuses the parameters the bank refuses,
+more than _MAX_GATE_STEPS steps or a sub-range whose guard step is not a
+finite normal float, and an M above _MAX_SAMPLES; fit_target refuses more
+than _MAX_SUBRANGES sub-ranges before it places a boundary.
 
 A fit allocates no array of the grid's size: it works in a set of arrays
 (_FitWork) that its thread keeps for the next fit at the same M and T,
@@ -68,6 +68,10 @@ _RANGE_PAD = 0.1
 # The most samples M a fit takes: fit_fs validates on 10 * M grid points, a
 # block at a time in five arrays, 100 MiB at this ceiling.
 _MAX_SAMPLES = 2**20
+# The samples M at which convert fits every gate site, and the default of
+# `calibrate --samples`: M sizes only the 10 * M-point grid a fit's error is
+# reported on, as no boundary or weight depends on it.
+FIT_SAMPLES = 4096
 # The most sub-ranges N a bank is fitted with: a fit's time and memory grow
 # linearly with N, and convert fits every gate site at the config's N.
 _MAX_SUBRANGES = 1000
@@ -133,8 +137,8 @@ def _square(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.multiply(x, x, out=y)
 
 
-# The LayerNorm epsilon: the float LayerNorm (model) divides by
-# sqrt(var + _LN_EPS), and the invsqrt target is the same function.
+# The LayerNorm epsilon: the float LayerNorm (model) scales by _invsqrt, the
+# invsqrt target, 1 / sqrt(var + _LN_EPS).
 _LN_EPS = 1e-5
 
 
@@ -484,7 +488,8 @@ def fit_fs(
 class CalibrationReport:
     """The audit figures of one gated-bank fit: its error on each sub-range.
     The bank itself is its HGConfig, and the target and sample count are
-    the fit's arguments, so the report does not repeat them."""
+    the fit's arguments (convert's sample count is the constant
+    FIT_SAMPLES), so the report does not repeat them."""
 
     per_subrange_max_abs_err: tuple[float, ...]
 
@@ -589,22 +594,15 @@ def sample_distribution(
     The *_outliers variants replant 1% of the entries at magnitude 20,
     the stress shape used for the dual-range ablation.
     """
-    if name == "normal":
-        vals = rng.standard_normal((rows, cols))
-    elif name == "uniform":
-        vals = rng.uniform(-1.0, 1.0, (rows, cols))
-    elif name in ("normal_outliers", "uniform_outliers"):
-        if name.startswith("normal"):
-            vals = rng.standard_normal((rows, cols))
-        else:
-            vals = rng.uniform(-1.0, 1.0, (rows, cols))
+    if name not in _DISTRIBUTIONS:
+        known = ", ".join(_DISTRIBUTIONS)
+        raise ValueError(f"unknown distribution {name!r}; known: {known}")
+    vals = (rng.standard_normal((rows, cols)) if name.startswith("normal")
+            else rng.uniform(-1.0, 1.0, (rows, cols)))
+    if name.endswith("_outliers"):
         # exactly 1% of entries, so the 99th percentile stays anchored in
         # the bulk instead of drifting into the outlier mass
         n_out = max(1, round(0.01 * rows * cols))
         idx = rng.choice(rows * cols, size=n_out, replace=False)
-        signs = np.where(rng.random(n_out) < 0.5, -1.0, 1.0)
-        vals.reshape(-1)[idx] = 20.0 * signs
-    else:
-        known = ", ".join(_DISTRIBUTIONS)
-        raise ValueError(f"unknown distribution {name!r}; known: {known}")
+        vals.reshape(-1)[idx] = 20.0 * np.where(rng.random(n_out) < 0.5, -1.0, 1.0)
     return Matrix(vals)

@@ -25,6 +25,7 @@ from . import __version__
 from .calibration import (
     _MAX_SAMPLES,
     _MAX_SUBRANGES,
+    FIT_SAMPLES,
     TARGETS,
     fit_target,
     hg_to_dict,
@@ -113,6 +114,7 @@ def cmd_calibrate(args) -> int:
 def cmd_convert(args) -> int:
     cfg = load_config(args.config)
     weights = load_weights(args.weights)
+    weights.validate(cfg)  # before the sample, sized by the config, is drawn
     rng = np.random.default_rng(int(cfg.seeds["calibration"]))
     sample = sample_distribution(cfg.calib_distribution, rows=cfg.seq_len * 32,
                                  cols=cfg.d_model, rng=rng)
@@ -229,14 +231,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("calibrate", help="fit one nonlinearity; write its gate and report")
-    # argparse takes a --range bound like -1e-3 for an option unless its
-    # negative-number pattern matches exponent forms too
-    c._negative_number_matcher = re.compile(r"^-\d*\.?\d+(e[-+]?\d+)?$", re.IGNORECASE)
+    # argparse takes a --range bound like -1e-3 or -inf for an option unless
+    # its negative-number pattern matches exponent forms and float's words too
+    c._negative_number_matcher = re.compile(r"^-(\d*\.?\d+(e[-+]?\d+)?|inf(inity)?|nan)$",
+                                            re.IGNORECASE)
     c.add_argument("--target", required=True, choices=sorted(TARGETS))
     c.add_argument("--range", nargs=2, type=float, metavar=("LO", "HI"))
     c.add_argument("--levels", type=int, default=8, help="sub-range count N")
     c.add_argument("--steps", type=int, default=16)
-    c.add_argument("--samples", type=int, default=4096,
+    c.add_argument("--samples", type=int, default=FIT_SAMPLES,
                    help="samples M: 10M grid points validate each sub-range's fit")
     c.add_argument("--out", required=True)
     c.set_defaults(fn=cmd_calibrate)

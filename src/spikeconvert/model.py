@@ -14,8 +14,8 @@ Weights travel in a little-endian binary container (magic LASW) and configs
 in deterministic JSON. A converted block is a JSON file that names its
 config and its LASW sidecar, which holds every number of the block once. A
 gate's calibration report is its per-sub-range fit errors: its target is
-the site's (hg_sites) and its sample count the config's, so neither is
-stored or held twice.
+the site's (hg_sites) and its sample count the constant FIT_SAMPLES, so
+neither is stored or held twice.
 """
 from __future__ import annotations
 
@@ -32,12 +32,12 @@ import numpy as np
 
 from .calibration import (
     _DISTRIBUTIONS,
-    _LN_EPS,
-    _MAX_SAMPLES,
     _MAX_SUBRANGES,
+    FIT_SAMPLES,
     TARGETS,
     CalibrationReport,
     _check_keys,
+    _invsqrt,
     fit_target,
     gelu,
     observed_range,
@@ -72,6 +72,10 @@ from .tensors import Matrix, stats
 _FFN_KINDS = ("standard", "gated")
 # the quantile of an encoder site's |activation| that convert takes as its theta_nor
 NORMAL_QUANTILE = 0.99
+# The longest sequence a config takes: convert's replay records two (heads,
+# seq_len, seq_len) arrays per sequence for 32 sequences, about 134 MB at 256
+# and 2.1 GB at 1024 with four heads.
+_MAX_SEQ_LEN = 256
 
 
 @functools.cache
@@ -84,7 +88,8 @@ def _field_types(cls: type) -> dict[str, type]:
 class ModelConfig:
     """Block dimensions plus every knob a conversion experiment needs. None
     touches the energy model: a run charges each spike event one SOP. The
-    encoders' normal quantile is no knob but the constant NORMAL_QUANTILE."""
+    encoders' normal quantile is no knob but the constant NORMAL_QUANTILE,
+    and neither is a gate fit's sample count, the constant FIT_SAMPLES."""
 
     d_model: int = 32
     n_heads: int = 4
@@ -99,13 +104,12 @@ class ModelConfig:
     )
     calib_distribution: str = "normal"
     n_layers: int = 1
-    samples_per_range: int = 4096
 
     def __post_init__(self) -> None:
         # JSON configs arrive untyped: check every field before comparing it
         for name, kind in _field_types(type(self)).items():
             _check_type(name, getattr(self, name), kind)
-        for name in ("d_model", "n_heads", "d_ff", "seq_len", "T", "H"):
+        for name in ("d_model", "n_heads", "d_ff"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         _check_exact_range(self.H, self.T)
@@ -120,12 +124,10 @@ class ModelConfig:
         if self.calib_distribution not in _DISTRIBUTIONS:
             raise ValueError(f"calib_distribution must be one of {_DISTRIBUTIONS}, "
                              f"got {self.calib_distribution!r}")
-        if not 1 <= self.n_layers <= 4:
-            raise ValueError(f"n_layers must be within 1..4, got {self.n_layers}")
-        for name, lo, hi in (("N_per_nonlinearity", 1, _MAX_SUBRANGES),
-                             ("samples_per_range", 64, _MAX_SAMPLES)):
-            if not lo <= getattr(self, name) <= hi:
-                raise ValueError(f"{name} must be within {lo}..{hi}, "
+        for name, hi in (("seq_len", _MAX_SEQ_LEN), ("n_layers", 4),
+                         ("N_per_nonlinearity", _MAX_SUBRANGES)):
+            if not 1 <= getattr(self, name) <= hi:
+                raise ValueError(f"{name} must be within 1..{hi}, "
                                  f"got {getattr(self, name)}")
         _check_keys("seeds", self.seeds, {"weights", "calibration", "input"})
         for key, seed in self.seeds.items():
@@ -262,7 +264,7 @@ def _float_layernorm(a, gamma, beta, site, recorder, ledger=UNCHARGED):
     _record(recorder, site + ".center", c)
     var = (c * c).mean(axis=1, keepdims=True)
     _record(recorder, site + ".invsqrt", var)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
+    inv = _invsqrt(var)
     ledger.record_flop(site, 4 * r * d + r)  # mean, center, square-sum
     ledger.charge(site, "sqrt", r)
     ledger.record_flop(site, 3 * r * d)  # scale by inv, gamma, beta
@@ -356,6 +358,31 @@ def float_forward(
     return Matrix(cur)
 
 
+def _replay(cfg: ModelConfig, w: WeightSet, xs: list[Matrix], ledger: EnergyLedger,
+            failure: str) -> tuple[dict[str, list[np.ndarray]], EnergyLedger]:
+    """float_forward on each input in turn, charged to ledger: every site's
+    recorded arrays, in replay order, and the ledger. A replay that
+    overflows to a non-finite value is refused with a NonFiniteError, the
+    failure message with its first such site, in replay order. Only a
+    replay on which numpy reports an overflow is scanned: it runs again to
+    its end, on a fresh ledger and with numpy's overflow reports off."""
+    for errors in ("raise", "ignore"):
+        recorder, ledger = {}, ledger if errors == "raise" else type(ledger)()
+        try:
+            with np.errstate(over=errors, invalid=errors):
+                for x in xs:
+                    float_forward(cfg, w, x, ledger=ledger, recorder=recorder)
+            if errors == "raise":
+                return recorder, ledger
+        except (FloatingPointError, NonFiniteError):
+            pass  # or, on the second run, a non-finite output the recorder holds
+    for site, arrs in recorder.items():
+        if not all(np.isfinite(arr).all() for arr in arrs):
+            raise NonFiniteError(failure.format(site=site) +
+                                 " overflowed to a non-finite value")
+    return recorder, ledger
+
+
 # ---------------------------------------------------------------------------
 # conversion
 
@@ -410,9 +437,10 @@ def convert(cfg: ModelConfig, w: WeightSet, calib_sample: Matrix) -> ConvertedBl
     The sample holds stacked inputs: its row count must be a multiple of
     seq_len, and each seq_len slice is replayed as one block input. Each
     encoder's theta_nor is the NORMAL_QUANTILE of its site's |activation|,
-    and each gate is fitted on its site's observed range. A replay
-    that overflows is refused with a NonFiniteError naming the first site,
-    in replay order, that holds a non-finite value.
+    and each gate is fitted on its site's observed range at FIT_SAMPLES
+    samples. A replay that overflows is refused with a NonFiniteError
+    naming the first site, in replay order, that holds a non-finite value
+    (_replay).
     """
     w.validate(cfg)
     if calib_sample.rows == 0:
@@ -427,21 +455,10 @@ def convert(cfg: ModelConfig, w: WeightSet, calib_sample: Matrix) -> ConvertedBl
             f"calibration rows ({calib_sample.rows}) must stack whole "
             f"sequences of length {cfg.seq_len}"
         )
-    recorder: dict[str, list[np.ndarray]] = {}
     a = calib_sample.array
-    # numpy's warnings are off: an overflow is refused below, by site
-    with np.errstate(all="ignore"):
-        try:
-            for b in range(calib_sample.rows // cfg.seq_len):
-                float_forward(cfg, w, Matrix(a[b * cfg.seq_len:(b + 1) * cfg.seq_len]),
-                              recorder=recorder)
-        except NonFiniteError:
-            pass  # a non-finite output, whose stream the recorder holds
-    for site, arrs in recorder.items():  # in replay order
-        if not all(np.isfinite(arr).all() for arr in arrs):
-            raise NonFiniteError(f"calibration failed at site {site!r}: the float "
-                                 f"replay of the calibration sample overflowed to a "
-                                 f"non-finite value")
+    xs = [Matrix._wrap(a[b:b + cfg.seq_len]) for b in range(0, len(a), cfg.seq_len)]
+    recorder, _ = _replay(cfg, w, xs, UNCHARGED, "calibration failed at site {site!r}: "
+                          "the float replay of the calibration sample")
 
     def pooled(site: str) -> np.ndarray:
         return np.concatenate([arr.ravel() for arr in recorder[site]])
@@ -460,7 +477,7 @@ def convert(cfg: ModelConfig, w: WeightSet, calib_sample: Matrix) -> ConvertedBl
         lo, hi = observed_range(pooled(site), floor=TARGETS[target].floor)
         try:
             fitted, report = fit_target(target, cfg.N_per_nonlinearity,
-                                        cfg.T, cfg.samples_per_range, lo=lo, hi=hi)
+                                        cfg.T, FIT_SAMPLES, lo=lo, hi=hi)
         except CalibrationError as exc:
             raise CalibrationError(f"calibration failed at site {site!r}: {exc}")
         hg[site] = fitted
@@ -535,11 +552,13 @@ def _oracle(block: ConvertedBlock, x: Matrix) -> tuple:
     slot = block._oracle_slot
     if slot is not None and slot[0] == key:
         return slot[1:]
-    ledger = EnergyLedger()
-    refs: dict[str, list[np.ndarray]] = {}
-    y_ref = float_forward(block.config, block.weights, x, ledger=ledger, recorder=refs)
+    refs, ledger = _replay(block.config, block.weights, [x], EnergyLedger(),
+                           "the float oracle failed at site {site!r}: its replay of "
+                           "the input")
     residuals = {f"layers.{i}.{sub}": refs[f"layers.{i}.{sub}"][0]
                  for i in range(block.config.n_layers) for sub in ("attn", "ffn")}
+    # the output is the stream after the last sublayer
+    y_ref = Matrix._wrap(residuals[f"layers.{block.config.n_layers - 1}.ffn"])
     charges = tuple((site, c["flops"]) for site, c in ledger.by_site.items())
     # replaced whole, so a concurrent call reads an old slot or a new one
     object.__setattr__(block, "_oracle_slot", (key, y_ref, residuals, charges))
@@ -555,7 +574,9 @@ def spike_forward(
     and the output error, alongside the SOP/FLOP ledger covering both paths.
     The float forward is computed once per input: while consecutive calls on
     the block repeat an input, at any T, they reuse its output, residuals
-    and FLOP charges, with the same outputs, traces and ledgers.
+    and FLOP charges, with the same outputs, traces and ledgers. An input
+    whose float forward overflows is refused with a NonFiniteError naming
+    its first non-finite site, as convert refuses its replay (_replay).
     """
     cfg = block.config
     if T is None:
@@ -634,7 +655,7 @@ def spike_forward(
 _MAGIC = b"LASW"
 _WEIGHT_VERSION = 1
 _BLOCK_FORMAT = "spikeconvert-block"
-_BLOCK_VERSION = 8
+_BLOCK_VERSION = 9
 _BLOCK_KEYS = {"format", "version", "config", "weights_file"}
 # a gate site's tensors in the block's LASW sidecar, <site>.<name> for each
 # name: its bank's boundaries as a (1, N+1) row and step weights d as a (T, N)

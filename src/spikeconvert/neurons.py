@@ -130,12 +130,16 @@ def _check_steps(T: int) -> None:
 
 
 def _check_exact_range(H: int, T: int, **scales: float) -> None:
-    """Refuse H above _MAX_H, any T below 1 or above the step ceiling at H,
-    and any named scale whose grid unit scale * 2^-T / H leaves float64's
-    normal range at a T within that ceiling."""
-    _check_steps(T)
+    """Refuse an H that is no integer or lies outside 1.._MAX_H, any T below
+    1 or above the step ceiling at H, and any named scale whose grid unit
+    scale * 2^-T / H leaves float64's normal range at a T within that
+    ceiling."""
+    _check_type("H", H, numbers.Integral)
+    if H < 1:
+        raise ValueError(f"H must be at least 1, got {H}")
     if H > _MAX_H:
         raise ValueError(f"H must be at most {_MAX_H}, got {H}")
+    _check_steps(T)
     T_max = _max_steps(H)
     if T > T_max:
         raise ValueError(
@@ -162,11 +166,8 @@ class MTConfig:
 
     def __post_init__(self) -> None:
         _check_finite_real("tau", self.tau)
-        _check_type("H", self.H, numbers.Integral)  # _check_exact_range checks T
         if not self.tau > 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.H < 1:
-            raise ValueError(f"H must be at least 1, got {self.H}")
         _check_exact_range(self.H, self.T, tau=self.tau)
 
 
@@ -182,14 +183,11 @@ class OATConfig:
     def __post_init__(self) -> None:
         for name in ("theta_nor", "theta_out"):
             _check_finite_real(name, getattr(self, name))
-        _check_type("H", self.H, numbers.Integral)  # _check_exact_range checks T
         if not 0.0 < self.theta_nor < self.theta_out:
             raise ValueError(
                 f"need theta_out > theta_nor > 0, got "
                 f"theta_nor={self.theta_nor} theta_out={self.theta_out}"
             )
-        if self.H < 1:
-            raise ValueError(f"H must be at least 1, got {self.H}")
         _check_exact_range(self.H, self.T, theta_nor=self.theta_nor)
 
 

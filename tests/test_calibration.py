@@ -77,6 +77,13 @@ class TestSelectOATThresholds:
         with pytest.raises(CalibrationError):
             select_oat_thresholds(s, 0.99)
 
+    @pytest.mark.parametrize("q", [0.0, 1.0, -0.5])
+    def test_quantile_outside_unit_interval_refused(self, q):
+        s = stats(Matrix(np.ones((2, 2))), quantiles=(0.5,))
+        with pytest.raises(ValueError, match=rf"^normal_quantile must be in \(0, 1\), "
+                                             rf"got {q}$"):
+            select_oat_thresholds(s, q)
+
     @settings(max_examples=100, deadline=None)
     @given(kind=st.sampled_from(["normal", "signed_zeros", "constant", "all_zero",
                                  "outliers", "mostly_zero"]),
@@ -730,6 +737,22 @@ class TestSampling:
     def test_observed_range_floor(self):
         lo, hi = observed_range(np.array([0.5, 16.0]), floor=1e-3)
         assert lo >= 1e-3
+
+    def test_observed_range_of_no_activations_refused(self):
+        with pytest.raises(CalibrationError, match=r"^cannot derive a fitting range "
+                                                   r"from no activations$"):
+            observed_range(np.array([]))
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, -2.0)])
+    def test_curvature_density_needs_lo_below_hi(self, lo, hi):
+        with pytest.raises(ValueError, match=rf"^need lo < hi, got \[{lo}, {hi}\]$"):
+            _curvature_density(np.exp, lo, hi)
+
+    def test_curvature_density_refuses_non_finite_curvature(self):
+        # exp's second difference overflows to inf past x = 709
+        with pytest.raises(CalibrationError,
+                           match=r"^target curvature is not finite near x=7"):
+            _curvature_density(np.exp, 0.0, 800.0)
 
     @settings(max_examples=300, deadline=None)
     @given(observed=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40),

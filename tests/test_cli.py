@@ -29,7 +29,7 @@ from spikeconvert.neurons import HGConfig
 from spikeconvert.tensors import Matrix
 
 TINY = dict(d_model=8, n_heads=2, d_ff=16, seq_len=4, T=8, H=3,
-            N_per_nonlinearity=8, samples_per_range=128,
+            N_per_nonlinearity=8,
             seeds={"weights": 5, "calibration": 6, "input": 7})
 
 
@@ -263,12 +263,21 @@ class TestCalibrate:
         assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize("lo, hi", [("0", "inf"), ("1e999", "2"),
-                                        ("nan", "1"), ("1", "1"), ("2", "-2")])
+                                        ("nan", "1"), ("1", "1"), ("2", "-2"),
+                                        ("-inf", "0"), ("-NaN", "1")])
     def test_bad_range_named(self, tmp_path, capsys, lo, hi):
         assert main(["calibrate", "--target", "exp", "--range", lo, hi,
                      "--out", str(tmp_path / "x.json")]) == 2
         err = capsys.readouterr().err
         assert "--range needs finite LO < HI" in err and "Warning" not in err
+
+    @pytest.mark.parametrize("lo", ["-inf", "-Infinity", "-INF"])
+    def test_negative_infinite_bound_is_a_number(self, tmp_path, capsys, lo):
+        # argparse's own pattern takes -inf for an option, expecting two values
+        assert main(["calibrate", "--target", "exp", "--range", lo, "0",
+                     "--out", str(tmp_path / "x.json")]) == 2
+        assert capsys.readouterr().err == ("error: --range needs finite LO < HI, "
+                                           "got -inf 0.0\n")
 
     @pytest.mark.parametrize("lo", ["-1e-3", "-1E-3", "-.001", "-0.001"])
     def test_negative_range_bound_in_exponent_form(self, tmp_path, capsys, lo):
@@ -440,6 +449,36 @@ class TestConvert:
                 "'input', 'weights']; missing [], unknown ['extra']"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("field, value, message", [
+        # refused before the calibration sample of 32 sequences is drawn
+        ("seq_len", 10**9, "seq_len must be within 1..256, got 1000000000"),
+        # block format 8's field: every gate is fitted at FIT_SAMPLES
+        ("samples_per_range", 4096, "unknown config fields: ['samples_per_range']"),
+    ])
+    def test_refused_config_field_named(self, work, tmp_path, capsys, field, value,
+                                        message):
+        with open(work / "config.json") as fh:
+            doc = json.load(fh)
+        doc[field] = value
+        bad = tmp_path / "bad_config.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["convert", "--config", str(bad),
+                     "--weights", str(work / "weights.lasw"),
+                     "--out", str(tmp_path / "x.json")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_weights_checked_before_the_sample_is_drawn(self, work, default_work,
+                                                         tmp_path, capsys, monkeypatch):
+        def drawn(*args, **kwargs):
+            raise AssertionError("calibration sample drawn")
+
+        monkeypatch.setattr(cli, "sample_distribution", drawn)
+        assert main(["convert", "--config", str(default_work / "config.json"),
+                     "--weights", str(work / "weights.lasw"),
+                     "--out", str(tmp_path / "x.json")]) == 2
+        assert capsys.readouterr().err == ("error: tensor 'layers.0.attn.wq' has shape "
+                                           "(8, 8), expected (32, 32)\n")
+
     @pytest.mark.parametrize("field, value", [("d_model", "32"), ("n_layers", True)])
     def test_wrongly_typed_config_field(self, work, tmp_path, capsys, field, value):
         with open(work / "config.json") as fh:
@@ -508,6 +547,28 @@ class TestRun:
     def test_missing_block(self, work, capsys):
         assert main(["run", "--block", str(work / "gone.json"),
                      "--input", str(work / "input.lasw")]) == 2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_oracle_named(self, default_work, tmp_path, capsys):
+        # a finite input whose float oracle overflows in the first LayerNorm's
+        # variance: one error line, no numpy warning and no run
+        x = load_weights(str(default_work / "input.lasw"))["input"].array.copy()
+        x[0, 0] = 1e200
+        bad = str(tmp_path / "big_input.lasw")
+        save_weights(WeightSet({"input": Matrix(x)}), bad)
+        assert main(["run", "--block", str(default_work / "block.json"),
+                     "--input", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: the float oracle failed at site 'layers.0.ln1.invsqrt': its replay "
+            "of the input overflowed to a non-finite value\n")
+        assert captured.out == ""
+
+    def test_zero_row_input_named(self, work, tmp_path, capsys):
+        bad = str(tmp_path / "empty_input.lasw")
+        save_weights(WeightSet({"input": Matrix(np.zeros((0, 8)))}), bad)
+        assert main(["run", "--block", str(work / "block.json"), "--input", bad]) == 2
+        assert capsys.readouterr().err == "error: input must have at least one row\n"
 
     def test_input_tensor_name_checked(self, work, tmp_path, capsys):
         bad = str(tmp_path / "bad_input.lasw")
@@ -595,7 +656,7 @@ class TestRun:
     def test_version_2_block_refused(self, work, tmp_path, capsys):
         # format 2 kept the gate banks in the JSON; the sidecar lacks them
         assert _run_edited_block(work, tmp_path, ("version",), 2) == 2
-        assert ("unsupported block version: expected 8, found 2; reconvert the "
+        assert ("unsupported block version: expected 9, found 2; reconvert the "
                 "block with `spikeconvert convert`" in capsys.readouterr().err)
 
     def test_version_4_block_refused(self, work, tmp_path, capsys):
@@ -610,7 +671,7 @@ class TestRun:
         bp = tmp_path / "v4.json"
         bp.write_text(json.dumps(dict(doc, version=4)))
         assert main(["run", "--block", str(bp), "--input", str(work / "input.lasw")]) == 2
-        assert ("unsupported block version: expected 8, found 4; reconvert the "
+        assert ("unsupported block version: expected 9, found 4; reconvert the "
                 "block with `spikeconvert convert`" in capsys.readouterr().err)
 
     def test_version_5_block_refused(self, work, tmp_path, capsys):
@@ -631,7 +692,7 @@ class TestRun:
         bp = tmp_path / "v5.json"
         bp.write_text(json.dumps(doc))
         assert main(["run", "--block", str(bp), "--input", str(work / "input.lasw")]) == 2
-        assert ("unsupported block version: expected 8, found 5; reconvert the "
+        assert ("unsupported block version: expected 9, found 5; reconvert the "
                 "block with `spikeconvert convert`" in capsys.readouterr().err)
 
     def test_version_6_block_refused(self, work, tmp_path, capsys):
@@ -642,7 +703,7 @@ class TestRun:
         bp = tmp_path / "v6.json"
         bp.write_text(json.dumps(dict(doc, version=6)))
         assert main(["run", "--block", str(bp), "--input", str(work / "input.lasw")]) == 2
-        assert ("unsupported block version: expected 8, found 6; reconvert the "
+        assert ("unsupported block version: expected 9, found 6; reconvert the "
                 "block with `spikeconvert convert`" in capsys.readouterr().err)
 
     def test_version_7_block_refused(self, work, tmp_path, capsys):
@@ -654,7 +715,19 @@ class TestRun:
         bp.write_text(json.dumps(dict(doc, version=7)))
         assert main(["run", "--block", str(bp), "--input", str(work / "input.lasw")]) == 2
         assert capsys.readouterr().err == (
-            "error: unsupported block version: expected 8, found 7; reconvert the "
+            "error: unsupported block version: expected 9, found 7; reconvert the "
+            "block with `spikeconvert convert`\n")
+
+    def test_version_8_block_refused(self, work, tmp_path, capsys):
+        # format 8 carried samples_per_range in the config; its sidecar is today's
+        doc = json.loads((work / "block.json").read_text())
+        doc["config"]["samples_per_range"] = 4096
+        shutil.copy(work / doc["weights_file"], tmp_path)
+        bp = tmp_path / "v8.json"
+        bp.write_text(json.dumps(dict(doc, version=8)))
+        assert main(["run", "--block", str(bp), "--input", str(work / "input.lasw")]) == 2
+        assert capsys.readouterr().err == (
+            "error: unsupported block version: expected 9, found 8; reconvert the "
             "block with `spikeconvert convert`\n")
 
     @UNREADABLE_JSON
@@ -714,10 +787,9 @@ class TestRun:
         (("config",), 5, "config"),
         (("sidecar", "layers.0.ffn.act"), {"err": _entry((0, 0), -0.5)},
          "hg site 'layers.0.ffn.act': err: per-range errors"),
-        # a config's seeds and a report's sample count are checked, not
-        # coerced
+        # a config's seeds and dimensions are checked, not coerced
         (("config", "seeds", "calibration"), "6", "seeds['calibration']"),
-        (("config", "samples_per_range"), True, "samples_per_range"),
+        (("config", "seq_len"), True, "seq_len"),
         # a bank of N-1 sub-ranges against N errors
         (("sidecar", "layers.0.ffn.act"),
          dict.fromkeys(("boundaries", "d"), _fewer_cols),
@@ -726,7 +798,7 @@ class TestRun:
          "hg site 'layers.0.attn.exp': err"),
         (("sidecar", "layers.0.ffn.act"), {"err": _entry((0, 0), np.nan)},
          "tensor 'layers.0.ffn.act.err'"),
-        (("config", "samples_per_range"), 0, "samples_per_range"),
+        (("config", "seq_len"), 257, "seq_len"),
         (("config", "N_per_nonlinearity"), 1025, "N_per_nonlinearity"),
         (("sidecar", "layers.0.ffn.in"), {"theta": lambda t: np.hstack([t, t])},
          "encoder site 'layers.0.ffn.in': theta"),

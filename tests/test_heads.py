@@ -270,7 +270,7 @@ def _block(n_heads: int, ffn_kind: str, n_layers: int):
     """A d_model 32 block on a light calibration: bit identity holds for any
     fitted gates, so the fits need not be good."""
     cfg = ModelConfig(n_heads=n_heads, ffn_kind=ffn_kind, n_layers=n_layers,
-                      N_per_nonlinearity=4, samples_per_range=128)
+                      N_per_nonlinearity=4)
     calib = Matrix(np.random.default_rng(6).standard_normal((32, cfg.d_model)))
     return convert(cfg, WeightSet.random(cfg, 5), calib)
 

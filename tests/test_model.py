@@ -17,10 +17,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spikeconvert.calibration import gelu, sample_distribution, silu
+from spikeconvert.calibration import CalibrationReport, gelu, sample_distribution, silu
 from spikeconvert.energy import EnergyLedger
 from spikeconvert.errors import (
     CalibrationError,
+    EmptyInputError,
     FormatError,
     NonFiniteError,
     ShapeError,
@@ -29,7 +30,6 @@ from spikeconvert.errors import (
 from spikeconvert.model import (
     ConvertedBlock,
     ModelConfig,
-    RunTrace,
     WeightSet,
     _layer_sites,
     ablate_dual_range,
@@ -47,7 +47,7 @@ from spikeconvert.model import (
     save_weights,
     spike_forward,
 )
-from spikeconvert.model import _write_lasw
+from spikeconvert.model import _replay, _write_lasw
 from spikeconvert.neurons import HGConfig, _max_steps
 from spikeconvert.spikeops import (
     constant_train,
@@ -59,7 +59,7 @@ from spikeconvert.spikeops import (
 from spikeconvert.tensors import Matrix
 
 TINY = dict(d_model=8, n_heads=2, d_ff=16, seq_len=4, T=8, H=3,
-            N_per_nonlinearity=4, samples_per_range=128,
+            N_per_nonlinearity=4,
             seeds={"weights": 5, "calibration": 6, "input": 7})
 
 
@@ -103,6 +103,11 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="ffn_kind"):
             ModelConfig(ffn_kind="swish")
 
+    @pytest.mark.parametrize("name", ["d_model", "n_heads", "d_ff"])
+    def test_dimension_below_one_named(self, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be at least 1$"):
+            ModelConfig(**{name: 0})
+
     def test_layer_count_limits(self):
         with pytest.raises(ValueError):
             ModelConfig(n_layers=0)
@@ -115,6 +120,11 @@ class TestModelConfig:
             ModelConfig(H=1025)
         with pytest.raises(ValueError, match=r"grid units, so T <= 25"):
             ModelConfig(T=26)
+        # below 1, as every encoder refuses them
+        with pytest.raises(ValueError, match=r"^H must be at least 1, got 0$"):
+            ModelConfig(H=0)
+        with pytest.raises(ValueError, match=r"^T must be at least 1, got 0$"):
+            ModelConfig(T=0)
 
     def test_sub_range_ceiling_named(self):
         ModelConfig(N_per_nonlinearity=1000)
@@ -122,12 +132,14 @@ class TestModelConfig:
                                              r"1\.\.1000, got 1001"):
             ModelConfig(N_per_nonlinearity=1001)
 
-    def test_sample_count_ceiling_named(self):
-        ModelConfig(samples_per_range=2**20)
-        for m in (63, 2**20 + 1):
-            with pytest.raises(ValueError, match=r"samples_per_range must be within "
-                                                 r"64\.\.1048576, got"):
-                ModelConfig(samples_per_range=m)
+    def test_sequence_length_ceiling_named(self):
+        # refused before convert's replay could allocate its (heads, seq_len,
+        # seq_len) records
+        ModelConfig(seq_len=256)
+        for n in (257, 10**9):
+            with pytest.raises(ValueError, match=rf"^seq_len must be within 1\.\.256, "
+                                                 rf"got {n}$"):
+                ModelConfig(seq_len=n)
 
     def test_seed_keys_required(self):
         with pytest.raises(ValueError, match="seeds"):
@@ -150,6 +162,10 @@ class TestModelConfig:
         with pytest.raises(ValueError,
                            match=r"unknown config fields: \['normal_quantile'\]"):
             ModelConfig.from_dict(tiny_cfg.to_dict() | {"normal_quantile": 0.99})
+        # every gate is fitted at the constant FIT_SAMPLES
+        with pytest.raises(ValueError,
+                           match=r"unknown config fields: \['samples_per_range'\]"):
+            ModelConfig.from_dict(tiny_cfg.to_dict() | {"samples_per_range": 4096})
 
 
 class TestSites:
@@ -342,6 +358,10 @@ class TestFloatForward:
         out = float_forward(tiny_cfg, w, x)
         assert np.array_equal(out.array, x.array)
 
+    def test_zero_row_input_refused(self, tiny_cfg, tiny_weights):
+        with pytest.raises(EmptyInputError, match=r"^input must have at least one row$"):
+            float_forward(tiny_cfg, tiny_weights, Matrix(np.zeros((0, 8))))
+
     def test_matches_independent_oracle(self, tiny_cfg, tiny_weights,
                                         tiny_input):
         got = float_forward(tiny_cfg, tiny_weights, tiny_input).array
@@ -464,6 +484,9 @@ class TestConvert:
             convert(tiny_cfg, tiny_weights, Matrix(np.ones((4, 5))))
         with pytest.raises(ShapeError, match="sequences"):
             convert(tiny_cfg, tiny_weights, Matrix(np.ones((5, 8))))
+        with pytest.raises(EmptyInputError, match=r"^calibration sample must be "
+                                                  r"nonempty$"):
+            convert(tiny_cfg, tiny_weights, Matrix(np.zeros((0, 8))))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_replay_named(self, tiny_cfg, tiny_weights, calib_sample):
@@ -478,6 +501,23 @@ class TestConvert:
                                                  r"replay of the calibration sample "
                                                  r"overflowed"):
             convert(tiny_cfg, WeightSet(ws), calib_sample)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_inside_a_finite_result_is_no_refusal(self, tiny_cfg, tiny_weights,
+                                                           tiny_input):
+        # gelu's cubic term overflows near 1e150, where gelu(x) is x: numpy
+        # reports the overflow, the replay runs again, and every site is finite
+        ws = {name: tiny_weights[name] for name in tiny_weights.names}
+        ws["layers.0.ffn.w1"] = Matrix(ws["layers.0.ffn.w1"].array * 1e150)
+        w = WeightSet(ws)
+        recorder, ledger = _replay(tiny_cfg, w, [tiny_input], EnergyLedger(), "{site}")
+        want_ledger = EnergyLedger()
+        with np.errstate(over="ignore"):
+            want = float_forward(tiny_cfg, w, tiny_input, ledger=want_ledger)
+        assert recorder["layers.0.ffn"][0].tobytes() == want.array.tobytes()
+        assert np.abs(want.array).max() > 1e100
+        # charged once, by the second run
+        assert ledger.to_dict() == want_ledger.to_dict()
 
     def test_outlier_sample_separates_thresholds(self, tiny_cfg, tiny_weights):
         sample = sample_distribution("uniform_outliers", 16, 8,
@@ -503,6 +543,19 @@ class TestConvert:
                            r"missing=\['layers.0.attn.exp'\] extra=\[\]"):
             broken.check_complete()
 
+    def test_check_complete_counts_report_errors(self, tiny_block):
+        # one fit error per sub-range of the site's bank
+        site = "layers.0.attn.exp"
+        n = tiny_block.hg[site].d.shape[1]
+        errs = tiny_block.reports[site].per_subrange_max_abs_err
+        reports = dict(tiny_block.reports, **{site: CalibrationReport(errs + (0.0,))})
+        broken = ConvertedBlock(tiny_block.config, tiny_block.weights,
+                                tiny_block.oat, tiny_block.hg, reports)
+        with pytest.raises(CalibrationError, match=rf"^reports site '{site}': "
+                           rf"per_subrange_max_abs_err must be {n} errors, one per "
+                           rf"gate sub-range$"):
+            broken.check_complete()
+
     def test_ablation_collapses_to_coarse_path(self, tiny_block):
         abl = ablate_dual_range(tiny_block)
         for site, c in abl.oat.items():
@@ -519,6 +572,20 @@ class TestSpikeForward:
         out8, tr8 = spike_forward(tiny_block, tiny_input, T=8)
         assert tr8.output_rel_err < 0.15
         assert tr1.output_rel_err > 3 * tr8.output_rel_err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_oracle_named(self, tiny_block, tiny_input):
+        # a finite input whose float oracle overflows: the LayerNorm variance
+        # reaches inf while the oracle's output stays finite
+        x = tiny_input.array.copy()
+        x[0, 0] = 1e200
+        block = dataclasses.replace(tiny_block)
+        with pytest.raises(NonFiniteError, match=r"^the float oracle failed at site "
+                                                 r"'layers\.0\.ln1\.invsqrt': its "
+                                                 r"replay of the input overflowed to a "
+                                                 r"non-finite value$"):
+            spike_forward(block, Matrix(x))
+        assert block._oracle_slot is None
 
     def test_deterministic(self, tiny_block, tiny_input):
         a, tra = spike_forward(tiny_block, tiny_input)
@@ -839,7 +906,7 @@ class TestBlockSerialization:
             doc = json.load(fh)
         with open(p, "w") as fh:
             json.dump(dict(doc, version=1), fh)
-        with pytest.raises(FormatError, match="version: expected 8, found 1; reconvert"):
+        with pytest.raises(FormatError, match="version: expected 9, found 1; reconvert"):
             load_block(p)
 
     def test_version_2_file_refused(self, tiny_block, tmp_path):
@@ -849,7 +916,7 @@ class TestBlockSerialization:
             doc = json.load(fh)
         with open(p, "w") as fh:
             json.dump(dict(doc, version=2), fh)
-        with pytest.raises(FormatError, match="expected 8, found 2; reconvert the block "
+        with pytest.raises(FormatError, match="expected 9, found 2; reconvert the block "
                                               "with `spikeconvert convert`"):
             load_block(p)
 
@@ -862,7 +929,7 @@ class TestBlockSerialization:
         doc["config"]["sop_bits"] = False
         with open(p, "w") as fh:
             json.dump(dict(doc, version=6), fh)
-        with pytest.raises(FormatError, match="expected 8, found 6; reconvert the block "
+        with pytest.raises(FormatError, match="expected 9, found 6; reconvert the block "
                                               "with `spikeconvert convert`"):
             load_block(p)
 
@@ -875,7 +942,21 @@ class TestBlockSerialization:
         doc["config"]["normal_quantile"] = 0.99
         with open(p, "w") as fh:
             json.dump(dict(doc, version=7), fh)
-        with pytest.raises(FormatError, match="expected 8, found 7; reconvert the block "
+        with pytest.raises(FormatError, match="expected 9, found 7; reconvert the block "
+                                              "with `spikeconvert convert`"):
+            load_block(p)
+
+    def test_version_8_file_refused(self, tiny_block, tmp_path):
+        # format 8 carried samples_per_range in every block's config; its
+        # sidecar is today's
+        p = str(tmp_path / "block.json")
+        save_block(tiny_block, p)
+        with open(p) as fh:
+            doc = json.load(fh)
+        doc["config"]["samples_per_range"] = 4096
+        with open(p, "w") as fh:
+            json.dump(dict(doc, version=8), fh)
+        with pytest.raises(FormatError, match="expected 9, found 8; reconvert the block "
                                               "with `spikeconvert convert`"):
             load_block(p)
 
@@ -976,7 +1057,7 @@ class TestBlockSerialization:
            seeds=st.tuples(*[st.integers(0, 2**32)] * 3))
     def test_small_blocks_round_trip(self, ffn_kind, n_layers, N, T, seeds):
         cfg = ModelConfig(**{**TINY, "ffn_kind": ffn_kind, "n_layers": n_layers,
-                             "N_per_nonlinearity": N, "T": T, "samples_per_range": 64,
+                             "N_per_nonlinearity": N, "T": T,
                              "seeds": dict(zip(("weights", "calibration", "input"),
                                                seeds))})
         sample = sample_distribution("normal", 2 * cfg.seq_len, cfg.d_model,

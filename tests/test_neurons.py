@@ -87,6 +87,18 @@ class TestSpikeTrain:
         t = SpikeMatrixTrain(np.zeros((3, 1, 2)))
         assert np.array_equal(decode(t).array, np.zeros((1, 2)))
 
+    def test_zero_steps_refused(self):
+        with pytest.raises(ValueError, match=r"^a train needs at least one step$"):
+            SpikeMatrixTrain(np.zeros((0, 1, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_value_refused(self, bad):
+        values = np.zeros((2, 1, 2))
+        values[1, 0, 1] = bad
+        with pytest.raises(NonFiniteError,
+                           match=r"^spike train contains non-finite values$"):
+            SpikeMatrixTrain(values)
+
 
 class TestFSNeuron:
     """The few-step oracle, fs_run_reference, by hand; and a fitted few-step
@@ -398,6 +410,12 @@ class TestOATNeuron:
             OATConfig(theta_nor=2.0, theta_out=1.0, H=5, T=16)
         with pytest.raises(ValueError, match="finite"):
             OATConfig(theta_nor=1.0, theta_out=float("inf"), H=5, T=16)
+
+    @pytest.mark.parametrize("H, message", [(0, r"^H must be at least 1, got 0$"),
+                                            (2.0, r"^H must be Integral, got 2\.0$")])
+    def test_level_count_checked(self, H, message):
+        with pytest.raises(ValueError, match=message):
+            OATConfig(theta_nor=1.0, theta_out=2.0, H=H, T=16)
 
     def test_runtime_steps_override(self):
         t = encode_matrix(Matrix(np.array([[0.7]])), self.CFG, T=8)

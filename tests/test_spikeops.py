@@ -158,6 +158,9 @@ class TestSAW:
         rng = np.random.default_rng(7)
         with pytest.raises(ShapeError):
             saw_mul(Matrix(np.ones((2, 3))), random_train(rng, 2, 4, 4))
+        with pytest.raises(ShapeError, match=r"^train \(4, 4\) cannot multiply "
+                                             r"weight \(3, 2\) from the right$"):
+            saw_mul_right(random_train(rng, 2, 4, 4), Matrix(np.ones((3, 2))))
 
 
 class TestSAA:
@@ -217,6 +220,11 @@ class TestHadamard:
         rng = np.random.default_rng(12)
         with pytest.raises(ShapeError):
             hadamard_mul(random_train(rng, 2, 3, 5), random_train(rng, 2, 3, 4))
+
+    def test_step_mismatch(self):
+        rng = np.random.default_rng(13)
+        with pytest.raises(StepMismatchError, match=r"^step counts differ: 2 != 3$"):
+            hadamard_mul(random_train(rng, 2, 3, 4), random_train(rng, 3, 3, 4))
 
 
 class TestSoftmaxOffset:

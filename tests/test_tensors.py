@@ -76,3 +76,7 @@ class TestStats:
     def test_percentile_rejects_out_of_range_q(self):
         with pytest.raises(ValueError):
             percentile(np.array([1.0]), 1.5)
+
+    def test_percentile_of_empty_sample_refused(self):
+        with pytest.raises(EmptyInputError, match=r"^percentile of an empty sample$"):
+            percentile(np.array([]), 0.5)

@@ -52,11 +52,12 @@ one whose numbers moved. The bytes and saturated columns are reported but
 do not decide it, so a checkout that adds a kind of counter shows in the
 counters column without reading as a numerics change either.
 
-Last it gives what each block's convert cost in its checkout's worker, as
-old -> new: CPU seconds (user + system) and minor page faults, from
-resource.getrusage around the one convert call. These are measurements of
-a single run on a possibly shared machine, reported for information; they
-do not decide the exit status.
+Last it gives the minor page faults of each block's convert in its
+checkout's worker, as old -> new, from resource.getrusage around the one
+convert call: a count that shows when a convert maps its fits' work arrays
+anew, where CPU seconds of one run each side swing twofold on identical
+converts. It is reported for information and does not decide the exit
+status.
 """
 from __future__ import annotations
 
@@ -188,10 +189,9 @@ def block_runs(name: str, block, loaded, xs: list, steps: tuple) -> dict:
     return runs
 
 
-def convert_cost(before, after) -> tuple[float, int]:
-    """(CPU seconds, minor page faults) between two getrusage readings."""
-    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
-    return cpu, after.ru_minflt - before.ru_minflt
+def convert_cost(before, after) -> int:
+    """The minor page faults between two getrusage readings."""
+    return after.ru_minflt - before.ru_minflt
 
 
 def collect(checkout: str, n_inputs: int, tmp: str) -> dict:
@@ -296,9 +296,8 @@ def report(old: dict, new: dict) -> bool:
         print(f"worst gate err {name}: {worst_gate_err(old['loaded'][name]):.8g} -> "
               f"{worst_gate_err(new['loaded'][name]):.8g}")
     for name in sorted(old.get("cost", {})):
-        (cpu_old, faults_old), (cpu_new, faults_new) = old["cost"][name], new["cost"][name]
-        print(f"convert {name}: cpu {cpu_old:.3f} s -> {cpu_new:.3f} s, minor faults "
-              f"{faults_old} -> {faults_new} (one run each, not part of the verdict)")
+        print(f"convert {name}: minor faults {old['cost'][name]} -> "
+              f"{new['cost'][name]} (one run each, not part of the verdict)")
     return same
 
 

@@ -2,13 +2,16 @@
 
 The float block is a standard pre-norm encoder layer stack (LayerNorm into
 multi-head attention, residual, LayerNorm into FFN, residual) and serves as
-the oracle every spike run is measured against. Conversion replays a
-calibration batch through the float block, collects per-site activation
-statistics, and turns each matrix-op input into a dual-range encoder config
-and each scalar nonlinearity into a fitted gated kernel bank. Spike
-execution then drives the whole block through the spike kernels at any
-timestep budget and reports deviations plus an operation ledger. Both paths
-run attention on all heads at once, as (heads, rows, d_head) stacks.
+the oracle every spike run is measured against; it runs its stack once and
+refuses, in one message for every caller, an input that overflows to a
+non-finite value, or one of more than _MAX_SEQ_LEN rows. Conversion replays
+a calibration batch through the float block one sequence at a time,
+collects per-site activation statistics, and turns each matrix-op input
+into a dual-range encoder config and each scalar nonlinearity into a fitted
+gated kernel bank. Spike execution then drives the whole block through the
+spike kernels at any timestep budget and reports deviations plus an
+operation ledger. Both paths run attention on all heads at once, as (heads,
+rows, d_head) stacks.
 
 Weights travel in a little-endian binary container (magic LASW) and configs
 in deterministic JSON. A converted block is a JSON file that names its
@@ -72,9 +75,10 @@ from .tensors import Matrix, stats
 _FFN_KINDS = ("standard", "gated")
 # the quantile of an encoder site's |activation| that convert takes as its theta_nor
 NORMAL_QUANTILE = 0.99
-# The longest sequence a config takes: convert's replay records two (heads,
-# seq_len, seq_len) arrays per sequence for 32 sequences, about 134 MB at 256
-# and 2.1 GB at 1024 with four heads.
+# The longest sequence a config or an input takes: convert's replay records
+# two (heads, seq_len, seq_len) arrays per sequence for 32 sequences, about
+# 134 MB at 256 and 2.1 GB at 1024 with four heads, and a spike run holds
+# (T, heads, rows, rows) stacks.
 _MAX_SEQ_LEN = 256
 
 
@@ -251,10 +255,9 @@ class WeightSet:
 # float reference path
 
 
-def _record(recorder: dict | None, site: str, arr: np.ndarray) -> None:
-    if recorder is not None:
-        # kept, not copied: float_forward never writes into an array it records
-        recorder.setdefault(site, []).append(arr)
+def _record(recorder: dict, site: str, arr: np.ndarray) -> None:
+    # kept, not copied: float_forward never writes into an array it records
+    recorder.setdefault(site, []).append(arr)
 
 
 def _float_layernorm(a, gamma, beta, site, recorder, ledger=UNCHARGED):
@@ -280,107 +283,98 @@ def float_forward(
 ) -> Matrix:
     """Pure float encoder stack; the oracle for every spike comparison.
 
-    Charges float-path FLOPs to the ledger and optionally records per-site
-    activations: each encoder and gate input for calibration, and the
+    Charges float-path FLOPs to the ledger and records per-site activations
+    into the recorder: each encoder and gate input for calibration, and the
     residual stream after each sublayer at that sublayer's key
-    (layers.<i>.attn, layers.<i>.ffn) for the spike path's per-layer errors.
+    (layers.<i>.attn, layers.<i>.ffn) for the spike path's per-layer errors;
+    the output is the stream after the last one. The stack runs once. Only
+    if numpy reports an overflow are the arrays this call recorded scanned,
+    in forward order, and a non-finite one is refused with a NonFiniteError
+    naming its site; an overflow inside a finite result is no refusal. An
+    input of more than _MAX_SEQ_LEN rows is refused before it runs.
     """
     if x.cols != cfg.d_model:
         raise ShapeError(f"input has {x.cols} features, config wants {cfg.d_model}")
     if x.rows < 1:
         raise EmptyInputError("input must have at least one row")
+    if x.rows > _MAX_SEQ_LEN:
+        raise ShapeError(f"input has {x.rows} rows, a block takes at most "
+                         f"{_MAX_SEQ_LEN}")
+    recorder = {} if recorder is None else recorder
     r = x.rows
     d, f, nh, dh = cfg.d_model, cfg.d_ff, cfg.n_heads, cfg.d_head
     scale = 1.0 / math.sqrt(dh)
     cur = x.array.copy()
     _record(recorder, "input", cur)
 
-    for i in range(cfg.n_layers):
-        L = f"layers.{i}."
-        ln1 = _float_layernorm(cur, w[L + "ln1.gamma"].array, w[L + "ln1.beta"].array,
-                               L + "ln1", recorder, ledger)
-        _record(recorder, L + "attn.in", ln1)
-        q = (ln1 @ w[L + "attn.wq"].array) * scale
-        k = ln1 @ w[L + "attn.wk"].array
-        v = ln1 @ w[L + "attn.wv"].array
-        ledger.record_flop(L + "attn.qkv", 3 * r * d * d + r * d)
-        _record(recorder, L + "attn.q", q)
-        _record(recorder, L + "attn.k", k)
-        _record(recorder, L + "attn.v", v)
-        # every head at once, as (heads, rows, d_head) stacks: the recorded
-        # (heads, ...) arrays ravel head by head
-        qh, kh, vh = (a.reshape(r, nh, dh).swapaxes(0, 1) for a in (q, k, v))
-        logits = qh @ kh.swapaxes(1, 2)
-        zhat = logits - logits.max(axis=-1, keepdims=True)
-        _record(recorder, L + "attn.exp", zhat)
-        e = np.exp(zhat)
-        denom = e.sum(axis=-1, keepdims=True)
-        _record(recorder, L + "attn.recip", denom)
-        probs = e / denom
-        _record(recorder, L + "attn.probs", probs)
-        ctx = (probs @ vh).swapaxes(0, 1).reshape(r, d)
-        ledger.record_flop(L + "attn.scores", nh * (2 * r * r * dh + 3 * r * r))
-        ledger.charge(L + "attn.scores", "exp", nh * r * r)
-        _record(recorder, L + "attn.out", ctx)
-        attn = ctx @ w[L + "attn.wo"].array
-        ledger.record_flop(L + "attn.wo", r * d * d)
-        cur = cur + attn
-        ledger.record_flop(L + "attn.residual", r * d)
-        _record(recorder, L + "attn", cur)
+    overflows = []
+    with np.errstate(over="call", invalid="call", call=lambda *_: overflows.append(1)):
+        for i in range(cfg.n_layers):
+            L = f"layers.{i}."
+            ln1 = _float_layernorm(cur, w[L + "ln1.gamma"].array, w[L + "ln1.beta"].array,
+                                   L + "ln1", recorder, ledger)
+            _record(recorder, L + "attn.in", ln1)
+            q = (ln1 @ w[L + "attn.wq"].array) * scale
+            k = ln1 @ w[L + "attn.wk"].array
+            v = ln1 @ w[L + "attn.wv"].array
+            ledger.record_flop(L + "attn.qkv", 3 * r * d * d + r * d)
+            _record(recorder, L + "attn.q", q)
+            _record(recorder, L + "attn.k", k)
+            _record(recorder, L + "attn.v", v)
+            # every head at once, as (heads, rows, d_head) stacks: the recorded
+            # (heads, ...) arrays ravel head by head
+            qh, kh, vh = (a.reshape(r, nh, dh).swapaxes(0, 1) for a in (q, k, v))
+            logits = qh @ kh.swapaxes(1, 2)
+            zhat = logits - logits.max(axis=-1, keepdims=True)
+            _record(recorder, L + "attn.exp", zhat)
+            e = np.exp(zhat)
+            denom = e.sum(axis=-1, keepdims=True)
+            _record(recorder, L + "attn.recip", denom)
+            probs = e / denom
+            _record(recorder, L + "attn.probs", probs)
+            ctx = (probs @ vh).swapaxes(0, 1).reshape(r, d)
+            ledger.record_flop(L + "attn.scores", nh * (2 * r * r * dh + 3 * r * r))
+            ledger.charge(L + "attn.scores", "exp", nh * r * r)
+            _record(recorder, L + "attn.out", ctx)
+            attn = ctx @ w[L + "attn.wo"].array
+            ledger.record_flop(L + "attn.wo", r * d * d)
+            cur = cur + attn
+            ledger.record_flop(L + "attn.residual", r * d)
+            _record(recorder, L + "attn", cur)
 
-        ln2 = _float_layernorm(cur, w[L + "ln2.gamma"].array, w[L + "ln2.beta"].array,
-                               L + "ln2", recorder, ledger)
-        _record(recorder, L + "ffn.in", ln2)
-        if cfg.ffn_kind == "standard":
-            pre = ln2 @ w[L + "ffn.w1"].array + w[L + "ffn.b1"].array
-            _record(recorder, L + "ffn.act", pre)
-            hid = gelu(pre)
-            out = hid @ w[L + "ffn.w2"].array + w[L + "ffn.b2"].array
-            ledger.record_flop(L + "ffn", r * d * f + r * f + r * f * d + r * d)
-            ledger.charge(L + "ffn", "gelu", r * f)
-        else:
-            g_pre = ln2 @ w[L + "ffn.wg"].array + w[L + "ffn.bg"].array
-            _record(recorder, L + "ffn.act", g_pre)
-            g = silu(g_pre)
-            u = ln2 @ w[L + "ffn.wu"].array + w[L + "ffn.bu"].array
-            _record(recorder, L + "ffn.mid", u)
-            z = u * g
-            _record(recorder, L + "ffn.z", z)
-            out = z @ w[L + "ffn.wd"].array + w[L + "ffn.bd"].array
-            ledger.record_flop(L + "ffn",
-                               2 * (r * d * f + r * f) + r * f + r * f * d + r * d)
-            # silu = x * sigmoid(x): one exp plus three elementwise ops
-            ledger.charge(L + "ffn", "exp", r * f)
-            ledger.record_flop(L + "ffn", 3 * r * f)
-        cur = cur + out
-        ledger.record_flop(L + "ffn.residual", r * d)
-        _record(recorder, L + "ffn", cur)
+            ln2 = _float_layernorm(cur, w[L + "ln2.gamma"].array, w[L + "ln2.beta"].array,
+                                   L + "ln2", recorder, ledger)
+            _record(recorder, L + "ffn.in", ln2)
+            if cfg.ffn_kind == "standard":
+                pre = ln2 @ w[L + "ffn.w1"].array + w[L + "ffn.b1"].array
+                _record(recorder, L + "ffn.act", pre)
+                hid = gelu(pre)
+                out = hid @ w[L + "ffn.w2"].array + w[L + "ffn.b2"].array
+                ledger.record_flop(L + "ffn", r * d * f + r * f + r * f * d + r * d)
+                ledger.charge(L + "ffn", "gelu", r * f)
+            else:
+                g_pre = ln2 @ w[L + "ffn.wg"].array + w[L + "ffn.bg"].array
+                _record(recorder, L + "ffn.act", g_pre)
+                g = silu(g_pre)
+                u = ln2 @ w[L + "ffn.wu"].array + w[L + "ffn.bu"].array
+                _record(recorder, L + "ffn.mid", u)
+                z = u * g
+                _record(recorder, L + "ffn.z", z)
+                out = z @ w[L + "ffn.wd"].array + w[L + "ffn.bd"].array
+                ledger.record_flop(L + "ffn",
+                                   2 * (r * d * f + r * f) + r * f + r * f * d + r * d)
+                # silu = x * sigmoid(x): one exp plus three elementwise ops
+                ledger.charge(L + "ffn", "exp", r * f)
+                ledger.record_flop(L + "ffn", 3 * r * f)
+            cur = cur + out
+            ledger.record_flop(L + "ffn.residual", r * d)
+            _record(recorder, L + "ffn", cur)
+    if overflows:  # each site's array of this call, in forward order
+        for site, arrs in recorder.items():
+            if not np.isfinite(arrs[-1]).all():
+                raise NonFiniteError(f"the float forward overflowed to a non-finite "
+                                     f"value at site {site!r}")
     return Matrix(cur)
-
-
-def _replay(cfg: ModelConfig, w: WeightSet, xs: list[Matrix], ledger: EnergyLedger,
-            failure: str) -> tuple[dict[str, list[np.ndarray]], EnergyLedger]:
-    """float_forward on each input in turn, charged to ledger: every site's
-    recorded arrays, in replay order, and the ledger. A replay that
-    overflows to a non-finite value is refused with a NonFiniteError, the
-    failure message with its first such site, in replay order. Only a
-    replay on which numpy reports an overflow is scanned: it runs again to
-    its end, on a fresh ledger and with numpy's overflow reports off."""
-    for errors in ("raise", "ignore"):
-        recorder, ledger = {}, ledger if errors == "raise" else type(ledger)()
-        try:
-            with np.errstate(over=errors, invalid=errors):
-                for x in xs:
-                    float_forward(cfg, w, x, ledger=ledger, recorder=recorder)
-            if errors == "raise":
-                return recorder, ledger
-        except (FloatingPointError, NonFiniteError):
-            pass  # or, on the second run, a non-finite output the recorder holds
-    for site, arrs in recorder.items():
-        if not all(np.isfinite(arr).all() for arr in arrs):
-            raise NonFiniteError(failure.format(site=site) +
-                                 " overflowed to a non-finite value")
-    return recorder, ledger
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +432,9 @@ def convert(cfg: ModelConfig, w: WeightSet, calib_sample: Matrix) -> ConvertedBl
     seq_len, and each seq_len slice is replayed as one block input. Each
     encoder's theta_nor is the NORMAL_QUANTILE of its site's |activation|,
     and each gate is fitted on its site's observed range at FIT_SAMPLES
-    samples. A replay that overflows is refused with a NonFiniteError
-    naming the first site, in replay order, that holds a non-finite value
-    (_replay).
+    samples. Each slice goes straight to float_forward, so the first one
+    whose forward overflows is refused with float_forward's NonFiniteError,
+    naming its first non-finite site.
     """
     w.validate(cfg)
     if calib_sample.rows == 0:
@@ -455,10 +449,9 @@ def convert(cfg: ModelConfig, w: WeightSet, calib_sample: Matrix) -> ConvertedBl
             f"calibration rows ({calib_sample.rows}) must stack whole "
             f"sequences of length {cfg.seq_len}"
         )
-    a = calib_sample.array
-    xs = [Matrix._wrap(a[b:b + cfg.seq_len]) for b in range(0, len(a), cfg.seq_len)]
-    recorder, _ = _replay(cfg, w, xs, UNCHARGED, "calibration failed at site {site!r}: "
-                          "the float replay of the calibration sample")
+    a, recorder = calib_sample.array, {}
+    for b in range(0, len(a), cfg.seq_len):
+        float_forward(cfg, w, Matrix._wrap(a[b:b + cfg.seq_len]), recorder=recorder)
 
     def pooled(site: str) -> np.ndarray:
         return np.concatenate([arr.ravel() for arr in recorder[site]])
@@ -547,18 +540,17 @@ def _oracle(block: ConvertedBlock, x: Matrix) -> tuple:
     residual stream after each sublayer by that sublayer's key, and its FLOP
     charges as (site, count) pairs in charge order. None depends on T, so
     the block keeps them for the last input in one slot, keyed by the
-    input's shape and bytes, and a call that repeats that input reuses them."""
+    input's shape and bytes, and a call that repeats that input reuses them.
+    The output is float_forward's own, and an input it refuses (overflow,
+    shape) leaves the slot as it was."""
     key = (x.shape, x.array.tobytes())
     slot = block._oracle_slot
     if slot is not None and slot[0] == key:
         return slot[1:]
-    refs, ledger = _replay(block.config, block.weights, [x], EnergyLedger(),
-                           "the float oracle failed at site {site!r}: its replay of "
-                           "the input")
+    refs, ledger = {}, EnergyLedger()
+    y_ref = float_forward(block.config, block.weights, x, ledger=ledger, recorder=refs)
     residuals = {f"layers.{i}.{sub}": refs[f"layers.{i}.{sub}"][0]
                  for i in range(block.config.n_layers) for sub in ("attn", "ffn")}
-    # the output is the stream after the last sublayer
-    y_ref = Matrix._wrap(residuals[f"layers.{block.config.n_layers - 1}.ffn"])
     charges = tuple((site, c["flops"]) for site, c in ledger.by_site.items())
     # replaced whole, so a concurrent call reads an old slot or a new one
     object.__setattr__(block, "_oracle_slot", (key, y_ref, residuals, charges))
@@ -574,9 +566,11 @@ def spike_forward(
     and the output error, alongside the SOP/FLOP ledger covering both paths.
     The float forward is computed once per input: while consecutive calls on
     the block repeat an input, at any T, they reuse its output, residuals
-    and FLOP charges, with the same outputs, traces and ledgers. An input
-    whose float forward overflows is refused with a NonFiniteError naming
-    its first non-finite site, as convert refuses its replay (_replay).
+    and FLOP charges, with the same outputs, traces and ledgers. The float
+    forward runs before any spike array is built, so an input it refuses
+    (more than _MAX_SEQ_LEN rows, or an overflow, with its NonFiniteError
+    naming the first non-finite site) allocates none. x is encoded as it
+    is: a Matrix is checked finite when it is built.
     """
     cfg = block.config
     if T is None:
@@ -627,8 +621,9 @@ def spike_forward(
         out = ffn(ln2, p, L + "ffn", ledger)
         return decode_train(out, ledger, L + "ffn.out_decode")
 
-    cur = x.array.copy()
-    stream = encode_matrix(Matrix(cur), p["input"], T, ledger, "input")
+    # x is checked and immutable, and each sublayer rebinds cur
+    cur = x.array
+    stream = encode_matrix(x, p["input"], T, ledger, "input")
     for i in range(cfg.n_layers):
         L = f"layers.{i}."
         for sub, run in (("attn", attention), ("ffn", feed_forward)):

@@ -325,8 +325,8 @@ class TestConvert:
                      "--weights", str(tmp_path / "big.lasw"),
                      "--out", str(tmp_path / "b.json")]) == 2
         assert capsys.readouterr().err == (
-            "error: calibration failed at site 'layers.0.attn.exp': the float "
-            "replay of the calibration sample overflowed to a non-finite value\n")
+            "error: the float forward overflowed to a non-finite value at site "
+            "'layers.0.attn.exp'\n")
         assert not (tmp_path / "b.json").exists()
 
     def test_prints_summary(self, work, tmp_path, capsys):
@@ -560,9 +560,26 @@ class TestRun:
                      "--input", bad]) == 2
         captured = capsys.readouterr()
         assert captured.err == (
-            "error: the float oracle failed at site 'layers.0.ln1.invsqrt': its replay "
-            "of the input overflowed to a non-finite value\n")
+            "error: the float forward overflowed to a non-finite value at site "
+            "'layers.0.ln1.invsqrt'\n")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", [["run"], ["compare"],
+                                         ["sweep", "--steps-list", "4"]])
+    def test_rows_past_the_ceiling_named(self, work, tmp_path, capsys, command):
+        # refused by the float oracle, before any spike array is built
+        bad = str(tmp_path / "long_input.lasw")
+        save_weights(WeightSet({"input": Matrix(np.ones((257, 8)))}), bad)
+        assert main([command[0], "--block", str(work / "block.json"), "--input", bad,
+                     *command[1:]]) == 2
+        assert capsys.readouterr() == (
+            "", "error: input has 257 rows, a block takes at most 256\n")
+
+    def test_rows_past_seq_len_still_run(self, work, tmp_path, capsys):
+        x = str(tmp_path / "rows32.lasw")
+        rows = np.random.default_rng(3).standard_normal((32, 8))
+        save_weights(WeightSet({"input": Matrix(rows)}), x)
+        assert main(["run", "--block", str(work / "block.json"), "--input", x]) == 0
 
     def test_zero_row_input_named(self, work, tmp_path, capsys):
         bad = str(tmp_path / "empty_input.lasw")

@@ -236,6 +236,33 @@ class TestRows:
         assert rows == [["default", "4"], ["default/loaded", "4"], ["default/sweep", "4"],
                         ["default/x3", "16"]]
 
+    def test_wide_row_runs_the_wide_inputs(self, default_block):
+        rng = np.random.default_rng(2)
+        xs = [sample_distribution("normal", 8, 32, rng) for _ in range(2)]
+        wide = [sample_distribution("normal", 32, 32, rng) for _ in range(2)]
+        runs = fidelity_diff.block_runs("default", default_block, default_block, xs,
+                                        (4,), wide)
+        assert set(runs) == {("default", 4), ("default/loaded", 4), ("default/x3", 16),
+                             ("default/rows32", 16), ("default/sweep", 4)}
+        for x, (out, err, ledger, counters) in zip(wide, runs["default/rows32", 16],
+                                                   strict=True):
+            want, trace = spike_forward(default_block, x, T=16)
+            assert out.shape == (32, 32) and out.tobytes() == want.array.tobytes()
+            assert err == trace.output_rel_err
+            assert ledger == trace.ledger.to_dict() and counters == trace.ledger.counters
+
+    def test_wide_inputs_move_no_other_row(self):
+        from spikeconvert.model import ModelConfig
+
+        cfg = ModelConfig()
+        xs, wide = fidelity_diff.block_inputs("default", 0, cfg, "normal", 3)
+        rng = np.random.default_rng([fidelity_diff.INPUT_SEED, 0])
+        for x in xs:
+            want = sample_distribution("normal", 8, 32, rng)
+            assert x.array.tobytes() == want.array.tobytes()
+        assert [x.shape for x in wide] == [(32, 32)] * 3
+        assert fidelity_diff.block_inputs("gated", 1, cfg, "normal", 3)[1] == []
+
     def test_sweep_row_runs_each_input_through_every_step(self, default_block,
                                                           monkeypatch):
         from spikeconvert import model

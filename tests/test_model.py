@@ -47,7 +47,7 @@ from spikeconvert.model import (
     save_weights,
     spike_forward,
 )
-from spikeconvert.model import _replay, _write_lasw
+from spikeconvert.model import _write_lasw
 from spikeconvert.neurons import HGConfig, _max_steps
 from spikeconvert.spikeops import (
     constant_train,
@@ -362,6 +362,51 @@ class TestFloatForward:
         with pytest.raises(EmptyInputError, match=r"^input must have at least one row$"):
             float_forward(tiny_cfg, tiny_weights, Matrix(np.zeros((0, 8))))
 
+    def test_rows_past_the_ceiling_refused(self, tiny_cfg, tiny_weights):
+        # the ceiling is the longest sequence a config takes, not the
+        # config's own seq_len (4 here): 32 rows still run
+        assert float_forward(tiny_cfg, tiny_weights, Matrix(np.ones((32, 8)))).rows == 32
+        with pytest.raises(ShapeError, match=r"^input has 257 rows, a block takes at "
+                                             r"most 256$"):
+            float_forward(tiny_cfg, tiny_weights, Matrix(np.ones((257, 8))))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_input_refused(self, tiny_cfg, tiny_weights, tiny_input):
+        # the LayerNorm variance reaches inf while the output stays finite
+        x = tiny_input.array.copy()
+        x[0, 0] = 1e200
+        recorder = {}
+        with pytest.raises(NonFiniteError, match=r"^the float forward overflowed to a "
+                                                 r"non-finite value at site "
+                                                 r"'layers\.0\.ln1\.invsqrt'$"):
+            float_forward(tiny_cfg, tiny_weights, Matrix(x), recorder=recorder)
+        assert np.isfinite(recorder["layers.0.ffn"][-1]).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(0, 300),
+           entry=st.booleans())
+    def test_refuses_exactly_a_non_finite_site(self, tiny_block, seed, k, entry):
+        # an input, or one entry of it, scaled by 10^k: either every array
+        # the call records is finite and it returns, or it refuses naming
+        # the first recorded site that is not
+        x = np.random.default_rng(seed).standard_normal((4, 8))
+        if entry:
+            x[1, 2] *= 10.0 ** k
+        else:
+            x *= 10.0 ** k
+        assume(np.isfinite(x).all())
+        cfg, w, recorder = tiny_block.config, tiny_block.weights, {}
+        try:
+            y = float_forward(cfg, w, Matrix(x), recorder=recorder)
+        except NonFiniteError as exc:
+            bad = [site for site, (a,) in recorder.items() if not np.isfinite(a).all()]
+            assert bad and str(exc) == (f"the float forward overflowed to a non-finite "
+                                        f"value at site {bad[0]!r}")
+        else:
+            assert all(np.isfinite(a).all() for (a,) in recorder.values())
+            assert recorder["layers.0.ffn"][0].tobytes() == y.array.tobytes()
+
     def test_matches_independent_oracle(self, tiny_cfg, tiny_weights,
                                         tiny_input):
         got = float_forward(tiny_cfg, tiny_weights, tiny_input).array
@@ -496,28 +541,31 @@ class TestConvert:
         ws = {name: tiny_weights[name] for name in tiny_weights.names}
         for name in ("layers.0.attn.wq", "layers.0.attn.wk"):
             ws[name] = Matrix(ws[name].array * 1e160)
-        with pytest.raises(NonFiniteError, match=r"^calibration failed at site "
-                                                 r"'layers\.0\.attn\.exp': the float "
-                                                 r"replay of the calibration sample "
-                                                 r"overflowed"):
+        with pytest.raises(NonFiniteError, match=r"^the float forward overflowed to a "
+                                                 r"non-finite value at site "
+                                                 r"'layers\.0\.attn\.exp'$"):
             convert(tiny_cfg, WeightSet(ws), calib_sample)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_inside_a_finite_result_is_no_refusal(self, tiny_cfg, tiny_weights,
                                                            tiny_input):
         # gelu's cubic term overflows near 1e150, where gelu(x) is x: numpy
-        # reports the overflow, the replay runs again, and every site is finite
+        # reports the overflow, the recorded arrays are scanned, and every
+        # site is finite
         ws = {name: tiny_weights[name] for name in tiny_weights.names}
         ws["layers.0.ffn.w1"] = Matrix(ws["layers.0.ffn.w1"].array * 1e150)
-        w = WeightSet(ws)
-        recorder, ledger = _replay(tiny_cfg, w, [tiny_input], EnergyLedger(), "{site}")
-        want_ledger = EnergyLedger()
-        with np.errstate(over="ignore"):
-            want = float_forward(tiny_cfg, w, tiny_input, ledger=want_ledger)
-        assert recorder["layers.0.ffn"][0].tobytes() == want.array.tobytes()
-        assert np.abs(want.array).max() > 1e100
-        # charged once, by the second run
-        assert ledger.to_dict() == want_ledger.to_dict()
+        recorder, ledger = {}, EnergyLedger()
+        y = float_forward(tiny_cfg, WeightSet(ws), tiny_input, ledger=ledger,
+                          recorder=recorder)
+        assert np.abs(y.array).max() > 1e100
+        assert recorder["layers.0.ffn"][0].tobytes() == y.array.tobytes()
+        with pytest.raises(FloatingPointError), np.errstate(over="raise"):
+            gelu(recorder["layers.0.ffn.act"][0])
+        # FLOP charges depend only on shapes, so a clean input's ledger is
+        # one pass's charges: this input was charged once
+        clean = EnergyLedger()
+        float_forward(tiny_cfg, tiny_weights, tiny_input, ledger=clean)
+        assert ledger.to_dict() == clean.to_dict()
 
     def test_outlier_sample_separates_thresholds(self, tiny_cfg, tiny_weights):
         sample = sample_distribution("uniform_outliers", 16, 8,
@@ -580,10 +628,9 @@ class TestSpikeForward:
         x = tiny_input.array.copy()
         x[0, 0] = 1e200
         block = dataclasses.replace(tiny_block)
-        with pytest.raises(NonFiniteError, match=r"^the float oracle failed at site "
-                                                 r"'layers\.0\.ln1\.invsqrt': its "
-                                                 r"replay of the input overflowed to a "
-                                                 r"non-finite value$"):
+        with pytest.raises(NonFiniteError, match=r"^the float forward overflowed to a "
+                                                 r"non-finite value at site "
+                                                 r"'layers\.0\.ln1\.invsqrt'$"):
             spike_forward(block, Matrix(x))
         assert block._oracle_slot is None
 

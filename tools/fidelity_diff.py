@@ -16,12 +16,16 @@ block and on the loaded one (`<name>/loaded`):
 
 and once more on the converted default block with every input scaled by 3,
 at T = 16 (`default/x3`): there the encoders saturate and the gates clamp
-on most inputs, so those paths are compared byte for byte as well. Those
-rows run each T over all inputs in turn, so no call repeats the input of
-the call before it. The `<name>/sweep` rows run the converted block the
-other way round, each input through all of the block's step counts in
-turn, as a sweep over T does: a call there repeats the previous input at
-the next T, where spike_forward reuses that input's float oracle.
+on most inputs, so those paths are compared byte for byte as well. The
+converted default block also runs inputs of 32 rows at T = 16
+(`default/rows32`), as many as the other rows and drawn from a seed of
+their own: there the softmax offset takes the row maximum its wide branch
+computes, past 16 columns, and the gates meet rows beyond the calibrated
+eight. Those rows run each T over all inputs in turn, so no call repeats
+the input of the call before it. The `<name>/sweep` rows run the converted
+block the other way round, each input through all of the block's step
+counts in turn, as a sweep over T does: a call there repeats the previous
+input at the next T, where spike_forward reuses that input's float oracle.
 
 For every block and T the report gives the largest relative output
 difference, max|out_new - out_old| / max|out_old| over the inputs; the
@@ -90,7 +94,10 @@ CALIBRATE = {
 }
 # block name: (input scale, step count) of each scaled row, `<name>/x<scale>`
 SCALED = {"default": ((3, 16),)}
+# block name: (rows, step count) of its wide row, `<name>/rows<rows>`
+WIDE = {"default": (32, 16)}
 INPUT_SEED = 4242
+WIDE_SEED = 4343
 
 
 def block_numbers(block) -> dict:
@@ -152,10 +159,8 @@ def run_checkout(n_inputs: int, tmp: str) -> dict:
                 result["files"][name + ext] = fh.read()
         loaded = model.load_block(path)
         result["loaded"][name] = block_numbers(loaded)
-        rng = np.random.default_rng([INPUT_SEED, index])
-        xs = [sample_distribution(dist, cfg.seq_len, cfg.d_model, rng)
-              for _ in range(n_inputs)]
-        result["runs"].update(block_runs(name, block, loaded, xs, steps))
+        xs, wide = block_inputs(name, index, cfg, dist, n_inputs)
+        result["runs"].update(block_runs(name, block, loaded, xs, steps, wide))
     for name, flags in CALIBRATE.items():
         path = os.path.join(tmp, name)
         with contextlib.redirect_stdout(io.StringIO()):
@@ -166,11 +171,29 @@ def run_checkout(n_inputs: int, tmp: str) -> dict:
     return result
 
 
-def block_runs(name: str, block, loaded, xs: list, steps: tuple) -> dict:
+def block_inputs(name: str, index: int, cfg, dist: str, n_inputs: int):
+    """The block's inputs of seq_len rows, drawn from INPUT_SEED, and its
+    wide inputs of WIDE's rows, if WIDE names the block, drawn from
+    WIDE_SEED; so the wide row moves no other row's inputs."""
+    from spikeconvert.calibration import sample_distribution
+
+    rng = np.random.default_rng([INPUT_SEED, index])
+    xs = [sample_distribution(dist, cfg.seq_len, cfg.d_model, rng)
+          for _ in range(n_inputs)]
+    if name not in WIDE:
+        return xs, []
+    rng = np.random.default_rng([WIDE_SEED, index])
+    return xs, [sample_distribution(dist, WIDE[name][0], cfg.d_model, rng)
+                for _ in range(n_inputs)]
+
+
+def block_runs(name: str, block, loaded, xs: list, steps: tuple,
+               wide: list = ()) -> dict:
     """(row, T) -> one (output, output_rel_err, ledger, counters) per input:
     the converted block and the loaded one at each T, the converted block
-    on the scaled inputs of each SCALED row of name, and the converted
-    block's sweep row, input outer and T inner."""
+    on the scaled inputs of each SCALED row of name and on the wide inputs
+    at WIDE's step count, and the converted block's sweep row, input outer
+    and T inner."""
     from spikeconvert import model
     from spikeconvert.tensors import Matrix
 
@@ -178,6 +201,8 @@ def block_runs(name: str, block, loaded, xs: list, steps: tuple) -> dict:
     rows += [(name + "/loaded", loaded, xs, T) for T in steps]
     rows += [(f"{name}/x{scale}", block, [Matrix(x.array * scale) for x in xs], T)
              for scale, T in SCALED.get(name, ())]
+    if wide:
+        rows.append((f"{name}/rows{wide[0].rows}", block, wide, WIDE[name][1]))
     calls = [(key, blk, x, T) for key, blk, inputs, T in rows for x in inputs]
     calls += [(name + "/sweep", block, x, T) for x in xs for T in steps]
     runs: dict = {}

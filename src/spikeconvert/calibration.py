@@ -9,7 +9,8 @@ the exact equal-mass quantiles of a curvature density of its target, not of
 activations, so the target's bends get narrow sub-ranges (fit_target); no
 random number places them.
 
-Fitting tunes one few-step kernel per sub-range to a scalar target function.
+Fitting tunes one few-step kernel per sub-range to a scalar target function,
+a whole bank in one call of fit_fs (a bank of one sub-range is (lo, hi)).
 Thresholds and resets follow the dyadic schedule that the gated bank runs
 (defined in the neurons module docstring), so the firing bits are fixed,
 the binary digits of K = floor(u / q) that the bank fires on. Over the
@@ -18,40 +19,44 @@ independent fair coins, so the step weights that fit the target best in
 L2 have a closed form and need no solver: rung t weighs
 E[f | bit t set] - E[f | bit t clear], and the always-on first step, a
 constant term that a plain dyadic ladder cannot express, takes the mean of
-f less half the rung weights (_closed_form_weights).
+f less half the rung weights (_closed_form_weights). Every sub-range's
+weights come from one evaluation of the target on an (N, 2^_MEAN_RUNGS + 2)
+array, reduced row by row in the order a bank of one sub-range is.
 
-Errors are always reported on a validation grid of 10 M points (convert
-fits every gate at M = FIT_SAMPLES), and are decoded as the gated bank
-decodes at run time: one lookup of K's digits in a table of the in-order
-partial sums of the step weights, built with the recurrence's own products
-and additions, so it matches the recurrence bit for bit (_dyadic_decode).
-fit_target returns a bank's errors, one per sub-range, as its
-CalibrationReport, and nothing more: the target and the sample count are
-the fit's own arguments. The fit refuses the parameters the bank refuses,
-more than _MAX_GATE_STEPS steps or a sub-range whose guard step is not a
-finite normal float, and an M above _MAX_SAMPLES; fit_target refuses more
-than _MAX_SUBRANGES sub-ranges before it places a boundary.
+Errors are always reported on a validation grid of 10 M points per sub-range
+(convert fits every gate at M = FIT_SAMPLES), one sub-range at a time, and
+are decoded as the gated bank decodes at run time: one lookup of K's digits
+in a table of the in-order partial sums of the step weights, built with the
+recurrence's own products and additions, so it matches the recurrence bit
+for bit (_dyadic_decode). fit_target places a bank's boundaries and calls
+fit_fs once; it returns a bank's errors, one per sub-range, as its
+CalibrationReport, and nothing more: the target and the sample count are the
+fit's own arguments. The fit refuses the parameters the bank refuses, more
+than _MAX_GATE_STEPS steps or a sub-range whose guard step is not a finite
+normal float, and an M above _MAX_SAMPLES, naming the first sub-range that
+fails; fit_target refuses more than _MAX_SUBRANGES sub-ranges before it
+places a boundary.
 
 A fit allocates no array of the grid's size: it works in a set of arrays
 (_FitWork) that its thread keeps for the next fit at the same M and T,
-unless they take more than _KEEP_WORK_BYTES. They hold one block of the
-validation grid at a time and the decode's table. The targets of TARGETS
-write their values into them in place (out=). So convert, which makes
-every fit at one M and T, maps these pages once, not once per fit. The
-arrays are per thread, so fits may run in threads at once; a target must
-not itself call fit_fs, and no bank or error a fit returns shares their
-memory.
+unless they take more than _KEEP_WORK_BYTES. They hold one block of one
+sub-range's validation grid at a time and its decode's table. The targets of
+TARGETS write their values into them in place (out=), silu its numerator
+too. So convert, which makes every fit at one M and T, maps these pages
+once, not once per bank. The arrays are per thread, so fits may run in
+threads at once; a target must not itself call fit_fs, and no bank or error
+a fit returns shares their memory.
 """
 from __future__ import annotations
 
 import threading
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CalibrationError, FormatError
+from .errors import CalibrationError, FormatError, ShapeError
 from .neurons import HGConfig, _dyadic_digits, _gate_guards
 from .tensors import ActivationStats, Matrix
 
@@ -113,16 +118,20 @@ def gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return y
 
 
-def silu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def silu(x: np.ndarray, out: np.ndarray | None = None,
+         work: np.ndarray | None = None) -> np.ndarray:
     """x * sigmoid(x), the sigmoid as 1 / (1 + e) where x >= 0 and as
-    e / (1 + e) elsewhere, e = exp(-|x|), so that e never overflows."""
+    e / (1 + e) elsewhere, e = exp(-|x|), so that e never overflows. Its
+    numerator, 1 or e, is exp(min(x, 0)), so no mask picks a branch. work,
+    if given, is a float64 array shaped like x that the numerator goes to."""
     x, y = _out(x, out)
+    n = np.minimum(x, 0.0, out=np.empty_like(x) if work is None else work)
+    np.exp(n, out=n)
     np.abs(x, out=y)
     np.negative(y, out=y)
     np.exp(y, out=y)
-    one_plus = y + 1.0
-    y /= one_plus
-    np.divide(1.0, one_plus, out=y, where=x >= 0.0)
+    y += 1.0
+    np.divide(n, y, out=y)
     y *= x
     return y
 
@@ -292,48 +301,45 @@ def observed_range(
 # kernel fitting
 
 
-def _step_sums(d: np.ndarray, P: int, out: np.ndarray | None = None) -> np.ndarray:
+def _step_sums(d: np.ndarray, P: int, sums: np.ndarray) -> np.ndarray:
     """The 2^P in-order partial sums d[0] + b_1 d[1] + ... + b_P d[P] over
-    the first P rungs' bits: entry j's bits are j's P binary digits, rung
-    1's the top one. out, if given, is the array of 2^P entries they are
-    built in.
+    the first P rungs' bits, built in sums, an array of 2^P entries: entry
+    j's bits are j's P binary digits, rung 1's the top one.
 
-    Built with the recurrence's own products (d[t] * 0.0 for a silent step)
-    and its left-to-right additions, so signed zeros come out as the
-    recurrence's.
+    Built with the recurrence's own products and its left-to-right
+    additions, so signed zeros come out as the recurrence's. A silent step
+    adds d[t] * 0.0, a signed zero, which changes only a sum of -0.0; for
+    finite d a sum is -0.0 only if all its terms are, so those additions
+    are made only when d[0] is -0.0.
     """
-    sums = np.empty(2**P) if out is None else out
     sums[0] = d[0] * 1.0
+    silent = sums[0] == 0.0 and np.signbit(sums[0])
     for t in range(1, P + 1):
         # the sums over rungs 1..t-1 sit at entries j * 2^(P-t+1); each is
         # extended by rung t's bit 1 at 2^(P-t) past it, then by bit 0 in place
         levels = sums.reshape(2 ** (t - 1), 2, 2 ** (P - t))
         np.add(levels[:, 0, 0], d[t] * 1.0, out=levels[:, 1, 0])
-        levels[:, 0, 0] += d[t] * 0.0
+        if silent:
+            levels[:, 0, 0] += d[t] * 0.0
     return sums
 
 
-def _dyadic_decode(u: np.ndarray, w: float, d: np.ndarray,
-                   sums: np.ndarray | None = None, out: tuple | None = None) -> np.ndarray:
+def _dyadic_decode(u: np.ndarray, w: float, d: np.ndarray, sums: np.ndarray,
+                   dec: np.ndarray, K: np.ndarray) -> np.ndarray:
     """The dyadic schedule of width w decoded with step weights d on inputs
     guard <= u <= fl(w + guard): bit for bit the in-order step sum of the
     recurrence's weighted firing bits, read off the digits of
     K = floor(u / q) (_dyadic_digits).
 
     The decode is gathered from sums, the table _step_sums(d, P) of the
-    first P rungs (by default P = T - 1, or less so that the table has at
-    most u.size entries), and any rungs past P are added one at a time, in
-    order, from K's digits. out, if given, is a pair of arrays shaped like
-    u, float64 and int64: the decode is written to the first, and K to the
-    second.
+    first P <= T - 1 rungs, and any rungs past P are added one at a time,
+    in order, from K's digits. dec and K are arrays shaped like u, float64
+    and int64: the decode is written to dec, and K = floor(u / q) to K.
     """
     T = d.size
-    if sums is None:
-        sums = _step_sums(d, min(T - 1, u.size.bit_length() - 1))
     P = sums.size.bit_length() - 1
-    dec, K = (None, None) if out is None else out
     # the quotient u / q goes to the decode's array, which the gather overwrites
-    K = _dyadic_digits(u, w * 2.0 ** (1 - T), T, out=None if out is None else (K, dec))
+    K = _dyadic_digits(u, w * 2.0 ** (1 - T), T, out=(K, dec))
     # every index is within the table, so "clip" only spares a buffered copy
     dec = np.take(sums, K if P == T - 1 else K >> (T - 1 - P), out=dec, mode="clip")
     for t in range(P + 1, T):
@@ -341,33 +347,36 @@ def _dyadic_decode(u: np.ndarray, w: float, d: np.ndarray,
     return dec
 
 
-def _target_values(target: Callable, x: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """target(x) as float64, refused where it is not finite. out, if given,
-    is the array the values go to: a target of TARGETS writes them there in
-    place, any other callable's are copied there."""
+def _target_values(target: Callable, x: np.ndarray, out: np.ndarray,
+                   work: np.ndarray | None = None) -> np.ndarray:
+    """target(x) in out, a float64 array shaped like x, refused where it is
+    not finite: a target of TARGETS writes its values there in place, any
+    other callable's are copied there. work, an array shaped like x, is
+    silu's scratch."""
     with np.errstate(all="ignore"):
-        if out is None:
-            y = np.asarray(target(x), dtype=np.float64)
+        if target is silu:
+            silu(x, out=out, work=work)
         elif id(target) in _IN_PLACE:
-            y = target(x, out=out)
+            target(x, out=out)
         else:
-            y = out
-            y[...] = target(x)
-    if not np.isfinite(y).all():
-        bad = float(x[~np.isfinite(y)][0])
+            out[...] = target(x)
+    if not np.isfinite(out).all():
+        bad = float(x[~np.isfinite(out)][0])
         raise CalibrationError(f"target produced a non-finite value at x={bad}")
-    return y
+    return out
 
 
 # the midpoints of the 2^_MEAN_RUNGS equal cells of [0, 1], then its two ends
 _MEAN_POINTS = np.append((np.arange(2**_MEAN_RUNGS) + 0.5) / 2**_MEAN_RUNGS, (0.0, 1.0))
 
 
-def _closed_form_weights(target: Callable, lo: float, hi: float, T: int) -> np.ndarray:
-    """The T step weights of the dyadic schedule on [lo, hi] that fit target
-    best in L2 over the sub-range's 2^(T-1) cells of K, taken as equally
-    likely.
+def _closed_form_weights(target: Callable, bs: np.ndarray,
+                         T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (N, T) step weights, row i sub-range i's, of the dyadic schedule
+    on each sub-range between the boundaries bs that fit target best in L2
+    over the sub-range's 2^(T-1) cells of K, taken as equally likely; the
+    (N, 2^_MEAN_RUNGS + 2) points target is taken at; and whether each
+    row's values and weights are all finite.
 
     There the rung bits b_t are independent fair coins, so the centred bits
     b_t - 1/2 are orthogonal: rung t weighs
@@ -375,31 +384,35 @@ def _closed_form_weights(target: Callable, lo: float, hi: float, T: int) -> np.n
     d_0 = E[f] - (d_1 + ... + d_(T-1)) / 2. The means are taken over f at the
     midpoints of 2^_MEAN_RUNGS equal cells, one reshape per rung; a finer
     rung takes (f(hi) - f(lo)) * 2^-t, its d_t for the line through the
-    ends, which is exact for an affine target.
+    ends, which is exact for an affine target. Every row is reduced, and
+    its weights summed, as a bank of one sub-range's would be.
     """
-    x = _MEAN_POINTS * (hi - lo)
-    x += lo
-    x[-2:] = lo, hi
-    f = _target_values(target, x)
-    mids = f[:-2]
-    coarse = min(T - 1, _MEAN_RUNGS)
-    d = np.empty(T)
-    for t in range(1, coarse + 1):
-        # rung t fires on the upper half of each cell of the rungs above it
-        clear, fired = mids.reshape(2 ** (t - 1), 2, -1).mean(axis=(0, 2))
-        d[t] = fired - clear
-    d[coarse + 1:] = (f[-1] - f[-2]) * 2.0 ** -np.arange(coarse + 1, T)
-    d[0] = mids.mean() - 0.5 * d[1:].sum()
-    return d
+    x = _MEAN_POINTS * (bs[1:] - bs[:-1])[:, None] + bs[:-1, None]
+    x[:, -2], x[:, -1] = bs[:-1], bs[1:]
+    with np.errstate(all="ignore"):
+        f = np.asarray(target(x), dtype=np.float64)
+        mids = f[:, :-2]
+        coarse = min(T - 1, _MEAN_RUNGS)
+        d = np.empty((len(x), T))
+        for t in range(1, coarse + 1):
+            # rung t fires on the upper half of each cell of the rungs above it
+            halves = mids.reshape(len(x), 2 ** (t - 1), 2, -1).mean(axis=(1, 3))
+            d[:, t] = halves[:, 1] - halves[:, 0]
+        d[:, coarse + 1:] = (f[:, -1:] - f[:, -2:-1]) * 2.0 ** -np.arange(coarse + 1, T)
+        d[:, 0] = mids.mean(axis=1) - 0.5 * d[:, 1:].sum(axis=1)
+    return d, x, np.isfinite(f).all(axis=1) & np.isfinite(d).all(axis=1)
 
 
 class _FitWork:
-    """The arrays fit_fs validates in at M samples and T steps.
+    """The arrays fit_fs validates a bank in at M samples and T steps, one
+    sub-range after another.
 
     Four float64 arrays and one int64 array of L = 10 M / _VAL_BLOCKS
-    entries hold, in turn, each block of the validation grid. sums holds
-    the decode's table of partial sums over the P rungs _dyadic_decode
-    would take on the whole grid: 2^P <= min(2^(T-1), 10 M) entries.
+    entries hold, in turn, each block of a sub-range's validation grid; u
+    is silu's scratch while the target is evaluated, before it takes the
+    block's inputs. sums holds the sub-range's decode table of partial sums
+    over the P rungs _dyadic_decode would take on its whole grid:
+    2^P <= min(2^(T-1), 10 M) entries.
     """
 
     def __init__(self, M: int, T: int) -> None:
@@ -427,61 +440,73 @@ def _fit_work(M: int, T: int) -> _FitWork:
     return work
 
 
-def fit_fs(
-    target: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    T: int,
-    M: int,
-) -> tuple[HGConfig, float]:
-    """Fit one few-step kernel to target on [lo, hi]: a bank of one sub-range.
+def fit_fs(target: Callable[[np.ndarray], np.ndarray], boundaries: Sequence[float],
+           T: int, M: int) -> tuple[HGConfig, CalibrationReport]:
+    """Fit a gated bank of few-step kernels to target, one on each
+    sub-range between the increasing boundaries; a bank of one sub-range
+    is (lo, hi). Returns the bank and its error on each sub-range.
 
-    The step weights of the dyadic schedule are its L2 fit in closed form
-    (_closed_form_weights); the fit reports the max abs error over an
-    inclusive validation grid of 10 M points. Inputs are taken relative to
-    lo, which is how the gated bank seeds sub-range members.
+    The step weights of every sub-range's dyadic schedule are its L2 fit
+    in closed form, all taken from one evaluation of target
+    (_closed_form_weights); each sub-range's error is the max abs error
+    over an inclusive validation grid of 10 M points on it. Inputs are
+    taken relative to the sub-range's lo, which is how the gated bank seeds
+    sub-range members.
 
-    The validation grid is decoded from the digits of K = floor(u / q) that
-    the bank fires on by _dyadic_decode, bit for bit as the bank decodes at
-    run time. So the error is the one the bank makes. M outside
+    Each validation grid is decoded from the digits of K = floor(u / q)
+    that the bank fires on by _dyadic_decode, bit for bit as the bank
+    decodes at run time. So the error is the one the bank makes. M outside
     64.._MAX_SAMPLES and what the bank refuses (T above _MAX_GATE_STEPS, a
-    range whose guard step is not a finite normal float) are refused.
+    sub-range whose guard step is not a finite normal float) are refused,
+    and so are non-finite target values and weights. A refusal names the
+    first sub-range that fails, in boundary order, as "sub-range [a, b]: ";
+    boundaries that are not one row of at least two are refused first.
 
     The fit works in its thread's _FitWork, so a target must not fit in
     turn; nothing it returns shares memory with those arrays.
     """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if not 64 <= M <= _MAX_SAMPLES:
-        raise ValueError(f"M must be within 64..{_MAX_SAMPLES} samples, got M={M}")
-    guard = float(_gate_guards(np.array([lo, hi]), T)[0])
-    w = hi - lo
-    d = _closed_form_weights(target, lo, hi, T)
-    work = _fit_work(M, T)
-    u, x, y, K = work.u, work.x, work.y, work.K
-
-    # the validation grid np.linspace(lo, hi, 10 * M), by its own arithmetic,
-    # a block at a time, decoded as the bank decodes at run time (a BLAS
-    # d @ bits would reorder the sum), so err is the error the bank makes
-    sums = _step_sums(d, work.P, out=work.sums)
-    n_val = 10 * M
-    step = w / (n_val - 1)
-    err = np.float64(0.0)
-    for start in range(0, n_val, u.size):
-        m = min(u.size, n_val - start)
-        xb, yb, ub = x[:m], y[:m], u[:m]
-        np.add(work.index[:m], start, out=xb)
-        xb *= step
-        xb += lo
-        if start + m == n_val:
-            xb[-1] = hi
-        _target_values(target, xb, out=yb)
-        np.subtract(xb, lo, out=ub)
-        ub += guard
-        dev = _dyadic_decode(ub, w, d, sums, out=(xb, K[:m]))
-        dev -= yb
-        err = np.maximum(err, np.abs(dev, out=dev).max())
-    return HGConfig((lo, hi), d[:, None]), float(err)
+    bs = np.array(boundaries, dtype=np.float64)
+    if bs.ndim != 1 or bs.size < 2:
+        raise ShapeError(f"a bank needs a row of at least two boundaries, got shape {bs.shape}")
+    i = 0  # the sub-range a refusal names
+    try:
+        if not 64 <= M <= _MAX_SAMPLES:
+            raise ValueError(f"M must be within 64..{_MAX_SAMPLES} samples, got M={M}")
+        _gate_guards(bs[:2], T)  # T, which the weights need, and the first guard
+        d, x_mean, ok = _closed_form_weights(target, bs, T)
+        work = _fit_work(M, T)
+        n_val = 10 * M
+        errs = np.zeros(bs.size - 1)
+        for i, (lo, hi) in enumerate(zip(bs[:-1].tolist(), bs[1:].tolist())):
+            # a lo >= hi has no normal guard step either
+            guard = float(_gate_guards(bs[i:i + 2], T)[0])
+            if not ok[i]:
+                # refuses a non-finite target value, naming x, then a weight
+                _target_values(target, x_mean[i], np.empty_like(x_mean[i]))
+                HGConfig(bs[i:i + 2], d[i, :, None])
+            # the validation grid np.linspace(lo, hi, 10 * M), by its own
+            # arithmetic, a block at a time, decoded as the bank decodes at
+            # run time (a BLAS d @ bits would reorder the sum), so err is the
+            # error the bank makes
+            sums = _step_sums(d[i], work.P, work.sums)
+            step = (hi - lo) / (n_val - 1)
+            for start in range(0, n_val, work.u.size):
+                m = min(work.u.size, n_val - start)
+                xb, yb, ub = work.x[:m], work.y[:m], work.u[:m]
+                np.add(work.index[:m], start, out=xb)
+                xb *= step
+                xb += lo
+                if start + m == n_val:
+                    xb[-1] = hi
+                _target_values(target, xb, out=yb, work=ub)
+                np.subtract(xb, lo, out=ub)
+                ub += guard
+                dev = _dyadic_decode(ub, hi - lo, d[i], sums, xb, work.K[:m])
+                dev -= yb
+                errs[i] = np.maximum(errs[i], np.abs(dev, out=dev).max())
+    except (CalibrationError, ValueError) as exc:
+        raise type(exc)(f"sub-range [{bs[i]}, {bs[i + 1]}]: {exc}")
+    return HGConfig(bs, d.T), CalibrationReport(tuple(errs.tolist()))
 
 
 @dataclass(frozen=True)
@@ -538,11 +563,12 @@ def fit_target(
     curvature density (curvature_quantiles), so sub-ranges narrow where it
     bends; no fit draws a random number, and seed is accepted and unused. A
     boundary within 1e-12 of the span of the last one kept is dropped, with
-    a warning, leaving fewer sub-ranges. Each sub-range is fitted by fit_fs,
-    so N=1 is exactly fit_fs on [lo, hi]; a fit that fails names the target
-    and its sub-range. A range that starts below the target's domain floor
-    is refused, and so is one the bank refuses as a whole (_gate_guards) and
-    an N above _MAX_SUBRANGES, before a boundary is placed.
+    a warning, leaving fewer sub-ranges. The bank is fitted by one call of
+    fit_fs, so N=1 is exactly fit_fs on (lo, hi); a fit that fails names the
+    target and its first failing sub-range. A range that starts below the
+    target's domain floor is refused, and so is one the bank refuses as a
+    whole (_gate_guards) and an N above _MAX_SUBRANGES, before a boundary
+    is placed.
     """
     if N < 1:
         raise ValueError(f"need at least one sub-range, got N={N}")
@@ -567,17 +593,11 @@ def fit_target(
             f"range supports only {len(kept) - 1} distinct sub-ranges, not {N}",
             stacklevel=2,
         )
-    banks, errs = [], []
-    for a, b in zip(kept, kept[1:]):
-        try:
-            # looked up at each call: perfbench ticks its clock at calibration.fit_fs
-            bank, err = fit_fs(spec.fn, a, b, T, M)
-        except (CalibrationError, ValueError) as exc:
-            raise type(exc)(f"fit of {name!r} failed on sub-range [{a}, {b}]: {exc}")
-        banks.append(bank)
-        errs.append(err)
-    cfg = HGConfig(kept, np.hstack([bank.d for bank in banks]))
-    return cfg, CalibrationReport(tuple(errs))
+    try:
+        # looked up at each call: perfbench ticks its clock at calibration.fit_fs
+        return fit_fs(spec.fn, kept, T, M)
+    except (CalibrationError, ValueError) as exc:
+        raise type(exc)(f"fit of {name!r} failed on {exc}")
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,12 @@ BETTER = {"convert_s": "lower", "setup_s": "lower", "seq_per_s": "higher",
 BOUNDS = {"convert_s": 0.25, "setup_s": 0.25, "seq_per_s": 0.25}
 
 
-def canned(convert=0.3, convert_wall=0.4, seq=300.0, failed=0):
-    """The certify stdout with convert_s, its wall note, seq_per_s and the
-    failed count replaced."""
+def canned(convert=0.3, convert_wall=0.4, seq=300.0, failed=0, kernel=(1.22, 263)):
+    """The certify stdout with convert_s, its wall note, seq_per_s, the
+    failed count and the fit kernel's speed ratio and run count replaced."""
     lines = CERTIFY.strip().splitlines()
+    lines[3] = (f"fit kernel: median 3.102 ms over {kernel[1]} runs, "
+                f"{kernel[0]:.2f}x its uncontended 2.55 ms")
     result = json.loads(lines[-1])
     result["metrics"]["convert_s"]["value"] = convert
     result["metrics"]["seq_per_s"]["value"] = seq
@@ -55,6 +57,7 @@ def test_parse_run_reads_metrics_walls_and_failures():
     assert run["setup_s wall"] == 0.001223
     assert "sweep_s wall" not in run  # only the fit-scaled metrics
     assert run["failed"] == 0.0
+    assert run["fit kernel"] == 1.22 and run["fit kernel runs"] == 263.0
 
 
 def test_workloads_length_and_directions_come_from_the_benchmark_declaration():
@@ -82,6 +85,18 @@ def test_table_gives_medians_quartiles_ratio_and_wins():
     assert rows["failed checks"] == "| failed checks | 0 | 5 | | | |"
     assert warnings == []
     assert set(rows) >= {"convert_s wall", "setup_s wall"}
+
+
+def test_fit_kernel_row_gives_each_sides_median_speed_and_run_count():
+    parent = [bench_pairs.parse_run(canned(kernel=k))
+              for k in ((1.10, 200), (1.30, 260), (1.20, 250))]
+    change = [bench_pairs.parse_run(canned(kernel=k))
+              for k in ((0.90, 12), (0.95, 10), (1.00, 11))]
+    lines, warnings = bench_pairs.summarize("certify", parent, change, BETTER, BOUNDS)
+    # after the failed checks, with no wins and no bound
+    assert lines[-2].startswith("| failed checks |")
+    assert lines[-1] == "| fit kernel | 1.20x, 250 runs | 0.95x, 11 runs | 0.792 | | |"
+    assert warnings == []
 
 
 def test_warns_when_scaled_and_wall_ratios_split():

@@ -42,7 +42,7 @@ def test_every_probe_resolves_and_is_restored(layertrace):
 
 def test_fit_fs_is_a_module_level_callable(monkeypatch):
     # perfbench/run.py scales convert by ticking its clock at calibration.fit_fs,
-    # which fit_target must look up through the module for every sub-range
+    # which fit_target must look up through the module, once per bank
     assert callable(calibration.fit_fs)
     assert calibration.fit_fs.__module__ == calibration.__name__
     fit_fs, calls = calibration.fit_fs, []
@@ -52,5 +52,6 @@ def test_fit_fs_is_a_module_level_callable(monkeypatch):
         return fit_fs(*args)
 
     monkeypatch.setattr(calibration, "fit_fs", ticked)
-    calibration.fit_target("gelu", 3, 4, 64, seed=0, lo=-1.0, hi=1.0)
-    assert len(calls) == 3
+    bank, _ = calibration.fit_target("gelu", 3, 4, 64, seed=0, lo=-1.0, hi=1.0)
+    assert len(calls) == 1
+    assert calls[0][1] == bank.boundaries.tolist() and len(calls[0][1]) == 4

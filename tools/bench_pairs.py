@@ -29,7 +29,10 @@ parent's by more than that: the benchmark gate would refuse such a change.
 Each such row is also named in a warning below the table. The rows
 `convert_s wall` and `setup_s wall` are the wall-clock medians that
 perfbench prints next to those scaled times, and failed checks are summed
-per side; none of those has a bound.
+per side. The `fit kernel` row gives each side's median of the fit
+kernel's speed, perfbench's "x its uncontended" ratio, and of the number of
+times it ran, with the ratio of the two medians. None of those rows has a
+bound.
 
 A run that exits non-zero (perfbench does when too many operations fail to
 measure anything) is counted as a broken run of its side, its stderr is
@@ -40,7 +43,8 @@ perfbench scales convert_s and setup_s by a fit kernel timed next to them,
 and that kernel's speed follows the heap the measured code leaves
 (ROADMAP item 1). So where a scaled ratio and its wall ratio differ by
 more than WALL_SPLIT, it prints a warning with both ratios: a move there
-may be the reference kernel's, not the change's.
+may be the reference kernel's, not the change's. The `fit kernel` row shows
+whether that kernel ran at the same speed on both sides.
 
 Nothing is written into the repository; the copies are removed at exit.
 """
@@ -64,6 +68,7 @@ WALLED = ("convert_s", "setup_s")  # scaled metrics whose wall medians perfbench
 WALL_SPLIT = 0.10
 PAIRS = 10
 _WALL_NOTE = re.compile(r"^(\w+)\s+\S+\s+\S+\s.*; wall (\S+) s$")
+_FIT_KERNEL = re.compile(r"^fit kernel: median \S+ ms over (\d+) runs, (\S+)x its uncontended")
 
 
 def export(ref: str, dest: str, repo: str = _ROOT) -> None:
@@ -89,7 +94,9 @@ def run_one(copy: str, workload: str, seed: int, seconds: float) -> str | None:
 
 def parse_run(stdout: str) -> dict[str, float]:
     """A run's metrics, from the JSON object on its last line, plus
-    `<metric> wall` for each of WALLED, read from its notes, and `failed`."""
+    `<metric> wall` for each of WALLED, read from its notes, `fit kernel`
+    and `fit kernel runs`, the fit kernel's speed ratio and run count, and
+    `failed`."""
     lines = stdout.strip().splitlines()
     result = json.loads(lines[-1])
     out = {k: float(v["value"]) for k, v in result["metrics"].items()}
@@ -97,6 +104,9 @@ def parse_run(stdout: str) -> dict[str, float]:
         m = _WALL_NOTE.match(line)
         if m and m.group(1) in WALLED:
             out[m.group(1) + " wall"] = float(m.group(2))
+        m = _FIT_KERNEL.match(line)
+        if m:
+            out["fit kernel runs"], out["fit kernel"] = float(m.group(1)), float(m.group(2))
     out["failed"] = float(result["failed"])
     return out
 
@@ -152,6 +162,11 @@ def summarize(workload: str, parent: list[dict], change: list[dict],
                      f"| {cm / pm:.3f} | {wins}/{len(p)} | {bound} |")
     lines.append(f"| failed checks | {sum(r['failed'] for r in parent):g} "
                  f"| {sum(r['failed'] for r in change):g} | | | |")
+    if all("fit kernel" in run for run in parent + change):
+        pk, ck = (np.median([r["fit kernel"] for r in runs]) for runs in (parent, change))
+        pr, cr = (np.median([r["fit kernel runs"] for r in runs]) for runs in (parent, change))
+        lines.append(f"| fit kernel | {pk:.2f}x, {pr:g} runs | {ck:.2f}x, {cr:g} runs "
+                     f"| {ck / pk:.3f} | | |")
     for name in WALLED:
         if name not in medians or name + " wall" not in medians:
             continue

@@ -19,28 +19,58 @@ independent fair coins, so the step weights that fit the target best in
 L2 have a closed form and need no solver: rung t weighs
 E[f | bit t set] - E[f | bit t clear], and the always-on first step, a
 constant term that a plain dyadic ladder cannot express, takes the mean of
-f less half the rung weights (_closed_form_weights). Every sub-range's
-weights come from one evaluation of the target on an (N, 2^_MEAN_RUNGS + 2)
-array, reduced row by row in the order a bank of one sub-range is.
+f less half the rung weights (_closed_form_weights). The weights come from
+evaluations of the target on (_WEIGHT_ROWS, 2^_MEAN_RUNGS + 2) arrays of
+points, reduced row by row in the order a bank of one sub-range is.
 
 Errors are always reported on a validation grid of 10 M points per sub-range
 (convert fits every gate at M = FIT_SAMPLES), one sub-range at a time, and
 are decoded as the gated bank decodes at run time: one lookup of K's digits
 in a table of the in-order partial sums of the step weights, built with the
 recurrence's own products and additions, so it matches the recurrence bit
-for bit (_dyadic_decode). fit_target places a bank's boundaries and calls
-fit_fs once; it returns a bank's errors, one per sub-range, as its
-CalibrationReport, and nothing more: the target and the sample count are the
-fit's own arguments. The fit refuses the parameters the bank refuses, more
-than _MAX_GATE_STEPS steps or a sub-range whose guard step is not a finite
-normal float, and an M above _MAX_SAMPLES, naming the first sub-range that
-fails; fit_target refuses more than _MAX_SUBRANGES sub-ranges before it
-places a boundary.
+for bit (_dyadic_decode). Where a sub-range reads the shared digits below,
+what remains per grid point is x, the target's value there, one gather and
+the running max. A non-finite target value makes the max non-finite, and
+only then are the block's target values checked, so the refusal names the
+first such x.
+
+The digits of K are the same on nearly every sub-range. Point j of the
+n = 10 M point grid on [lo, hi], W = fl(hi - lo), enters the bank as
+u_j = fl(fl(x_j - lo) + g) with x_j = fl(fl(j s) + lo), s = fl(W / (n - 1)),
+and without rounding u_j / q is t_j = j 2^(T-1) / (n - 1) + 2^-9, as
+q = W 2^(1-T) and g = W 2^-(T+8): the same on every sub-range. So
+K_j = min(floor(t_j), 2^(T-1) - 1) is computed once per (M, T), exactly in
+integers, with delta_min, the least distance from any t_j, j < n - 1, to
+an integer (_grid_digits; 4.77e-8 at M = 4096, T = 16). The bound: each of
+the five roundings moves its result by at most eps = 2^-53 of it, and for
+j < n - 1, |fl(j s)| <= W (1 + 3 eps) and |x_j| <= |lo| + W (1 + 3 eps). So
+u_j is within eps (5.004 W + |lo|) + O(eps^2) of j W / (n - 1) + g, and
+u_j / q within 2^(T-54) (5.02 + 1.0001 |lo| / W) cells of t_j. A result in
+the subnormal range errs by up to 2^-1075 absolutely instead, under 2^-58
+cells for all five, as q = g 2^9 >= 2^-1013. Both together stay below
+nu = 2^(T-50) (1 + max(|lo|, |hi|) / W) (_rounding_bound). Where
+nu < delta_min no u_j / q leaves the cell of t_j, so floor(u_j / q), the
+digits _dyadic_digits gives, is floor(t_j); the last point, hi, enters as
+fl(W + g) >= W, so both cap it at 2^(T-1) - 1. There a sub-range reads its
+grid's digits from the table. Elsewhere, on a sub-range far from 0 for its
+width or at T above about 25 (M = 4096), it computes u and its digits per
+point. Either way the digits, and so every error, are the same.
+
+fit_target places a bank's boundaries and calls fit_fs once; it returns a
+bank's errors, one per sub-range, as its CalibrationReport, and nothing
+more: the target and the sample count are the fit's own arguments. The fit
+refuses the parameters the bank refuses, more than _MAX_GATE_STEPS steps or
+a sub-range whose guard step is not a finite normal float, and an M above
+_MAX_SAMPLES, naming the first sub-range that fails; fit_target refuses
+more than _MAX_SUBRANGES sub-ranges before it places a boundary.
 
 A fit allocates no array of the grid's size: it works in a set of arrays
 (_FitWork) that its thread keeps for the next fit at the same M and T,
 unless they take more than _KEEP_WORK_BYTES. They hold one block of one
-sub-range's validation grid at a time and its decode's table. The targets of
+sub-range's validation grid at a time, its decode's table and the grid's
+digits. The closed-form weights take the target _WEIGHT_ROWS sub-ranges at
+a time, and the digits are built _DIGIT_CHUNK at a time, so no temporary
+reaches glibc's default 128 KiB mmap threshold at M = 4096. The targets of
 TARGETS write their values into them in place (out=), silu its numerator
 too. So convert, which makes every fit at one M and T, maps these pages
 once, not once per bank. The arrays are per thread, so fits may run in
@@ -71,7 +101,9 @@ _GRID_CELLS = 2048
 # the fraction of the observed span a gate's fitted range adds on each side
 _RANGE_PAD = 0.1
 # The most samples M a fit takes: fit_fs validates on 10 * M grid points, a
-# block at a time in five arrays, 100 MiB at this ceiling.
+# block at a time in five arrays, 100 MiB at this ceiling, and reads their
+# digits from a table of 8 * 10 M bytes, 80 MiB more; from T = 24 its decode
+# table takes 2^23 entries, 64 MiB (_FitWork).
 _MAX_SAMPLES = 2**20
 # The samples M at which convert fits every gate site, and the default of
 # `calibrate --samples`: M sizes only the 10 * M-point grid a fit's error is
@@ -84,14 +116,21 @@ _MAX_SUBRANGES = 1000
 # rungs from the target at the midpoints of the 2^_MEAN_RUNGS equal cells of
 # a sub-range; finer rungs take the target's mean slope.
 _MEAN_RUNGS = 8
+# The most sub-ranges whose weights are taken from one array of target
+# values: a block of (32, 2^_MEAN_RUNGS + 2) float64 takes 66 KiB, within
+# glibc's default 128 KiB mmap threshold, so no bank maps and frees it anew.
+_WEIGHT_ROWS = 32
+# The most grid digits _grid_digits builds in one numpy pass: its int64
+# temporaries then take 32 KiB each, also within that threshold.
+_DIGIT_CHUNK = 4096
 # A fit decodes its validation grid in this many blocks: fewer keep more
 # memory, more make more numpy calls. At M = 4096 on a 2-vCPU Xeon, 2 to 4
 # blocks fitted equally fast and 10 blocks 17 % slower.
 _VAL_BLOCKS = 4
 # The most bytes of work arrays a thread keeps from one fit to the next (a
-# fit at M = 4096, T = 16 takes 0.64 MiB: five arrays of 10240 float64 or
-# int64 entries and a 2^15-entry table, 671 744 B); larger ones are made
-# per fit.
+# fit at M = 4096, T = 16 takes 0.95 MiB: five arrays of 10240 float64 or
+# int64 entries, a 2^15-entry table and the grid's 40960 digits,
+# 999 424 B); larger ones are made per fit.
 _KEEP_WORK_BYTES = 2**24
 
 
@@ -324,22 +363,19 @@ def _step_sums(d: np.ndarray, P: int, sums: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _dyadic_decode(u: np.ndarray, w: float, d: np.ndarray, sums: np.ndarray,
-                   dec: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """The dyadic schedule of width w decoded with step weights d on inputs
-    guard <= u <= fl(w + guard): bit for bit the in-order step sum of the
-    recurrence's weighted firing bits, read off the digits of
-    K = floor(u / q) (_dyadic_digits).
+def _dyadic_decode(K: np.ndarray, d: np.ndarray, sums: np.ndarray,
+                   dec: np.ndarray) -> np.ndarray:
+    """The dyadic schedule with step weights d decoded from the digits of
+    K = floor(u / q) (_dyadic_digits), into dec, a float64 array shaped like
+    K: bit for bit the in-order step sum of the recurrence's weighted firing
+    bits.
 
     The decode is gathered from sums, the table _step_sums(d, P) of the
     first P <= T - 1 rungs, and any rungs past P are added one at a time,
-    in order, from K's digits. dec and K are arrays shaped like u, float64
-    and int64: the decode is written to dec, and K = floor(u / q) to K.
+    in order, from K's digits.
     """
     T = d.size
     P = sums.size.bit_length() - 1
-    # the quotient u / q goes to the decode's array, which the gather overwrites
-    K = _dyadic_digits(u, w * 2.0 ** (1 - T), T, out=(K, dec))
     # every index is within the table, so "clip" only spares a buffered copy
     dec = np.take(sums, K if P == T - 1 else K >> (T - 1 - P), out=dec, mode="clip")
     for t in range(P + 1, T):
@@ -347,12 +383,47 @@ def _dyadic_decode(u: np.ndarray, w: float, d: np.ndarray, sums: np.ndarray,
     return dec
 
 
-def _target_values(target: Callable, x: np.ndarray, out: np.ndarray,
-                   work: np.ndarray | None = None) -> np.ndarray:
-    """target(x) in out, a float64 array shaped like x, refused where it is
-    not finite: a target of TARGETS writes its values there in place, any
-    other callable's are copied there. work, an array shaped like x, is
-    silu's scratch."""
+def _grid_digits(n: int, T: int) -> tuple[np.ndarray, float]:
+    """The digits K_j = min(floor(t_j), 2^(T-1) - 1) of an n-point
+    validation grid at T steps, t_j = j 2^(T-1) / (n - 1) + 2^-9, as int64,
+    and delta_min, the least distance from any t_j, j < n - 1, to an
+    integer (the module docstring has why they are the grid's digits).
+
+    Exact in int64: with 2^(T-1) = a (n - 1) + r, t_j is
+    j a + (512 j r + n - 1) / D, D = 512 (n - 1), and 512 j r < 2^56 for
+    n <= 10 _MAX_SAMPLES. Built _DIGIT_CHUNK entries at a time.
+    """
+    a, r = divmod(2 ** (T - 1), n - 1)
+    D = 512 * (n - 1)
+    K = np.empty(n, dtype=np.int64)
+    near = D
+    for start in range(0, n, _DIGIT_CHUNK):
+        j = np.arange(start, min(start + _DIGIT_CHUNK, n), dtype=np.int64)
+        k = K[start:start + j.size]
+        num = j * (512 * r)
+        num += n - 1
+        np.divmod(num, D, out=(k, num))
+        j *= a
+        k += j
+        rem = num[:n - 1 - start]  # t_(n-1) = 2^(T-1) + 2^-9 is always capped
+        if rem.size:
+            near = min(near, int(rem.min()), D - int(rem.max()))
+    np.minimum(K, 2 ** (T - 1) - 1, out=K)
+    return K, near / D
+
+
+def _rounding_bound(lo: float, hi: float, T: int) -> float:
+    """nu = 2^(T-50) (1 + max(|lo|, |hi|) / (hi - lo)): more than the
+    cells by which rounding may move the validation grid's u / q off t_j on
+    the sub-range [lo, hi] at T steps (the module docstring has the bound)."""
+    return 2.0 ** (T - 50) * (1.0 + max(abs(lo), abs(hi)) / (hi - lo))
+
+
+def _evaluate(target: Callable, x: np.ndarray, out: np.ndarray,
+              work: np.ndarray | None = None) -> np.ndarray:
+    """target(x) in out, a float64 array shaped like x, unchecked: a target
+    of TARGETS writes its values there in place, any other callable's are
+    copied there. work, an array shaped like x, is silu's scratch."""
     with np.errstate(all="ignore"):
         if target is silu:
             silu(x, out=out, work=work)
@@ -360,6 +431,14 @@ def _target_values(target: Callable, x: np.ndarray, out: np.ndarray,
             target(x, out=out)
         else:
             out[...] = target(x)
+    return out
+
+
+def _target_values(target: Callable, x: np.ndarray, out: np.ndarray,
+                   work: np.ndarray | None = None) -> np.ndarray:
+    """_evaluate's values of target at x in out, refused where they are not
+    finite, naming the first such x."""
+    _evaluate(target, x, out, work)
     if not np.isfinite(out).all():
         bad = float(x[~np.isfinite(out)][0])
         raise CalibrationError(f"target produced a non-finite value at x={bad}")
@@ -370,13 +449,23 @@ def _target_values(target: Callable, x: np.ndarray, out: np.ndarray,
 _MEAN_POINTS = np.append((np.arange(2**_MEAN_RUNGS) + 0.5) / 2**_MEAN_RUNGS, (0.0, 1.0))
 
 
+def _mean_points(bs: np.ndarray) -> np.ndarray:
+    """The (N, 2^_MEAN_RUNGS + 2) points the closed-form weights take the
+    target at, row i on the sub-range between bs[i] and bs[i + 1]: the
+    midpoints of its 2^_MEAN_RUNGS equal cells, then its two ends."""
+    x = np.multiply.outer(bs[1:] - bs[:-1], _MEAN_POINTS)
+    x += bs[:-1, None]
+    x[:, -2], x[:, -1] = bs[:-1], bs[1:]
+    return x
+
+
 def _closed_form_weights(target: Callable, bs: np.ndarray,
-                         T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                         T: int) -> tuple[np.ndarray, np.ndarray]:
     """The (N, T) step weights, row i sub-range i's, of the dyadic schedule
     on each sub-range between the boundaries bs that fit target best in L2
-    over the sub-range's 2^(T-1) cells of K, taken as equally likely; the
-    (N, 2^_MEAN_RUNGS + 2) points target is taken at; and whether each
-    row's values and weights are all finite.
+    over the sub-range's 2^(T-1) cells of K, taken as equally likely; and
+    whether each row's target values at its _mean_points and its weights
+    are all finite.
 
     There the rung bits b_t are independent fair coins, so the centred bits
     b_t - 1/2 are orthogonal: rung t weighs
@@ -384,23 +473,28 @@ def _closed_form_weights(target: Callable, bs: np.ndarray,
     d_0 = E[f] - (d_1 + ... + d_(T-1)) / 2. The means are taken over f at the
     midpoints of 2^_MEAN_RUNGS equal cells, one reshape per rung; a finer
     rung takes (f(hi) - f(lo)) * 2^-t, its d_t for the line through the
-    ends, which is exact for an affine target. Every row is reduced, and
-    its weights summed, as a bank of one sub-range's would be.
+    ends, which is exact for an affine target. The target is taken
+    _WEIGHT_ROWS sub-ranges at a time, and every row is reduced, and its
+    weights summed, as a bank of one sub-range's would be.
     """
-    x = _MEAN_POINTS * (bs[1:] - bs[:-1])[:, None] + bs[:-1, None]
-    x[:, -2], x[:, -1] = bs[:-1], bs[1:]
-    with np.errstate(all="ignore"):
-        f = np.asarray(target(x), dtype=np.float64)
-        mids = f[:, :-2]
-        coarse = min(T - 1, _MEAN_RUNGS)
-        d = np.empty((len(x), T))
-        for t in range(1, coarse + 1):
-            # rung t fires on the upper half of each cell of the rungs above it
-            halves = mids.reshape(len(x), 2 ** (t - 1), 2, -1).mean(axis=(1, 3))
-            d[:, t] = halves[:, 1] - halves[:, 0]
-        d[:, coarse + 1:] = (f[:, -1:] - f[:, -2:-1]) * 2.0 ** -np.arange(coarse + 1, T)
-        d[:, 0] = mids.mean(axis=1) - 0.5 * d[:, 1:].sum(axis=1)
-    return d, x, np.isfinite(f).all(axis=1) & np.isfinite(d).all(axis=1)
+    coarse = min(T - 1, _MEAN_RUNGS)
+    d = np.empty((bs.size - 1, T))
+    ok = np.empty(bs.size - 1, dtype=bool)
+    for r in range(0, bs.size - 1, _WEIGHT_ROWS):
+        x = _mean_points(bs[r:r + _WEIGHT_ROWS + 1])
+        rows = d[r:r + len(x)]
+        with np.errstate(all="ignore"):
+            f = np.asarray(target(x), dtype=np.float64)
+            mids = f[:, :-2]
+            for t in range(1, coarse + 1):
+                # rung t fires on the upper half of each cell of the rungs above it
+                halves = mids.reshape(len(x), 2 ** (t - 1), 2, -1).mean(axis=(1, 3))
+                rows[:, t] = halves[:, 1] - halves[:, 0]
+            rows[:, coarse + 1:] = (f[:, -1:] - f[:, -2:-1]) * 2.0 ** -np.arange(coarse + 1, T)
+            rows[:, 0] = mids.mean(axis=1) - 0.5 * rows[:, 1:].sum(axis=1)
+        ok[r:r + len(x)] = np.isfinite(f).all(axis=1) & np.isfinite(rows).all(axis=1)
+        del x, f, mids  # so no two blocks' points and values live at once
+    return d, ok
 
 
 class _FitWork:
@@ -410,9 +504,12 @@ class _FitWork:
     Four float64 arrays and one int64 array of L = 10 M / _VAL_BLOCKS
     entries hold, in turn, each block of a sub-range's validation grid; u
     is silu's scratch while the target is evaluated, before it takes the
-    block's inputs. sums holds the sub-range's decode table of partial sums
-    over the P rungs _dyadic_decode would take on its whole grid:
-    2^P <= min(2^(T-1), 10 M) entries.
+    block's inputs where the sub-range computes its digits per point.
+    sums holds the sub-range's decode table of partial sums over the P
+    rungs _dyadic_decode would take on its whole grid:
+    2^P <= min(2^(T-1), 10 M) entries. digits holds the 10 M digits that
+    every sub-range whose rounding bound is below delta reads its grid's
+    decode from (_grid_digits).
     """
 
     def __init__(self, M: int, T: int) -> None:
@@ -423,7 +520,8 @@ class _FitWork:
         self.K = np.empty(L, dtype=np.int64)
         self.P = min(T - 1, (10 * M).bit_length() - 1)
         self.sums = np.empty(2**self.P)
-        self.nbytes = 5 * self.u.nbytes + self.sums.nbytes
+        self.digits, self.delta = _grid_digits(10 * M, T)
+        self.nbytes = 5 * self.u.nbytes + self.sums.nbytes + self.digits.nbytes
 
 
 _FIT_WORK = threading.local()
@@ -440,6 +538,17 @@ def _fit_work(M: int, T: int) -> _FitWork:
     return work
 
 
+def _grid_block(xb: np.ndarray, index: np.ndarray, start: int, step: float,
+                lo: float, hi: float, n: int) -> None:
+    """Points start.. of the n-point validation grid on [lo, hi] with the
+    given step, into xb: np.linspace's arithmetic, its last point hi."""
+    np.add(index, start, out=xb)
+    xb *= step
+    xb += lo
+    if start + xb.size == n:
+        xb[-1] = hi
+
+
 def fit_fs(target: Callable[[np.ndarray], np.ndarray], boundaries: Sequence[float],
            T: int, M: int) -> tuple[HGConfig, CalibrationReport]:
     """Fit a gated bank of few-step kernels to target, one on each
@@ -447,7 +556,7 @@ def fit_fs(target: Callable[[np.ndarray], np.ndarray], boundaries: Sequence[floa
     is (lo, hi). Returns the bank and its error on each sub-range.
 
     The step weights of every sub-range's dyadic schedule are its L2 fit
-    in closed form, all taken from one evaluation of target
+    in closed form, taken from target _WEIGHT_ROWS sub-ranges at a time
     (_closed_form_weights); each sub-range's error is the max abs error
     over an inclusive validation grid of 10 M points on it. Inputs are
     taken relative to the sub-range's lo, which is how the gated bank seeds
@@ -455,7 +564,10 @@ def fit_fs(target: Callable[[np.ndarray], np.ndarray], boundaries: Sequence[floa
 
     Each validation grid is decoded from the digits of K = floor(u / q)
     that the bank fires on by _dyadic_decode, bit for bit as the bank
-    decodes at run time. So the error is the one the bank makes. M outside
+    decodes at run time. So the error is the one the bank makes. The
+    digits are read from the grid's shared table where _rounding_bound is
+    below its delta_min, and computed per point elsewhere (the module
+    docstring has the proof that the two agree there). M outside
     64.._MAX_SAMPLES and what the bank refuses (T above _MAX_GATE_STEPS, a
     sub-range whose guard step is not a finite normal float) are refused,
     and so are non-finite target values and weights. A refusal names the
@@ -473,7 +585,7 @@ def fit_fs(target: Callable[[np.ndarray], np.ndarray], boundaries: Sequence[floa
         if not 64 <= M <= _MAX_SAMPLES:
             raise ValueError(f"M must be within 64..{_MAX_SAMPLES} samples, got M={M}")
         _gate_guards(bs[:2], T)  # T, which the weights need, and the first guard
-        d, x_mean, ok = _closed_form_weights(target, bs, T)
+        d, ok = _closed_form_weights(target, bs, T)
         work = _fit_work(M, T)
         n_val = 10 * M
         errs = np.zeros(bs.size - 1)
@@ -482,28 +594,37 @@ def fit_fs(target: Callable[[np.ndarray], np.ndarray], boundaries: Sequence[floa
             guard = float(_gate_guards(bs[i:i + 2], T)[0])
             if not ok[i]:
                 # refuses a non-finite target value, naming x, then a weight
-                _target_values(target, x_mean[i], np.empty_like(x_mean[i]))
+                x_mean = _mean_points(bs[i:i + 2])[0]
+                _target_values(target, x_mean, np.empty_like(x_mean))
                 HGConfig(bs[i:i + 2], d[i, :, None])
             # the validation grid np.linspace(lo, hi, 10 * M), by its own
             # arithmetic, a block at a time, decoded as the bank decodes at
             # run time (a BLAS d @ bits would reorder the sum), so err is the
             # error the bank makes
             sums = _step_sums(d[i], work.P, work.sums)
+            shared = _rounding_bound(lo, hi, T) < work.delta
             step = (hi - lo) / (n_val - 1)
             for start in range(0, n_val, work.u.size):
                 m = min(work.u.size, n_val - start)
                 xb, yb, ub = work.x[:m], work.y[:m], work.u[:m]
-                np.add(work.index[:m], start, out=xb)
-                xb *= step
-                xb += lo
-                if start + m == n_val:
-                    xb[-1] = hi
-                _target_values(target, xb, out=yb, work=ub)
-                np.subtract(xb, lo, out=ub)
-                ub += guard
-                dev = _dyadic_decode(ub, hi - lo, d[i], sums, xb, work.K[:m])
+                _grid_block(xb, work.index[:m], start, step, lo, hi, n_val)
+                _evaluate(target, xb, yb, ub)
+                if shared:
+                    K = work.digits[start:start + m]
+                else:
+                    np.subtract(xb, lo, out=ub)
+                    ub += guard
+                    # the quotient u / q goes to xb, which the decode overwrites
+                    K = _dyadic_digits(ub, (hi - lo) * 2.0 ** (1 - T), T,
+                                       out=(work.K[:m], xb))
+                dev = _dyadic_decode(K, d[i], sums, xb)
                 dev -= yb
-                errs[i] = np.maximum(errs[i], np.abs(dev, out=dev).max())
+                err = np.abs(dev, out=dev).max()
+                if not np.isfinite(err):
+                    # a non-finite target value is refused, naming its x
+                    _grid_block(xb, work.index[:m], start, step, lo, hi, n_val)
+                    _target_values(target, xb, yb, ub)
+                errs[i] = np.maximum(errs[i], err)
     except (CalibrationError, ValueError) as exc:
         raise type(exc)(f"sub-range [{bs[i]}, {bs[i + 1]}]: {exc}")
     return HGConfig(bs, d.T), CalibrationReport(tuple(errs.tolist()))

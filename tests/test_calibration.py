@@ -1,9 +1,11 @@
 """Threshold selection and kernel fitting against quantile/LSQ oracles."""
 import dataclasses
+import math
 import sys
 import threading
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -17,8 +19,12 @@ from spikeconvert.calibration import (
     TARGETS,
     _MAX_SAMPLES,
     _MEAN_RUNGS,
+    _VAL_BLOCKS,
     CalibrationReport,
+    _FitWork,
     _dyadic_decode,
+    _grid_digits,
+    _rounding_bound,
     _step_sums,
     _target_values,
     _curvature_density,
@@ -34,7 +40,7 @@ from spikeconvert.calibration import (
 )
 from spikeconvert.errors import CalibrationError, ShapeError
 from spikeconvert.model import ModelConfig, convert
-from spikeconvert.neurons import _MAX_GATE_STEPS, HGConfig, _sum_steps, hg_eval
+from spikeconvert.neurons import _MAX_GATE_STEPS, HGConfig, _dyadic_digits, _sum_steps, hg_eval
 from spikeconvert.tensors import Matrix, percentile, stats
 
 
@@ -443,8 +449,8 @@ def decode(u, w, d):
     the fit builds for a grid of u.size points: its first
     P = min(T - 1, floor(log2 u.size)) rungs."""
     P = min(d.size - 1, u.size.bit_length() - 1)
-    return _dyadic_decode(u, w, d, _step_sums(d, P, np.empty(2**P)),
-                          np.empty(u.size), np.empty(u.size, dtype=np.int64))
+    K = _dyadic_digits(u, w * 2.0 ** (1 - d.size), d.size)
+    return _dyadic_decode(K, d, _step_sums(d, P, np.empty(2**P)), np.empty(u.size))
 
 
 _D16 = np.array([0.5, -0.0, -1.25, 3.0, 0.0, -0.0, 2.5, -7.0,
@@ -613,6 +619,103 @@ class TestOneScheduleFit:
         assert block.reports == ref.reports
 
 
+def exact_grid_digits(n, T):
+    """The digits min(floor(t_j), 2^(T-1) - 1) of the n-point grid at T
+    steps, t_j = j 2^(T-1) / (n - 1) + 2^-9, and the least distance from
+    t_j, j < n - 1, to an integer, in exact rationals."""
+    t = [Fraction(j * 2 ** (T - 1), n - 1) + Fraction(1, 512) for j in range(n)]
+    K = [min(math.floor(tj), 2 ** (T - 1) - 1) for tj in t]
+    return K, min(min(tj - math.floor(tj), math.ceil(tj) - tj) for tj in t[:-1])
+
+
+@st.composite
+def bound_cases(draw):
+    """T, M and a sub-range [lo, lo + W]: |lo| / W up to 1e6, or a fraction of
+    the largest ratio at which the rounding bound stays below delta_min, and
+    W from the guard's normal limit 2^(T-1014) up to 2^10."""
+    T = draw(st.integers(1, _MAX_GATE_STEPS))
+    M = draw(st.sampled_from((64, 4096)))
+    W = math.ldexp(draw(st.floats(0.5, 1.0)), draw(st.integers(T - 1013, 10)))
+    room = _grid_digits(10 * M, T)[1] * 2.0 ** (50 - T) - 1.0
+    ratio = draw(st.floats(0.0, 1e6) | st.floats(0.0, 1.0).map(lambda f: f * max(room, 0.0)))
+    lo = draw(st.sampled_from((-1.0, 1.0))) * ratio * W
+    return T, M, lo, W
+
+
+_FAR = ("reciprocal", 1000.0, 1000.5)  # fidelity_diff's calibrate_far.json fit
+
+
+class TestSharedDigits:
+    """The validation grid's digits of K, read from one table per (M, T)
+    where the rounding bound allows and computed per point elsewhere."""
+
+    @pytest.mark.parametrize("M, T", [(64, 1), (64, 2), (64, 9), (64, 10), (64, 16),
+                                      (64, 25), (64, 40), (64, 52), (4096, 16)])
+    def test_grid_digits_are_exact(self, M, T):
+        K, delta = _grid_digits(10 * M, T)
+        want_K, want_delta = exact_grid_digits(10 * M, T)
+        assert K.tolist() == want_K
+        assert delta == float(want_delta)
+
+    def test_delta_min_at_the_default_samples(self):
+        assert _grid_digits(40960, 16)[1] == pytest.approx(4.77e-8, rel=1e-3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=bound_cases())
+    @example(case=(16, 4096, -5.0, 10.0))  # gelu's default range
+    @example(case=(25, 4096, 0.0, 1.0))  # the most steps on the shared path
+    @example(case=(1, 64, 0.0, 2.0**-1013))  # the smallest W: subnormal steps
+    @example(case=(38, 64, 0.0, 1.0))
+    @example(case=(16, 4096, 1000.0, 0.0625))  # a far sub-range: per point
+    def test_shared_digits_are_the_grids_where_the_bound_holds(self, case):
+        # where nu < delta_min, rounding moves no u / q off t_j's cell, so the
+        # table holds _dyadic_digits of the grid's u at every point
+        T, M, lo, W = case
+        u, w = validation_inputs(lo, W, T, M)
+        assume(w * 2.0 ** -(T + 8) >= sys.float_info.min)
+        K, delta = _grid_digits(10 * M, T)
+        if _rounding_bound(lo, lo + W, T) < delta:
+            assert _dyadic_digits(u, w * 2.0 ** (1 - T), T).tolist() == K.tolist()
+
+    def test_a_far_range_computes_its_digits_per_point(self, monkeypatch):
+        name, lo, hi = _FAR
+        calls = []
+
+        def digits(*args, **kw):
+            calls.append(args[0].size)
+            return _dyadic_digits(*args, **kw)
+
+        monkeypatch.setattr(calibration, "_dyadic_digits", digits)
+        bank, rep = fit_target(name, 8, 16, 4096, lo, hi)
+        bs = bank.boundaries.tolist()
+        nus = [_rounding_bound(a, b, 16) for a, b in zip(bs, bs[1:])]
+        assert nus == pytest.approx([9.3e-7] * 8, rel=3e-3)
+        assert min(nus) > _grid_digits(40960, 16)[1]
+        assert sum(calls) == 8 * 40960 and len(calls) == 8 * _VAL_BLOCKS
+        for i, (a, b) in enumerate(zip(bs, bs[1:])):
+            ref, err = fit_fs_reference(TARGETS[name].fn, a, b, 16, 4096, d=bank.d[:, i])
+            assert ref.d.tobytes() == bank.d[:, i:i + 1].tobytes()
+            assert err == rep.per_subrange_max_abs_err[i]
+
+    def test_the_default_block_reads_the_shared_digits(self, default_block,
+                                                       monkeypatch):
+        T = default_block.config.T
+        nus = [_rounding_bound(a, b, T) for bank in default_block.hg.values()
+               for a, b in zip(bank.boundaries[:-1].tolist(), bank.boundaries[1:].tolist())]
+        assert len(nus) == 160 and max(nus) <= 1.6e-9 < _grid_digits(40960, T)[1]
+        # a per-point digit would fail: None cannot be called
+        monkeypatch.setattr(calibration, "_dyadic_digits", None)
+        bank = default_block.hg["layers.0.ffn.act"]
+        got, rep = fit_fs(gelu, bank.boundaries, T, calibration.FIT_SAMPLES)
+        assert got == bank and rep == default_block.reports["layers.0.ffn.act"]
+
+    @pytest.mark.parametrize("case", [(gelu, -5.0, 5.0, 16, 4096),  # shared
+                                      (TARGETS["reciprocal"].fn, 1000.0, 1000.0625,
+                                       16, 4096)])  # per point
+    def test_fit_equals_the_reference_on_each_side_of_the_bound(self, case):
+        assert_fits_as_reference(case)
+
+
 def textbook_targets():
     """Each target of TARGETS as a plain numpy expression: the oracle of its
     in-place form."""
@@ -648,18 +751,28 @@ def target_inputs():
     return np.concatenate([_TARGET_EDGES, rng.uniform(-30.0, 30.0, 4000), scattered])
 
 
-def warm_fit_peak(name):
-    """tracemalloc's peak over a fit of a target on its range at M = 4096,
-    T = 16, made right after one just like it."""
-    spec = TARGETS[name]
-    lo = 0.5 if spec.floor is not None else spec.lo
-    fit_fs(spec.fn, (lo, spec.hi), 16, 4096)
+# glibc's default mmap threshold: an allocation this large is mapped and
+# unmapped on its own, and freeing one raises the threshold for the rest of
+# the process
+_MMAP_THRESHOLD = 128 * 1024
+
+
+def warm_peak(fit):
+    """tracemalloc's peak over fit(), made right after one just like it."""
+    fit()
     tracemalloc.start()
     try:
-        fit_fs(spec.fn, (lo, spec.hi), 16, 4096)
+        fit()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def warm_fit_peak(name):
+    """warm_peak of a fit of a target on its range at M = 4096, T = 16."""
+    spec = TARGETS[name]
+    lo = 0.5 if spec.floor is not None else spec.lo
+    return warm_peak(lambda: fit_fs(spec.fn, (lo, spec.hi), 16, 4096))
 
 
 class TestFitWork:
@@ -682,14 +795,42 @@ class TestFitWork:
     @pytest.mark.parametrize("name", sorted(TARGETS))
     def test_warm_fit_allocates_no_grid_sized_array(self, name):
         # a fit that made its work arrays anew each time would peak at
-        # 733 KiB here for gelu. silu's sigmoid takes its scratch from them,
-        # so it peaks no higher than gelu, whose values need none, but for
-        # the interpreter's own churn of a few hundred bytes (240 B in a
-        # full run): a float temporary would add 80 KiB, a mask 10 KiB
+        # 1.05 MiB here for gelu, the grid's digit table included; a warm one
+        # peaks at 7 KiB, far from the mmap threshold. silu's sigmoid takes
+        # its scratch from the work arrays, so it peaks no higher than gelu,
+        # whose values need none, but for the interpreter's own churn of a
+        # few hundred bytes (424 B in one run): a float temporary would add
+        # 80 KiB, a mask 10 KiB
         peak = warm_fit_peak(name)
-        assert peak < 512 * 1024
+        assert peak < _MMAP_THRESHOLD
         if name == "silu":
             assert peak <= warm_fit_peak("gelu") + 1024
+
+    def test_warm_per_point_fit_frees_no_mmap_sized_temporary(self):
+        # a sub-range far from 0 for its width computes its digits per point
+        name, lo, hi = _FAR
+        assert warm_peak(lambda: fit_fs(TARGETS[name].fn, (lo, lo + 0.0625), 16,
+                                        4096)) < _MMAP_THRESHOLD
+
+    @pytest.mark.parametrize("M, T", [(4096, 16), (64, 25), (2**14, 40)])
+    def test_digit_build_frees_no_mmap_sized_temporary(self, M, T):
+        # the digits are built a chunk at a time: what the build held at its
+        # peak besides the arrays it keeps stays below the threshold
+        tracemalloc.start()
+        try:
+            work = _FitWork(M, T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert work.digits.nbytes == 80 * M
+        assert peak - work.nbytes < _MMAP_THRESHOLD
+
+    @pytest.mark.parametrize("name", sorted(TARGETS))
+    def test_wide_bank_weights_stay_below_one_bank_sized_array(self, name):
+        # N = 128 takes its weights from blocks of 32 sub-ranges' target
+        # values, 66 KiB each, not from one (128, 2^8 + 2) array of 264 KB
+        peak = warm_peak(lambda: fit_target(name, 128, 16, 4096))
+        assert peak < 128 * (2**_MEAN_RUNGS + 2) * 8
 
     def test_interleaved_shapes_match_reference(self):
         for M, T in ((64, 4), (4096, 16), (64, 25), (4096, 16)):
@@ -717,6 +858,19 @@ class TestFitWork:
 
         with pytest.raises(CalibrationError, match=f"non-finite value at x={x_k}$"):
             fit_fs(hole, (-1.0, 1.0), 8, 64)
+
+    @pytest.mark.parametrize("k", [0, 639])
+    def test_per_point_refusal_on_the_grid_names_x(self, k):
+        # at T = 40 the grid computes its digits per point, into the array
+        # that held its x, and the refusal still names grid point k
+        assert _rounding_bound(-1.0, 1.0, 40) > _grid_digits(640, 40)[1]
+        x_k = float(np.linspace(-1.0, 1.0, 640)[k])
+
+        def hole(x):
+            return np.where(x == x_k, np.nan, x)
+
+        with pytest.raises(CalibrationError, match=f"non-finite value at x={x_k}$"):
+            fit_fs(hole, (-1.0, 1.0), 40, 64)
 
     def test_in_place_refusal_names_x(self):
         with pytest.raises(CalibrationError, match=r"at x=(-\S+)$") as info:

@@ -1,13 +1,15 @@
 """tools/fidelity_diff.py: the comparison it prints from two checkouts' runs."""
 import importlib.util
+import json
 import pathlib
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from spikeconvert import cli
 from spikeconvert.calibration import sample_distribution
-from spikeconvert.calibration import CalibrationReport
+from spikeconvert.calibration import CalibrationReport, _grid_digits, _rounding_bound
 from spikeconvert.model import spike_forward
 from spikeconvert.neurons import HGConfig, OATConfig
 from spikeconvert.tensors import Matrix
@@ -287,3 +289,16 @@ class TestRows:
                     runs["default/sweep", T], runs["default", T], strict=True):
                 assert out.tobytes() == want.tobytes() and err == want_err
                 assert ledger == want_ledger and counters == want_counters
+
+    @pytest.mark.parametrize("name", sorted(fidelity_diff.CALIBRATE))
+    def test_calibrate_rows_cover_both_digit_paths(self, name, tmp_path):
+        # calibrate_far.json's sub-ranges compute their grid's digits per
+        # point; the other rows' read them from the shared table
+        flags = fidelity_diff.CALIBRATE[name]
+        out = tmp_path / name
+        assert cli.main(flags + ["--out", str(out)]) == 0
+        bs = json.loads(out.read_text())["hg"]["boundaries"]
+        T, M = (int(flags[flags.index(flag) + 1]) for flag in ("--steps", "--samples"))
+        delta = _grid_digits(10 * M, T)[1]
+        per_point = [_rounding_bound(a, b, T) >= delta for a, b in zip(bs, bs[1:])]
+        assert per_point == [name == "calibrate_far.json"] * 8

@@ -5,9 +5,11 @@ Usage:
 
 OLD and NEW are checkout directories, each holding src/spikeconvert. Each
 runs in its own subprocess with one BLAS thread. There it converts the
-blocks below, saves and loads them again, fits two gates through
-`spikeconvert calibrate` (gelu at T = 16, exp at T = 25 on 64 samples; no
---seed, which older checkouts default to 7 and newer ones do not take), and
+blocks below, saves and loads them again, fits three gates through
+`spikeconvert calibrate` (gelu at T = 16, exp at T = 25 on 64 samples, and
+reciprocal on [1000, 1000.5] at T = 16, where every sub-range computes its
+grid's digits per point; no --seed, which older checkouts default to 7 and
+newer ones do not take), and
 runs spike_forward on seeded inputs at each step count, on the converted
 block and on the loaded one (`<name>/loaded`):
 
@@ -91,6 +93,12 @@ CALIBRATE = {
                        "--steps", "16", "--samples", "4096"],
     "calibrate_t25.json": ["calibrate", "--target", "exp", "--levels", "8",
                            "--steps", "25", "--samples", "64"],
+    # A range far from 0 for its width: every sub-range's rounding bound is
+    # past the grid's, so each computes its digits per point, while the rows
+    # above and the blocks read them from the shared table.
+    "calibrate_far.json": ["calibrate", "--target", "reciprocal", "--range", "1000",
+                           "1000.5", "--levels", "8", "--steps", "16",
+                           "--samples", "4096"],
 }
 # block name: (input scale, step count) of each scaled row, `<name>/x<scale>`
 SCALED = {"default": ((3, 16),)}

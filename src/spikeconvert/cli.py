@@ -1,5 +1,10 @@
 """Command-line front end for calibration, conversion, runs, and reports.
 
+A command parses only its inputs (configs, weights, inputs and blocks) and
+never a report: `run` prints the energy quotient and its `--report` holds
+the whole ledger, so a report is an output only. A numeric flag is read
+in ASCII only, with no "_" separators.
+
 Exit codes are a stable contract: 0 on success, 2 for usage or input
 problems (unknown targets, unreadable or malformed files, bad shapes), 3
 when the spike path itself produces a non-finite value. A warning the
@@ -31,7 +36,7 @@ from .calibration import (
     hg_to_dict,
     sample_distribution,
 )
-from .energy import E_AC, E_MAC, EnergyLedger, energy_ratio
+from .energy import energy_ratio
 from .errors import CalibrationError, FormatError, SpikePathError
 from .model import (
     ConvertedBlock,
@@ -44,27 +49,37 @@ from .model import (
     load_block,
     load_config,
     load_weights,
-    read_json,
     save_block,
     save_config,
     save_weights,
     spike_forward,
 )
-from .neurons import _MAX_GATE_STEPS, _check_type
+from .neurons import _MAX_GATE_STEPS
 from .tensors import Matrix
 
 _INPUT_TENSOR = "input"
 
 
-def _is_digits(raw: str) -> bool:
-    # ASCII digits only: int() also takes "4_0" and str.isdecimal "٣"
-    return raw.isascii() and raw.isdigit()
+def _ascii_flag(kind: type, pattern: str, what: str):
+    """An argparse type that reads a value as kind only when the whole value
+    matches pattern in ASCII: int() and float() also read "1_6" as 16, and
+    "٣" and "１６" as 3 and 16."""
+    form = re.compile(pattern, re.ASCII | re.IGNORECASE)
+
+    def parse(raw: str):
+        if not form.fullmatch(raw):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {raw!r}")
+        return kind(raw)
+    return parse
 
 
-def _seed_flag(raw: str) -> int:
-    if not _is_digits(raw):
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {raw!r}")
-    return int(raw)
+_seed_flag = _ascii_flag(int, r"\d+", "a nonnegative integer")
+# a sign parses, so a range check can name a value such as -3
+_int_flag = _ascii_flag(int, r"[-+]?\d+", "an integer")
+# an unsigned number as float() reads it; argparse takes a --range bound like
+# -1e-3 or -inf for an option unless its negative-number pattern matches it
+_FLOAT_BODY = r"((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)"
+_float_flag = _ascii_flag(float, r"[-+]?" + _FLOAT_BODY, "a number")
 
 
 def _load_input(path: str) -> Matrix:
@@ -163,7 +178,7 @@ def cmd_compare(args) -> int:
 
 
 def _steps_entry(raw: str) -> int:
-    if not _is_digits(raw.strip()):
+    if not re.fullmatch(r"[0-9]+", raw.strip()):
         raise ValueError(f"--steps-list entry {raw!r} is not a nonnegative integer")
     return int(raw)
 
@@ -185,22 +200,6 @@ def cmd_sweep(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     sys.stdout.write(text)
-    return 0
-
-
-def cmd_energy(args) -> int:
-    doc = read_json(args.report)
-    _check_type("report", doc, dict)
-    ledger = doc.get("ledger", {})
-    _check_type("ledger", ledger, dict)
-    if not ledger.get("flops"):
-        raise ValueError(
-            f"report {args.report!r} records no float-path FLOPs; "
-            "the energy ratio is undefined"
-        )
-    led = EnergyLedger.from_dict(ledger)
-    print(f"SOPs={led.sops} FLOPs={led.flops} E_AC={E_AC} E_MAC={E_MAC} "
-          f"ratio={energy_ratio(led):.6g}")
     return 0
 
 
@@ -231,15 +230,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("calibrate", help="fit one nonlinearity; write its gate and report")
-    # argparse takes a --range bound like -1e-3 or -inf for an option unless
-    # its negative-number pattern matches exponent forms and float's words too
-    c._negative_number_matcher = re.compile(r"^-(\d*\.?\d+(e[-+]?\d+)?|inf(inity)?|nan)$",
-                                            re.IGNORECASE)
+    c._negative_number_matcher = re.compile(f"-{_FLOAT_BODY}\\Z", re.ASCII | re.IGNORECASE)
     c.add_argument("--target", required=True, choices=sorted(TARGETS))
-    c.add_argument("--range", nargs=2, type=float, metavar=("LO", "HI"))
-    c.add_argument("--levels", type=int, default=8, help="sub-range count N")
-    c.add_argument("--steps", type=int, default=16)
-    c.add_argument("--samples", type=int, default=FIT_SAMPLES,
+    c.add_argument("--range", nargs=2, type=_float_flag, metavar=("LO", "HI"))
+    c.add_argument("--levels", type=_int_flag, default=8, help="sub-range count N")
+    c.add_argument("--steps", type=_int_flag, default=16)
+    c.add_argument("--samples", type=_int_flag, default=FIT_SAMPLES,
                    help="samples M: 10M grid points validate each sub-range's fit")
     c.add_argument("--out", required=True)
     c.set_defaults(fn=cmd_calibrate)
@@ -253,14 +249,14 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("run", help="spike-run a converted block on an input")
     c.add_argument("--block", required=True)
     c.add_argument("--input", required=True)
-    c.add_argument("--steps", type=int)
+    c.add_argument("--steps", type=_int_flag)
     c.add_argument("--report")
     c.set_defaults(fn=cmd_run)
 
     c = sub.add_parser("compare", help="print the float-vs-spike error table")
     c.add_argument("--block", required=True)
     c.add_argument("--input", required=True)
-    c.add_argument("--steps", type=int)
+    c.add_argument("--steps", type=_int_flag)
     c.set_defaults(fn=cmd_compare)
 
     c = sub.add_parser("sweep", help="emit timestep-sweep CSV")
@@ -270,16 +266,12 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--out")
     c.set_defaults(fn=cmd_sweep)
 
-    c = sub.add_parser("energy", help="print the energy ratio from a run report")
-    c.add_argument("--report", required=True)
-    c.set_defaults(fn=cmd_energy)
-
     c = sub.add_parser("init", help="write a toy config, weights, and input")
     c.add_argument("--config-out", default="toy_config.json")
     c.add_argument("--weights-out", default="toy_weights.lasw")
     c.add_argument("--input-out", default="toy_input.lasw")
     c.add_argument("--gated", action="store_true")
-    c.add_argument("--layers", type=int, default=1)
+    c.add_argument("--layers", type=_int_flag, default=1)
     c.add_argument("--seed", type=_seed_flag, default=11)
     c.set_defaults(fn=cmd_init)
     return p

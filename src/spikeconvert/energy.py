@@ -19,10 +19,7 @@ nothing.
 """
 from __future__ import annotations
 
-import numbers
-
-from .errors import EnergyAccountingError, FormatError
-from .neurons import _check_type
+from .errors import EnergyAccountingError
 
 E_AC = 0.9
 E_MAC = 4.6
@@ -89,21 +86,6 @@ class EnergyLedger:
             "by_site": {k: dict(v) for k, v in sorted(self.by_site.items())},
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EnergyLedger":
-        ledger = cls()
-        by_site = d.get("by_site", {})
-        _check_type("by_site", by_site, dict)
-        for site, counts in by_site.items():
-            where = f"by_site[{site!r}]"
-            _check_type(where, counts, dict)
-            ledger.record_sop(site, _tally(where, counts, "sops"))
-            ledger.record_flop(site, _tally(where, counts, "flops"))
-        totals = _tally("ledger", d, "sops"), _tally("ledger", d, "flops")
-        if (ledger.sops, ledger.flops) != totals:
-            raise EnergyAccountingError("ledger totals do not match site breakdown")
-        return ledger
-
 
 class _Uncharged(EnergyLedger):
     """A ledger that records nothing: the default of every kernel, so a call
@@ -116,16 +98,6 @@ class _Uncharged(EnergyLedger):
 
 
 UNCHARGED = _Uncharged()
-
-
-def _tally(where: str, node: dict, key: str) -> int:
-    # checked, not coerced: int(2.7) would read a corrupt count as 2
-    if key not in node:
-        raise FormatError(f"{where} lacks the count {key!r}")
-    _check_type(f"{where}.{key}", node[key], numbers.Integral)
-    if node[key] >= 2**53:  # energy_ratio takes it as a float64
-        raise EnergyAccountingError(f"{where}.{key} must be below 2**53")
-    return node[key]
 
 
 def energy_ratio(ledger: EnergyLedger) -> float:

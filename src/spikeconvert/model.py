@@ -854,6 +854,11 @@ def load_block(path: str) -> ConvertedBlock:
             f"`spikeconvert convert`"
         )
     _check_keys("block", doc, _BLOCK_KEYS)
+    _check_type("config", doc["config"], dict)
+    # save_block writes every field: a missing one would load its default
+    missing = {f.name for f in dataclasses.fields(ModelConfig)} - set(doc["config"])
+    if missing:
+        raise FormatError(f"block config lacks the fields {sorted(missing)}")
     cfg = ModelConfig.from_dict(doc["config"])
     name = doc["weights_file"]
     _check_type("weights_file", name, str)

@@ -3,6 +3,7 @@
 Everything drives cli.main() in process with a tiny 8-feature block, so the
 whole file stays fast while covering every subcommand and failure class.
 """
+import dataclasses
 import json
 import shutil
 import struct
@@ -151,6 +152,34 @@ class TestParsing:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    # int() and float() also read "1_6" as 16, and "\u0663" and
+    # "\uff11\uff16" as 3 and 16; argparse's own negative-number pattern
+    # takes "-\u0661" for a number
+    @pytest.mark.parametrize("raw", ["1_6", "\u0663", "\uff11\uff16", "-\u0661"])
+    @pytest.mark.parametrize("argv", [
+        ["calibrate", "--target", "exp", "--levels", "{}"],
+        ["calibrate", "--target", "exp", "--steps", "{}"],
+        ["calibrate", "--target", "exp", "--samples", "{}"],
+        ["calibrate", "--target", "exp", "--range", "{}", "10"],
+        ["calibrate", "--target", "exp", "--range", "-1", "{}"],
+        ["run", "--block", "{block}", "--input", "{input}", "--steps", "{}"],
+        ["compare", "--block", "{block}", "--input", "{input}", "--steps", "{}"],
+        ["init", "--layers", "{}"],
+    ], ids=["calibrate-levels", "calibrate-steps", "calibrate-samples",
+            "calibrate-range-lo", "calibrate-range-hi", "run-steps", "compare-steps",
+            "init-layers"])
+    def test_numeric_flag_takes_ascii_only(self, work, tmp_path, capsys, argv, raw):
+        flag = next(a for a in reversed(argv) if a.startswith("--"))
+        argv = [a.format(raw, block=work / "block.json", input=work / "input.lasw")
+                for a in argv]
+        out = {"calibrate": ["--out"], "run": ["--report"], "compare": [],
+               "init": ["--config-out", "--weights-out", "--input-out"]}[argv[0]]
+        for i, name in enumerate(out):
+            argv += [name, str(tmp_path / f"out{i}")]
+        assert main(argv) == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCalibrate:
@@ -466,6 +495,16 @@ class TestConvert:
                      "--weights", str(work / "weights.lasw"),
                      "--out", str(tmp_path / "x.json")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_config_field_left_out_takes_its_default(self, work, tmp_path, capsys):
+        doc = json.loads((work / "config.json").read_text())
+        del doc["H"]
+        cp = tmp_path / "config.json"
+        cp.write_text(json.dumps(doc))
+        assert main(["convert", "--config", str(cp),
+                     "--weights", str(work / "weights.lasw"),
+                     "--out", str(tmp_path / "block.json")]) == 0
+        assert load_block(str(tmp_path / "block.json")).config.H == ModelConfig().H
 
     def test_weights_checked_before_the_sample_is_drawn(self, work, default_work,
                                                          tmp_path, capsys, monkeypatch):
@@ -866,6 +905,10 @@ class TestRun:
          "does not match config: missing=[] extra=['input.scale']"),
         # the config's `sop_bits` left with format 6
         (("config", "sop_bits"), True, "unknown config fields: ['sop_bits']"),
+        # save_block writes every config field: a default in a missing one's
+        # place would, for H, rebuild every encoder at another level count
+        *[(("config", f.name), DROP, f"block config lacks the fields ['{f.name}']")
+          for f in dataclasses.fields(ModelConfig)],
     ])
     def test_unknown_or_missing_key_named(self, work, tmp_path, capsys, path,
                                           value, message):
@@ -947,124 +990,28 @@ class TestSweep:
 
 
 class TestEnergy:
-    def test_matches_report_ledger(self, work, capsys):
-        assert main(["energy", "--report", str(work / "report.json")]) == 0
+    """`run` gives every figure of the energy estimate; no command reads a
+    report back."""
+
+    def test_matches_report_ledger(self, work, tmp_path, capsys):
+        rp = tmp_path / "report.json"
+        assert main(["run", "--block", str(work / "block.json"),
+                     "--input", str(work / "input.lasw"), "--report", str(rp)]) == 0
         out = capsys.readouterr().out
-        with open(work / "report.json") as fh:
-            led = json.load(fh)["ledger"]
-        want = (led["sops"] * 0.9) / (led["flops"] * 4.6)
-        got = float(out.split("ratio=")[1])
-        assert got == pytest.approx(want, rel=1e-5)
+        led = json.loads(rp.read_text())["ledger"]
+        assert (led["e_ac"], led["e_mac"]) == (0.9, 4.6)
+        assert led["ratio"] == (led["sops"] * 0.9) / (led["flops"] * 4.6)
+        for key in ("sops", "flops"):
+            assert led[key] == sum(counts[key] for counts in led["by_site"].values())
+        assert out.endswith(f" sops={led['sops']} ratio={led['ratio']:.6g}\n")
 
-    def test_report_without_flops(self, tmp_path, capsys):
-        p = str(tmp_path / "empty.json")
-        with open(p, "w") as fh:
-            json.dump({"ledger": {"sops": 5, "flops": 0}}, fh)
-        code = main(["energy", "--report", p])
-        assert code == 2
-        assert "FLOPs" in capsys.readouterr().err
-
-    def test_missing_report(self, tmp_path, capsys):
-        assert main(["energy", "--report", str(tmp_path / "gone.json")]) == 2
-
-    @UNREADABLE_JSON
-    def test_unreadable_report_named(self, tmp_path, capsys, content):
-        p = tmp_path / "bad_report.json"
-        p.write_bytes(content)
-        assert main(["energy", "--report", str(p)]) == 2
-        assert _unreadable_json_named(capsys, p)
-
-    def test_weighted_report_read_as_stored(self, work, tmp_path, capsys):
-        # a report written with sop_weight 4 holds SOP counts already charged
-        # at 4 per event; they are read as they stand, not divided back
-        doc = json.loads((work / "report.json").read_text())
-        led = doc["ledger"]
-        for counts in [led, *led["by_site"].values()]:
-            counts["sops"] *= 4
-        led["sop_weight"] = 4
-        p = tmp_path / "weighted_report.json"
-        p.write_text(json.dumps(doc))
-        assert main(["energy", "--report", str(p)]) == 0
-        out = capsys.readouterr().out
-        assert f"SOPs={led['sops']} FLOPs={led['flops']} " in out
-        want = (led["sops"] * 0.9) / (led["flops"] * 4.6)
-        assert float(out.split("ratio=")[1]) == pytest.approx(want, rel=1e-5)
-
-    @pytest.mark.parametrize("path, value, field", [
-        ((), [], "report"),
-        (("ledger",), [1], "ledger"),
-        (("ledger", "by_site"), [], "by_site"),
-        (("ledger", "by_site", "input"), 3, "by_site['input']"),
-        (("ledger", "by_site", "input", "sops"), [1], "by_site['input'].sops"),
-    ])
-    def test_malformed_report_field_named(self, work, tmp_path, capsys,
-                                          path, value, field):
-        with open(work / "report.json") as fh:
-            doc = json.load(fh)
-        if path:
-            node = doc
-            for key in path[:-1]:
-                node = node[key]
-            node[path[-1]] = value
-        else:
-            doc = value
-        p = tmp_path / "bad_report.json"
-        p.write_text(json.dumps(doc))
-        assert main(["energy", "--report", str(p)]) == 2
-        assert f"{field} must be" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("path, message", [
-        (("ledger", "sops"), "ledger lacks the count 'sops'"),
-        (("ledger", "by_site", "input", "sops"),
-         "by_site['input'] lacks the count 'sops'"),
-        (("ledger", "by_site", "layers.0.attn.qkv", "flops"),
-         "by_site['layers.0.attn.qkv'] lacks the count 'flops'"),
-    ])
-    def test_missing_count_named(self, work, tmp_path, capsys, path, message):
-        with open(work / "report.json") as fh:
-            doc = json.load(fh)
-        node = doc
-        for key in path[:-1]:
-            node = node[key]
-        del node[path[-1]]
-        p = tmp_path / "bad_report.json"
-        p.write_text(json.dumps(doc))
-        assert main(["energy", "--report", str(p)]) == 2
-        assert message in capsys.readouterr().err
-
-    @pytest.mark.parametrize("site, key", [("input", "sops"),
-                                           ("layers.0.attn.qkv", "flops")])
-    def test_count_past_float_precision_named(self, work, tmp_path, capsys,
-                                              site, key):
-        # valid JSON, and the totals agree: only the float quotient would fail
-        with open(work / "report.json") as fh:
-            doc = json.load(fh)
-        counts = doc["ledger"]["by_site"][site]
-        doc["ledger"][key] += 10**400 - counts[key]
-        counts[key] = 10**400
-        p = tmp_path / "huge_report.json"
-        p.write_text(json.dumps(doc))
-        assert main(["energy", "--report", str(p)]) == 2
-        assert (f"by_site[{site!r}].{key} must be below 2**53"
-                in capsys.readouterr().err)
-
-    @pytest.mark.parametrize("path, field", [
-        (("ledger", "sops"), "sops"),
-        (("ledger", "by_site", "input", "sops"), "by_site['input'].sops"),
-    ])
-    def test_fractional_count_not_coerced(self, work, tmp_path, capsys,
-                                          path, field):
-        # int() would truncate the 0.7 away and the totals would still agree
-        with open(work / "report.json") as fh:
-            doc = json.load(fh)
-        node = doc
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] += 0.7
-        p = tmp_path / "fractional_report.json"
-        p.write_text(json.dumps(doc))
-        assert main(["energy", "--report", str(p)]) == 2
-        assert f"{field} must be Integral" in capsys.readouterr().err
+    def test_retired_command_refused(self, work, capsys):
+        assert main(["energy", "--report", str(work / "report.json")]) == 2
+        err = capsys.readouterr().err
+        assert "argument command: invalid choice: 'energy' (choose from " in err
+        listed = err.split("(choose from ")[1]
+        for name in ("calibrate", "convert", "run", "compare", "sweep", "init"):
+            assert name in listed
 
 
 class TestInit:

@@ -1,18 +1,22 @@
-"""The documented import paths: README's quick start runs as written, and
-README states the block version that load_block reads.
+"""The documented import paths: README's quick starts run as written, its
+CLI row names the commands there are, and it states the block version that
+load_block reads.
 
 Every name is imported from the module that defines it, and the package
 root provides only __version__, so the quick start is the one import
 surface to guard.
 """
+import argparse
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 import types
 
 import spikeconvert
+from spikeconvert import cli
 from spikeconvert.model import _BLOCK_VERSION
 
 _ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -37,6 +41,28 @@ def test_readme_quick_start_runs_as_written():
     # README: "~4e-4 at T=16 on the defaults"
     assert 0 < rel_err < 1e-3
     assert 0 < ratio < 1
+
+
+def test_readme_cli_quick_start_runs_as_written(tmp_path, monkeypatch, capsys):
+    readme = (_ROOT / "README.md").read_text()
+    blocks = re.findall(r"^## Quick start \(CLI\)\n\n```sh\n(.*?)^```", readme,
+                        re.S | re.M)
+    assert len(blocks) == 1
+    monkeypatch.chdir(tmp_path)
+    lines = [shlex.split(line, comments=True) for line in blocks[0].splitlines()]
+    assert [argv[0] for argv in lines] == ["spikeconvert"] * len(lines)
+    for argv in lines:
+        assert cli.main(argv[1:]) == 0, (argv, capsys.readouterr().err)
+
+
+def test_readme_cli_row_names_every_command():
+    readme = (_ROOT / "README.md").read_text()
+    row = re.findall(r"^\| `spikeconvert\.cli` \| `spikeconvert` command: (.*) \|$",
+                     readme, re.M)
+    commands = next(a.choices for a in cli._build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    assert len(row) == 1
+    assert sorted(row[0].split(" / ")) == sorted(commands)
 
 
 def test_readme_states_the_block_version():

@@ -86,7 +86,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CalibrationError, FormatError, ShapeError
+from .errors import CalibrationError, ShapeError
 from .neurons import HGConfig, _dyadic_digits, _gate_guards
 from .tensors import ActivationStats, Matrix
 
@@ -655,16 +655,6 @@ def hg_to_dict(cfg: HGConfig) -> dict:
     """The bank as JSON: its boundaries and its (T, N) step weights, one row
     per step, as a block's sidecar stores them."""
     return {"boundaries": cfg.boundaries.tolist(), "d": cfg.d.tolist()}
-
-
-def _check_keys(where: str, node: dict, keys: set[str]) -> None:
-    """A JSON object node holds exactly keys; the error names each one missing
-    or unknown."""
-    if set(node) != keys:
-        raise FormatError(
-            f"{where} must be an object with exactly the keys {sorted(keys)}; "
-            f"missing {sorted(keys - set(node))}, unknown {sorted(set(node) - keys)}"
-        )
 
 
 def fit_target(

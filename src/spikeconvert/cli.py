@@ -1,8 +1,11 @@
-"""Command-line front end for calibration, conversion, runs, and reports.
+"""Command-line front end: `init`, `calibrate`, `convert` and `run`.
 
-A command parses only its inputs (configs, weights, inputs and blocks) and
-never a report: `run` prints the energy quotient and its `--report` holds
-the whole ledger, so a report is an output only. A numeric flag is read
+`run` is the one way to run a block: it prints the error and the energy
+quotient at one T, and its `--report` holds the per-layer errors and the
+whole ledger; a sweep over T is one `run --steps T` per T. A command parses
+only its inputs (configs, weights, inputs and blocks) and never a report,
+so a report is an output only, and `convert` refuses an `--out` whose
+block or sidecar would overwrite one of its inputs. A numeric flag is read
 in ASCII only, with no "_" separators.
 
 Exit codes are a stable contract: 0 on success, 2 for usage or input
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
 import warnings
@@ -52,6 +56,7 @@ from .model import (
     save_block,
     save_config,
     save_weights,
+    sidecar_path,
     spike_forward,
 )
 from .neurons import _MAX_GATE_STEPS
@@ -84,19 +89,12 @@ _float_flag = _ascii_flag(float, r"[-+]?" + _FLOAT_BODY, "a number")
 
 def _load_input(path: str) -> Matrix:
     ws = load_weights(path)
-    if _INPUT_TENSOR not in ws:
+    if ws.names != [_INPUT_TENSOR]:
         raise FormatError(
             f"{path!r} holds tensors {ws.names}, expected one named "
             f"{_INPUT_TENSOR!r}"
         )
     return ws[_INPUT_TENSOR]
-
-
-def _run_block(args) -> tuple[ConvertedBlock, Matrix, int]:
-    block = load_block(args.block)
-    x = _load_input(args.input)
-    steps = args.steps if args.steps is not None else block.config.T
-    return block, x, steps
 
 
 def cmd_calibrate(args) -> int:
@@ -127,6 +125,12 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    sidecar = sidecar_path(args.out)
+    for kind, written in (("block", args.out), ("sidecar", sidecar)):
+        for flag, read in (("--config", args.config), ("--weights", args.weights)):
+            if os.path.realpath(written) == os.path.realpath(read):
+                raise ValueError(
+                    f"--out {args.out!r} would write its {kind} over {flag} {read!r}")
     cfg = load_config(args.config)
     weights = load_weights(args.weights)
     weights.validate(cfg)  # before the sample, sized by the config, is drawn
@@ -156,7 +160,9 @@ def _run_report(block: ConvertedBlock, trace: RunTrace) -> dict:
 
 
 def cmd_run(args) -> int:
-    block, x, steps = _run_block(args)
+    block = load_block(args.block)
+    x = _load_input(args.input)
+    steps = args.steps if args.steps is not None else block.config.T
     _, trace = spike_forward(block, x, T=steps)
     if args.report is not None:
         dump_json(_run_report(block, trace), args.report)
@@ -164,42 +170,6 @@ def cmd_run(args) -> int:
         f"T={steps} output_rel_err={trace.output_rel_err:.6g} "
         f"sops={trace.ledger.sops} ratio={energy_ratio(trace.ledger):.6g}"
     )
-    return 0
-
-
-def cmd_compare(args) -> int:
-    block, x, steps = _run_block(args)
-    _, trace = spike_forward(block, x, T=steps)
-    print(f"{'site':<32} {'mean_abs_dev':>16}")
-    for site, dev in sorted(trace.per_layer.items()):
-        print(f"{site:<32} {dev:>16.6g}")
-    print(f"{'output_rel_err':<32} {trace.output_rel_err:>16.6g}")
-    return 0
-
-
-def _steps_entry(raw: str) -> int:
-    if not re.fullmatch(r"[0-9]+", raw.strip()):
-        raise ValueError(f"--steps-list entry {raw!r} is not a nonnegative integer")
-    return int(raw)
-
-
-def cmd_sweep(args) -> int:
-    # a malformed list is refused before the block is read
-    steps_list = [_steps_entry(s) for s in args.steps_list.split(",") if s.strip()]
-    if not steps_list:
-        raise ValueError("--steps-list must name at least one timestep")
-    block = load_block(args.block)
-    x = _load_input(args.input)
-    lines = ["timestep,mean_rel_err,sops,ratio"]
-    for T in steps_list:
-        _, trace = spike_forward(block, x, T=T)
-        ratio = energy_ratio(trace.ledger)
-        lines.append(f"{T},{trace.output_rel_err!r},{trace.ledger.sops},{ratio!r}")
-    text = "\n".join(lines) + "\n"
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
     return 0
 
 
@@ -224,7 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="spikeconvert",
         description="Convert a float transformer block to spike dynamics and "
-        "measure fidelity, timestep scaling, and energy.",
+        "measure its fidelity and energy at a timestep count.",
     )
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -252,19 +222,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--steps", type=_int_flag)
     c.add_argument("--report")
     c.set_defaults(fn=cmd_run)
-
-    c = sub.add_parser("compare", help="print the float-vs-spike error table")
-    c.add_argument("--block", required=True)
-    c.add_argument("--input", required=True)
-    c.add_argument("--steps", type=_int_flag)
-    c.set_defaults(fn=cmd_compare)
-
-    c = sub.add_parser("sweep", help="emit timestep-sweep CSV")
-    c.add_argument("--block", required=True)
-    c.add_argument("--input", required=True)
-    c.add_argument("--steps-list", default="4,8,10,13,16")
-    c.add_argument("--out")
-    c.set_defaults(fn=cmd_sweep)
 
     c = sub.add_parser("init", help="write a toy config, weights, and input")
     c.add_argument("--config-out", default="toy_config.json")

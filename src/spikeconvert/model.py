@@ -39,7 +39,6 @@ from .calibration import (
     FIT_SAMPLES,
     TARGETS,
     CalibrationReport,
-    _check_keys,
     _invsqrt,
     fit_target,
     gelu,
@@ -86,6 +85,16 @@ _MAX_SEQ_LEN = 256
 def _field_types(cls: type) -> dict[str, type]:
     # resolving the string annotations costs about 0.26 ms; do it once per class
     return typing.get_type_hints(cls)
+
+
+def _check_keys(where: str, node: dict, keys: set[str]) -> None:
+    """A JSON object node holds exactly keys; the error names each one missing
+    or unknown."""
+    if set(node) != keys:
+        raise FormatError(
+            f"{where} must be an object with exactly the keys {sorted(keys)}; "
+            f"missing {sorted(keys - set(node))}, unknown {sorted(set(node) - keys)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -817,12 +826,23 @@ def _gate(site: str, tensors: dict[str, np.ndarray],
         raise CalibrationError(f"{where}: err: {exc}") from exc
 
 
+def sidecar_path(path: str) -> str:
+    """The LASW sidecar beside the block file at path: path with a .lasw
+    suffix. A path that is its own sidecar is refused, naming it."""
+    weights_path = os.path.splitext(path)[0] + ".lasw"
+    if os.path.realpath(weights_path) == os.path.realpath(path):
+        raise ValueError(f"block file {path!r} would be its own LASW sidecar; "
+                         f"give it a suffix other than .lasw")
+    return weights_path
+
+
 def save_block(block: ConvertedBlock, path: str) -> None:
     """Write the block's JSON to path, and its weights, encoder thresholds,
-    gate banks and fit errors to the LASW sidecar beside it (path with a
-    .lasw suffix). The JSON names the format, the config and the sidecar."""
+    gate banks and fit errors to the LASW sidecar beside it
+    (`sidecar_path`). The JSON names the format, the config and the
+    sidecar."""
     block.check_complete()  # what the file leaves out must be derivable on load
-    weights_path = os.path.splitext(path)[0] + ".lasw"
+    weights_path = sidecar_path(path)
     tensors = _weight_arrays(block.weights)
     for site, c in block.oat.items():
         tensors[site + ".theta"] = np.array([[c.theta_nor, c.theta_out]])

@@ -164,16 +164,14 @@ class TestParsing:
         ["calibrate", "--target", "exp", "--range", "{}", "10"],
         ["calibrate", "--target", "exp", "--range", "-1", "{}"],
         ["run", "--block", "{block}", "--input", "{input}", "--steps", "{}"],
-        ["compare", "--block", "{block}", "--input", "{input}", "--steps", "{}"],
         ["init", "--layers", "{}"],
     ], ids=["calibrate-levels", "calibrate-steps", "calibrate-samples",
-            "calibrate-range-lo", "calibrate-range-hi", "run-steps", "compare-steps",
-            "init-layers"])
+            "calibrate-range-lo", "calibrate-range-hi", "run-steps", "init-layers"])
     def test_numeric_flag_takes_ascii_only(self, work, tmp_path, capsys, argv, raw):
         flag = next(a for a in reversed(argv) if a.startswith("--"))
         argv = [a.format(raw, block=work / "block.json", input=work / "input.lasw")
                 for a in argv]
-        out = {"calibrate": ["--out"], "run": ["--report"], "compare": [],
+        out = {"calibrate": ["--out"], "run": ["--report"],
                "init": ["--config-out", "--weights-out", "--input-out"]}[argv[0]]
         for i, name in enumerate(out):
             argv += [name, str(tmp_path / f"out{i}")]
@@ -424,6 +422,23 @@ class TestConvert:
                      "--weights", str(tmp_path / "nope.lasw"),
                      "--out", str(tmp_path / "x.json")]) == 2
 
+    # --out as the block's own sidecar, as --config, and with --weights for
+    # its sidecar; the config and weights are copied to c.json and w.lasw
+    @pytest.mark.parametrize("out, named", [
+        ("blk.lasw", "block file '{}' would be its own LASW sidecar"),
+        ("c.json", "--out '{}' would write its block over --config"),
+        ("w.json", "--out '{}' would write its sidecar over --weights"),
+    ], ids=["own_sidecar", "config", "weights"])
+    def test_out_over_an_input_refused(self, work, tmp_path, capsys, out, named):
+        shutil.copy(work / "config.json", tmp_path / "c.json")
+        shutil.copy(work / "weights.lasw", tmp_path / "w.lasw")
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        assert main(["convert", "--config", str(tmp_path / "c.json"),
+                     "--weights", str(tmp_path / "w.lasw"),
+                     "--out", str(tmp_path / out)]) == 2
+        assert named.format(tmp_path / out) in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_negative_config_seed_named(self, work, tmp_path, capsys):
         with open(work / "config.json") as fh:
             doc = json.load(fh)
@@ -603,14 +618,11 @@ class TestRun:
             "'layers.0.ln1.invsqrt'\n")
         assert captured.out == ""
 
-    @pytest.mark.parametrize("command", [["run"], ["compare"],
-                                         ["sweep", "--steps-list", "4"]])
-    def test_rows_past_the_ceiling_named(self, work, tmp_path, capsys, command):
+    def test_rows_past_the_ceiling_named(self, work, tmp_path, capsys):
         # refused by the float oracle, before any spike array is built
         bad = str(tmp_path / "long_input.lasw")
         save_weights(WeightSet({"input": Matrix(np.ones((257, 8)))}), bad)
-        assert main([command[0], "--block", str(work / "block.json"), "--input", bad,
-                     *command[1:]]) == 2
+        assert main(["run", "--block", str(work / "block.json"), "--input", bad]) == 2
         assert capsys.readouterr() == (
             "", "error: input has 257 rows, a block takes at most 256\n")
 
@@ -633,6 +645,15 @@ class TestRun:
                      "--input", bad])
         assert code == 2
         assert "input" in capsys.readouterr().err
+
+    def test_input_with_extra_tensors_refused(self, work, tmp_path, capsys):
+        bad = str(tmp_path / "extra_input.lasw")
+        x = Matrix(np.ones((4, 8)))
+        save_weights(WeightSet({"input": x, "junk": x}), bad)
+        assert main(["run", "--block", str(work / "block.json"), "--input", bad]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {bad!r} holds tensors ['input', 'junk'], expected one "
+                f"named 'input'\n")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_spike_path_exits_3(self, work, tmp_path, capsys):
@@ -940,55 +961,6 @@ class TestRun:
                 in capsys.readouterr().err)
 
 
-class TestCompare:
-    def test_table(self, work, capsys):
-        assert main(["compare", "--block", str(work / "block.json"),
-                     "--input", str(work / "input.lasw")]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        # a row per sublayer, named by its key on the site tree
-        assert [line.split()[0] for line in lines] == [
-            "site", "layers.0.attn", "layers.0.ffn", "output_rel_err"]
-
-
-class TestSweep:
-    def test_csv_shape_and_direction(self, work, tmp_path, capsys):
-        out = str(tmp_path / "sweep.csv")
-        assert main(["sweep", "--block", str(work / "block.json"),
-                     "--input", str(work / "input.lasw"),
-                     "--steps-list", "1,4,8", "--out", out]) == 0
-        printed = capsys.readouterr().out
-        with open(out) as fh:
-            text = fh.read()
-        assert text == printed
-        lines = text.strip().split("\n")
-        assert lines[0] == "timestep,mean_rel_err,sops,ratio"
-        rows = [line.split(",") for line in lines[1:]]
-        assert [int(r[0]) for r in rows] == [1, 4, 8]
-        errs = [float(r[1]) for r in rows]
-        sops = [int(r[2]) for r in rows]
-        assert errs[0] >= errs[1] >= errs[2]
-        assert sops[0] < sops[1] < sops[2]
-
-    def test_empty_steps_list(self, work, capsys):
-        assert main(["sweep", "--block", str(work / "block.json"),
-                     "--input", str(work / "input.lasw"),
-                     "--steps-list", ","]) == 2
-
-    def test_non_numeric_steps(self, work, capsys):
-        assert main(["sweep", "--block", str(work / "block.json"),
-                     "--input", str(work / "input.lasw"),
-                     "--steps-list", "4,x"]) == 2
-
-    # int() takes all but the first two for a number: "1_6" for 16, "\u0664" for 4
-    @pytest.mark.parametrize("entry", ["x", "2.5", "1_6", "\u0664", "+4", "-3"])
-    def test_bad_steps_entry_is_named(self, work, capsys, entry):
-        assert main(["sweep", "--block", str(work / "block.json"),
-                     "--input", str(work / "input.lasw"),
-                     "--steps-list", f"4,{entry}"]) == 2
-        assert capsys.readouterr() == ("", f"error: --steps-list entry {entry!r} "
-                                           f"is not a nonnegative integer\n")
-
-
 class TestEnergy:
     """`run` gives every figure of the energy estimate; no command reads a
     report back."""
@@ -1006,12 +978,17 @@ class TestEnergy:
         assert out.endswith(f" sops={led['sops']} ratio={led['ratio']:.6g}\n")
 
     def test_retired_command_refused(self, work, capsys):
-        assert main(["energy", "--report", str(work / "report.json")]) == 2
-        err = capsys.readouterr().err
-        assert "argument command: invalid choice: 'energy' (choose from " in err
-        listed = err.split("(choose from ")[1]
-        for name in ("calibrate", "convert", "run", "compare", "sweep", "init"):
-            assert name in listed
+        # run prints their figures: a sweep is one `run --steps T` per T
+        block, x = str(work / "block.json"), str(work / "input.lasw")
+        for argv in (["energy", "--report", str(work / "report.json")],
+                     ["compare", "--block", block, "--input", x],
+                     ["sweep", "--block", block, "--input", x, "--steps-list", "4,8"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"argument command: invalid choice: '{argv[0]}' (choose from " in err
+            listed = err.split("(choose from ")[1].rstrip(")\n")
+            assert sorted(name.strip("'") for name in listed.split(", ")) == [
+                "calibrate", "convert", "init", "run"]
 
 
 class TestInit:

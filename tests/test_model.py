@@ -903,6 +903,13 @@ class TestBlockSerialization:
             second = fh.read()
         assert first == second
 
+    def test_path_that_is_its_own_sidecar_refused(self, tiny_block, tmp_path):
+        p = str(tmp_path / "block.lasw")
+        with pytest.raises(ValueError, match=re.escape(
+                f"block file {p!r} would be its own LASW sidecar")):
+            save_block(tiny_block, p)
+        assert list(tmp_path.iterdir()) == []
+
     def test_loaded_block_runs_identically(self, tiny_block, tiny_input,
                                            tmp_path):
         p = str(tmp_path / "block.json")

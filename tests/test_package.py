@@ -1,6 +1,7 @@
 """The documented import paths: README's quick starts run as written, its
-CLI row names the commands there are, and it states the block version that
-load_block reads.
+CLI row names the commands there are, every `spikeconvert <command>` it
+writes names one of them, and it states the block version that load_block
+reads.
 
 Every name is imported from the module that defines it, and the package
 root provides only __version__, so the quick start is the one import
@@ -55,14 +56,23 @@ def test_readme_cli_quick_start_runs_as_written(tmp_path, monkeypatch, capsys):
         assert cli.main(argv[1:]) == 0, (argv, capsys.readouterr().err)
 
 
+def _commands() -> list[str]:
+    return sorted(next(a.choices for a in cli._build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)))
+
+
 def test_readme_cli_row_names_every_command():
     readme = (_ROOT / "README.md").read_text()
     row = re.findall(r"^\| `spikeconvert\.cli` \| `spikeconvert` command: (.*) \|$",
                      readme, re.M)
-    commands = next(a.choices for a in cli._build_parser()._actions
-                    if isinstance(a, argparse._SubParsersAction))
     assert len(row) == 1
-    assert sorted(row[0].split(" / ")) == sorted(commands)
+    assert sorted(row[0].split(" / ")) == _commands()
+
+
+def test_readme_invocations_name_commands_there_are():
+    readme = (_ROOT / "README.md").read_text()
+    named = set(re.findall(r"\bspikeconvert\s+([a-z][\w-]*)", readme))
+    assert named and named <= set(_commands()), sorted(named - set(_commands()))
 
 
 def test_readme_states_the_block_version():
